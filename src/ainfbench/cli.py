@@ -1,7 +1,8 @@
 """Command-line front end: reproducible experiments with golden gating.
 
-Exit codes: 0 success / golden match, 1 mathematical mismatch, 2 usage
-error.  All output is deterministic byte-for-byte."""
+Exit codes: 0 success / golden match, 1 mathematical mismatch or negative
+(such as an order that cannot be gauged away), 2 usage or input error.
+All output is deterministic byte-for-byte."""
 
 from __future__ import annotations
 
@@ -431,6 +432,9 @@ def main(argv=None) -> int:
     except Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except gauge_mod.ObstructionError as exc:
+        print(f"obstruction: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -31,7 +31,7 @@ from .hochschild import (
     mu_cochain,
     reference_cocycle,
 )
-from .quiver import AInfStructure, Element, ZERO
+from .quiver import AInfStructure, Element, ZERO, accumulate, tensor_terms
 from .scalars import FieldSpec, Scalar
 
 
@@ -55,7 +55,7 @@ class GaugeTransformation:
         self.spec = spec
         self.cat = cat
         one = spec.one()
-        self._units = {n: Element.single(n, one) for n in cat.generators}
+        self._identity = {(n,): Element.single(n, one) for n in cat.generators}
         self.components: dict[int, dict] = {}
         for k, table in (components or {}).items():
             clean = {}
@@ -77,10 +77,12 @@ class GaugeTransformation:
     def supports(self):
         return sorted(self.components)
 
+    def table(self, k: int) -> dict:
+        """g^k as a sparse table; g^1 is the identity on generators."""
+        return self._identity if k == 1 else self.components.get(k, {})
+
     def apply_component(self, k: int, names) -> Element:
-        if k == 1:
-            return self._units[names[0]]
-        return self.components.get(k, {}).get(tuple(names), ZERO)
+        return self.table(k).get(tuple(names), ZERO)
 
 
 def _compositions(d: int, parts: tuple):
@@ -94,6 +96,23 @@ def _compositions(d: int, parts: tuple):
                 yield (p,) + rest
 
 
+def _blocks(gauge: GaugeTransformation, comp, t):
+    """[g^{s_r}(block_r), ..., g^{s_1}(block_1)] for the composition
+    comp = (s_1, ..., s_r) of the tuple t, s_1 the rightmost block; None
+    when some block vanishes."""
+    d = len(t)
+    blocks = []
+    off = 0
+    for size in comp:
+        val = gauge.apply_component(size, t[d - off - size: d - off])
+        if val.is_zero():
+            return None
+        blocks.append(val)
+        off += size
+    blocks.reverse()
+    return blocks
+
+
 def gauge_apply(gauge: GaugeTransformation, mu: AInfStructure,
                 order: int = None) -> AInfStructure:
     """Act on a minimal structure; result is minimal with the same mu^2."""
@@ -101,29 +120,10 @@ def gauge_apply(gauge: GaugeTransformation, mu: AInfStructure,
         raise ValueError("gauge action implemented for minimal structures")
     order = order or mu.truncation
     spec, cat = mu.spec, mu.cat
+    one = spec.one()
     new_tables: dict[int, dict] = {2: dict(mu.tables[2])}
     parts = tuple([1] + gauge.supports())
     gens = cat.nonidentity_generators()
-
-    def eval_new(r, elements):
-        table = new_tables.get(r)
-        if not table:
-            return ZERO
-        acc = ZERO
-        stack = [((), spec.one())]
-        for el in elements:
-            stack = [
-                (prefix + (g,), coeff * c)
-                for prefix, coeff in stack
-                for g, c in el.terms.items()
-            ]
-            if not stack:
-                return ZERO
-        for names, coeff in stack:
-            val = table.get(names)
-            if val is not None:
-                acc = acc + val.scale(coeff)
-        return acc
 
     for d in range(3, order + 1):
         comps = [
@@ -136,54 +136,34 @@ def gauge_apply(gauge: GaugeTransformation, mu: AInfStructure,
             eps = [0] * (d + 1)
             for n in range(1, d + 1):
                 eps[n] = eps[n - 1] + degs[d - n] - 1
-            acc = ZERO
+            acc = {}
             # g-side: sum over insertions of old mu^m into g^{d-m+1}
             for m in mu.present_arities():
                 if m > d:
                     break
-                k = d - m + 1
-                if k != 1 and k not in gauge.components:
+                gk = gauge.table(d - m + 1)
+                if not gk:
                     continue
                 inner_table = mu.tables[m]
                 for n in range(0, d - m + 1):
-                    window = t[d - n - m: d - n]
-                    inner = inner_table.get(window)
+                    inner = inner_table.get(t[d - n - m: d - n])
                     if inner is None:
                         continue
                     head, tail = t[: d - n - m], t[d - n:]
-                    if k == 1:
-                        term = inner
-                    else:
-                        term = ZERO
-                        gk = gauge.components[k]
-                        for g, c in inner.terms.items():
-                            val = gk.get(head + (g,) + tail)
-                            if val is not None:
-                                term = term + val.scale(c)
-                    if term.is_zero():
-                        continue
-                    acc = acc + (-term if eps[n] % 2 else term)
+                    accumulate(acc, gk,
+                               ((head + (g,) + tail, c) for g, c in inner.terms.items()),
+                               eps[n] % 2)
             # mu_new-side: subtract lower-arity products of g-blocks
             for comp in comps:
-                r = len(comp)
-                blocks = []
-                off = 0
-                dead = False
-                for size in comp:  # comp[0] = s_1 = rightmost block
-                    val = gauge.apply_component(size, t[d - off - size: d - off])
-                    if val.is_zero():
-                        dead = True
-                        break
-                    blocks.append(val)
-                    off += size
-                if dead:
+                mu_r = new_tables.get(len(comp))
+                if not mu_r:
                     continue
-                blocks.reverse()  # left-to-right for evaluation
-                term = eval_new(r, blocks)
-                if not term.is_zero():
-                    acc = acc - term
-            if not acc.is_zero():
-                table[t] = acc
+                blocks = _blocks(gauge, comp, t)
+                if blocks is not None:
+                    accumulate(acc, mu_r, tensor_terms(blocks, one), True)
+            el = Element(acc)
+            if not el.is_zero():
+                table[t] = el
         if table:
             new_tables[d] = table
     return AInfStructure(spec, cat, order, new_tables)
@@ -205,43 +185,17 @@ def gauge_compose(second: GaugeTransformation, first: GaugeTransformation,
     for d in range(2, up_to + 1):
         table = {}
         for t in cat.tuples(d, gens):
-            acc = ZERO
+            acc = {}
             for comp in _compositions(d, parts):
-                r = len(comp)
-                if r == d:
-                    # all-ones blocks: second^d on the raw tuple
-                    acc = acc + second.apply_component(d, t)
+                second_r = second.table(len(comp))
+                if not second_r:
                     continue
-                blocks = []
-                off = 0
-                dead = False
-                for size in comp:
-                    val = first.apply_component(size, t[d - off - size: d - off])
-                    if val.is_zero():
-                        dead = True
-                        break
-                    blocks.append(val)
-                    off += size
-                if dead:
-                    continue
-                blocks.reverse()
-                if r == 1:
-                    acc = acc + blocks[0]
-                    continue
-                # expand second^r multilinearly over the block elements
-                stack = [((), one)]
-                for el in blocks:
-                    stack = [
-                        (p + (g,), c0 * c)
-                        for p, c0 in stack
-                        for g, c in el.terms.items()
-                    ]
-                for names, coeff in stack:
-                    val = second.apply_component(r, names)
-                    if not val.is_zero():
-                        acc = acc + val.scale(coeff)
-            if not acc.is_zero():
-                table[t] = acc
+                blocks = _blocks(first, comp, t)
+                if blocks is not None:
+                    accumulate(acc, second_r, tensor_terms(blocks, one))
+            el = Element(acc)
+            if not el.is_zero():
+                table[t] = el
         if table:
             components[d] = table
     return GaugeTransformation(spec, cat, components)
@@ -462,7 +416,7 @@ def dump_gauge(gauge: GaugeTransformation, truncation: int = 12) -> str:
 
 
 def load_gauge(text: str) -> GaugeTransformation:
-    from .quiver import load_with_extras, parse_element
+    from .quiver import load_with_extras, parse_table
 
     shell, extras = load_with_extras(text)
     components = {}
@@ -470,12 +424,7 @@ def load_gauge(text: str) -> GaugeTransformation:
         if not (name.startswith("G") and name[1:].isdigit()):
             raise ValueError(f"unexpected section {name} in gauge file")
         k = int(name[1:])
-        table = {}
-        for row in rows:
-            lhs, _, rhs = row.partition("->")
-            names = tuple(lhs.split())
-            table[names] = parse_element(rhs, shell.cat, shell.spec)
-        components[k] = table
+        components[k] = parse_table(rows, k, name, shell.cat, shell.spec)
     return GaugeTransformation(shell.spec, shell.cat, components)
 
 

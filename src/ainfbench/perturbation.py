@@ -16,17 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quiver import AInfStructure, Element, QuiverCategory, ZERO, format_element
+from .quiver import (AInfStructure, Element, QuiverCategory, ZERO, accumulate,
+                     format_element)
 from .scalars import FieldSpec
 
 
 def _apply_linear(mapping: dict, el: Element) -> Element:
-    acc = ZERO
-    for g, c in el.terms.items():
-        img = mapping.get(g)
-        if img is not None:
-            acc = acc + img.scale(c)
-    return acc
+    return Element(accumulate({}, mapping, el.terms.items()))
 
 
 @dataclass

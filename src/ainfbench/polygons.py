@@ -51,12 +51,16 @@ def _w(t: Fr) -> Fr:
 
 
 def _w_slope(t: Fr, side: int) -> Fr:
-    """One-sided slope of the pushoff profile at t (side=+1: just above)."""
-    eps = Fr(1, 10**6)
-    probe = t + eps * side
-    base = (probe - CROSS_LOW) % 1 + CROSS_LOW
+    """One-sided slope of the pushoff profile at t (side=+1: just above).
+
+    Side +1 reads the piece [t0, t1) holding t, side -1 the piece (t0, t1];
+    so at a knot the two sides see the two pieces meeting there."""
+    if side > 0:
+        base = (t - CROSS_LOW) % 1 + CROSS_LOW          # in [1/8, 9/8)
+    else:
+        base = CROSS_LOW + 1 - (CROSS_LOW - t) % 1      # in (1/8, 9/8]
     for (t0, v0), (t1, v1) in zip(_W_KNOTS, _W_KNOTS[1:]):
-        if t0 <= base <= t1:
+        if (t0 <= base < t1) if side > 0 else (t0 < base <= t1):
             return (v1 - v0) / (t1 - t0)
     raise AssertionError("unreachable")
 
@@ -444,10 +448,6 @@ def enumerate_polygons(scene: PolygonScene, inputs, wrap_bound: int):
     if inputs == ("e01", "e20", "e12"):
         return quad_witnesses(scene, wrap_bound)
     raise ValueError(f"no enumerator for input tuple {inputs}")
-
-
-def polygon_sign(w: PolygonWitness) -> int:
-    return w.sign
 
 
 def mu2_series(scene: PolygonScene, wrap_bound: int) -> TruncatedUSeries:

@@ -84,6 +84,36 @@ class Element:
 ZERO = Element()
 
 
+def accumulate(acc: dict, table: dict, pairs, negate: bool = False) -> dict:
+    """acc += (-1)^negate sum of c * table[key] over the (key, c) pairs.
+
+    The one evaluator of sparse tables: a key absent from the table
+    contributes nothing, and the sign is applied only on a hit.  Returns
+    acc, a {generator: Scalar} dict that may hold cancelled zeros (Element
+    prunes them)."""
+    for key, c in pairs:
+        val = table.get(key)
+        if val is None:
+            continue
+        for g, v in val.terms.items():
+            term = v * c
+            s = acc.get(g)
+            if negate:
+                acc[g] = s - term if s is not None else -term
+            else:
+                acc[g] = s + term if s is not None else term
+    return acc
+
+
+def tensor_terms(elements, one: Scalar) -> list:
+    """(key, coefficient) pairs of the tensor product of Elements, keys in
+    input order."""
+    pairs = [((), one)]
+    for el in elements:
+        pairs = [(key + (g,), c0 * c) for key, c0 in pairs for g, c in el.terms.items()]
+    return pairs
+
+
 class QuiverCategory:
     """Objects, graded generating morphisms, and designated identities.
 
@@ -216,31 +246,17 @@ class AInfStructure:
         table = self.tables.get(d)
         if table is None:
             return ZERO
-        acc: dict[str, Scalar] = {}
-        stack = [((), self.spec.one())]
-        for el in elements:
-            new = []
-            for prefix, coeff in stack:
-                for g, c in el.terms.items():
-                    new.append((prefix + (g,), coeff * c))
-            stack = new
-            if not stack:
-                return ZERO
-        for names, coeff in stack:
-            val = table.get(names)
-            if val is None:
-                continue
-            for g, c in val.terms.items():
-                s = acc.get(g)
-                cc = c * coeff
-                acc[g] = s + cc if s is not None else cc
-        return Element(acc)
+        return Element(accumulate({}, table, tensor_terms(elements, self.spec.one())))
 
     def present_arities(self):
         return sorted(d for d, t in self.tables.items() if t)
 
     def relation_defect(self, names) -> Element:
-        """Left-hand side of the A-infinity relation on one tuple."""
+        """Left-hand side of the A-infinity relation on one tuple.
+
+        The insertion loop stays inline rather than going through
+        accumulate: ainf_check calls this once per composable tuple, and
+        the extra call per window is measurable there."""
         d = len(names)
         cat = self.cat
         degs = [cat.deg(n) for n in names]
@@ -321,7 +337,6 @@ class AInfStructure:
         for n, g in cat.generators.items():
             by_slot.setdefault((g.source, g.target, g.degree), []).append(n)
         mu1 = self.tables.get(1, {})
-        slots = sorted(by_slot, key=lambda k: (k[0], k[1], k[2]))
         for (src, tgt, deg), basis in by_slot.items():
             def d_rank(names_from, names_to):
                 idx = {n: i for i, n in enumerate(names_to)}
@@ -344,10 +359,24 @@ class AInfStructure:
 # Presets
 # ---------------------------------------------------------------------------
 
+# The 6-dimensional category: objects a, b; u: a->b of degree 1, v: b->a
+# of degree 0, degree-1 loops e1 = vu and f1 = uv, identities e0, f0.
+A_GENERATORS = {g.name: g for g in (
+    Generator("e0", "a", "a", 0),
+    Generator("e1", "a", "a", 1),
+    Generator("f0", "b", "b", 0),
+    Generator("f1", "b", "b", 1),
+    Generator("u", "a", "b", 1),
+    Generator("v", "b", "a", 0),
+)}
+
+
 def _assoc_mul_A(x: str, y: str):
     """Composition product of the 6-dimensional algebra: x o y, y applied
-    first.  Nonzero off-identity products are u o v = f1 and v o u = e1;
-    length-3 paths vanish."""
+    first; None when zero or not composable.  Nonzero off-identity
+    products are u o v = f1 and v o u = e1; length-3 paths vanish."""
+    if A_GENERATORS[x].source != A_GENERATORS[y].target:
+        return None
     if x in ("e0", "f0"):
         return y
     if y in ("e0", "f0"):
@@ -361,20 +390,11 @@ def _assoc_mul_A(x: str, y: str):
 
 def preset_A(spec: FieldSpec, truncation: int = 12) -> AInfStructure:
     """Minimal associative structure on the 6-dimensional two-object
-    category: objects a, b; u: a->b of degree 1, v: b->a of degree 0,
-    degree-1 loops e1 = vu and f1 = uv, identities e0, f0.  Only mu^2 is
-    nonzero, with the twist mu^2(x,y) = (-1)^{deg y} (x o y)."""
-    gens = [
-        Generator("e0", "a", "a", 0),
-        Generator("e1", "a", "a", 1),
-        Generator("f0", "b", "b", 0),
-        Generator("f1", "b", "b", 1),
-        Generator("u", "a", "b", 1),
-        Generator("v", "b", "a", 0),
-    ]
+    category (A_GENERATORS).  Only mu^2 is nonzero, with the twist
+    mu^2(x,y) = (-1)^{deg y} (x o y)."""
     one = spec.one()
     cat = QuiverCategory(
-        ["a", "b"], gens,
+        ["a", "b"], A_GENERATORS.values(),
         {"a": Element.single("e0", one), "b": Element.single("f0", one)},
     )
     mu2 = {}
@@ -592,8 +612,25 @@ def load(text: str) -> AInfStructure:
     return struct
 
 
+def parse_table(rows, d: int, section: str, cat: QuiverCategory, spec: FieldSpec):
+    """Rows 'a_d ... a_1 -> element', given as (row, line number) pairs, as
+    one arity-d table; errors carry the offending line number."""
+    table = {}
+    for row, lineno in rows:
+        try:
+            lhs, _, rhs = row.partition("->")
+            names = tuple(lhs.split())
+            if len(names) != d:
+                raise ValueError(f"tuple {names} has wrong arity for {section}")
+            table[names] = parse_element(rhs, cat, spec)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    return table
+
+
 def load_with_extras(text: str):
-    """Parse the canonical format; unknown sections (IOTA*, G*) returned raw.
+    """Parse the canonical format; unknown sections (IOTA*, G*) are returned
+    as (name, [(row, line number)]) for their own parsers.
 
     Errors carry the offending line number."""
     sections = _split_sections(text)
@@ -626,24 +663,13 @@ def load_with_extras(text: str):
     cat = QuiverCategory(objects, gens, identities)
     tables = {}
     extras = []
-    for name, rows, header_line in sections:
+    for name, rows, _ in sections:
         if name in ("FIELD", "TRUNCATION", "OBJECTS", "GENERATORS", "IDENTITIES"):
             continue
         if name.startswith("MU") and name[2:].isdigit():
-            d = int(name[2:])
-            table = {}
-            for row, lineno in rows:
-                try:
-                    lhs, _, rhs = row.partition("->")
-                    names = tuple(lhs.split())
-                    if len(names) != d:
-                        raise ValueError(f"tuple {names} has wrong arity for {name}")
-                    table[names] = parse_element(rhs, cat, spec)
-                except ValueError as exc:
-                    raise ValueError(f"line {lineno}: {exc}") from None
-            tables[d] = table
+            tables[int(name[2:])] = parse_table(rows, int(name[2:]), name, cat, spec)
         else:
-            extras.append((name, [row for row, _ in rows]))
+            extras.append((name, rows))
     try:
         struct = AInfStructure(spec, cat, truncation, tables)
     except ValueError as exc:

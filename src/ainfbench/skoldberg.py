@@ -22,33 +22,8 @@ HH(r, s) = HH(r+8, s-6) for r > 0 (step (4, -3) in characteristic 2).
 from __future__ import annotations
 
 from .linalg import FieldOps, rank
+from .quiver import A_GENERATORS, _assoc_mul_A
 from .scalars import FieldSpec
-
-# Associative product of A on basis names; None = not composable or zero.
-_A_GENS = {
-    "e0": ("a", "a", 0),
-    "e1": ("a", "a", 1),
-    "f0": ("b", "b", 0),
-    "f1": ("b", "b", 1),
-    "u": ("a", "b", 1),
-    "v": ("b", "a", 0),
-}
-
-
-def _mul(x: str, y: str):
-    """x o y in A (y applied first); None when zero or not composable."""
-    if _A_GENS[x][0] != _A_GENS[y][1]:
-        return None
-    if x in ("e0", "f0"):
-        return y
-    if y in ("e0", "f0"):
-        return x
-    if (x, y) == ("u", "v"):
-        return "f1"
-    if (x, y) == ("v", "u"):
-        return "e1"
-    return None
-
 
 def _basis_word(j: int, which: int) -> tuple:
     """The path word beta_j (which=0) or gamma_j (which=1)."""
@@ -88,17 +63,17 @@ class SkoldbergComplex:
         if j == 0:
             return ("a", "a") if which == 0 else ("b", "b")
         word = _basis_word(j, which)
-        return _A_GENS[word[-1]][0], _A_GENS[word[0]][1]
+        return A_GENERATORS[word[-1]].source, A_GENERATORS[word[0]].target
 
     def _basis(self, j):
         out = []
         for which in (0, 1):
             src, tgt = self._ends(j, which)
-            for x, (xs, xt, _) in _A_GENS.items():
-                if xs != tgt:
+            for x, gx in A_GENERATORS.items():
+                if gx.source != tgt:
                     continue
-                for y, (ys, yt, _) in _A_GENS.items():
-                    if yt != src:
+                for y, gy in A_GENERATORS.items():
+                    if gy.target != src:
                         continue
                     out.append((x, which, y))
         return out
@@ -136,20 +111,21 @@ class SkoldbergComplex:
             if j % 2 == 0:
                 # split the last two letters right, middle pair, or first two left
                 emit(x, word[:-2], self._mul3(word[-2], word[-1], y), +1)
-                emit(_mul(x, word[0]), word[1:-1], _mul(word[-1], y), +1)
+                emit(_assoc_mul_A(x, word[0]), word[1:-1],
+                     _assoc_mul_A(word[-1], y), +1)
                 emit(self._mul3(x, word[0], word[1]), word[2:], y, +1)
             else:
-                emit(_mul(x, word[0]), word[1:], y, +1,
-                     empty_obj=_A_GENS[word[0]][0])
-                emit(x, word[:-1], _mul(word[-1], y), -1,
-                     empty_obj=_A_GENS[word[-1]][1])
+                emit(_assoc_mul_A(x, word[0]), word[1:], y, +1,
+                     empty_obj=A_GENERATORS[word[0]].source)
+                emit(x, word[:-1], _assoc_mul_A(word[-1], y), -1,
+                     empty_obj=A_GENERATORS[word[-1]].target)
             cols.append(col)
         return cols
 
     @staticmethod
     def _mul3(a, b, c):
-        ab = _mul(a, b)
-        return _mul(ab, c) if ab else None
+        ab = _assoc_mul_A(a, b)
+        return _assoc_mul_A(ab, c) if ab else None
 
     def _which_of_word(self, j, word):
         for which in (0, 1):
@@ -159,12 +135,12 @@ class SkoldbergComplex:
 
     def augmentation(self):
         """epsilon: P_0 -> A, x (x) y -> xy, as sparse columns over the
-        A-basis enumerated in _A_GENS order."""
-        a_index = {g: i for i, g in enumerate(_A_GENS)}
+        A-basis enumerated in A_GENERATORS order."""
+        a_index = {g: i for i, g in enumerate(A_GENERATORS)}
         ops = FieldOps(self.spec)
         cols = []
         for (x, which, y) in self.bases[0]:
-            prod = _mul(x, y)
+            prod = _assoc_mul_A(x, y)
             cols.append({a_index[prod]: ops.one} if prod else {})
         return cols
 
@@ -222,14 +198,6 @@ def _hom_term(j: int):
     return ("bb", "aa"), (3 * k + 2, 3 * k + 2)
 
 
-def _lmul(a, x):
-    return _mul(a, x)
-
-
-def _rmul(b, x):
-    return _mul(x, b)
-
-
 def _ladder_ops(j: int):
     """The 2x2 operator matrix of the dual differential out of Hom(P_j, A).
 
@@ -271,11 +239,11 @@ def _apply_op(terms, eta, name):
     for uses_eta, coeff, left, right in terms:
         out = name
         if right is not None:
-            out = _rmul(right, out)
+            out = _assoc_mul_A(out, right)
             if out is None:
                 continue
         if left is not None:
-            out = _lmul(left, out)
+            out = _assoc_mul_A(left, out)
             if out is None:
                 continue
         c = coeff * (eta if uses_eta else 1)

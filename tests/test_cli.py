@@ -115,6 +115,13 @@ def test_gauge_fix_with_orbit(tmp_path):
     assert "stable" in text and "RESULT ok" in text
 
 
+def test_gauge_fix_obstruction_is_a_negative_not_usage(capsys):
+    # mu^6 carries the nonzero order-6 class: a mathematical negative
+    code, _ = run(["gauge-fix", "--orders", "3,4,5,6"])
+    assert code == 1
+    assert "mu^6 represents a nonzero class" in capsys.readouterr().err
+
+
 def test_determinism_across_runs():
     a = run(["triangle", "--wrap", "2"])
     b = run(["triangle", "--wrap", "2"])

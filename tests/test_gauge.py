@@ -266,6 +266,16 @@ def test_gauge_dump_load_roundtrip(Q, model8):
     assert dump_gauge(back) == text
 
 
+def test_gauge_load_errors_carry_line_numbers(Q, model8):
+    from ainfbench.gauge import dump_gauge, load_gauge
+
+    lines = dump_gauge(preset_gauge_G(Q, model8.minimal.cat)).splitlines()
+    i = lines.index("G2") + 1
+    lines[i] = lines[i].replace(" -> ", " ")  # a row without its arrow
+    with pytest.raises(ValueError, match=rf"^line {i + 1}: "):
+        load_gauge("\n".join(lines) + "\n")
+
+
 def test_classification_over_f5():
     # everything with 6 invertible works verbatim over F5: realized classes
     # round-trip, and the transferred model's invariants are the mod-5

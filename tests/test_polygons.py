@@ -4,9 +4,9 @@ from fractions import Fraction as Fr
 import pytest
 
 from ainfbench.polygons import (CurveLift, enumerate_polygons, mu2_series,
-                                mu3_series, polygon_sign, preset_scene,
-                                quad_witnesses, triangle_criterion,
-                                triangle_witnesses, witness_svg)
+                                mu3_series, preset_scene, quad_witnesses,
+                                triangle_criterion, triangle_witnesses,
+                                witness_svg)
 from ainfbench.useries import theta_v
 
 
@@ -82,7 +82,7 @@ def test_uniform_signs_per_family(quads4, tris4):
     seen = {}
     for w in quads4 + tris4:
         key = (len(w.corners), max(w.wraps), w.arcs[1][4])
-        seen.setdefault(key, set()).add(polygon_sign(w))
+        seen.setdefault(key, set()).add(w.sign)
     assert all(len(signs) == 1 for signs in seen.values())
 
 
@@ -129,6 +129,17 @@ def test_pushoff_profile_crossings():
     assert lift.point(Fr(5, 8)) == (0, Fr(5, 8))
     x, _ = lift.point(Fr(3, 8))
     assert x == Fr(1, 100)
+
+
+def test_pushoff_slope_is_exact_near_knots():
+    # one-sided slopes read the half-open piece holding t, with no probe
+    lift = CurveLift("p", Fr(0))
+    up, down = Fr(1, 25), Fr(-1, 25)
+    assert lift.direction(Fr(3, 8) - Fr(1, 10**7), 1) == (up, 1)
+    assert lift.direction(Fr(3, 8), 1) == (down, 1)
+    assert lift.direction(Fr(3, 8), 1, end=True) == (up, 1)
+    assert lift.direction(Fr(7, 8), 1, end=True) == (down, 1)
+    assert lift.direction(Fr(1, 8), 1, end=True) == (up, 1)
 
 
 def test_svg_emission(scene, tris4):
