@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 from .hochschild import (
     Cochain,
+    CoboundarySystem,
     class_coordinate,
     coboundary,
-    coboundary_system,
     gerst_compose,
     is_coboundary,
     mu_cochain,
@@ -520,22 +520,20 @@ _PAPER_WITNESSES = (
 def m6_certificate(mu6: Cochain, alg: AInfStructure) -> M6Certificate:
     """Decide [mu6] = 0 by an exact solve; on infeasibility emit both the
     rank certificate and a forced-value chain ending in a contradiction."""
-    from .hochschild import cochain_to_vector, delta_matrix
-
     if not coboundary(mu6, alg).is_zero():
         raise ValueError("mu6 is not a cocycle")
     spec = alg.spec
     scaled = mu6.scale(spec.scalar(144))
     witnesses = [(t, scaled.value(t)) for t, _ in _PAPER_WITNESSES]
 
-    nu = is_coboundary(mu6, alg)
-    rank_a, rank_ab = coboundary_system(mu6, alg)
+    system = CoboundarySystem(mu6, alg)
+    nu = system.primitive()
+    rank_a, rank_ab = system.ranks()
     if nu is not None:
         return M6Certificate(False, rank_a, rank_ab, witnesses, [], nu)
 
-    cols, rows, matrix = delta_matrix(alg, mu6.r - 1, mu6.s)
-    b = cochain_to_vector(mu6, rows)
-    chain = _contradiction_chain(cols, rows, matrix, b, spec)
+    chain = _contradiction_chain(system.cols, system.rows, system.matrix,
+                                 system.b, spec)
     return M6Certificate(True, rank_a, rank_ab, witnesses, chain)
 
 

@@ -21,7 +21,7 @@ obstruction check (at r = 5), which is how the sign convention is pinned.
 
 from __future__ import annotations
 
-from .linalg import FieldOps, nullspace, rank, solve
+from .linalg import Echelon, FieldOps, nullspace, rank, solve
 from .quiver import AInfStructure, Element, ZERO, accumulate
 from .scalars import FieldSpec, Scalar
 
@@ -314,30 +314,41 @@ def hh_bar(spec: FieldSpec, r_max: int, alg: AInfStructure = None):
     return dims
 
 
+class CoboundarySystem:
+    """The system delta(nu) = phi in the deterministic bases, factored once.
+
+    cols and rows are the bases of CC(r-1, s) and CC(r, s), matrix the
+    delta matrix between them, b the vector of phi and echelon the one
+    factorization that the primitive and both ranks read."""
+
+    def __init__(self, phi: Cochain, alg: AInfStructure):
+        self.r, self.s, self.spec = phi.r, phi.s, alg.spec
+        self.cols, self.rows, self.matrix = delta_matrix(alg, phi.r - 1, phi.s)
+        self.b = cochain_to_vector(phi, self.rows)
+        self.echelon = Echelon(self.matrix, FieldOps(alg.spec), len(self.cols))
+
+    def primitive(self):
+        """The deterministic nu with delta(nu) = phi, or None."""
+        x = self.echelon.solve(self.b)
+        if x is None:
+            return None
+        return vector_to_cochain(x, self.cols, self.r - 1, self.s, self.spec)
+
+    def ranks(self):
+        """(rank A, rank [A|b]); unequal ranks certify that phi is not a
+        coboundary."""
+        rank_a = self.echelon.rank
+        return rank_a, rank_a + (0 if self.echelon.contains(self.b) else 1)
+
+
 def is_coboundary(phi: Cochain, alg: AInfStructure):
     """Exact solve of delta(nu) = phi.
 
     Returns the deterministic primitive nu, or None with the system being
-    infeasible (rank certificate available via coboundary_system)."""
+    infeasible (rank certificate available via CoboundarySystem.ranks)."""
     if not coboundary(phi, alg).is_zero():
         raise ValueError("input is not a cocycle")
-    cols, rows, matrix = delta_matrix(alg, phi.r - 1, phi.s)
-    b = cochain_to_vector(phi, rows)
-    x = solve(matrix, len(cols), b, FieldOps(alg.spec))
-    if x is None:
-        return None
-    return vector_to_cochain(x, cols, phi.r - 1, phi.s, alg.spec)
-
-
-def coboundary_system(phi: Cochain, alg: AInfStructure):
-    """(rank A, rank [A|b]) for the system delta(nu) = phi; unequal ranks
-    certify that phi is not a coboundary."""
-    ops = FieldOps(alg.spec)
-    cols, rows, matrix = delta_matrix(alg, phi.r - 1, phi.s)
-    b = cochain_to_vector(phi, rows)
-    rank_a = rank(matrix, ops)
-    rank_ab = rank(matrix + [b], ops)
-    return rank_a, rank_ab
+    return CoboundarySystem(phi, alg).primitive()
 
 
 def cocycle_space(alg: AInfStructure, r: int, s: int):
@@ -347,16 +358,46 @@ def cocycle_space(alg: AInfStructure, r: int, s: int):
     return [vector_to_cochain(v, cols, r, s, alg.spec) for v in vecs]
 
 
+# Reference cocycles by content: (field, category signature, r, s, mu^2
+# items).  The reference depends on nothing else, so the structures of
+# one pipeline (preset, transferred, gauged, MC-built), distinct objects
+# sharing one mu^2, share an entry, and any caller in the process gets the
+# same answer it would compute.  There is one entry per field and cell in
+# practice.  Callers get a copy of the table; the Elements in it are
+# shared and, like every Element, never mutated.
+_REFERENCES: dict = {}
+
+
+def _reference_key(alg: AInfStructure, r: int, s: int):
+    cat = alg.cat
+    signature = (tuple(cat.objects), tuple(cat.generators.values()),
+                 frozenset(cat.identities.items()))
+    return alg.spec, signature, r, s, frozenset(alg.tables[2].items())
+
+
 def reference_cocycle(alg: AInfStructure, r: int, s: int) -> Cochain:
     """First deterministic cocycle whose class is nonzero in HH at (r,s);
-    the fixed yardstick against which class coordinates are reported."""
+    the fixed yardstick against which class coordinates are reported.
+
+    The kernel of delta at (r,s) is scanned in order against one
+    factorization of the image of delta from (r-1,s); the result is kept
+    per content key (_REFERENCES) and returned as a fresh Cochain."""
+    key = _reference_key(alg, r, s)
+    ref = _REFERENCES.get(key)
+    if ref is None:
+        ref = _find_reference(alg, r, s)
+        _REFERENCES[key] = ref
+    return Cochain(ref.r, ref.s, ref.table)
+
+
+def _find_reference(alg: AInfStructure, r: int, s: int) -> Cochain:
     ops = FieldOps(alg.spec)
     cols, rows, matrix = delta_matrix(alg, r, s)
     kernel = nullspace(matrix, len(cols), ops)
     below_cols, below_rows, below = delta_matrix(alg, r - 1, s)
+    image = Echelon(below, ops, len(below_cols))
     for vec in kernel:
-        target = {i: v for i, v in enumerate(vec) if v}
-        if solve(below, len(below_cols), target, ops) is None:
+        if not image.contains({i: v for i, v in enumerate(vec) if v}):
             return vector_to_cochain(vec, cols, r, s, alg.spec)
     raise ValueError(f"HH at (r={r}, s={s}) vanishes; no reference cocycle")
 

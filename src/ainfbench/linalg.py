@@ -1,14 +1,30 @@
-"""Exact sparse Gaussian elimination over Q or F_p.
+"""Exact sparse linear algebra over Q or F_p: one column elimination.
 
-Matrices are lists of sparse rows (dict column -> raw value, Fraction for Q
-and int residue for F_p).  Pivoting is first-nonzero in canonical order,
-so kernels, solutions and reduced forms are deterministic: the same system
-always yields byte-identical output downstream.
+A matrix is a list of sparse columns (dict row -> raw value, Fraction for
+Q and int residue for F_p).  ``Echelon`` takes the columns in order and
+reduces each against the basis built from the ones before it.  A column
+that keeps a nonzero residual is a pivot column and its residual joins
+the basis; a column that reduces to zero is free, and the multipliers
+that zeroed it give its kernel vector.  ``rank``, ``solve``,
+``nullspace`` and the column-space test ``Echelon.contains`` all read
+this one factorization.
+
+Why the outputs equal those of Gauss-Jordan elimination (``rref`` on the
+rows, first nonzero column first, kept as the test oracle): the pivot
+columns are the greedy basis, each column that is independent of the
+columns before it, which is exactly the set of columns rref pivots on.
+Once that set is fixed, the solution with every free variable 0 is
+unique, and so is the kernel vector with a 1 at one free column and 0 at
+the others.  So the results do not depend on which row a residual is
+pivoted on; that row is chosen to keep fill low (the row hit by the
+fewest input columns, then the lowest row id).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .scalars import FieldSpec
 
@@ -37,12 +53,141 @@ class FieldOps:
             self.neg = lambda a: -a % p
 
 
+class Echelon:
+    """Column echelon factorization of a sparse matrix.
+
+    columns[j] is a sparse dict {row: value}; ncols >= len(columns) pads
+    with zero columns.  Basis vector k is the residual of pivot column
+    pivots[k], scaled to 1 at its pivot row; it is zero at the pivot rows
+    of all earlier basis vectors.  Pivot column k is recorded as
+    columns[pivots[k]] = sum_i steps[k][i] * basis[i] + scale[k] * basis[k],
+    and each free column as its multipliers, so a right-hand side needs
+    only a reduction and a back-substitution.  Nothing is cached beyond
+    the object; drop it when done.
+    """
+
+    def __init__(self, columns, ops: FieldOps, ncols: int = None):
+        self.ops = ops
+        self.ncols = len(columns) if ncols is None else ncols
+        self.pivots: list[int] = []    # k -> pivot column
+        self.free: list[int] = []      # free columns, ascending
+        self._weight = Counter(r for col in columns for r in col)
+        self._slot: dict = {}          # pivot row -> k
+        self._rows: list = []          # k -> pivot row
+        self._basis: list[dict] = []   # k -> residual scaled to 1 at its pivot row
+        self._steps: list[dict] = []   # k -> {i: multiplier of basis i}
+        self._inv: list = []           # k -> 1 / scale[k]
+        self._kernel: list[dict] = []  # per free column, its multipliers
+        for j, col in enumerate(columns):
+            residual, mult = self._reduce(col)
+            if residual:
+                self._insert(j, residual, mult)
+            else:
+                self.free.append(j)
+                self._kernel.append(mult)
+        for j in range(len(columns), self.ncols):
+            self.free.append(j)
+            self._kernel.append({})
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def _reduce(self, col):
+        """(residual, multipliers) of col against the basis."""
+        v = {r: a for r, a in col.items() if a}
+        mult = {}
+        slot = self._slot
+        heap = [slot[r] for r in v if r in slot]
+        if not heap:
+            return v, mult
+        heapify(heap)
+        rows, basis = self._rows, self._basis
+        p = self.ops.spec.characteristic
+        zero = self.ops.zero
+        get = v.get
+        while heap:
+            k = heappop(heap)
+            f = get(rows[k])
+            if not f:
+                continue  # pushed twice, or already cancelled
+            mult[k] = f
+            for r, a in basis[k].items():
+                nv = get(r, zero) - f * a
+                if p:
+                    nv %= p
+                if nv:
+                    if r not in v and r in slot:
+                        heappush(heap, slot[r])
+                    v[r] = nv
+                else:
+                    del v[r]
+        return v, mult
+
+    def _insert(self, j, residual, mult):
+        weight = self._weight
+        row = min(residual, key=lambda r: (weight[r], r))
+        scale = residual[row]
+        ops = self.ops
+        inv = ops.div(ops.one, scale)
+        if inv != ops.one:
+            mul = ops.mul
+            residual = {r: mul(a, inv) for r, a in residual.items()}
+        self._slot[row] = len(self._rows)
+        self._rows.append(row)
+        self._basis.append(residual)
+        self._steps.append(mult)
+        self._inv.append(inv)
+        self.pivots.append(j)
+
+    def _back_substitute(self, mult):
+        """x with sum_j x_j columns[j] = sum_k mult[k] basis[k], supported
+        on the pivot columns."""
+        ops = self.ops
+        y = dict(mult)
+        x = [ops.zero] * self.ncols
+        mul, sub = ops.mul, ops.sub
+        for k in range(len(self.pivots) - 1, -1, -1):
+            yk = y.get(k)
+            if not yk:
+                continue
+            xk = mul(yk, self._inv[k])
+            x[self.pivots[k]] = xk
+            for i, m in self._steps[k].items():
+                y[i] = sub(y.get(i, ops.zero), mul(xk, m))
+        return x
+
+    def contains(self, b) -> bool:
+        """Whether b lies in the column space."""
+        return not self._reduce(b)[0]
+
+    def solve(self, b):
+        """Solution of sum_j x_j columns[j] = b with every free variable 0,
+        as a list of raw values, or None when b is not in the column space."""
+        residual, mult = self._reduce(b)
+        if residual:
+            return None
+        return self._back_substitute(mult)
+
+    def nullspace(self):
+        """Kernel basis: per free column, ascending, the vector with 1 there
+        and 0 at the other free columns."""
+        ops = self.ops
+        out = []
+        for j, mult in zip(self.free, self._kernel):
+            vec = [ops.neg(v) for v in self._back_substitute(mult)]
+            vec[j] = ops.one
+            out.append(vec)
+        return out
+
+
 def rref(rows, ops: FieldOps):
     """Reduce sparse rows in place to reduced row echelon form.
 
     Returns the list of pivot columns, one per nonzero row; after the call
     rows[i] is the i-th echelon row (zero rows dropped).  Pivot selection:
-    lowest column, then lowest original row index.
+    lowest column, then lowest original row index.  The library computes
+    with Echelon; this independent elimination is the tests' oracle.
     """
     rows[:] = [dict(r) for r in rows if r]
     pivots = []
@@ -83,9 +228,9 @@ def rref(rows, ops: FieldOps):
     return pivots
 
 
-def rank(rows, ops: FieldOps) -> int:
-    work = [dict(r) for r in rows]
-    return len(rref(work, ops))
+def rank(vectors, ops: FieldOps) -> int:
+    """Rank of a list of sparse vectors (rows or columns alike)."""
+    return Echelon(vectors, ops).rank
 
 
 def solve(columns, ncols: int, b, ops: FieldOps):
@@ -95,56 +240,13 @@ def solve(columns, ncols: int, b, ops: FieldOps):
     Returns the deterministic solution (free variables set to zero) as a
     list of raw values, or None when the system is infeasible.
     """
-    aug = ncols  # index of the augmented column
-    row_ids = sorted({r for col in columns for r in col} | set(b))
-    rows = []
-    for rid in row_ids:
-        row = {}
-        for j, col in enumerate(columns):
-            v = col.get(rid)
-            if v:
-                row[j] = v
-        v = b.get(rid)
-        if v:
-            row[aug] = v
-        if row:
-            rows.append(row)
-    pivots = rref(rows, ops)
-    if aug in pivots:
-        return None
-    x = [ops.zero] * ncols
-    for row, col in zip(rows, pivots):
-        x[col] = row.get(aug, ops.zero)
-    return x
+    return Echelon(columns, ops, ncols).solve(b)
 
 
 def nullspace(columns, ncols: int, ops: FieldOps):
     """Deterministic basis of {x : sum_j x_j columns[j] = 0}.
 
     One basis vector per free column, in ascending column order; the free
-    coordinate is 1 and pivot coordinates are filled by back-substitution.
+    coordinate is 1 and the other free coordinates are 0.
     """
-    row_ids = sorted({r for col in columns for r in col})
-    rows = []
-    for rid in row_ids:
-        row = {}
-        for j, col in enumerate(columns):
-            v = col.get(rid)
-            if v:
-                row[j] = v
-        if row:
-            rows.append(row)
-    pivots = rref(rows, ops)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [ops.zero] * ncols
-        vec[free] = ops.one
-        for row, col in zip(rows, pivots):
-            v = row.get(free)
-            if v:
-                vec[col] = ops.neg(v)
-        basis.append(vec)
-    return basis
+    return Echelon(columns, ops, ncols).nullspace()

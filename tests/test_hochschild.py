@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ainfbench import hochschild
 from ainfbench.hochschild import (Cochain, class_coordinate, coboundary,
                                   cochain_basis, cochain_to_vector,
                                   delta_matrix, euler_cochain, gerstenhaber,
@@ -108,6 +109,13 @@ def test_hh_f5_matches_rational_pattern():
     assert hh_bar(FieldSpec(5), 6) == {k: v for k, v in Q_TABLE.items() if k[0] <= 6}
 
 
+def test_hh_large_prime_matches_rational_table():
+    # F_p for the word-size prime 2^31 - 1 has no extra cells: it must
+    # give the Q table
+    assert hh_bar(FieldSpec(2147483647), 6) == {k: v for k, v in Q_TABLE.items()
+                                                if k[0] <= 6}
+
+
 def test_is_coboundary_constructed_case(Q):
     A = preset_A(Q)
     rng = random.Random(2)
@@ -142,6 +150,44 @@ def test_reference_cocycles_exist(Q):
         assert class_coordinate(ref, ref, A) == Q.one()
     with pytest.raises(ValueError):
         reference_cocycle(A, 7, -5)  # that cell vanishes
+
+
+@pytest.fixture
+def fresh_references(monkeypatch):
+    """An empty reference-cocycle cache for one test."""
+    monkeypatch.setattr(hochschild, "_REFERENCES", {})
+    return hochschild
+
+
+def test_reference_cache_equals_fresh_computation(Q, fresh_references):
+    A = preset_A(Q)
+    for (r, s) in ((6, -4), (8, -6)):
+        first = reference_cocycle(A, r, s)
+        again = reference_cocycle(A, r, s)
+        assert first == again == fresh_references._find_reference(A, r, s)
+    assert len(fresh_references._REFERENCES) == 2
+
+
+def test_reference_cache_is_keyed_by_content(Q, model8, fresh_references):
+    # mc_extend's base and the transferred model are distinct objects
+    # with one mu^2: one entry.  Another field gets its own.
+    base = preset_A(Q, 10)
+    assert base is not model8.minimal and base.cat is not model8.minimal.cat
+    assert reference_cocycle(base, 6, -4) == reference_cocycle(model8.minimal, 6, -4)
+    assert len(fresh_references._REFERENCES) == 1
+    F5 = FieldSpec(5)
+    ref5 = reference_cocycle(preset_A(F5), 6, -4)
+    assert len(fresh_references._REFERENCES) == 2
+    assert all(c.spec == F5 for el in ref5.table.values() for c in el.terms.values())
+
+
+def test_reference_cache_survives_caller_mutation(Q, fresh_references):
+    A = preset_A(Q)
+    want = fresh_references._find_reference(A, 6, -4)
+    got = reference_cocycle(A, 6, -4)
+    got.table.clear()
+    reference_cocycle(A, 6, -4).table[("u",)] = Element.single("u", Q.one())
+    assert reference_cocycle(A, 6, -4) == want
 
 
 def test_mu_cochain_on_transferred_model(Q, model12):

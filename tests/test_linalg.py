@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
 
-from ainfbench.linalg import FieldOps, nullspace, rank, rref, solve
+import pytest
+
+from ainfbench.linalg import Echelon, FieldOps, nullspace, rank, rref, solve
 from ainfbench.scalars import FieldSpec
 
 
@@ -70,3 +72,111 @@ def test_rref_deterministic_pivots():
     rows = [{1: Fraction(2)}, {0: Fraction(1), 1: Fraction(1)}]
     pivots = rref(rows, ops)
     assert pivots == [0, 1]
+
+
+# ---------------------------------------------------------------------------
+# Echelon against answers derived from rref, the independent oracle
+# ---------------------------------------------------------------------------
+
+ORACLE_FIELDS = (0, 2, 3, 2147483647)
+
+
+def _oracle_rows(columns, b=None, aug=None):
+    """Rows of [columns | b] for rref; the augmented column is aug."""
+    row_ids = sorted({r for col in columns for r in col} | set(b or ()))
+    rows = []
+    for rid in row_ids:
+        row = {j: col[rid] for j, col in enumerate(columns) if col.get(rid)}
+        if b and b.get(rid):
+            row[aug] = b[rid]
+        rows.append(row)
+    return rows
+
+
+def _oracle_solve(columns, ncols, b, ops):
+    rows = _oracle_rows(columns, b, ncols)
+    pivots = rref(rows, ops)
+    if ncols in pivots:
+        return None
+    x = [ops.zero] * ncols
+    for row, col in zip(rows, pivots):
+        x[col] = row.get(ncols, ops.zero)
+    return x
+
+
+def _oracle_nullspace(columns, ncols, ops):
+    rows = _oracle_rows(columns)
+    pivots = rref(rows, ops)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [ops.zero] * ncols
+        vec[free] = ops.one
+        for row, col in zip(rows, pivots):
+            if row.get(free):
+                vec[col] = ops.neg(row[free])
+        basis.append(vec)
+    return basis
+
+
+def _random_system(rng, char):
+    """Sparse columns with small entries, some zero, padded ncols, and a
+    right-hand side that is feasible about half the time."""
+    conv = Fraction if char == 0 else (lambda v: v % char)
+    m, n = rng.randint(0, 7), rng.randint(0, 7)
+    columns = []
+    for _ in range(n):
+        col = {}
+        if rng.random() > 0.2:  # otherwise a zero column
+            for i in range(m):
+                v = conv(rng.randint(-3, 3))
+                if v and rng.random() < 0.5:
+                    col[i] = v
+        columns.append(col)
+    ncols = n + rng.choice((0, 0, 1, 2))
+    if rng.random() < 0.5:  # b = A x: feasible
+        b = {}
+        for col in columns:
+            c = conv(rng.randint(-2, 2))
+            for i, v in col.items():
+                b[i] = b.get(i, 0) + c * v
+    else:  # random: usually infeasible when A is not onto
+        b = {i: conv(rng.randint(-3, 3)) for i in range(m)}
+    if char:
+        b = {i: v % char for i, v in b.items()}
+    return columns, ncols, {i: v for i, v in b.items() if v}
+
+
+@pytest.mark.parametrize("char", ORACLE_FIELDS)
+def test_echelon_matches_rref_oracle(char):
+    ops = FieldOps(FieldSpec(char))
+    rng = random.Random(char)
+    infeasible = 0
+    for _ in range(300):
+        columns, ncols, b = _random_system(rng, char)
+        want_x = _oracle_solve(columns, ncols, b, ops)
+        infeasible += want_x is None
+        assert rank(columns, ops) == len(rref(_oracle_rows(columns), ops))
+        assert solve(columns, ncols, b, ops) == want_x
+        assert nullspace(columns, ncols, ops) == _oracle_nullspace(columns, ncols, ops)
+        assert Echelon(columns, ops, ncols).contains(b) == (want_x is not None)
+    assert 30 < infeasible < 270  # both outcomes are exercised
+
+
+@pytest.mark.parametrize("char", ORACLE_FIELDS)
+def test_echelon_edge_cases(char):
+    ops = FieldOps(FieldSpec(char))
+    one = ops.one
+    # empty matrix, with and without declared columns
+    assert rank([], ops) == 0
+    assert solve([], 0, {}, ops) == []
+    assert solve([], 0, {0: one}, ops) is None
+    assert nullspace([], 2, ops) == [[one, ops.zero], [ops.zero, one]]
+    # zero columns and ncols > len(columns): every such column is free
+    cols = [{}, {0: one}, {}]
+    ech = Echelon(cols, ops, 5)
+    assert (ech.rank, ech.pivots, ech.free) == (1, [1], [0, 2, 3, 4])
+    assert solve(cols, 5, {0: one}, ops) == [ops.zero, one] + [ops.zero] * 3
+    assert solve(cols, 5, {1: one}, ops) is None
+    assert nullspace(cols, 5, ops) == _oracle_nullspace(cols, 5, ops)
