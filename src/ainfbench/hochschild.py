@@ -246,13 +246,8 @@ def delta_matrix(alg: AInfStructure, r: int, s: int):
         else:
             slots = ((t[1:], "right"), (t[:-1], "left"))
         for key, side in slots:
-            want = (sum(cat.deg(n) for n in key) if r else 0) + s
-            src = cat.source(key[-1]) if r else key
-            tgt = cat.target(key[0]) if r else key
-            for h in cat.gens_from(src):
-                gen = cat.generators[h]
-                if gen.target != tgt or gen.degree != want:
-                    continue
+            # a hit in col_index already has the basis' source, target and degree
+            for h in cat.gens_from(cat.source(key[-1]) if r else key):
                 j = col_index.get((key, h))
                 if j is None:
                     continue
@@ -276,11 +271,7 @@ def delta_matrix(alg: AInfStructure, r: int, s: int):
                     negate = (1 + (1 if flip_phi else 0) + eps) % 2 == 1
                     for g, c in inner.terms.items():
                         slot = head + (g,) + tail
-                        want = sum(cat.deg(n2) for n2 in slot) + s
                         for h in cat.gens_from(cat.source(slot[-1])):
-                            gen = cat.generators[h]
-                            if gen.target != cat.target(slot[0]) or gen.degree != want:
-                                continue
                             j = col_index.get((slot, h))
                             if j is None:
                                 continue

@@ -255,7 +255,7 @@ class AInfStructure:
         """Left-hand side of the A-infinity relation on one tuple.
 
         The insertion loop stays inline rather than going through
-        accumulate: ainf_check calls this once per composable tuple, and
+        accumulate: ainf_check calls this once per candidate splice, and
         the extra call per window is measurable there."""
         d = len(names)
         cat = self.cat
@@ -291,20 +291,29 @@ class AInfStructure:
         return acc
 
     def ainf_check(self, up_to: int):
-        """Violated (arity, tuple) pairs of the A-infinity relations.
+        """Violated (arity, tuple) pairs of the A-infinity relations over
+        every composable tuple (identities included) of length <= up_to,
+        in the order of cat.tuples(d); empty means the relations hold.
 
-        Checks every composable tuple of generators (identities included)
-        of length <= up_to; empty result means the relations hold there.
+        Only splices are evaluated, which is exact with no unitality
+        assumed: each term of the defect at t reads an inner key w of
+        mu^m and an outer key K of mu^(d-m+1) with t = K[:p] + w + K[p+1:]
+        and K[p] in the output of mu^m(w), so other tuples give zero.
         """
         if up_to > self.truncation:
             raise ValueError("cannot check beyond truncation order")
-        present = self.present_arities()
+        tables, order = self.tables, self.cat.order
+        by_output = {}
+        for m, table in tables.items():
+            for w, el in table.items():
+                for g in el.terms:
+                    by_output.setdefault(m, {}).setdefault(g, []).append(w)
         bad = []
         for d in range(1, up_to + 1):
-            pairs = [(m, d - m + 1) for m in present if m <= d and (d - m + 1) in present]
-            if not pairs:
-                continue
-            for t in self.cat.tuples(d):
+            splices = {K[:p] + w + K[p + 1:]
+                       for m, inner in by_output.items() for K in tables.get(d - m + 1, ())
+                       for p, g in enumerate(K) for w in inner.get(g, ())}
+            for t in sorted(splices, key=lambda t: [order[n] for n in t]):
                 if not self.relation_defect(t).is_zero():
                     bad.append((d, t))
         return bad

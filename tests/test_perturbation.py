@@ -95,6 +95,14 @@ def test_relations_small_order(model8):
     assert model8.minimal.ainf_check(8) == []
 
 
+def test_relations_and_lemma_through_16(Q):
+    # the support-driven ainf_check makes order 16 cheap; transfer dominates
+    res = transfer(preset_splitting_C(Q), 16)
+    assert res.minimal.ainf_check(16) == []
+    ok, mismatches = lemma_check(res, 16)
+    assert ok, mismatches
+
+
 def test_dump_includes_iota_sections(Q):
     res = transfer(preset_splitting_C(Q), 4)
     text = res.dump()

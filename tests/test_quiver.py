@@ -1,7 +1,9 @@
+import random
 from pathlib import Path
 
 import pytest
 
+from ainfbench.gauge import gauge_apply, mc_extend, preset_gauge_G
 from ainfbench.quiver import (AInfStructure, Element, dump, load, preset_A,
                               preset_C, preset_D)
 GOLDEN = Path(__file__).parent / "golden"
@@ -108,3 +110,67 @@ def test_load_rejects_arity_beyond_truncation(Q):
     broken = text.replace("TRUNCATION 2", "TRUNCATION 1")
     with pytest.raises(ValueError):
         load(broken)
+
+
+def brute_force_check(struct, up_to):
+    """The oracle for ainf_check: relation_defect on every composable
+    tuple of length <= up_to, in cat.tuples order."""
+    return [(d, t) for d in range(1, up_to + 1) for t in struct.cat.tuples(d)
+            if not struct.relation_defect(t).is_zero()]
+
+
+@pytest.fixture(scope="module")
+def oracle_structures(Q, model8):
+    """(name, structure, check order).  preset_D stops at 5: it has
+    27.5M composable tuples of length 8."""
+    B = model8.minimal
+    return [
+        ("A", preset_A(Q), 8),
+        ("C", preset_C(Q), 8),
+        ("D", preset_D(Q), 5),
+        ("B", B, 8),
+        ("G_*B", gauge_apply(preset_gauge_G(Q, B.cat), B, 8), 8),
+        ("mc", mc_extend(Q, Q.scalar(1, 2), Q.scalar(-2, 3), 8), 8),
+    ]
+
+
+def test_ainf_check_matches_brute_force(oracle_structures):
+    for name, struct, up_to in oracle_structures:
+        assert struct.ainf_check(up_to) == brute_force_check(struct, up_to), name
+
+
+def _corrupt(struct, d, rng):
+    """A copy of struct with one entry of mu^d rescaled, dropped or added."""
+    cat, spec = struct.cat, struct.spec
+    tables = {m: dict(t) for m, t in struct.tables.items()}
+    table = tables.setdefault(d, {})
+    free = [(t, g) for t in cat.tuples(d) if t not in table
+            for g, gen in cat.generators.items()
+            if gen.source == cat.source(t[-1]) and gen.target == cat.target(t[0])
+            and gen.degree == sum(cat.deg(n) for n in t) + 2 - d]
+    kind = rng.choice([k for k, ok in (("scale", table), ("drop", table), ("add", free)) if ok])
+    if kind == "add":
+        t, g = rng.choice(free)
+        table[t] = Element.single(g, spec.one())
+    else:
+        key = rng.choice(sorted(table, key=lambda t: [cat.order[n] for n in t]))
+        if kind == "drop":
+            del table[key]
+        else:
+            table[key] = table[key].scale(spec.scalar(rng.choice((-1, 2, -3))))
+    return AInfStructure(spec, cat, struct.truncation, tables)
+
+
+def test_ainf_check_matches_brute_force_on_corruptions(oracle_structures):
+    bases = {name: (struct, up_to) for name, struct, up_to in oracle_structures}
+    plan = [("C", 1), ("D", 1), ("C", 2), ("D", 2), ("A", 2), ("B", 3), ("B", 4),
+            ("B", 6), ("G_*B", 5), ("mc", 6)]
+    sizes = []
+    for seed in range(2 * len(plan)):
+        name, d = plan[seed % len(plan)]
+        struct, up_to = bases[name]
+        bad = _corrupt(struct, d, random.Random(seed))
+        got = bad.ainf_check(up_to)
+        assert got == brute_force_check(bad, up_to), (seed, name, d)
+        sizes.append(len(got))
+    assert max(sizes) > 1 and sum(1 for n in sizes if n) >= len(sizes) // 2, sizes
