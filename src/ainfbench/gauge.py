@@ -12,6 +12,15 @@ mu_new^d on the left).  Linearized, gauging by a single component g^{d-1}
 shifts mu^d by -delta(g^{d-1}), which is how orders with vanishing HH
 class get killed.
 
+Both the action and the composition scatter each term from the tables'
+support into the tuple it lands on, which is exact.  A g-side term at t
+splices a key w of mu^m into a key G of g^(d-m+1) (t = G[:p] + w +
+G[p+1:], G[p] in the output of mu^m(w); with g^1 the identity, t is a
+key of mu^d).  A mu_new-side term reads a key K of mu_new^r, r < d, each
+letter kept or replaced by a g^s key whose output holds it.  No other
+tuple gets a term.  Keys are the composable tuples of non-identity
+generators, in the order of cat.tuples.
+
 The two residual invariants live in the 1-dimensional cells HH^2(A,A)^-4
 (order 6) and HH^2(A,A)^-6 (order 8); coordinates are reported against
 the deterministic reference cocycles of hochschild.reference_cocycle.
@@ -31,7 +40,8 @@ from .hochschild import (
     mu_cochain,
     reference_cocycle,
 )
-from .quiver import AInfStructure, Element, ZERO, accumulate, tensor_terms
+from .quiver import (AInfStructure, Element, ZERO, accumulate, index_by_output,
+                     splices)
 from .scalars import FieldSpec, Scalar
 
 
@@ -81,91 +91,70 @@ class GaugeTransformation:
         """g^k as a sparse table; g^1 is the identity on generators."""
         return self._identity if k == 1 else self.components.get(k, {})
 
-    def apply_component(self, k: int, names) -> Element:
-        return self.table(k).get(tuple(names), ZERO)
+
+def _substitutions(key, blocks: dict, alphabet, d: int, longest: int, one):
+    """(t, c) for every length-d tuple t built from key letter by letter:
+    a letter n is kept (n in alphabet, coefficient 1) or replaced by a block
+    key B whose value holds n with coefficient c_B; c is the product.  Only
+    lengths that can still reach d, with blocks of at most longest letters,
+    are extended."""
+    partial = [((), one)]
+    for i, n in enumerate(key):
+        rest = len(key) - 1 - i
+        grown = []
+        for t, c0 in partial:
+            lo, hi = d - len(t) - rest * longest, d - len(t) - rest
+            if n in alphabet and lo <= 1 <= hi:
+                grown.append((t + (n,), c0))
+            grown += [(t + B, c0 * c) for B, c in blocks.get(n, ()) if lo <= len(B) <= hi]
+        partial = grown
+    return partial
 
 
-def _compositions(d: int, parts: tuple):
-    """Ordered compositions of d using the allowed part sizes."""
-    if d == 0:
-        yield ()
-        return
-    for p in parts:
-        if p <= d:
-            for rest in _compositions(d - p, parts):
-                yield (p,) + rest
-
-
-def _blocks(gauge: GaugeTransformation, comp, t):
-    """[g^{s_r}(block_r), ..., g^{s_1}(block_1)] for the composition
-    comp = (s_1, ..., s_r) of the tuple t, s_1 the rightmost block; None
-    when some block vanishes."""
-    d = len(t)
-    blocks = []
-    off = 0
-    for size in comp:
-        val = gauge.apply_component(size, t[d - off - size: d - off])
-        if val.is_zero():
-            return None
-        blocks.append(val)
-        off += size
-    blocks.reverse()
-    return blocks
+def _entries(accs: dict, cat, d: int) -> dict:
+    """The nonzero scattered sums, keyed by the composable length-d tuples
+    of non-identity generators in cat.tuples order."""
+    gens = cat.nonidentity_generators()
+    sums = ((t, Element(accs[t])) for t in cat.tuples_among(accs, d, gens))
+    return {t: el for t, el in sums if not el.is_zero()}
 
 
 def gauge_apply(gauge: GaugeTransformation, mu: AInfStructure,
                 order: int = None) -> AInfStructure:
-    """Act on a minimal structure; result is minimal with the same mu^2."""
+    """Act on a minimal structure; result is minimal with the same mu^2.
+
+    Only the splices and block substitutions of the module docstring are
+    evaluated, which is exact; keys come in cat.tuples order.  order may
+    not exceed mu.truncation: mu's higher arities are unknown, not zero."""
     if 1 in mu.present_arities():
         raise ValueError("gauge action implemented for minimal structures")
     order = order or mu.truncation
+    if order > mu.truncation:
+        raise ValueError(f"cannot gauge to order {order} beyond truncation "
+                         f"{mu.truncation}")
     spec, cat = mu.spec, mu.cat
     one = spec.one()
     new_tables: dict[int, dict] = {2: dict(mu.tables[2])}
-    parts = tuple([1] + gauge.supports())
-    gens = cat.nonidentity_generators()
+    alphabet = set(cat.nonidentity_generators())
+    odd = {n: (cat.deg(n) - 1) % 2 for n in cat.generators}
+    blocks = index_by_output(e for tbl in gauge.components.values() for e in tbl.items())
+    longest = max(gauge.supports(), default=1)
 
     for d in range(3, order + 1):
-        comps = [
-            c for c in _compositions(d, parts)
-            if 2 <= len(c) <= d - 1 and any(p > 1 for p in c)
-        ]
-        table = {}
-        for t in cat.tuples(d, gens):
-            degs = [cat.deg(n) for n in t]
-            eps = [0] * (d + 1)
-            for n in range(1, d + 1):
-                eps[n] = eps[n - 1] + degs[d - n] - 1
-            acc = {}
-            # g-side: sum over insertions of old mu^m into g^{d-m+1}
-            for m in mu.present_arities():
-                if m > d:
-                    break
-                gk = gauge.table(d - m + 1)
-                if not gk:
-                    continue
-                inner_table = mu.tables[m]
-                for n in range(0, d - m + 1):
-                    inner = inner_table.get(t[d - n - m: d - n])
-                    if inner is None:
-                        continue
-                    head, tail = t[: d - n - m], t[d - n:]
-                    accumulate(acc, gk,
-                               ((head + (g,) + tail, c) for g, c in inner.terms.items()),
-                               eps[n] % 2)
-            # mu_new-side: subtract lower-arity products of g-blocks
-            for comp in comps:
-                mu_r = new_tables.get(len(comp))
-                if not mu_r:
-                    continue
-                blocks = _blocks(gauge, comp, t)
-                if blocks is not None:
-                    accumulate(acc, mu_r, tensor_terms(blocks, one), True)
-            el = Element(acc)
-            if not el.is_zero():
-                table[t] = el
-        if table:
-            new_tables[d] = table
+        accs = {}
+        # g-side: old mu^m inserted into g^{d-m+1}, signed by the tail
+        for m, inner in mu.tables.items():
+            gk = gauge.table(d - m + 1)
+            for t, G, p, c in splices(gk, inner):
+                accumulate(accs.setdefault(t, {}), gk, ((G, c),),
+                           sum(odd[n] for n in G[p + 1:]) % 2)
+        # mu_new-side: subtract lower-arity products of g-blocks
+        for r in range(2, d):
+            mu_r = new_tables.get(r, {})
+            for K in mu_r:
+                for t, c in _substitutions(K, blocks, alphabet, d, longest, one):
+                    accumulate(accs.setdefault(t, {}), mu_r, ((K, c),), True)
+        new_tables[d] = _entries(accs, cat, d)
     return AInfStructure(spec, cat, order, new_tables)
 
 
@@ -176,28 +165,23 @@ def gauge_compose(second: GaugeTransformation, first: GaugeTransformation,
     Functor composition (second o first)^d = sum second^r(first-blocks),
     no signs.  Composites generally have components in every arity, so the
     result is truncated at up_to; acting on structures of truncation
-    <= up_to only ever reads those."""
+    <= up_to only ever reads those.  Each term is scattered from a key of
+    second^r, r <= d, each letter kept or replaced by a first-key whose
+    output holds it, which is exact; keys come in cat.tuples order."""
     spec, cat = first.spec, first.cat
-    parts = tuple(sorted({1, *first.supports()}))
-    components: dict[int, dict] = {}
-    gens = cat.nonidentity_generators()
     one = spec.one()
+    alphabet = set(cat.nonidentity_generators())
+    blocks = index_by_output(e for tbl in first.components.values() for e in tbl.items())
+    longest = max(first.supports(), default=1)
+    components: dict[int, dict] = {}
     for d in range(2, up_to + 1):
-        table = {}
-        for t in cat.tuples(d, gens):
-            acc = {}
-            for comp in _compositions(d, parts):
-                second_r = second.table(len(comp))
-                if not second_r:
-                    continue
-                blocks = _blocks(first, comp, t)
-                if blocks is not None:
-                    accumulate(acc, second_r, tensor_terms(blocks, one))
-            el = Element(acc)
-            if not el.is_zero():
-                table[t] = el
-        if table:
-            components[d] = table
+        accs = {}
+        for r in range(1, d + 1):
+            second_r = second.table(r)
+            for K in second_r:
+                for t, c in _substitutions(K, blocks, alphabet, d, longest, one):
+                    accumulate(accs.setdefault(t, {}), second_r, ((K, c),))
+        components[d] = _entries(accs, cat, d)
     return GaugeTransformation(spec, cat, components)
 
 

@@ -22,7 +22,7 @@ obstruction check (at r = 5), which is how the sign convention is pinned.
 from __future__ import annotations
 
 from .linalg import Echelon, FieldOps, nullspace, rank, solve
-from .quiver import AInfStructure, Element, ZERO, accumulate
+from .quiver import AInfStructure, Element, ZERO, accumulate, splices
 from .scalars import FieldSpec, Scalar
 
 
@@ -99,7 +99,13 @@ def euler_cochain(alg: AInfStructure) -> Cochain:
 
 
 def gerst_compose(phi: Cochain, psi: Cochain, alg: AInfStructure) -> Cochain:
-    """Circle product with shifted signs; both factors of length >= 1."""
+    """Circle product with shifted signs; both factors of length >= 1.
+
+    Only splices are evaluated, which is exact: each term at t reads a
+    psi-key w and a phi-key K with t = K[:p] + w + K[p+1:] and K[p] in the
+    output of psi(w), so other tuples give zero.  Keys are the composable
+    tuples of non-identity generators, in the order of cat.tuples, so a
+    psi-key holding an identity component (as mu^2's do) is never read."""
     if phi.r < 1 or psi.r < 1:
         raise ValueError("circle product needs length >= 1 factors")
     cat = alg.cat
@@ -108,7 +114,9 @@ def gerst_compose(phi: Cochain, psi: Cochain, alg: AInfStructure) -> Cochain:
     sign_flip = psi.shifted_degree == 1
     out = {}
     gens = cat.nonidentity_generators()
-    for t in cat.tuples(r_out, gens):
+    inner = {w: v for w, v in psi.table.items() if all(n in gens for n in w)}
+    candidates = (t for t, *_ in splices(phi.table, inner))
+    for t in cat.tuples_among(candidates, r_out, gens):
         degs = [cat.deg(n) for n in t]
         acc = {}
         eps = 0
@@ -122,9 +130,7 @@ def gerst_compose(phi: Cochain, psi: Cochain, alg: AInfStructure) -> Cochain:
                            sign_flip and eps % 2)
             if n < r_out:
                 eps += degs[r_out - 1 - n] - 1
-        el = Element(acc)
-        if not el.is_zero():
-            out[t] = el
+        out[t] = Element(acc)
     return Cochain(r_out, s_out, out)
 
 

@@ -126,7 +126,13 @@ class TransferResult:
 
 
 def transfer(split: SplittingData, order: int) -> TransferResult:
-    """Run the recursion through the given arity, exactly."""
+    """Run the recursion through the given arity, exactly.
+
+    iota^d and mu^d at t are sums of mu2(iota^(d-m)(L), iota^m(R)) over
+    t = L + R, so only concatenations of two stored iota keys are
+    evaluated.  Keys are the composable tuples over all generators at
+    d = 2 and over the non-identity ones above, in the order of
+    cat.tuples."""
     if order < 2:
         raise ValueError("transfer order must be >= 2")
     if sorted(split.ambient.present_arities()) not in ([1], [1, 2], [2]):
@@ -155,7 +161,9 @@ def transfer(split: SplittingData, order: int) -> TransferResult:
         iota[d] = {}
         mu[d] = {}
         alphabet = None if d == 2 else cat.nonidentity_generators()
-        for names in cat.tuples(d, alphabet):
+        candidates = (left + right for m in range(1, d)
+                      for left in iota[d - m] for right in iota[m])
+        for names in cat.tuples_among(candidates, d, alphabet):
             total = ZERO
             for prod in blocks(d, names):
                 total = total + prod
@@ -167,8 +175,6 @@ def transfer(split: SplittingData, order: int) -> TransferResult:
             p_img = _apply_linear(proj, total)
             if not p_img.is_zero():
                 mu[d][names] = p_img
-        if not mu[d]:
-            del mu[d]
 
     minimal = AInfStructure(spec, cat, order, mu)
     return TransferResult(minimal, iota, amb.cat)

@@ -114,6 +114,26 @@ def tensor_terms(elements, one: Scalar) -> list:
     return pairs
 
 
+def index_by_output(entries) -> dict:
+    """{generator: [(key, coefficient)]} over (key, Element) table entries."""
+    index = {}
+    for key, el in entries:
+        for g, c in el.terms.items():
+            index.setdefault(g, []).append((key, c))
+    return index
+
+
+def splices(outer, inner: dict):
+    """(K[:p] + w + K[p+1:], K, p, c) for every outer key K, position p and
+    inner key w whose value holds K[p] with coefficient c: the tuples at
+    which an insertion of inner into outer can read two table entries."""
+    by_output = index_by_output(inner.items())
+    for K in outer:
+        for p, g in enumerate(K):
+            for w, c in by_output.get(g, ()):
+                yield K[:p] + w + K[p + 1:], K, p, c
+
+
 class QuiverCategory:
     """Objects, graded generating morphisms, and designated identities.
 
@@ -188,6 +208,16 @@ class QuiverCategory:
 
         for n in names:
             yield from extend((n,), d - 1)
+
+    def tuples_among(self, candidates, d: int, alphabet=None) -> list:
+        """The candidates that tuples(d, alphabet) yields, in its order
+        (declaration index, letter by letter); alphabet in declaration
+        order, as nonidentity_generators() gives it."""
+        allowed = set(alphabet) if alphabet is not None else self.generators
+        order = self.order
+        return sorted((t for t in set(candidates) if len(t) == d and self.composable(t)
+                       and all(n in allowed for n in t)),
+                      key=lambda t: [order[n] for n in t])
 
     def sort_terms(self, el: Element):
         return sorted(el.terms.items(), key=lambda kv: self.order[kv[0]])
@@ -302,18 +332,12 @@ class AInfStructure:
         """
         if up_to > self.truncation:
             raise ValueError("cannot check beyond truncation order")
-        tables, order = self.tables, self.cat.order
-        by_output = {}
-        for m, table in tables.items():
-            for w, el in table.items():
-                for g in el.terms:
-                    by_output.setdefault(m, {}).setdefault(g, []).append(w)
+        tables = self.tables
         bad = []
         for d in range(1, up_to + 1):
-            splices = {K[:p] + w + K[p + 1:]
-                       for m, inner in by_output.items() for K in tables.get(d - m + 1, ())
-                       for p, g in enumerate(K) for w in inner.get(g, ())}
-            for t in sorted(splices, key=lambda t: [order[n] for n in t]):
+            candidates = (t for m, inner in tables.items()
+                          for t, *_ in splices(tables.get(d - m + 1, ()), inner))
+            for t in self.cat.tuples_among(candidates, d):
                 if not self.relation_defect(t).is_zero():
                     bad.append((d, t))
         return bad

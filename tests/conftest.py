@@ -1,7 +1,15 @@
 import pytest
+from hypothesis import settings
 
 from ainfbench.scalars import FieldSpec
 from ainfbench.perturbation import preset_splitting_C, transfer
+
+# Property tests draw the same examples on every run (no example database,
+# a fixed seed per test), so a tier-1 run is reproducible; no deadline,
+# because a shared 2-core machine times examples unevenly.
+settings.register_profile("tier1", derandomize=True, database=None,
+                          deadline=None, max_examples=10)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")
@@ -18,6 +26,14 @@ def model12(Q):
 @pytest.fixture(scope="session")
 def model8(Q):
     return transfer(preset_splitting_C(Q), 8)
+
+
+@pytest.fixture(scope="session")
+def mc8(Q):
+    """mc_extend(Q, 1/2, -2/3, 8): a structure with every arity present."""
+    from ainfbench.gauge import mc_extend
+
+    return mc_extend(Q, Q.scalar(1, 2), Q.scalar(-2, 3), 8)
 
 
 @pytest.fixture(scope="session")

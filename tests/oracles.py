@@ -1,0 +1,173 @@
+"""Brute-force oracles for the support-driven products.
+
+Each function loops over every composable tuple of each arity, as the
+program once did, and evaluates it with the same sparse-table evaluator.
+The tests compare the program's results with these: the same keys, in
+the same order, with equal Elements.
+"""
+
+from ainfbench.gauge import GaugeTransformation
+from ainfbench.hochschild import Cochain
+from ainfbench.perturbation import TransferResult, _apply_linear
+from ainfbench.quiver import AInfStructure, Element, ZERO, accumulate, tensor_terms
+
+
+def ordered(tables):
+    """Tables as lists of (key, Element) pairs, so that == also compares
+    the order of the arities and of the keys."""
+    return [(d, list(table.items())) for d, table in tables.items()]
+
+
+def _compositions(d, parts):
+    """Ordered compositions of d using the allowed part sizes."""
+    if d == 0:
+        yield ()
+        return
+    for p in parts:
+        if p <= d:
+            for rest in _compositions(d - p, parts):
+                yield (p,) + rest
+
+
+def _blocks(gauge, comp, t):
+    """[g^{s_r}(block_r), ..., g^{s_1}(block_1)] for the composition
+    comp = (s_1, ..., s_r) of the tuple t, s_1 the rightmost block; None
+    when some block vanishes."""
+    d = len(t)
+    blocks = []
+    off = 0
+    for size in comp:
+        val = gauge.table(size).get(t[d - off - size: d - off], ZERO)
+        if val.is_zero():
+            return None
+        blocks.append(val)
+        off += size
+    blocks.reverse()
+    return blocks
+
+
+def gauge_apply(gauge, mu, order=None):
+    order = order or mu.truncation
+    spec, cat = mu.spec, mu.cat
+    one = spec.one()
+    new_tables = {2: dict(mu.tables[2])}
+    parts = tuple([1] + gauge.supports())
+    gens = cat.nonidentity_generators()
+    for d in range(3, order + 1):
+        comps = [c for c in _compositions(d, parts)
+                 if 2 <= len(c) <= d - 1 and any(p > 1 for p in c)]
+        table = {}
+        for t in cat.tuples(d, gens):
+            degs = [cat.deg(n) for n in t]
+            eps = [0] * (d + 1)
+            for n in range(1, d + 1):
+                eps[n] = eps[n - 1] + degs[d - n] - 1
+            acc = {}
+            for m in mu.present_arities():
+                if m > d:
+                    break
+                gk = gauge.table(d - m + 1)
+                if not gk:
+                    continue
+                inner_table = mu.tables[m]
+                for n in range(0, d - m + 1):
+                    inner = inner_table.get(t[d - n - m: d - n])
+                    if inner is None:
+                        continue
+                    head, tail = t[: d - n - m], t[d - n:]
+                    accumulate(acc, gk,
+                               ((head + (g,) + tail, c) for g, c in inner.terms.items()),
+                               eps[n] % 2)
+            for comp in comps:
+                mu_r = new_tables.get(len(comp))
+                if not mu_r:
+                    continue
+                blocks = _blocks(gauge, comp, t)
+                if blocks is not None:
+                    accumulate(acc, mu_r, tensor_terms(blocks, one), True)
+            el = Element(acc)
+            if not el.is_zero():
+                table[t] = el
+        if table:
+            new_tables[d] = table
+    return AInfStructure(spec, cat, order, new_tables)
+
+
+def gauge_compose(second, first, up_to=12):
+    spec, cat = first.spec, first.cat
+    parts = tuple(sorted({1, *first.supports()}))
+    components = {}
+    gens = cat.nonidentity_generators()
+    one = spec.one()
+    for d in range(2, up_to + 1):
+        table = {}
+        for t in cat.tuples(d, gens):
+            acc = {}
+            for comp in _compositions(d, parts):
+                second_r = second.table(len(comp))
+                if not second_r:
+                    continue
+                blocks = _blocks(first, comp, t)
+                if blocks is not None:
+                    accumulate(acc, second_r, tensor_terms(blocks, one))
+            el = Element(acc)
+            if not el.is_zero():
+                table[t] = el
+        if table:
+            components[d] = table
+    return GaugeTransformation(spec, cat, components)
+
+
+def gerst_compose(phi, psi, alg):
+    cat = alg.cat
+    r_out = phi.r + psi.r - 1
+    sign_flip = psi.shifted_degree == 1
+    out = {}
+    for t in cat.tuples(r_out, cat.nonidentity_generators()):
+        degs = [cat.deg(n) for n in t]
+        acc = {}
+        eps = 0
+        for n in range(phi.r):
+            lo = r_out - n - psi.r
+            inner = psi.table.get(t[lo: r_out - n])
+            if inner is not None:
+                head, tail = t[:lo], t[r_out - n:]
+                accumulate(acc, phi.table,
+                           ((head + (g,) + tail, c) for g, c in inner.terms.items()),
+                           sign_flip and eps % 2)
+            if n < r_out:
+                eps += degs[r_out - 1 - n] - 1
+        el = Element(acc)
+        if not el.is_zero():
+            out[t] = el
+    return Cochain(r_out, phi.s + psi.s, out)
+
+
+def transfer(split, order):
+    amb = split.ambient
+    cat = split.harmonic
+    iota = {1: {(g,): split.incl[g] for g in cat.generators}}
+    mu = {}
+    for d in range(2, order + 1):
+        iota[d] = {}
+        mu[d] = {}
+        alphabet = None if d == 2 else cat.nonidentity_generators()
+        for names in cat.tuples(d, alphabet):
+            total = ZERO
+            for m in range(1, d):
+                left = iota[d - m].get(names[: d - m])
+                right = iota[m].get(names[d - m:])
+                if left is None or left.is_zero() or right is None or right.is_zero():
+                    continue
+                total = total + amb.evaluate_elements(2, [left, right])
+            if total.is_zero():
+                continue
+            t_img = _apply_linear(split.homotopy, total)
+            if not t_img.is_zero():
+                iota[d][names] = t_img
+            p_img = _apply_linear(split.proj, total)
+            if not p_img.is_zero():
+                mu[d][names] = p_img
+        if not mu[d]:
+            del mu[d]
+    return TransferResult(AInfStructure(amb.spec, cat, order, mu), iota, amb.cat)

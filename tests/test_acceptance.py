@@ -5,6 +5,7 @@ stated wall-clock budgets are asserted."""
 import random
 import time
 
+from ainfbench.cli import REFERENCE_MU4
 from ainfbench.gauge import (extract_invariants, gauge_apply,
                              m6_certificate, mc_extend, random_gauge, rescale)
 from ainfbench.hochschild import (coboundary, gerstenhaber, hh_bar,
@@ -17,8 +18,6 @@ from ainfbench.scalars import FieldSpec
 from ainfbench.skoldberg import skoldberg_dims
 from ainfbench.useries import (jacobi_check, partition_count_bruteforce,
                                partition_series)
-
-from test_gauge import REFERENCE_MU4
 
 
 class Timer:

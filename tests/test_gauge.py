@@ -1,34 +1,21 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
+import oracles
+from ainfbench.cli import REFERENCE_MU4
 from ainfbench.gauge import (GaugeTransformation, ObstructionError,
                              extract_invariants, gauge_apply, gauge_compose,
                              kill_orders, m6_certificate, mc_extend,
-                             preset_gauge_G, random_gauge,
+                             preset_gauge_G, preset_gauge_H, random_gauge,
                              rescale)
+from ainfbench.perturbation import preset_splitting_C, transfer
 from ainfbench.hochschild import (coboundary, gerstenhaber, is_coboundary,
                                   mu_cochain, reference_cocycle,
                                   class_coordinate)
 from ainfbench.quiver import Element
 from ainfbench.scalars import FieldSpec
-
-REFERENCE_MU4 = {
-    ("e1", "v", "f1", "u"): ("e1", (1, 4)),
-    ("e1", "v", "u", "e1"): ("e1", (1, 4)),
-    ("v", "f1", "f1", "u"): ("e1", (-1, 4)),
-    ("v", "f1", "u", "e1"): ("e1", (-1, 4)),
-    ("f1", "u", "e1", "v"): ("f1", (1, 4)),
-    ("f1", "u", "v", "f1"): ("f1", (-1, 4)),
-    ("u", "e1", "v", "f1"): ("f1", (-1, 4)),
-    ("u", "v", "f1", "f1"): ("f1", (-1, 2)),
-    ("u", "e1", "e1", "v"): ("f1", (3, 4)),
-    ("v", "u", "e1", "v"): ("v", (-1, 2)),
-    ("v", "u", "v", "f1"): ("v", (1, 2)),
-    ("u", "e1", "v", "u"): ("u", (1, 2)),
-    ("u", "v", "f1", "u"): ("u", (-1, 2)),
-}
-
 
 def test_identity_gauge_is_identity(Q, model8):
     B = model8.minimal
@@ -139,6 +126,56 @@ def test_gauge_group_action(Q, model8):
     serial = gauge_apply(g2, gauge_apply(g1, B, 8), 8)
     composed = gauge_apply(gauge_compose(g2, g1, 8), B, 8)
     assert serial.tables == composed.tables
+
+
+def test_gauge_beyond_truncation_rejected(Q):
+    # mu's arities above its truncation are unknown, not zero: gauging
+    # transfer(., 6) to order 10 would make up tables 7-10
+    B = transfer(preset_splitting_C(Q), 6).minimal
+    with pytest.raises(ValueError, match="beyond truncation 6"):
+        gauge_apply(preset_gauge_G(Q, B.cat), B, 10)
+    assert gauge_apply(preset_gauge_G(Q, B.cat), B, 6).truncation == 6
+
+
+def _oracle_gauges(Q, cat):
+    return ([preset_gauge_G(Q, cat), preset_gauge_H(Q, cat)]
+            + [random_gauge(Q, cat, random.Random(seed)) for seed in range(4)])
+
+
+def test_gauge_apply_matches_brute_force(Q, model8, mc8):
+    for name, base in (("B", model8.minimal), ("mc", mc8)):
+        for i, g in enumerate(_oracle_gauges(Q, base.cat)):
+            got = gauge_apply(g, base, 8).tables
+            want = oracles.gauge_apply(g, base, 8).tables
+            assert oracles.ordered(got) == oracles.ordered(want), (name, i)
+
+
+def test_kill_orders_step_matches_brute_force(model8):
+    B = model8.minimal
+    steps, fixed = kill_orders(B, (3,), compose=False)
+    want = oracles.gauge_apply(steps[0], B, 8).tables
+    assert oracles.ordered(fixed.tables) == oracles.ordered(want)
+
+
+def test_gauge_compose_matches_brute_force(Q, model8):
+    cat = model8.minimal.cat
+    g1 = random_gauge(Q, cat, random.Random(41), orders=(2, 3))
+    g2 = random_gauge(Q, cat, random.Random(42), orders=(2, 4))
+    for second, first in ((g2, g1), (g1, g2), (g1, GaugeTransformation(Q, cat, {}))):
+        got = gauge_compose(second, first, 8).components
+        want = oracles.gauge_compose(second, first, 8).components
+        assert oracles.ordered(got) == oracles.ordered(want)
+
+
+@given(seed=st.integers(0, 2**32 - 1), density=st.sampled_from((0.1, 0.35, 0.6)),
+       orders=st.sampled_from(((2,), (3,), (2, 3), (2, 4), (2, 3, 4))))
+def test_gauge_apply_property(Q, model8, seed, density, orders):
+    B = model8.minimal
+    g = random_gauge(Q, B.cat, random.Random(seed), orders=orders, density=density)
+    moved = gauge_apply(g, B, 8)
+    want = oracles.gauge_apply(g, B, 8).tables
+    assert oracles.ordered(moved.tables) == oracles.ordered(want)
+    assert moved.ainf_check(7) == []
 
 
 def test_gauge_preserves_relations(Q, model8):

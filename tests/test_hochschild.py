@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+import oracles
 from ainfbench import hochschild
 from ainfbench.hochschild import (Cochain, class_coordinate, coboundary,
                                   cochain_basis, cochain_to_vector,
-                                  delta_matrix, euler_cochain, gerstenhaber,
+                                  delta_matrix, euler_cochain, gerst_compose,
+                                  gerstenhaber,
                                   hh_bar, is_coboundary, mu_cochain,
                                   reference_cocycle, vector_to_cochain)
 from ainfbench.quiver import Element, preset_A
@@ -203,8 +205,6 @@ def test_mc_identity_on_transferred_model(Q, model12):
     # the relations of the transferred structure, re-derived entirely in
     # cochain language: delta(mu^d) = - sum_{j=3}^{d-1} mu^j o mu^{d+2-j};
     # cross-validates the relation checker against the circle product
-    from ainfbench.hochschild import gerst_compose
-
     B = model12.minimal
     for d in range(3, 9):
         lhs = coboundary(mu_cochain(B, d), B)
@@ -216,3 +216,22 @@ def test_mc_identity_on_transferred_model(Q, model12):
                 continue
             rhs = rhs + gerst_compose(mj, mk, B)
         assert (lhs + rhs).is_zero(), d
+
+
+def test_gerst_compose_matches_brute_force(Q, mc8):
+    # the chosen cochains of mc_extend against each other and both
+    # coboundary orders against mu^2 (identity inputs kept), plus random
+    # cochains of preset_A whose outputs may be identity components
+    A = preset_A(Q)
+    mu2 = Cochain(2, 0, mc8.tables[2])
+    chosen = [mu_cochain(mc8, d) for d in (6, 8)]
+    cases = [(a, b, mc8) for a in chosen for b in chosen if a.r + b.r <= 14]
+    cases += [(mu2, phi, mc8) for phi in chosen] + [(phi, mu2, mc8) for phi in chosen]
+    rng = random.Random(11)
+    for (r1, s1), (r2, s2) in (((2, -1), (3, -2)), ((3, -1), (2, -1)), ((1, -1), (4, -2))):
+        cases.append((random_cochain(A, r1, s1, rng, 0.9),
+                      random_cochain(A, r2, s2, rng, 0.9), A))
+    for phi, psi, alg in cases:
+        got = gerst_compose(phi, psi, alg).table
+        want = oracles.gerst_compose(phi, psi, alg).table
+        assert got and list(got.items()) == list(want.items()), (phi, psi)

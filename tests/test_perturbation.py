@@ -1,8 +1,10 @@
 import pytest
 
+import oracles
 from ainfbench.perturbation import (SplittingData, lemma_check,
                                     preset_splitting_C, transfer)
 from ainfbench.quiver import Element, load_with_extras
+from ainfbench.scalars import FieldSpec
 
 
 def test_splitting_homotopy_identities(Q):
@@ -124,3 +126,11 @@ def test_transfer_deterministic(Q):
     b = transfer(preset_splitting_C(Q), 6)
     assert a.minimal.tables == b.minimal.tables
     assert a.iota == b.iota
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5])
+def test_transfer_matches_brute_force(p):
+    split = preset_splitting_C(FieldSpec(p))
+    got, want = transfer(split, 12), oracles.transfer(split, 12)
+    assert oracles.ordered(got.minimal.tables) == oracles.ordered(want.minimal.tables)
+    assert oracles.ordered(got.iota) == oracles.ordered(want.iota)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from ainfbench.gauge import gauge_apply, mc_extend, preset_gauge_G
+from ainfbench.gauge import gauge_apply, preset_gauge_G
 from ainfbench.quiver import (AInfStructure, Element, dump, load, preset_A,
                               preset_C, preset_D)
 GOLDEN = Path(__file__).parent / "golden"
@@ -120,7 +120,7 @@ def brute_force_check(struct, up_to):
 
 
 @pytest.fixture(scope="module")
-def oracle_structures(Q, model8):
+def oracle_structures(Q, model8, mc8):
     """(name, structure, check order).  preset_D stops at 5: it has
     27.5M composable tuples of length 8."""
     B = model8.minimal
@@ -130,7 +130,7 @@ def oracle_structures(Q, model8):
         ("D", preset_D(Q), 5),
         ("B", B, 8),
         ("G_*B", gauge_apply(preset_gauge_G(Q, B.cat), B, 8), 8),
-        ("mc", mc_extend(Q, Q.scalar(1, 2), Q.scalar(-2, 3), 8), 8),
+        ("mc", mc8, 8),
     ]
 
 
