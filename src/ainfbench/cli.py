@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .hochschild import coboundary, hh_bar, mu_cochain
 from .perturbation import lemma_check, preset_splitting_C, transfer
-from .polygons import (preset_scene, quad_witnesses, triangle_criterion,
+from .polygons import (criterion_series, preset_scene, quad_witnesses,
                        triangle_witnesses, witness_svg)
 from .quiver import Element, dump, format_element, load
 from .scalars import FieldSpec
@@ -316,9 +316,9 @@ def cmd_jacobi(args) -> int:
 
 def cmd_triangle(args) -> int:
     scene = preset_scene()
-    m2, m3, check = triangle_criterion(scene, args.wrap)
     tris = triangle_witnesses(scene, args.wrap)
     quads = quad_witnesses(scene, args.wrap)
+    m2, m3, check = criterion_series(tris, quads, args.wrap)
     per_band_t = {}
     for w in tris:
         per_band_t[max(w.wraps)] = per_band_t.get(max(w.wraps), 0) + 1

@@ -70,17 +70,9 @@ class GaugeTransformation:
         for k, table in (components or {}).items():
             clean = {}
             for names, el in table.items():
-                if el.is_zero():
-                    continue
-                if len(names) != k or not cat.composable(names):
-                    raise ValueError(f"bad g^{k} key {names}")
-                if any(cat.is_identity_component(n) for n in names):
-                    raise ValueError(f"g^{k} not normalized at {names}")
-                want = sum(cat.deg(n) for n in names) + 1 - k
-                for g in el.terms:
-                    if cat.deg(g) != want:
-                        raise ValueError(f"g^{k}{names} -> {g} breaks degrees")
-                clean[names] = el
+                if not el.is_zero():
+                    _check_entry(cat, k, names, el)
+                    clean[names] = el
             if clean:
                 self.components[k] = clean
 
@@ -90,6 +82,24 @@ class GaugeTransformation:
     def table(self, k: int) -> dict:
         """g^k as a sparse table; g^1 is the identity on generators."""
         return self._identity if k == 1 else self.components.get(k, {})
+
+
+def _check_entry(cat, k: int, names, el) -> None:
+    """A g^k entry, k >= 2 (g^1 is the identity), has a composable,
+    normalized length-k key, and its outputs have degree |names| + 1 - k
+    and the key's source and target."""
+    if (k < 2 or len(names) != k or any(n not in cat.generators for n in names)
+            or not cat.composable(names)):
+        raise ValueError(f"bad g^{k} key {names}")
+    if any(cat.is_identity_component(n) for n in names):
+        raise ValueError(f"g^{k} not normalized at {names}")
+    want = sum(cat.deg(n) for n in names) + 1 - k
+    src, tgt = cat.source(names[-1]), cat.target(names[0])
+    for g in el.terms:
+        gen = cat.generators[g]
+        if gen.degree != want or gen.source != src or gen.target != tgt:
+            raise ValueError(f"g^{k}{names} -> {g}: expects degree {want}, "
+                             f"{src}->{tgt}")
 
 
 def _substitutions(key, blocks: dict, alphabet, d: int, longest: int, one):
@@ -408,7 +418,16 @@ def load_gauge(text: str) -> GaugeTransformation:
         if not (name.startswith("G") and name[1:].isdigit()):
             raise ValueError(f"unexpected section {name} in gauge file")
         k = int(name[1:])
-        components[k] = parse_table(rows, k, name, shell.cat, shell.spec)
+        table = components[k] = {}
+        for row, lineno in rows:
+            entry = parse_table([(row, lineno)], k, name, shell.cat, shell.spec)
+            for names, el in entry.items():
+                if not el.is_zero():
+                    try:
+                        _check_entry(shell.cat, k, names, el)
+                    except ValueError as exc:
+                        raise ValueError(f"line {lineno}: {exc}") from None
+                table[names] = el
     return GaugeTransformation(shell.spec, shell.cat, components)
 
 

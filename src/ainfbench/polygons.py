@@ -16,6 +16,13 @@ the last arc, r for the middle ones).  Self-products of the vertical
 curve use a piecewise-linear pushoff crossing it twice; only the
 degree-0 crossing represents the identity.
 
+Each candidate is checked in order of cost: convex corners first (from
+the arc directions alone), then an embedded boundary (segment pairs with
+disjoint bounding boxes skipped before any cross product), and only then
+are the translates of z inside counted, one scanline per row of the
+lattice.  One census of triangles and quadrilaterals gives all three
+criterion series (criterion_series).
+
 All coordinates are exact rationals; star offsets are calibrated (and
 frozen here) so the triangle count reproduces a vanishing product and
 the quadrilateral count reproduces minus the theta series.
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Fr
+from math import ceil, floor
 
 from .useries import TruncatedUSeries, series_mul, partition_series
 
@@ -216,58 +224,71 @@ def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _on_segment(p, a, b) -> bool:
-    if _cross(a, b, p) != 0:
-        return False
+def _in_box(p, a, b) -> bool:
     return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
             and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
 
 
 def _segments_intersect(a, b, c, d) -> bool:
+    """Closed segments ab and cd meet; all comparisons exact."""
+    # they can only meet where their bounding boxes overlap
+    if (max(a[0], b[0]) < min(c[0], d[0]) or max(c[0], d[0]) < min(a[0], b[0])
+            or max(a[1], b[1]) < min(c[1], d[1])
+            or max(c[1], d[1]) < min(a[1], b[1])):
+        return False
     d1 = _cross(c, d, a)
     d2 = _cross(c, d, b)
+    if (d1 > 0 and d2 > 0) or (d1 < 0 and d2 < 0):
+        return False        # ab strictly on one side of the line cd
     d3 = _cross(a, b, c)
     d4 = _cross(a, b, d)
-    if ((d1 > 0) != (d2 > 0) and d1 != 0 and d2 != 0
-            and (d3 > 0) != (d4 > 0) and d3 != 0 and d4 != 0):
-        return True
-    for p, (s0, s1) in ((a, (c, d)), (b, (c, d)), (c, (a, b)), (d, (a, b))):
-        if _on_segment(p, s0, s1):
-            return True
-    return False
-
-
-def _point_in_polygon(p, segments) -> bool:
-    """Strict interior test by horizontal ray casting; the caller must have
-    excluded boundary points."""
-    x, y = p
-    inside = False
-    for (x0, y0), (x1, y1) in segments:
-        if (y0 > y) != (y1 > y):
-            xi = x0 + (x1 - x0) * (y - y0) / (y1 - y0)
-            if xi > x:
-                inside = not inside
-    return inside
+    if (d3 > 0 and d4 > 0) or (d3 < 0 and d4 < 0):
+        return False
+    if d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0:
+        return True         # a proper crossing
+    # otherwise they meet where an end lies on the other segment
+    return ((d1 == 0 and _in_box(a, c, d)) or (d2 == 0 and _in_box(b, c, d))
+            or (d3 == 0 and _in_box(c, a, b)) or (d4 == 0 and _in_box(d, a, b)))
 
 
 def _count_lattice_points(pt, segments, bbox):
-    """Lattice translates of pt strictly inside the PL polygon."""
+    """Lattice translates of pt strictly inside the closed PL polygon.
+
+    One pass per row y = pt_y + j strictly inside the bounding box: the
+    segments with exactly one end above the row cross it (the half-open
+    rule of even-odd ray casting); the sorted crossings pair up into the
+    interior intervals, and floor/ceil count the translates inside each.
+    A translate strictly inside the bounding box that lies on a segment
+    -- at a crossing, at a vertex, or on a horizontal segment -- raises
+    AssertionError, naming the least such point in (x, y) order."""
     (xmin, xmax), (ymin, ymax) = bbox
     px, py = pt
+    i_min = floor(xmin - px) + 1     # least i with px + i > xmin
     count = 0
-    i = int(xmin - px) - 1
-    while px + i <= xmax:
-        j = int(ymin - py) - 1
-        while py + j <= ymax:
-            cand = (px + i, py + j)
-            if xmin < cand[0] < xmax and ymin < cand[1] < ymax:
-                for s0, s1 in segments:
-                    if _on_segment(cand, s0, s1):
-                        raise AssertionError(f"marked point {cand} on boundary")
-                if _point_in_polygon(cand, segments):
-                    count += 1
-            j += 1
-        i += 1
+    on_boundary = []
+    for j in range(floor(ymin - py) + 1, ceil(ymax - py)):
+        y = py + j
+        crossings = []
+        for (x0, y0), (x1, y1) in segments:
+            if (y0 > y) != (y1 > y):
+                lo = hi = x0 + (x1 - x0) * (y - y0) / (y1 - y0)
+                crossings.append(lo)
+            elif y0 == y == y1:         # horizontal, along the row
+                lo, hi = min(x0, x1), max(x0, x1)
+            elif y0 == y:               # one end on the row, the other below
+                lo = hi = x0
+            elif y1 == y:
+                lo = hi = x1
+            else:
+                continue
+            i = max(ceil(lo - px), i_min)
+            if px + i <= hi and px + i < xmax:
+                on_boundary.append((px + i, y))
+        crossings.sort()
+        for a, b in zip(crossings[::2], crossings[1::2]):
+            count += max(0, ceil(b - px) - floor(a - px) - 1)
+    if on_boundary:
+        raise AssertionError(f"marked point {min(on_boundary)} on boundary")
     return count
 
 
@@ -282,35 +303,33 @@ def _build_witness(scene, names, lifts, params, corner_names):
     params[k] = (t_from, t_to) on lifts[k].  Returns a PolygonWitness or
     None when any convexity/embeddedness/degeneracy test fails."""
     d1 = len(names)
+    travels = []
+    for t_from, t_to in params:
+        if t_from == t_to:
+            return None
+        travels.append(1 if t_to > t_from else -1)
+
+    # convex corners: strict left turns between incoming and outgoing arcs;
+    # tested first, because it needs only the directions, not the PL arcs
+    for k in range(d1):
+        d_in = lifts[k - 1].direction(params[k - 1][1], travels[k - 1], end=True)
+        d_out = lifts[k].direction(params[k][0], travels[k])
+        if d_in[0] * d_out[1] - d_in[1] * d_out[0] <= 0:
+            return None
+
     arcs = []
     all_segments = []
     seg_by_arc = []
     for k in range(d1):
         t_from, t_to = params[k]
-        if t_from == t_to:
-            return None
-        travel = 1 if t_to > t_from else -1
         segs = lifts[k].segments(t_from, t_to)
-        curve = scene.curves.get(names[k])
         if lifts[k].kind == "p":
-            positive = travel == 1  # pushoff inherits the +y orientation
+            positive = travels[k] == 1  # pushoff inherits the +y orientation
         else:
-            positive = travel == curve.orientation
-        arcs.append((names[k], t_from, t_to, travel, positive))
+            positive = travels[k] == scene.curves[names[k]].orientation
+        arcs.append((names[k], t_from, t_to, travels[k], positive))
         seg_by_arc.append(segs)
         all_segments.extend(segs)
-
-    # convex corners: strict left turns between incoming and outgoing arcs
-    for k in range(d1):
-        prev = (k - 1) % d1
-        t_in = params[prev][1]
-        t_out = params[k][0]
-        d_in = lifts[prev].direction(t_in, 1 if params[prev][1] > params[prev][0] else -1,
-                                     end=True)
-        d_out = lifts[k].direction(t_out, 1 if params[k][1] > params[k][0] else -1)
-        turn = d_in[0] * d_out[1] - d_in[1] * d_out[0]
-        if turn <= 0:
-            return None
 
     # embedded boundary: non-adjacent arcs disjoint, adjacent share a corner
     for i in range(d1):
@@ -450,36 +469,47 @@ def enumerate_polygons(scene: PolygonScene, inputs, wrap_bound: int):
     raise ValueError(f"no enumerator for input tuple {inputs}")
 
 
-def mu2_series(scene: PolygonScene, wrap_bound: int) -> TruncatedUSeries:
-    """Signed U-weighted triangle count: coefficient series of the output
-    generator of the double product."""
+def _signed_count(witnesses, wrap_bound: int) -> TruncatedUSeries:
+    """Sum of sign * U^z_count over the witnesses, through U^(p(p+1)/2)
+    for p = wrap_bound."""
     order = wrap_bound * (wrap_bound + 1) // 2
     coeffs = [0] * (order + 1)
-    for w in triangle_witnesses(scene, wrap_bound):
+    for w in witnesses:
         if w.z_count <= order:
             coeffs[w.z_count] += w.sign
     return TruncatedUSeries(coeffs, order)
 
 
+def _at_identity(quads):
+    return [w for w in quads if w.corners[0] == "x_id"]
+
+
+def mu2_series(scene: PolygonScene, wrap_bound: int) -> TruncatedUSeries:
+    """Signed U-weighted triangle count: coefficient series of the output
+    generator of the double product."""
+    return _signed_count(triangle_witnesses(scene, wrap_bound), wrap_bound)
+
+
 def mu3_series(scene: PolygonScene, wrap_bound: int) -> TruncatedUSeries:
     """Signed U-weighted quadrilateral count at the identity output."""
-    order = wrap_bound * (wrap_bound + 1) // 2
-    coeffs = [0] * (order + 1)
-    for w in quad_witnesses(scene, wrap_bound):
-        if w.corners[0] == "x_id" and w.z_count <= order:
-            coeffs[w.z_count] += w.sign
-    return TruncatedUSeries(coeffs, order)
+    return _signed_count(_at_identity(quad_witnesses(scene, wrap_bound)), wrap_bound)
+
+
+def criterion_series(tris, quads, wrap_bound: int):
+    """(mu2 series, mu3 series, -u^3 * mu3) from the triangle and
+    quadrilateral witnesses of one census at wrap_bound."""
+    m2 = _signed_count(tris, wrap_bound)
+    m3 = _signed_count(_at_identity(quads), wrap_bound)
+    u = partition_series(m3.order)
+    u3 = series_mul(series_mul(u, u), u)
+    return m2, m3, -(series_mul(u3, m3))
 
 
 def triangle_criterion(scene: PolygonScene, wrap_bound: int):
     """(mu2 series, mu3 series, -u^3 * mu3): the product identities behind
     the exact triangle; passes when the first vanishes and the last is 1."""
-    m2 = mu2_series(scene, wrap_bound)
-    m3 = mu3_series(scene, wrap_bound)
-    u = partition_series(m3.order)
-    u3 = series_mul(series_mul(u, u), u)
-    check = -(series_mul(u3, m3))
-    return m2, m3, check
+    return criterion_series(triangle_witnesses(scene, wrap_bound),
+                            quad_witnesses(scene, wrap_bound), wrap_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +532,9 @@ def scene_dump(scene: PolygonScene) -> str:
 
 
 def scene_load(text: str) -> PolygonScene:
+    """Parse a scene file.  Each curve gamma0, gamma1, gamma2 is given once
+    with orientation +1 or -1, and so are z and pushoff_star; errors
+    carry the offending line number."""
     curves = {}
     z = None
     pushoff_star = None
@@ -516,16 +549,28 @@ def scene_load(text: str) -> PolygonScene:
                 _, name, kind, sign, star_kw, star = parts
                 if star_kw != "star" or kind not in ("h", "v", "d"):
                     raise ValueError("malformed curve row")
+                if name not in ("gamma0", "gamma1", "gamma2"):
+                    raise ValueError(f"curve {name!r} is not gamma0, gamma1 or gamma2")
+                if int(sign) not in (1, -1):
+                    raise ValueError(f"orientation {sign} is not +1 or -1")
+                if name in curves:
+                    raise ValueError(f"curve {name} given twice")
                 curves[name] = SceneCurve(name, kind, int(sign), Fr(star))
             elif parts[0] == "z":
+                if z is not None:
+                    raise ValueError("z given twice")
                 z = (Fr(parts[1]), Fr(parts[2]))
             elif parts[0] == "pushoff_star":
+                if pushoff_star is not None:
+                    raise ValueError("pushoff_star given twice")
                 pushoff_star = Fr(parts[1])
             elif parts[0] == "maslov":
+                if parts[1] in maslov:
+                    raise ValueError(f"maslov {parts[1]} given twice")
                 maslov[parts[1]] = int(parts[2])
             else:
                 raise ValueError(f"unknown directive {parts[0]!r}")
-        except (ValueError, IndexError) as exc:
+        except (ValueError, IndexError, ZeroDivisionError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     if z is None or pushoff_star is None or len(curves) != 3:
         raise ValueError("scene file incomplete")

@@ -1,14 +1,18 @@
-"""Brute-force oracles for the support-driven products.
+"""Brute-force oracles for the fast paths of the program.
 
-Each function loops over every composable tuple of each arity, as the
-program once did, and evaluates it with the same sparse-table evaluator.
-The tests compare the program's results with these: the same keys, in
-the same order, with equal Elements.
+The product oracles loop over every composable tuple of each arity, as
+the program once did, and evaluate it with the same sparse-table
+evaluator. The tests compare the program's results with these: the same
+keys, in the same order, with equal Elements.
+
+The polygon oracles test every lattice translate in the bounding box one
+point at a time, and every segment pair with cross products alone.
 """
 
 from ainfbench.gauge import GaugeTransformation
 from ainfbench.hochschild import Cochain
 from ainfbench.perturbation import TransferResult, _apply_linear
+from ainfbench.polygons import _cross
 from ainfbench.quiver import AInfStructure, Element, ZERO, accumulate, tensor_terms
 
 
@@ -171,3 +175,60 @@ def transfer(split, order):
         if not mu[d]:
             del mu[d]
     return TransferResult(AInfStructure(amb.spec, cat, order, mu), iota, amb.cat)
+
+
+def _on_segment(p, a, b):
+    if _cross(a, b, p) != 0:
+        return False
+    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+
+
+def segments_intersect(a, b, c, d):
+    """Closed segments ab and cd meet, by cross products alone."""
+    d1 = _cross(c, d, a)
+    d2 = _cross(c, d, b)
+    d3 = _cross(a, b, c)
+    d4 = _cross(a, b, d)
+    if ((d1 > 0) != (d2 > 0) and d1 != 0 and d2 != 0
+            and (d3 > 0) != (d4 > 0) and d3 != 0 and d4 != 0):
+        return True
+    for p, (s0, s1) in ((a, (c, d)), (b, (c, d)), (c, (a, b)), (d, (a, b))):
+        if _on_segment(p, s0, s1):
+            return True
+    return False
+
+
+def point_in_polygon(p, segments):
+    """Strict interior test by horizontal ray casting; the caller must have
+    excluded boundary points."""
+    x, y = p
+    inside = False
+    for (x0, y0), (x1, y1) in segments:
+        if (y0 > y) != (y1 > y):
+            xi = x0 + (x1 - x0) * (y - y0) / (y1 - y0)
+            if xi > x:
+                inside = not inside
+    return inside
+
+
+def count_lattice_points(pt, segments, bbox):
+    """Lattice translates of pt strictly inside the PL polygon, one
+    candidate of the bounding box at a time."""
+    (xmin, xmax), (ymin, ymax) = bbox
+    px, py = pt
+    count = 0
+    i = int(xmin - px) - 1
+    while px + i <= xmax:
+        j = int(ymin - py) - 1
+        while py + j <= ymax:
+            cand = (px + i, py + j)
+            if xmin < cand[0] < xmax and ymin < cand[1] < ymax:
+                for s0, s1 in segments:
+                    if _on_segment(cand, s0, s1):
+                        raise AssertionError(f"marked point {cand} on boundary")
+                if point_in_polygon(cand, segments):
+                    count += 1
+            j += 1
+        i += 1
+    return count

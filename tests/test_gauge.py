@@ -313,6 +313,26 @@ def test_gauge_load_errors_carry_line_numbers(Q, model8):
         load_gauge("\n".join(lines) + "\n")
 
 
+def test_gauge_entries_keep_source_and_target(Q, model8):
+    # e1 is a loop at a and u runs a -> b: the degree fits, the ends do not
+    from ainfbench.gauge import dump_gauge, load_gauge
+
+    cat = model8.minimal.cat
+    with pytest.raises(ValueError, match=r"g\^2\('e1', 'e1'\) -> u: .* a->a"):
+        GaugeTransformation(Q, cat, {2: {("e1", "e1"): Element.single("u", Q.one())}})
+    lines = dump_gauge(preset_gauge_G(Q, cat)).splitlines()
+    i = lines.index("e1 e1 -> -1/2*e1")
+    lines[i] = "e1 e1 -> 1*u"
+    with pytest.raises(ValueError, match=rf"^line {i + 1}: g\^2"):
+        load_gauge("\n".join(lines) + "\n")
+    # g^1 is the identity: a G1 section would be read as extra blocks
+    lines = dump_gauge(preset_gauge_G(Q, cat)).splitlines()
+    i = lines.index("G2")
+    lines[i:i] = ["G1", "u -> 1*u"]
+    with pytest.raises(ValueError, match=rf"^line {i + 2}: bad g\^1 key"):
+        load_gauge("\n".join(lines) + "\n")
+
+
 def test_classification_over_f5():
     # everything with 6 invertible works verbatim over F5: realized classes
     # round-trip, and the transferred model's invariants are the mod-5

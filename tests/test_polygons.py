@@ -2,11 +2,16 @@ from collections import Counter
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from ainfbench.polygons import (CurveLift, enumerate_polygons, mu2_series,
-                                mu3_series, preset_scene, quad_witnesses,
-                                triangle_criterion, triangle_witnesses,
-                                witness_svg)
+import oracles
+from ainfbench import polygons
+from ainfbench.polygons import (CurveLift, _count_lattice_points,
+                                _segments_intersect, criterion_series,
+                                enumerate_polygons, mu2_series, mu3_series,
+                                preset_scene, quad_witnesses, scene_dump,
+                                scene_load, triangle_criterion,
+                                triangle_witnesses, witness_svg)
 from ainfbench.useries import theta_v
 
 
@@ -149,8 +154,6 @@ def test_svg_emission(scene, tris4):
 
 
 def test_scene_dump_load_roundtrip(scene):
-    from ainfbench.polygons import scene_dump, scene_load
-
     text = scene_dump(scene)
     back = scene_load(text)
     assert back.curves == scene.curves
@@ -160,9 +163,138 @@ def test_scene_dump_load_roundtrip(scene):
 
 
 def test_scene_load_rejects_garbage():
-    from ainfbench.polygons import scene_load
-
     with pytest.raises(ValueError, match="line"):
         scene_load("SCENE\ncurve gamma0 q +1 star 2/3\n")
     with pytest.raises(ValueError, match="incomplete"):
         scene_load("SCENE\nz 3/4 3/4\npushoff_star 1/4\n")
+
+
+def test_criterion_series_from_one_census(scene, tris4, quads4):
+    assert criterion_series(tris4, quads4, 4) == triangle_criterion(scene, 4)
+
+
+def _with_line(scene, old, new):
+    text = scene_dump(scene)
+    assert old in text
+    lines = text.replace(old, new).splitlines()
+    return "\n".join(lines) + "\n", len(lines) - lines[::-1].index(new)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("curve gamma0 h +1 star 2/3", "curve gamma0 h +3 star 2/3"),
+    ("curve gamma0 h +1 star 2/3", "curve gamma0 h 0 star 2/3"),
+    ("curve gamma2 d -1 star 1/3", "curve gamma3 d -1 star 1/3"),
+    ("curve gamma2 d -1 star 1/3", "curve gamma1 v +1 star 1/4"),
+    ("z 3/4 3/4", "z 1/0 3/4"),
+    ("pushoff_star 1/4", "z 3/4 3/4"),
+    ("maslov e21 0", "maslov e20 0"),
+])
+def test_scene_load_rejects_with_line_number(scene, old, new):
+    # a bad orientation, a foreign curve name, a row given twice
+    text, lineno = _with_line(scene, old, new)
+    with pytest.raises(ValueError, match=rf"^line {lineno}: "):
+        scene_load(text)
+
+
+# -- fast paths against their oracles ---------------------------------------
+
+def _outcome(count, *args):
+    """The count, or the AssertionError raised for a boundary point."""
+    try:
+        return count(*args)
+    except AssertionError as exc:
+        return exc
+
+
+def _same(a, b):
+    if isinstance(a, AssertionError) or isinstance(b, AssertionError):
+        return type(a) is type(b) and str(a) == str(b)
+    return a == b
+
+
+@pytest.fixture
+def checked_fast_paths(monkeypatch):
+    """Route the census through wrappers that compare each lattice count
+    and each intersection test with its oracle; counts the comparisons."""
+    seen = Counter()
+
+    def count(pt, segments, bbox):
+        got = _outcome(_count_lattice_points, pt, segments, bbox)
+        assert _same(got, _outcome(oracles.count_lattice_points, pt, segments, bbox))
+        seen["count"] += 1
+        if isinstance(got, AssertionError):
+            raise got
+        return got
+
+    def intersect(a, b, c, d):
+        got = _segments_intersect(a, b, c, d)
+        assert got == oracles.segments_intersect(a, b, c, d)
+        seen["intersect"] += 1
+        return got
+
+    monkeypatch.setattr(polygons, "_count_lattice_points", count)
+    monkeypatch.setattr(polygons, "_segments_intersect", intersect)
+    return seen
+
+
+@pytest.mark.parametrize("z", [None, "1/2 1/4", "1/200 1/100"])
+def test_census_matches_oracles_per_witness(scene, checked_fast_paths, z):
+    # every z_count of the wrap-4 census, on the preset scene and on scenes
+    # loaded with other hexagonal basepoints (the last one sits inside the
+    # pushoff's bump), equals the bounding-box scan's
+    if z is not None:
+        scene = scene_load(scene_dump(scene).replace("z 3/4 3/4", f"z {z}"))
+    assert scene.z_in_hexagon()
+    tris, quads = triangle_witnesses(scene, 4), quad_witnesses(scene, 4)
+    assert len(tris) == 10 and len(quads) == 25
+    assert checked_fast_paths["count"] >= len(tris) + len(quads)
+    assert checked_fast_paths["intersect"] > 0
+
+
+def test_census_boundary_error_matches_oracle(scene, checked_fast_paths):
+    # z on the pushoff's bump (w(3/8) = 1/100): a quadrilateral's boundary
+    # runs through a translate of z, and both counts raise alike
+    scene = scene_load(scene_dump(scene).replace("z 3/4 3/4", "z 1/100 3/8"))
+    assert scene.z_in_hexagon()
+    with pytest.raises(AssertionError, match="on boundary"):
+        quad_witnesses(scene, 2)
+    assert checked_fast_paths["count"] > 0
+
+
+_HALVES = st.integers(-6, 6).map(lambda n: Fr(n, 2))
+_VERTEX = st.tuples(_HALVES, st.integers(-3, 3).map(lambda n: Fr(n, 2)))
+_BASE = st.sampled_from([(Fr(0), Fr(0)), (Fr(1, 2), Fr(0)), (Fr(1, 4), Fr(1, 2)),
+                         (Fr(1, 3), Fr(1, 5))])
+
+
+def _closed(vertices):
+    return list(zip(vertices, vertices[1:] + vertices[:1]))
+
+
+@settings(max_examples=300)
+@given(vertices=st.lists(_VERTEX, min_size=3, max_size=7), pt=_BASE)
+# a crossing at a translate; a local maximum at one (skipped by the
+# half-open rule); a horizontal segment through one; a clean count
+@example(vertices=[(Fr(-1), Fr(-1)), (Fr(1), Fr(1)), (Fr(3), Fr(-1))], pt=(Fr(0), Fr(0)))
+@example(vertices=[(Fr(-2), Fr(-1)), (Fr(0), Fr(1)), (Fr(2), Fr(-1))], pt=(Fr(0), Fr(0)))
+@example(vertices=[(Fr(-2), Fr(-1)), (Fr(-2), Fr(1)), (Fr(2), Fr(1)), (Fr(2), Fr(-1)),
+                   (Fr(1, 2), Fr(-1)), (Fr(1, 2), Fr(0)), (Fr(-3, 2), Fr(0)),
+                   (Fr(-3, 2), Fr(-1))], pt=(Fr(0), Fr(0)))
+@example(vertices=[(Fr(-2), Fr(-2)), (Fr(2), Fr(-2)), (Fr(0), Fr(2))],
+         pt=(Fr(1, 2), Fr(1, 2)))
+def test_scanline_count_matches_oracle(vertices, pt):
+    segments = _closed(vertices)
+    xs = [x for x, _ in vertices]
+    ys = [y for _, y in vertices]
+    bbox = ((min(xs), max(xs)), (min(ys), max(ys)))
+    got = _outcome(_count_lattice_points, pt, segments, bbox)
+    assert _same(got, _outcome(oracles.count_lattice_points, pt, segments, bbox))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=4,
+                max_size=4))
+def test_prefiltered_intersection_matches_oracle(points):
+    a, b, c, d = [(Fr(x, 2), Fr(y, 2)) for x, y in points]
+    assert _segments_intersect(a, b, c, d) == oracles.segments_intersect(a, b, c, d)
+    assert _segments_intersect(c, d, a, b) == oracles.segments_intersect(c, d, a, b)
