@@ -14,7 +14,7 @@ from pathlib import Path
 from .hochschild import coboundary, hh_bar, mu_cochain
 from .perturbation import lemma_check, preset_splitting_C, transfer
 from .polygons import (criterion_series, preset_scene, quad_witnesses,
-                       triangle_witnesses, witness_svg)
+                       scene_load, triangle_witnesses, witness_svg)
 from .quiver import Element, dump, format_element, load
 from .scalars import FieldSpec
 from .skoldberg import skoldberg_dims
@@ -315,7 +315,7 @@ def cmd_jacobi(args) -> int:
 
 
 def cmd_triangle(args) -> int:
-    scene = preset_scene()
+    scene = scene_load(Path(args.scene).read_text()) if args.scene else preset_scene()
     tris = triangle_witnesses(scene, args.wrap)
     quads = quad_witnesses(scene, args.wrap)
     m2, m3, check = criterion_series(tris, quads, args.wrap)
@@ -411,6 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("triangle", help="polygon products behind the exact triangle")
     p.add_argument("--wrap", type=int, default=4)
+    p.add_argument("--scene", help="scene file (scene_dump format) instead of the preset")
     p.add_argument("--svg", help="directory for witness figures")
     p.add_argument("--out")
     p.set_defaults(func=cmd_triangle)

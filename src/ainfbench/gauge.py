@@ -250,7 +250,7 @@ def kill_orders(mu: AInfStructure, orders, order: int = None, compose: bool = Tr
             continue
         if not coboundary(phi, current).is_zero():
             raise ValueError(f"mu^{d} is not a cocycle; lower orders unkilled?")
-        nu = is_coboundary(phi, current)
+        nu = CoboundarySystem(phi, current).primitive()
         if nu is None:
             coord = None
             try:
@@ -382,7 +382,7 @@ def mc_extend(spec: FieldSpec, m6: Scalar, m8: Scalar, order: int = 12,
         else:
             if not coboundary(obstruction, base).is_zero():
                 raise AssertionError(f"order-{d} obstruction is not a cocycle")
-            phi = is_coboundary(obstruction, base)
+            phi = CoboundarySystem(obstruction, base).primitive()
             if phi is None:
                 raise AssertionError(
                     f"order-{d} obstruction not a coboundary: HH cell should vanish"

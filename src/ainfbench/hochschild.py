@@ -172,7 +172,12 @@ def coboundary(phi: Cochain, alg: AInfStructure) -> Cochain:
 # ---------------------------------------------------------------------------
 
 def cochain_basis(alg: AInfStructure, r: int, s: int):
-    """Deterministic ordered basis [(key, gen)] of CC of length r, degree s."""
+    """Deterministic ordered basis [(key, gen)] of CC of length r, degree s.
+
+    Keys come in the order of cat.tuples, outputs in declaration order.
+    Only tuples whose degree sum is deg(g) - s for some generator g can
+    carry an entry, so the enumeration asks tuples for exactly those sums
+    and never walks the others."""
     cat = alg.cat
     out = []
     if r == 0:
@@ -183,7 +188,8 @@ def cochain_basis(alg: AInfStructure, r: int, s: int):
                     out.append((obj, g))
         return out
     gens = cat.nonidentity_generators()
-    for t in cat.tuples(r, gens):
+    totals = {g.degree - s for g in cat.generators.values()}
+    for t in cat.tuples(r, gens, totals):
         want = sum(cat.deg(n) for n in t) + s
         src = cat.source(t[-1])
         tgt = cat.target(t[0])
@@ -244,8 +250,9 @@ def delta_matrix(alg: AInfStructure, r: int, s: int):
         else:
             cell.pop(i, None)
 
-    gens = cat.nonidentity_generators()
-    for t in cat.tuples(r + 1, gens):
+    # A tuple without a row contributes nothing (every row_index lookup
+    # below would miss), so only the row basis' tuples are walked, in order.
+    for t in dict.fromkeys(t for t, _ in row_basis):
         degs = [cat.deg(n) for n in t]
         if r == 0:
             slots = ((cat.source(t[0]), "right"), (cat.target(t[0]), "left"))
@@ -346,13 +353,6 @@ def is_coboundary(phi: Cochain, alg: AInfStructure):
     if not coboundary(phi, alg).is_zero():
         raise ValueError("input is not a cocycle")
     return CoboundarySystem(phi, alg).primitive()
-
-
-def cocycle_space(alg: AInfStructure, r: int, s: int):
-    """Deterministic basis of cocycles in CC(r,s) as Cochains."""
-    cols, rows, matrix = delta_matrix(alg, r, s)
-    vecs = nullspace(matrix, len(cols), FieldOps(alg.spec))
-    return [vector_to_cochain(v, cols, r, s, alg.spec) for v in vecs]
 
 
 # Reference cocycles by content: (field, category signature, r, s, mu^2

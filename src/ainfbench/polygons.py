@@ -531,10 +531,17 @@ def scene_dump(scene: PolygonScene) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the kind each curve's name stands for, and the points that need a
+# Maslov offset: the enumerators assume both
+_CURVE_KINDS = {"gamma0": "h", "gamma1": "v", "gamma2": "d"}
+_MASLOV_POINTS = ("e01", "e12", "e20", "e21", "x_id", "x_top")
+
+
 def scene_load(text: str) -> PolygonScene:
-    """Parse a scene file.  Each curve gamma0, gamma1, gamma2 is given once
-    with orientation +1 or -1, and so are z and pushoff_star; errors
-    carry the offending line number."""
+    """Parse a scene file.  Each curve gamma0 (h), gamma1 (v), gamma2 (d)
+    is given once, of that kind, with orientation +1 or -1, and so are z
+    and pushoff_star; every point of _MASLOV_POINTS needs a maslov row.
+    Errors in a row carry its line number."""
     curves = {}
     z = None
     pushoff_star = None
@@ -549,8 +556,11 @@ def scene_load(text: str) -> PolygonScene:
                 _, name, kind, sign, star_kw, star = parts
                 if star_kw != "star" or kind not in ("h", "v", "d"):
                     raise ValueError("malformed curve row")
-                if name not in ("gamma0", "gamma1", "gamma2"):
+                if name not in _CURVE_KINDS:
                     raise ValueError(f"curve {name!r} is not gamma0, gamma1 or gamma2")
+                if kind != _CURVE_KINDS[name]:
+                    raise ValueError(f"curve {name} has kind {kind}, "
+                                     f"not {_CURVE_KINDS[name]}")
                 if int(sign) not in (1, -1):
                     raise ValueError(f"orientation {sign} is not +1 or -1")
                 if name in curves:
@@ -574,6 +584,9 @@ def scene_load(text: str) -> PolygonScene:
             raise ValueError(f"line {lineno}: {exc}") from None
     if z is None or pushoff_star is None or len(curves) != 3:
         raise ValueError("scene file incomplete")
+    missing = [p for p in _MASLOV_POINTS if p not in maslov]
+    if missing:
+        raise ValueError(f"scene file incomplete: no maslov row for {', '.join(missing)}")
     return PolygonScene(curves, z, maslov, pushoff_star)
 
 

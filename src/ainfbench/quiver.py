@@ -21,6 +21,7 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .scalars import FieldSpec, Scalar, parse_scalar
@@ -190,24 +191,47 @@ class QuiverCategory:
                 return False
         return True
 
-    def tuples(self, d: int, alphabet=None):
-        """Composable tuples (a_d, ..., a_1) of length d, lazily, in the
-        deterministic declaration order."""
-        names = list(alphabet) if alphabet is not None else list(self.generators)
-        by_target = {o: [] for o in self.objects}
-        for n in names:
-            by_target[self.generators[n].target].append(n)
-        gens = self.generators
+    def tuples(self, d: int, alphabet=None, totals=None):
+        """Composable tuples (a_d, ..., a_1) of length d >= 1, lazily, in
+        the deterministic declaration order.
 
-        def extend(prefix, remaining):
+        With totals (a set of ints), only the tuples whose degree sum lies
+        in it, in the same order.  The search carries each prefix's degree
+        sum and drops the prefix as soon as no total lies between that sum
+        plus the least and plus the most its remaining letters can add."""
+        if d < 1:
+            return
+        names = list(alphabet) if alphabet is not None else list(self.generators)
+        gens = self.generators
+        by_target = {o: [] for o in self.objects}
+        for n in reversed(names):
+            by_target[gens[n].target].append(n)
+        if totals is not None:
+            totals = sorted(set(totals))
+            degs = [gens[n].degree for n in names] or [0]
+            least, most = min(degs), max(degs)
+
+        def keep(total, remaining):
+            if totals is None:
+                return True
+            # is some total in [total + remaining*least, total + remaining*most]?
+            i = bisect_left(totals, total + remaining * least)
+            return i < len(totals) and totals[i] <= total + remaining * most
+
+        # depth first with an explicit stack; by_target and the first
+        # letters are pushed in reverse, so they pop in declaration order
+        stack = [((n,), gens[n].degree) for n in reversed(names)
+                 if keep(gens[n].degree, d - 1)]
+        while stack:
+            prefix, total = stack.pop()
+            remaining = d - len(prefix)
             if remaining == 0:
                 yield prefix
-                return
+                continue
             for n in by_target[gens[prefix[-1]].source]:
-                yield from extend(prefix + (n,), remaining - 1)
-
-        for n in names:
-            yield from extend((n,), d - 1)
+                t = total + gens[n].degree
+                if keep(t, remaining - 1):
+                    stack.append((prefix + (n,), t))
 
     def tuples_among(self, candidates, d: int, alphabet=None) -> list:
         """The candidates that tuples(d, alphabet) yields, in its order

@@ -5,12 +5,17 @@ the program once did, and evaluate it with the same sparse-table
 evaluator. The tests compare the program's results with these: the same
 keys, in the same order, with equal Elements.
 
+The Hochschild oracles build each basis from every composable tuple and
+assemble the delta matrix's rows over every composable tuple, as the
+program once did.
+
 The polygon oracles test every lattice translate in the bounding box one
 point at a time, and every segment pair with cross products alone.
 """
 
 from ainfbench.gauge import GaugeTransformation
 from ainfbench.hochschild import Cochain
+from ainfbench.linalg import FieldOps
 from ainfbench.perturbation import TransferResult, _apply_linear
 from ainfbench.polygons import _cross
 from ainfbench.quiver import AInfStructure, Element, ZERO, accumulate, tensor_terms
@@ -145,6 +150,85 @@ def gerst_compose(phi, psi, alg):
         if not el.is_zero():
             out[t] = el
     return Cochain(r_out, phi.s + psi.s, out)
+
+
+def cochain_basis(alg, r, s):
+    """Every composable r-tuple, kept with each output generator of its
+    source, target and degree sum + s."""
+    cat = alg.cat
+    if r == 0:
+        return [(obj, g) for obj in cat.objects for g in cat.gens_from(obj)
+                if cat.target(g) == obj and cat.deg(g) == s]
+    out = []
+    for t in cat.tuples(r, cat.nonidentity_generators()):
+        want = sum(cat.deg(n) for n in t) + s
+        for g in cat.gens_from(cat.source(t[-1])):
+            if cat.target(g) == cat.target(t[0]) and cat.deg(g) == want:
+                out.append((t, g))
+    return out
+
+
+def delta_matrix(alg, r, s):
+    """The delta matrix with the oracle bases, its rows assembled over
+    every composable (r+1)-tuple."""
+    cat = alg.cat
+    ops = FieldOps(alg.spec)
+    col_basis = cochain_basis(alg, r, s)
+    row_basis = cochain_basis(alg, r + 1, s)
+    col_index = {b: i for i, b in enumerate(col_basis)}
+    row_index = {b: i for i, b in enumerate(row_basis)}
+    columns = [dict() for _ in col_basis]
+    flip_phi = (r + s - 1) % 2 == 1
+    mu2 = alg.tables[2]
+
+    def add(j, i, value):
+        cell = columns[j]
+        new = ops.add(cell.get(i, ops.zero), value)
+        if new:
+            cell[i] = new
+        else:
+            cell.pop(i, None)
+
+    for t in cat.tuples(r + 1, cat.nonidentity_generators()):
+        degs = [cat.deg(n) for n in t]
+        if r == 0:
+            slots = ((cat.source(t[0]), "right"), (cat.target(t[0]), "left"))
+        else:
+            slots = ((t[1:], "right"), (t[:-1], "left"))
+        for key, side in slots:
+            for h in cat.gens_from(cat.source(key[-1]) if r else key):
+                j = col_index.get((key, h))
+                if j is None:
+                    continue
+                if side == "right":
+                    el = mu2.get((t[0], h), ZERO)
+                    negate = False
+                else:
+                    el = mu2.get((h, t[-1]), ZERO)
+                    negate = flip_phi and (degs[-1] - 1) % 2 == 1
+                for g, c in el.terms.items():
+                    i = row_index.get((t, g))
+                    if i is not None:
+                        add(j, i, ops.neg(c.value) if negate else c.value)
+        if r >= 1:
+            eps = 0
+            for n in range(r):
+                lo = r - 1 - n
+                inner = mu2.get((t[lo], t[lo + 1]))
+                if inner is not None:
+                    head, tail = t[:lo], t[lo + 2:]
+                    negate = (1 + (1 if flip_phi else 0) + eps) % 2 == 1
+                    for g, c in inner.terms.items():
+                        slot = head + (g,) + tail
+                        for h in cat.gens_from(cat.source(slot[-1])):
+                            j = col_index.get((slot, h))
+                            if j is None:
+                                continue
+                            i = row_index.get((t, h))
+                            if i is not None:
+                                add(j, i, ops.neg(c.value) if negate else c.value)
+                eps += degs[r - n] - 1
+    return col_basis, row_basis, columns
 
 
 def transfer(split, order):

@@ -65,6 +65,26 @@ def test_triangle_golden(tmp_path):
     assert out.read_text() == (GOLDEN / "triangle_wrap4.txt").read_text()
 
 
+def test_triangle_scene_file(tmp_path):
+    # the preset scene read from a file gives the preset's output; a scene
+    # without a maslov row or with a curve of the wrong kind is bad input
+    from ainfbench.polygons import preset_scene, scene_dump
+
+    text = scene_dump(preset_scene())
+    path = tmp_path / "scene.txt"
+    path.write_text(text)
+    assert run(["triangle", "--wrap", "2", "--scene", str(path)]) == run(
+        ["triangle", "--wrap", "2"])
+    for bad in (text.replace("maslov e21 0\n", ""),
+                text.replace("curve gamma0 h", "curve gamma0 v")):
+        path.write_text(bad)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run(["triangle", "--wrap", "2", "--scene", str(path)])
+        assert (code, out) == (2, "")
+        assert err.getvalue().startswith("error: ")
+
+
 def test_triangle_svg(tmp_path):
     svg_dir = tmp_path / "figs"
     code, text = run(["triangle", "--wrap", "1", "--svg", str(svg_dir)])

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from ainfbench import gauge as gauge_mod, hochschild
 from ainfbench.cli import REFERENCE_MU4
 from ainfbench.gauge import (GaugeTransformation, ObstructionError,
                              extract_invariants, gauge_apply, gauge_compose,
@@ -365,3 +366,31 @@ def test_mc_pure_order8_class(Q):
     assert built.ainf_check(10) == []
     inv = extract_invariants(built)
     assert (inv.m6, inv.m8) == (Q.zero(), Q.one())
+
+
+def test_kill_orders_and_mc_extend_bracket_each_cochain_once(Q, model8, monkeypatch):
+    # the classify sequence: mc_extend, then the invariants of its result
+    # and of a point of the model's gauge orbit.  kill_orders and mc_extend
+    # check each cocycle once and solve without a second bracket: 11
+    # coboundary calls, where routing the solve through is_coboundary made
+    # 16 (4 + 2 + 10), 5 of them repeats
+    calls = []
+    bracket = hochschild.coboundary
+
+    def counted(phi, alg):
+        calls.append((id(alg), phi.r, phi.s, frozenset(phi.table.items())))
+        return bracket(phi, alg)
+
+    monkeypatch.setattr(hochschild, "coboundary", counted)
+    monkeypatch.setattr(gauge_mod, "coboundary", counted)
+    B = model8.minimal
+    moved = gauge_apply(random_gauge(Q, B.cat, random.Random(3)), B, 8)
+    counts = []
+    built = mc_extend(Q, Q.scalar(1, 2), Q.scalar(-2, 3), 10)
+    counts.append(len(calls))
+    assert extract_invariants(built).pair() == (Q.scalar(1, 2), Q.scalar(-2, 3))
+    counts.append(len(calls) - sum(counts))
+    assert extract_invariants(moved).pair() == (Q.scalar(-1, 48), Q.scalar(1, 864))
+    counts.append(len(calls) - sum(counts))
+    assert counts == [3, 2, 6]
+    assert len(set(calls)) == len(calls)

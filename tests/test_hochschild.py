@@ -10,7 +10,7 @@ from ainfbench.hochschild import (Cochain, class_coordinate, coboundary,
                                   gerstenhaber,
                                   hh_bar, is_coboundary, mu_cochain,
                                   reference_cocycle, vector_to_cochain)
-from ainfbench.quiver import Element, preset_A
+from ainfbench.quiver import Element, preset_A, preset_C, preset_D
 from ainfbench.scalars import FieldSpec
 
 Q_TABLE = {(0, 0): 1, (0, 1): 2, (1, 0): 1, (6, -4): 1, (7, -4): 1, (8, -6): 1}
@@ -235,3 +235,31 @@ def test_gerst_compose_matches_brute_force(Q, mc8):
         got = gerst_compose(phi, psi, alg).table
         want = oracles.gerst_compose(phi, psi, alg).table
         assert got and list(got.items()) == list(want.items()), (phi, psi)
+
+
+def _cells(cat, r_max):
+    """Every (r, s) with r <= r_max at which a basis can be nonempty, and
+    one empty s on each side."""
+    degs = [g.degree for g in cat.generators.values()]
+    for r in range(r_max + 1):
+        for s in range(min(degs) - r * max(degs) - 1, max(degs) - r * min(degs) + 2):
+            yield r, s
+
+
+@pytest.mark.parametrize("preset, char, r_max", [
+    ("A", 0, 7), ("A", 2, 7), ("A", 3, 7), ("A", 5, 7), ("C", 0, 6), ("D", 0, 4),
+])
+def test_bases_and_delta_columns_match_full_enumeration(preset, char, r_max):
+    # the degree-pruned bases and the row loop over the row basis' tuples
+    # give the full enumeration's bases and columns, in order, column
+    # entries in insertion order
+    alg = {"A": preset_A, "C": preset_C, "D": preset_D}[preset](FieldSpec(char))
+    nonempty = 0
+    for r, s in _cells(alg.cat, r_max):
+        assert cochain_basis(alg, r, s) == oracles.cochain_basis(alg, r, s), (r, s)
+        cols, rows, columns = delta_matrix(alg, r, s)
+        want_cols, want_rows, want = oracles.delta_matrix(alg, r, s)
+        assert (cols, rows) == (want_cols, want_rows), (r, s)
+        assert [list(c.items()) for c in columns] == [list(c.items()) for c in want], (r, s)
+        nonempty += bool(cols and rows)
+    assert nonempty >= 3 * r_max

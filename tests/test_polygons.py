@@ -196,6 +196,28 @@ def test_scene_load_rejects_with_line_number(scene, old, new):
         scene_load(text)
 
 
+@pytest.mark.parametrize("old, new", [
+    ("curve gamma0 h +1 star 2/3", "curve gamma0 v +1 star 2/3"),
+    ("curve gamma1 v +1 star 1/4", "curve gamma1 d +1 star 1/4"),
+    ("curve gamma2 d -1 star 1/3", "curve gamma2 h -1 star 1/3"),
+])
+def test_scene_load_rejects_curve_of_the_wrong_kind(scene, old, new):
+    # the enumerators take gamma0 horizontal, gamma1 vertical, gamma2 diagonal
+    text, lineno = _with_line(scene, old, new)
+    name, kind = new.split()[1:3]
+    with pytest.raises(ValueError, match=rf"^line {lineno}: curve {name} has kind {kind}"):
+        scene_load(text)
+
+
+@pytest.mark.parametrize("points", [["e01"], ["e12"], ["e20"], ["e21"], ["x_id"],
+                                    ["x_top"], ["e12", "x_top"]])
+def test_scene_load_requires_every_maslov_row(scene, points):
+    text = "".join(line for line in scene_dump(scene).splitlines(keepends=True)
+                   if line.split()[:2] not in [["maslov", p] for p in points])
+    with pytest.raises(ValueError, match=f"no maslov row for {', '.join(points)}$"):
+        scene_load(text)
+
+
 # -- fast paths against their oracles ---------------------------------------
 
 def _outcome(count, *args):

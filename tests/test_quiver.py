@@ -1,11 +1,12 @@
+import itertools
 import random
 from pathlib import Path
 
 import pytest
 
 from ainfbench.gauge import gauge_apply, preset_gauge_G
-from ainfbench.quiver import (AInfStructure, Element, dump, load, preset_A,
-                              preset_C, preset_D)
+from ainfbench.quiver import (AInfStructure, Element, Generator, QuiverCategory,
+                              dump, load, preset_A, preset_C, preset_D)
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -174,3 +175,31 @@ def test_ainf_check_matches_brute_force_on_corruptions(oracle_structures):
         assert got == brute_force_check(bad, up_to), (seed, name, d)
         sizes.append(len(got))
     assert max(sizes) > 1 and sum(1 for n in sizes if n) >= len(sizes) // 2, sizes
+
+
+def _skewed_category():
+    # degrees -1, 0, 2 and 3, so the running sums can leave a target set
+    # and come back to it
+    gens = [Generator("x", "a", "a", -1), Generator("y", "a", "b", 2),
+            Generator("z", "b", "a", 0), Generator("w", "b", "b", 3)]
+    return QuiverCategory(["a", "b"], gens, {})
+
+
+@pytest.mark.parametrize("name", ["A", "C", "D", "skewed"])
+def test_tuples_with_totals_is_the_filtered_enumeration(Q, name):
+    cat = _skewed_category() if name == "skewed" else {
+        "A": preset_A, "C": preset_C, "D": preset_D}[name](Q).cat
+    d_max = 4 if name == "D" else 5
+    for alphabet in (None, cat.nonidentity_generators()):
+        names = list(alphabet) if alphabet is not None else list(cat.generators)
+        for d in range(1, d_max + 1):
+            full = list(cat.tuples(d, alphabet))
+            # declaration order is the product's lexicographic order
+            assert full == [t for t in itertools.product(names, repeat=d)
+                            if cat.composable(t)]
+            sums = sorted({sum(cat.deg(n) for n in t) for t in full})
+            for totals in ([], sums, sums[:1], sums[-1:], sums[1::2],
+                           [sums[0] - 1, sums[-1] + 1], range(-3 * d, 3 * d, 4)):
+                totals = set(totals)
+                assert list(cat.tuples(d, alphabet, totals)) == [
+                    t for t in full if sum(cat.deg(n) for n in t) in totals], (d, totals)
