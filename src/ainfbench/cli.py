@@ -268,8 +268,11 @@ def cmd_mc(args) -> int:
         raise Usage(f"classification needs 6 invertible, not {spec}")
     from .scalars import parse_scalar
 
-    m6 = parse_scalar(args.m6, spec)
-    m8 = parse_scalar(args.m8, spec)
+    try:
+        m6 = parse_scalar(args.m6, spec)
+        m8 = parse_scalar(args.m8, spec)
+    except ZeroDivisionError as exc:  # 1/0, or 1/5 over F5
+        raise Usage(str(exc)) from None
     struct = gauge_mod.mc_extend(spec, m6, m8, args.order)
     check_order = min(args.order, args.check_order)
     violations = struct.ainf_check(check_order)

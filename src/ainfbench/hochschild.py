@@ -21,7 +21,7 @@ obstruction check (at r = 5), which is how the sign convention is pinned.
 
 from __future__ import annotations
 
-from .linalg import Echelon, FieldOps, nullspace, rank, solve
+from .linalg import Echelon, FieldOps, rank, solve
 from .quiver import AInfStructure, Element, ZERO, accumulate, splices
 from .scalars import FieldSpec, Scalar
 
@@ -189,8 +189,8 @@ def cochain_basis(alg: AInfStructure, r: int, s: int):
         return out
     gens = cat.nonidentity_generators()
     totals = {g.degree - s for g in cat.generators.values()}
-    for t in cat.tuples(r, gens, totals):
-        want = sum(cat.deg(n) for n in t) + s
+    for t, total in cat.tuples(r, gens, totals, sums=True):
+        want = total + s
         src = cat.source(t[-1])
         tgt = cat.target(t[0])
         for g in cat.gens_from(src):
@@ -376,7 +376,7 @@ def reference_cocycle(alg: AInfStructure, r: int, s: int) -> Cochain:
     """First deterministic cocycle whose class is nonzero in HH at (r,s);
     the fixed yardstick against which class coordinates are reported.
 
-    The kernel of delta at (r,s) is scanned in order against one
+    The kernel of delta at (r,s) is scanned in order, lazily, against one
     factorization of the image of delta from (r-1,s); the result is kept
     per content key (_REFERENCES) and returned as a fresh Cochain."""
     key = _reference_key(alg, r, s)
@@ -390,10 +390,11 @@ def reference_cocycle(alg: AInfStructure, r: int, s: int) -> Cochain:
 def _find_reference(alg: AInfStructure, r: int, s: int) -> Cochain:
     ops = FieldOps(alg.spec)
     cols, rows, matrix = delta_matrix(alg, r, s)
-    kernel = nullspace(matrix, len(cols), ops)
     below_cols, below_rows, below = delta_matrix(alg, r - 1, s)
     image = Echelon(below, ops, len(below_cols))
-    for vec in kernel:
+    # kernel vectors are back-substituted one free column at a time, so the
+    # scan stops at the first one outside the image
+    for vec in Echelon(matrix, ops, len(cols)).kernel():
         if not image.contains({i: v for i, v in enumerate(vec) if v}):
             return vector_to_cochain(vec, cols, r, s, alg.spec)
     raise ValueError(f"HH at (r={r}, s={s}) vanishes; no reference cocycle")

@@ -1,13 +1,14 @@
 """Exact sparse linear algebra over Q or F_p: one column elimination.
 
-A matrix is a list of sparse columns (dict row -> raw value, Fraction for
-Q and int residue for F_p).  ``Echelon`` takes the columns in order and
+A matrix is a list of sparse columns (dict row -> raw value: for Q an int
+when integral and otherwise a Fraction, as ``scalars._rational`` makes it;
+for F_p an int residue).  ``Echelon`` takes the columns in order and
 reduces each against the basis built from the ones before it.  A column
 that keeps a nonzero residual is a pivot column and its residual joins
 the basis; a column that reduces to zero is free, and the multipliers
 that zeroed it give its kernel vector.  ``rank``, ``solve``,
-``nullspace`` and the column-space test ``Echelon.contains`` all read
-this one factorization.
+``nullspace`` (and its lazy form ``Echelon.kernel``) and the column-space
+test ``Echelon.contains`` all read this one factorization.
 
 Why the outputs equal those of Gauss-Jordan elimination (``rref`` on the
 rows, first nonzero column first, kept as the test oracle): the pivot
@@ -26,7 +27,7 @@ from collections import Counter
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-from .scalars import FieldSpec
+from .scalars import FieldSpec, _rational
 
 
 class FieldOps:
@@ -35,17 +36,16 @@ class FieldOps:
     def __init__(self, spec: FieldSpec):
         self.spec = spec
         p = spec.characteristic
+        self.zero = 0
+        self.one = 1
         if p == 0:
-            self.zero = Fraction(0)
-            self.one = Fraction(1)
-            self.add = lambda a, b: a + b
-            self.sub = lambda a, b: a - b
-            self.mul = lambda a, b: a * b
-            self.div = lambda a, b: a / b
+            self.add = lambda a, b: _rational(a + b)
+            self.sub = lambda a, b: _rational(a - b)
+            self.mul = lambda a, b: _rational(a * b)
+            # Fraction(a, b), not a / b: int / int would be a float
+            self.div = lambda a, b: _rational(Fraction(a, b))
             self.neg = lambda a: -a
         else:
-            self.zero = 0
-            self.one = 1
             self.add = lambda a, b: (a + b) % p
             self.sub = lambda a, b: (a - b) % p
             self.mul = lambda a, b: (a * b) % p
@@ -116,6 +116,8 @@ class Echelon:
                 nv = get(r, zero) - f * a
                 if p:
                     nv %= p
+                elif nv.denominator == 1:  # scalars._rational, inline
+                    nv = nv.numerator
                 if nv:
                     if r not in v and r in slot:
                         heappush(heap, slot[r])
@@ -169,16 +171,19 @@ class Echelon:
             return None
         return self._back_substitute(mult)
 
-    def nullspace(self):
-        """Kernel basis: per free column, ascending, the vector with 1 there
-        and 0 at the other free columns."""
+    def kernel(self):
+        """Kernel basis, lazily: per free column, ascending, the vector with
+        1 there and 0 at the other free columns, back-substituted only when
+        asked for."""
         ops = self.ops
-        out = []
         for j, mult in zip(self.free, self._kernel):
             vec = [ops.neg(v) for v in self._back_substitute(mult)]
             vec[j] = ops.one
-            out.append(vec)
-        return out
+            yield vec
+
+    def nullspace(self):
+        """The kernel basis of kernel(), as a list."""
+        return list(self.kernel())
 
 
 def rref(rows, ops: FieldOps):

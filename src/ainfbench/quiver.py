@@ -191,14 +191,16 @@ class QuiverCategory:
                 return False
         return True
 
-    def tuples(self, d: int, alphabet=None, totals=None):
+    def tuples(self, d: int, alphabet=None, totals=None, sums=False):
         """Composable tuples (a_d, ..., a_1) of length d >= 1, lazily, in
         the deterministic declaration order.
 
         With totals (a set of ints), only the tuples whose degree sum lies
         in it, in the same order.  The search carries each prefix's degree
         sum and drops the prefix as soon as no total lies between that sum
-        plus the least and plus the most its remaining letters can add."""
+        plus the least and plus the most its remaining letters can add.
+        With sums, each tuple comes as (tuple, degree sum), the sum the
+        search has carried."""
         if d < 1:
             return
         names = list(alphabet) if alphabet is not None else list(self.generators)
@@ -226,7 +228,7 @@ class QuiverCategory:
             prefix, total = stack.pop()
             remaining = d - len(prefix)
             if remaining == 0:
-                yield prefix
+                yield (prefix, total) if sums else prefix
                 continue
             for n in by_target[gens[prefix[-1]].source]:
                 t = total + gens[n].degree
@@ -680,7 +682,7 @@ def parse_table(rows, d: int, section: str, cat: QuiverCategory, spec: FieldSpec
             if len(names) != d:
                 raise ValueError(f"tuple {names} has wrong arity for {section}")
             table[names] = parse_element(rhs, cat, spec)
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:  # 1/0, or 1/5 over F5
             raise ValueError(f"line {lineno}: {exc}") from None
     return table
 
@@ -715,7 +717,7 @@ def load_with_extras(text: str):
         try:
             obj, combo = row.split(None, 1)
             identities[obj] = parse_element(combo, cat, spec)
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     cat = QuiverCategory(objects, gens, identities)
     tables = {}

@@ -3,6 +3,13 @@
 Every other module computes over one of these fields; no floating point
 anywhere.  Values are immutable and carry their field spec, so mixing
 fields is an error rather than a silent coercion.
+
+The raw value of a rational is canonical: a Python int when it is
+integral, otherwise a reduced Fraction with denominator > 1
+(``_rational``).  Integral values, which most values of the delta
+matrices and their eliminations are, then skip Fraction arithmetic.  The
+form matters only for speed: an int equals and hashes like the Fraction
+of the same value, so a non-canonical value is still computed exactly.
 """
 
 from __future__ import annotations
@@ -12,6 +19,11 @@ from fractions import Fraction
 
 _MAX_PRIME = 2**63 - 1
 _UNIT_CACHE: dict = {}
+
+
+def _rational(v):
+    """The canonical raw value of the rational v: an int when integral."""
+    return v.numerator if v.denominator == 1 else v
 
 
 def _is_prime(n: int) -> bool:
@@ -77,7 +89,7 @@ class FieldSpec:
             raise ZeroDivisionError("zero denominator")
         p = self.characteristic
         if p == 0:
-            return Scalar(self, Fraction(num, den))
+            return Scalar(self, _rational(Fraction(num, den)))
         d = den % p
         if d == 0:
             raise ZeroDivisionError(f"denominator {den} is not invertible mod {p}")
@@ -97,7 +109,9 @@ class FieldSpec:
 
 
 class Scalar:
-    """A field element: a reduced Fraction over Q, a residue in [0,p) over F_p."""
+    """A field element: over Q an int, or a reduced Fraction with
+    denominator > 1 when the value is not integral; over F_p a residue in
+    [0,p)."""
 
     __slots__ = ("spec", "value")
 
@@ -113,19 +127,19 @@ class Scalar:
         self._check(other)
         p = self.spec.characteristic
         v = self.value + other.value
-        return Scalar(self.spec, v % p if p else v)
+        return Scalar(self.spec, v % p if p else _rational(v))
 
     def __sub__(self, other):
         self._check(other)
         p = self.spec.characteristic
         v = self.value - other.value
-        return Scalar(self.spec, v % p if p else v)
+        return Scalar(self.spec, v % p if p else _rational(v))
 
     def __mul__(self, other):
         self._check(other)
         p = self.spec.characteristic
         v = self.value * other.value
-        return Scalar(self.spec, v % p if p else v)
+        return Scalar(self.spec, v % p if p else _rational(v))
 
     def __truediv__(self, other):
         self._check(other)
@@ -133,7 +147,8 @@ class Scalar:
             raise ZeroDivisionError("division by zero")
         p = self.spec.characteristic
         if p == 0:
-            return Scalar(self.spec, self.value / other.value)
+            # Fraction(a, b), not a / b: int / int would be a float
+            return Scalar(self.spec, _rational(Fraction(self.value, other.value)))
         return Scalar(self.spec, self.value * pow(other.value, p - 2, p) % p)
 
     def __neg__(self):

@@ -11,11 +11,20 @@ program once did.
 
 The polygon oracles test every lattice translate in the bounding box one
 point at a time, and every segment pair with cross products alone.
+
+The rational oracles hold Q values as the program once did, every one a
+Fraction, integral or not (``FractionOps``, ``fraction_reduce`` and
+``fraction_values``), and find a reference cocycle from the whole kernel
+basis (``find_reference``).
 """
 
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
+
+from ainfbench import hochschild, linalg, scalars, skoldberg
 from ainfbench.gauge import GaugeTransformation
-from ainfbench.hochschild import Cochain
-from ainfbench.linalg import FieldOps
+from ainfbench.hochschild import Cochain, vector_to_cochain
+from ainfbench.linalg import Echelon, FieldOps, nullspace
 from ainfbench.perturbation import TransferResult, _apply_linear
 from ainfbench.polygons import _cross
 from ainfbench.quiver import AInfStructure, Element, ZERO, accumulate, tensor_terms
@@ -316,3 +325,78 @@ def count_lattice_points(pt, segments, bbox):
             j += 1
         i += 1
     return count
+
+
+class FractionOps(FieldOps):
+    """Raw-value arithmetic with every Q value a Fraction, integral or not;
+    F_p is unchanged."""
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        if spec.is_rational:
+            self.zero = Fraction(0)
+            self.one = Fraction(1)
+            self.add = lambda a, b: a + b
+            self.sub = lambda a, b: a - b
+            self.mul = lambda a, b: a * b
+            self.div = lambda a, b: a / b
+
+
+def fraction_reduce(self, col):
+    """Echelon._reduce without the step that turns an integral Q residual
+    entry into an int."""
+    v = {r: a for r, a in col.items() if a}
+    mult = {}
+    slot = self._slot
+    heap = [slot[r] for r in v if r in slot]
+    if not heap:
+        return v, mult
+    heapify(heap)
+    rows, basis = self._rows, self._basis
+    p = self.ops.spec.characteristic
+    zero = self.ops.zero
+    get = v.get
+    while heap:
+        k = heappop(heap)
+        f = get(rows[k])
+        if not f:
+            continue
+        mult[k] = f
+        for r, a in basis[k].items():
+            nv = get(r, zero) - f * a
+            if p:
+                nv %= p
+            if nv:
+                if r not in v and r in slot:
+                    heappush(heap, slot[r])
+                v[r] = nv
+            else:
+                del v[r]
+    return v, mult
+
+
+def fraction_values(mp):
+    """Within the monkeypatch context mp, run the program with every Q
+    value a Fraction: scalars, FieldOps at each module that binds it, and
+    Echelon's reduction; the unit and reference caches start empty, so no
+    value made before is reused."""
+    mp.setattr(scalars, "_rational", Fraction)
+    mp.setattr(scalars, "_UNIT_CACHE", {})
+    mp.setattr(hochschild, "_REFERENCES", {})
+    for mod in (linalg, hochschild, skoldberg):
+        mp.setattr(mod, "FieldOps", FractionOps)
+    mp.setattr(Echelon, "_reduce", fraction_reduce)
+
+
+def find_reference(alg, r, s):
+    """The first kernel vector of delta at (r, s) outside the image of
+    delta from (r-1, s), scanned after the whole kernel basis is built."""
+    ops = FieldOps(alg.spec)
+    cols, rows, matrix = hochschild.delta_matrix(alg, r, s)
+    kernel = nullspace(matrix, len(cols), ops)
+    below_cols, below_rows, below = hochschild.delta_matrix(alg, r - 1, s)
+    image = Echelon(below, ops, len(below_cols))
+    for vec in kernel:
+        if not image.contains({i: v for i, v in enumerate(vec) if v}):
+            return vector_to_cochain(vec, cols, r, s, alg.spec)
+    raise ValueError(f"HH at (r={r}, s={s}) vanishes; no reference cocycle")

@@ -117,6 +117,38 @@ def test_check_flags_violations(tmp_path):
     assert "VIOLATION" in out
 
 
+def _run_err(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run(argv)
+    return code, out, err.getvalue()
+
+
+@pytest.mark.parametrize("old,new,field", [
+    ("e0 e0 -> 1*e0", "e0 e0 -> 1/0*e0", "Q"),   # MU2 row
+    ("a 1*e0", "a 1/0*e0", "Q"),                 # IDENTITIES row
+    ("e0 e0 -> 1*e0", "e0 e0 -> 1/5*e0", "F5"),  # 5 is not invertible mod 5
+])
+def test_check_zero_denominator_is_bad_input(tmp_path, old, new, field):
+    lines = (GOLDEN / "preset_C.alg").read_text().splitlines()
+    lines[0] = f"FIELD {field}"
+    i = lines.index(old)
+    lines[i] = new
+    bad = tmp_path / "bad.alg"
+    bad.write_text("\n".join(lines) + "\n")
+    code, out, err = _run_err(["check", str(bad)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: line {i + 1}: ")
+
+
+def test_mc_zero_denominator_is_usage():
+    for argv in (["mc", "--m6", "1/0"], ["mc", "--m8=-2/0"],
+                 ["mc", "--field", "F5", "--m6", "1/5"]):
+        code, out, err = _run_err(argv + ["--order", "6"])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: ")
+
+
 def test_mc_structure_file(tmp_path):
     out = tmp_path / "mc.alg"
     code, _ = run(["mc", "--m6", "1", "--m8", "0", "--order", "8",

@@ -312,6 +312,12 @@ def test_gauge_load_errors_carry_line_numbers(Q, model8):
     lines[i] = lines[i].replace(" -> ", " ")  # a row without its arrow
     with pytest.raises(ValueError, match=rf"^line {i + 1}: "):
         load_gauge("\n".join(lines) + "\n")
+    # a zero denominator is bad input on its line, not a ZeroDivisionError
+    lines = dump_gauge(preset_gauge_G(Q, model8.minimal.cat)).splitlines()
+    i = lines.index("e1 e1 -> -1/2*e1")
+    lines[i] = "e1 e1 -> -1/0*e1"
+    with pytest.raises(ValueError, match=rf"^line {i + 1}: zero denominator"):
+        load_gauge("\n".join(lines) + "\n")
 
 
 def test_gauge_entries_keep_source_and_target(Q, model8):

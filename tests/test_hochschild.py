@@ -170,6 +170,15 @@ def test_reference_cache_equals_fresh_computation(Q, fresh_references):
     assert len(fresh_references._REFERENCES) == 2
 
 
+@pytest.mark.parametrize("char", [0, 5])
+def test_lazy_reference_equals_whole_kernel_scan(char):
+    A = preset_A(FieldSpec(char))
+    for (r, s) in ((6, -4), (8, -6)):
+        ref = hochschild._find_reference(A, r, s)
+        assert ref == oracles.find_reference(A, r, s)
+        assert not ref.is_zero()
+
+
 def test_reference_cache_is_keyed_by_content(Q, model8, fresh_references):
     # mc_extend's base and the transferred model are distinct objects
     # with one mu^2: one entry.  Another field gets its own.

@@ -180,3 +180,13 @@ def test_echelon_edge_cases(char):
     assert solve(cols, 5, {0: one}, ops) == [ops.zero, one] + [ops.zero] * 3
     assert solve(cols, 5, {1: one}, ops) is None
     assert nullspace(cols, 5, ops) == _oracle_nullspace(cols, 5, ops)
+
+
+@pytest.mark.parametrize("char", ORACLE_FIELDS)
+def test_lazy_kernel_is_the_nullspace(char):
+    ops = FieldOps(FieldSpec(char))
+    rng = random.Random(100 + char)
+    for _ in range(100):
+        columns, ncols, _ = _random_system(rng, char)
+        ech = Echelon(columns, ops, ncols)
+        assert list(ech.kernel()) == ech.nullspace() == nullspace(columns, ncols, ops)

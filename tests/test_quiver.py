@@ -203,3 +203,6 @@ def test_tuples_with_totals_is_the_filtered_enumeration(Q, name):
                 totals = set(totals)
                 assert list(cat.tuples(d, alphabet, totals)) == [
                     t for t in full if sum(cat.deg(n) for n in t) in totals], (d, totals)
+            # the sums the search hands out are the tuples' degree sums
+            assert list(cat.tuples(d, alphabet, set(sums), sums=True)) == [
+                (t, sum(cat.deg(n) for n in t)) for t in full]
