@@ -231,7 +231,7 @@ def cmd_gauge_fix(args) -> int:
         raise Usage(f"gauge normalization needs 6 invertible, not {spec}")
     orders = tuple(int(x) for x in args.orders.split(","))
     res = transfer(preset_splitting_C(spec), args.order)
-    steps, fixed = gauge_mod.kill_orders(res.minimal, orders, compose=False)
+    steps, fixed = gauge_mod.kill_orders(res.minimal, orders)
     inv = gauge_mod.extract_invariants(res.minimal)
     lines = [
         f"# gauge-fix over {spec}, killed orders {','.join(map(str, orders))}",
@@ -428,10 +428,19 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# least value of each numeric option; below it a command checks nothing
+LEAST = {"rmax": 0, "wrap": 1, "order": 1, "check_order": 1, "verify_orbit": 0}
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        for name, least in LEAST.items():
+            value = getattr(args, name, None)
+            if value is not None and value < least:
+                raise Usage(f"--{name.replace('_', '-')} must be at least "
+                            f"{least}, got {value}")
         return args.func(args)
     except Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)

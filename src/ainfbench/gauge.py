@@ -233,17 +233,16 @@ def preset_gauge_H(spec: FieldSpec, cat) -> GaugeTransformation:
     return GaugeTransformation(spec, cat, {3: tbl})
 
 
-def kill_orders(mu: AInfStructure, orders, order: int = None, compose: bool = True):
+def kill_orders(mu: AInfStructure, orders, order: int = None):
     """Gauge away the listed arities (processed ascending).
 
     Each targeted mu^d must be a cocycle whose class vanishes; otherwise
-    ObstructionError reports the nonzero coordinate.  Returns
-    (composed gauge, normalized structure); with compose=False the first
-    component is the list of elementary gauge steps instead (cheaper)."""
+    ObstructionError reports the nonzero coordinate.  Returns (the list of
+    elementary gauge steps, normalized structure); ``gauge_compose`` folds
+    the steps into one gauge."""
     order = order or mu.truncation
     current = mu
     steps = []
-    total = GaugeTransformation(mu.spec, mu.cat, {})
     for d in sorted(orders):
         phi = mu_cochain(current, d)
         if phi.is_zero():
@@ -262,9 +261,7 @@ def kill_orders(mu: AInfStructure, orders, order: int = None, compose: bool = Tr
         step = GaugeTransformation(mu.spec, mu.cat, {d - 1: nu.table})
         current = gauge_apply(step, current, order)
         steps.append(step)
-        if compose:
-            total = gauge_compose(step, total, order)
-    return (total if compose else steps), current
+    return steps, current
 
 
 @dataclass
@@ -307,13 +304,13 @@ def extract_invariants(mu: AInfStructure) -> DeformationClass:
             mu.spec, mu.cat, 8,
             {d: t for d, t in mu.tables.items() if d <= 8},
         )
-    _, cur = kill_orders(mu, (3, 4, 5), compose=False)
+    _, cur = kill_orders(mu, (3, 4, 5))
     phi6 = mu_cochain(cur, 6)
     if not coboundary(phi6, cur).is_zero():
         raise AssertionError("mu^6 failed to be a cocycle after gauge fixing")
     ref6 = reference_cocycle(cur, 6, -4)
     m6 = class_coordinate(phi6, ref6, cur) if not phi6.is_zero() else mu.spec.zero()
-    _, cur = kill_orders(cur, (7,), compose=False)
+    _, cur = kill_orders(cur, (7,))
     phi8 = mu_cochain(cur, 8)
     if not coboundary(phi8, cur).is_zero():
         raise AssertionError("mu^8 failed to be a cocycle after gauge fixing")
@@ -333,13 +330,12 @@ def rescale(mu: AInfStructure, t: Scalar) -> AInfStructure:
     return AInfStructure(mu.spec, mu.cat, mu.truncation, tables)
 
 
-def mc_extend(spec: FieldSpec, m6: Scalar, m8: Scalar, order: int = 12,
-              mu6: Cochain = None, mu8: Cochain = None) -> AInfStructure:
+def mc_extend(spec: FieldSpec, m6: Scalar, m8: Scalar, order: int = 12) -> AInfStructure:
     """Build a minimal structure realizing the prescribed invariants.
 
-    Orders 3..5 are zero; mu^6 and mu^8 are the prescribed cocycles (by
-    default coordinates times the reference cocycles); every other order
-    solves delta(mu^d) = -(sum of circle products of lower orders), whose
+    Orders 3..5 are zero; mu^6 and mu^8 are the prescribed coordinates
+    times the reference cocycles; every other order solves
+    delta(mu^d) = -(sum of circle products of lower orders), whose
     right-hand side is the arity-(d+1) component of the relations.  A
     failure to solve would contradict the vanishing of the relevant HH
     cell and is raised as an internal inconsistency.
@@ -371,10 +367,7 @@ def mc_extend(spec: FieldSpec, m6: Scalar, m8: Scalar, order: int = 12,
                 raise AssertionError(
                     f"unexpected nonzero bracket obstruction at order {d}"
                 )
-            if d == 6:
-                phi = mu6 if mu6 is not None else reference_cocycle(base, 6, -4).scale(m6)
-            else:
-                phi = mu8 if mu8 is not None else reference_cocycle(base, 8, -6).scale(m8)
+            phi = reference_cocycle(base, d, 2 - d).scale(m6 if d == 6 else m8)
             if not phi.is_zero() and not coboundary(phi, base).is_zero():
                 raise ValueError(f"prescribed order-{d} cochain is not a cocycle")
         elif obstruction is None:

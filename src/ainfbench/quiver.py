@@ -695,13 +695,19 @@ def load_with_extras(text: str):
     sections = _split_sections(text)
     by_name = {name: rows for name, rows, _ in sections}
     try:
-        spec = FieldSpec.parse(by_name["FIELD"][0][0])
-        truncation = int(by_name["TRUNCATION"][0][0])
+        headers = [by_name["FIELD"][0], by_name["TRUNCATION"][0]]
         objects = [row for row, _ in by_name["OBJECTS"]]
         gen_rows = by_name["GENERATORS"]
         id_rows = by_name["IDENTITIES"]
     except KeyError as missing:
         raise ValueError(f"missing section {missing}") from None
+    values = []
+    for parse, (value, lineno) in zip((FieldSpec.parse, int), headers):
+        try:
+            values.append(parse(value))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    spec, truncation = values
     gens = []
     for row, lineno in gen_rows:
         parts = row.split()

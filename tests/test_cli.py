@@ -181,3 +181,32 @@ def test_determinism_across_runs():
     c = run(["hh-table", "--field", "Q", "--rmax", "6"])
     d = run(["hh-table", "--field", "Q", "--rmax", "6"])
     assert c == d
+
+
+@pytest.mark.parametrize("argv", [
+    ["hh-table", "--rmax", "-1"],
+    ["triangle", "--wrap", "0"],
+    ["triangle", "--wrap", "-2"],
+    ["check", str(GOLDEN / "preset_C.alg"), "--order", "-3"],
+    ["check", str(GOLDEN / "preset_C.alg"), "--order", "0"],
+    ["mc", "--check-order", "-1"],
+    ["minimal-model", "--check-order", "0"],
+    ["gauge-fix", "--verify-orbit", "-3"],
+])
+def test_out_of_range_bound_is_usage(argv):
+    # a bound below its least value would print a vacuous "ok"
+    code, out, err = _run_err(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("header,bad", [("FIELD", "F6"), ("TRUNCATION", "x")])
+def test_check_bad_header_names_its_line(tmp_path, header, bad):
+    lines = (GOLDEN / "preset_C.alg").read_text().splitlines()
+    i = next(k for k, line in enumerate(lines) if line.startswith(header))
+    lines[i] = f"{header} {bad}"
+    path = tmp_path / "bad.alg"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = _run_err(["check", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: line {i + 1}: ")

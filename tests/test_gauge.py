@@ -92,7 +92,7 @@ def test_kill_orders_effect_matches_presets(Q, model8):
     # killing order 3 must reproduce the effect of preset G: same mu^3 (= 0)
     # and gauge-equivalent mu^4; primitives may differ from the preset g
     B = model8.minimal
-    steps, fixed = kill_orders(B, (3,), compose=False)
+    steps, fixed = kill_orders(B, (3,))
     assert 3 not in fixed.tables
     phi_fixed = mu_cochain(fixed, 4)
     g = preset_gauge_G(Q, B.cat)
@@ -104,7 +104,7 @@ def test_kill_orders_effect_matches_presets(Q, model8):
 
 
 def test_kill_345_and_cocycle(Q, model8):
-    _, fixed = kill_orders(model8.minimal, (3, 4, 5), compose=False)
+    _, fixed = kill_orders(model8.minimal, (3, 4, 5))
     for d in (3, 4, 5):
         assert d not in fixed.tables
     mu6 = mu_cochain(fixed, 6)
@@ -113,9 +113,9 @@ def test_kill_345_and_cocycle(Q, model8):
 
 
 def test_kill_6_obstructed(Q, model8):
-    _, fixed = kill_orders(model8.minimal, (3, 4, 5), compose=False)
+    _, fixed = kill_orders(model8.minimal, (3, 4, 5))
     with pytest.raises(ObstructionError) as err:
-        kill_orders(fixed, (6,), compose=False)
+        kill_orders(fixed, (6,))
     assert err.value.order == 6
     assert err.value.coordinate == Q.scalar(-1, 48)
 
@@ -153,7 +153,7 @@ def test_gauge_apply_matches_brute_force(Q, model8, mc8):
 
 def test_kill_orders_step_matches_brute_force(model8):
     B = model8.minimal
-    steps, fixed = kill_orders(B, (3,), compose=False)
+    steps, fixed = kill_orders(B, (3,))
     want = oracles.gauge_apply(steps[0], B, 8).tables
     assert oracles.ordered(fixed.tables) == oracles.ordered(want)
 
@@ -205,7 +205,7 @@ def test_invariants_of_the_model(Q, model8):
 
 def test_both_normalization_paths_agree(Q, gh_models, model8):
     b2 = gh_models[2]
-    _, fixed = kill_orders(model8.minimal, (3, 4, 5), compose=False)
+    _, fixed = kill_orders(model8.minimal, (3, 4, 5))
     ref = reference_cocycle(model8.minimal, 6, -4)
     c_gh = class_coordinate(mu_cochain(b2, 6), ref, b2)
     c_killed = class_coordinate(mu_cochain(fixed, 6), ref, fixed)
@@ -267,8 +267,8 @@ def test_mc_matches_model_at_low_order(Q, model8):
     # the normalized model through order 7 after the same normalization
     inv = extract_invariants(model8.minimal)
     built = mc_extend(Q, inv.m6, inv.m8, order=8)
-    _, fixed = kill_orders(model8.minimal, (3, 4, 5, 7), compose=False)
-    _, built_fixed = kill_orders(built, (3, 4, 5, 7), compose=False)
+    _, fixed = kill_orders(model8.minimal, (3, 4, 5, 7))
+    _, built_fixed = kill_orders(built, (3, 4, 5, 7))
     diff = mu_cochain(built_fixed, 6) - mu_cochain(fixed, 6)
     assert is_coboundary(diff, model8.minimal) is not None
     for d in (3, 4, 5, 7):

@@ -1,14 +1,45 @@
 import pytest
 
 from ainfbench.hochschild import hh_bar
+from ainfbench.linalg import FieldOps
 from ainfbench.scalars import FieldSpec
-from ainfbench.skoldberg import SkoldbergComplex, skoldberg_check, skoldberg_dims
+from ainfbench.skoldberg import (SkoldbergComplex, _dual_basis, _dual_differential,
+                                 skoldberg_check, skoldberg_dims)
 
 
 @pytest.mark.parametrize("char", [0, 2, 3, 5])
 def test_composites_vanish(char):
-    # p_k o p_{k+1} = 0 and epsilon o p_1 = 0 on the primal resolution
-    assert skoldberg_check(FieldSpec(char), 12)
+    # p_k o p_{k+1} = 0 and epsilon o p_1 = 0 on the primal resolution,
+    # through p_25, the last step skoldberg_dims(., 24) reads
+    assert skoldberg_check(FieldSpec(char), 25)
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+def test_dual_squares_to_zero(char):
+    # the dual read from the split rule is a complex at every (j, s); this
+    # checks which word each split lands on, not the Koszul sign
+    ops = FieldOps(FieldSpec(char))
+    bases = [_dual_basis(j) for j in range(27)]
+    nonzero = 0
+    for j in range(25):
+        for s in bases[j]:
+            first = _dual_differential(bases, j, s, ops)
+            second = _dual_differential(bases, j + 1, s, ops)
+            nonzero += sum(map(bool, first))
+            for col in first:
+                acc = {}
+                for row, val in col.items():
+                    for row2, val2 in second[row].items():
+                        acc[row2] = ops.add(acc.get(row2, ops.zero), ops.mul(val, val2))
+                assert not any(acc.values()), (j, s)
+    assert nonzero
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5, 7])
+def test_dims_match_reference_through_40(char):
+    from ainfbench.cli import expected_hh
+
+    assert skoldberg_dims(FieldSpec(char), 40) == expected_hh(char, 40)
 
 
 def test_resolution_ranks(Q):
