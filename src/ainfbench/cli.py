@@ -229,7 +229,11 @@ def cmd_gauge_fix(args) -> int:
     spec = _field(args.field)
     if spec.characteristic in (2, 3):
         raise Usage(f"gauge normalization needs 6 invertible, not {spec}")
-    orders = tuple(int(x) for x in args.orders.split(","))
+    try:
+        orders = tuple(int(x) for x in args.orders.split(","))
+        gauge_mod.check_orders(orders, args.order)
+    except ValueError as exc:
+        raise Usage(f"--orders: {exc}") from None
     res = transfer(preset_splitting_C(spec), args.order)
     steps, fixed = gauge_mod.kill_orders(res.minimal, orders)
     inv = gauge_mod.extract_invariants(res.minimal)

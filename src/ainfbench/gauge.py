@@ -233,14 +233,24 @@ def preset_gauge_H(spec: FieldSpec, cat) -> GaugeTransformation:
     return GaugeTransformation(spec, cat, {3: tbl})
 
 
+def check_orders(orders, order: int):
+    """Raise ValueError for an arity kill_orders cannot act on: one below 3
+    (no gauge changes mu^1 or mu^2) or above the order it works to."""
+    for d in orders:
+        if not 3 <= d <= order:
+            raise ValueError(f"cannot gauge away order {d}: orders run from 3 to {order}")
+
+
 def kill_orders(mu: AInfStructure, orders, order: int = None):
     """Gauge away the listed arities (processed ascending).
 
     Each targeted mu^d must be a cocycle whose class vanishes; otherwise
-    ObstructionError reports the nonzero coordinate.  Returns (the list of
+    ObstructionError reports the nonzero coordinate.  An arity outside
+    3..order raises ValueError (check_orders).  Returns (the list of
     elementary gauge steps, normalized structure); ``gauge_compose`` folds
     the steps into one gauge."""
     order = order or mu.truncation
+    check_orders(orders, order)
     current = mu
     steps = []
     for d in sorted(orders):

@@ -16,12 +16,13 @@ the last arc, r for the middle ones).  Self-products of the vertical
 curve use a piecewise-linear pushoff crossing it twice; only the
 degree-0 crossing represents the identity.
 
-Each candidate is checked in order of cost: convex corners first (from
-the arc directions alone), then an embedded boundary (segment pairs with
-disjoint bounding boxes skipped before any cross product), and only then
-are the translates of z inside counted, one scanline per row of the
-lattice.  One census of triangles and quadrilaterals gives all three
-criterion series (criterion_series).
+Each candidate is checked in order of cost: its wrap count first (from
+the arc parameters alone, so a candidate beyond the wrap bound builds no
+geometry), then convex corners (from the arc directions), then an
+embedded boundary (segment pairs with disjoint bounding boxes skipped
+before any cross product), and only then are the translates of z inside
+counted, one scanline per row of the lattice.  One census of triangles
+and quadrilaterals gives all three criterion series (criterion_series).
 
 All coordinates are exact rationals; star offsets are calibrated (and
 frozen here) so the triangle count reproduces a vanishing product and
@@ -296,21 +297,33 @@ def _count_lattice_points(pt, segments, bbox):
 # witness assembly and validation
 # ---------------------------------------------------------------------------
 
-def _build_witness(scene, names, lifts, params, corner_names):
+def _build_witness(scene, names, lifts, params, corner_names, wrap_bound):
     """Assemble and validate one candidate polygon.
 
     names[k] is the scene curve of arc k (from corner k to corner k+1);
-    params[k] = (t_from, t_to) on lifts[k].  Returns a PolygonWitness or
-    None when any convexity/embeddedness/degeneracy test fails."""
+    params[k] = (t_from, t_to) on lifts[k].  The checks run in order of
+    cost: the wrap count of each arc against wrap_bound (parameters only),
+    then convex corners (directions only), then an embedded boundary, and
+    last the lattice count of z.  Returns a PolygonWitness, or None when
+    any of these tests or a degeneracy test fails."""
     d1 = len(names)
     travels = []
+    wraps = []
+    # wrap counts first: they need only the parameters, so a candidate
+    # beyond the bound is dropped before any geometry is built
     for t_from, t_to in params:
         if t_from == t_to:
             return None
         travels.append(1 if t_to > t_from else -1)
+        span = abs(t_to - t_from)
+        if span == int(span):
+            raise AssertionError("arc length ambiguous for wrap count")
+        wraps.append(int(span))
+    if max(wraps) > wrap_bound:
+        return None
 
     # convex corners: strict left turns between incoming and outgoing arcs;
-    # tested first, because it needs only the directions, not the PL arcs
+    # tested before the PL arcs are built, because it needs only directions
     for k in range(d1):
         d_in = lifts[k - 1].direction(params[k - 1][1], travels[k - 1], end=True)
         d_out = lifts[k].direction(params[k][0], travels[k])
@@ -360,7 +373,6 @@ def _build_witness(scene, names, lifts, params, corner_names):
 
     # sign data: stars per arc, q and r from negative traversals
     star_total = 0
-    wraps = []
     for k in range(d1):
         t_from, t_to = params[k]
         lo, hi = (t_from, t_to) if t_from < t_to else (t_to, t_from)
@@ -377,10 +389,6 @@ def _build_witness(scene, names, lifts, params, corner_names):
                 raise AssertionError("star sits on an arc endpoint")
             base += 1
         star_total += n
-        span = hi - lo
-        if span == int(span):
-            raise AssertionError("arc length ambiguous for wrap count")
-        wraps.append(int(span))
 
     q = 0
     if not arcs[-1][4]:  # arc from y_d back to y_0
@@ -416,8 +424,9 @@ def triangle_witnesses(scene: PolygonScene, wrap_bound: int):
             [g2, g0, g1],
             params,
             ["e21", "e20", "e01"],
+            wrap_bound,
         )
-        if w is not None and max(w.wraps) <= wrap_bound:
+        if w is not None:
             out.append(w)
         c += 1
     return out
@@ -451,8 +460,9 @@ def quad_witnesses(scene: PolygonScene, wrap_bound: int):
                     [g1, g2, g0, push],
                     params,
                     [cross_name, "e12", "e20", "e01"],
+                    wrap_bound,
                 )
-                if w is not None and max(w.wraps) <= wrap_bound:
+                if w is not None:
                     out.append(w)
             c += 1
     return out
@@ -540,8 +550,9 @@ _MASLOV_POINTS = ("e01", "e12", "e20", "e21", "x_id", "x_top")
 def scene_load(text: str) -> PolygonScene:
     """Parse a scene file.  Each curve gamma0 (h), gamma1 (v), gamma2 (d)
     is given once, of that kind, with orientation +1 or -1, and so are z
-    and pushoff_star; every point of _MASLOV_POINTS needs a maslov row.
-    Errors in a row carry its line number."""
+    and pushoff_star; every point of _MASLOV_POINTS, and no other, needs
+    one maslov row.  A row with a token too many or too few, or any other
+    error in a row, is reported with its line number."""
     curves = {}
     z = None
     pushoff_star = None
@@ -567,20 +578,26 @@ def scene_load(text: str) -> PolygonScene:
                     raise ValueError(f"curve {name} given twice")
                 curves[name] = SceneCurve(name, kind, int(sign), Fr(star))
             elif parts[0] == "z":
+                _, x, y = parts
                 if z is not None:
                     raise ValueError("z given twice")
-                z = (Fr(parts[1]), Fr(parts[2]))
+                z = (Fr(x), Fr(y))
             elif parts[0] == "pushoff_star":
+                _, star = parts
                 if pushoff_star is not None:
                     raise ValueError("pushoff_star given twice")
-                pushoff_star = Fr(parts[1])
+                pushoff_star = Fr(star)
             elif parts[0] == "maslov":
-                if parts[1] in maslov:
-                    raise ValueError(f"maslov {parts[1]} given twice")
-                maslov[parts[1]] = int(parts[2])
+                _, point, index = parts
+                if point not in _MASLOV_POINTS:
+                    raise ValueError(f"maslov point {point!r} is not one of "
+                                     f"{', '.join(_MASLOV_POINTS)}")
+                if point in maslov:
+                    raise ValueError(f"maslov {point} given twice")
+                maslov[point] = int(index)
             else:
                 raise ValueError(f"unknown directive {parts[0]!r}")
-        except (ValueError, IndexError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     if z is None or pushoff_star is None or len(curves) != 3:
         raise ValueError("scene file incomplete")

@@ -10,7 +10,10 @@ assemble the delta matrix's rows over every composable tuple, as the
 program once did.
 
 The polygon oracles test every lattice translate in the bounding box one
-point at a time, and every segment pair with cross products alone.
+point at a time, and every segment pair with cross products alone. The
+census oracles build every candidate polygon in full, whatever its wrap
+count, and only then keep those within the wrap bound, as the program
+once did.
 
 The rational oracles hold Q values as the program once did, every one a
 Fraction, integral or not (``FractionOps``, ``fraction_reduce`` and
@@ -20,13 +23,15 @@ basis (``find_reference``).
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import inf
 
 from ainfbench import hochschild, linalg, scalars, skoldberg
 from ainfbench.gauge import GaugeTransformation
 from ainfbench.hochschild import Cochain, vector_to_cochain
 from ainfbench.linalg import Echelon, FieldOps, nullspace
 from ainfbench.perturbation import TransferResult, _apply_linear
-from ainfbench.polygons import _cross
+from ainfbench.polygons import (CROSS_HIGH, CROSS_LOW, CurveLift, _build_witness,
+                                _cross, _w)
 from ainfbench.quiver import AInfStructure, Element, ZERO, accumulate, tensor_terms
 
 
@@ -325,6 +330,47 @@ def count_lattice_points(pt, segments, bbox):
             j += 1
         i += 1
     return count
+
+
+def _within(witnesses, wrap_bound):
+    return [w for w in witnesses if w is not None and max(w.wraps) <= wrap_bound]
+
+
+def triangle_witnesses(scene, wrap_bound):
+    """The triangle census, every candidate built before the wrap filter."""
+    g1 = scene.curves["gamma1"].lift(0)
+    g0 = scene.curves["gamma0"].lift(0)
+    out = []
+    c = Fraction(1, 2) - (wrap_bound + 2)
+    while c <= wrap_bound + 2:
+        params = [(-c, Fraction(0)), (c, Fraction(0)), (Fraction(0), -c)]
+        out.append(_build_witness(scene, ["gamma2", "gamma0", "gamma1"],
+                                  [scene.curves["gamma2"].lift(c), g0, g1],
+                                  params, ["e21", "e20", "e01"], inf))
+        c += 1
+    return _within(out, wrap_bound)
+
+
+def quad_witnesses(scene, wrap_bound):
+    """The quadrilateral census, every candidate built before the wrap
+    filter."""
+    g1 = scene.curves["gamma1"].lift(0)
+    push = CurveLift("p", Fraction(0))
+    bound = wrap_bound + 2
+    out = []
+    for cross_name, cross_t in (("x_id", CROSS_LOW), ("x_top", CROSS_HIGH)):
+        c = Fraction(1, 2) - bound
+        while c <= bound:
+            for m in range(-bound, bound + 1):
+                params = [(cross_t, -c), (-c, Fraction(m)),
+                          (Fraction(m) + c, _w(Fraction(m))), (Fraction(m), cross_t)]
+                out.append(_build_witness(
+                    scene, ["gamma1", "gamma2", "gamma0", "pushoff"],
+                    [g1, scene.curves["gamma2"].lift(c),
+                     scene.curves["gamma0"].lift(m), push],
+                    params, [cross_name, "e12", "e20", "e01"], inf))
+            c += 1
+    return _within(out, wrap_bound)
 
 
 class FractionOps(FieldOps):

@@ -1,5 +1,8 @@
 import io
 import contextlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -172,6 +175,29 @@ def test_gauge_fix_obstruction_is_a_negative_not_usage(capsys):
     code, _ = run(["gauge-fix", "--orders", "3,4,5,6"])
     assert code == 1
     assert "mu^6 represents a nonzero class" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("orders, reason", [
+    ("3,,4", "invalid literal"),
+    ("1", "order 1: orders run from 3 to 8"),
+    ("2", "order 2: orders run from 3 to 8"),
+    ("9", "order 9: orders run from 3 to 8"),
+])
+def test_gauge_fix_orders_out_of_range_is_usage(orders, reason):
+    # an empty item, an arity no gauge changes, an arity above --order
+    code, out, err = _run_err(["gauge-fix", "--orders", orders])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: --orders: ") and reason in err
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    # from a checkout that is not installed: only src/ on the path
+    src = Path(__file__).parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "ainfbench", "triangle", "--wrap", "1"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == run(["triangle", "--wrap", "1"])[1]
 
 
 def test_determinism_across_runs():

@@ -120,6 +120,15 @@ def test_kill_6_obstructed(Q, model8):
     assert err.value.coordinate == Q.scalar(-1, 48)
 
 
+@pytest.mark.parametrize("orders", [(1,), (2, 3), (3, 9)])
+def test_kill_orders_refuses_an_arity_it_cannot_act_on(model8, orders):
+    # mu^1 and mu^2 are no gauge's to change, and mu^9 lies above the
+    # truncation
+    bad = next(d for d in orders if not 3 <= d <= 8)
+    with pytest.raises(ValueError, match=f"^cannot gauge away order {bad}: "):
+        kill_orders(model8.minimal, orders)
+
+
 def test_gauge_group_action(Q, model8):
     B = model8.minimal
     g1 = random_gauge(Q, B.cat, random.Random(41), orders=(2, 3))

@@ -218,6 +218,73 @@ def test_scene_load_requires_every_maslov_row(scene, points):
         scene_load(text)
 
 
+# -- scene files: round trip and mutated rows -------------------------------
+
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=60)
+
+
+@st.composite
+def _scenes(draw):
+    curves = {name: polygons.SceneCurve(name, kind, draw(st.sampled_from((1, -1))),
+                                        draw(_RATIONALS))
+              for name, kind in polygons._CURVE_KINDS.items()}
+    maslov = {p: draw(st.integers(-4, 4)) for p in polygons._MASLOV_POINTS}
+    z = (draw(_RATIONALS), draw(_RATIONALS))
+    return polygons.PolygonScene(curves, z, maslov, draw(_RATIONALS))
+
+
+@given(_scenes())
+def test_scene_roundtrip_on_drawn_scenes(drawn):
+    assert scene_load(scene_dump(drawn)) == drawn
+
+
+# tokens that are valid in no position of any row
+_BAD_TOKENS = st.sampled_from(["x", "1/0", "gamma3", "+", "1//2", "nan"])
+
+
+@st.composite
+def _mutated_rows(draw):
+    """A dumped scene with one row made faulty, and that row's number."""
+    lines = scene_dump(draw(_scenes())).splitlines()
+    k = draw(st.integers(1, len(lines) - 1))     # any row but the header
+    parts = lines[k].split()
+    how = draw(st.sampled_from(["replace", "drop", "append", "repeat"]))
+    if how == "repeat":
+        lines.insert(k + 1, lines[k])
+        return "\n".join(lines) + "\n", k + 2
+    i = draw(st.integers(0, len(parts) - 1))
+    if how == "replace":
+        parts[i] = draw(_BAD_TOKENS)
+    elif how == "drop":
+        del parts[i]
+    else:
+        parts.append(str(draw(_RATIONALS)))
+    lines[k] = " ".join(parts)
+    return "\n".join(lines) + "\n", k + 1
+
+
+@settings(max_examples=60)
+@given(_mutated_rows())
+def test_mutated_scene_row_names_its_line(mutated):
+    # a wrong token, a token too few or too many, a repeated row: each is a
+    # ValueError naming the row, never another exception
+    text, lineno = mutated
+    with pytest.raises(ValueError, match=rf"^line {lineno}: "):
+        scene_load(text)
+
+
+@given(st.lists(st.lists(st.sampled_from(
+    ["SCENE", "curve", "z", "pushoff_star", "maslov", "gamma0", "gamma1", "h", "v",
+     "star", "+1", "-1", "e01", "x_id", "1/2", "1/0", "3", "x", "#"]),
+    max_size=7), max_size=12))
+def test_scene_load_raises_only_value_error(rows):
+    text = "\n".join(" ".join(row) for row in rows)
+    try:
+        scene_load(text)
+    except ValueError:
+        pass
+
+
 # -- fast paths against their oracles ---------------------------------------
 
 def _outcome(count, *args):
@@ -259,18 +326,50 @@ def checked_fast_paths(monkeypatch):
     return seen
 
 
+def _scene_with_z(scene, z):
+    return scene if z is None else scene_load(
+        scene_dump(scene).replace("z 3/4 3/4", f"z {z}"))
+
+
 @pytest.mark.parametrize("z", [None, "1/2 1/4", "1/200 1/100"])
 def test_census_matches_oracles_per_witness(scene, checked_fast_paths, z):
     # every z_count of the wrap-4 census, on the preset scene and on scenes
     # loaded with other hexagonal basepoints (the last one sits inside the
     # pushoff's bump), equals the bounding-box scan's
-    if z is not None:
-        scene = scene_load(scene_dump(scene).replace("z 3/4 3/4", f"z {z}"))
+    scene = _scene_with_z(scene, z)
     assert scene.z_in_hexagon()
     tris, quads = triangle_witnesses(scene, 4), quad_witnesses(scene, 4)
     assert len(tris) == 10 and len(quads) == 25
     assert checked_fast_paths["count"] >= len(tris) + len(quads)
     assert checked_fast_paths["intersect"] > 0
+
+
+@pytest.mark.parametrize("z", [None, "1/2 1/4", "1/200 1/100"])
+def test_census_matches_post_filtered_oracle(scene, z):
+    # deciding the wrap bound before any geometry keeps every witness of
+    # the census that built each candidate in full and filtered afterwards
+    scene = _scene_with_z(scene, z)
+    for wrap in range(1, 7):
+        for fast, slow in ((triangle_witnesses, oracles.triangle_witnesses),
+                           (quad_witnesses, oracles.quad_witnesses)):
+            assert [vars(w) for w in fast(scene, wrap)] == \
+                [vars(w) for w in slow(scene, wrap)]
+
+
+def test_one_lattice_count_per_witness(scene, monkeypatch):
+    # a candidate beyond the wrap bound is dropped before its lattice count
+    calls = Counter()
+
+    def count(pt, segments, bbox):
+        calls["count"] += 1
+        return _count_lattice_points(pt, segments, bbox)
+
+    monkeypatch.setattr(polygons, "_count_lattice_points", count)
+    for census in (triangle_witnesses, quad_witnesses):
+        calls.clear()
+        witnesses = census(scene, 3)
+        assert calls["count"] == len(witnesses)
+    assert len(witnesses) == 16
 
 
 def test_census_boundary_error_matches_oracle(scene, checked_fast_paths):
