@@ -32,20 +32,19 @@ from dataclasses import dataclass
 
 from .hochschild import (
     Cochain,
-    CoboundarySystem,
     class_coordinate,
     coboundary,
+    cochain_basis,
+    delta_squares_to_zero,
     gerst_compose,
     is_coboundary,
     mu_cochain,
     reference_cocycle,
+    solve_cocycle,
 )
 from .quiver import (AInfStructure, Element, ZERO, accumulate, index_by_output,
                      splices)
 from .scalars import FieldSpec, Scalar
-
-
-_ZERO_COCHAIN = Cochain(0, 0)
 
 
 class ObstructionError(ValueError):
@@ -244,11 +243,12 @@ def check_orders(orders, order: int):
 def kill_orders(mu: AInfStructure, orders, order: int = None):
     """Gauge away the listed arities (processed ascending).
 
-    Each targeted mu^d must be a cocycle whose class vanishes; otherwise
-    ObstructionError reports the nonzero coordinate.  An arity outside
-    3..order raises ValueError (check_orders).  Returns (the list of
-    elementary gauge steps, normalized structure); ``gauge_compose`` folds
-    the steps into one gauge."""
+    Each targeted mu^d must be a cocycle (else ValueError, solve first:
+    solve_cocycle) whose class vanishes; otherwise ObstructionError
+    reports the nonzero coordinate.  An arity outside 3..order raises
+    ValueError (check_orders).  Returns (the list of elementary gauge
+    steps, normalized structure); ``gauge_compose`` folds the steps into
+    one gauge."""
     order = order or mu.truncation
     check_orders(orders, order)
     current = mu
@@ -257,16 +257,13 @@ def kill_orders(mu: AInfStructure, orders, order: int = None):
         phi = mu_cochain(current, d)
         if phi.is_zero():
             continue
-        if not coboundary(phi, current).is_zero():
-            raise ValueError(f"mu^{d} is not a cocycle; lower orders unkilled?")
-        nu = CoboundarySystem(phi, current).primitive()
+        _, nu = solve_cocycle(phi, current, ValueError(
+            f"mu^{d} is not a cocycle; lower orders unkilled?"))
         if nu is None:
-            coord = None
             try:
-                ref = reference_cocycle(current, d, 2 - d)
-                coord = class_coordinate(phi, ref, current)
+                coord = class_coordinate(phi, reference_cocycle(current, d, 2 - d), current)
             except ValueError:
-                pass
+                coord = None
             raise ObstructionError(d, coord)
         step = GaugeTransformation(mu.spec, mu.cat, {d - 1: nu.table})
         current = gauge_apply(step, current, order)
@@ -303,7 +300,7 @@ class DeformationClass:
 
 def extract_invariants(mu: AInfStructure) -> DeformationClass:
     """Gauge-fix mu^3, mu^4, mu^5 (then mu^7) to zero and read off the
-    residual classes of mu^6 and mu^8."""
+    residual classes of mu^6 and mu^8 (_invariant)."""
     if mu.spec.characteristic in (2, 3):
         raise ValueError("invariants defined only when 6 is invertible")
     if mu.truncation < 8:
@@ -315,18 +312,33 @@ def extract_invariants(mu: AInfStructure) -> DeformationClass:
             {d: t for d, t in mu.tables.items() if d <= 8},
         )
     _, cur = kill_orders(mu, (3, 4, 5))
-    phi6 = mu_cochain(cur, 6)
-    if not coboundary(phi6, cur).is_zero():
-        raise AssertionError("mu^6 failed to be a cocycle after gauge fixing")
-    ref6 = reference_cocycle(cur, 6, -4)
-    m6 = class_coordinate(phi6, ref6, cur) if not phi6.is_zero() else mu.spec.zero()
+    ref6, m6 = _invariant(cur, 6)
     _, cur = kill_orders(cur, (7,))
-    phi8 = mu_cochain(cur, 8)
-    if not coboundary(phi8, cur).is_zero():
-        raise AssertionError("mu^8 failed to be a cocycle after gauge fixing")
-    ref8 = reference_cocycle(cur, 8, -6)
-    m8 = class_coordinate(phi8, ref8, cur) if not phi8.is_zero() else mu.spec.zero()
+    ref8, m8 = _invariant(cur, 8)
     return DeformationClass(m6, m8, ref6, ref8)
+
+
+def _invariant(alg: AInfStructure, d: int):
+    """(reference, class coordinate) of mu^d, which must be a cocycle
+    (AssertionError).  A feasible solve phi - c * ref = delta(nu) proves
+    it, as delta^2 = 0 (delta_squares_to_zero) and ref is a cocycle
+    (reference_cocycle); the bracket runs only if that fails, or first if
+    delta^2 != 0."""
+    phi = mu_cochain(alg, d)
+
+    def read():
+        ref = reference_cocycle(alg, d, 2 - d)
+        return ref, (class_coordinate(phi, ref, alg) if not phi.is_zero()
+                     else alg.spec.zero())
+
+    if delta_squares_to_zero(alg):
+        try:
+            return read()
+        except ValueError:
+            pass
+    if not coboundary(phi, alg).is_zero():
+        raise AssertionError(f"mu^{d} failed to be a cocycle after gauge fixing")
+    return read()
 
 
 def rescale(mu: AInfStructure, t: Scalar) -> AInfStructure:
@@ -348,7 +360,8 @@ def mc_extend(spec: FieldSpec, m6: Scalar, m8: Scalar, order: int = 12) -> AInfS
     delta(mu^d) = -(sum of circle products of lower orders), whose
     right-hand side is the arity-(d+1) component of the relations.  A
     failure to solve would contradict the vanishing of the relevant HH
-    cell and is raised as an internal inconsistency.
+    cell and is raised as an internal inconsistency.  Obstructions are
+    solved first (solve_cocycle); references are bracket-checked once.
     """
     from .quiver import preset_A
 
@@ -360,32 +373,21 @@ def mc_extend(spec: FieldSpec, m6: Scalar, m8: Scalar, order: int = 12) -> AInfS
     for d in range(3, order + 1):
         # delta(mu^d) = - sum_{j=3}^{d-1} mu^j o mu^{d+2-j}, the arity-(d+1)
         # component of the relations below order d
-        acc = None
-        for j in range(3, d):
-            k = d + 2 - j
-            if chosen.get(j, _ZERO_COCHAIN).is_zero():
-                continue
-            if chosen.get(k, _ZERO_COCHAIN).is_zero():
-                continue
-            term = gerst_compose(chosen[j], chosen[k], base)
-            acc = term if acc is None else acc + term
-        obstruction = None
-        if acc is not None and not acc.is_zero():
-            obstruction = -acc
+        terms = [gerst_compose(chosen[j], chosen[d + 2 - j], base) for j in range(3, d)
+                 if not (chosen[j].is_zero() or chosen[d + 2 - j].is_zero())]
+        acc = sum(terms[1:], terms[0]) if terms else Cochain(d + 1, 2 - d)
+        obstruction = None if acc.is_zero() else -acc
         if d == 6 or d == 8:
             if obstruction is not None:
                 raise AssertionError(
                     f"unexpected nonzero bracket obstruction at order {d}"
                 )
             phi = reference_cocycle(base, d, 2 - d).scale(m6 if d == 6 else m8)
-            if not phi.is_zero() and not coboundary(phi, base).is_zero():
-                raise ValueError(f"prescribed order-{d} cochain is not a cocycle")
         elif obstruction is None:
             phi = Cochain(d, 2 - d)
         else:
-            if not coboundary(obstruction, base).is_zero():
-                raise AssertionError(f"order-{d} obstruction is not a cocycle")
-            phi = CoboundarySystem(obstruction, base).primitive()
+            _, phi = solve_cocycle(obstruction, base, AssertionError(
+                f"order-{d} obstruction is not a cocycle"))
             if phi is None:
                 raise AssertionError(
                     f"order-{d} obstruction not a coboundary: HH cell should vanish"
@@ -398,21 +400,20 @@ def mc_extend(spec: FieldSpec, m6: Scalar, m8: Scalar, order: int = 12) -> AInfS
 
 def dump_gauge(gauge: GaugeTransformation, truncation: int = 12) -> str:
     """Gauge tables in the algebra-definition grammar, sections G<d>."""
-    from .quiver import AInfStructure as _S, dump, format_element
+    from .quiver import dump, format_element
 
-    shell = _S(gauge.spec, gauge.cat, truncation, {})
-    sections = []
     cat = gauge.cat
+    sections = []
     for k in gauge.supports():
-        rows = []
         table = gauge.components[k]
-        for names in sorted(table, key=lambda t: [cat.order[n] for n in t]):
-            rows.append(f"{' '.join(names)} -> {format_element(table[names], cat)}")
+        rows = [f"{' '.join(names)} -> {format_element(table[names], cat)}"
+                for names in sorted(table, key=lambda t: [cat.order[n] for n in t])]
         sections.append((f"G{k}", rows))
-    return dump(shell, sections)
+    return dump(AInfStructure(gauge.spec, cat, truncation, {}), sections)
 
 
 def load_gauge(text: str) -> GaugeTransformation:
+    """Parse dump_gauge's format; a faulty row names its line."""
     from .quiver import load_with_extras, parse_table
 
     shell, extras = load_with_extras(text)
@@ -421,16 +422,14 @@ def load_gauge(text: str) -> GaugeTransformation:
         if not (name.startswith("G") and name[1:].isdigit()):
             raise ValueError(f"unexpected section {name} in gauge file")
         k = int(name[1:])
-        table = components[k] = {}
-        for row, lineno in rows:
-            entry = parse_table([(row, lineno)], k, name, shell.cat, shell.spec)
-            for names, el in entry.items():
+        # parse_table keeps the rows' order and refuses a repeated key
+        table = components[k] = parse_table(rows, k, name, shell.cat, shell.spec)
+        for (names, el), (_, lineno) in zip(table.items(), rows):
+            try:
                 if not el.is_zero():
-                    try:
-                        _check_entry(shell.cat, k, names, el)
-                    except ValueError as exc:
-                        raise ValueError(f"line {lineno}: {exc}") from None
-                table[names] = el
+                    _check_entry(shell.cat, k, names, el)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
     return GaugeTransformation(shell.spec, shell.cat, components)
 
 
@@ -439,23 +438,16 @@ def random_gauge(spec: FieldSpec, cat, rng, orders=(2, 3, 4),
     """Sparse random gauge with small rational entries, for orbit sampling.
 
     Deterministic given the rng; entries are drawn per admissible
-    (tuple, output generator) slot of each component."""
+    (tuple, output generator) slot of each component, in the order of
+    cochain_basis (g^k has the slots of a cochain of degree 1 - k)."""
     choices = [(1, 2), (-1, 2), (1, 3), (-1, 3), (1, 1), (-1, 1), (2, 1)]
     components = {}
-    gens = cat.nonidentity_generators()
     for k in orders:
         table = {}
-        for t in cat.tuples(k, gens):
-            want = sum(cat.deg(n) for n in t) + 1 - k
-            src, tgt = cat.source(t[-1]), cat.target(t[0])
-            for g in cat.gens_from(src):
-                gen = cat.generators[g]
-                if gen.target != tgt or gen.degree != want:
-                    continue
-                if rng.random() < density:
-                    num, den = choices[rng.randrange(len(choices))]
-                    el = table.get(t, ZERO) + Element.single(g, spec.scalar(num, den))
-                    table[t] = el
+        for t, g in cochain_basis(AInfStructure(spec, cat, k, {}), k, 1 - k):
+            if rng.random() < density:
+                num, den = choices[rng.randrange(len(choices))]
+                table[t] = table.get(t, ZERO) + Element.single(g, spec.scalar(num, den))
         if table:
             components[k] = table
     return GaugeTransformation(spec, cat, components)
@@ -525,15 +517,12 @@ _PAPER_WITNESSES = (
 
 def m6_certificate(mu6: Cochain, alg: AInfStructure) -> M6Certificate:
     """Decide [mu6] = 0 by an exact solve; on infeasibility emit both the
-    rank certificate and a forced-value chain ending in a contradiction."""
-    if not coboundary(mu6, alg).is_zero():
-        raise ValueError("mu6 is not a cocycle")
+    rank certificate and a forced-value chain ending in a contradiction.
+    Solve first (solve_cocycle)."""
+    system, nu = solve_cocycle(mu6, alg, ValueError("mu6 is not a cocycle"))
     spec = alg.spec
     scaled = mu6.scale(spec.scalar(144))
     witnesses = [(t, scaled.value(t)) for t, _ in _PAPER_WITNESSES]
-
-    system = CoboundarySystem(mu6, alg)
-    nu = system.primitive()
     rank_a, rank_ab = system.ranks()
     if nu is not None:
         return M6Certificate(False, rank_a, rank_ab, witnesses, [], nu)

@@ -214,13 +214,10 @@ def cochain_to_vector(phi: Cochain, basis) -> dict:
 
 def vector_to_cochain(vec, basis, r: int, s: int, spec: FieldSpec) -> Cochain:
     table: dict = {}
-    for i, b in enumerate(basis):
-        v = vec[i] if not isinstance(vec, dict) else vec.get(i)
-        if not v:
-            continue
-        key, g = b
-        el = table.get(key, ZERO)
-        table[key] = el + Element.single(g, Scalar(spec, v))
+    for i, (key, g) in enumerate(basis):
+        v = vec.get(i) if isinstance(vec, dict) else vec[i]
+        if v:
+            table[key] = table.get(key, ZERO) + Element.single(g, Scalar(spec, v))
     return Cochain(r, s, table)
 
 
@@ -318,6 +315,20 @@ def hh_bar(spec: FieldSpec, r_max: int, alg: AInfStructure = None):
     return dims
 
 
+def _check_solution(columns, x, b, ops) -> None:
+    """Raise AssertionError unless sum_j x_j columns[j] == b: one sparse
+    matrix-vector pass over the columns, sharing nothing with Echelon."""
+    p = ops.spec.characteristic
+    acc = {}
+    for xj, col in zip(x, columns):
+        if xj:
+            for i, a in col.items():
+                acc[i] = acc.get(i, 0) + xj * a
+    got = {i: v % p if p else v for i, v in acc.items()}
+    if {i: v for i, v in got.items() if v} != {i: v for i, v in b.items() if v}:
+        raise AssertionError("the solve's answer fails its own system")
+
+
 class CoboundarySystem:
     """The system delta(nu) = phi in the deterministic bases, factored once.
 
@@ -332,10 +343,11 @@ class CoboundarySystem:
         self.echelon = Echelon(self.matrix, FieldOps(alg.spec), len(self.cols))
 
     def primitive(self):
-        """The deterministic nu with delta(nu) = phi, or None."""
+        """The deterministic nu with delta(nu) = phi, re-checked, or None."""
         x = self.echelon.solve(self.b)
         if x is None:
             return None
+        _check_solution(self.matrix, x, self.b, self.echelon.ops)
         return vector_to_cochain(x, self.cols, self.r - 1, self.s, self.spec)
 
     def ranks(self):
@@ -345,31 +357,65 @@ class CoboundarySystem:
         return rank_a, rank_a + (0 if self.echelon.contains(self.b) else 1)
 
 
+def solve_cocycle(phi: Cochain, alg: AInfStructure, not_cocycle: Exception):
+    """(CoboundarySystem, primitive or None) of delta(nu) = phi; raises
+    not_cocycle when phi is not a cocycle.  Solve first: a primitive nu
+    proves delta(phi) = delta^2(nu) = 0 once delta^2 = 0
+    (delta_squares_to_zero), as delta_matrix is the bracket's matrix
+    (test_delta_matrix_matches_direct_coboundary) and nu is re-checked
+    against it.  The bracket runs after an infeasible solve, to tell a
+    non-cocycle from a nonzero class, and before the solve if delta^2 != 0."""
+    exact = delta_squares_to_zero(alg)
+    if not exact and not coboundary(phi, alg).is_zero():
+        raise not_cocycle
+    try:
+        system = CoboundarySystem(phi, alg)
+    except ValueError:  # an entry outside the bases: the bracket speaks first
+        if not coboundary(phi, alg).is_zero():
+            raise not_cocycle from None
+        raise
+    nu = system.primitive()
+    if nu is None and exact and not coboundary(phi, alg).is_zero():
+        raise not_cocycle
+    return system, nu
+
+
 def is_coboundary(phi: Cochain, alg: AInfStructure):
-    """Exact solve of delta(nu) = phi.
+    """Exact solve of delta(nu) = phi, solve first (solve_cocycle);
+    ValueError when phi is not a cocycle.
 
     Returns the deterministic primitive nu, or None with the system being
     infeasible (rank certificate available via CoboundarySystem.ranks)."""
-    if not coboundary(phi, alg).is_zero():
-        raise ValueError("input is not a cocycle")
-    return CoboundarySystem(phi, alg).primitive()
+    return solve_cocycle(phi, alg, ValueError("input is not a cocycle"))[1]
 
 
-# Reference cocycles by content: (field, category signature, r, s, mu^2
-# items).  The reference depends on nothing else, so the structures of
-# one pipeline (preset, transferred, gauged, MC-built), distinct objects
-# sharing one mu^2, share an entry, and any caller in the process gets the
-# same answer it would compute.  There is one entry per field and cell in
-# practice.  Callers get a copy of the table; the Elements in it are
-# shared and, like every Element, never mutated.
+# Reference cocycles by (content key, r, s), and delta^2 = 0 by content
+# key: the field, the category signature and the mu^2 items, all that
+# delta reads.  So the structures of one pipeline (preset, transferred,
+# gauged, MC-built), distinct objects sharing one mu^2, share an entry,
+# and any caller in the process gets the same answer it would compute.
+# Callers get a copy of the table; the Elements in it are shared and,
+# like every Element, never mutated.
 _REFERENCES: dict = {}
+_SQUARES_ZERO: dict = {}
 
 
-def _reference_key(alg: AInfStructure, r: int, s: int):
+def _content_key(alg: AInfStructure):
     cat = alg.cat
     signature = (tuple(cat.objects), tuple(cat.generators.values()),
                  frozenset(cat.identities.items()))
-    return alg.spec, signature, r, s, frozenset(alg.tables[2].items())
+    return alg.spec, signature, frozenset(alg.tables[2].items())
+
+
+def delta_squares_to_zero(alg: AInfStructure) -> bool:
+    """Whether mu^2 is associative (identities included), which makes
+    delta^2 = [mu^2 o mu^2, -] vanish (Gerstenhaber, Ann. Math. 1963);
+    checked once per content key."""
+    key = _content_key(alg)
+    if key not in _SQUARES_ZERO:
+        mu2_only = AInfStructure(alg.spec, alg.cat, 3, {2: alg.tables[2]})
+        _SQUARES_ZERO[key] = not mu2_only.ainf_check(3)
+    return _SQUARES_ZERO[key]
 
 
 def reference_cocycle(alg: AInfStructure, r: int, s: int) -> Cochain:
@@ -377,12 +423,15 @@ def reference_cocycle(alg: AInfStructure, r: int, s: int) -> Cochain:
     the fixed yardstick against which class coordinates are reported.
 
     The kernel of delta at (r,s) is scanned in order, lazily, against one
-    factorization of the image of delta from (r-1,s); the result is kept
-    per content key (_REFERENCES) and returned as a fresh Cochain."""
-    key = _reference_key(alg, r, s)
+    factorization of the image of delta from (r-1,s); the result is
+    bracket-checked once, kept per content key (_REFERENCES) and returned
+    as a fresh Cochain."""
+    key = (_content_key(alg), r, s)
     ref = _REFERENCES.get(key)
     if ref is None:
         ref = _find_reference(alg, r, s)
+        if not coboundary(ref, alg).is_zero():
+            raise ValueError(f"prescribed order-{r} cochain is not a cocycle")
         _REFERENCES[key] = ref
     return Cochain(ref.r, ref.s, ref.table)
 
@@ -402,12 +451,15 @@ def _find_reference(alg: AInfStructure, r: int, s: int) -> Cochain:
 
 def class_coordinate(phi: Cochain, reference: Cochain, alg: AInfStructure) -> Scalar:
     """Coordinate c with phi = c * reference + coboundary (HH cell must be
-    1-dimensional for this to be well-posed, which is checked by caller)."""
+    1-dimensional for this to be well-posed, which is checked by caller).
+    The solution is re-checked; with delta^2 = 0 and a cocycle reference
+    it proves phi = c * reference + delta(nu) a cocycle."""
     ops = FieldOps(alg.spec)
     cols, rows, matrix = delta_matrix(alg, phi.r - 1, phi.s)
-    ref_vec = cochain_to_vector(reference, rows)
+    columns = matrix + [cochain_to_vector(reference, rows)]
     b = cochain_to_vector(phi, rows)
-    x = solve(matrix + [ref_vec], len(cols) + 1, b, ops)
+    x = solve(columns, len(cols) + 1, b, ops)
     if x is None:
         raise ValueError("phi is not cohomologous to a multiple of the reference")
+    _check_solution(columns, x, b, ops)
     return Scalar(alg.spec, x[-1])

@@ -418,14 +418,8 @@ def triangle_witnesses(scene: PolygonScene, wrap_bound: int):
         # corners: y0 = (0,-c) on gamma1^gamma2, y1 = (c,0) on gamma2^gamma0,
         # y2 = (0,0) on gamma0^gamma1
         params = [(-c, Fr(0)), (c, Fr(0)), (Fr(0), -c)]
-        w = _build_witness(
-            scene,
-            ["gamma2", "gamma0", "gamma1"],
-            [g2, g0, g1],
-            params,
-            ["e21", "e20", "e01"],
-            wrap_bound,
-        )
+        w = _build_witness(scene, ["gamma2", "gamma0", "gamma1"], [g2, g0, g1],
+                           params, ["e21", "e20", "e01"], wrap_bound)
         if w is not None:
             out.append(w)
         c += 1
@@ -440,31 +434,30 @@ def quad_witnesses(scene: PolygonScene, wrap_bound: int):
     g1 = scene.curves["gamma1"].lift(0)
     push = CurveLift("p", Fr(0))
     bound = wrap_bound + 2
+    # what depends on m alone, or on c alone, is built once
+    rows = [(Fr(m), _w(Fr(m)), scene.curves["gamma0"].lift(m))
+            for m in range(-bound, bound + 1)]
+    lifts2 = []
+    c = Fr(1, 2) - bound
+    while c <= bound:
+        lifts2.append((c, scene.curves["gamma2"].lift(c)))
+        c += 1
     for cross_name, cross_t in (("x_id", CROSS_LOW), ("x_top", CROSS_HIGH)):
-        c = Fr(1, 2) - bound
-        while c <= bound:
-            for m in range(-bound, bound + 1):
-                g2 = scene.curves["gamma2"].lift(c)
-                g0 = scene.curves["gamma0"].lift(m)
+        for c, g2 in lifts2:
+            for m, w_m, g0 in rows:
                 # corners: y0 = crossing, y1 = (0,-c), y2 = (m+c, m),
                 # y3 = (w(m), m); arcs gamma1, gamma2, gamma0, pushoff
                 params = [
                     (cross_t, -c),        # on gamma1 (x = 0)
-                    (-c, Fr(m)),          # on gamma2, param y
-                    (Fr(m) + c, _w(Fr(m))),  # on gamma0, param x
-                    (Fr(m), cross_t),     # on pushoff, param y
+                    (-c, m),              # on gamma2, param y
+                    (m + c, w_m),         # on gamma0, param x
+                    (m, cross_t),         # on pushoff, param y
                 ]
-                w = _build_witness(
-                    scene,
-                    ["gamma1", "gamma2", "gamma0", "pushoff"],
-                    [g1, g2, g0, push],
-                    params,
-                    [cross_name, "e12", "e20", "e01"],
-                    wrap_bound,
-                )
+                w = _build_witness(scene, ["gamma1", "gamma2", "gamma0", "pushoff"],
+                                   [g1, g2, g0, push], params,
+                                   [cross_name, "e12", "e20", "e01"], wrap_bound)
                 if w is not None:
                     out.append(w)
-            c += 1
     return out
 
 

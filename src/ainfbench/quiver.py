@@ -650,6 +650,8 @@ def _split_sections(text: str):
             continue
         head = line.split()[0]
         if head.isupper() and not line[0].isdigit():
+            if any(name == head for name, _, _ in sections):
+                raise ValueError(f"line {lineno}: section {head} given twice")
             if head in ("FIELD", "TRUNCATION"):
                 body = line.split(None, 1)
                 if len(body) != 2:
@@ -657,6 +659,8 @@ def _split_sections(text: str):
                 sections.append((head, [(body[1], lineno)], lineno))
                 current = None
                 continue
+            if line != head:
+                raise ValueError(f"line {lineno}: unexpected text after {head}")
             current = (head, [], lineno)
             sections.append(current)
         elif current is not None:
@@ -681,6 +685,8 @@ def parse_table(rows, d: int, section: str, cat: QuiverCategory, spec: FieldSpec
             names = tuple(lhs.split())
             if len(names) != d:
                 raise ValueError(f"tuple {names} has wrong arity for {section}")
+            if names in table:
+                raise ValueError(f"tuple {names} given twice in {section}")
             table[names] = parse_element(rhs, cat, spec)
         except (ValueError, ZeroDivisionError) as exc:  # 1/0, or 1/5 over F5
             raise ValueError(f"line {lineno}: {exc}") from None

@@ -132,22 +132,6 @@ def partition_series(order: int) -> TruncatedUSeries:
     return result
 
 
-def partition_count_bruteforce(n: int) -> int:
-    """Independent oracle: count partitions of n by direct enumeration.
-
-    Recursion over the largest part; deliberately naive so it shares nothing
-    with the Euler-product computation it cross-checks.
-    """
-    def count(remaining, max_part):
-        if remaining == 0:
-            return 1
-        return sum(
-            count(remaining - k, k) for k in range(min(remaining, max_part), 0, -1)
-        )
-
-    return count(n, n)
-
-
 def theta_v(order: int) -> TruncatedUSeries:
     """Sparse series sum_{p>=0} (-1)^p (2p+1) U^(p(p+1)/2)."""
     out = [0] * (order + 1)

@@ -19,13 +19,18 @@ The rational oracles hold Q values as the program once did, every one a
 Fraction, integral or not (``FractionOps``, ``fraction_reduce`` and
 ``fraction_values``), and find a reference cocycle from the whole kernel
 basis (``find_reference``).
+
+``partition_count`` counts the partitions of n by direct enumeration.
+
+The bracket-first oracles check every cochain with the bracket before
+they solve for it, as the program once did (``bracket_first``).
 """
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import inf
 
-from ainfbench import hochschild, linalg, scalars, skoldberg
+from ainfbench import gauge, hochschild, linalg, scalars, skoldberg
 from ainfbench.gauge import GaugeTransformation
 from ainfbench.hochschild import Cochain, vector_to_cochain
 from ainfbench.linalg import Echelon, FieldOps, nullspace
@@ -429,6 +434,7 @@ def fraction_values(mp):
     mp.setattr(scalars, "_rational", Fraction)
     mp.setattr(scalars, "_UNIT_CACHE", {})
     mp.setattr(hochschild, "_REFERENCES", {})
+    mp.setattr(hochschild, "_SQUARES_ZERO", {})
     for mod in (linalg, hochschild, skoldberg):
         mp.setattr(mod, "FieldOps", FractionOps)
     mp.setattr(Echelon, "_reduce", fraction_reduce)
@@ -446,3 +452,44 @@ def find_reference(alg, r, s):
         if not image.contains({i: v for i, v in enumerate(vec) if v}):
             return vector_to_cochain(vec, cols, r, s, alg.spec)
     raise ValueError(f"HH at (r={r}, s={s}) vanishes; no reference cocycle")
+
+
+def bracket_first_solve(phi, alg, not_cocycle):
+    """hochschild.solve_cocycle as the program once ran it: the bracket
+    first, then the solve."""
+    if not hochschild.coboundary(phi, alg).is_zero():
+        raise not_cocycle
+    system = hochschild.CoboundarySystem(phi, alg)
+    return system, system.primitive()
+
+
+def bracket_first_invariant(alg, d):
+    """gauge._invariant as the program once ran it: the bracket first,
+    then the reference and the coordinate solve."""
+    phi = hochschild.mu_cochain(alg, d)
+    if not hochschild.coboundary(phi, alg).is_zero():
+        raise AssertionError(f"mu^{d} failed to be a cocycle after gauge fixing")
+    ref = hochschild.reference_cocycle(alg, d, 2 - d)
+    if phi.is_zero():
+        return ref, alg.spec.zero()
+    return ref, hochschild.class_coordinate(phi, ref, alg)
+
+
+def bracket_first(mp):
+    """Within the monkeypatch context mp, bracket every cochain before its
+    solve, at each module that binds the solve."""
+    for mod in (hochschild, gauge):
+        mp.setattr(mod, "solve_cocycle", bracket_first_solve)
+    mp.setattr(gauge, "_invariant", bracket_first_invariant)
+
+
+def partition_count(n):
+    """The partitions of n, counted by recursion over the largest part;
+    deliberately naive, so it shares nothing with the Euler product it
+    checks."""
+    def count(remaining, max_part):
+        if remaining == 0:
+            return 1
+        return sum(count(remaining - k, k) for k in range(min(remaining, max_part), 0, -1))
+
+    return count(n, n)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from ainfbench.cli import main
+from ainfbench.quiver import dump, load
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -236,3 +237,42 @@ def test_check_bad_header_names_its_line(tmp_path, header, bad):
     code, out, err = _run_err(["check", str(path)])
     assert (code, out) == (2, "")
     assert err.startswith(f"error: line {i + 1}: ")
+
+
+def test_gauge_fix_noncocycle_order_is_bad_input():
+    # mu^4 while mu^3 is still present is no cocycle
+    code, out, err = _run_err(["gauge-fix", "--orders", "4"])
+    assert (code, out) == (2, "")
+    assert err == "error: mu^4 is not a cocycle; lower orders unkilled?\n"
+
+
+def test_check_reports_a_noncocycle_order(tmp_path):
+    # one mu^6 entry of an mc structure rescaled: delta(mu^6) != 0 is the
+    # arity-7 relation, which check reports, leaving arities <= 6 clean
+    out = tmp_path / "mc.alg"
+    assert run(["mc", "--m6", "1", "--order", "8", "--out", str(out)])[0] == 0
+    struct = load(out.read_text())
+    key = next(iter(struct.tables[6]))
+    struct.tables[6][key] = struct.tables[6][key].scale(struct.spec.scalar(2))
+    out.write_text(dump(struct))
+    code, text, err = _run_err(["check", str(out)])
+    assert (code, err) == (1, "")
+    assert "VIOLATION" in text and "RESULT FAIL" in text
+    violated = {int(line.split()[2]) for line in text.splitlines()
+                if line.startswith("VIOLATION")}
+    assert min(violated) == 7
+
+
+@pytest.mark.parametrize("where, added", [
+    ("e0 e0 -> 1*e0", "e0 e0 -> 1*e0"),   # a repeated MU2 row
+    ("MU1", "OBJECTS"),                   # a repeated section
+])
+def test_check_repeated_row_or_section_is_bad_input(tmp_path, where, added):
+    lines = (GOLDEN / "preset_C.alg").read_text().splitlines()
+    i = lines.index(where) + 1
+    lines.insert(i, added)
+    bad = tmp_path / "bad.alg"
+    bad.write_text("\n".join(lines) + "\n")
+    code, out, err = _run_err(["check", str(bad)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: line {i + 1}: ") and "given twice" in err

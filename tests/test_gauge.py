@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from ainfbench import gauge as gauge_mod, hochschild
@@ -12,10 +12,11 @@ from ainfbench.gauge import (GaugeTransformation, ObstructionError,
                              preset_gauge_G, preset_gauge_H, random_gauge,
                              rescale)
 from ainfbench.perturbation import preset_splitting_C, transfer
-from ainfbench.hochschild import (coboundary, gerstenhaber, is_coboundary,
+from ainfbench.hochschild import (Cochain, coboundary, cochain_basis,
+                                  gerstenhaber, is_coboundary,
                                   mu_cochain, reference_cocycle,
                                   class_coordinate)
-from ainfbench.quiver import Element
+from ainfbench.quiver import AInfStructure, Element, preset_A
 from ainfbench.scalars import FieldSpec
 
 def test_identity_gauge_is_identity(Q, model8):
@@ -383,12 +384,14 @@ def test_mc_pure_order8_class(Q):
     assert (inv.m6, inv.m8) == (Q.zero(), Q.one())
 
 
-def test_kill_orders_and_mc_extend_bracket_each_cochain_once(Q, model8, monkeypatch):
+def test_classify_brackets_only_the_references(Q, model8, monkeypatch):
     # the classify sequence: mc_extend, then the invariants of its result
-    # and of a point of the model's gauge orbit.  kill_orders and mc_extend
-    # check each cocycle once and solve without a second bracket: 11
-    # coboundary calls, where routing the solve through is_coboundary made
-    # 16 (4 + 2 + 10), 5 of them repeats
+    # and of a point of the model's gauge orbit.  Every solve succeeds, and
+    # its answer proves its cochain a cocycle, so the only brackets are the
+    # checks of the two references as their cache entries are filled.
+    # Bracketing each cochain before its solve made [3, 2, 6].
+    monkeypatch.setattr(hochschild, "_REFERENCES", {})
+    monkeypatch.setattr(hochschild, "_SQUARES_ZERO", {})
     calls = []
     bracket = hochschild.coboundary
 
@@ -407,5 +410,300 @@ def test_kill_orders_and_mc_extend_bracket_each_cochain_once(Q, model8, monkeypa
     counts.append(len(calls) - sum(counts))
     assert extract_invariants(moved).pair() == (Q.scalar(-1, 48), Q.scalar(1, 864))
     counts.append(len(calls) - sum(counts))
-    assert counts == [3, 2, 6]
-    assert len(set(calls)) == len(calls)
+    assert counts == [2, 0, 0]
+    assert [(r, s) for _, r, s, _ in calls] == [(6, -4), (8, -6)]
+
+
+# -- error paths of the cocycle checks ----------------------------------------
+# Each pins the exception a non-cocycle (or a non-associative mu^2) gets,
+# whichever of the solve and the bracket runs first.
+
+def _rescaled(alg, d, key, factor):
+    """alg with the mu^d entry at key multiplied by factor."""
+    tables = {k: dict(t) for k, t in alg.tables.items()}
+    tables[d][key] = tables[d][key].scale(factor)
+    return AInfStructure(alg.spec, alg.cat, alg.truncation, tables)
+
+
+def test_kill_orders_refuses_a_noncocycle(Q, model8):
+    # mu^4 before mu^3 is killed: delta(mu^4) = -mu^3 o mu^3 is not zero
+    with pytest.raises(ValueError) as err:
+        kill_orders(model8.minimal, (4,))
+    assert str(err.value) == "mu^4 is not a cocycle; lower orders unkilled?"
+    bad = _rescaled(model8.minimal, 3, ("u", "e1", "v"), Q.scalar(2))
+    with pytest.raises(ValueError) as err:
+        kill_orders(bad, (3,))
+    assert str(err.value) == "mu^3 is not a cocycle; lower orders unkilled?"
+
+
+@pytest.mark.parametrize("d", [6, 8])
+def test_extract_invariants_refuses_a_noncocycle(Q, mc8, d):
+    key = next(iter(mc8.tables[d]))
+    with pytest.raises(AssertionError) as err:
+        extract_invariants(_rescaled(mc8, d, key, Q.scalar(2)))
+    assert str(err.value) == f"mu^{d} failed to be a cocycle after gauge fixing"
+
+
+def test_m6_certificate_refuses_a_noncocycle(Q, gh_models):
+    b2 = gh_models[2]
+    mu6 = mu_cochain(_rescaled(b2, 6, next(iter(b2.tables[6])), Q.scalar(2)), 6)
+    with pytest.raises(ValueError) as err:
+        m6_certificate(mu6, b2)
+    assert str(err.value) == "mu6 is not a cocycle"
+
+
+def test_non_associative_mu2_keeps_the_bracket_first(Q, model8):
+    # e0.(e0.e1) = 4 e1 against (e0.e0).e1 = 2 e1: delta^2 != 0, so a
+    # solvable system says nothing about delta(phi), and the bracket decides
+    A = _rescaled(preset_A(Q, 8), 2, ("e0", "e1"), Q.scalar(2))
+    assert A.ainf_check(3)
+    rng = random.Random(2)
+    table = {}
+    for key, g in cochain_basis(A, 3, -2):
+        if rng.random() < 0.5:
+            table[key] = Element.single(g, Q.scalar(rng.randint(1, 3)))
+    phi = coboundary(Cochain(3, -2, table), A)  # solvable, yet no cocycle
+    assert not coboundary(phi, A).is_zero()
+    with pytest.raises(ValueError, match="^input is not a cocycle$"):
+        is_coboundary(phi, A)
+    assert is_coboundary(Cochain(4, -2), A).is_zero()
+    # mu^3 of the model still brackets to zero against this mu^2
+    B = model8.minimal
+    bad = AInfStructure(Q, B.cat, 8, {**B.tables, 2: A.tables[2]})
+    steps, fixed = kill_orders(bad, (3,))
+    assert [s.supports() for s in steps] == [[2]]
+    assert fixed.present_arities() == [2, 4, 5, 6, 7, 8]
+    assert [len(fixed.tables[d]) for d in fixed.present_arities()] == [12, 10, 15, 23, 32, 42]
+
+
+def _obstruction_patch(monkeypatch, make):
+    """mc_extend with its order-10 obstruction replaced by make(base)."""
+    compose = gauge_mod.gerst_compose
+
+    def patched(phi, psi, alg):
+        if phi.r + psi.r - 1 == 11:
+            return make(alg)
+        return compose(phi, psi, alg)
+
+    monkeypatch.setattr(gauge_mod, "gerst_compose", patched)
+
+
+def test_mc_extend_internal_errors(Q, monkeypatch):
+    def noncocycle(alg):
+        key, g = cochain_basis(alg, 11, -8)[0]
+        return Cochain(11, -8, {key: Element.single(g, Q.one())})
+
+    _obstruction_patch(monkeypatch, noncocycle)
+    with pytest.raises(AssertionError, match="^order-10 obstruction is not a cocycle$"):
+        mc_extend(Q, Q.scalar(1, 2), Q.scalar(-2, 3), 10)
+    # a solver that finds no primitive for a cocycle contradicts HH = 0 there
+    monkeypatch.undo()
+    monkeypatch.setattr(hochschild.CoboundarySystem, "primitive", lambda self: None)
+    with pytest.raises(AssertionError, match="^order-10 obstruction not a coboundary: "
+                                             "HH cell should vanish$"):
+        mc_extend(Q, Q.scalar(1, 2), Q.scalar(-2, 3), 10)
+
+
+def test_reference_is_bracket_checked_when_cached(Q, monkeypatch):
+    # a reference that is no cocycle never enters the cache
+    def broken(alg, r, s):
+        key, g = cochain_basis(alg, r, s)[0]
+        return Cochain(r, s, {key: Element.single(g, Q.one())})
+
+    monkeypatch.setattr(hochschild, "_REFERENCES", {})
+    monkeypatch.setattr(hochschild, "_find_reference", broken)
+    with pytest.raises(ValueError, match="^prescribed order-6 cochain is not a cocycle$"):
+        mc_extend(Q, Q.scalar(1, 2), Q.scalar(-2, 3), 8)
+    assert hochschild._REFERENCES == {}
+
+
+def _classify_run(gh_models, model8):
+    """What the solves feed: the m6 certificate of gh_pipeline(Q),
+    mc_extend(Q, 1/2, -2/3, 12), and the invariants of three seeded orbit
+    points of the transferred model."""
+    Q = model8.minimal.spec
+    b2 = gh_models[2]
+    cert = m6_certificate(mu_cochain(b2, 6), b2)
+    built = mc_extend(Q, Q.scalar(1, 2), Q.scalar(-2, 3), 12)
+    B = model8.minimal
+    orbit = [extract_invariants(gauge_apply(random_gauge(Q, B.cat, random.Random(seed)),
+                                            B, 8)) for seed in (21, 22, 23)]
+    return (cert.summary(), cert.primitive, oracles.ordered(built.tables),
+            [(inv.pair(), inv.reference6, inv.reference8) for inv in orbit])
+
+
+def test_solve_first_equals_bracket_first(gh_models, model8, monkeypatch):
+    # every cochain a solve accepted brackets to zero, and the answers are
+    # those of the bracket-first order, keys and key order included
+    accepted = []
+    solve, coordinate = hochschild.solve_cocycle, hochschild.class_coordinate
+
+    def recorded_solve(phi, alg, not_cocycle):
+        system, nu = solve(phi, alg, not_cocycle)
+        if nu is not None:
+            accepted.append((phi, alg))
+        return system, nu
+
+    def recorded_coordinate(phi, ref, alg):
+        c = coordinate(phi, ref, alg)
+        accepted.append((phi, alg))
+        return c
+
+    with monkeypatch.context() as mp:
+        for mod in (hochschild, gauge_mod):
+            mp.setattr(mod, "solve_cocycle", recorded_solve)
+        mp.setattr(gauge_mod, "class_coordinate", recorded_coordinate)
+        fast = _classify_run(gh_models, model8)
+    assert len(accepted) == 2 + 3 * 6  # mc orders 10, 12; per point 3, 4, 5, m6, 7, m8
+    assert all(coboundary(phi, alg).is_zero() for phi, alg in accepted)
+    with monkeypatch.context() as mp:
+        oracles.bracket_first(mp)
+        assert _classify_run(gh_models, model8) == fast
+
+
+def test_solutions_are_rechecked(Q, model8, monkeypatch):
+    # a solve that returns a wrong answer is caught by the one pass over
+    # the columns, which shares nothing with the elimination
+    from ainfbench.linalg import Echelon
+
+    _, fixed = kill_orders(model8.minimal, (3, 4, 5))
+    phi6 = mu_cochain(fixed, 6)
+    ref = reference_cocycle(fixed, 6, -4)
+    solve = Echelon.solve
+
+    def off_by_one(self, b):
+        x = solve(self, b)
+        return None if x is None else [x[0] + 1] + x[1:]
+
+    monkeypatch.setattr(Echelon, "solve", off_by_one)
+    with pytest.raises(AssertionError, match="fails its own system"):
+        class_coordinate(phi6, ref, fixed)
+    with pytest.raises(AssertionError, match="fails its own system"):
+        kill_orders(model8.minimal, (3,))
+
+
+def test_delta_squares_to_zero_once_per_mu2(Q, model8, monkeypatch):
+    monkeypatch.setattr(hochschild, "_SQUARES_ZERO", {})
+    checks = []
+    check = AInfStructure.ainf_check
+
+    def counted(self, up_to):
+        checks.append(up_to)
+        return check(self, up_to)
+
+    monkeypatch.setattr(AInfStructure, "ainf_check", counted)
+    extract_invariants(model8.minimal)
+    assert hochschild.delta_squares_to_zero(preset_A(Q))
+    assert checks == [3]
+    A = _rescaled(preset_A(Q, 8), 2, ("e0", "e1"), Q.scalar(2))
+    assert not hochschild.delta_squares_to_zero(A)
+    assert checks == [3, 3] and len(hochschild._SQUARES_ZERO) == 2
+
+
+# -- gauge files: round trip and mutated rows ---------------------------------
+
+_FIELDS = [FieldSpec(0), FieldSpec(5), FieldSpec(7)]
+
+
+@st.composite
+def _gauges(draw):
+    """A sparse gauge on the 6-dimensional category: a few admissible
+    (key, output) slots per drawn arity, with small nonzero values."""
+    spec = draw(st.sampled_from(_FIELDS))
+    alg = preset_A(spec, 4)
+    components = {}
+    for k in sorted(draw(st.sets(st.integers(2, 4), min_size=1, max_size=3))):
+        slots = cochain_basis(alg, k, 1 - k)
+        chosen = draw(st.lists(st.sampled_from(slots), min_size=1, max_size=6, unique=True))
+        table = {}
+        for key, g in chosen:
+            num = draw(st.integers(-9, 9).filter(bool))
+            den = draw(st.sampled_from([1, 2, 3] if spec.characteristic else [1, 2, 3, 4, 12]))
+            c = spec.scalar(num, den)
+            if c:
+                table[key] = table.get(key, Element()) + Element.single(g, c)
+        components[k] = table
+    return GaugeTransformation(spec, alg.cat, components)
+
+
+@given(_gauges())
+def test_gauge_roundtrip_on_drawn_gauges(g):
+    from ainfbench.gauge import dump_gauge, load_gauge
+
+    back = load_gauge(dump_gauge(g))
+    assert back.spec == g.spec
+    assert back.components == g.components
+    assert dump_gauge(back) == dump_gauge(g)
+
+
+_BAD_GAUGE_TOKENS = st.sampled_from(["x", "1/0", "+", "1//2", "nan", "->", "e0", "G2", "*u"])
+
+
+@st.composite
+def _mutated_gauge_rows(draw):
+    """A dumped gauge with one row of a G section made faulty, and that
+    row's number."""
+    from ainfbench.gauge import dump_gauge
+
+    lines = dump_gauge(draw(_gauges())).splitlines()
+    rows = [i for i, line in enumerate(lines) if "->" in line
+            and any(lines[j].startswith("G") for j in range(i))]
+    k = draw(st.sampled_from(rows))
+    parts = lines[k].split()
+    how = draw(st.sampled_from(["replace", "drop", "append", "repeat"]))
+    if how == "repeat":
+        lines.insert(k + 1, lines[k])
+        return "\n".join(lines) + "\n", k + 2
+    i = draw(st.integers(0, len(parts) - 1))
+    if how == "replace":
+        parts[i] = draw(_BAD_GAUGE_TOKENS)
+    elif how == "drop":
+        del parts[i]
+    else:
+        parts.append(draw(_BAD_GAUGE_TOKENS))
+    lines[k] = " ".join(parts)
+    return "\n".join(lines) + "\n", k + 1
+
+
+@settings(max_examples=60)
+@given(_mutated_gauge_rows())
+def test_mutated_gauge_row_names_its_line(mutated):
+    from ainfbench.gauge import load_gauge
+
+    text, lineno = mutated
+    with pytest.raises(ValueError, match=rf"^line {lineno}: "):
+        load_gauge(text)
+
+
+@given(st.lists(st.lists(st.sampled_from(
+    ["FIELD", "Q", "F5", "TRUNCATION", "4", "OBJECTS", "a", "GENERATORS", "e0",
+     "IDENTITIES", "1*e0", "G2", "G0", "MU2", "e1", "u", "->", "1/2*e1", "+", "1/0",
+     "x", "#"]), max_size=6), max_size=14))
+def test_gauge_load_raises_only_value_error(rows):
+    from ainfbench.gauge import load_gauge
+
+    try:
+        load_gauge("\n".join(" ".join(row) for row in rows))
+    except ValueError:
+        pass
+
+
+def test_gauge_load_rejects_repeats_and_header_text(Q, model8):
+    # each of these was read silently: a repeated row, a repeated section
+    # (which dropped the first one's rows) and text after a section header
+    # (which started a new section there)
+    from ainfbench.gauge import dump_gauge, load_gauge
+
+    lines = dump_gauge(preset_gauge_G(Q, model8.minimal.cat)).splitlines()
+    i = lines.index("e1 e1 -> -1/2*e1")
+    for edit, message in [
+            (lambda ls: ls.insert(i + 1, ls[i]),
+             rf"^line {i + 2}: tuple \('e1', 'e1'\) given twice in G2$"),
+            (lambda ls: ls.extend(["G2", "u e1 -> -1/2*u"]),
+             rf"^line {len(lines) + 1}: section G2 given twice$"),
+            (lambda ls: ls.__setitem__(i - 1, "G2 e1 e1 -> -1/2*e1"),
+             rf"^line {i}: unexpected text after G2$")]:
+        edited = list(lines)
+        edit(edited)
+        with pytest.raises(ValueError, match=message):
+            load_gauge("\n".join(edited) + "\n")

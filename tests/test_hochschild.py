@@ -139,8 +139,19 @@ def test_is_coboundary_rejects_noncocycle(Q):
     rng = random.Random(8)
     phi = random_cochain(A, 3, -1, rng)
     assert not coboundary(phi, A).is_zero()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^input is not a cocycle$"):
         is_coboundary(phi, A)
+
+
+@pytest.mark.parametrize("key, out, message", [
+    (("u", "v"), "u", "^input is not a cocycle$"),          # wrong degree, bracket nonzero
+    (("e0", "e1"), "e1", r"^cochain entry \(\('e0', 'e1'\), e1\) outside basis$"),
+])
+def test_is_coboundary_on_entries_outside_the_basis(Q, key, out, message):
+    # the bracket judges such a cochain before the basis check rejects it
+    A = preset_A(Q)
+    with pytest.raises(ValueError, match=message):
+        is_coboundary(Cochain(2, 0, {key: Element.single(out, Q.one())}), A)
 
 
 def test_reference_cocycles_exist(Q):
@@ -158,6 +169,7 @@ def test_reference_cocycles_exist(Q):
 def fresh_references(monkeypatch):
     """An empty reference-cocycle cache for one test."""
     monkeypatch.setattr(hochschild, "_REFERENCES", {})
+    monkeypatch.setattr(hochschild, "_SQUARES_ZERO", {})
     return hochschild
 
 
