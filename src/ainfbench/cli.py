@@ -234,7 +234,9 @@ def cmd_gauge_fix(args) -> int:
         raise Usage(f"--orders: {exc}") from None
     res = transfer(preset_splitting_C(spec), args.order)
     steps, fixed = gauge_mod.kill_orders(res.minimal, orders)
-    inv = gauge_mod.extract_invariants(res.minimal)
+    # (m6, m8) are gauge invariants and the references read mu^2 alone, so
+    # the fixed structure gives the input's invariants without regauging it
+    inv = gauge_mod.extract_invariants(fixed)
     lines = [
         f"# gauge-fix over {spec}, killed orders {','.join(map(str, orders))}",
         f"remaining arities: {fixed.present_arities()}",

@@ -24,11 +24,20 @@ generators, in the order of cat.tuples.
 The two residual invariants live in the 1-dimensional cells HH^2(A,A)^-4
 (order 6) and HH^2(A,A)^-6 (order 8); coordinates are reported against
 the deterministic reference cocycles of hochschild.reference_cocycle.
+
+Rescaling mu^d -> t^(d-2) mu^d, g^k -> t^(k-1) g^k gives each term of the
+functor equation and of mc_extend's obstruction equation weight d - 2, and
+each solve is linear against a delta matrix of mu^2 alone, so (m6, m8) ->
+(t^4 m6, t^6 m8).  gauge_apply, extract_invariants and mc_extend rescale
+once by t = weight_scale, to integers, and their results by 1/t.
 """
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from .hochschild import (
     Cochain,
@@ -42,8 +51,8 @@ from .hochschild import (
     reference_cocycle,
     solve_cocycle,
 )
-from .quiver import (AInfStructure, Element, ZERO, accumulate, index_by_output,
-                     splices)
+from .quiver import (AInfStructure, Element, ZERO, accumulate, check_table,
+                     index_by_output, splices)
 from .scalars import FieldSpec, Scalar
 
 
@@ -67,11 +76,8 @@ class GaugeTransformation:
         self._identity = {(n,): Element.single(n, one) for n in cat.generators}
         self.components: dict[int, dict] = {}
         for k, table in (components or {}).items():
-            clean = {}
-            for names, el in table.items():
-                if not el.is_zero():
-                    _check_entry(cat, k, names, el)
-                    clean[names] = el
+            clean = {names: el for names, el in table.items() if not el.is_zero()}
+            _check_table(cat, k, clean)
             if clean:
                 self.components[k] = clean
 
@@ -83,22 +89,15 @@ class GaugeTransformation:
         return self._identity if k == 1 else self.components.get(k, {})
 
 
-def _check_entry(cat, k: int, names, el) -> None:
-    """A g^k entry, k >= 2 (g^1 is the identity), has a composable,
-    normalized length-k key, and its outputs have degree |names| + 1 - k
-    and the key's source and target."""
-    if (k < 2 or len(names) != k or any(n not in cat.generators for n in names)
-            or not cat.composable(names)):
-        raise ValueError(f"bad g^{k} key {names}")
-    if any(cat.is_identity_component(n) for n in names):
-        raise ValueError(f"g^{k} not normalized at {names}")
-    want = sum(cat.deg(n) for n in names) + 1 - k
-    src, tgt = cat.source(names[-1]), cat.target(names[0])
-    for g in el.terms:
-        gen = cat.generators[g]
-        if gen.degree != want or gen.source != src or gen.target != tgt:
-            raise ValueError(f"g^{k}{names} -> {g}: expects degree {want}, "
-                             f"{src}->{tgt}")
+def _check_table(cat, k: int, table: dict) -> None:
+    """g^k, k >= 2 (g^1 is the identity), has normalized keys and weight 1
+    (check_table)."""
+    for names in table:
+        if k < 2:
+            raise ValueError(f"bad g^{k} key {names}")
+        if any(cat.is_identity_component(n) for n in names):
+            raise ValueError(f"g^{k} not normalized at {names}")
+    check_table(cat, f"g^{k}", table, 1, k)
 
 
 def _substitutions(key, blocks: dict, alphabet, d: int, longest: int, one):
@@ -131,10 +130,18 @@ def _entries(accs: dict, cat, d: int) -> dict:
 def gauge_apply(gauge: GaugeTransformation, mu: AInfStructure,
                 order: int = None) -> AInfStructure:
     """Act on a minimal structure; result is minimal with the same mu^2.
+    _gauge_apply on integers, rescaled by weight_scale (module docstring)."""
+    s, t = mu.spec.scalar, weight_scale(mu, *gauge.components.values())
+    scaled = GaugeTransformation(mu.spec, gauge.cat, _graded(gauge.components, s(t), 1))
+    return rescale(_gauge_apply(scaled, rescale(mu, s(t)), order), s(1, t))
 
-    Only the splices and block substitutions of the module docstring are
-    evaluated, which is exact; keys come in cat.tuples order.  order may
-    not exceed mu.truncation: mu's higher arities are unknown, not zero."""
+
+def _gauge_apply(gauge: GaugeTransformation, mu: AInfStructure,
+                 order: int = None) -> AInfStructure:
+    """The action on the tables as given: only the splices and block
+    substitutions of the module docstring are evaluated, which is exact;
+    keys come in cat.tuples order.  order may not exceed mu.truncation:
+    mu's higher arities are unknown, not zero."""
     if 1 in mu.present_arities():
         raise ValueError("gauge action implemented for minimal structures")
     order = order or mu.truncation
@@ -300,7 +307,8 @@ class DeformationClass:
 
 def extract_invariants(mu: AInfStructure) -> DeformationClass:
     """Gauge-fix mu^3, mu^4, mu^5 (then mu^7) to zero and read off the
-    residual classes of mu^6 and mu^8 (_invariant)."""
+    residual classes of mu^6 and mu^8 (_invariant), on integers: those of
+    rescale(mu, t) over t^4 and t^6, t = weight_scale (module docstring)."""
     if mu.spec.characteristic in (2, 3):
         raise ValueError("invariants defined only when 6 is invertible")
     if mu.truncation < 8:
@@ -311,6 +319,18 @@ def extract_invariants(mu: AInfStructure) -> DeformationClass:
             mu.spec, mu.cat, 8,
             {d: t for d, t in mu.tables.items() if d <= 8},
         )
+    s, t = mu.spec.scalar, weight_scale(mu)
+    try:
+        inv = _extract_invariants(rescale(mu, s(t)))
+    except ObstructionError as exc:  # its coordinate has weight order - 2
+        c = exc.coordinate
+        raise ObstructionError(exc.order, c and c * s(1, t ** (exc.order - 2))) from None
+    return DeformationClass(inv.m6 * s(1, t ** 4), inv.m8 * s(1, t ** 6),
+                            inv.reference6, inv.reference8)
+
+
+def _extract_invariants(mu: AInfStructure) -> DeformationClass:
+    """The invariants of mu through arity 8, on its tables as given."""
     _, cur = kill_orders(mu, (3, 4, 5))
     ref6, m6 = _invariant(cur, 6)
     _, cur = kill_orders(cur, (7,))
@@ -341,19 +361,48 @@ def _invariant(alg: AInfStructure, d: int):
     return read()
 
 
+def weight_scale(mu: AInfStructure, *tables) -> int:
+    """The lcm t of the denominators of mu's entries at arity >= 3 and of
+    the tables' (1 over F_p): t^w * c is an integer for weights w >= 1."""
+    tables += tuple(table for d, table in mu.tables.items() if d > 2)
+    return lcm(*{c.value.denominator for table in tables
+                 for el in table.values() for c in el.terms.values()})
+
+
+def _graded(tables: dict, t: Scalar, shift: int) -> dict:
+    """{d: t^(d - shift) * tables[d]}, the weight grading: shift 2 for mu^d,
+    1 for g^k; the tables themselves at t = 1."""
+    if t == t.spec.one():
+        return tables
+    out = {}
+    for d, table in tables.items():
+        w = Fraction(t.value) ** (d - shift)  # mu^1 has weight -1
+        factor = t.spec.scalar(w.numerator, w.denominator)
+        out[d] = {names: el.scale(factor) for names, el in table.items()}
+    return out
+
+
 def rescale(mu: AInfStructure, t: Scalar) -> AInfStructure:
-    """mu^d -> t^(d-2) mu^d; corresponds to (m6, m8) -> (t^4 m6, t^6 m8)."""
-    tables = {}
-    for d, table in mu.tables.items():
-        factor = mu.spec.one()
-        for _ in range(d - 2):
-            factor = factor * t
-        tables[d] = {names: el.scale(factor) for names, el in table.items()}
-    return AInfStructure(mu.spec, mu.cat, mu.truncation, tables)
+    """mu^d -> t^(d-2) mu^d, t != 0; corresponds to (m6, m8) -> (t^4 m6,
+    t^6 m8).  gauge_apply, extract_invariants and mc_extend rescale by
+    weight_scale at entry and by its inverse at exit; by 1, mu itself."""
+    tables = _graded(mu.tables, t, 2)
+    if tables is mu.tables:
+        return mu
+    scaled = copy(mu)  # mu's keys and degrees, which t != 0 keeps
+    scaled.tables = tables
+    return scaled
 
 
 def mc_extend(spec: FieldSpec, m6: Scalar, m8: Scalar, order: int = 12) -> AInfStructure:
-    """Build a minimal structure realizing the prescribed invariants.
+    """Build a minimal structure realizing the prescribed invariants:
+    _mc_extend on integers, t the lcm of their denominators."""
+    t, s = lcm(m6.value.denominator, m8.value.denominator), spec.scalar
+    return rescale(_mc_extend(spec, m6 * s(t ** 4), m8 * s(t ** 6), order), s(1, t))
+
+
+def _mc_extend(spec: FieldSpec, m6: Scalar, m8: Scalar, order: int = 12) -> AInfStructure:
+    """The structure for (m6, m8), built on the values as given.
 
     Orders 3..5 are zero; mu^6 and mu^8 are the prescribed coordinates
     times the reference cocycles; every other order solves
@@ -422,14 +471,8 @@ def load_gauge(text: str) -> GaugeTransformation:
         if not (name.startswith("G") and name[1:].isdigit()):
             raise ValueError(f"unexpected section {name} in gauge file")
         k = int(name[1:])
-        # parse_table keeps the rows' order and refuses a repeated key
-        table = components[k] = parse_table(rows, k, name, shell.cat, shell.spec)
-        for (names, el), (_, lineno) in zip(table.items(), rows):
-            try:
-                if not el.is_zero():
-                    _check_entry(shell.cat, k, names, el)
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
+        components[k] = parse_table(rows, k, name, shell.cat, shell.spec,
+                                    lambda names, el: _check_table(shell.cat, k, {names: el}))
     return GaugeTransformation(shell.spec, shell.cat, components)
 
 

@@ -21,7 +21,9 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .scalars import FieldSpec, Scalar, parse_scalar
@@ -152,7 +154,8 @@ class QuiverCategory:
                 raise ValueError(f"unknown object in generator {g.name}")
             self.generators[g.name] = g
         self.order = {name: i for i, name in enumerate(self.generators)}
-        self.identities: dict[str, Element] = dict(identities)
+        self.identities: dict[str, Element] = dict.fromkeys(self.objects, ZERO)
+        self.identities.update(identities)  # zero where none is designated
         for obj, el in self.identities.items():
             for name in el.terms:
                 g = self.generators[name]
@@ -249,6 +252,24 @@ class QuiverCategory:
         return sorted(el.terms.items(), key=lambda kv: self.order[kv[0]])
 
 
+def check_table(cat: QuiverCategory, label: str, table: dict, weight: int, arity: int):
+    """Each entry of a mu^d (weight 2) or g^k (weight 1) table has a
+    composable length-arity key of generators, and outputs of degree
+    |names| + weight - arity with the key's source and target."""
+    gens = cat.generators
+    for names, el in table.items():
+        if len(names) != arity:
+            raise ValueError(f"arity-{arity} table holds tuple {names}")
+        if not all(map(gens.__contains__, names)) or not cat.composable(names):
+            raise ValueError(f"noncomposable {label} key {names}")
+        want = sum(gens[n].degree for n in names) + weight - arity
+        src, tgt = gens[names[-1]].source, gens[names[0]].target
+        for g in el.terms:
+            gen = gens[g]
+            if gen.degree != want or gen.source != src or gen.target != tgt:
+                raise ValueError(f"{label}{names} -> {g}: expects degree {want}, {src}->{tgt}")
+
+
 class AInfStructure:
     """Sparse mu^d tables over a quiver category, d <= truncation order N.
 
@@ -269,25 +290,10 @@ class AInfStructure:
 
     def check_degrees(self):
         """Degree and composability bookkeeping for every stored entry."""
-        cat = self.cat
         for d, table in self.tables.items():
-            if d > self.truncation:
-                raise ValueError(f"table arity {d} beyond truncation {self.truncation}")
-            for names, el in table.items():
-                if len(names) != d:
-                    raise ValueError(f"arity-{d} table holds tuple {names}")
-                if not cat.composable(names):
-                    raise ValueError(f"noncomposable tuple {names}")
-                want = sum(cat.deg(n) for n in names) + 2 - d
-                src = cat.source(names[-1])
-                tgt = cat.target(names[0])
-                for g in el.terms:
-                    gen = cat.generators[g]
-                    if gen.degree != want or gen.source != src or gen.target != tgt:
-                        raise ValueError(
-                            f"mu^{d}{names} -> {g}: expects degree {want}, "
-                            f"{src}->{tgt}"
-                        )
+            if not 1 <= d <= self.truncation:
+                raise ValueError(f"table arity {d} not in 1..{self.truncation}")
+            check_table(self.cat, f"mu^{d}", table, 2, d)
 
     def evaluate(self, d: int, names) -> Element:
         if d > self.truncation:
@@ -621,6 +627,9 @@ def parse_element(text: str, cat: QuiverCategory, spec: FieldSpec) -> Element:
 def dump(struct: AInfStructure, extra_sections=None) -> str:
     """Canonical, byte-stable text form (load . dump == identity)."""
     cat = struct.cat
+    for name in [*cat.objects, *cat.generators]:
+        if _HEADER.fullmatch(name):
+            raise ValueError(f"name {name} would be read as a section header")
     lines = [f"FIELD {struct.spec}", f"TRUNCATION {struct.truncation}", "OBJECTS"]
     lines += cat.objects
     lines.append("GENERATORS")
@@ -640,6 +649,11 @@ def dump(struct: AInfStructure, extra_sections=None) -> str:
     return "\n".join(lines) + "\n"
 
 
+_FIXED = ("FIELD", "TRUNCATION", "OBJECTS", "GENERATORS", "IDENTITIES")
+# the section names; any other word, capitals included, is a name
+_HEADER = re.compile("|".join(_FIXED) + r"|(MU|G|IOTA)\d+")
+
+
 def _split_sections(text: str):
     """Sections as (name, [(line, lineno)], header lineno)."""
     sections = []
@@ -649,7 +663,7 @@ def _split_sections(text: str):
         if not line:
             continue
         head = line.split()[0]
-        if head.isupper() and not line[0].isdigit():
+        if _HEADER.fullmatch(head):
             if any(name == head for name, _, _ in sections):
                 raise ValueError(f"line {lineno}: section {head} given twice")
             if head in ("FIELD", "TRUNCATION"):
@@ -675,21 +689,31 @@ def load(text: str) -> AInfStructure:
     return struct
 
 
-def parse_table(rows, d: int, section: str, cat: QuiverCategory, spec: FieldSpec):
+@contextmanager
+def _at_line(lineno: int):
+    """A ValueError or zero denominator (1/0, 1/5 over F5) naming the line."""
+    try:
+        yield
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
+
+
+def parse_table(rows, d: int, section: str, cat: QuiverCategory, spec: FieldSpec, check):
     """Rows 'a_d ... a_1 -> element', given as (row, line number) pairs, as
-    one arity-d table; errors carry the offending line number."""
+    one arity-d table, each nonzero entry passed to check(names, element);
+    errors carry the offending line number."""
     table = {}
     for row, lineno in rows:
-        try:
+        with _at_line(lineno):
             lhs, _, rhs = row.partition("->")
             names = tuple(lhs.split())
             if len(names) != d:
                 raise ValueError(f"tuple {names} has wrong arity for {section}")
             if names in table:
                 raise ValueError(f"tuple {names} given twice in {section}")
-            table[names] = parse_element(rhs, cat, spec)
-        except (ValueError, ZeroDivisionError) as exc:  # 1/0, or 1/5 over F5
-            raise ValueError(f"line {lineno}: {exc}") from None
+            table[names] = el = parse_element(rhs, cat, spec)
+            if not el.is_zero():
+                check(names, el)
     return table
 
 
@@ -702,47 +726,48 @@ def load_with_extras(text: str):
     by_name = {name: rows for name, rows, _ in sections}
     try:
         headers = [by_name["FIELD"][0], by_name["TRUNCATION"][0]]
-        objects = [row for row, _ in by_name["OBJECTS"]]
-        gen_rows = by_name["GENERATORS"]
-        id_rows = by_name["IDENTITIES"]
-    except KeyError as missing:
-        raise ValueError(f"missing section {missing}") from None
+        obj_rows, gen_rows, id_rows = (by_name[name] for name in
+                                       ("OBJECTS", "GENERATORS", "IDENTITIES"))
+    except KeyError as missing:  # named at the last line
+        raise ValueError(f"line {len(text.splitlines())}: missing section {missing}") from None
     values = []
     for parse, (value, lineno) in zip((FieldSpec.parse, int), headers):
-        try:
+        with _at_line(lineno):
             values.append(parse(value))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
     spec, truncation = values
-    gens = []
+    objects, gens, identities = [], [], {}
+    for row, lineno in obj_rows:
+        with _at_line(lineno):
+            if len(row.split()) > 1 or row in objects:
+                raise ValueError(f"bad or repeated object row {row!r}")
+            objects.append(row)
     for row, lineno in gen_rows:
         parts = row.split()
-        if len(parts) != 4:
-            raise ValueError(f"line {lineno}: bad generator row {row!r}")
-        try:
+        with _at_line(lineno):
+            if len(parts) != 4:
+                raise ValueError(f"bad generator row {row!r}")
             gens.append(Generator(parts[0], parts[1], parts[2], int(parts[3])))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+            QuiverCategory(objects, gens, {})  # a repeated name, an unknown object
     cat = QuiverCategory(objects, gens, {})
-    identities = {}
     for row, lineno in id_rows:
-        try:
+        with _at_line(lineno):
             obj, combo = row.split(None, 1)
+            if obj not in objects or obj in identities:
+                raise ValueError(f"unknown or repeated object {obj}")
             identities[obj] = parse_element(combo, cat, spec)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+            QuiverCategory(objects, gens, identities)  # degree-0 endomorphisms
     cat = QuiverCategory(objects, gens, identities)
     tables = {}
     extras = []
-    for name, rows, _ in sections:
-        if name in ("FIELD", "TRUNCATION", "OBJECTS", "GENERATORS", "IDENTITIES"):
+    for name, rows, head in sections:
+        if name in _FIXED:
             continue
-        if name.startswith("MU") and name[2:].isdigit():
-            tables[int(name[2:])] = parse_table(rows, int(name[2:]), name, cat, spec)
+        if name.startswith("MU"):
+            d = int(name[2:])
+            if not 1 <= d <= truncation:
+                raise ValueError(f"line {head}: table arity {d} not in 1..{truncation}")
+            tables[d] = parse_table(rows, d, name, cat, spec, lambda names, el: check_table(
+                cat, f"mu^{d}", {names: el}, 2, d))
         else:
             extras.append((name, rows))
-    try:
-        struct = AInfStructure(spec, cat, truncation, tables)
-    except ValueError as exc:
-        raise ValueError(f"structure validation failed: {exc}") from None
-    return struct, extras
+    return AInfStructure(spec, cat, truncation, tables), extras

@@ -24,6 +24,10 @@ basis (``find_reference``).
 
 The bracket-first oracles check every cochain with the bracket before
 they solve for it, as the program once did (``bracket_first``).
+
+The weight-one oracle runs gauge_apply, extract_invariants and mc_extend
+on their inputs as given, with no rescaling, as the program once did
+(``weight_one``).
 """
 
 from fractions import Fraction
@@ -481,6 +485,15 @@ def bracket_first(mp):
     for mod in (hochschild, gauge):
         mp.setattr(mod, "solve_cocycle", bracket_first_solve)
     mp.setattr(gauge, "_invariant", bracket_first_invariant)
+
+
+def weight_one(mp):
+    """Within the monkeypatch context mp, bind gauge_apply,
+    extract_invariants and mc_extend to the inner functions that compute
+    on the tables as given (t = 1), also where kill_orders calls
+    gauge_apply."""
+    for name in ("gauge_apply", "extract_invariants", "mc_extend"):
+        mp.setattr(gauge, name, getattr(gauge, "_" + name))
 
 
 def partition_count(n):

@@ -171,6 +171,25 @@ def test_gauge_fix_with_orbit(tmp_path):
     assert "stable" in text and "RESULT ok" in text
 
 
+def test_gauge_fix_gauges_each_structure_once(monkeypatch):
+    # the invariants are read from the gauge-fixed structure, which
+    # kill_orders leaves as it is; reading them from the input gauged it
+    # again: [(B, (3, 4, 5)), (B, (3, 4, 5)), (B', (7,))]
+    from ainfbench import gauge
+
+    calls = []
+    kill = gauge.kill_orders
+
+    def counted(mu, orders, order=None):
+        calls.append((dump(mu), tuple(orders)))
+        return kill(mu, orders, order)
+
+    monkeypatch.setattr(gauge, "kill_orders", counted)
+    code, text = run(["gauge-fix", "--order", "8"])
+    assert code == 0 and "m6 = -1/48" in text
+    assert len(calls) == 3 and len(set(calls)) == len(calls)
+
+
 def test_gauge_fix_obstruction_is_a_negative_not_usage(capsys):
     # mu^6 carries the nonzero order-6 class: a mathematical negative
     code, _ = run(["gauge-fix", "--orders", "3,4,5,6"])

@@ -231,11 +231,15 @@ def test_invariants_gauge_stable(Q, model8):
 
 
 def test_rescaling_weights(Q, model8):
+    # a negative and a fractional t too: the entry points rescale by 1/t
     base = extract_invariants(model8.minimal)
-    t = Q.scalar(5)
-    inv = extract_invariants(rescale(model8.minimal, t))
-    assert inv.m6 == base.m6 * Q.scalar(5**4)
-    assert inv.m8 == base.m8 * Q.scalar(5**6)
+    for num, den in ((5, 1), (-2, 3)):
+        t = Q.scalar(num, den)
+        moved = rescale(model8.minimal, t)
+        inv = extract_invariants(moved)
+        assert inv.m6 == base.m6 * Q.scalar(num**4, den**4)
+        assert inv.m8 == base.m8 * Q.scalar(num**6, den**6)
+        assert _exact(rescale(moved, Q.one() / t).tables) == _exact(model8.minimal.tables)
 
 
 def test_self_bracket_of_mu6_is_exact(Q, gh_models, model8):
@@ -707,3 +711,77 @@ def test_gauge_load_rejects_repeats_and_header_text(Q, model8):
         edit(edited)
         with pytest.raises(ValueError, match=message):
             load_gauge("\n".join(edited) + "\n")
+
+
+# -- the weight grading: entry points on integers ------------------------------
+
+def _exact(tables):
+    """Tables as nested lists: the order of the arities, of the keys and of
+    each Element's terms, and each raw value with its type."""
+    return [(d, [(key, [(g, c.value, type(c.value)) for g, c in el.terms.items()])
+                 for key, el in table.items()]) for d, table in tables.items()]
+
+
+def _weight_grading_run(gh_models, model8):
+    """Gauges G then H on transfer(preset_splitting_C(Q), 9),
+    mc_extend(Q, 1/2, -2/3, 12), and the invariants of three seeded orbit
+    points of the transferred model, each entry point called through the
+    gauge module."""
+    Q = model8.minimal.spec
+    B = gh_models[0]
+    b1 = gauge_mod.gauge_apply(preset_gauge_G(Q, B.cat), B, 9)
+    b2 = gauge_mod.gauge_apply(preset_gauge_H(Q, B.cat), b1, 9)
+    built = gauge_mod.mc_extend(Q, Q.scalar(1, 2), Q.scalar(-2, 3), 12)
+    orbit = []
+    for seed in (31, 32, 33):
+        g = random_gauge(Q, model8.minimal.cat, random.Random(seed))
+        inv = gauge_mod.extract_invariants(gauge_mod.gauge_apply(g, model8.minimal, 8))
+        orbit.append(([(c.value, type(c.value)) for c in inv.pair()],
+                      _exact({6: inv.reference6.table, 8: inv.reference8.table})))
+    return _exact(b1.tables), _exact(b2.tables), _exact(built.tables), orbit
+
+
+def test_entry_points_equal_the_weight_one_computation(gh_models, model8, monkeypatch):
+    # each input has denominators, so each entry point computes on integers
+    Q, B = model8.minimal.spec, gh_models[0]
+    assert gauge_mod.weight_scale(B, *preset_gauge_G(Q, B.cat).components.values()) > 1
+    moved = gauge_apply(random_gauge(Q, B.cat, random.Random(31)), model8.minimal, 8)
+    assert gauge_mod.weight_scale(moved) > 1
+    rescaled = _weight_grading_run(gh_models, model8)
+    with monkeypatch.context() as mp:
+        oracles.weight_one(mp)
+        assert gauge_mod.gauge_apply is gauge_mod._gauge_apply
+        assert _weight_grading_run(gh_models, model8) == rescaled
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_prime_fields_take_weight_one(p, monkeypatch):
+    F = FieldSpec(p)
+    B = transfer(preset_splitting_C(F), 8).minimal
+    g = random_gauge(F, B.cat, random.Random(p))
+    assert gauge_mod.weight_scale(B, *g.components.values()) == 1
+    assert rescale(B, F.one()) is B
+    weights = []
+    monkeypatch.setattr(gauge_mod, "rescale", lambda mu, t: weights.append(t) or mu)
+    moved = gauge_apply(g, B, 8)
+    gauge_mod.mc_extend(F, F.scalar(1, 2), F.scalar(-2, 3), 8)
+    extract_invariants(moved)
+    assert weights and set(weights) == {F.one()}
+
+
+def test_an_obstruction_reports_its_coordinate_at_weight_one(Q, model8, monkeypatch):
+    # an ObstructionError raised on rescale(mu, t) inside extract_invariants
+    # carries the coordinate of mu's class, not t^(d-2) times it
+    moved = gauge_apply(random_gauge(Q, model8.minimal.cat, random.Random(31)),
+                        model8.minimal, 8)
+    assert gauge_mod.weight_scale(moved) > 1
+    with pytest.raises(ObstructionError) as want:
+        kill_orders(moved, (3, 4, 5, 6))
+    assert want.value.coordinate == Q.scalar(-1, 48)
+    kill = gauge_mod.kill_orders
+    monkeypatch.setattr(gauge_mod, "kill_orders", lambda mu, orders: kill(
+        mu, (3, 4, 5, 6) if tuple(orders) == (3, 4, 5) else orders))
+    with pytest.raises(ObstructionError) as got:
+        extract_invariants(moved)
+    assert (got.value.order, got.value.coordinate) == (6, want.value.coordinate)
+    assert str(got.value) == str(want.value)

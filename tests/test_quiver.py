@@ -1,12 +1,15 @@
 import itertools
 import random
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ainfbench.gauge import gauge_apply, preset_gauge_G
 from ainfbench.quiver import (AInfStructure, Element, Generator, QuiverCategory,
                               dump, load, preset_A, preset_C, preset_D)
+from ainfbench.scalars import FieldSpec
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -206,3 +209,165 @@ def test_tuples_with_totals_is_the_filtered_enumeration(Q, name):
             # the sums the search hands out are the tuples' degree sums
             assert list(cat.tuples(d, alphabet, set(sums), sums=True)) == [
                 (t, sum(cat.deg(n) for n in t)) for t in full]
+
+
+# -- .alg files: capitals, round trip, faulty rows ----------------------------
+
+def _same(a, b):
+    """Equal structures: field, truncation, category and tables."""
+    return ((a.spec, a.truncation, a.cat.objects, list(a.cat.generators.values()),
+             a.cat.identities, a.tables)
+            == (b.spec, b.truncation, b.cat.objects, list(b.cat.generators.values()),
+                b.cat.identities, b.tables))
+
+
+def test_capitalized_generator_names_load(Q):
+    # a row whose first word is in capitals was read as a section header:
+    # "line 7: unexpected text after Q0"
+    text = re.sub(r"\be0\b", "Q0", (GOLDEN / "preset_C.alg").read_text())
+    assert "Q0 a a 0" in text.splitlines()
+    struct = load(text)
+    assert "Q0" in struct.cat.generators and "e0" not in struct.cat.generators
+    assert dump(struct) == text
+    assert _same(load(dump(struct)), struct)
+
+
+_GOLDEN_C = (GOLDEN / "preset_C.alg").read_text().splitlines()
+
+
+def _edited(edit):
+    lines = list(_GOLDEN_C)
+    edit(lines)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("edit, message", [
+    # each was an error without its line, or a KeyError or IndexError
+    (lambda ls: ls.insert(7, "e0 a a 0"), r"^line 8: duplicate generator e0$"),
+    (lambda ls: ls.__setitem__(6, "e0 a z 0"), r"^line 7: unknown object in generator e0$"),
+    (lambda ls: ls.__setitem__(3, "a x"), r"^line 4: bad or repeated object row 'a x'$"),
+    (lambda ls: ls.insert(4, "a"), r"^line 5: bad or repeated object row 'a'$"),
+    (lambda ls: ls.insert(16, "a 1*e0"), r"^line 17: unknown or repeated object a$"),
+    (lambda ls: ls.__setitem__(15, "z 1*e0"), r"^line 16: unknown or repeated object z$"),
+    (lambda ls: ls.__setitem__(15, "a 1*e1"), r"^line 16: identity of a uses invalid e1$"),
+    (lambda ls: ls.__setitem__(22, "x e0 -> 1*e0"), r"^line 23: noncomposable mu\^2 key"),
+    (lambda ls: ls.__setitem__(22, "e0 e1 -> 1*e0"),
+     r"^line 23: mu\^2\('e0', 'e1'\) -> e0: expects degree 1, a->a$"),
+    (lambda ls: ls.__setitem__(5, "x"), r"^line 39: missing section 'GENERATORS'$"),
+    (lambda ls: ls.extend(["MU13", "e0 " * 12 + "e0 -> 1*e0"]),
+     r"^line 40: table arity 13 not in 1\.\.12$"),
+    (lambda ls: ls.extend(["MU0", "-> 1*e0"]), r"^line 40: table arity 0 not in 1\.\.12$"),
+])
+def test_faulty_alg_rows_name_their_line(edit, message):
+    with pytest.raises(ValueError, match=message):
+        load(_edited(edit))
+
+
+def test_an_object_with_no_identity_row_has_the_zero_identity(Q):
+    # dump read cat.identities[b] and raised KeyError
+    struct = load(_edited(lambda ls: ls.__delitem__(16)))
+    assert struct.cat.identities["b"] == Element()
+    text = dump(struct)
+    assert "b 0" in text.splitlines() and _same(load(text), struct)
+
+
+def test_dump_refuses_a_name_read_as_a_header(Q):
+    gens = [Generator("MU2", "a", "a", 0)]
+    struct = AInfStructure(Q, QuiverCategory(["a"], gens, {"a": Element()}), 2)
+    with pytest.raises(ValueError, match="^name MU2 would be read as a section header$"):
+        dump(struct)
+
+
+_ALG_FIELDS = [FieldSpec(0), FieldSpec(5), FieldSpec(7)]
+# capitals included; a drawn name may also be a section name (MU2, G3)
+_ALG_NAMES = st.from_regex(r"[A-Za-z][A-Za-z0-9]{0,2}", fullmatch=True)
+
+
+@st.composite
+def _structures(draw):
+    """A small structure on a drawn quiver: one or two objects, a few
+    generators of degree -1 to 2, identities from the degree-0 loops, and
+    a few entries of admissible degree per arity up to the truncation."""
+    spec = draw(st.sampled_from(_ALG_FIELDS))
+    names = draw(st.lists(_ALG_NAMES, min_size=3, max_size=6, unique=True))
+    n_obj = draw(st.integers(1, 2))
+    objects = names[:n_obj]
+    gens = [Generator(n, draw(st.sampled_from(objects)), draw(st.sampled_from(objects)),
+                      draw(st.integers(-1, 2))) for n in names[n_obj:]]
+    identities = {}
+    for obj in objects:
+        loops = [g.name for g in gens if g.source == g.target == obj and g.degree == 0]
+        chosen = draw(st.lists(st.sampled_from(loops), unique=True)) if loops else []
+        identities[obj] = Element({g: spec.one() for g in chosen})
+    cat = QuiverCategory(objects, gens, identities)
+    truncation = draw(st.integers(2, 4))
+    tables = {}
+    for d in range(1, truncation + 1):
+        slots = [(t, g.name) for t in cat.tuples(d) for g in gens
+                 if (g.source, g.target) == (cat.source(t[-1]), cat.target(t[0]))
+                 and g.degree == sum(cat.deg(n) for n in t) + 2 - d]
+        if slots:
+            for t, g in draw(st.lists(st.sampled_from(slots), max_size=4, unique=True)):
+                c = spec.scalar(draw(st.integers(-9, 9).filter(bool)),
+                                draw(st.sampled_from([1, 2, 3] if spec.characteristic
+                                                     else [1, 2, 3, 4])))
+                tables.setdefault(d, {})[t] = (tables.get(d, {}).get(t, Element())
+                                               + Element.single(g, c))
+    return AInfStructure(spec, cat, truncation, tables)
+
+
+_SECTION_NAME = re.compile(r"FIELD|TRUNCATION|OBJECTS|GENERATORS|IDENTITIES|(MU|G|IOTA)\d+")
+
+
+def _header_named(struct):
+    """Whether an object or generator has the name of a section."""
+    cat = struct.cat
+    return any(_SECTION_NAME.fullmatch(n) for n in [*cat.objects, *cat.generators])
+
+
+@given(_structures())
+def test_alg_roundtrip_on_drawn_structures(struct):
+    if _header_named(struct):
+        with pytest.raises(ValueError, match="would be read as a section header"):
+            dump(struct)
+        return
+    text = dump(struct)
+    back = load(text)
+    assert _same(back, struct)
+    assert dump(back) == text
+
+
+_BAD_ALG_TOKENS = st.sampled_from(["x", "1/0", "+", "1//2", "nan", "->", "e0", "a", "0",
+                                   "-1", "*u", "Q0", "G2", "MU2", "MU0", "OBJECTS"])
+
+
+@st.composite
+def _mutated_alg(draw):
+    """A dumped structure (a drawn one or preset C) with one line edited:
+    a word replaced, dropped or added, or the line repeated."""
+    struct = draw(st.one_of(st.just(None), _structures().filter(
+        lambda s: not _header_named(s))))
+    lines = list(_GOLDEN_C) if struct is None else dump(struct).splitlines()
+    k = draw(st.integers(0, len(lines) - 1))
+    how = draw(st.sampled_from(["replace", "drop", "append", "repeat"]))
+    parts = lines[k].split()
+    if how == "repeat":
+        lines.insert(k + 1, lines[k])
+    elif how == "drop":
+        del parts[draw(st.integers(0, len(parts) - 1))]
+        lines[k] = " ".join(parts)
+    else:
+        i = draw(st.integers(0, len(parts) - (how == "replace")))
+        parts[i:i + (how == "replace")] = [draw(_BAD_ALG_TOKENS)]
+        lines[k] = " ".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=80)
+@given(_mutated_alg())
+def test_mutated_alg_raises_only_a_value_error_naming_a_line(text):
+    # an edit may leave a valid file; any error is a ValueError with a line
+    try:
+        load(text)
+    except ValueError as exc:
+        assert re.match(r"^line \d+: ", str(exc)), str(exc)
