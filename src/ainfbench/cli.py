@@ -17,7 +17,7 @@ from .perturbation import lemma_check, preset_splitting_C, transfer
 from .polygons import (criterion_series, preset_scene, quad_witnesses,
                        scene_load, triangle_witnesses, witness_svg)
 from .quiver import Element, dump, format_element, load
-from .scalars import FieldSpec
+from .scalars import FieldSpec, parse_scalar
 from .skoldberg import skoldberg_dims
 from .useries import jacobi_check, partition_series, theta_v
 from . import gauge as gauge_mod
@@ -270,8 +270,6 @@ def cmd_mc(args) -> int:
     spec = _field(args.field)
     if spec.characteristic in (2, 3):
         raise Usage(f"classification needs 6 invertible, not {spec}")
-    from .scalars import parse_scalar
-
     try:
         m6 = parse_scalar(args.m6, spec)
         m8 = parse_scalar(args.m8, spec)

@@ -51,8 +51,9 @@ from .hochschild import (
     reference_cocycle,
     solve_cocycle,
 )
-from .quiver import (AInfStructure, Element, ZERO, accumulate, check_table,
-                     index_by_output, splices)
+from .quiver import (AInfStructure, Element, EntryError, ZERO, _entry_lines, accumulate,
+                     check_table, dump, format_element, index_by_output, load_with_extras,
+                     parse_table, preset_A, splices)
 from .scalars import FieldSpec, Scalar
 
 
@@ -72,12 +73,17 @@ class GaugeTransformation:
     def __init__(self, spec: FieldSpec, cat, components=None):
         self.spec = spec
         self.cat = cat
-        one = spec.one()
-        self._identity = {(n,): Element.single(n, one) for n in cat.generators}
+        p = spec.characteristic
+        self._identity = {(n,): Element.single(n, 1, p) for n in cat.generators}
         self.components: dict[int, dict] = {}
         for k, table in (components or {}).items():
             clean = {names: el for names, el in table.items() if not el.is_zero()}
-            _check_table(cat, k, clean)
+            for names in clean:
+                if k < 2:
+                    raise EntryError(names, f"bad g^{k} key {names}")
+                if any(cat.is_identity_component(n) for n in names):
+                    raise EntryError(names, f"g^{k} not normalized at {names}")
+            check_table(cat, f"g^{k}", clean, 1, k, p)
             if clean:
                 self.components[k] = clean
 
@@ -89,29 +95,18 @@ class GaugeTransformation:
         return self._identity if k == 1 else self.components.get(k, {})
 
 
-def _check_table(cat, k: int, table: dict) -> None:
-    """g^k, k >= 2 (g^1 is the identity), has normalized keys and weight 1
-    (check_table)."""
-    for names in table:
-        if k < 2:
-            raise ValueError(f"bad g^{k} key {names}")
-        if any(cat.is_identity_component(n) for n in names):
-            raise ValueError(f"g^{k} not normalized at {names}")
-    check_table(cat, f"g^{k}", table, 1, k)
-
-
-def _substitutions(key, blocks: dict, alphabet, d: int, longest: int, one):
-    """(t, c) for every length-d tuple t built from key letter by letter:
-    a letter n is kept (n in alphabet, coefficient 1) or replaced by a block
-    key B whose value holds n with coefficient c_B; c is the product.  Only
-    lengths that can still reach d, with blocks of at most longest letters,
-    are extended."""
-    partial = [((), one)]
+def _substitutions(key, blocks: dict, alphabet, shortest: int, most: int, longest: int):
+    """(t, c) for every tuple t of shortest..most letters built from key
+    letter by letter: a letter n is kept (n in alphabet, coefficient 1) or
+    replaced by a block key B whose value holds n with coefficient c_B; c
+    is the raw product.  Only lengths that can still end in that range are
+    extended (blocks have at most longest letters)."""
+    partial = [((), 1)]
     for i, n in enumerate(key):
         rest = len(key) - 1 - i
         grown = []
         for t, c0 in partial:
-            lo, hi = d - len(t) - rest * longest, d - len(t) - rest
+            lo, hi = shortest - len(t) - rest * longest, most - len(t) - rest
             if n in alphabet and lo <= 1 <= hi:
                 grown.append((t + (n,), c0))
             grown += [(t + B, c0 * c) for B, c in blocks.get(n, ()) if lo <= len(B) <= hi]
@@ -119,11 +114,21 @@ def _substitutions(key, blocks: dict, alphabet, d: int, longest: int, one):
     return partial
 
 
-def _entries(accs: dict, cat, d: int) -> dict:
-    """The nonzero scattered sums, keyed by the composable length-d tuples
-    of non-identity generators in cat.tuples order."""
+def _scatter(accs: dict, table: dict, blocks: dict, alphabet, shortest: int, most: int,
+             longest: int, negate: bool = False) -> None:
+    """accs[len(t)][t] += c * table[K] for each key K of table and each (t,
+    c) of its one substitution pass into shortest..most letters."""
+    for K in table if shortest <= most else ():
+        for t, c in _substitutions(K, blocks, alphabet, shortest, most, longest):
+            accumulate(accs[len(t)].setdefault(t, {}), table, ((K, c),), negate)
+
+
+def _entries(accs: dict, cat, d: int, p: int) -> dict:
+    """The nonzero scattered sums as Elements over characteristic p, keyed by
+    the composable length-d tuples of non-identity generators in cat.tuples
+    order."""
     gens = cat.nonidentity_generators()
-    sums = ((t, Element(accs[t])) for t in cat.tuples_among(accs, d, gens))
+    sums = ((t, Element(accs[t], p)) for t in cat.tuples_among(accs, d, gens))
     return {t: el for t, el in sums if not el.is_zero()}
 
 
@@ -149,28 +154,25 @@ def _gauge_apply(gauge: GaugeTransformation, mu: AInfStructure,
         raise ValueError(f"cannot gauge to order {order} beyond truncation "
                          f"{mu.truncation}")
     spec, cat = mu.spec, mu.cat
-    one = spec.one()
     new_tables: dict[int, dict] = {2: dict(mu.tables[2])}
     alphabet = set(cat.nonidentity_generators())
     odd = {n: (cat.deg(n) - 1) % 2 for n in cat.generators}
     blocks = index_by_output(e for tbl in gauge.components.values() for e in tbl.items())
     longest = max(gauge.supports(), default=1)
+    accs = {d: {} for d in range(3, order + 1)}
 
+    # mu_new-side: subtract the products of g-blocks, each mu_new^r key
+    # scattered into every higher arity once mu_new^r is complete
+    _scatter(accs, new_tables[2], blocks, alphabet, 3, order, longest, True)
     for d in range(3, order + 1):
-        accs = {}
         # g-side: old mu^m inserted into g^{d-m+1}, signed by the tail
         for m, inner in mu.tables.items():
             gk = gauge.table(d - m + 1)
-            for t, G, p, c in splices(gk, inner):
-                accumulate(accs.setdefault(t, {}), gk, ((G, c),),
-                           sum(odd[n] for n in G[p + 1:]) % 2)
-        # mu_new-side: subtract lower-arity products of g-blocks
-        for r in range(2, d):
-            mu_r = new_tables.get(r, {})
-            for K in mu_r:
-                for t, c in _substitutions(K, blocks, alphabet, d, longest, one):
-                    accumulate(accs.setdefault(t, {}), mu_r, ((K, c),), True)
-        new_tables[d] = _entries(accs, cat, d)
+            for t, G, i, c in splices(gk, inner):
+                accumulate(accs[d].setdefault(t, {}), gk, ((G, c),),
+                           sum(odd[n] for n in G[i + 1:]) % 2)
+        new_tables[d] = _entries(accs.pop(d), cat, d, spec.characteristic)
+        _scatter(accs, new_tables[d], blocks, alphabet, d + 1, order, longest, True)
     return AInfStructure(spec, cat, order, new_tables)
 
 
@@ -185,20 +187,14 @@ def gauge_compose(second: GaugeTransformation, first: GaugeTransformation,
     second^r, r <= d, each letter kept or replaced by a first-key whose
     output holds it, which is exact; keys come in cat.tuples order."""
     spec, cat = first.spec, first.cat
-    one = spec.one()
     alphabet = set(cat.nonidentity_generators())
     blocks = index_by_output(e for tbl in first.components.values() for e in tbl.items())
     longest = max(first.supports(), default=1)
-    components: dict[int, dict] = {}
-    for d in range(2, up_to + 1):
-        accs = {}
-        for r in range(1, d + 1):
-            second_r = second.table(r)
-            for K in second_r:
-                for t, c in _substitutions(K, blocks, alphabet, d, longest, one):
-                    accumulate(accs.setdefault(t, {}), second_r, ((K, c),))
-        components[d] = _entries(accs, cat, d)
-    return GaugeTransformation(spec, cat, components)
+    accs = {d: {} for d in range(2, up_to + 1)}
+    for r in range(1, up_to + 1):
+        _scatter(accs, second.table(r), blocks, alphabet, max(r, 2), up_to, longest)
+    return GaugeTransformation(spec, cat, {d: _entries(acc, cat, d, spec.characteristic)
+                                           for d, acc in accs.items()})
 
 
 def preset_gauge_G(spec: FieldSpec, cat) -> GaugeTransformation:
@@ -365,7 +361,7 @@ def weight_scale(mu: AInfStructure, *tables) -> int:
     """The lcm t of the denominators of mu's entries at arity >= 3 and of
     the tables' (1 over F_p): t^w * c is an integer for weights w >= 1."""
     tables += tuple(table for d, table in mu.tables.items() if d > 2)
-    return lcm(*{c.value.denominator for table in tables
+    return lcm(*{c.denominator for table in tables
                  for el in table.values() for c in el.terms.values()})
 
 
@@ -377,7 +373,7 @@ def _graded(tables: dict, t: Scalar, shift: int) -> dict:
     out = {}
     for d, table in tables.items():
         w = Fraction(t.value) ** (d - shift)  # mu^1 has weight -1
-        factor = t.spec.scalar(w.numerator, w.denominator)
+        factor = t.spec.scalar(w.numerator, w.denominator).value
         out[d] = {names: el.scale(factor) for names, el in table.items()}
     return out
 
@@ -412,8 +408,6 @@ def _mc_extend(spec: FieldSpec, m6: Scalar, m8: Scalar, order: int = 12) -> AInf
     cell and is raised as an internal inconsistency.  Obstructions are
     solved first (solve_cocycle); references are bracket-checked once.
     """
-    from .quiver import preset_A
-
     if spec.characteristic in (2, 3):
         raise ValueError("classification requires 6 invertible")
     base = preset_A(spec, order)
@@ -449,8 +443,6 @@ def _mc_extend(spec: FieldSpec, m6: Scalar, m8: Scalar, order: int = 12) -> AInf
 
 def dump_gauge(gauge: GaugeTransformation, truncation: int = 12) -> str:
     """Gauge tables in the algebra-definition grammar, sections G<d>."""
-    from .quiver import dump, format_element
-
     cat = gauge.cat
     sections = []
     for k in gauge.supports():
@@ -463,17 +455,15 @@ def dump_gauge(gauge: GaugeTransformation, truncation: int = 12) -> str:
 
 def load_gauge(text: str) -> GaugeTransformation:
     """Parse dump_gauge's format; a faulty row names its line."""
-    from .quiver import load_with_extras, parse_table
-
     shell, extras = load_with_extras(text)
-    components = {}
-    for name, rows in extras:
+    components, lines = {}, {}
+    for name, rows, head in extras:
         if not (name.startswith("G") and name[1:].isdigit()):
-            raise ValueError(f"unexpected section {name} in gauge file")
+            raise ValueError(f"line {head}: unexpected section {name} in gauge file")
         k = int(name[1:])
-        components[k] = parse_table(rows, k, name, shell.cat, shell.spec,
-                                    lambda names, el: _check_table(shell.cat, k, {names: el}))
-    return GaugeTransformation(shell.spec, shell.cat, components)
+        components[k] = parse_table(rows, k, name, shell.cat, shell.spec, lines)
+    with _entry_lines(lines):
+        return GaugeTransformation(shell.spec, shell.cat, components)
 
 
 def random_gauge(spec: FieldSpec, cat, rng, orders=(2, 3, 4),
@@ -579,7 +569,6 @@ def _contradiction_chain(cols, rows, matrix, b, spec):
     """Unit propagation over the rows of delta(nu) = mu6, scanning the
     four quotable equations first; returns the step list ending in a
     conflict (falls back to empty if propagation alone cannot reach one)."""
-    ops_zero = spec.zero()
     row_entries = {i: [] for i in range(len(rows))}
     for j, col in enumerate(matrix):
         for i, v in col.items():
@@ -593,30 +582,20 @@ def _contradiction_chain(cols, rows, matrix, b, spec):
         progress = False
         for i in scan:
             entries = row_entries[i]
-            rhs = Scalar(spec, b.get(i)) if b.get(i) else ops_zero
+            rhs = Scalar(spec, b.get(i, 0))
             unknown = [(j, c) for j, c in entries if j not in known]
             if len(unknown) > 1:
                 continue
-            acc = ops_zero
-            for j, c in entries:
-                if j in known:
-                    acc = acc + c * known[j]
+            acc = sum((c * known[j] for j, c in entries if j in known), Scalar(spec, 0))
+            terms = [(cols[j], c) for j, c in entries]
             if not unknown:
                 if acc != rhs:
-                    terms = [(cols[j], c) for j, c in entries]
-                    chain.append(
-                        CertificateStep(rows[i], rhs, terms, conflict=(acc, rhs))
-                    )
+                    chain.append(CertificateStep(rows[i], rhs, terms, conflict=(acc, rhs)))
                     return chain
                 continue
             j, c = unknown[0]
-            value = (rhs - acc) / c
-            if j in known:
-                continue
-            known[j] = value
-            terms = [(cols[jj], cc) for jj, cc in entries]
-            chain.append(CertificateStep(rows[i], rhs, terms,
-                                         forced=(cols[j], value)))
+            known[j] = value = (rhs - acc) / c
+            chain.append(CertificateStep(rows[i], rhs, terms, forced=(cols[j], value)))
             scan = [k for k in scan if k != i]
             progress = True
             break

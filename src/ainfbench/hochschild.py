@@ -22,13 +22,14 @@ obstruction check (at r = 5), which is how the sign convention is pinned.
 from __future__ import annotations
 
 from .linalg import Echelon, FieldOps, rank, solve
-from .quiver import AInfStructure, Element, ZERO, accumulate, splices
-from .scalars import FieldSpec, Scalar
+from .quiver import AInfStructure, Element, ZERO, accumulate, preset_A, splices
+from .scalars import FieldSpec, Scalar, canonical, field_mismatch
 
 
 class Cochain:
     """Sparse normalized cochain: table maps tuple keys (or object names at
-    r = 0) to Elements; absent keys mean zero."""
+    r = 0) to Elements of one field (else ValueError); absent keys mean
+    zero."""
 
     __slots__ = ("r", "s", "table")
 
@@ -36,6 +37,9 @@ class Cochain:
         self.r = r
         self.s = s
         self.table = {k: v for k, v in (table or {}).items() if not v.is_zero()}
+        fields = {v.p for v in self.table.values()}
+        if len(fields) > 1:
+            raise field_mismatch(*sorted(fields))
 
     @property
     def shifted_degree(self) -> int:
@@ -61,7 +65,8 @@ class Cochain:
     def __sub__(self, other: "Cochain") -> "Cochain":
         return self + (-other)
 
-    def scale(self, c: Scalar) -> "Cochain":
+    def scale(self, c) -> "Cochain":
+        """c * self for a raw value c of the field or a Scalar."""
         return Cochain(self.r, self.s, {k: v.scale(c) for k, v in self.table.items()})
 
     def __eq__(self, other):
@@ -108,7 +113,7 @@ def gerst_compose(phi: Cochain, psi: Cochain, alg: AInfStructure) -> Cochain:
     psi-key holding an identity component (as mu^2's do) is never read."""
     if phi.r < 1 or psi.r < 1:
         raise ValueError("circle product needs length >= 1 factors")
-    cat = alg.cat
+    cat, p = alg.cat, alg.spec.characteristic
     r_out = phi.r + psi.r - 1
     s_out = phi.s + psi.s
     sign_flip = psi.shifted_degree == 1
@@ -130,7 +135,7 @@ def gerst_compose(phi: Cochain, psi: Cochain, alg: AInfStructure) -> Cochain:
                            sign_flip and eps % 2)
             if n < r_out:
                 eps += degs[r_out - 1 - n] - 1
-        out[t] = Element(acc)
+        out[t] = Element(acc, p)
     return Cochain(r_out, s_out, out)
 
 
@@ -163,7 +168,7 @@ def coboundary(phi: Cochain, alg: AInfStructure) -> Cochain:
         if v is not None:
             accumulate(acc, mu2, (((g, a), c) for g, c in v.terms.items()),
                        flip_phi and (cat.deg(a) - 1) % 2)
-        out[(a,)] = Element(acc)
+        out[(a,)] = Element(acc, alg.spec.characteristic)
     return Cochain(1, phi.s, out)
 
 
@@ -208,17 +213,17 @@ def cochain_to_vector(phi: Cochain, basis) -> dict:
             i = index.get((key, g))
             if i is None:
                 raise ValueError(f"cochain entry ({key}, {g}) outside basis")
-            vec[i] = c.value
+            vec[i] = c
     return vec
 
 
 def vector_to_cochain(vec, basis, r: int, s: int, spec: FieldSpec) -> Cochain:
-    table: dict = {}
+    terms: dict = {}
     for i, (key, g) in enumerate(basis):
         v = vec.get(i) if isinstance(vec, dict) else vec[i]
         if v:
-            table[key] = table.get(key, ZERO) + Element.single(g, Scalar(spec, v))
-    return Cochain(r, s, table)
+            terms.setdefault(key, {})[g] = v
+    return Cochain(r, s, {key: Element(t, spec.characteristic) for key, t in terms.items()})
 
 
 def delta_matrix(alg: AInfStructure, r: int, s: int):
@@ -227,10 +232,10 @@ def delta_matrix(alg: AInfStructure, r: int, s: int):
     Returns (col_basis, row_basis, columns) with columns[j] a sparse dict
     {row index: raw value}.  Assembled row-wise from the three-term
     expansion of delta, independently of coboundary(), which brackets with
-    mu^2; the test suite checks the two against each other.
+    mu^2; the test suite checks the two against each other.  Entries are
+    summed raw and made canonical once, at the end.
     """
-    cat, spec = alg.cat, alg.spec
-    ops = FieldOps(spec)
+    cat = alg.cat
     col_basis = cochain_basis(alg, r, s)
     row_basis = cochain_basis(alg, r + 1, s)
     col_index = {b: i for i, b in enumerate(col_basis)}
@@ -240,12 +245,7 @@ def delta_matrix(alg: AInfStructure, r: int, s: int):
     mu2 = alg.tables[2]
 
     def add(j, i, value):
-        cell = columns[j]
-        new = ops.add(cell.get(i, ops.zero), value)
-        if new:
-            cell[i] = new
-        else:
-            cell.pop(i, None)
+        columns[j][i] = columns[j].get(i, 0) + value
 
     # A tuple without a row contributes nothing (every row_index lookup
     # below would miss), so only the row basis' tuples are walked, in order.
@@ -270,7 +270,7 @@ def delta_matrix(alg: AInfStructure, r: int, s: int):
                 for g, c in el.terms.items():
                     i = row_index.get((t, g))
                     if i is not None:
-                        add(j, i, ops.neg(c.value) if negate else c.value)
+                        add(j, i, -c if negate else c)
         if r >= 1:
             eps = 0
             for n in range(r):
@@ -287,16 +287,16 @@ def delta_matrix(alg: AInfStructure, r: int, s: int):
                                 continue
                             i = row_index.get((t, h))
                             if i is not None:
-                                add(j, i, ops.neg(c.value) if negate else c.value)
+                                add(j, i, -c if negate else c)
                 eps += degs[r - n] - 1
+    for j, col in enumerate(columns):  # one column at a time: no second matrix
+        columns[j] = canonical(col, alg.spec.characteristic)
     return col_basis, row_basis, columns
 
 
 def hh_bar(spec: FieldSpec, r_max: int, alg: AInfStructure = None):
     """Bigraded Hochschild cohomology dimensions via the normalized bar
     complex and exact Gaussian elimination: {(r, s): dim}, zeros omitted."""
-    from .quiver import preset_A
-
     alg = alg or preset_A(spec)
     ops = FieldOps(spec)
     dims = {}

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quiver import (AInfStructure, Element, QuiverCategory, ZERO, accumulate,
-                     format_element)
+from .quiver import (AInfStructure, Element, QuiverCategory, ZERO, accumulate, dump,
+                     format_element, preset_A, preset_C, tensor_terms)
 from .scalars import FieldSpec
 
 
 def _apply_linear(mapping: dict, el: Element) -> Element:
-    return Element(accumulate({}, mapping, el.terms.items()))
+    return Element(accumulate({}, mapping, el.terms.items()), el.p)
 
 
 @dataclass
@@ -69,8 +69,6 @@ def preset_splitting_C(spec: FieldSpec) -> SplittingData:
     """The rank-one splitting of preset_C: harmonic basis e0, e1, f0, f1,
     u -> u01, v -> v0 + v1; acyclic complement spanned by v1, v01 with
     homotopy T(v01) = -v1 and T = 0 elsewhere."""
-    from .quiver import preset_A, preset_C
-
     ambient = preset_C(spec)
     harmonic = preset_A(spec).cat
     one = spec.one()
@@ -104,8 +102,6 @@ class TransferResult:
     ambient_cat: QuiverCategory
 
     def dump(self) -> str:
-        from .quiver import dump
-
         sections = []
         cat = self.minimal.cat
         for d in sorted(self.iota):
@@ -146,16 +142,7 @@ def transfer(split: SplittingData, order: int) -> TransferResult:
     for g in cat.generators:
         iota[1][(g,)] = incl[g]
     mu: dict[int, dict] = {}
-
-    def blocks(d, names):
-        for m in range(1, d):
-            left = iota[d - m].get(names[: d - m])
-            if left is None or left.is_zero():
-                continue
-            right = iota[m].get(names[d - m:])
-            if right is None or right.is_zero():
-                continue
-            yield amb.evaluate_elements(2, [left, right])
+    mu2 = amb.tables.get(2, {})
 
     for d in range(2, order + 1):
         iota[d] = {}
@@ -164,9 +151,12 @@ def transfer(split: SplittingData, order: int) -> TransferResult:
         candidates = (left + right for m in range(1, d)
                       for left in iota[d - m] for right in iota[m])
         for names in cat.tuples_among(candidates, d, alphabet):
-            total = ZERO
-            for prod in blocks(d, names):
-                total = total + prod
+            acc = {}
+            for m in range(1, d):
+                left, right = iota[d - m].get(names[: d - m]), iota[m].get(names[d - m:])
+                if left is not None and right is not None:
+                    accumulate(acc, mu2, tensor_terms((left, right)))
+            total = Element(acc, spec.characteristic)
             if total.is_zero():
                 continue
             t_img = _apply_linear(homotopy, total)

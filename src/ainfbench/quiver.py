@@ -26,7 +26,9 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .scalars import FieldSpec, Scalar, parse_scalar
+from .linalg import FieldOps, rank
+from .scalars import (ZERO, Element, FieldSpec, accumulate, field_mismatch, parse_scalar,
+                      tensor_terms)
 
 
 @dataclass(frozen=True)
@@ -35,86 +37,6 @@ class Generator:
     source: str
     target: str
     degree: int
-
-
-class Element:
-    """Linear combination of generators sharing source, target and degree.
-
-    Zero coefficients are pruned on construction; the zero element is the
-    empty combination (its type is contextual).
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {g: c for g, c in (terms or {}).items() if c}
-
-    @staticmethod
-    def single(name: str, coeff: Scalar) -> "Element":
-        return Element({name: coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "Element") -> "Element":
-        out = dict(self.terms)
-        for g, c in other.terms.items():
-            s = out.get(g)
-            out[g] = s + c if s is not None else c
-        return Element(out)
-
-    def __neg__(self) -> "Element":
-        return Element({g: -c for g, c in self.terms.items()})
-
-    def __sub__(self, other: "Element") -> "Element":
-        return self + (-other)
-
-    def scale(self, c: Scalar) -> "Element":
-        if not c:
-            return Element()
-        return Element({g: v * c for g, v in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, Element) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self):
-        return f"Element({self.terms!r})"
-
-
-ZERO = Element()
-
-
-def accumulate(acc: dict, table: dict, pairs, negate: bool = False) -> dict:
-    """acc += (-1)^negate sum of c * table[key] over the (key, c) pairs.
-
-    The one evaluator of sparse tables: a key absent from the table
-    contributes nothing, and the sign is applied only on a hit.  Returns
-    acc, a {generator: Scalar} dict that may hold cancelled zeros (Element
-    prunes them)."""
-    for key, c in pairs:
-        val = table.get(key)
-        if val is None:
-            continue
-        for g, v in val.terms.items():
-            term = v * c
-            s = acc.get(g)
-            if negate:
-                acc[g] = s - term if s is not None else -term
-            else:
-                acc[g] = s + term if s is not None else term
-    return acc
-
-
-def tensor_terms(elements, one: Scalar) -> list:
-    """(key, coefficient) pairs of the tensor product of Elements, keys in
-    input order."""
-    pairs = [((), one)]
-    for el in elements:
-        pairs = [(key + (g,), c0 * c) for key, c0 in pairs for g, c in el.terms.items()]
-    return pairs
 
 
 def index_by_output(entries) -> dict:
@@ -252,22 +174,35 @@ class QuiverCategory:
         return sorted(el.terms.items(), key=lambda kv: self.order[kv[0]])
 
 
-def check_table(cat: QuiverCategory, label: str, table: dict, weight: int, arity: int):
-    """Each entry of a mu^d (weight 2) or g^k (weight 1) table has a
-    composable length-arity key of generators, and outputs of degree
-    |names| + weight - arity with the key's source and target."""
+class EntryError(ValueError):
+    """A table entry that check_table refuses, at key."""
+
+    def __init__(self, key, message: str):
+        super().__init__(message)
+        self.key = key
+
+
+def check_table(cat: QuiverCategory, label: str, table: dict, weight: int, arity: int,
+                p: int):
+    """Each entry of a mu^d (weight 2) or g^k (weight 1) table over the
+    field of characteristic p has a composable length-arity key of
+    generators, and outputs over that field of degree |names| + weight -
+    arity with the key's source and target; else EntryError."""
     gens = cat.generators
     for names, el in table.items():
         if len(names) != arity:
-            raise ValueError(f"arity-{arity} table holds tuple {names}")
+            raise EntryError(names, f"arity-{arity} table holds tuple {names}")
         if not all(map(gens.__contains__, names)) or not cat.composable(names):
-            raise ValueError(f"noncomposable {label} key {names}")
+            raise EntryError(names, f"noncomposable {label} key {names}")
+        if el.p != p:
+            raise EntryError(names, f"{label}{names}: {field_mismatch(el.p, p)}")
         want = sum(gens[n].degree for n in names) + weight - arity
         src, tgt = gens[names[-1]].source, gens[names[0]].target
         for g in el.terms:
             gen = gens[g]
             if gen.degree != want or gen.source != src or gen.target != tgt:
-                raise ValueError(f"{label}{names} -> {g}: expects degree {want}, {src}->{tgt}")
+                raise EntryError(names, f"{label}{names} -> {g}: expects degree {want}, "
+                                        f"{src}->{tgt}")
 
 
 class AInfStructure:
@@ -293,7 +228,7 @@ class AInfStructure:
         for d, table in self.tables.items():
             if not 1 <= d <= self.truncation:
                 raise ValueError(f"table arity {d} not in 1..{self.truncation}")
-            check_table(self.cat, f"mu^{d}", table, 2, d)
+            check_table(self.cat, f"mu^{d}", table, 2, d, self.spec.characteristic)
 
     def evaluate(self, d: int, names) -> Element:
         if d > self.truncation:
@@ -308,7 +243,7 @@ class AInfStructure:
         table = self.tables.get(d)
         if table is None:
             return ZERO
-        return Element(accumulate({}, table, tensor_terms(elements, self.spec.one())))
+        return Element(accumulate({}, table, tensor_terms(elements)), self.spec.characteristic)
 
     def present_arities(self):
         return sorted(d for d, t in self.tables.items() if t)
@@ -326,7 +261,8 @@ class AInfStructure:
         eps = [0] * (d + 1)
         for n in range(1, d + 1):
             eps[n] = eps[n - 1] + degs[d - n] - 1
-        acc = ZERO
+        acc = {}
+        get = acc.get
         tables = self.tables
         for m in self.present_arities():
             if m > d:
@@ -341,16 +277,18 @@ class AInfStructure:
                 inner = inner_table.get(window)
                 if inner is None:
                     continue
-                sign = -1 if eps[n] % 2 else 1
+                negate = eps[n] % 2
                 head = names[: d - n - m]
                 tail = names[d - n:]
                 for g, c in inner.terms.items():
                     val = outer.get(head + (g,) + tail)
                     if val is None:
                         continue
-                    coeff = c if sign > 0 else -c
-                    acc = acc + val.scale(coeff)
-        return acc
+                    if negate:
+                        c = -c
+                    for h, v in val.terms.items():
+                        acc[h] = get(h, 0) + v * c
+        return Element(acc, self.spec.characteristic)
 
     def ainf_check(self, up_to: int):
         """Violated (arity, tuple) pairs of the A-infinity relations over
@@ -393,8 +331,6 @@ class AInfStructure:
         Only meaningful for dg structures; used to confirm that a dg
         inclusion is a quasi-isomorphism by comparing dimension tables.
         """
-        from .linalg import FieldOps, rank
-
         cat, spec = self.cat, self.spec
         ops = FieldOps(spec)
         dims = {}
@@ -408,7 +344,7 @@ class AInfStructure:
                 rows = []
                 for n in names_from:
                     img = mu1.get((n,), ZERO)
-                    rows.append({idx[g]: c.value for g, c in img.terms.items()})
+                    rows.append({idx[g]: c for g, c in img.terms.items()})
                 return rank(rows, ops)
 
             below = by_slot.get((src, tgt, deg - 1), [])
@@ -472,15 +408,10 @@ def preset_A(spec: FieldSpec, truncation: int = 12) -> AInfStructure:
     return AInfStructure(spec, cat, truncation, {2: mu2})
 
 
-def _table(spec, cat, entries):
-    out = {}
-    for names, combo in entries:
-        el = ZERO
-        for coeff, g in combo:
-            el = el + Element.single(g, spec.scalar(*coeff) if isinstance(coeff, tuple)
-                                     else spec.scalar(coeff))
-        out[tuple(names)] = el
-    return out
+def _table(spec, entries):
+    """{key: Element} from (key, [(integer coefficient, generator)]) entries."""
+    return {tuple(names): Element({g: c for c, g in combo}, spec.characteristic)
+            for names, combo in entries}
 
 
 def preset_C(spec: FieldSpec, truncation: int = 12) -> AInfStructure:
@@ -502,11 +433,11 @@ def preset_C(spec: FieldSpec, truncation: int = 12) -> AInfStructure:
         ["a", "b"], gens,
         {"a": Element.single("e0", one), "b": Element.single("f0", one)},
     )
-    mu1 = _table(spec, cat, [
+    mu1 = _table(spec, [
         (("v0",), [(-1, "v01")]),
         (("v1",), [(1, "v01")]),
     ])
-    mu2 = _table(spec, cat, [
+    mu2 = _table(spec, [
         (("e0", "e0"), [(1, "e0")]),
         (("e0", "e1"), [(-1, "e1")]),
         (("e1", "e0"), [(1, "e1")]),
@@ -593,8 +524,8 @@ def preset_D(spec: FieldSpec, truncation: int = 12) -> AInfStructure:
         (("v0", "u01"), [(-1, "x01")]),
         (("u01", "v1"), [(1, "y01")]),
     ]
-    mu1 = _table(spec, cat, mu1_entries)
-    mu2 = _table(spec, cat, mu2_entries)
+    mu1 = _table(spec, mu1_entries)
+    mu2 = _table(spec, mu2_entries)
     return AInfStructure(spec, cat, truncation, {1: mu1, 2: mu2})
 
 
@@ -698,10 +629,12 @@ def _at_line(lineno: int):
         raise ValueError(f"line {lineno}: {exc}") from None
 
 
-def parse_table(rows, d: int, section: str, cat: QuiverCategory, spec: FieldSpec, check):
+def parse_table(rows, d: int, section: str, cat: QuiverCategory, spec: FieldSpec,
+                lines: dict) -> dict:
     """Rows 'a_d ... a_1 -> element', given as (row, line number) pairs, as
-    one arity-d table, each nonzero entry passed to check(names, element);
-    errors carry the offending line number."""
+    one arity-d table, each key's line recorded in lines; errors carry the
+    offending line number.  The constructor that takes the table checks
+    its entries, once, and _entry_lines names a bad entry's line."""
     table = {}
     for row, lineno in rows:
         with _at_line(lineno):
@@ -711,17 +644,24 @@ def parse_table(rows, d: int, section: str, cat: QuiverCategory, spec: FieldSpec
                 raise ValueError(f"tuple {names} has wrong arity for {section}")
             if names in table:
                 raise ValueError(f"tuple {names} given twice in {section}")
-            table[names] = el = parse_element(rhs, cat, spec)
-            if not el.is_zero():
-                check(names, el)
+            table[names] = parse_element(rhs, cat, spec)
+            lines[names] = lineno
     return table
+
+
+@contextmanager
+def _entry_lines(lines: dict):
+    """An EntryError of check_table named by the line of its key."""
+    try:
+        yield
+    except EntryError as exc:
+        raise ValueError(f"line {lines[exc.key]}: {exc}") from None
 
 
 def load_with_extras(text: str):
     """Parse the canonical format; unknown sections (IOTA*, G*) are returned
-    as (name, [(row, line number)]) for their own parsers.
-
-    Errors carry the offending line number."""
+    as (name, [(row, line number)], header line number) for their own
+    parsers.  Errors carry the offending line number."""
     sections = _split_sections(text)
     by_name = {name: rows for name, rows, _ in sections}
     try:
@@ -757,8 +697,7 @@ def load_with_extras(text: str):
             identities[obj] = parse_element(combo, cat, spec)
             QuiverCategory(objects, gens, identities)  # degree-0 endomorphisms
     cat = QuiverCategory(objects, gens, identities)
-    tables = {}
-    extras = []
+    tables, lines, extras = {}, {}, []
     for name, rows, head in sections:
         if name in _FIXED:
             continue
@@ -766,8 +705,8 @@ def load_with_extras(text: str):
             d = int(name[2:])
             if not 1 <= d <= truncation:
                 raise ValueError(f"line {head}: table arity {d} not in 1..{truncation}")
-            tables[d] = parse_table(rows, d, name, cat, spec, lambda names, el: check_table(
-                cat, f"mu^{d}", {names: el}, 2, d))
+            tables[d] = parse_table(rows, d, name, cat, spec, lines)
         else:
-            extras.append((name, rows))
-    return AInfStructure(spec, cat, truncation, tables), extras
+            extras.append((name, rows, head))
+    with _entry_lines(lines):
+        return AInfStructure(spec, cat, truncation, tables), extras

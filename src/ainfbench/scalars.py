@@ -1,15 +1,16 @@
-"""Exact field scalars: arbitrary-precision rationals and prime fields F_p.
+"""Exact field scalars over Q and F_p, and the linear combinations of
+them that every table holds (``Element``, evaluated by ``accumulate``).
 
-Every other module computes over one of these fields; no floating point
-anywhere.  Values are immutable and carry their field spec, so mixing
-fields is an error rather than a silent coercion.
-
-The raw value of a rational is canonical: a Python int when it is
-integral, otherwise a reduced Fraction with denominator > 1
-(``_rational``).  Integral values, which most values of the delta
-matrices and their eliminations are, then skip Fraction arithmetic.  The
-form matters only for speed: an int equals and hashes like the Fraction
-of the same value, so a non-canonical value is still computed exactly.
+No floating point anywhere.  A raw value has one canonical form: over Q
+an int when integral, else a reduced Fraction with denominator > 1
+(``_rational``), so integral values skip Fraction arithmetic; over F_p a
+residue in [0, p).  An int equals and hashes like the Fraction of its
+value, so the form matters only for speed.  Values are not checked per
+operation: Elements and linalg's columns hold raw values, their loops
+use plain + and *, and each sum is made canonical once (``canonical``);
+the field is checked where an Element, a table or a cochain is built.
+``Scalar``, a raw value with its field, serves the boundaries (parsing,
+public results) and refuses to mix fields.
 """
 
 from __future__ import annotations
@@ -18,12 +19,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 _MAX_PRIME = 2**63 - 1
-_UNIT_CACHE: dict = {}
 
 
 def _rational(v):
     """The canonical raw value of the rational v: an int when integral."""
     return v.numerator if v.denominator == 1 else v
+
+
+def canonical(values: dict, p: int) -> dict:
+    """The nonzero entries of a {key: raw value} dict, each in canonical
+    form: a residue mod p, or over Q (p = 0) ``_rational`` of it."""
+    if p:
+        return {k: r for k, v in values.items() if (r := v % p)}
+    return {k: _rational(v) for k, v in values.items() if v}
+
+
+def field_mismatch(*chars) -> ValueError:
+    """The error for values of the fields of these characteristics met."""
+    return ValueError("field mismatch: " + " vs ".join(str(FieldSpec(c)) for c in chars))
 
 
 def _is_prime(n: int) -> bool:
@@ -96,16 +109,10 @@ class FieldSpec:
         return Scalar(self, num * pow(d, p - 2, p) % p)
 
     def zero(self) -> "Scalar":
-        cached = _UNIT_CACHE.get(self)
-        if cached is None:
-            cached = _UNIT_CACHE[self] = (self.scalar(0), self.scalar(1))
-        return cached[0]
+        return self.scalar(0)
 
     def one(self) -> "Scalar":
-        cached = _UNIT_CACHE.get(self)
-        if cached is None:
-            cached = _UNIT_CACHE[self] = (self.scalar(0), self.scalar(1))
-        return cached[1]
+        return self.scalar(1)
 
 
 class Scalar:
@@ -119,51 +126,39 @@ class Scalar:
         self.spec = spec
         self.value = value
 
-    def _check(self, other: "Scalar"):
+    def _of(self, other: "Scalar", v) -> "Scalar":
+        """v, computed from self and other, canonical in their field."""
         if self.spec != other.spec:
-            raise ValueError(f"field mismatch: {self.spec} vs {other.spec}")
+            raise field_mismatch(self.spec.characteristic, other.spec.characteristic)
+        p = self.spec.characteristic
+        return Scalar(self.spec, v % p if p else _rational(v))
 
     def __add__(self, other):
-        self._check(other)
-        p = self.spec.characteristic
-        v = self.value + other.value
-        return Scalar(self.spec, v % p if p else _rational(v))
+        return self._of(other, self.value + other.value)
 
     def __sub__(self, other):
-        self._check(other)
-        p = self.spec.characteristic
-        v = self.value - other.value
-        return Scalar(self.spec, v % p if p else _rational(v))
+        return self._of(other, self.value - other.value)
 
     def __mul__(self, other):
-        self._check(other)
-        p = self.spec.characteristic
-        v = self.value * other.value
-        return Scalar(self.spec, v % p if p else _rational(v))
+        return self._of(other, self.value * other.value)
 
     def __truediv__(self, other):
-        self._check(other)
         if not other:
             raise ZeroDivisionError("division by zero")
-        p = self.spec.characteristic
-        if p == 0:
-            # Fraction(a, b), not a / b: int / int would be a float
-            return Scalar(self.spec, _rational(Fraction(self.value, other.value)))
-        return Scalar(self.spec, self.value * pow(other.value, p - 2, p) % p)
+        p = other.spec.characteristic
+        # Fraction(1, b), not 1 / b: 1 / int would be a float
+        return self * Scalar(other.spec, pow(other.value, p - 2, p) if p
+                             else Fraction(1, other.value))
 
     def __neg__(self):
-        p = self.spec.characteristic
-        return Scalar(self.spec, -self.value % p if p else -self.value)
+        return self._of(self, -self.value)
 
     def __bool__(self):
         return self.value != 0
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Scalar)
-            and self.spec == other.spec
-            and self.value == other.value
-        )
+        return (isinstance(other, Scalar)
+                and (self.spec, self.value) == (other.spec, other.value))
 
     def __hash__(self):
         return hash((self.spec, self.value))
@@ -212,3 +207,102 @@ def _parse_int(s: str) -> int:
     if not body.isdigit():
         raise ValueError(f"malformed scalar literal {s!r}")
     return int(s)
+
+
+class Element:
+    """Linear combination of generators sharing source, target and degree.
+
+    terms maps generators to canonical raw values, as linalg's columns
+    hold them; p is the field's characteristic, 0 for Q.  The
+    constructor prunes zeros and canonicalizes, so a loop sums raw
+    products with plain + and * and canonicalizes once, building the
+    Element.  Scalars are unwrapped and give p; two fields, in the terms
+    or in an operation, raise ValueError.  The zero element is the empty
+    combination; its field is contextual.
+    """
+
+    __slots__ = ("terms", "p")
+
+    def __init__(self, terms=None, p: int = None):
+        if terms and any(type(c) is Scalar for c in terms.values()):
+            chars = {c.spec.characteristic for c in terms.values() if type(c) is Scalar}
+            if len(chars) > 1 or p not in (None, *chars):
+                raise field_mismatch(*sorted(chars | {p} - {None}))
+            (p,) = chars
+            terms = {g: c.value if type(c) is Scalar else c for g, c in terms.items()}
+        self.p = p = p or 0
+        self.terms = canonical(terms, p) if terms else {}
+
+    @staticmethod
+    def single(name: str, coeff, p: int = None) -> "Element":
+        return Element({name: coeff}, p)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _field(self, other: "Element") -> int:
+        """The characteristic of both: the zero element takes the other's."""
+        if self.p != other.p and self.terms and other.terms:
+            raise field_mismatch(self.p, other.p)
+        return self.p if self.terms else other.p
+
+    def __add__(self, other: "Element") -> "Element":
+        out = dict(self.terms)
+        for g, c in other.terms.items():
+            out[g] = out.get(g, 0) + c
+        return Element(out, self._field(other))
+
+    def __neg__(self) -> "Element":
+        return Element({g: -c for g, c in self.terms.items()}, self.p)
+
+    def __sub__(self, other: "Element") -> "Element":
+        return self + (-other)
+
+    def scale(self, c) -> "Element":
+        """c * self for a raw value c of the field or a Scalar."""
+        p = self.p
+        if type(c) is Scalar:
+            p, c = self._field(Element.single(None, c)), c.value
+        return Element({g: v * c for g, v in self.terms.items()}, p)
+
+    def __eq__(self, other):
+        return (isinstance(other, Element) and self.terms == other.terms
+                and (self.p == other.p or not self.terms))
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __repr__(self):
+        return f"Element({self.terms!r}{f', p={self.p}' if self.p else ''})"
+
+
+ZERO = Element()
+
+
+def accumulate(acc: dict, table: dict, pairs, negate: bool = False) -> dict:
+    """acc += (-1)^negate sum of c * table[key] over the (key, c) pairs.
+
+    The one evaluator of sparse tables: a key absent from the table
+    contributes nothing, and the sign is applied only on a hit.  Raw
+    values, plain + and *: returns acc, a {generator: raw value} dict of
+    sums that are not canonical and may be zero (Element(acc, p) makes
+    them canonical and prunes them)."""
+    get = acc.get
+    for key, c in pairs:
+        val = table.get(key)
+        if val is None:
+            continue
+        if negate:
+            c = -c
+        for g, v in val.terms.items():
+            acc[g] = get(g, 0) + v * c
+    return acc
+
+
+def tensor_terms(elements) -> list:
+    """(key, coefficient) pairs of the tensor product of Elements, keys in
+    input order; raw products, not canonical."""
+    pairs = [((), 1)]
+    for el in elements:
+        pairs = [(key + (g,), c0 * c) for key, c0 in pairs for g, c in el.terms.items()]
+    return pairs

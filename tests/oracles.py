@@ -81,7 +81,6 @@ def _blocks(gauge, comp, t):
 def gauge_apply(gauge, mu, order=None):
     order = order or mu.truncation
     spec, cat = mu.spec, mu.cat
-    one = spec.one()
     new_tables = {2: dict(mu.tables[2])}
     parts = tuple([1] + gauge.supports())
     gens = cat.nonidentity_generators()
@@ -116,8 +115,8 @@ def gauge_apply(gauge, mu, order=None):
                     continue
                 blocks = _blocks(gauge, comp, t)
                 if blocks is not None:
-                    accumulate(acc, mu_r, tensor_terms(blocks, one), True)
-            el = Element(acc)
+                    accumulate(acc, mu_r, tensor_terms(blocks), True)
+            el = Element(acc, spec.characteristic)
             if not el.is_zero():
                 table[t] = el
         if table:
@@ -130,7 +129,6 @@ def gauge_compose(second, first, up_to=12):
     parts = tuple(sorted({1, *first.supports()}))
     components = {}
     gens = cat.nonidentity_generators()
-    one = spec.one()
     for d in range(2, up_to + 1):
         table = {}
         for t in cat.tuples(d, gens):
@@ -141,8 +139,8 @@ def gauge_compose(second, first, up_to=12):
                     continue
                 blocks = _blocks(first, comp, t)
                 if blocks is not None:
-                    accumulate(acc, second_r, tensor_terms(blocks, one))
-            el = Element(acc)
+                    accumulate(acc, second_r, tensor_terms(blocks))
+            el = Element(acc, spec.characteristic)
             if not el.is_zero():
                 table[t] = el
         if table:
@@ -169,7 +167,7 @@ def gerst_compose(phi, psi, alg):
                            sign_flip and eps % 2)
             if n < r_out:
                 eps += degs[r_out - 1 - n] - 1
-        el = Element(acc)
+        el = Element(acc, alg.spec.characteristic)
         if not el.is_zero():
             out[t] = el
     return Cochain(r_out, phi.s + psi.s, out)
@@ -232,7 +230,7 @@ def delta_matrix(alg, r, s):
                 for g, c in el.terms.items():
                     i = row_index.get((t, g))
                     if i is not None:
-                        add(j, i, ops.neg(c.value) if negate else c.value)
+                        add(j, i, ops.neg(c) if negate else c)
         if r >= 1:
             eps = 0
             for n in range(r):
@@ -249,7 +247,7 @@ def delta_matrix(alg, r, s):
                                 continue
                             i = row_index.get((t, h))
                             if i is not None:
-                                add(j, i, ops.neg(c.value) if negate else c.value)
+                                add(j, i, ops.neg(c) if negate else c)
                 eps += degs[r - n] - 1
     return col_basis, row_basis, columns
 
@@ -433,10 +431,9 @@ def fraction_reduce(self, col):
 def fraction_values(mp):
     """Within the monkeypatch context mp, run the program with every Q
     value a Fraction: scalars, FieldOps at each module that binds it, and
-    Echelon's reduction; the unit and reference caches start empty, so no
-    value made before is reused."""
+    Echelon's reduction; the reference caches start empty, so no value
+    made before is reused."""
     mp.setattr(scalars, "_rational", Fraction)
-    mp.setattr(scalars, "_UNIT_CACHE", {})
     mp.setattr(hochschild, "_REFERENCES", {})
     mp.setattr(hochschild, "_SQUARES_ZERO", {})
     for mod in (linalg, hochschild, skoldberg):

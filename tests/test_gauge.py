@@ -178,6 +178,66 @@ def test_gauge_compose_matches_brute_force(Q, model8):
         assert oracles.ordered(got) == oracles.ordered(want)
 
 
+@pytest.fixture(scope="module", params=[5, 7], ids=["F5", "F7"])
+def prime_bases(request):
+    """The field F_p, transfer(., 8) and mc_extend(., 1/2, -2/3, 8) over it."""
+    F = FieldSpec(request.param)
+    return (F, transfer(preset_splitting_C(F), 8).minimal,
+            mc_extend(F, F.scalar(1, 2), F.scalar(-2, 3), 8))
+
+
+def _residues(tables, p):
+    """Every Element of the tables is over F_p, its values in [0, p)."""
+    return all(el.p == p and all(type(c) is int and 0 <= c < p for c in el.terms.values())
+               for table in tables.values() for el in table.values())
+
+
+def test_gauge_apply_matches_brute_force_over_prime_fields(prime_bases):
+    # a missed reduction mod p in the raw loops shows as a value outside
+    # [0, p) or an Element of the wrong field, which the oracle has not
+    F, B, mc = prime_bases
+    for name, base in (("B", B), ("mc", mc)):
+        for i, g in enumerate(_oracle_gauges(F, base.cat)):
+            got = gauge_apply(g, base, 8).tables
+            assert oracles.ordered(got) == oracles.ordered(
+                oracles.gauge_apply(g, base, 8).tables), (name, i)
+            assert _residues(got, F.characteristic), (name, i)
+    assert [g.supports() for g in _oracle_gauges(F, B.cat)][2:] == [[2, 3, 4]] * 4
+
+
+def test_kill_orders_steps_match_brute_force_over_prime_fields(prime_bases):
+    F, B, _ = prime_bases
+    steps, fixed = kill_orders(B, (3, 4, 5))
+    want = B
+    for step in steps:
+        want = oracles.gauge_apply(step, want, 8)
+    assert [s.supports() for s in steps] == [[2], [3], [4]]
+    assert oracles.ordered(fixed.tables) == oracles.ordered(want.tables)
+    assert _residues(fixed.tables, F.characteristic)
+
+
+def test_gauge_compose_matches_brute_force_over_prime_fields(prime_bases):
+    F, B, _ = prime_bases
+    g1 = random_gauge(F, B.cat, random.Random(41), orders=(2, 3))
+    g2 = random_gauge(F, B.cat, random.Random(42), orders=(2, 4))
+    g3 = random_gauge(F, B.cat, random.Random(43))
+    for second, first in ((g2, g1), (g1, g3), (g3, g2)):
+        got = gauge_compose(second, first, 8).components
+        assert oracles.ordered(got) == oracles.ordered(
+            oracles.gauge_compose(second, first, 8).components)
+        assert _residues(got, F.characteristic)
+
+
+def test_gauge_apply_matches_brute_force_at_order_9(Q, gh_models):
+    # each mu_new^r key is scattered into every arity r+1..9 in one pass
+    B = gh_models[0]
+    g = random_gauge(Q, B.cat, random.Random(9))
+    assert g.supports() == [2, 3, 4] and B.truncation == 9
+    got = gauge_apply(g, B, 9).tables
+    assert 9 in got
+    assert oracles.ordered(got) == oracles.ordered(oracles.gauge_apply(g, B, 9).tables)
+
+
 @given(seed=st.integers(0, 2**32 - 1), density=st.sampled_from((0.1, 0.35, 0.6)),
        orders=st.sampled_from(((2,), (3,), (2, 3), (2, 4), (2, 3, 4))))
 def test_gauge_apply_property(Q, model8, seed, density, orders):
@@ -713,12 +773,23 @@ def test_gauge_load_rejects_repeats_and_header_text(Q, model8):
             load_gauge("\n".join(edited) + "\n")
 
 
+def test_gauge_load_names_the_line_of_a_stray_section(Q, model8):
+    # an IOTA section, valid in an .alg file, was refused with no line
+    from ainfbench.gauge import dump_gauge, load_gauge
+
+    lines = dump_gauge(preset_gauge_G(Q, model8.minimal.cat)).splitlines()
+    text = "\n".join(lines + ["IOTA2", "u e1 -> 1*u"]) + "\n"
+    with pytest.raises(ValueError, match=rf"^line {len(lines) + 1}: "
+                                         r"unexpected section IOTA2 in gauge file$"):
+        load_gauge(text)
+
+
 # -- the weight grading: entry points on integers ------------------------------
 
 def _exact(tables):
     """Tables as nested lists: the order of the arities, of the keys and of
     each Element's terms, and each raw value with its type."""
-    return [(d, [(key, [(g, c.value, type(c.value)) for g, c in el.terms.items()])
+    return [(d, [(key, [(g, c, type(c)) for g, c in el.terms.items()])
                  for key, el in table.items()]) for d, table in tables.items()]
 
 

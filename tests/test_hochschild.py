@@ -201,7 +201,9 @@ def test_reference_cache_is_keyed_by_content(Q, model8, fresh_references):
     F5 = FieldSpec(5)
     ref5 = reference_cocycle(preset_A(F5), 6, -4)
     assert len(fresh_references._REFERENCES) == 2
-    assert all(c.spec == F5 for el in ref5.table.values() for c in el.terms.values())
+    assert ref5.table and all(el.p == 5 for el in ref5.table.values())
+    assert all(type(c) is int and 0 <= c < 5 for el in ref5.table.values()
+               for c in el.terms.values())
 
 
 def test_reference_cache_survives_caller_mutation(Q, fresh_references):

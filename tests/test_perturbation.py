@@ -110,7 +110,7 @@ def test_dump_includes_iota_sections(Q):
     text = res.dump()
     assert "IOTA2" in text and "IOTA4" in text
     struct, extras = load_with_extras(text)
-    names = [name for name, _ in extras]
+    names = [name for name, _, _ in extras]
     assert names == ["IOTA2", "IOTA3", "IOTA4"]
 
 

@@ -1,12 +1,16 @@
 import itertools
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ainfbench.gauge import gauge_apply, preset_gauge_G
+from ainfbench import gauge as gauge_mod, quiver
+from ainfbench.gauge import (GaugeTransformation, dump_gauge, gauge_apply, load_gauge,
+                             mc_extend, preset_gauge_G, random_gauge)
+from ainfbench.hochschild import Cochain
 from ainfbench.quiver import (AInfStructure, Element, Generator, QuiverCategory,
                               dump, load, preset_A, preset_C, preset_D)
 from ainfbench.scalars import FieldSpec
@@ -371,3 +375,64 @@ def test_mutated_alg_raises_only_a_value_error_naming_a_line(text):
         load(text)
     except ValueError as exc:
         assert re.match(r"^line \d+: ", str(exc)), str(exc)
+
+
+# -- raw values: the field is checked where a value is stored -------------------
+
+def test_elements_hold_raw_values_of_their_field(Q):
+    F5 = FieldSpec(5)
+    el = Element({"u": F5.scalar(-1), "v": F5.scalar(1, 2)})
+    assert (el.p, el.terms) == (5, {"u": 4, "v": 3})
+    assert Element({"u": -1, "v": 8}, 5) == el - Element.single("v", 5, 5) + Element()
+    assert Element({"u": Q.scalar(1, 2), "v": Q.scalar(4, 2)}).terms == {
+        "u": Q.scalar(1, 2).value, "v": 2}
+    assert type(Element({"v": Q.scalar(4, 2)}).terms["v"]) is int
+    assert el.scale(F5.scalar(2)).terms == {"u": 3, "v": 1}
+    # equal raw values of two fields are two different Elements
+    assert Element.single("u", 1, 5) != Element.single("u", 1)
+    assert Element({}, 5) == Element()
+
+
+def test_elements_of_two_fields_do_not_mix(Q):
+    F5 = FieldSpec(5)
+    x, y = Element.single("u", Q.one()), Element.single("u", F5.one())
+    for op in (lambda: x + y, lambda: y - x, lambda: x.scale(F5.scalar(2)),
+               lambda: Element({"u": Q.one(), "v": F5.one()}),
+               lambda: Element({"u": F5.one()}, 7)):
+        with pytest.raises(ValueError, match="^field mismatch: "):
+            op()
+    # the zero element is the zero of every field
+    assert x + Element({}, 5) == x and (Element() + y).p == 5
+
+
+def test_tables_and_cochains_refuse_an_entry_of_another_field(Q):
+    F5 = FieldSpec(5)
+    A = preset_A(Q, 4)
+    foreign = Element.single("e1", F5.one())
+    with pytest.raises(ValueError, match=r"^mu\^2\('e0', 'e1'\): field mismatch: F5 vs Q$"):
+        AInfStructure(Q, A.cat, 4, {2: {**A.tables[2], ("e0", "e1"): foreign}})
+    with pytest.raises(ValueError, match=r"^g\^2\('e1', 'e1'\): field mismatch: F5 vs Q$"):
+        GaugeTransformation(Q, A.cat, {2: {("e1", "e1"): foreign}})
+    with pytest.raises(ValueError, match="^field mismatch: Q vs F5$"):
+        Cochain(2, -1, {("e1", "e1"): Element.single("e1", Q.one()), ("f1", "f1"): foreign})
+    assert Cochain(2, -1, {("e1", "e1"): foreign}).table == {("e1", "e1"): foreign}
+
+
+def test_each_loaded_entry_is_checked_once(Q, monkeypatch):
+    # the rows were checked as they were parsed and again by the
+    # constructor, which now alone checks them and names a bad row's line
+    text = dump(mc_extend(Q, Q.scalar(1, 2), Q.scalar(-2, 3), 10))
+    gauge_text = dump_gauge(random_gauge(Q, preset_A(Q).cat, random.Random(1)))
+    checked = Counter()
+    for mod in (quiver, gauge_mod):
+        check = mod.check_table
+
+        def counted(cat, label, table, *args, check=check):
+            checked.update((label, key) for key in table)
+            return check(cat, label, table, *args)
+
+        monkeypatch.setattr(mod, "check_table", counted)
+    struct, gauge = load(text), load_gauge(gauge_text)
+    entries = [t for tables in (struct.tables, gauge.components) for t in tables.values()]
+    assert sum(map(len, entries)) == len(checked) > 100
+    assert set(checked.values()) == {1}

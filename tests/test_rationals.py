@@ -24,22 +24,24 @@ def canonical(v) -> bool:
     return type(v) is int or (type(v) is Fraction and v.denominator > 1)
 
 
-def scalars_of(obj):
-    """Every Scalar in a structure's tables, a cochain or an invariant."""
+def values_of(obj):
+    """Every raw value in a structure's tables, a cochain or an invariant
+    (a Scalar), each table value from an Element over Q."""
     if isinstance(obj, Scalar):
-        yield obj
+        yield obj.value
         return
     tables = getattr(obj, "tables", None)
     if tables is None:
         tables = {0: obj.table}
     for table in tables.values():
         for el in table.values():
+            assert el.p == 0
             yield from el.terms.values()
 
 
-def invariant_scalars(inv):
+def invariant_values(inv):
     for part in (inv.m6, inv.m8, inv.reference6, inv.reference8):
-        yield from scalars_of(part)
+        yield from values_of(part)
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +103,8 @@ def classify_run():
 
 def test_classify_pipeline_holds_only_canonical_values(classify_run):
     mc, mc_inv, moved, moved_inv = classify_run
-    values = [c.value for c in scalars_of(mc)] + [c.value for c in scalars_of(moved)]
-    values += [c.value for inv in (mc_inv, moved_inv) for c in invariant_scalars(inv)]
+    values = list(values_of(mc)) + list(values_of(moved))
+    values += [v for inv in (mc_inv, moved_inv) for v in invariant_values(inv)]
     assert all(canonical(v) for v in values)
     # both kinds occur, so the check reads both branches
     assert any(type(v) is int for v in values)
@@ -189,6 +191,6 @@ def test_pipelines_equal_fraction_oracle(monkeypatch, classify_run):
     assert (inv_f.m6, inv_f.m8, inv_f.reference6, inv_f.reference8) == (
         moved_inv.m6, moved_inv.m8, moved_inv.reference6, moved_inv.reference8)
     # the oracle run held every Q value as a Fraction
-    values = [c.value for c in scalars_of(mc_f)]
-    values += [c.value for c in invariant_scalars(inv_f)]
+    values = list(values_of(mc_f)) + list(values_of(moved_f))
+    values += list(invariant_values(inv_f))
     assert values and all(type(v) is Fraction for v in values)
