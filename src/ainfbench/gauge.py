@@ -40,16 +40,16 @@ from fractions import Fraction
 from math import lcm
 
 from .hochschild import (
+    Cell,
     Cochain,
     class_coordinate,
-    coboundary,
     cochain_basis,
-    delta_squares_to_zero,
+    cochain_to_vector,
     gerst_compose,
     is_coboundary,
     mu_cochain,
     reference_cocycle,
-    solve_cocycle,
+    solve_first,
 )
 from .quiver import (AInfStructure, Element, EntryError, ZERO, _entry_lines, accumulate,
                      check_table, dump, format_element, index_by_output, load_with_extras,
@@ -247,7 +247,7 @@ def kill_orders(mu: AInfStructure, orders, order: int = None):
     """Gauge away the listed arities (processed ascending).
 
     Each targeted mu^d must be a cocycle (else ValueError, solve first:
-    solve_cocycle) whose class vanishes; otherwise ObstructionError
+    solve_first) whose class vanishes; otherwise ObstructionError
     reports the nonzero coordinate.  An arity outside 3..order raises
     ValueError (check_orders).  Returns (the list of elementary gauge
     steps, normalized structure); ``gauge_compose`` folds the steps into
@@ -260,11 +260,12 @@ def kill_orders(mu: AInfStructure, orders, order: int = None):
         phi = mu_cochain(current, d)
         if phi.is_zero():
             continue
-        _, nu = solve_cocycle(phi, current, ValueError(
-            f"mu^{d} is not a cocycle; lower orders unkilled?"))
+        nu = solve_first(phi, current, ValueError(
+            f"mu^{d} is not a cocycle; lower orders unkilled?"),
+            lambda: Cell(current, phi.r, phi.s).primitive(phi))
         if nu is None:
             try:
-                coord = class_coordinate(phi, reference_cocycle(current, d, 2 - d), current)
+                coord = class_coordinate(phi, current)
             except ValueError:
                 coord = None
             raise ObstructionError(d, coord)
@@ -336,25 +337,12 @@ def _extract_invariants(mu: AInfStructure) -> DeformationClass:
 
 def _invariant(alg: AInfStructure, d: int):
     """(reference, class coordinate) of mu^d, which must be a cocycle
-    (AssertionError).  A feasible solve phi - c * ref = delta(nu) proves
-    it, as delta^2 = 0 (delta_squares_to_zero) and ref is a cocycle
-    (reference_cocycle); the bracket runs only if that fails, or first if
-    delta^2 != 0."""
+    (AssertionError), solve first (solve_first): the re-checked primitive
+    of mu^d - c * reference proves it."""
     phi = mu_cochain(alg, d)
-
-    def read():
-        ref = reference_cocycle(alg, d, 2 - d)
-        return ref, (class_coordinate(phi, ref, alg) if not phi.is_zero()
-                     else alg.spec.zero())
-
-    if delta_squares_to_zero(alg):
-        try:
-            return read()
-        except ValueError:
-            pass
-    if not coboundary(phi, alg).is_zero():
-        raise AssertionError(f"mu^{d} failed to be a cocycle after gauge fixing")
-    return read()
+    m = solve_first(phi, alg, AssertionError(f"mu^{d} failed to be a cocycle after gauge fixing"),
+                    lambda: class_coordinate(phi, alg))
+    return reference_cocycle(alg, d, 2 - d), m
 
 
 def weight_scale(mu: AInfStructure, *tables) -> int:
@@ -406,7 +394,7 @@ def _mc_extend(spec: FieldSpec, m6: Scalar, m8: Scalar, order: int = 12) -> AInf
     right-hand side is the arity-(d+1) component of the relations.  A
     failure to solve would contradict the vanishing of the relevant HH
     cell and is raised as an internal inconsistency.  Obstructions are
-    solved first (solve_cocycle); references are bracket-checked once.
+    solved first (solve_first); references are bracket-checked once.
     """
     if spec.characteristic in (2, 3):
         raise ValueError("classification requires 6 invertible")
@@ -429,8 +417,9 @@ def _mc_extend(spec: FieldSpec, m6: Scalar, m8: Scalar, order: int = 12) -> AInf
         elif obstruction is None:
             phi = Cochain(d, 2 - d)
         else:
-            _, phi = solve_cocycle(obstruction, base, AssertionError(
-                f"order-{d} obstruction is not a cocycle"))
+            phi = solve_first(obstruction, base, AssertionError(
+                f"order-{d} obstruction is not a cocycle"),
+                lambda: Cell(base, obstruction.r, obstruction.s).primitive(obstruction))
             if phi is None:
                 raise AssertionError(
                     f"order-{d} obstruction not a coboundary: HH cell should vanish"
@@ -551,17 +540,18 @@ _PAPER_WITNESSES = (
 def m6_certificate(mu6: Cochain, alg: AInfStructure) -> M6Certificate:
     """Decide [mu6] = 0 by an exact solve; on infeasibility emit both the
     rank certificate and a forced-value chain ending in a contradiction.
-    Solve first (solve_cocycle)."""
-    system, nu = solve_cocycle(mu6, alg, ValueError("mu6 is not a cocycle"))
+    Solve first (solve_first)."""
+    cell = Cell(alg, mu6.r, mu6.s)
+    nu = solve_first(mu6, alg, ValueError("mu6 is not a cocycle"), lambda: cell.primitive(mu6))
     spec = alg.spec
     scaled = mu6.scale(spec.scalar(144))
     witnesses = [(t, scaled.value(t)) for t, _ in _PAPER_WITNESSES]
-    rank_a, rank_ab = system.ranks()
+    rank_a, rank_ab = cell.ranks(mu6)
     if nu is not None:
         return M6Certificate(False, rank_a, rank_ab, witnesses, [], nu)
 
-    chain = _contradiction_chain(system.cols, system.rows, system.matrix,
-                                 system.b, spec)
+    chain = _contradiction_chain(cell.cols, cell.rows, cell.matrix,
+                                 cochain_to_vector(mu6, cell.rows), spec)
     return M6Certificate(True, rank_a, rank_ab, witnesses, chain)
 
 

@@ -21,7 +21,7 @@ obstruction check (at r = 5), which is how the sign convention is pinned.
 
 from __future__ import annotations
 
-from .linalg import Echelon, FieldOps, rank, solve
+from .linalg import Echelon, FieldOps, rank
 from .quiver import AInfStructure, Element, ZERO, accumulate, preset_A, splices
 from .scalars import FieldSpec, Scalar, canonical, field_mismatch
 
@@ -329,74 +329,98 @@ def _check_solution(columns, x, b, ops) -> None:
         raise AssertionError("the solve's answer fails its own system")
 
 
-class CoboundarySystem:
-    """The system delta(nu) = phi in the deterministic bases, factored once.
+class Cell:
+    """The HH cell at (r, s), factored once: cols, rows and matrix are
+    delta_matrix(alg, r-1, s) and echelon their Echelon, which every answer
+    about a cochain phi at (r, s) reads."""
 
-    cols and rows are the bases of CC(r-1, s) and CC(r, s), matrix the
-    delta matrix between them, b the vector of phi and echelon the one
-    factorization that the primitive and both ranks read."""
-
-    def __init__(self, phi: Cochain, alg: AInfStructure):
-        self.r, self.s, self.spec = phi.r, phi.s, alg.spec
-        self.cols, self.rows, self.matrix = delta_matrix(alg, phi.r - 1, phi.s)
-        self.b = cochain_to_vector(phi, self.rows)
+    def __init__(self, alg: AInfStructure, r: int, s: int):
+        self.alg, self.r, self.s = alg, r, s
+        self.cols, self.rows, self.matrix = delta_matrix(alg, r - 1, s)
         self.echelon = Echelon(self.matrix, FieldOps(alg.spec), len(self.cols))
+        self._reference = None
 
-    def primitive(self):
+    def primitive(self, phi: Cochain):
         """The deterministic nu with delta(nu) = phi, re-checked, or None."""
-        x = self.echelon.solve(self.b)
+        b = cochain_to_vector(phi, self.rows)
+        x = self.echelon.solve(b)
         if x is None:
             return None
-        _check_solution(self.matrix, x, self.b, self.echelon.ops)
-        return vector_to_cochain(x, self.cols, self.r - 1, self.s, self.spec)
+        _check_solution(self.matrix, x, b, self.echelon.ops)
+        return vector_to_cochain(x, self.cols, self.r - 1, self.s, self.alg.spec)
 
-    def ranks(self):
-        """(rank A, rank [A|b]); unequal ranks certify that phi is not a
-        coboundary."""
-        rank_a = self.echelon.rank
-        return rank_a, rank_a + (0 if self.echelon.contains(self.b) else 1)
+    def ranks(self, phi: Cochain):
+        """(rank A, rank [A|phi]); unequal, they certify phi no coboundary."""
+        rank_a, b = self.echelon.rank, cochain_to_vector(phi, self.rows)
+        return rank_a, rank_a + (0 if self.echelon.contains(b) else 1)
+
+    def reference(self) -> Cochain:
+        """First deterministic cocycle whose class is nonzero, as a fresh
+        Cochain: the kernel of delta at (r, s) is back-substituted lazily,
+        in order, until a vector leaves the image; it is bracket-checked once."""
+        if self._reference is None:
+            alg, r, s = self.alg, self.r, self.s
+            cols, _, matrix = delta_matrix(alg, r, s)
+            for vec in Echelon(matrix, self.echelon.ops, len(cols)).kernel():
+                residual = self.echelon.residual({i: v for i, v in enumerate(vec) if v})
+                if residual:
+                    break
+            else:
+                raise ValueError(f"HH at (r={r}, s={s}) vanishes; no reference cocycle")
+            ref = vector_to_cochain(vec, cols, r, s, alg.spec)
+            if not coboundary(ref, alg).is_zero():
+                raise ValueError(f"prescribed order-{r} cochain is not a cocycle")
+            self._row = min(residual)
+            self._reference, self._ref_value = ref, residual[self._row]
+        return Cochain(self.r, self.s, self._reference.table)
+
+    def coordinate(self, phi: Cochain) -> Scalar:
+        """c with phi = c * reference + delta(nu) in a 1-dimensional cell.
+        Residuals are linear and vanish on the image, so c is the ratio of
+        phi's and the reference's at one row; the re-checked primitive of
+        phi - c * reference proves it (ValueError if there is none)."""
+        ref, ops = self.reference(), self.echelon.ops
+        at = self.echelon.residual(cochain_to_vector(phi, self.rows)).get(self._row, 0)
+        c = ops.div(at, self._ref_value)
+        if self.primitive(phi - ref.scale(c)) is None:
+            raise ValueError("phi is not cohomologous to a multiple of the reference")
+        return Scalar(self.alg.spec, c)
 
 
-def solve_cocycle(phi: Cochain, alg: AInfStructure, not_cocycle: Exception):
-    """(CoboundarySystem, primitive or None) of delta(nu) = phi; raises
-    not_cocycle when phi is not a cocycle.  Solve first: a primitive nu
-    proves delta(phi) = delta^2(nu) = 0 once delta^2 = 0
-    (delta_squares_to_zero), as delta_matrix is the bracket's matrix
-    (test_delta_matrix_matches_direct_coboundary) and nu is re-checked
-    against it.  The bracket runs after an infeasible solve, to tell a
-    non-cocycle from a nonzero class, and before the solve if delta^2 != 0."""
+def solve_first(phi: Cochain, alg: AInfStructure, not_cocycle: Exception, solve):
+    """solve() about the cochain phi; raises not_cocycle if phi is not a
+    cocycle.  A feasible solve proves delta(phi) = 0 once delta^2 = 0
+    (delta_squares_to_zero): delta_matrix is the bracket's matrix
+    (test_delta_matrix_matches_direct_coboundary) and each primitive is
+    re-checked against it.  So the bracket runs only after a solve gives
+    None or a ValueError, or before it if delta^2 != 0."""
     exact = delta_squares_to_zero(alg)
     if not exact and not coboundary(phi, alg).is_zero():
         raise not_cocycle
     try:
-        system = CoboundarySystem(phi, alg)
-    except ValueError:  # an entry outside the bases: the bracket speaks first
+        result = solve()
+    except ValueError:  # e.g. an entry outside the bases: the bracket speaks first
         if not coboundary(phi, alg).is_zero():
             raise not_cocycle from None
         raise
-    nu = system.primitive()
-    if nu is None and exact and not coboundary(phi, alg).is_zero():
+    if result is None and exact and not coboundary(phi, alg).is_zero():
         raise not_cocycle
-    return system, nu
+    return result
 
 
 def is_coboundary(phi: Cochain, alg: AInfStructure):
-    """Exact solve of delta(nu) = phi, solve first (solve_cocycle);
-    ValueError when phi is not a cocycle.
-
-    Returns the deterministic primitive nu, or None with the system being
-    infeasible (rank certificate available via CoboundarySystem.ranks)."""
-    return solve_cocycle(phi, alg, ValueError("input is not a cocycle"))[1]
+    """The deterministic nu with delta(nu) = phi, or None (Cell.ranks then
+    certifies it); ValueError when phi is not a cocycle (solve_first)."""
+    return solve_first(phi, alg, ValueError("input is not a cocycle"),
+                       lambda: Cell(alg, phi.r, phi.s).primitive(phi))
 
 
-# Reference cocycles by (content key, r, s), and delta^2 = 0 by content
-# key: the field, the category signature and the mu^2 items, all that
-# delta reads.  So the structures of one pipeline (preset, transferred,
-# gauged, MC-built), distinct objects sharing one mu^2, share an entry,
-# and any caller in the process gets the same answer it would compute.
-# Callers get a copy of the table; the Elements in it are shared and,
-# like every Element, never mutated.
-_REFERENCES: dict = {}
+# The cells asked for a reference, by (content key, r, s), and delta^2 = 0
+# by content key: the field, the category signature and the mu^2 items,
+# all that delta reads.  So distinct structures sharing one mu^2 (preset,
+# transferred, gauged, MC-built) share an entry.  A cell enters _CELLS
+# once its reference is bracket-checked.
+_CELLS: dict = {}
 _SQUARES_ZERO: dict = {}
 
 
@@ -418,48 +442,22 @@ def delta_squares_to_zero(alg: AInfStructure) -> bool:
     return _SQUARES_ZERO[key]
 
 
-def reference_cocycle(alg: AInfStructure, r: int, s: int) -> Cochain:
-    """First deterministic cocycle whose class is nonzero in HH at (r,s);
-    the fixed yardstick against which class coordinates are reported.
-
-    The kernel of delta at (r,s) is scanned in order, lazily, against one
-    factorization of the image of delta from (r-1,s); the result is
-    bracket-checked once, kept per content key (_REFERENCES) and returned
-    as a fresh Cochain."""
+def _cell(alg: AInfStructure, r: int, s: int) -> Cell:
     key = (_content_key(alg), r, s)
-    ref = _REFERENCES.get(key)
-    if ref is None:
-        ref = _find_reference(alg, r, s)
-        if not coboundary(ref, alg).is_zero():
-            raise ValueError(f"prescribed order-{r} cochain is not a cocycle")
-        _REFERENCES[key] = ref
-    return Cochain(ref.r, ref.s, ref.table)
+    if key not in _CELLS:
+        cell = Cell(alg, r, s)
+        cell.reference()
+        _CELLS[key] = cell
+    return _CELLS[key]
 
 
-def _find_reference(alg: AInfStructure, r: int, s: int) -> Cochain:
-    ops = FieldOps(alg.spec)
-    cols, rows, matrix = delta_matrix(alg, r, s)
-    below_cols, below_rows, below = delta_matrix(alg, r - 1, s)
-    image = Echelon(below, ops, len(below_cols))
-    # kernel vectors are back-substituted one free column at a time, so the
-    # scan stops at the first one outside the image
-    for vec in Echelon(matrix, ops, len(cols)).kernel():
-        if not image.contains({i: v for i, v in enumerate(vec) if v}):
-            return vector_to_cochain(vec, cols, r, s, alg.spec)
-    raise ValueError(f"HH at (r={r}, s={s}) vanishes; no reference cocycle")
+def reference_cocycle(alg: AInfStructure, r: int, s: int) -> Cochain:
+    """The reference cocycle of the cell at (r, s) (Cell.reference): the
+    fixed yardstick against which class coordinates are reported."""
+    return _cell(alg, r, s).reference()
 
 
-def class_coordinate(phi: Cochain, reference: Cochain, alg: AInfStructure) -> Scalar:
-    """Coordinate c with phi = c * reference + coboundary (HH cell must be
-    1-dimensional for this to be well-posed, which is checked by caller).
-    The solution is re-checked; with delta^2 = 0 and a cocycle reference
-    it proves phi = c * reference + delta(nu) a cocycle."""
-    ops = FieldOps(alg.spec)
-    cols, rows, matrix = delta_matrix(alg, phi.r - 1, phi.s)
-    columns = matrix + [cochain_to_vector(reference, rows)]
-    b = cochain_to_vector(phi, rows)
-    x = solve(columns, len(cols) + 1, b, ops)
-    if x is None:
-        raise ValueError("phi is not cohomologous to a multiple of the reference")
-    _check_solution(columns, x, b, ops)
-    return Scalar(alg.spec, x[-1])
+def class_coordinate(phi: Cochain, alg: AInfStructure) -> Scalar:
+    """c with phi = c * reference_cocycle + coboundary in a 1-dimensional
+    cell (Cell.coordinate); its re-checked primitive proves phi a cocycle."""
+    return _cell(alg, phi.r, phi.s).coordinate(phi)

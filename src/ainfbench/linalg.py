@@ -7,8 +7,9 @@ reduces each against the basis built from the ones before it.  A column
 that keeps a nonzero residual is a pivot column and its residual joins
 the basis; a column that reduces to zero is free, and the multipliers
 that zeroed it give its kernel vector.  ``rank``, ``solve``,
-``nullspace`` (and its lazy form ``Echelon.kernel``) and the column-space
-test ``Echelon.contains`` all read this one factorization.
+``nullspace`` (and its lazy form ``Echelon.kernel``), the column-space
+test ``Echelon.contains`` and ``Echelon.residual`` all read this one
+factorization.
 
 Why the outputs equal those of Gauss-Jordan elimination (``rref`` on the
 rows, first nonzero column first, kept as the test oracle): the pivot
@@ -63,7 +64,7 @@ class Echelon:
     columns[pivots[k]] = sum_i steps[k][i] * basis[i] + scale[k] * basis[k],
     and each free column as its multipliers, so a right-hand side needs
     only a reduction and a back-substitution.  Nothing is cached beyond
-    the object; drop it when done.
+    the object, which hochschild.Cell keeps for a reference cell.
     """
 
     def __init__(self, columns, ops: FieldOps, ncols: int = None):
@@ -159,9 +160,14 @@ class Echelon:
                 y[i] = sub(y.get(i, ops.zero), mul(xk, m))
         return x
 
+    def residual(self, b) -> dict:
+        """b less the column-space vector that leaves it zero at every pivot
+        row: unique, so linear in b, and empty iff b lies in the space."""
+        return self._reduce(b)[0]
+
     def contains(self, b) -> bool:
         """Whether b lies in the column space."""
-        return not self._reduce(b)[0]
+        return not self.residual(b)
 
     def solve(self, b):
         """Solution of sum_j x_j columns[j] = b with every free variable 0,

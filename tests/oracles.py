@@ -20,6 +20,10 @@ Fraction, integral or not (``FractionOps``, ``fraction_reduce`` and
 ``fraction_values``), and find a reference cocycle from the whole kernel
 basis (``find_reference``).
 
+The class-coordinate oracle solves for the coordinate against a fresh
+delta matrix with the reference's column appended, as the program once
+did (``class_coordinate``).
+
 ``partition_count`` counts the partitions of n by direct enumeration.
 
 The bracket-first oracles check every cochain with the bracket before
@@ -434,7 +438,7 @@ def fraction_values(mp):
     Echelon's reduction; the reference caches start empty, so no value
     made before is reused."""
     mp.setattr(scalars, "_rational", Fraction)
-    mp.setattr(hochschild, "_REFERENCES", {})
+    mp.setattr(hochschild, "_CELLS", {})
     mp.setattr(hochschild, "_SQUARES_ZERO", {})
     for mod in (linalg, hochschild, skoldberg):
         mp.setattr(mod, "FieldOps", FractionOps)
@@ -455,33 +459,32 @@ def find_reference(alg, r, s):
     raise ValueError(f"HH at (r={r}, s={s}) vanishes; no reference cocycle")
 
 
-def bracket_first_solve(phi, alg, not_cocycle):
-    """hochschild.solve_cocycle as the program once ran it: the bracket
+def bracket_first_solve(phi, alg, not_cocycle, solve):
+    """hochschild.solve_first as the program once ran it: the bracket
     first, then the solve."""
     if not hochschild.coboundary(phi, alg).is_zero():
         raise not_cocycle
-    system = hochschild.CoboundarySystem(phi, alg)
-    return system, system.primitive()
-
-
-def bracket_first_invariant(alg, d):
-    """gauge._invariant as the program once ran it: the bracket first,
-    then the reference and the coordinate solve."""
-    phi = hochschild.mu_cochain(alg, d)
-    if not hochschild.coboundary(phi, alg).is_zero():
-        raise AssertionError(f"mu^{d} failed to be a cocycle after gauge fixing")
-    ref = hochschild.reference_cocycle(alg, d, 2 - d)
-    if phi.is_zero():
-        return ref, alg.spec.zero()
-    return ref, hochschild.class_coordinate(phi, ref, alg)
+    return solve()
 
 
 def bracket_first(mp):
     """Within the monkeypatch context mp, bracket every cochain before its
     solve, at each module that binds the solve."""
     for mod in (hochschild, gauge):
-        mp.setattr(mod, "solve_cocycle", bracket_first_solve)
-    mp.setattr(gauge, "_invariant", bracket_first_invariant)
+        mp.setattr(mod, "solve_first", bracket_first_solve)
+
+
+def class_coordinate(phi, reference, alg):
+    """c with phi = c * reference + delta(nu): a fresh delta matrix from
+    (r-1, s), the reference's column appended, one solve, and c its last
+    unknown."""
+    ops = FieldOps(alg.spec)
+    cols, rows, matrix = hochschild.delta_matrix(alg, phi.r - 1, phi.s)
+    columns = matrix + [hochschild.cochain_to_vector(reference, rows)]
+    x = linalg.solve(columns, len(cols) + 1, hochschild.cochain_to_vector(phi, rows), ops)
+    if x is None:
+        raise ValueError("phi is not cohomologous to a multiple of the reference")
+    return scalars.Scalar(alg.spec, x[-1])
 
 
 def weight_one(mp):

@@ -276,9 +276,8 @@ def test_invariants_of_the_model(Q, model8):
 def test_both_normalization_paths_agree(Q, gh_models, model8):
     b2 = gh_models[2]
     _, fixed = kill_orders(model8.minimal, (3, 4, 5))
-    ref = reference_cocycle(model8.minimal, 6, -4)
-    c_gh = class_coordinate(mu_cochain(b2, 6), ref, b2)
-    c_killed = class_coordinate(mu_cochain(fixed, 6), ref, fixed)
+    c_gh = class_coordinate(mu_cochain(b2, 6), b2)
+    c_killed = class_coordinate(mu_cochain(fixed, 6), fixed)
     assert c_gh == c_killed
 
 
@@ -454,7 +453,7 @@ def test_classify_brackets_only_the_references(Q, model8, monkeypatch):
     # its answer proves its cochain a cocycle, so the only brackets are the
     # checks of the two references as their cache entries are filled.
     # Bracketing each cochain before its solve made [3, 2, 6].
-    monkeypatch.setattr(hochschild, "_REFERENCES", {})
+    monkeypatch.setattr(hochschild, "_CELLS", {})
     monkeypatch.setattr(hochschild, "_SQUARES_ZERO", {})
     calls = []
     bracket = hochschild.coboundary
@@ -463,8 +462,7 @@ def test_classify_brackets_only_the_references(Q, model8, monkeypatch):
         calls.append((id(alg), phi.r, phi.s, frozenset(phi.table.items())))
         return bracket(phi, alg)
 
-    monkeypatch.setattr(hochschild, "coboundary", counted)
-    monkeypatch.setattr(gauge_mod, "coboundary", counted)
+    monkeypatch.setattr(hochschild, "coboundary", counted)  # gauge brackets only through it
     B = model8.minimal
     moved = gauge_apply(random_gauge(Q, B.cat, random.Random(3)), B, 8)
     counts = []
@@ -562,23 +560,25 @@ def test_mc_extend_internal_errors(Q, monkeypatch):
         mc_extend(Q, Q.scalar(1, 2), Q.scalar(-2, 3), 10)
     # a solver that finds no primitive for a cocycle contradicts HH = 0 there
     monkeypatch.undo()
-    monkeypatch.setattr(hochschild.CoboundarySystem, "primitive", lambda self: None)
+    monkeypatch.setattr(hochschild.Cell, "primitive", lambda self, phi: None)
     with pytest.raises(AssertionError, match="^order-10 obstruction not a coboundary: "
                                              "HH cell should vanish$"):
         mc_extend(Q, Q.scalar(1, 2), Q.scalar(-2, 3), 10)
 
 
 def test_reference_is_bracket_checked_when_cached(Q, monkeypatch):
-    # a reference that is no cocycle never enters the cache
-    def broken(alg, r, s):
-        key, g = cochain_basis(alg, r, s)[0]
-        return Cochain(r, s, {key: Element.single(g, Q.one())})
+    # a reference that is no cocycle never enters the cache: here the
+    # kernel scan is handed the first basis cochain, outside the image
+    from ainfbench.linalg import Echelon
 
-    monkeypatch.setattr(hochschild, "_REFERENCES", {})
-    monkeypatch.setattr(hochschild, "_find_reference", broken)
+    def broken(self):
+        yield [1] + [0] * (self.ncols - 1)
+
+    monkeypatch.setattr(hochschild, "_CELLS", {})
+    monkeypatch.setattr(Echelon, "kernel", broken)
     with pytest.raises(ValueError, match="^prescribed order-6 cochain is not a cocycle$"):
         mc_extend(Q, Q.scalar(1, 2), Q.scalar(-2, 3), 8)
-    assert hochschild._REFERENCES == {}
+    assert hochschild._CELLS == {}
 
 
 def _classify_run(gh_models, model8):
@@ -600,23 +600,17 @@ def test_solve_first_equals_bracket_first(gh_models, model8, monkeypatch):
     # every cochain a solve accepted brackets to zero, and the answers are
     # those of the bracket-first order, keys and key order included
     accepted = []
-    solve, coordinate = hochschild.solve_cocycle, hochschild.class_coordinate
+    solve_first = hochschild.solve_first
 
-    def recorded_solve(phi, alg, not_cocycle):
-        system, nu = solve(phi, alg, not_cocycle)
-        if nu is not None:
+    def recorded(phi, alg, not_cocycle, solve):
+        result = solve_first(phi, alg, not_cocycle, solve)
+        if result is not None:
             accepted.append((phi, alg))
-        return system, nu
-
-    def recorded_coordinate(phi, ref, alg):
-        c = coordinate(phi, ref, alg)
-        accepted.append((phi, alg))
-        return c
+        return result
 
     with monkeypatch.context() as mp:
         for mod in (hochschild, gauge_mod):
-            mp.setattr(mod, "solve_cocycle", recorded_solve)
-        mp.setattr(gauge_mod, "class_coordinate", recorded_coordinate)
+            mp.setattr(mod, "solve_first", recorded)
         fast = _classify_run(gh_models, model8)
     assert len(accepted) == 2 + 3 * 6  # mc orders 10, 12; per point 3, 4, 5, m6, 7, m8
     assert all(coboundary(phi, alg).is_zero() for phi, alg in accepted)
@@ -632,7 +626,7 @@ def test_solutions_are_rechecked(Q, model8, monkeypatch):
 
     _, fixed = kill_orders(model8.minimal, (3, 4, 5))
     phi6 = mu_cochain(fixed, 6)
-    ref = reference_cocycle(fixed, 6, -4)
+    reference_cocycle(fixed, 6, -4)
     solve = Echelon.solve
 
     def off_by_one(self, b):
@@ -641,9 +635,55 @@ def test_solutions_are_rechecked(Q, model8, monkeypatch):
 
     monkeypatch.setattr(Echelon, "solve", off_by_one)
     with pytest.raises(AssertionError, match="fails its own system"):
-        class_coordinate(phi6, ref, fixed)
+        class_coordinate(phi6, fixed)
     with pytest.raises(AssertionError, match="fails its own system"):
         kill_orders(model8.minimal, (3,))
+
+
+def test_classify_builds_each_delta_matrix_once(Q, model8, monkeypatch):
+    # the classify sequence shares one mu^2: the cell that found a
+    # reference also reads the coordinates, so no (r, s) is built twice.
+    # Building the coordinate's matrix afresh made (5, -4) and (7, -6) again
+    # for each of the two extractions: 13 builds.
+    monkeypatch.setattr(hochschild, "_CELLS", {})
+    builds = []
+    build = hochschild.delta_matrix
+
+    def counted(alg, r, s):
+        builds.append((r, s))
+        return build(alg, r, s)
+
+    monkeypatch.setattr(hochschild, "delta_matrix", counted)
+    B = model8.minimal
+    moved = gauge_apply(random_gauge(Q, B.cat, random.Random(3)), B, 8)
+    built = mc_extend(Q, Q.scalar(1, 2), Q.scalar(-2, 3), 10)
+    assert extract_invariants(built).pair() == (Q.scalar(1, 2), Q.scalar(-2, 3))
+    assert extract_invariants(moved).pair() == (Q.scalar(-1, 48), Q.scalar(1, 864))
+    assert sorted(builds) == [(2, -1), (3, -2), (4, -3), (5, -4), (6, -5), (6, -4),
+                              (7, -6), (8, -6), (10, -8)]
+
+
+@pytest.mark.parametrize("char", [0, 5], ids=["Q", "F5"])
+def test_class_coordinate_equals_appended_column_solve(char):
+    # the ratio of residuals against the oracle's solve with the
+    # reference's column appended, on the mc-built, transferred and
+    # orbit structures; F5 exercises the field division
+    F = FieldSpec(char)
+    model = transfer(preset_splitting_C(F), 8).minimal
+    moved = gauge_apply(random_gauge(F, model.cat, random.Random(5)), model, 8)
+    built = mc_extend(F, F.scalar(1, 2), F.scalar(-2, 3), 8)
+    coordinates = []
+    for alg in (built, model, moved):
+        _, cur = kill_orders(alg, (3, 4, 5))
+        for d in (6, 8):
+            if d == 8:
+                _, cur = kill_orders(cur, (7,))
+            phi = mu_cochain(cur, d)
+            want = oracles.class_coordinate(phi, reference_cocycle(cur, d, 2 - d), cur)
+            assert class_coordinate(phi, cur) == want
+            coordinates.append(want)
+    assert coordinates == [F.scalar(1, 2), F.scalar(-2, 3)] + [F.scalar(-1, 48),
+                                                                F.scalar(1, 864)] * 2
 
 
 def test_delta_squares_to_zero_once_per_mu2(Q, model8, monkeypatch):

@@ -160,15 +160,15 @@ def test_reference_cocycles_exist(Q):
         ref = reference_cocycle(A, r, s)
         assert coboundary(ref, A).is_zero()
         assert is_coboundary(ref, A) is None  # class is nonzero
-        assert class_coordinate(ref, ref, A) == Q.one()
+        assert class_coordinate(ref, A) == Q.one()
     with pytest.raises(ValueError):
         reference_cocycle(A, 7, -5)  # that cell vanishes
 
 
 @pytest.fixture
 def fresh_references(monkeypatch):
-    """An empty reference-cocycle cache for one test."""
-    monkeypatch.setattr(hochschild, "_REFERENCES", {})
+    """An empty reference-cell cache for one test."""
+    monkeypatch.setattr(hochschild, "_CELLS", {})
     monkeypatch.setattr(hochschild, "_SQUARES_ZERO", {})
     return hochschild
 
@@ -178,15 +178,15 @@ def test_reference_cache_equals_fresh_computation(Q, fresh_references):
     for (r, s) in ((6, -4), (8, -6)):
         first = reference_cocycle(A, r, s)
         again = reference_cocycle(A, r, s)
-        assert first == again == fresh_references._find_reference(A, r, s)
-    assert len(fresh_references._REFERENCES) == 2
+        assert first == again == fresh_references.Cell(A, r, s).reference()
+    assert len(fresh_references._CELLS) == 2
 
 
 @pytest.mark.parametrize("char", [0, 5])
 def test_lazy_reference_equals_whole_kernel_scan(char):
     A = preset_A(FieldSpec(char))
     for (r, s) in ((6, -4), (8, -6)):
-        ref = hochschild._find_reference(A, r, s)
+        ref = hochschild.Cell(A, r, s).reference()
         assert ref == oracles.find_reference(A, r, s)
         assert not ref.is_zero()
 
@@ -197,10 +197,10 @@ def test_reference_cache_is_keyed_by_content(Q, model8, fresh_references):
     base = preset_A(Q, 10)
     assert base is not model8.minimal and base.cat is not model8.minimal.cat
     assert reference_cocycle(base, 6, -4) == reference_cocycle(model8.minimal, 6, -4)
-    assert len(fresh_references._REFERENCES) == 1
+    assert len(fresh_references._CELLS) == 1
     F5 = FieldSpec(5)
     ref5 = reference_cocycle(preset_A(F5), 6, -4)
-    assert len(fresh_references._REFERENCES) == 2
+    assert len(fresh_references._CELLS) == 2
     assert ref5.table and all(el.p == 5 for el in ref5.table.values())
     assert all(type(c) is int and 0 <= c < 5 for el in ref5.table.values()
                for c in el.terms.values())
@@ -208,7 +208,7 @@ def test_reference_cache_is_keyed_by_content(Q, model8, fresh_references):
 
 def test_reference_cache_survives_caller_mutation(Q, fresh_references):
     A = preset_A(Q)
-    want = fresh_references._find_reference(A, 6, -4)
+    want = fresh_references.Cell(A, 6, -4).reference()
     got = reference_cocycle(A, 6, -4)
     got.table.clear()
     reference_cocycle(A, 6, -4).table[("u",)] = Element.single("u", Q.one())

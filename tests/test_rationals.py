@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from ainfbench.gauge import extract_invariants, gauge_apply, mc_extend, random_gauge
-from ainfbench.hochschild import CoboundarySystem, delta_matrix, gerst_compose, hh_bar, mu_cochain
+from ainfbench.hochschild import (Cell, cochain_to_vector, delta_matrix, gerst_compose, hh_bar,
+                                  mu_cochain)
 from ainfbench.linalg import Echelon, FieldOps
 from ainfbench.perturbation import preset_splitting_C, transfer
 from ainfbench.quiver import preset_A
@@ -137,8 +138,9 @@ def _order10_system():
     base = preset_A(Q, 10)
     mc = mc_extend(Q, Q.scalar(1, 2), Q.scalar(-2, 3), 8)
     phi6 = mu_cochain(mc, 6)
-    system = CoboundarySystem(-gerst_compose(phi6, phi6, base), base)
-    return system.matrix, len(system.cols), system.b
+    phi = -gerst_compose(phi6, phi6, base)
+    cell = Cell(base, phi.r, phi.s)
+    return cell.matrix, len(cell.cols), cochain_to_vector(phi, cell.rows)
 
 
 def _systems():
