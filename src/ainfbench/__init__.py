@@ -3,7 +3,7 @@
 cohomology, minimal-model transfer, gauge classification and the
 marked-torus polygon counts behind the surgery triangle."""
 
-from .scalars import FieldSpec, Scalar, field_arith, parse_scalar
+from .scalars import FieldSpec, parse_scalar
 from .quiver import (AInfStructure, Element, Generator, QuiverCategory,
                      dump, load, preset_A, preset_C, preset_D)
 from .hochschild import (Cochain, coboundary, gerstenhaber, hh_bar,

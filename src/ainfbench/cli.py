@@ -166,7 +166,7 @@ def cmd_m6(args) -> int:
     got4 = b1.tables.get(4, {})
     want4 = {}
     for t, (g, frac) in REFERENCE_MU4.items():
-        want4[t] = Element.single(g, spec.scalar(*frac))
+        want4[t] = Element.single(g, spec.scalar(*frac), spec.characteristic)
     mu4_ok = got4 == want4
     lines.append(f"mu4 after G matches the 13-entry table: "
                  f"{'ok' if mu4_ok else 'FAIL'}")
@@ -182,7 +182,7 @@ def cmd_m6(args) -> int:
     lines.append("delta(mu6) = 0: ok")
     for t, got in cert.witness_values:  # 144*mu6, in REFERENCE_MU6 order
         g, num = REFERENCE_MU6[t]
-        want = Element.single(g, spec.scalar(num))
+        want = Element.single(g, spec.scalar(num), spec.characteristic)
         good = got == want
         lines.append(
             f"144*mu6({','.join(t)}) = {format_element(got, b2.cat)}"
@@ -274,7 +274,10 @@ def cmd_mc(args) -> int:
         m8 = parse_scalar(args.m8, spec)
     except ZeroDivisionError as exc:  # 1/0, or 1/5 over F5
         raise Usage(str(exc)) from None
-    struct = gauge_mod.mc_extend(spec, m6, m8, args.order)
+    try:
+        struct = gauge_mod.mc_extend(spec, m6, m8, args.order)
+    except ValueError as exc:  # an invariant above --order
+        raise Usage(str(exc)) from None
     check_order = min(args.order, args.check_order)
     violations = struct.ainf_check(check_order)
     text = dump(struct)

@@ -54,7 +54,7 @@ from .hochschild import (
 from .quiver import (AInfStructure, Element, EntryError, ZERO, _entry_lines, accumulate,
                      check_table, dump, format_element, index_by_output, load_with_extras,
                      parse_table, preset_A, splices)
-from .scalars import FieldSpec, Scalar
+from .scalars import FieldSpec, canon, divide
 
 
 class ObstructionError(ValueError):
@@ -136,9 +136,9 @@ def gauge_apply(gauge: GaugeTransformation, mu: AInfStructure,
                 order: int = None) -> AInfStructure:
     """Act on a minimal structure; result is minimal with the same mu^2.
     _gauge_apply on integers, rescaled by weight_scale (module docstring)."""
-    s, t = mu.spec.scalar, weight_scale(mu, *gauge.components.values())
-    scaled = GaugeTransformation(mu.spec, gauge.cat, _graded(gauge.components, s(t), 1))
-    return rescale(_gauge_apply(scaled, rescale(mu, s(t)), order), s(1, t))
+    p, t = mu.spec.characteristic, weight_scale(mu, *gauge.components.values())
+    scaled = GaugeTransformation(mu.spec, gauge.cat, _graded(gauge.components, t, 1, p))
+    return rescale(_gauge_apply(scaled, rescale(mu, t), order), divide(1, t, p))
 
 
 def _gauge_apply(gauge: GaugeTransformation, mu: AInfStructure,
@@ -203,34 +203,34 @@ def preset_gauge_G(spec: FieldSpec, cat) -> GaugeTransformation:
     The (e1, e1) entry must be -1/2 e1: it is the unique sign for which
     delta(g) equals the transferred mu^3 slot-for-slot, and the only
     choice reproducing the downstream thirteen-entry mu^4 table."""
-    half = spec.scalar(1, 2)
+    half, p = spec.scalar(1, 2), spec.characteristic
     tbl = {
-        ("e1", "e1"): Element.single("e1", -half),
-        ("f1", "f1"): Element.single("f1", -half),
-        ("e1", "v"): Element.single("v", -half),
-        ("v", "f1"): Element.single("v", half),
-        ("u", "e1"): Element.single("u", -half),
-        ("f1", "u"): Element.single("u", -half),
+        ("e1", "e1"): Element.single("e1", -half, p),
+        ("f1", "f1"): Element.single("f1", -half, p),
+        ("e1", "v"): Element.single("v", -half, p),
+        ("v", "f1"): Element.single("v", half, p),
+        ("u", "e1"): Element.single("u", -half, p),
+        ("f1", "u"): Element.single("u", -half, p),
     }
     return GaugeTransformation(spec, cat, {2: tbl})
 
 
 def preset_gauge_H(spec: FieldSpec, cat) -> GaugeTransformation:
     """Cubic gauge killing the residual mu^4 (twelve-entry table)."""
-    s = spec.scalar
+    s, p = spec.scalar, spec.characteristic
     tbl = {
-        ("v", "f1", "u"): Element.single("e0", s(-1, 12)),
-        ("v", "u", "e1"): Element.single("e0", s(-1, 12)),
-        ("e1", "e1", "e1"): Element.single("e1", s(1, 3)),
-        ("f1", "u", "v"): Element.single("f0", s(-1, 12)),
-        ("u", "e1", "v"): Element.single("f0", s(-1, 12)),
-        ("f1", "f1", "f1"): Element.single("f1", s(1, 3)),
-        ("e1", "v", "f1"): Element.single("v", s(-1, 3)),
-        ("v", "f1", "f1"): Element.single("v", s(-1, 6)),
-        ("e1", "e1", "v"): Element.single("v", s(1, 3)),
-        ("f1", "f1", "u"): Element.single("u", s(5, 12)),
-        ("f1", "u", "e1"): Element.single("u", s(1, 3)),
-        ("u", "e1", "e1"): Element.single("u", s(5, 12)),
+        ("v", "f1", "u"): Element.single("e0", s(-1, 12), p),
+        ("v", "u", "e1"): Element.single("e0", s(-1, 12), p),
+        ("e1", "e1", "e1"): Element.single("e1", s(1, 3), p),
+        ("f1", "u", "v"): Element.single("f0", s(-1, 12), p),
+        ("u", "e1", "v"): Element.single("f0", s(-1, 12), p),
+        ("f1", "f1", "f1"): Element.single("f1", s(1, 3), p),
+        ("e1", "v", "f1"): Element.single("v", s(-1, 3), p),
+        ("v", "f1", "f1"): Element.single("v", s(-1, 6), p),
+        ("e1", "e1", "v"): Element.single("v", s(1, 3), p),
+        ("f1", "f1", "u"): Element.single("u", s(5, 12), p),
+        ("f1", "u", "e1"): Element.single("u", s(1, 3), p),
+        ("u", "e1", "e1"): Element.single("u", s(5, 12), p),
     }
     return GaugeTransformation(spec, cat, {3: tbl})
 
@@ -277,11 +277,12 @@ def kill_orders(mu: AInfStructure, orders, order: int = None):
 
 @dataclass
 class DeformationClass:
-    """Coordinates of the order-6 and order-8 invariants against the
-    deterministic reference cocycles (documented for reproducibility)."""
+    """Coordinates of the order-6 and order-8 invariants, raw values of the
+    structure's field, against the deterministic reference cocycles
+    (documented for reproducibility)."""
 
-    m6: Scalar
-    m8: Scalar
+    m6: int | Fraction
+    m8: int | Fraction
     reference6: Cochain
     reference8: Cochain
 
@@ -316,13 +317,13 @@ def extract_invariants(mu: AInfStructure) -> DeformationClass:
             mu.spec, mu.cat, 8,
             {d: t for d, t in mu.tables.items() if d <= 8},
         )
-    s, t = mu.spec.scalar, weight_scale(mu)
+    p, t = mu.spec.characteristic, weight_scale(mu)
     try:
-        inv = _extract_invariants(rescale(mu, s(t)))
+        inv = _extract_invariants(rescale(mu, t))
     except ObstructionError as exc:  # its coordinate has weight order - 2
         c = exc.coordinate
-        raise ObstructionError(exc.order, c and c * s(1, t ** (exc.order - 2))) from None
-    return DeformationClass(inv.m6 * s(1, t ** 4), inv.m8 * s(1, t ** 6),
+        raise ObstructionError(exc.order, c and divide(c, t ** (exc.order - 2), p)) from None
+    return DeformationClass(divide(inv.m6, t ** 4, p), divide(inv.m8, t ** 6, p),
                             inv.reference6, inv.reference8)
 
 
@@ -353,24 +354,26 @@ def weight_scale(mu: AInfStructure, *tables) -> int:
                  for el in table.values() for c in el.terms.values()})
 
 
-def _graded(tables: dict, t: Scalar, shift: int) -> dict:
-    """{d: t^(d - shift) * tables[d]}, the weight grading: shift 2 for mu^d,
-    1 for g^k; the tables themselves at t = 1."""
-    if t == t.spec.one():
+def _graded(tables: dict, t, shift: int, p: int) -> dict:
+    """{d: t^(d - shift) * tables[d]} for a raw value t of the field of
+    characteristic p, the weight grading: shift 2 for mu^d, 1 for g^k; the
+    tables themselves at t = 1."""
+    if t == 1:
         return tables
     out = {}
     for d, table in tables.items():
-        w = Fraction(t.value) ** (d - shift)  # mu^1 has weight -1
-        factor = t.spec.scalar(w.numerator, w.denominator).value
+        w = Fraction(t) ** (d - shift)  # mu^1 has weight -1
+        factor = divide(w.numerator, w.denominator, p)
         out[d] = {names: el.scale(factor) for names, el in table.items()}
     return out
 
 
-def rescale(mu: AInfStructure, t: Scalar) -> AInfStructure:
-    """mu^d -> t^(d-2) mu^d, t != 0; corresponds to (m6, m8) -> (t^4 m6,
-    t^6 m8).  gauge_apply, extract_invariants and mc_extend rescale by
-    weight_scale at entry and by its inverse at exit; by 1, mu itself."""
-    tables = _graded(mu.tables, t, 2)
+def rescale(mu: AInfStructure, t) -> AInfStructure:
+    """mu^d -> t^(d-2) mu^d for a raw value t != 0 of mu's field;
+    corresponds to (m6, m8) -> (t^4 m6, t^6 m8).  gauge_apply,
+    extract_invariants and mc_extend rescale by weight_scale at entry and
+    by its inverse at exit; by 1, mu itself."""
+    tables = _graded(mu.tables, t, 2, mu.spec.characteristic)
     if tables is mu.tables:
         return mu
     scaled = copy(mu)  # mu's keys and degrees, which t != 0 keeps
@@ -378,14 +381,22 @@ def rescale(mu: AInfStructure, t: Scalar) -> AInfStructure:
     return scaled
 
 
-def mc_extend(spec: FieldSpec, m6: Scalar, m8: Scalar, order: int = 12) -> AInfStructure:
-    """Build a minimal structure realizing the prescribed invariants:
-    _mc_extend on integers, t the lcm of their denominators."""
-    t, s = lcm(m6.value.denominator, m8.value.denominator), spec.scalar
-    return rescale(_mc_extend(spec, m6 * s(t ** 4), m8 * s(t ** 6), order), s(1, t))
+def mc_extend(spec: FieldSpec, m6, m8, order: int = 12) -> AInfStructure:
+    """Build a minimal structure realizing the prescribed invariants, two
+    rationals read in spec's field (spec.scalar): _mc_extend on integers,
+    t the lcm of their denominators.  ValueError when a nonzero invariant
+    lies above order, where the structure could not carry it."""
+    p = spec.characteristic
+    m6, m8 = (spec.scalar(m.numerator, m.denominator) for m in (m6, m8))
+    for d, m in ((6, m6), (8, m8)):
+        if m and order < d:
+            raise ValueError(f"m{d} = {m} lies above order {order}")
+    t = lcm(m6.denominator, m8.denominator)
+    return rescale(_mc_extend(spec, canon(m6 * t ** 4, p), canon(m8 * t ** 6, p), order),
+                   divide(1, t, p))
 
 
-def _mc_extend(spec: FieldSpec, m6: Scalar, m8: Scalar, order: int = 12) -> AInfStructure:
+def _mc_extend(spec: FieldSpec, m6, m8, order: int = 12) -> AInfStructure:
     """The structure for (m6, m8), built on the values as given.
 
     Orders 3..5 are zero; mu^6 and mu^8 are the prescribed coordinates
@@ -469,7 +480,8 @@ def random_gauge(spec: FieldSpec, cat, rng, orders=(2, 3, 4),
         for t, g in cochain_basis(AInfStructure(spec, cat, k, {}), k, 1 - k):
             if rng.random() < density:
                 num, den = choices[rng.randrange(len(choices))]
-                table[t] = table.get(t, ZERO) + Element.single(g, spec.scalar(num, den))
+                table[t] = table.get(t, ZERO) + Element.single(
+                    g, spec.scalar(num, den), spec.characteristic)
         if table:
             components[k] = table
     return GaugeTransformation(spec, cat, components)
@@ -482,10 +494,10 @@ def random_gauge(spec: FieldSpec, cat, rng, orders=(2, 3, 4),
 @dataclass
 class CertificateStep:
     key: tuple            # (tuple of inputs, output generator) row
-    rhs: Scalar           # value of the scaled mu^6 there
+    rhs: int | Fraction   # value of the scaled mu^6 there
     terms: list           # [(slot, coeff)] with slot = (tuple, generator)
     forced: tuple = None  # slot solved by this step, with its value
-    conflict: tuple = None  # (lhs, rhs) scalars at a contradiction
+    conflict: tuple = None  # (lhs, rhs) raw values at a contradiction
 
 
 @dataclass
@@ -551,32 +563,33 @@ def m6_certificate(mu6: Cochain, alg: AInfStructure) -> M6Certificate:
         return M6Certificate(False, rank_a, rank_ab, witnesses, [], nu)
 
     chain = _contradiction_chain(cell.cols, cell.rows, cell.matrix,
-                                 cochain_to_vector(mu6, cell.rows), spec)
+                                 cochain_to_vector(mu6, cell.rows), spec.characteristic)
     return M6Certificate(True, rank_a, rank_ab, witnesses, chain)
 
 
-def _contradiction_chain(cols, rows, matrix, b, spec):
-    """Unit propagation over the rows of delta(nu) = mu6, scanning the
-    four quotable equations first; returns the step list ending in a
-    conflict (falls back to empty if propagation alone cannot reach one)."""
+def _contradiction_chain(cols, rows, matrix, b, p: int):
+    """Unit propagation over the rows of delta(nu) = mu6 over the field of
+    characteristic p, scanning the four quotable equations first; returns
+    the step list ending in a conflict (falls back to empty if propagation
+    alone cannot reach one)."""
     row_entries = {i: [] for i in range(len(rows))}
     for j, col in enumerate(matrix):
         for i, v in col.items():
-            row_entries[i].append((j, Scalar(spec, v)))
+            row_entries[i].append((j, v))
     order_first = [rows.index(w) for w in _PAPER_WITNESSES if w in rows]
     scan = order_first + [i for i in range(len(rows)) if i not in order_first]
-    known: dict[int, Scalar] = {}
+    known = {}
     chain = []
     progress = True
     while progress:
         progress = False
         for i in scan:
             entries = row_entries[i]
-            rhs = Scalar(spec, b.get(i, 0))
+            rhs = b.get(i, 0)
             unknown = [(j, c) for j, c in entries if j not in known]
             if len(unknown) > 1:
                 continue
-            acc = sum((c * known[j] for j, c in entries if j in known), Scalar(spec, 0))
+            acc = canon(sum(c * known[j] for j, c in entries if j in known), p)
             terms = [(cols[j], c) for j, c in entries]
             if not unknown:
                 if acc != rhs:
@@ -584,7 +597,7 @@ def _contradiction_chain(cols, rows, matrix, b, spec):
                     return chain
                 continue
             j, c = unknown[0]
-            known[j] = value = (rhs - acc) / c
+            known[j] = value = divide(rhs - acc, c, p)
             chain.append(CertificateStep(rows[i], rhs, terms, forced=(cols[j], value)))
             scan = [k for k in scan if k != i]
             progress = True

@@ -21,9 +21,9 @@ obstruction check (at r = 5), which is how the sign convention is pinned.
 
 from __future__ import annotations
 
-from .linalg import Echelon, FieldOps, rank
+from .linalg import Echelon, rank
 from .quiver import AInfStructure, Element, ZERO, accumulate, preset_A, splices
-from .scalars import FieldSpec, Scalar, canonical, field_mismatch
+from .scalars import FieldSpec, canonical, divide, field_mismatch
 
 
 class Cochain:
@@ -66,7 +66,7 @@ class Cochain:
         return self + (-other)
 
     def scale(self, c) -> "Cochain":
-        """c * self for a raw value c of the field or a Scalar."""
+        """c * self for a raw value c of the field."""
         return Cochain(self.r, self.s, {k: v.scale(c) for k, v in self.table.items()})
 
     def __eq__(self, other):
@@ -99,7 +99,7 @@ def euler_cochain(alg: AInfStructure) -> Cochain:
     for n in alg.cat.nonidentity_generators():
         d = alg.cat.deg(n)
         if d:
-            table[(n,)] = Element.single(n, alg.spec.scalar(d))
+            table[(n,)] = Element.single(n, d, alg.spec.characteristic)
     return Cochain(1, 0, table)
 
 
@@ -298,7 +298,6 @@ def hh_bar(spec: FieldSpec, r_max: int, alg: AInfStructure = None):
     """Bigraded Hochschild cohomology dimensions via the normalized bar
     complex and exact Gaussian elimination: {(r, s): dim}, zeros omitted."""
     alg = alg or preset_A(spec)
-    ops = FieldOps(spec)
     dims = {}
     ranks: dict[tuple, int] = {}
     sizes: dict[tuple, int] = {}
@@ -306,7 +305,7 @@ def hh_bar(spec: FieldSpec, r_max: int, alg: AInfStructure = None):
         for s in range(-(r + 1), 2):
             cols, rows, matrix = delta_matrix(alg, r, s)
             sizes[(r, s)] = len(cols)
-            ranks[(r, s)] = rank(matrix, ops) if cols and rows else 0
+            ranks[(r, s)] = rank(matrix, spec.characteristic) if cols and rows else 0
     for r in range(0, r_max + 1):
         for s in range(-(r + 1), 2):
             dim = sizes[(r, s)] - ranks[(r, s)] - ranks.get((r - 1, s), 0)
@@ -315,17 +314,16 @@ def hh_bar(spec: FieldSpec, r_max: int, alg: AInfStructure = None):
     return dims
 
 
-def _check_solution(columns, x, b, ops) -> None:
-    """Raise AssertionError unless sum_j x_j columns[j] == b: one sparse
-    matrix-vector pass over the columns, sharing nothing with Echelon."""
-    p = ops.spec.characteristic
+def _check_solution(columns, x, b, p: int) -> None:
+    """Raise AssertionError unless sum_j x_j columns[j] == b over the field
+    of characteristic p: one sparse matrix-vector pass over the columns,
+    sharing nothing with Echelon."""
     acc = {}
     for xj, col in zip(x, columns):
         if xj:
             for i, a in col.items():
                 acc[i] = acc.get(i, 0) + xj * a
-    got = {i: v % p if p else v for i, v in acc.items()}
-    if {i: v for i, v in got.items() if v} != {i: v for i, v in b.items() if v}:
+    if canonical(acc, p) != {i: v for i, v in b.items() if v}:
         raise AssertionError("the solve's answer fails its own system")
 
 
@@ -337,7 +335,7 @@ class Cell:
     def __init__(self, alg: AInfStructure, r: int, s: int):
         self.alg, self.r, self.s = alg, r, s
         self.cols, self.rows, self.matrix = delta_matrix(alg, r - 1, s)
-        self.echelon = Echelon(self.matrix, FieldOps(alg.spec), len(self.cols))
+        self.echelon = Echelon(self.matrix, alg.spec.characteristic, len(self.cols))
         self._reference = None
 
     def primitive(self, phi: Cochain):
@@ -346,7 +344,7 @@ class Cell:
         x = self.echelon.solve(b)
         if x is None:
             return None
-        _check_solution(self.matrix, x, b, self.echelon.ops)
+        _check_solution(self.matrix, x, b, self.echelon.p)
         return vector_to_cochain(x, self.cols, self.r - 1, self.s, self.alg.spec)
 
     def ranks(self, phi: Cochain):
@@ -361,7 +359,7 @@ class Cell:
         if self._reference is None:
             alg, r, s = self.alg, self.r, self.s
             cols, _, matrix = delta_matrix(alg, r, s)
-            for vec in Echelon(matrix, self.echelon.ops, len(cols)).kernel():
+            for vec in Echelon(matrix, self.echelon.p, len(cols)).kernel():
                 residual = self.echelon.residual({i: v for i, v in enumerate(vec) if v})
                 if residual:
                     break
@@ -374,17 +372,18 @@ class Cell:
             self._reference, self._ref_value = ref, residual[self._row]
         return Cochain(self.r, self.s, self._reference.table)
 
-    def coordinate(self, phi: Cochain) -> Scalar:
-        """c with phi = c * reference + delta(nu) in a 1-dimensional cell.
-        Residuals are linear and vanish on the image, so c is the ratio of
-        phi's and the reference's at one row; the re-checked primitive of
-        phi - c * reference proves it (ValueError if there is none)."""
-        ref, ops = self.reference(), self.echelon.ops
+    def coordinate(self, phi: Cochain):
+        """The raw value c with phi = c * reference + delta(nu) in a
+        1-dimensional cell.  Residuals are linear and vanish on the image,
+        so c is the ratio of phi's and the reference's at one row; the
+        re-checked primitive of phi - c * reference proves it (ValueError
+        if there is none)."""
+        ref = self.reference()
         at = self.echelon.residual(cochain_to_vector(phi, self.rows)).get(self._row, 0)
-        c = ops.div(at, self._ref_value)
+        c = divide(at, self._ref_value, self.echelon.p)
         if self.primitive(phi - ref.scale(c)) is None:
             raise ValueError("phi is not cohomologous to a multiple of the reference")
-        return Scalar(self.alg.spec, c)
+        return c
 
 
 def solve_first(phi: Cochain, alg: AInfStructure, not_cocycle: Exception, solve):
@@ -457,7 +456,8 @@ def reference_cocycle(alg: AInfStructure, r: int, s: int) -> Cochain:
     return _cell(alg, r, s).reference()
 
 
-def class_coordinate(phi: Cochain, alg: AInfStructure) -> Scalar:
-    """c with phi = c * reference_cocycle + coboundary in a 1-dimensional
-    cell (Cell.coordinate); its re-checked primitive proves phi a cocycle."""
+def class_coordinate(phi: Cochain, alg: AInfStructure):
+    """The raw value c with phi = c * reference_cocycle + coboundary in a
+    1-dimensional cell (Cell.coordinate); its re-checked primitive proves
+    phi a cocycle."""
     return _cell(alg, phi.r, phi.s).coordinate(phi)

@@ -2,14 +2,14 @@
 
 A matrix is a list of sparse columns (dict row -> raw value: for Q an int
 when integral and otherwise a Fraction, as ``scalars._rational`` makes it;
-for F_p an int residue).  ``Echelon`` takes the columns in order and
-reduces each against the basis built from the ones before it.  A column
-that keeps a nonzero residual is a pivot column and its residual joins
-the basis; a column that reduces to zero is free, and the multipliers
-that zeroed it give its kernel vector.  ``rank``, ``solve``,
-``nullspace`` (and its lazy form ``Echelon.kernel``), the column-space
-test ``Echelon.contains`` and ``Echelon.residual`` all read this one
-factorization.
+for F_p an int residue), over the field of characteristic p (0 for Q).
+``Echelon`` takes the columns in order and reduces each against the basis
+built from the ones before it.  A column that keeps a nonzero residual is
+a pivot column and its residual joins the basis; a column that reduces to
+zero is free, and the multipliers that zeroed it give its kernel vector.
+``rank``, ``solve``, ``nullspace`` (and its lazy form ``Echelon.kernel``),
+the column-space test ``Echelon.contains`` and ``Echelon.residual`` all
+read this one factorization.
 
 Why the outputs equal those of Gauss-Jordan elimination (``rref`` on the
 rows, first nonzero column first, kept as the test oracle): the pivot
@@ -25,33 +25,9 @@ fewest input columns, then the lowest row id).
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-from .scalars import FieldSpec, _rational
-
-
-class FieldOps:
-    """Raw-value arithmetic for one field, used inside elimination loops."""
-
-    def __init__(self, spec: FieldSpec):
-        self.spec = spec
-        p = spec.characteristic
-        self.zero = 0
-        self.one = 1
-        if p == 0:
-            self.add = lambda a, b: _rational(a + b)
-            self.sub = lambda a, b: _rational(a - b)
-            self.mul = lambda a, b: _rational(a * b)
-            # Fraction(a, b), not a / b: int / int would be a float
-            self.div = lambda a, b: _rational(Fraction(a, b))
-            self.neg = lambda a: -a
-        else:
-            self.add = lambda a, b: (a + b) % p
-            self.sub = lambda a, b: (a - b) % p
-            self.mul = lambda a, b: (a * b) % p
-            self.div = lambda a, b: a * pow(b, p - 2, p) % p
-            self.neg = lambda a: -a % p
+from .scalars import canon, divide
 
 
 class Echelon:
@@ -67,8 +43,8 @@ class Echelon:
     the object, which hochschild.Cell keeps for a reference cell.
     """
 
-    def __init__(self, columns, ops: FieldOps, ncols: int = None):
-        self.ops = ops
+    def __init__(self, columns, p: int, ncols: int = None):
+        self.p = p
         self.ncols = len(columns) if ncols is None else ncols
         self.pivots: list[int] = []    # k -> pivot column
         self.free: list[int] = []      # free columns, ascending
@@ -104,8 +80,7 @@ class Echelon:
             return v, mult
         heapify(heap)
         rows, basis = self._rows, self._basis
-        p = self.ops.spec.characteristic
-        zero = self.ops.zero
+        p = self.p
         get = v.get
         while heap:
             k = heappop(heap)
@@ -114,7 +89,7 @@ class Echelon:
                 continue  # pushed twice, or already cancelled
             mult[k] = f
             for r, a in basis[k].items():
-                nv = get(r, zero) - f * a
+                nv = get(r, 0) - f * a
                 if p:
                     nv %= p
                 elif nv.denominator == 1:  # scalars._rational, inline
@@ -130,12 +105,10 @@ class Echelon:
     def _insert(self, j, residual, mult):
         weight = self._weight
         row = min(residual, key=lambda r: (weight[r], r))
-        scale = residual[row]
-        ops = self.ops
-        inv = ops.div(ops.one, scale)
-        if inv != ops.one:
-            mul = ops.mul
-            residual = {r: mul(a, inv) for r, a in residual.items()}
+        p = self.p
+        inv = divide(1, residual[row], p)
+        if inv != 1:
+            residual = {r: canon(a * inv, p) for r, a in residual.items()}
         self._slot[row] = len(self._rows)
         self._rows.append(row)
         self._basis.append(residual)
@@ -146,18 +119,17 @@ class Echelon:
     def _back_substitute(self, mult):
         """x with sum_j x_j columns[j] = sum_k mult[k] basis[k], supported
         on the pivot columns."""
-        ops = self.ops
+        p = self.p
         y = dict(mult)
-        x = [ops.zero] * self.ncols
-        mul, sub = ops.mul, ops.sub
+        x = [canon(0, p)] * self.ncols
         for k in range(len(self.pivots) - 1, -1, -1):
             yk = y.get(k)
             if not yk:
                 continue
-            xk = mul(yk, self._inv[k])
+            xk = canon(yk * self._inv[k], p)
             x[self.pivots[k]] = xk
             for i, m in self._steps[k].items():
-                y[i] = sub(y.get(i, ops.zero), mul(xk, m))
+                y[i] = canon(y.get(i, 0) - xk * m, p)
         return x
 
     def residual(self, b) -> dict:
@@ -181,10 +153,10 @@ class Echelon:
         """Kernel basis, lazily: per free column, ascending, the vector with
         1 there and 0 at the other free columns, back-substituted only when
         asked for."""
-        ops = self.ops
+        p = self.p
         for j, mult in zip(self.free, self._kernel):
-            vec = [ops.neg(v) for v in self._back_substitute(mult)]
-            vec[j] = ops.one
+            vec = [canon(-v, p) for v in self._back_substitute(mult)]
+            vec[j] = canon(1, p)
             yield vec
 
     def nullspace(self):
@@ -192,7 +164,7 @@ class Echelon:
         return list(self.kernel())
 
 
-def rref(rows, ops: FieldOps):
+def rref(rows, p: int):
     """Reduce sparse rows in place to reduced row echelon form.
 
     Returns the list of pivot columns, one per nonzero row; after the call
@@ -214,10 +186,10 @@ def rref(rows, ops: FieldOps):
             continue
         rows[done], rows[pivot_i] = rows[pivot_i], rows[done]
         piv = rows[done]
-        inv = ops.div(ops.one, piv[col])
-        if inv != ops.one:
+        inv = divide(1, piv[col], p)
+        if inv != 1:
             for c in list(piv):
-                piv[c] = ops.mul(piv[c], inv)
+                piv[c] = canon(piv[c] * inv, p)
         for i, row in enumerate(rows):
             if i == done:
                 continue
@@ -225,7 +197,7 @@ def rref(rows, ops: FieldOps):
             if not f:
                 continue
             for c, v in piv.items():
-                nv = ops.sub(row.get(c, ops.zero), ops.mul(f, v))
+                nv = canon(row.get(c, 0) - f * v, p)
                 if nv:
                     row[c] = nv
                 else:
@@ -239,25 +211,25 @@ def rref(rows, ops: FieldOps):
     return pivots
 
 
-def rank(vectors, ops: FieldOps) -> int:
+def rank(vectors, p: int) -> int:
     """Rank of a list of sparse vectors (rows or columns alike)."""
-    return Echelon(vectors, ops).rank
+    return Echelon(vectors, p).rank
 
 
-def solve(columns, ncols: int, b, ops: FieldOps):
+def solve(columns, ncols: int, b, p: int):
     """Solve sum_j x_j * columns[j] = b exactly.
 
     columns: list of sparse vectors (dict row -> value); b likewise.
     Returns the deterministic solution (free variables set to zero) as a
     list of raw values, or None when the system is infeasible.
     """
-    return Echelon(columns, ops, ncols).solve(b)
+    return Echelon(columns, p, ncols).solve(b)
 
 
-def nullspace(columns, ncols: int, ops: FieldOps):
+def nullspace(columns, ncols: int, p: int):
     """Deterministic basis of {x : sum_j x_j columns[j] = 0}.
 
     One basis vector per free column, in ascending column order; the free
     coordinate is 1 and the other free coordinates are 0.
     """
-    return Echelon(columns, ops, ncols).nullspace()
+    return Echelon(columns, p, ncols).nullspace()

@@ -40,14 +40,14 @@ class SplittingData:
 
         p o i = id,  i o p - id = mu1 T + T mu1,  T^2 = 0, T i = 0, p T = 0.
         """
-        amb, spec = self.ambient, self.ambient.spec
-        one = spec.one()
+        amb = self.ambient
+        p = amb.spec.characteristic
         for h in self.harmonic.generators:
             img = _apply_linear(self.proj, self.incl[h])
-            if img != Element.single(h, one):
+            if img != Element.single(h, 1, p):
                 raise ValueError(f"p(i({h})) != {h}")
         for g in amb.cat.generators:
-            el = Element.single(g, one)
+            el = Element.single(g, 1, p)
             ip = _apply_linear(self.incl, _apply_linear(self.proj, el))
             t_el = self.homotopy.get(g, ZERO)
             d_t = amb.evaluate_elements(1, [t_el]) if not t_el.is_zero() else ZERO
@@ -71,25 +71,25 @@ def preset_splitting_C(spec: FieldSpec) -> SplittingData:
     homotopy T(v01) = -v1 and T = 0 elsewhere."""
     ambient = preset_C(spec)
     harmonic = preset_A(spec).cat
-    one = spec.one()
+    p = spec.characteristic
     incl = {
-        "e0": Element.single("e0", one),
-        "e1": Element.single("e1", one),
-        "f0": Element.single("f0", one),
-        "f1": Element.single("f1", one),
-        "u": Element.single("u01", one),
-        "v": Element({"v0": one, "v1": one}),
+        "e0": Element.single("e0", 1, p),
+        "e1": Element.single("e1", 1, p),
+        "f0": Element.single("f0", 1, p),
+        "f1": Element.single("f1", 1, p),
+        "u": Element.single("u01", 1, p),
+        "v": Element({"v0": 1, "v1": 1}, p),
     }
     proj = {
-        "e0": Element.single("e0", one),
-        "e1": Element.single("e1", one),
-        "f0": Element.single("f0", one),
-        "f1": Element.single("f1", one),
-        "u01": Element.single("u", one),
-        "v0": Element.single("v", one),
+        "e0": Element.single("e0", 1, p),
+        "e1": Element.single("e1", 1, p),
+        "f0": Element.single("f0", 1, p),
+        "f1": Element.single("f1", 1, p),
+        "u01": Element.single("u", 1, p),
+        "v0": Element.single("v", 1, p),
         # v1 and v01 project to zero
     }
-    homotopy = {"v01": Element.single("v1", -one)}
+    homotopy = {"v01": Element.single("v1", -1, p)}
     split = SplittingData(ambient, harmonic, incl, proj, homotopy)
     split.check()
     return split
@@ -177,16 +177,13 @@ def lemma_check(result: TransferResult, up_to: int):
         mu^d(u, e1^(d-3), v, f1) = (-1)^(d+1) f1
         mu^d(u, e1^(d-2), v)     = (-1)^d     f1
     Returns (ok, mismatches)."""
-    spec = result.minimal.spec
-    one = spec.one()
+    p = result.minimal.spec.characteristic
     mismatches = []
     for d in range(3, up_to + 1):
-        expected = {}
-        if d >= 3:
-            t1 = ("u",) + ("e1",) * (d - 3) + ("v", "f1")
-            expected[t1] = Element.single("f1", one if (d + 1) % 2 == 0 else -one)
-            t2 = ("u",) + ("e1",) * (d - 2) + ("v",)
-            expected[t2] = Element.single("f1", one if d % 2 == 0 else -one)
+        t1 = ("u",) + ("e1",) * (d - 3) + ("v", "f1")
+        t2 = ("u",) + ("e1",) * (d - 2) + ("v",)
+        expected = {t1: Element.single("f1", (-1) ** (d + 1), p),
+                    t2: Element.single("f1", (-1) ** d, p)}
         actual = result.minimal.tables.get(d, {})
         for t in set(expected) | set(actual):
             if expected.get(t, ZERO) != actual.get(t, ZERO):

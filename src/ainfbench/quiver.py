@@ -26,7 +26,7 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .linalg import FieldOps, rank
+from .linalg import rank
 from .scalars import (ZERO, Element, FieldSpec, accumulate, field_mismatch, parse_scalar,
                       tensor_terms)
 
@@ -316,7 +316,7 @@ class AInfStructure:
         """Strict unitality of mu^2 against the designated identities."""
         cat = self.cat
         for name, g in cat.generators.items():
-            el = Element.single(name, self.spec.one())
+            el = Element.single(name, 1, self.spec.characteristic)
             right = self.evaluate_elements(2, [el, cat.identities[g.source]])
             if right != el:
                 raise AssertionError(f"mu2({name}, id) != {name}")
@@ -331,8 +331,7 @@ class AInfStructure:
         Only meaningful for dg structures; used to confirm that a dg
         inclusion is a quasi-isomorphism by comparing dimension tables.
         """
-        cat, spec = self.cat, self.spec
-        ops = FieldOps(spec)
+        cat, p = self.cat, self.spec.characteristic
         dims = {}
         by_slot: dict[tuple, list[str]] = {}
         for n, g in cat.generators.items():
@@ -345,7 +344,7 @@ class AInfStructure:
                 for n in names_from:
                     img = mu1.get((n,), ZERO)
                     rows.append({idx[g]: c for g, c in img.terms.items()})
-                return rank(rows, ops)
+                return rank(rows, p)
 
             below = by_slot.get((src, tgt, deg - 1), [])
             here_rank = d_rank(basis, by_slot.get((src, tgt, deg + 1), []))
@@ -393,18 +392,17 @@ def preset_A(spec: FieldSpec, truncation: int = 12) -> AInfStructure:
     """Minimal associative structure on the 6-dimensional two-object
     category (A_GENERATORS).  Only mu^2 is nonzero, with the twist
     mu^2(x,y) = (-1)^{deg y} (x o y)."""
-    one = spec.one()
+    p = spec.characteristic
     cat = QuiverCategory(
         ["a", "b"], A_GENERATORS.values(),
-        {"a": Element.single("e0", one), "b": Element.single("f0", one)},
+        {"a": Element.single("e0", 1, p), "b": Element.single("f0", 1, p)},
     )
     mu2 = {}
     for pair in cat.tuples(2):
         prod = _assoc_mul_A(*pair)
         if prod is None:
             continue
-        sign = -one if cat.deg(pair[1]) % 2 else one
-        mu2[pair] = Element.single(prod, sign)
+        mu2[pair] = Element.single(prod, -1 if cat.deg(pair[1]) % 2 else 1, p)
     return AInfStructure(spec, cat, truncation, {2: mu2})
 
 
@@ -428,10 +426,10 @@ def preset_C(spec: FieldSpec, truncation: int = 12) -> AInfStructure:
         Generator("v01", "b", "a", 1),
         Generator("u01", "a", "b", 1),
     ]
-    one = spec.one()
+    p = spec.characteristic
     cat = QuiverCategory(
         ["a", "b"], gens,
-        {"a": Element.single("e0", one), "b": Element.single("f0", one)},
+        {"a": Element.single("e0", 1, p), "b": Element.single("f0", 1, p)},
     )
     mu1 = _table(spec, [
         (("v0",), [(-1, "v01")]),
@@ -478,12 +476,12 @@ def preset_D(spec: FieldSpec, truncation: int = 12) -> AInfStructure:
         Generator("v01", "b", "a", 1),
         Generator("u01", "a", "b", 1),
     ]
-    one = spec.one()
+    p = spec.characteristic
     cat = QuiverCategory(
         ["a", "b"], gens,
         {
-            "a": Element({"x0": one, "x1": one, "x2": one}),
-            "b": Element({"y0": one, "y1": one, "y2": one}),
+            "a": Element({"x0": 1, "x1": 1, "x2": 1}, p),
+            "b": Element({"y0": 1, "y1": 1, "y2": 1}, p),
         },
     )
     mu1_entries = []
@@ -551,7 +549,7 @@ def parse_element(text: str, cat: QuiverCategory, spec: FieldSpec) -> Element:
         g = g.strip()
         if g not in cat.generators:
             raise ValueError(f"unknown generator {g!r}")
-        out = out + Element.single(g, parse_scalar(c, spec))
+        out = out + Element.single(g, parse_scalar(c, spec), spec.characteristic)
     return out
 
 
@@ -675,6 +673,9 @@ def load_with_extras(text: str):
         with _at_line(lineno):
             values.append(parse(value))
     spec, truncation = values
+    if truncation < 1:  # no relation would be checked
+        raise ValueError(f"line {headers[1][1]}: TRUNCATION must be at least 1, "
+                         f"got {truncation}")
     objects, gens, identities = [], [], {}
     for row, lineno in obj_rows:
         with _at_line(lineno):

@@ -9,8 +9,9 @@ value, so the form matters only for speed.  Values are not checked per
 operation: Elements and linalg's columns hold raw values, their loops
 use plain + and *, and each sum is made canonical once (``canonical``);
 the field is checked where an Element, a table or a cochain is built.
-``Scalar``, a raw value with its field, serves the boundaries (parsing,
-public results) and refuses to mix fields.
+A raw value carries no field of its own: whoever holds one holds the
+characteristic p too (``Element.p``, ``Echelon.p``, ``FieldSpec``), and
+``canon`` and ``divide`` are the single-value arithmetic.
 """
 
 from __future__ import annotations
@@ -24,6 +25,23 @@ _MAX_PRIME = 2**63 - 1
 def _rational(v):
     """The canonical raw value of the rational v: an int when integral."""
     return v.numerator if v.denominator == 1 else v
+
+
+def canon(v, p: int):
+    """The canonical form of the raw value v: a residue mod p, or over Q
+    (p = 0) ``_rational`` of it."""
+    return v % p if p else _rational(v)
+
+
+def divide(a, b, p: int):
+    """a / b in the field of characteristic p, canonical; ZeroDivisionError
+    when b is zero there."""
+    if p:
+        if not b % p:
+            raise ZeroDivisionError("division by zero")
+        return a * pow(b, p - 2, p) % p
+    # Fraction(a, b), not a / b: int / int would be a float
+    return _rational(Fraction(a, b))
 
 
 def canonical(values: dict, p: int) -> dict:
@@ -79,10 +97,6 @@ class FieldSpec:
         if not _is_prime(c):
             raise ValueError(f"characteristic must be 0 or prime, got {c}")
 
-    @property
-    def is_rational(self) -> bool:
-        return self.characteristic == 0
-
     def __str__(self):
         return "Q" if self.characteristic == 0 else f"F{self.characteristic}"
 
@@ -95,99 +109,19 @@ class FieldSpec:
             return FieldSpec(int(text[1:]))
         raise ValueError(f"unknown field spec {text!r} (expected Q or F<p>)")
 
-    # -- scalar constructors ------------------------------------------
-
-    def scalar(self, num: int, den: int = 1) -> "Scalar":
+    def scalar(self, num: int, den: int = 1):
+        """num / den as a canonical raw value of this field."""
         if den == 0:
             raise ZeroDivisionError("zero denominator")
         p = self.characteristic
-        if p == 0:
-            return Scalar(self, _rational(Fraction(num, den)))
-        d = den % p
-        if d == 0:
+        if p and not den % p:
             raise ZeroDivisionError(f"denominator {den} is not invertible mod {p}")
-        return Scalar(self, num * pow(d, p - 2, p) % p)
-
-    def zero(self) -> "Scalar":
-        return self.scalar(0)
-
-    def one(self) -> "Scalar":
-        return self.scalar(1)
+        return divide(num, den, p)
 
 
-class Scalar:
-    """A field element: over Q an int, or a reduced Fraction with
-    denominator > 1 when the value is not integral; over F_p a residue in
-    [0,p)."""
-
-    __slots__ = ("spec", "value")
-
-    def __init__(self, spec: FieldSpec, value):
-        self.spec = spec
-        self.value = value
-
-    def _of(self, other: "Scalar", v) -> "Scalar":
-        """v, computed from self and other, canonical in their field."""
-        if self.spec != other.spec:
-            raise field_mismatch(self.spec.characteristic, other.spec.characteristic)
-        p = self.spec.characteristic
-        return Scalar(self.spec, v % p if p else _rational(v))
-
-    def __add__(self, other):
-        return self._of(other, self.value + other.value)
-
-    def __sub__(self, other):
-        return self._of(other, self.value - other.value)
-
-    def __mul__(self, other):
-        return self._of(other, self.value * other.value)
-
-    def __truediv__(self, other):
-        if not other:
-            raise ZeroDivisionError("division by zero")
-        p = other.spec.characteristic
-        # Fraction(1, b), not 1 / b: 1 / int would be a float
-        return self * Scalar(other.spec, pow(other.value, p - 2, p) if p
-                             else Fraction(1, other.value))
-
-    def __neg__(self):
-        return self._of(self, -self.value)
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __eq__(self, other):
-        return (isinstance(other, Scalar)
-                and (self.spec, self.value) == (other.spec, other.value))
-
-    def __hash__(self):
-        return hash((self.spec, self.value))
-
-    def __repr__(self):
-        return f"Scalar({self.spec}, {self})"
-
-    def __str__(self):
-        v = self.value
-        if self.spec.is_rational and v.denominator != 1:
-            return f"{v.numerator}/{v.denominator}"
-        return str(int(v))
-
-
-def field_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Exact arithmetic on two scalars of one field: op in add|sub|mul|div."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def parse_scalar(text: str, spec: FieldSpec) -> Scalar:
-    """Parse 'a' or 'a/b' (optional sign, decimal) into a canonical scalar."""
+def parse_scalar(text: str, spec: FieldSpec):
+    """Parse 'a' or 'a/b' (optional sign, decimal) into a canonical raw
+    value of spec's field."""
     text = text.strip()
     if "/" in text:
         num_s, den_s = text.split("/", 1)
@@ -213,28 +147,22 @@ class Element:
     """Linear combination of generators sharing source, target and degree.
 
     terms maps generators to canonical raw values, as linalg's columns
-    hold them; p is the field's characteristic, 0 for Q.  The
-    constructor prunes zeros and canonicalizes, so a loop sums raw
-    products with plain + and * and canonicalizes once, building the
-    Element.  Scalars are unwrapped and give p; two fields, in the terms
-    or in an operation, raise ValueError.  The zero element is the empty
+    hold them; p is the field's characteristic, 0 for Q, and the one tag
+    of the field: the values themselves carry none.  The constructor
+    prunes zeros and canonicalizes, so a loop sums raw products with plain
+    + and * and canonicalizes once, building the Element.  An operation on
+    two fields raises ValueError.  The zero element is the empty
     combination; its field is contextual.
     """
 
     __slots__ = ("terms", "p")
 
-    def __init__(self, terms=None, p: int = None):
-        if terms and any(type(c) is Scalar for c in terms.values()):
-            chars = {c.spec.characteristic for c in terms.values() if type(c) is Scalar}
-            if len(chars) > 1 or p not in (None, *chars):
-                raise field_mismatch(*sorted(chars | {p} - {None}))
-            (p,) = chars
-            terms = {g: c.value if type(c) is Scalar else c for g, c in terms.items()}
-        self.p = p = p or 0
+    def __init__(self, terms=None, p: int = 0):
+        self.p = p
         self.terms = canonical(terms, p) if terms else {}
 
     @staticmethod
-    def single(name: str, coeff, p: int = None) -> "Element":
+    def single(name: str, coeff, p: int = 0) -> "Element":
         return Element({name: coeff}, p)
 
     def is_zero(self) -> bool:
@@ -259,11 +187,8 @@ class Element:
         return self + (-other)
 
     def scale(self, c) -> "Element":
-        """c * self for a raw value c of the field or a Scalar."""
-        p = self.p
-        if type(c) is Scalar:
-            p, c = self._field(Element.single(None, c)), c.value
-        return Element({g: v * c for g, v in self.terms.items()}, p)
+        """c * self for a raw value c of the field."""
+        return Element({g: v * c for g, v in self.terms.items()}, self.p)
 
     def __eq__(self, other):
         return (isinstance(other, Element) and self.terms == other.terms

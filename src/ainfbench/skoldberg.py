@@ -33,9 +33,9 @@ HH(r, s) = HH(r+4, s-3) in characteristic 2.
 
 from __future__ import annotations
 
-from .linalg import FieldOps, rank
+from .linalg import rank
 from .quiver import A_GENERATORS, _assoc_mul_A
-from .scalars import FieldSpec
+from .scalars import FieldSpec, canonical
 
 
 def _word(j: int, which: int) -> tuple:
@@ -71,14 +71,6 @@ def _split(j: int, which: int):
     return out
 
 
-def _add(col, i, sign, ops):
-    new = ops.add(col.get(i, ops.zero), ops.one if sign > 0 else ops.neg(ops.one))
-    if new:
-        col[i] = new
-    else:
-        col.pop(i, None)
-
-
 class SkoldbergComplex:
     """Primal resolution terms and differentials, in explicit bases.
 
@@ -110,7 +102,7 @@ class SkoldbergComplex:
         """Matrix of p_j: P_j -> P_{j-1} as sparse columns over the bases."""
         assert 1 <= j <= self.j_max
         target_index = {b: i for i, b in enumerate(self.bases[j - 1])}
-        ops = FieldOps(self.spec)
+        p = self.spec.characteristic
         splits = (_split(j, 0), _split(j, 1))
         cols = []
         for (x, which, y) in self.bases[j]:
@@ -119,36 +111,33 @@ class SkoldbergComplex:
                 x2 = _assoc_mul_A(x, left) if left else x
                 y2 = _assoc_mul_A(right, y) if right else y
                 if x2 and y2:
-                    _add(col, target_index[(x2, which2, y2)], sign, ops)
-            cols.append(col)
+                    i = target_index[(x2, which2, y2)]
+                    col[i] = col.get(i, 0) + sign
+            cols.append(canonical(col, p))
         return cols
 
     def augmentation(self):
         """epsilon: P_0 -> A, x (x) y -> xy, as sparse columns over the
         A-basis enumerated in A_GENERATORS order."""
         a_index = {g: i for i, g in enumerate(A_GENERATORS)}
-        ops = FieldOps(self.spec)
         cols = []
         for (x, which, y) in self.bases[0]:
             prod = _assoc_mul_A(x, y)
-            cols.append({a_index[prod]: ops.one} if prod else {})
+            cols.append({a_index[prod]: 1} if prod else {})
         return cols
 
     def verify_composites(self):
         """p_j o p_{j+1} = 0 for all computed steps, and epsilon o p_1 = 0."""
-        ops = FieldOps(self.spec)
+        p = self.spec.characteristic
+
         def compose(left_cols, right_cols):
             out = []
             for col in right_cols:
                 acc: dict[int, object] = {}
                 for row, val in col.items():
                     for row2, val2 in left_cols[row].items():
-                        new = ops.add(acc.get(row2, ops.zero), ops.mul(val, val2))
-                        if new:
-                            acc[row2] = new
-                        else:
-                            acc.pop(row2, None)
-                out.append(acc)
+                        acc[row2] = acc.get(row2, 0) + val * val2
+                out.append(canonical(acc, p))
             return out
 
         steps = [self.differential(j) for j in range(1, self.j_max + 1)]
@@ -173,9 +162,10 @@ def _dual_basis(j: int):
     return out
 
 
-def _dual_differential(bases, j: int, s: int, ops):
+def _dual_differential(bases, j: int, s: int, p: int):
     """Columns of delta: Hom(P_j, A) -> Hom(P_{j+1}, A) at internal degree
-    s, over bases[j][s] and bases[j+1][s], read from the split rule."""
+    s, over bases[j][s] and bases[j+1][s], read from the split rule, over
+    the field of characteristic p."""
     rows = {b: i for i, b in enumerate(bases[j + 1].get(s, ()))}
     splits = [(which1, *cut) for which1 in (0, 1) for cut in _split(j + 1, which1)]
     cols = []
@@ -191,18 +181,19 @@ def _dual_differential(bases, j: int, s: int, ops):
                 continue
             if left and A_GENERATORS[left].degree * s % 2:
                 sign = -sign
-            _add(col, rows[(which1, out)], sign, ops)
-        cols.append(col)
+            i = rows[(which1, out)]
+            col[i] = col.get(i, 0) + sign
+        cols.append(canonical(col, p))
     return cols
 
 
 def skoldberg_dims(spec: FieldSpec, r_max: int):
     """Bigraded cohomology dimensions {(r, s): dim} of Hom(P_*, A[s]),
     computed blockwise with exact rank over the base field."""
-    ops = FieldOps(spec)
+    p = spec.characteristic
     bases = [_dual_basis(j) for j in range(r_max + 2)]
     # (j, s) -> rank of delta out of Hom(P_j, A) at s
-    ranks = {(j, s): rank(_dual_differential(bases, j, s, ops), ops)
+    ranks = {(j, s): rank(_dual_differential(bases, j, s, p), p)
              for j in range(r_max + 1) for s in bases[j]}
     dims = {}
     for r in range(r_max + 1):

@@ -16,9 +16,9 @@ count, and only then keep those within the wrap bound, as the program
 once did.
 
 The rational oracles hold Q values as the program once did, every one a
-Fraction, integral or not (``FractionOps``, ``fraction_reduce`` and
-``fraction_values``), and find a reference cocycle from the whole kernel
-basis (``find_reference``).
+Fraction, integral or not (``fraction_reduce`` and ``fraction_values``),
+and find a reference cocycle from the whole kernel basis
+(``find_reference``).
 
 The class-coordinate oracle solves for the coordinate against a fresh
 delta matrix with the reference's column appended, as the program once
@@ -38,10 +38,10 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import inf
 
-from ainfbench import gauge, hochschild, linalg, scalars, skoldberg
+from ainfbench import gauge, hochschild, linalg, scalars
 from ainfbench.gauge import GaugeTransformation
 from ainfbench.hochschild import Cochain, vector_to_cochain
-from ainfbench.linalg import Echelon, FieldOps, nullspace
+from ainfbench.linalg import Echelon, nullspace
 from ainfbench.perturbation import TransferResult, _apply_linear
 from ainfbench.polygons import (CROSS_HIGH, CROSS_LOW, CurveLift, _build_witness,
                                 _cross, _w)
@@ -196,8 +196,7 @@ def cochain_basis(alg, r, s):
 def delta_matrix(alg, r, s):
     """The delta matrix with the oracle bases, its rows assembled over
     every composable (r+1)-tuple."""
-    cat = alg.cat
-    ops = FieldOps(alg.spec)
+    cat, p = alg.cat, alg.spec.characteristic
     col_basis = cochain_basis(alg, r, s)
     row_basis = cochain_basis(alg, r + 1, s)
     col_index = {b: i for i, b in enumerate(col_basis)}
@@ -208,7 +207,7 @@ def delta_matrix(alg, r, s):
 
     def add(j, i, value):
         cell = columns[j]
-        new = ops.add(cell.get(i, ops.zero), value)
+        new = scalars.canon(cell.get(i, 0) + value, p)
         if new:
             cell[i] = new
         else:
@@ -234,7 +233,7 @@ def delta_matrix(alg, r, s):
                 for g, c in el.terms.items():
                     i = row_index.get((t, g))
                     if i is not None:
-                        add(j, i, ops.neg(c) if negate else c)
+                        add(j, i, -c if negate else c)
         if r >= 1:
             eps = 0
             for n in range(r):
@@ -251,7 +250,7 @@ def delta_matrix(alg, r, s):
                                 continue
                             i = row_index.get((t, h))
                             if i is not None:
-                                add(j, i, ops.neg(c) if negate else c)
+                                add(j, i, -c if negate else c)
                 eps += degs[r - n] - 1
     return col_basis, row_basis, columns
 
@@ -384,21 +383,6 @@ def quad_witnesses(scene, wrap_bound):
     return _within(out, wrap_bound)
 
 
-class FractionOps(FieldOps):
-    """Raw-value arithmetic with every Q value a Fraction, integral or not;
-    F_p is unchanged."""
-
-    def __init__(self, spec):
-        super().__init__(spec)
-        if spec.is_rational:
-            self.zero = Fraction(0)
-            self.one = Fraction(1)
-            self.add = lambda a, b: a + b
-            self.sub = lambda a, b: a - b
-            self.mul = lambda a, b: a * b
-            self.div = lambda a, b: a / b
-
-
 def fraction_reduce(self, col):
     """Echelon._reduce without the step that turns an integral Q residual
     entry into an int."""
@@ -410,8 +394,7 @@ def fraction_reduce(self, col):
         return v, mult
     heapify(heap)
     rows, basis = self._rows, self._basis
-    p = self.ops.spec.characteristic
-    zero = self.ops.zero
+    p = self.p
     get = v.get
     while heap:
         k = heappop(heap)
@@ -420,7 +403,7 @@ def fraction_reduce(self, col):
             continue
         mult[k] = f
         for r, a in basis[k].items():
-            nv = get(r, zero) - f * a
+            nv = get(r, 0) - f * a
             if p:
                 nv %= p
             if nv:
@@ -434,25 +417,23 @@ def fraction_reduce(self, col):
 
 def fraction_values(mp):
     """Within the monkeypatch context mp, run the program with every Q
-    value a Fraction: scalars, FieldOps at each module that binds it, and
-    Echelon's reduction; the reference caches start empty, so no value
-    made before is reused."""
+    value a Fraction: the canonical form of scalars (which canonical, canon
+    and divide read when called) and Echelon's reduction; the reference
+    caches start empty, so no value made before is reused."""
     mp.setattr(scalars, "_rational", Fraction)
     mp.setattr(hochschild, "_CELLS", {})
     mp.setattr(hochschild, "_SQUARES_ZERO", {})
-    for mod in (linalg, hochschild, skoldberg):
-        mp.setattr(mod, "FieldOps", FractionOps)
     mp.setattr(Echelon, "_reduce", fraction_reduce)
 
 
 def find_reference(alg, r, s):
     """The first kernel vector of delta at (r, s) outside the image of
     delta from (r-1, s), scanned after the whole kernel basis is built."""
-    ops = FieldOps(alg.spec)
+    p = alg.spec.characteristic
     cols, rows, matrix = hochschild.delta_matrix(alg, r, s)
-    kernel = nullspace(matrix, len(cols), ops)
+    kernel = nullspace(matrix, len(cols), p)
     below_cols, below_rows, below = hochschild.delta_matrix(alg, r - 1, s)
-    image = Echelon(below, ops, len(below_cols))
+    image = Echelon(below, p, len(below_cols))
     for vec in kernel:
         if not image.contains({i: v for i, v in enumerate(vec) if v}):
             return vector_to_cochain(vec, cols, r, s, alg.spec)
@@ -478,13 +459,13 @@ def class_coordinate(phi, reference, alg):
     """c with phi = c * reference + delta(nu): a fresh delta matrix from
     (r-1, s), the reference's column appended, one solve, and c its last
     unknown."""
-    ops = FieldOps(alg.spec)
     cols, rows, matrix = hochschild.delta_matrix(alg, phi.r - 1, phi.s)
     columns = matrix + [hochschild.cochain_to_vector(reference, rows)]
-    x = linalg.solve(columns, len(cols) + 1, hochschild.cochain_to_vector(phi, rows), ops)
+    x = linalg.solve(columns, len(cols) + 1, hochschild.cochain_to_vector(phi, rows),
+                     alg.spec.characteristic)
     if x is None:
         raise ValueError("phi is not cohomologous to a multiple of the reference")
-    return scalars.Scalar(alg.spec, x[-1])
+    return x[-1]
 
 
 def weight_one(mp):

@@ -220,7 +220,7 @@ def test_criterion_10_structural_properties(Q, model12):
 
         try:
             bad = {2: dict(A.tables[2])}
-            bad[2][("u", "v")] = Element.single("f0", Q.one())
+            bad[2][("u", "v")] = Element.single("f0", 1)
             AInfStructure(Q, A.cat, 12, bad)
             failures += 1
         except ValueError:

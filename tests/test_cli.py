@@ -43,11 +43,12 @@ def test_hh_table_f2_skoldberg():
     assert code == 0
 
 
-def test_m6_golden(tmp_path):
+@pytest.mark.parametrize("field", ["Q", "F5"])
+def test_m6_golden(field, tmp_path):
     out = tmp_path / "m6.txt"
-    code, _ = run(["m6", "--field", "Q", "--out", str(out)])
+    code, _ = run(["m6", "--field", field, "--out", str(out)])
     assert code == 0
-    assert out.read_text() == (GOLDEN / "m6_Q.txt").read_text()
+    assert out.read_text() == (GOLDEN / f"m6_{field}.txt").read_text()
 
 
 def test_m6_refuses_char_2():
@@ -169,6 +170,14 @@ def test_gauge_fix_with_orbit(tmp_path):
     assert code == 0
     assert "m6 = -1/48" in text and "m8 = 1/864" in text
     assert "stable" in text and "RESULT ok" in text
+    assert text == (GOLDEN / "gauge_fix_Q.txt").read_text()
+
+
+def test_mc_golden_over_a_prime_field():
+    # the residues of (m6, m8) = (3, 2/5) in F7 and of every table entry
+    code, text = run(["mc", "--order", "10", "--field", "F7", "--m6", "3", "--m8", "2/5"])
+    assert code == 0
+    assert text == (GOLDEN / "mc_F7.txt").read_text()
 
 
 def test_gauge_fix_gauges_each_structure_once(monkeypatch):
@@ -238,6 +247,8 @@ def test_determinism_across_runs():
     ["mc", "--check-order", "-1"],
     ["minimal-model", "--check-order", "0"],
     ["gauge-fix", "--verify-orbit", "-3"],
+    ["mc", "--order", "7", "--m8", "1"],  # an invariant above --order
+    ["mc", "--order", "5", "--m6", "1"],
 ])
 def test_out_of_range_bound_is_usage(argv):
     # a bound below its least value would print a vacuous "ok"
@@ -246,7 +257,8 @@ def test_out_of_range_bound_is_usage(argv):
     assert err.startswith("usage error: ")
 
 
-@pytest.mark.parametrize("header,bad", [("FIELD", "F6"), ("TRUNCATION", "x")])
+@pytest.mark.parametrize("header,bad", [("FIELD", "F6"), ("TRUNCATION", "x"),
+                                        ("TRUNCATION", "0"), ("TRUNCATION", "-3")])
 def test_check_bad_header_names_its_line(tmp_path, header, bad):
     lines = (GOLDEN / "preset_C.alg").read_text().splitlines()
     i = next(k for k, line in enumerate(lines) if line.startswith(header))

@@ -21,7 +21,8 @@ def random_cochain(alg, r, s, rng, density=0.5):
     for key, g in cochain_basis(alg, r, s):
         if rng.random() < density:
             c = alg.spec.scalar(rng.randint(-4, 4), rng.randint(1, 3))
-            table[key] = table.get(key, Element()) + Element.single(g, c)
+            table[key] = table.get(key, Element()) + Element.single(
+                g, c, alg.spec.characteristic)
     return Cochain(r, s, table)
 
 
@@ -151,7 +152,7 @@ def test_is_coboundary_on_entries_outside_the_basis(Q, key, out, message):
     # the bracket judges such a cochain before the basis check rejects it
     A = preset_A(Q)
     with pytest.raises(ValueError, match=message):
-        is_coboundary(Cochain(2, 0, {key: Element.single(out, Q.one())}), A)
+        is_coboundary(Cochain(2, 0, {key: Element.single(out, 1)}), A)
 
 
 def test_reference_cocycles_exist(Q):
@@ -160,7 +161,7 @@ def test_reference_cocycles_exist(Q):
         ref = reference_cocycle(A, r, s)
         assert coboundary(ref, A).is_zero()
         assert is_coboundary(ref, A) is None  # class is nonzero
-        assert class_coordinate(ref, A) == Q.one()
+        assert class_coordinate(ref, A) == 1
     with pytest.raises(ValueError):
         reference_cocycle(A, 7, -5)  # that cell vanishes
 
@@ -211,7 +212,7 @@ def test_reference_cache_survives_caller_mutation(Q, fresh_references):
     want = fresh_references.Cell(A, 6, -4).reference()
     got = reference_cocycle(A, 6, -4)
     got.table.clear()
-    reference_cocycle(A, 6, -4).table[("u",)] = Element.single("u", Q.one())
+    reference_cocycle(A, 6, -4).table[("u",)] = Element.single("u", 1)
     assert reference_cocycle(A, 6, -4) == want
 
 

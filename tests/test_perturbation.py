@@ -17,7 +17,7 @@ def test_bad_splitting_rejected(Q):
     split = preset_splitting_C(Q)
     broken = SplittingData(
         split.ambient, split.harmonic, split.incl, split.proj,
-        {"v01": Element.single("v1", Q.one())},  # wrong sign of T
+        {"v01": Element.single("v1", 1)},  # wrong sign of T
     )
     with pytest.raises(ValueError):
         broken.check()
@@ -25,26 +25,25 @@ def test_bad_splitting_rejected(Q):
 
 def test_homotopy_values(Q):
     split = preset_splitting_C(Q)
-    assert split.homotopy["v01"] == Element.single("v1", -Q.one())
+    assert split.homotopy["v01"] == Element.single("v1", -1)
     assert "e1" not in split.homotopy
-    assert split.proj["v0"] == Element.single("v", Q.one())
+    assert split.proj["v0"] == Element.single("v", 1)
 
 
 def test_iota2_values(Q, model12):
     iota2 = model12.iota[2]
-    assert iota2[("v", "f1")] == Element.single("v1", Q.one())
-    assert iota2[("e1", "v")] == Element.single("v1", -Q.one())
+    assert iota2[("v", "f1")] == Element.single("v1", 1)
+    assert iota2[("e1", "v")] == Element.single("v1", -1)
 
 
 def test_iota_closed_form(Q, model12):
     # I^d(e1..e1, v, f1) = (-1)^d v1 and I^d(e1..e1, v) = (-1)^{d+1} v1
-    one = Q.one()
     for d in range(3, 9):
         t1 = ("e1",) * (d - 2) + ("v", "f1")
-        want1 = Element.single("v1", one if d % 2 == 0 else -one)
+        want1 = Element.single("v1", (-1) ** d)
         assert model12.iota[d][t1] == want1
         t2 = ("e1",) * (d - 1) + ("v",)
-        want2 = Element.single("v1", one if (d + 1) % 2 == 0 else -one)
+        want2 = Element.single("v1", (-1) ** (d + 1))
         assert model12.iota[d][t2] == want2
 
 
@@ -61,10 +60,10 @@ def test_lemma_closed_form_through_12(model12):
 
 def test_sample_lemma_values(Q, model12):
     B = model12.minimal
-    assert B.evaluate(3, ("u", "e1", "v")) == Element.single("f1", -Q.one())
-    assert B.evaluate(4, ("u", "e1", "v", "f1")) == Element.single("f1", -Q.one())
+    assert B.evaluate(3, ("u", "e1", "v")) == Element.single("f1", -1)
+    assert B.evaluate(4, ("u", "e1", "v", "f1")) == Element.single("f1", -1)
     assert B.evaluate(12, ("u",) + ("e1",) * 10 + ("v",)) == Element.single(
-        "f1", Q.one()
+        "f1", 1
     )
 
 
