@@ -24,6 +24,14 @@ generators, in the order of cat.tuples.
 The two residual invariants live in the 1-dimensional cells HH^2(A,A)^-4
 (order 6) and HH^2(A,A)^-6 (order 8); coordinates are reported against
 the deterministic reference cocycles of hochschild.reference_cocycle.
+extract_invariants reads them in one pass over d = 3..8 choosing the gauge
+as it goes: psi^d, the arity-d functor equation with g^(d-1) = 0 (mu^m
+spliced into the known g^k, mu_new^r, r < d, pulled to length d through
+the known blocks), is shifted by g^(d-1) only as -delta(g^(d-1)).  At d in
+_NORMAL_FORM g^(d-1) is the primitive of psi^d, so mu_new^d = 0 is never
+scattered; at d = 6, 8 the class of mu_new^d = psi^d is read.  gauge-fix
+still normalizes by kill_orders, whose composite of steps differs from the
+one-pass gauge from g^4 up (g^3 o g^2 terms); the invariants agree.
 
 Rescaling mu^d -> t^(d-2) mu^d, g^k -> t^(k-1) g^k gives each term of the
 functor equation and of mc_extend's obstruction equation weight d - 2, and
@@ -54,7 +62,7 @@ from .hochschild import (
 from .quiver import (AInfStructure, Element, EntryError, ZERO, _entry_lines, accumulate,
                      check_table, dump, format_element, index_by_output, load_with_extras,
                      parse_table, preset_A, splices)
-from .scalars import FieldSpec, canon, divide
+from .scalars import FieldSpec, canon, divide, field_mismatch
 
 
 class ObstructionError(ValueError):
@@ -109,7 +117,8 @@ def _substitutions(key, blocks: dict, alphabet, shortest: int, most: int, longes
             lo, hi = shortest - len(t) - rest * longest, most - len(t) - rest
             if n in alphabet and lo <= 1 <= hi:
                 grown.append((t + (n,), c0))
-            grown += [(t + B, c0 * c) for B, c in blocks.get(n, ()) if lo <= len(B) <= hi]
+            if hi > 1:  # a block has at least two letters
+                grown += [(t + B, c0 * c) for B, c in blocks.get(n, ()) if lo <= len(B) <= hi]
         partial = grown
     return partial
 
@@ -135,10 +144,24 @@ def _entries(accs: dict, cat, d: int, p: int) -> dict:
 def gauge_apply(gauge: GaugeTransformation, mu: AInfStructure,
                 order: int = None) -> AInfStructure:
     """Act on a minimal structure; result is minimal with the same mu^2.
-    _gauge_apply on integers, rescaled by weight_scale (module docstring)."""
+    _gauge_apply on integers, rescaled by weight_scale (module docstring).
+    Both inputs were checked when built, so what is built here is not."""
+    if gauge.spec != mu.spec:
+        raise field_mismatch(gauge.spec.characteristic, mu.spec.characteristic)
     p, t = mu.spec.characteristic, weight_scale(mu, *gauge.components.values())
-    scaled = GaugeTransformation(mu.spec, gauge.cat, _graded(gauge.components, t, 1, p))
+    scaled = copy(gauge)
+    scaled.components = _graded(gauge.components, t, 1, p)
     return rescale(_gauge_apply(scaled, rescale(mu, t), order), divide(1, t, p))
+
+
+def _g_side(acc: dict, gauge: GaugeTransformation, mu: AInfStructure, d: int) -> None:
+    """acc[t] += the g-side terms at arity d: each mu^m spliced into
+    g^(d-m+1), signed by the tail of the g key."""
+    odd = {n: (mu.cat.deg(n) - 1) % 2 for n in mu.cat.generators}
+    for m, inner in mu.tables.items():
+        gk = gauge.table(d - m + 1)
+        for t, G, i, c in splices(gk, inner) if gk else ():
+            accumulate(acc.setdefault(t, {}), gk, ((G, c),), sum(odd[n] for n in G[i + 1:]) % 2)
 
 
 def _gauge_apply(gauge: GaugeTransformation, mu: AInfStructure,
@@ -153,10 +176,9 @@ def _gauge_apply(gauge: GaugeTransformation, mu: AInfStructure,
     if order > mu.truncation:
         raise ValueError(f"cannot gauge to order {order} beyond truncation "
                          f"{mu.truncation}")
-    spec, cat = mu.spec, mu.cat
+    cat = mu.cat
     new_tables: dict[int, dict] = {2: dict(mu.tables[2])}
     alphabet = set(cat.nonidentity_generators())
-    odd = {n: (cat.deg(n) - 1) % 2 for n in cat.generators}
     blocks = index_by_output(e for tbl in gauge.components.values() for e in tbl.items())
     longest = max(gauge.supports(), default=1)
     accs = {d: {} for d in range(3, order + 1)}
@@ -165,15 +187,12 @@ def _gauge_apply(gauge: GaugeTransformation, mu: AInfStructure,
     # scattered into every higher arity once mu_new^r is complete
     _scatter(accs, new_tables[2], blocks, alphabet, 3, order, longest, True)
     for d in range(3, order + 1):
-        # g-side: old mu^m inserted into g^{d-m+1}, signed by the tail
-        for m, inner in mu.tables.items():
-            gk = gauge.table(d - m + 1)
-            for t, G, i, c in splices(gk, inner):
-                accumulate(accs[d].setdefault(t, {}), gk, ((G, c),),
-                           sum(odd[n] for n in G[i + 1:]) % 2)
-        new_tables[d] = _entries(accs.pop(d), cat, d, spec.characteristic)
+        _g_side(accs[d], gauge, mu, d)
+        new_tables[d] = _entries(accs.pop(d), cat, d, mu.spec.characteristic)
         _scatter(accs, new_tables[d], blocks, alphabet, d + 1, order, longest, True)
-    return AInfStructure(spec, cat, order, new_tables)
+    out = copy(mu)
+    out.truncation, out.tables = order, {d: t for d, t in new_tables.items() if t}
+    return out
 
 
 def gauge_compose(second: GaugeTransformation, first: GaugeTransformation,
@@ -260,19 +279,26 @@ def kill_orders(mu: AInfStructure, orders, order: int = None):
         phi = mu_cochain(current, d)
         if phi.is_zero():
             continue
-        nu = solve_first(phi, current, ValueError(
-            f"mu^{d} is not a cocycle; lower orders unkilled?"),
-            lambda: Cell(current, phi.r, phi.s).primitive(phi))
-        if nu is None:
-            try:
-                coord = class_coordinate(phi, current)
-            except ValueError:
-                coord = None
-            raise ObstructionError(d, coord)
-        step = GaugeTransformation(mu.spec, mu.cat, {d - 1: nu.table})
+        step = GaugeTransformation(mu.spec, mu.cat, {d - 1: _primitive(phi, current).table})
         current = gauge_apply(step, current, order)
         steps.append(step)
     return steps, current
+
+
+def _primitive(phi: Cochain, alg: AInfStructure) -> Cochain:
+    """The re-checked nu with delta(nu) = phi for phi in mu^d's cell, the
+    g^(d-1) that gauges phi away: ValueError if phi is not a cocycle (solve
+    first: solve_first), ObstructionError with its class coordinate if it
+    has no primitive."""
+    nu = solve_first(phi, alg, ValueError(f"mu^{phi.r} is not a cocycle; lower orders unkilled?"),
+                     lambda: Cell(alg, phi.r, phi.s).primitive(phi))
+    if nu is None:
+        try:
+            coord = class_coordinate(phi, alg)
+        except ValueError:
+            coord = None
+        raise ObstructionError(phi.r, coord)
+    return nu
 
 
 @dataclass
@@ -304,8 +330,8 @@ class DeformationClass:
 
 
 def extract_invariants(mu: AInfStructure) -> DeformationClass:
-    """Gauge-fix mu^3, mu^4, mu^5 (then mu^7) to zero and read off the
-    residual classes of mu^6 and mu^8 (_invariant), on integers: those of
+    """Gauge mu^3, mu^4, mu^5 and mu^7 to zero and read off the residual
+    classes of mu^6 and mu^8 (_extract_invariants), on integers: those of
     rescale(mu, t) over t^4 and t^6, t = weight_scale (module docstring)."""
     if mu.spec.characteristic in (2, 3):
         raise ValueError("invariants defined only when 6 is invertible")
@@ -327,23 +353,36 @@ def extract_invariants(mu: AInfStructure) -> DeformationClass:
                             inv.reference6, inv.reference8)
 
 
+# The arities extract_invariants gauges away; it reads the classes of 6 and 8.
+_NORMAL_FORM = (3, 4, 5, 7)
+
+
 def _extract_invariants(mu: AInfStructure) -> DeformationClass:
-    """The invariants of mu through arity 8, on its tables as given."""
-    _, cur = kill_orders(mu, (3, 4, 5))
-    ref6, m6 = _invariant(cur, 6)
-    _, cur = kill_orders(cur, (7,))
-    ref8, m8 = _invariant(cur, 8)
-    return DeformationClass(m6, m8, ref6, ref8)
-
-
-def _invariant(alg: AInfStructure, d: int):
-    """(reference, class coordinate) of mu^d, which must be a cocycle
-    (AssertionError), solve first (solve_first): the re-checked primitive
-    of mu^d - c * reference proves it."""
-    phi = mu_cochain(alg, d)
-    m = solve_first(phi, alg, AssertionError(f"mu^{d} failed to be a cocycle after gauge fixing"),
-                    lambda: class_coordinate(phi, alg))
-    return reference_cocycle(alg, d, 2 - d), m
+    """The invariants of mu through arity 8, on its tables as given, in one
+    pass that chooses g^(d-1) at each killed arity d (module docstring)."""
+    cat, gauge = mu.cat, GaugeTransformation(mu.spec, mu.cat)
+    alphabet = set(cat.nonidentity_generators())
+    new, coords = {2: mu.tables[2]}, {}
+    for d in range(3, 9):
+        if gauge.components:
+            acc = {}
+            _g_side(acc, gauge, mu, d)
+            for r, table in new.items():  # mu_new^r to length d, by blocks of <= d-r+1
+                usable = [k for k in gauge.supports() if k <= d - r + 1]
+                blocks = index_by_output(e for k in usable for e in gauge.components[k].items())
+                _scatter({d: acc}, table, blocks, alphabet, d, d, max(usable, default=1), True)
+            psi = Cochain(d, 2 - d, _entries(acc, cat, d, mu.spec.characteristic))
+        else:  # the gauge is the identity so far
+            psi = mu_cochain(mu, d)
+        if d not in _NORMAL_FORM:
+            coords[d] = solve_first(psi, mu, AssertionError(
+                f"mu^{d} failed to be a cocycle after gauge fixing"),
+                lambda: class_coordinate(psi, mu))
+            new[d] = psi.table
+        elif not psi.is_zero():
+            gauge.components[d - 1] = _primitive(psi, mu).table
+    return DeformationClass(coords[6], coords[8], reference_cocycle(mu, 6, -4),
+                            reference_cocycle(mu, 8, -6))
 
 
 def weight_scale(mu: AInfStructure, *tables) -> int:

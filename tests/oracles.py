@@ -32,6 +32,11 @@ they solve for it, as the program once did (``bracket_first``).
 The weight-one oracle runs gauge_apply, extract_invariants and mc_extend
 on their inputs as given, with no rescaling, as the program once did
 (``weight_one``).
+
+The sequential-extraction oracle reads the invariants as the program once
+did, one elementary gauge per killed order: kill_orders gauges away orders
+3, 4 and 5, the class of mu^6 is read, order 7 is gauged away and the
+class of mu^8 is read (``sequential_invariants``).
 """
 
 from fractions import Fraction
@@ -475,6 +480,25 @@ def weight_one(mp):
     gauge_apply."""
     for name in ("gauge_apply", "extract_invariants", "mc_extend"):
         mp.setattr(gauge, name, getattr(gauge, "_" + name))
+
+
+def sequential_invariants(mu):
+    """gauge._extract_invariants by elementary steps: each order of
+    gauge._NORMAL_FORM is killed by its own kill_orders, a full gauge
+    action, and each other order d <= 8 has its class read off the
+    structure as gauged so far."""
+    cur, coords = mu, {}
+    for d in range(3, 9):
+        if d in gauge._NORMAL_FORM:
+            _, cur = gauge.kill_orders(cur, (d,))
+            continue
+        phi = hochschild.mu_cochain(cur, d)
+        coords[d] = hochschild.solve_first(phi, cur, AssertionError(
+            f"mu^{d} failed to be a cocycle after gauge fixing"),
+            lambda: hochschild.class_coordinate(phi, cur))
+    return gauge.DeformationClass(coords[6], coords[8],
+                                  hochschild.reference_cocycle(cur, 6, -4),
+                                  hochschild.reference_cocycle(cur, 8, -6))
 
 
 def partition_count(n):

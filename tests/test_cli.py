@@ -181,22 +181,34 @@ def test_mc_golden_over_a_prime_field():
 
 
 def test_gauge_fix_gauges_each_structure_once(monkeypatch):
-    # the invariants are read from the gauge-fixed structure, which
-    # kill_orders leaves as it is; reading them from the input gauged it
-    # again: [(B, (3, 4, 5)), (B, (3, 4, 5)), (B', (7,))]
+    # kill_orders normalizes the transferred model B once; the invariants
+    # of the fixed structure are read in one pass, with no gauge_apply.
+    # Extraction used to kill_orders twice more: [(B', (3, 4, 5)), (B', (7,))]
     from ainfbench import gauge
+    from ainfbench.perturbation import preset_splitting_C, transfer
+    from ainfbench.scalars import FieldSpec
 
-    calls = []
-    kill = gauge.kill_orders
+    calls, applied, during_extraction = [], [], []
+    kill, apply, extract = gauge.kill_orders, gauge.gauge_apply, gauge.extract_invariants
 
     def counted(mu, orders, order=None):
         calls.append((dump(mu), tuple(orders)))
         return kill(mu, orders, order)
 
+    def extracting(mu):
+        before = len(applied)
+        inv = extract(mu)
+        during_extraction.append(len(applied) - before)
+        return inv
+
     monkeypatch.setattr(gauge, "kill_orders", counted)
+    monkeypatch.setattr(gauge, "gauge_apply", lambda *a: applied.append(a) or apply(*a))
+    monkeypatch.setattr(gauge, "extract_invariants", extracting)
     code, text = run(["gauge-fix", "--order", "8"])
     assert code == 0 and "m6 = -1/48" in text
-    assert len(calls) == 3 and len(set(calls)) == len(calls)
+    B = transfer(preset_splitting_C(FieldSpec(0)), 8).minimal
+    assert calls == [(dump(B), (3, 4, 5))]
+    assert len(applied) == 3 and during_extraction == [0]
 
 
 def test_gauge_fix_obstruction_is_a_negative_not_usage(capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from ainfbench import gauge as gauge_mod, hochschild
+from ainfbench import gauge as gauge_mod, hochschild, quiver
 from ainfbench.cli import REFERENCE_MU4
 from ainfbench.gauge import (GaugeTransformation, ObstructionError,
                              extract_invariants, gauge_apply, gauge_compose,
@@ -883,17 +883,85 @@ def test_prime_fields_take_weight_one(p, monkeypatch):
 
 def test_an_obstruction_reports_its_coordinate_at_weight_one(Q, model8, monkeypatch):
     # an ObstructionError raised on rescale(mu, t) inside extract_invariants
-    # carries the coordinate of mu's class, not t^(d-2) times it
+    # carries the coordinate of mu's class, not t^(d-2) times it, in one
+    # pass and in the sequential oracle alike, once order 6 is to be killed
     moved = gauge_apply(random_gauge(Q, model8.minimal.cat, random.Random(31)),
                         model8.minimal, 8)
     assert gauge_mod.weight_scale(moved) > 1
     with pytest.raises(ObstructionError) as want:
         kill_orders(moved, (3, 4, 5, 6))
     assert want.value.coordinate == Q.scalar(-1, 48)
-    kill = gauge_mod.kill_orders
-    monkeypatch.setattr(gauge_mod, "kill_orders", lambda mu, orders: kill(
-        mu, (3, 4, 5, 6) if tuple(orders) == (3, 4, 5) else orders))
-    with pytest.raises(ObstructionError) as got:
-        extract_invariants(moved)
-    assert (got.value.order, got.value.coordinate) == (6, want.value.coordinate)
-    assert str(got.value) == str(want.value)
+    monkeypatch.setattr(gauge_mod, "_NORMAL_FORM", (3, 4, 5, 6, 7))
+    for extract in (gauge_mod._extract_invariants, oracles.sequential_invariants):
+        monkeypatch.setattr(gauge_mod, "_extract_invariants", extract)
+        with pytest.raises(ObstructionError) as got:
+            extract_invariants(moved)
+        assert (got.value.order, got.value.coordinate) == (6, want.value.coordinate)
+        assert str(got.value) == str(want.value)
+
+
+def _sequentially(monkeypatch, extract, mu):
+    """extract(mu) with extract_invariants reading the invariants through
+    the sequential oracle."""
+    with monkeypatch.context() as mp:
+        mp.setattr(gauge_mod, "_extract_invariants", oracles.sequential_invariants)
+        return extract(mu)
+
+
+@pytest.mark.parametrize("char", [0, 5, 7], ids=["Q", "F5", "F7"])
+def test_one_pass_equals_sequential_extraction(char, monkeypatch):
+    # mc-built structures, the transfer through 8 and through 12 (cut to
+    # 8), and orbit points of the transfer, one with g^5 and g^6 too
+    F = FieldSpec(char)
+    model = transfer(preset_splitting_C(F), 8).minimal
+    structures = [mc_extend(F, F.scalar(1, 2), F.scalar(-2, 3), 10),
+                  mc_extend(F, F.scalar(-3, 4), F.scalar(0), 8), model,
+                  transfer(preset_splitting_C(F), 12).minimal]
+    for seed, orders in ((1, (2, 3, 4)), (2, (2, 3, 4)), (3, (2, 5, 6))):
+        g = random_gauge(F, model.cat, random.Random(seed), orders)
+        structures.append(gauge_apply(g, model, 8))
+    got = [extract_invariants(mu) for mu in structures]
+    assert got == [_sequentially(monkeypatch, extract_invariants, mu) for mu in structures]
+    assert [inv.pair() for inv in got[:2]] == [(F.scalar(1, 2), F.scalar(-2, 3)),
+                                                (F.scalar(-3, 4), 0)]
+    assert {inv.pair() for inv in got[2:]} == {(F.scalar(-1, 48), F.scalar(1, 864))}
+
+
+@pytest.mark.parametrize("d, error, message", [
+    (4, ValueError, "mu^4 is not a cocycle; lower orders unkilled?"),
+    (6, AssertionError, "mu^6 failed to be a cocycle after gauge fixing"),
+    (8, AssertionError, "mu^8 failed to be a cocycle after gauge fixing"),
+])
+def test_one_pass_refuses_a_noncocycle_as_the_oracle_does(Q, model8, monkeypatch, d,
+                                                          error, message):
+    # the transfer is not normal, so psi^d comes from the gauge chosen below d
+    B = model8.minimal
+    bad = _rescaled(B, d, next(iter(B.tables[d])), Q.scalar(2))
+
+    def failure(mu):
+        with pytest.raises(error) as err:
+            extract_invariants(mu)
+        return str(err.value)
+
+    assert failure(bad) == _sequentially(monkeypatch, failure, bad) == message
+
+
+def test_gauge_apply_checks_no_table_it_built(Q, model8, monkeypatch):
+    # both inputs were checked when built: the rescaled gauge and the
+    # result used to be checked again, entry by entry
+    B = model8.minimal
+    g = random_gauge(Q, B.cat, random.Random(3))
+    assert gauge_mod.weight_scale(B, *g.components.values()) > 1
+    checked = []
+    for mod in (quiver, gauge_mod):
+        def counted(cat, label, table, *args, check=mod.check_table):
+            checked.append(label)
+            return check(cat, label, table, *args)
+
+        monkeypatch.setattr(mod, "check_table", counted)
+    moved = gauge_apply(g, B, 8)
+    assert checked == []
+    moved.check_degrees()
+    assert checked == [f"mu^{d}" for d in moved.tables]
+    with pytest.raises(ValueError, match="field mismatch: F5 vs Q"):
+        gauge_apply(random_gauge(FieldSpec(5), B.cat, random.Random(3)), B, 8)

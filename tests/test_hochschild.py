@@ -59,6 +59,29 @@ def test_delta_matrix_matches_direct_coboundary(Q):
             assert vector_to_cochain(image, rows, r + 1, s, Q) == direct, (r, s)
 
 
+def test_length_zero_coboundary_is_its_delta_matrix_column(Q):
+    # delta of each basis cochain of C(0, s) is a length-1 cochain equal to
+    # its column of delta_matrix(A, 0, s), read in that matrix's row basis
+    A = preset_A(Q)
+    for s in (0, 1):  # the degrees of Hom(x, x)
+        cols, rows, matrix = delta_matrix(A, 0, s)
+        assert cols
+        for (obj, g), column in zip(cols, matrix):
+            image = coboundary(Cochain(0, s, {obj: Element.single(g, 1)}), A)
+            assert (image.r, image.s) == (1, s)
+            assert cochain_to_vector(image, rows) == column, (obj, g)
+
+
+def test_gerst_compose_refuses_one_length_zero_factor(Q):
+    A = preset_A(Q)
+    obj, g = cochain_basis(A, 0, 0)[0]
+    zero_length = Cochain(0, 0, {obj: Element.single(g, 1)})
+    mu2 = Cochain(2, 0, A.tables[2])
+    for phi, psi in ((zero_length, mu2), (mu2, zero_length)):
+        with pytest.raises(ValueError, match="^circle product needs length >= 1 factors$"):
+            gerst_compose(phi, psi, A)
+
+
 def test_bracket_graded_antisymmetry_randomized(Q):
     # [a, b] = -(-1)^{||a|| ||b||} [b, a]
     A = preset_A(Q)
