@@ -30,8 +30,11 @@ spliced into the known g^k, mu_new^r, r < d, pulled to length d through
 the known blocks), is shifted by g^(d-1) only as -delta(g^(d-1)).  At d in
 _NORMAL_FORM g^(d-1) is the primitive of psi^d, so mu_new^d = 0 is never
 scattered; at d = 6, 8 the class of mu_new^d = psi^d is read.  gauge-fix
-still normalizes by kill_orders, whose composite of steps differs from the
-one-pass gauge from g^4 up (g^3 o g^2 terms); the invariants agree.
+normalizes by kill_orders, one action of a one-component gauge per killed
+order, because the one pass plus one action of its several-component gauge
+is slower from order 10 up: orders 3, 4, 5 of the transferred model over
+Q took 1.4 s against 0.3 s at order 12 and 0.12 s against 0.08 s at
+order 10, and about the same at order 8.
 
 Rescaling mu^d -> t^(d-2) mu^d, g^k -> t^(k-1) g^k gives each term of the
 functor equation and of mc_extend's obstruction equation weight d - 2, and
@@ -54,7 +57,6 @@ from .hochschild import (
     cochain_basis,
     cochain_to_vector,
     gerst_compose,
-    is_coboundary,
     mu_cochain,
     reference_cocycle,
     solve_first,
@@ -262,17 +264,17 @@ def check_orders(orders, order: int):
             raise ValueError(f"cannot gauge away order {d}: orders run from 3 to {order}")
 
 
-def kill_orders(mu: AInfStructure, orders, order: int = None):
-    """Gauge away the listed arities (processed ascending).
+def kill_orders(mu: AInfStructure, orders):
+    """Gauge away the listed arities (processed ascending), through
+    mu.truncation.
 
     Each targeted mu^d must be a cocycle (else ValueError, solve first:
     solve_first) whose class vanishes; otherwise ObstructionError
-    reports the nonzero coordinate.  An arity outside 3..order raises
-    ValueError (check_orders).  Returns (the list of elementary gauge
-    steps, normalized structure); ``gauge_compose`` folds the steps into
-    one gauge."""
-    order = order or mu.truncation
-    check_orders(orders, order)
+    reports the nonzero coordinate.  An arity outside 3..mu.truncation
+    raises ValueError (check_orders).  Returns (the list of elementary
+    gauge steps, normalized structure); ``gauge_compose`` folds the steps
+    into one gauge."""
+    check_orders(orders, mu.truncation)
     current = mu
     steps = []
     for d in sorted(orders):
@@ -280,7 +282,7 @@ def kill_orders(mu: AInfStructure, orders, order: int = None):
         if phi.is_zero():
             continue
         step = GaugeTransformation(mu.spec, mu.cat, {d - 1: _primitive(phi, current).table})
-        current = gauge_apply(step, current, order)
+        current = gauge_apply(step, current)
         steps.append(step)
     return steps, current
 
@@ -367,10 +369,11 @@ def _extract_invariants(mu: AInfStructure) -> DeformationClass:
         if gauge.components:
             acc = {}
             _g_side(acc, gauge, mu, d)
-            for r, table in new.items():  # mu_new^r to length d, by blocks of <= d-r+1
-                usable = [k for k in gauge.supports() if k <= d - r + 1]
-                blocks = index_by_output(e for k in usable for e in gauge.components[k].items())
-                _scatter({d: acc}, table, blocks, alphabet, d, d, max(usable, default=1), True)
+            # mu_new^r to length d: _substitutions takes no block longer than d - r + 1
+            blocks = index_by_output(e for tbl in gauge.components.values() for e in tbl.items())
+            longest = max(gauge.supports())
+            for r, table in new.items():
+                _scatter({d: acc}, table, blocks, alphabet, d, d, min(longest, d - r + 1), True)
             psi = Cochain(d, 2 - d, _entries(acc, cat, d, mu.spec.characteristic))
         else:  # the gauge is the identity so far
             psi = mu_cochain(mu, d)
@@ -548,15 +551,9 @@ class M6Certificate:
     chain: list            # CertificateStep derivation ending in a conflict
     primitive: Cochain = None  # only when the class is actually zero
 
-    def summary(self, include_witnesses: bool = True) -> str:
+    def summary(self) -> str:
+        """The rank certificate and contradiction chain, or the m6 = 0 verdict."""
         lines = []
-        if include_witnesses:
-            for names, el in self.witness_values:
-                terms = ", ".join(
-                    f"{c}*{g}"
-                    for g, c in sorted(el.terms.items(), key=lambda kv: kv[0])
-                )
-                lines.append(f"144*mu6({', '.join(names)}) = {terms or '0'}")
         if self.nonzero:
             lines.append(
                 f"linear system delta(nu) = mu6 infeasible: "
@@ -597,13 +594,14 @@ def m6_certificate(mu6: Cochain, alg: AInfStructure) -> M6Certificate:
     spec = alg.spec
     scaled = mu6.scale(spec.scalar(144))
     witnesses = [(t, scaled.value(t)) for t, _ in _PAPER_WITNESSES]
-    rank_a, rank_ab = cell.ranks(mu6)
+    # rank [A|mu6] = rank A + (nu is None): both read mu6's one reduction
+    rank_a = cell.echelon.rank
     if nu is not None:
-        return M6Certificate(False, rank_a, rank_ab, witnesses, [], nu)
+        return M6Certificate(False, rank_a, rank_a, witnesses, [], nu)
 
     chain = _contradiction_chain(cell.cols, cell.rows, cell.matrix,
                                  cochain_to_vector(mu6, cell.rows), spec.characteristic)
-    return M6Certificate(True, rank_a, rank_ab, witnesses, chain)
+    return M6Certificate(True, rank_a, rank_a + 1, witnesses, chain)
 
 
 def _contradiction_chain(cols, rows, matrix, b, p: int):

@@ -347,11 +347,6 @@ class Cell:
         _check_solution(self.matrix, x, b, self.echelon.p)
         return vector_to_cochain(x, self.cols, self.r - 1, self.s, self.alg.spec)
 
-    def ranks(self, phi: Cochain):
-        """(rank A, rank [A|phi]); unequal, they certify phi no coboundary."""
-        rank_a, b = self.echelon.rank, cochain_to_vector(phi, self.rows)
-        return rank_a, rank_a + (0 if self.echelon.contains(b) else 1)
-
     def reference(self) -> Cochain:
         """First deterministic cocycle whose class is nonzero, as a fresh
         Cochain: the kernel of delta at (r, s) is back-substituted lazily,
@@ -408,8 +403,8 @@ def solve_first(phi: Cochain, alg: AInfStructure, not_cocycle: Exception, solve)
 
 
 def is_coboundary(phi: Cochain, alg: AInfStructure):
-    """The deterministic nu with delta(nu) = phi, or None (Cell.ranks then
-    certifies it); ValueError when phi is not a cocycle (solve_first)."""
+    """The deterministic nu with delta(nu) = phi, or None; ValueError when
+    phi is not a cocycle (solve_first)."""
     return solve_first(phi, alg, ValueError("input is not a cocycle"),
                        lambda: Cell(alg, phi.r, phi.s).primitive(phi))
 

@@ -50,17 +50,9 @@ _W_KNOTS = (
 )
 
 
-def _w(t: Fr) -> Fr:
-    """Pushoff displacement at height t (periodic PL interpolation)."""
-    base = (t - CROSS_LOW) % 1 + CROSS_LOW
-    for (t0, v0), (t1, v1) in zip(_W_KNOTS, _W_KNOTS[1:]):
-        if t0 <= base <= t1:
-            return v0 + (v1 - v0) * (base - t0) / (t1 - t0)
-    raise AssertionError("unreachable")
-
-
-def _w_slope(t: Fr, side: int) -> Fr:
-    """One-sided slope of the pushoff profile at t (side=+1: just above).
+def _w_piece(t: Fr, side: int = 1):
+    """(base, t0, v0, slope) of the pushoff profile's piece holding height
+    t, base being t moved into the period [1/8, 9/8] of the knots.
 
     Side +1 reads the piece [t0, t1) holding t, side -1 the piece (t0, t1];
     so at a knot the two sides see the two pieces meeting there."""
@@ -70,8 +62,14 @@ def _w_slope(t: Fr, side: int) -> Fr:
         base = CROSS_LOW + 1 - (CROSS_LOW - t) % 1      # in (1/8, 9/8]
     for (t0, v0), (t1, v1) in zip(_W_KNOTS, _W_KNOTS[1:]):
         if (t0 <= base < t1) if side > 0 else (t0 < base <= t1):
-            return (v1 - v0) / (t1 - t0)
+            return base, t0, v0, (v1 - v0) / (t1 - t0)
     raise AssertionError("unreachable")
+
+
+def _w(t: Fr) -> Fr:
+    """Pushoff displacement at height t (periodic PL interpolation)."""
+    base, t0, v0, slope = _w_piece(t)
+    return v0 + slope * (base - t0)
 
 
 @dataclass(frozen=True)
@@ -108,8 +106,7 @@ class CurveLift:
             return (Fr(0), Fr(travel))
         if self.kind == "d":
             return (Fr(travel), Fr(travel))
-        side = travel if not end else -travel
-        slope = _w_slope(t, 1 if side > 0 else -1)
+        slope = _w_piece(t, -travel if end else travel)[3]
         return (travel * slope, Fr(travel))
 
     def segments(self, t0: Fr, t1: Fr):
@@ -206,6 +203,7 @@ class PolygonWitness:
     corners: list         # corner names, y_0 first
     points: list          # exact corner coordinates (same order)
     arcs: list            # (curve name, t_from, t_to, travel, positive)
+    boundary: list        # the arcs' PL segments in order, ((x, y), (x, y))
     z_count: int
     star_count: int
     q: int
@@ -373,22 +371,9 @@ def _build_witness(scene, names, lifts, params, corner_names, wrap_bound):
 
     # sign data: stars per arc, q and r from negative traversals
     star_total = 0
-    for k in range(d1):
-        t_from, t_to = params[k]
-        lo, hi = (t_from, t_to) if t_from < t_to else (t_to, t_from)
-        if names[k] == "pushoff":
-            star = scene.pushoff_star
-        else:
-            star = scene.curves[names[k]].star
-        n = 0
-        base = star + int(lo - star) - 1
-        while base < hi:
-            if lo < base < hi:
-                n += 1
-            if base == lo or base == hi:
-                raise AssertionError("star sits on an arc endpoint")
-            base += 1
-        star_total += n
+    for name, t_from, t_to, _, _ in arcs:
+        star = scene.pushoff_star if name == "pushoff" else scene.curves[name].star
+        star_total += _star_count(min(t_from, t_to), max(t_from, t_to), star)
 
     q = 0
     if not arcs[-1][4]:  # arc from y_d back to y_0
@@ -400,8 +385,16 @@ def _build_witness(scene, names, lifts, params, corner_names, wrap_bound):
     bbox = ((min(xs), max(xs)), (min(ys), max(ys)))
     z_count = _count_lattice_points(scene.z, all_segments, bbox)
     points = [lifts[k].point(params[k][0]) for k in range(d1)]
-    return PolygonWitness(list(corner_names), points, arcs, z_count,
+    return PolygonWitness(list(corner_names), points, arcs, all_segments, z_count,
                           star_total, q, r, wraps)
+
+
+def _star_count(lo: Fr, hi: Fr, star: Fr) -> int:
+    """The stars star + k, k an integer, strictly inside the arc (lo, hi),
+    lo < hi; AssertionError when one sits at either end."""
+    if (lo - star).denominator == 1 or (hi - star).denominator == 1:
+        raise AssertionError("star sits on an arc endpoint")
+    return ceil(hi - star) - floor(lo - star) - 1
 
 
 def triangle_witnesses(scene: PolygonScene, wrap_bound: int):
@@ -606,18 +599,8 @@ def scene_load(text: str) -> PolygonScene:
 
 def witness_svg(scene: PolygonScene, w: PolygonWitness, size: int = 420) -> str:
     """Standalone SVG of one lifted witness with the lattice and curves."""
-    segs = []
-    # rebuild the boundary polyline from stored arcs
-    for (name, t0, t1, _, _), corner in zip(w.arcs, w.points):
-        if name == "pushoff":
-            lift = CurveLift("p", Fr(0))
-        else:
-            curve = scene.curves[name]
-            off = _arc_offset(curve, corner)
-            lift = curve.lift(off)
-        segs.extend(lift.segments(t0, t1))
-    xs = [float(p[0]) for s in segs for p in s]
-    ys = [float(p[1]) for s in segs for p in s]
+    xs = [float(p[0]) for s in w.boundary for p in s]
+    ys = [float(p[1]) for s in w.boundary for p in s]
     pad = 0.7
     xmin, xmax = min(xs) - pad, max(xs) + pad
     ymin, ymax = min(ys) - pad, max(ys) + pad
@@ -646,7 +629,7 @@ def witness_svg(scene: PolygonScene, w: PolygonWitness, size: int = 420) -> str:
                     'stroke="#ddd" stroke-width="1"/>')
         j += 1
     path = []
-    for (p0, p1) in segs:
+    for (p0, p1) in w.boundary:
         if not path:
             path.append(f"M {sx(p0[0])} {sy(p0[1])}")
         path.append(f"L {sx(p1[0])} {sy(p1[1])}")
@@ -667,12 +650,3 @@ def witness_svg(scene: PolygonScene, w: PolygonWitness, size: int = 420) -> str:
                     'fill="#222"/>')
     rows.append("</svg>")
     return "\n".join(rows)
-
-
-def _arc_offset(curve: SceneCurve, corner) -> Fr:
-    x, y = corner
-    if curve.kind == "h":
-        return y
-    if curve.kind == "v":
-        return x
-    return x - y

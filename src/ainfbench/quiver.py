@@ -666,8 +666,9 @@ def load_with_extras(text: str):
         headers = [by_name["FIELD"][0], by_name["TRUNCATION"][0]]
         obj_rows, gen_rows, id_rows = (by_name[name] for name in
                                        ("OBJECTS", "GENERATORS", "IDENTITIES"))
-    except KeyError as missing:  # named at the last line
-        raise ValueError(f"line {len(text.splitlines())}: missing section {missing}") from None
+    except KeyError as missing:  # named at the last line, line 1 of an empty file
+        last = max(len(text.splitlines()), 1)
+        raise ValueError(f"line {last}: missing section {missing}") from None
     values = []
     for parse, (value, lineno) in zip((FieldSpec.parse, int), headers):
         with _at_line(lineno):

@@ -191,9 +191,9 @@ def test_gauge_fix_gauges_each_structure_once(monkeypatch):
     calls, applied, during_extraction = [], [], []
     kill, apply, extract = gauge.kill_orders, gauge.gauge_apply, gauge.extract_invariants
 
-    def counted(mu, orders, order=None):
+    def counted(mu, orders):
         calls.append((dump(mu), tuple(orders)))
-        return kill(mu, orders, order)
+        return kill(mu, orders)
 
     def extracting(mu):
         before = len(applied)
@@ -267,6 +267,19 @@ def test_out_of_range_bound_is_usage(argv):
     code, out, err = _run_err(argv)
     assert (code, out) == (2, "")
     assert err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("argv, least", [
+    (["mc", "--order", "1"], 2),              # mc starts from mu^2
+    (["minimal-model", "--order", "1"], 2),   # so does the transfer
+    (["gauge-fix", "--order", "7"], 8),       # the invariants sit at arity 8
+])
+def test_order_below_what_the_command_needs_is_usage(argv, least, monkeypatch):
+    # refused before any work, naming the option
+    monkeypatch.setattr("ainfbench.cli.transfer", None)
+    code, out, err = _run_err(argv)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: --order must be at least {least}, got {argv[-1]}\n"
 
 
 @pytest.mark.parametrize("header,bad", [("FIELD", "F6"), ("TRUNCATION", "x"),

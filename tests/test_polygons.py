@@ -1,13 +1,14 @@
 from collections import Counter
 from fractions import Fraction as Fr
+from math import ceil, floor
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from ainfbench import polygons
 from ainfbench.polygons import (CurveLift, _count_lattice_points,
-                                _segments_intersect, criterion_series,
+                                _segments_intersect, _star_count, criterion_series,
                                 enumerate_polygons, mu2_series, mu3_series,
                                 preset_scene, quad_witnesses, scene_dump,
                                 scene_load, triangle_criterion,
@@ -419,3 +420,22 @@ def test_prefiltered_intersection_matches_oracle(points):
     a, b, c, d = [(Fr(x, 2), Fr(y, 2)) for x, y in points]
     assert _segments_intersect(a, b, c, d) == oracles.segments_intersect(a, b, c, d)
     assert _segments_intersect(c, d, a, b) == oracles.segments_intersect(c, d, a, b)
+
+
+_SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@given(_SMALL, _SMALL, _SMALL)
+@example(Fr(0), Fr(1, 2), Fr(1, 2))     # a star at the upper end, once not counted
+@example(Fr(1, 2), Fr(1), Fr(1, 2))     # at the lower end
+@example(Fr(3), Fr(-5, 2), Fr(7, 2))    # a translate at the upper end
+def test_star_count_matches_enumerating_the_translates(a, b, star):
+    # a star at either end of the arc raises; otherwise the stars inside count
+    lo, hi = min(a, b), max(a, b)
+    assume(lo < hi)
+    translates = [star + k for k in range(floor(lo - star) - 1, ceil(hi - star) + 2)]
+    if lo in translates or hi in translates:
+        with pytest.raises(AssertionError, match="star sits on an arc endpoint"):
+            _star_count(lo, hi, star)
+    else:
+        assert _star_count(lo, hi, star) == sum(lo < x < hi for x in translates)

@@ -268,6 +268,12 @@ def test_faulty_alg_rows_name_their_line(edit, message):
         load(_edited(edit))
 
 
+def test_an_empty_file_names_line_1():
+    # lines count from 1; an empty file has no line 0
+    with pytest.raises(ValueError, match=r"^line 1: missing section 'FIELD'$"):
+        load("")
+
+
 def test_an_object_with_no_identity_row_has_the_zero_identity(Q):
     # dump read cat.identities[b] and raised KeyError
     struct = load(_edited(lambda ls: ls.__delitem__(16)))
