@@ -21,6 +21,8 @@ obstruction check (at r = 5), which is how the sign convention is pinned.
 
 from __future__ import annotations
 
+from array import array
+
 from .linalg import Echelon, rank
 from .quiver import AInfStructure, Element, ZERO, accumulate, preset_A, splices
 from .scalars import FieldSpec, canonical, divide, field_mismatch
@@ -176,14 +178,47 @@ def coboundary(phi: Cochain, alg: AInfStructure) -> Cochain:
 # Bases, matrices and linear algebra over the cochain complex
 # ---------------------------------------------------------------------------
 
+# The field-independent parts of delta, each then by (r, s): bases by
+# category signature, and the entry patterns of delta_matrix by (category
+# signature, mu^2 support), each support with its slot table (_slots).
+# Neither holds a value, so every field and every structure on one
+# category (and one support) shares them.
+_BASES: dict = {}
+_PATTERNS: dict = {}
+
+
+def _signature(cat):
+    """Objects, generators in declaration order and identity components:
+    all of the category that bases and delta read (not the identities'
+    coefficients, which carry the field)."""
+    return (tuple(cat.objects), tuple(cat.generators.values()),
+            frozenset(n for el in cat.identities.values() for n in el.terms))
+
+
 def cochain_basis(alg: AInfStructure, r: int, s: int):
     """Deterministic ordered basis [(key, gen)] of CC of length r, degree s.
 
     Keys come in the order of cat.tuples, outputs in declaration order.
     Only tuples whose degree sum is deg(g) - s for some generator g can
     carry an entry, so the enumeration asks tuples for exactly those sums
-    and never walks the others."""
-    cat = alg.cat
+    and never walks the others.  A basis depends on the category alone:
+    it is built once per category signature and (r, s) and the same list
+    is returned to every field and structure, so callers must not mutate
+    it (in hh_bar the row basis of (r, s) is the column basis of
+    (r + 1, s))."""
+    return _basis(alg.cat, _signature(alg.cat), r, s)
+
+
+def _basis(cat, signature, r: int, s: int):
+    """cochain_basis with the signature computed by the caller."""
+    bases = _BASES.setdefault(signature, {})
+    basis = bases.get((r, s))
+    if basis is None:
+        basis = bases[(r, s)] = _enumerate_basis(cat, r, s)
+    return basis
+
+
+def _enumerate_basis(cat, r: int, s: int):
     out = []
     if r == 0:
         for obj in cat.objects:
@@ -230,87 +265,135 @@ def delta_matrix(alg: AInfStructure, r: int, s: int):
     """Matrix of delta: CC(r,s) -> CC(r+1,s) in the deterministic bases.
 
     Returns (col_basis, row_basis, columns) with columns[j] a sparse dict
-    {row index: raw value}.  Assembled row-wise from the three-term
-    expansion of delta, independently of coboundary(), which brackets with
-    mu^2; the test suite checks the two against each other.  Entries are
-    summed raw and made canonical once, at the end.
+    {row index: raw value}; the bases are cochain_basis' shared lists.
+    Which entries delta has, and which mu^2 coefficient each reads with
+    which sign, depend only on the category and on mu^2's support, not on
+    the field or the values: that pattern (_pattern) is walked once per
+    (category signature, support) and (r, s) and cached.  Each call fills
+    it: the signed mu^2 values are summed raw into the columns in the
+    walk's order, so each column's entries come in the order the walk
+    first meets them, and made canonical once, at the end.
     """
-    cat = alg.cat
-    col_basis = cochain_basis(alg, r, s)
-    row_basis = cochain_basis(alg, r + 1, s)
-    col_index = {b: i for i, b in enumerate(col_basis)}
-    row_index = {b: i for i, b in enumerate(row_basis)}
+    cat, mu2 = alg.cat, alg.tables[2]
+    signature = _signature(cat)
+    col_basis = _basis(cat, signature, r, s)
+    row_basis = _basis(cat, signature, r + 1, s)
+    shape = (signature, frozenset((key, tuple(el.terms)) for key, el in mu2.items()))
+    if shape not in _PATTERNS:
+        _PATTERNS[shape] = (_slots(mu2), {})
+    slot_of, patterns = _PATTERNS[shape]
+    pattern = patterns.get((r, s))
+    if pattern is None:
+        pattern = patterns[(r, s)] = _pattern(cat, slot_of, r, s, col_basis, row_basis)
+    values = []  # slot -> signed raw value, in _slots' numbering
+    for key, entries in slot_of.items():
+        terms = mu2[key].terms
+        for g, _, _ in entries:
+            c = terms[g]
+            values += (c, -c)
     columns = [dict() for _ in col_basis]
-    flip_phi = (r + s - 1) % 2 == 1
-    mu2 = alg.tables[2]
-
-    def add(j, i, value):
-        columns[j][i] = columns[j].get(i, 0) + value
-
-    # A tuple without a row contributes nothing (every row_index lookup
-    # below would miss), so only the row basis' tuples are walked, in order.
-    for t in dict.fromkeys(t for t, _ in row_basis):
-        degs = [cat.deg(n) for n in t]
-        if r == 0:
-            slots = ((cat.source(t[0]), "right"), (cat.target(t[0]), "left"))
-        else:
-            slots = ((t[1:], "right"), (t[:-1], "left"))
-        for key, side in slots:
-            # a hit in col_index already has the basis' source, target and degree
-            for h in cat.gens_from(cat.source(key[-1]) if r else key):
-                j = col_index.get((key, h))
-                if j is None:
-                    continue
-                if side == "right":
-                    el = mu2.get((t[0], h), ZERO)
-                    negate = False
-                else:
-                    el = mu2.get((h, t[-1]), ZERO)
-                    negate = flip_phi and (degs[-1] - 1) % 2 == 1
-                for g, c in el.terms.items():
-                    i = row_index.get((t, g))
-                    if i is not None:
-                        add(j, i, -c if negate else c)
-        if r >= 1:
-            eps = 0
-            for n in range(r):
-                lo = r - 1 - n
-                inner = mu2.get((t[lo], t[lo + 1]))
-                if inner is not None:
-                    head, tail = t[:lo], t[lo + 2:]
-                    negate = (1 + (1 if flip_phi else 0) + eps) % 2 == 1
-                    for g, c in inner.terms.items():
-                        slot = head + (g,) + tail
-                        for h in cat.gens_from(cat.source(slot[-1])):
-                            j = col_index.get((slot, h))
-                            if j is None:
-                                continue
-                            i = row_index.get((t, h))
-                            if i is not None:
-                                add(j, i, -c if negate else c)
-                eps += degs[r - n] - 1
+    entries = iter(pattern)
+    for j, i, slot in zip(entries, entries, entries):
+        col = columns[j]
+        col[i] = col.get(i, 0) + values[slot]
     for j, col in enumerate(columns):  # one column at a time: no second matrix
         columns[j] = canonical(col, alg.spec.characteristic)
     return col_basis, row_basis, columns
 
 
+def _slots(mu2) -> dict:
+    """{mu^2 key: [(output generator, +slot, -slot)]}: slots 2n and 2n + 1
+    hold the n-th coefficient of mu^2's support and its negative."""
+    out, n = {}, 0
+    for key, el in mu2.items():
+        out[key] = []
+        for g in el.terms:
+            out[key].append((g, n, n + 1))
+            n += 2
+    return out
+
+
+def _pattern(cat, slot_of, r: int, s: int, col_basis, row_basis):
+    """The entries of delta at (r, s) as a flat array of (column, row,
+    slot) triples, in the order of the row-wise three-term expansion of
+    delta, independent of coboundary(), which brackets with mu^2; the test
+    suite checks the two against each other."""
+    cols, rows = _index_by_key(col_basis), _index_by_key(row_basis)
+    deg = {n: g.degree for n, g in cat.generators.items()}
+    flip_phi = (r + s - 1) % 2 == 1
+    out = array("i")
+    add = out.extend
+    # A tuple without a row contributes nothing, so only the row basis'
+    # tuples are walked, in order.  A column key lists exactly the basis'
+    # outputs, in the order of cat.gens_from.
+    for t, row_of in rows.items():
+        if r == 0:
+            sides = ((cat.source(t[0]), "right"), (cat.target(t[0]), "left"))
+        else:
+            sides = ((t[1:], "right"), (t[:-1], "left"))
+        for key, side in sides:
+            for h, j in cols.get(key, {}).items():
+                if side == "right":
+                    terms = slot_of.get((t[0], h), ())
+                    negate = False
+                else:
+                    terms = slot_of.get((h, t[-1]), ())
+                    negate = flip_phi and (deg[t[-1]] - 1) % 2 == 1
+                for g, plus, minus in terms:
+                    i = row_of.get(g)
+                    if i is not None:
+                        add((j, i, minus if negate else plus))
+        if r >= 1:
+            eps = 0
+            for n in range(r):
+                lo = r - 1 - n
+                inner = slot_of.get((t[lo], t[lo + 1]))
+                if inner is not None:
+                    head, tail = t[:lo], t[lo + 2:]
+                    negate = (1 + (1 if flip_phi else 0) + eps) % 2 == 1
+                    for g, plus, minus in inner:
+                        for h, j in cols.get(head + (g,) + tail, {}).items():
+                            i = row_of.get(h)
+                            if i is not None:
+                                add((j, i, minus if negate else plus))
+                eps += deg[t[r - n]] - 1
+    return out
+
+
+def _index_by_key(basis) -> dict:
+    """{key: {output: index}} of a basis, keys and outputs in its order."""
+    out = {}
+    for i, (key, g) in enumerate(basis):
+        out.setdefault(key, {})[g] = i
+    return out
+
+
 def hh_bar(spec: FieldSpec, r_max: int, alg: AInfStructure = None):
     """Bigraded Hochschild cohomology dimensions via the normalized bar
-    complex and exact Gaussian elimination: {(r, s): dim}, zeros omitted."""
+    complex and exact Gaussian elimination: {(r, s): dim}, zeros omitted.
+
+    A cochain of length k has s = deg(output) - (degree sum of k inputs),
+    so s lies in [lo - k * hi, hi - k * lo] for the generator degrees
+    lo..hi; delta at (r, s) is built for every s at which C(r, s) or
+    C(r + 1, s) can be nonempty."""
     alg = alg or preset_A(spec)
-    dims = {}
+    degs = [g.degree for g in alg.cat.generators.values()]
+    lo, hi = min(degs), max(degs)
+    cells = []
+    for r in range(r_max + 1):
+        ends = [b for k in (r, r + 1) for b in (lo - k * hi, hi - k * lo)]
+        cells += [(r, s) for s in range(min(ends), max(ends) + 1)]
     ranks: dict[tuple, int] = {}
     sizes: dict[tuple, int] = {}
-    for r in range(0, r_max + 1):
-        for s in range(-(r + 1), 2):
-            cols, rows, matrix = delta_matrix(alg, r, s)
-            sizes[(r, s)] = len(cols)
-            ranks[(r, s)] = rank(matrix, spec.characteristic) if cols and rows else 0
-    for r in range(0, r_max + 1):
-        for s in range(-(r + 1), 2):
-            dim = sizes[(r, s)] - ranks[(r, s)] - ranks.get((r - 1, s), 0)
-            if dim:
-                dims[(r, s)] = dim
+    for r, s in cells:
+        cols, rows, matrix = delta_matrix(alg, r, s)
+        sizes[(r, s)] = len(cols)
+        ranks[(r, s)] = rank(matrix, spec.characteristic) if cols and rows else 0
+    dims = {}
+    for r, s in cells:
+        dim = sizes[(r, s)] - ranks[(r, s)] - ranks.get((r - 1, s), 0)
+        if dim:
+            dims[(r, s)] = dim
     return dims
 
 
@@ -419,10 +502,7 @@ _SQUARES_ZERO: dict = {}
 
 
 def _content_key(alg: AInfStructure):
-    cat = alg.cat
-    signature = (tuple(cat.objects), tuple(cat.generators.values()),
-                 frozenset(cat.identities.items()))
-    return alg.spec, signature, frozenset(alg.tables[2].items())
+    return alg.spec, _signature(alg.cat), frozenset(alg.tables[2].items())
 
 
 def delta_squares_to_zero(alg: AInfStructure) -> bool:

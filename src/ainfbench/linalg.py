@@ -7,9 +7,9 @@ for F_p an int residue), over the field of characteristic p (0 for Q).
 built from the ones before it.  A column that keeps a nonzero residual is
 a pivot column and its residual joins the basis; a column that reduces to
 zero is free, and the multipliers that zeroed it give its kernel vector.
-``rank``, ``solve``, ``nullspace`` (and its lazy form ``Echelon.kernel``),
-the column-space test ``Echelon.contains`` and ``Echelon.residual`` all
-read this one factorization.
+``rank``, ``solve``, ``nullspace`` (and its lazy form ``Echelon.kernel``)
+and ``Echelon.residual``, empty exactly on the column space, all read this
+one factorization.
 
 Why the outputs equal those of Gauss-Jordan elimination (``rref`` on the
 rows, first nonzero column first, kept as the test oracle): the pivot
@@ -136,10 +136,6 @@ class Echelon:
         """b less the column-space vector that leaves it zero at every pivot
         row: unique, so linear in b, and empty iff b lies in the space."""
         return self._reduce(b)[0]
-
-    def contains(self, b) -> bool:
-        """Whether b lies in the column space."""
-        return not self.residual(b)
 
     def solve(self, b):
         """Solution of sum_j x_j columns[j] = b with every free variable 0,

@@ -440,7 +440,7 @@ def find_reference(alg, r, s):
     below_cols, below_rows, below = hochschild.delta_matrix(alg, r - 1, s)
     image = Echelon(below, p, len(below_cols))
     for vec in kernel:
-        if not image.contains({i: v for i, v in enumerate(vec) if v}):
+        if image.residual({i: v for i, v in enumerate(vec) if v}):
             return vector_to_cochain(vec, cols, r, s, alg.spec)
     raise ValueError(f"HH at (r={r}, s={s}) vanishes; no reference cocycle")
 

@@ -10,7 +10,9 @@ from ainfbench.hochschild import (Cochain, class_coordinate, coboundary,
                                   gerstenhaber,
                                   hh_bar, is_coboundary, mu_cochain,
                                   reference_cocycle, vector_to_cochain)
-from ainfbench.quiver import Element, preset_A, preset_C, preset_D
+from ainfbench.linalg import rank
+from ainfbench.quiver import (AInfStructure, Element, Generator, QuiverCategory,
+                             preset_A, preset_C, preset_D)
 from ainfbench.scalars import FieldSpec
 
 Q_TABLE = {(0, 0): 1, (0, 1): 2, (1, 0): 1, (6, -4): 1, (7, -4): 1, (8, -6): 1}
@@ -310,3 +312,103 @@ def test_bases_and_delta_columns_match_full_enumeration(preset, char, r_max):
         assert [list(c.items()) for c in columns] == [list(c.items()) for c in want], (r, s)
         nonempty += bool(cols and rows)
     assert nonempty >= 3 * r_max
+
+
+@pytest.fixture
+def fresh_patterns(monkeypatch):
+    """Empty basis and delta-pattern caches for one test."""
+    monkeypatch.setattr(hochschild, "_BASES", {})
+    monkeypatch.setattr(hochschild, "_PATTERNS", {})
+    return hochschild
+
+
+def test_hh_bar_walks_each_delta_pattern_once_across_fields(fresh_patterns, monkeypatch):
+    # the pattern and the bases depend on the category and mu^2's support
+    # alone, and preset A has one support over every field: four fields
+    # walk each (r, s) once and enumerate each basis once
+    walks, enumerations = [], []
+    walk, enumerate_basis = hochschild._pattern, hochschild._enumerate_basis
+
+    def counted_walk(cat, slot_of, r, s, *bases):
+        walks.append((r, s))
+        return walk(cat, slot_of, r, s, *bases)
+
+    def counted_enumeration(cat, r, s):
+        enumerations.append((r, s))
+        return enumerate_basis(cat, r, s)
+
+    monkeypatch.setattr(hochschild, "_pattern", counted_walk)
+    monkeypatch.setattr(hochschild, "_enumerate_basis", counted_enumeration)
+    cells = [(r, s) for r in range(8) for s in range(-(r + 1), 2)]
+    for char in (0, 2, 3, 5):
+        F = FieldSpec(char)
+        dims = hh_bar(F, 7, preset_A(F))
+        assert dims[(6, -4)] == 1 and dims[(0, 1)] == 2
+    assert walks == cells
+    assert sorted(enumerations) == sorted({(r + k, s) for r, s in cells for k in (0, 1)})
+    A = preset_A(FieldSpec(3))
+    assert delta_matrix(A, 5, -4)[1] is delta_matrix(A, 6, -4)[0]
+
+
+def _one_product_removed(F):
+    # preset A without v o u = e1
+    A = preset_A(F)
+    mu2 = {k: v for k, v in A.tables[2].items() if k != ("v", "u")}
+    return AInfStructure(F, A.cat, A.truncation, {2: mu2})
+
+
+def _one_product_times_5(F):
+    # preset A with u o v = 5 f1, which vanishes over F5
+    A = preset_A(F)
+    mu2 = dict(A.tables[2])
+    mu2[("u", "v")] = mu2[("u", "v")].scale(5)
+    return AInfStructure(F, A.cat, A.truncation, {2: mu2})
+
+
+@pytest.mark.parametrize("first, second", [
+    (lambda: preset_A(FieldSpec(0)), lambda: _one_product_removed(FieldSpec(0))),
+    (lambda: _one_product_times_5(FieldSpec(0)), lambda: _one_product_times_5(FieldSpec(5))),
+], ids=["entry-dropped", "coefficient-vanishes-mod-5"])
+@pytest.mark.parametrize("order", ["forward", "reverse"])
+def test_delta_patterns_are_keyed_by_mu2_support(first, second, order, fresh_patterns):
+    # two structures on one category whose mu^2 supports differ: neither
+    # may read the other's pattern, whichever is built first
+    algs = [first(), second()]
+    if order == "reverse":
+        algs.reverse()
+    supports = [{k: tuple(v.terms) for k, v in alg.tables[2].items()} for alg in algs]
+    assert supports[0] != supports[1]
+    for alg in algs:
+        for r, s in ((0, 0), (1, -1), (2, -2), (3, -2), (4, -3), (5, -4)):
+            cols, rows, columns = delta_matrix(alg, r, s)
+            want_cols, want_rows, want = oracles.delta_matrix(alg, r, s)
+            assert (cols, rows) == (want_cols, want_rows), (r, s)
+            assert [list(c.items()) for c in columns] == [list(c.items()) for c in want], (r, s)
+    assert len(fresh_patterns._PATTERNS) == 2
+
+
+def _dual_numbers(F):
+    """k[x]/x^2 with |x| = 2: one object, the identity e and x."""
+    cat = QuiverCategory(["a"], [Generator("e", "a", "a", 0), Generator("x", "a", "a", 2)],
+                         {"a": Element.single("e", 1, F.characteristic)})
+    one = {n: Element.single(n, 1, F.characteristic) for n in ("e", "x")}
+    return AInfStructure(F, cat, 2, {2: {("e", "e"): one["e"], ("e", "x"): one["x"],
+                                         ("x", "e"): one["x"]}})
+
+
+@pytest.mark.parametrize("char", [0, 2])
+def test_hh_bar_reaches_every_cell_of_a_degree_two_generator(char):
+    # with |x| = 2 the cochains of length r sit at s = -2r and 2 - 2r, below
+    # the s >= -(r + 1) that degrees 0 and 1 allow; every cell is found
+    F = FieldSpec(char)
+    alg = _dual_numbers(F)
+    ranks, dims = {}, {}
+    for r, s in _cells(alg.cat, 4):
+        cols, rows, columns = delta_matrix(alg, r, s)
+        ranks[(r, s)] = rank(columns, char) if cols and rows else 0
+        dim = len(cols) - ranks[(r, s)] - ranks.get((r - 1, s), 0)
+        if dim:
+            dims[(r, s)] = dim
+    assert hh_bar(F, 4, alg) == dims
+    if char == 0:
+        assert dims == {(0, 0): 1, (0, 2): 1, (1, 0): 1, (2, -4): 1, (3, -4): 1, (4, -8): 1}

@@ -153,7 +153,7 @@ def test_echelon_matches_rref_oracle(char):
         assert rank(columns, char) == len(rref(_oracle_rows(columns), char))
         assert solve(columns, ncols, b, char) == want_x
         assert nullspace(columns, ncols, char) == _oracle_nullspace(columns, ncols, char)
-        assert Echelon(columns, char, ncols).contains(b) == (want_x is not None)
+        assert (not Echelon(columns, char, ncols).residual(b)) == (want_x is not None)
     assert 30 < infeasible < 270  # both outcomes are exercised
 
 
