@@ -134,12 +134,11 @@ def _scatter(accs: dict, table: dict, blocks: dict, alphabet, shortest: int, mos
             accumulate(accs[len(t)].setdefault(t, {}), table, ((K, c),), negate)
 
 
-def _entries(accs: dict, cat, d: int, p: int) -> dict:
+def _entries(accs: dict, cat, p: int) -> dict:
     """The nonzero scattered sums as Elements over characteristic p, keyed by
-    the composable length-d tuples of non-identity generators in cat.tuples
-    order."""
+    the tuples of non-identity generators in cat.tuples order."""
     gens = cat.nonidentity_generators()
-    sums = ((t, Element(accs[t], p)) for t in cat.tuples_among(accs, d, gens))
+    sums = ((t, Element(accs[t], p)) for t in cat.tuples_among(accs, gens))
     return {t: el for t, el in sums if not el.is_zero()}
 
 
@@ -159,11 +158,8 @@ def gauge_apply(gauge: GaugeTransformation, mu: AInfStructure,
 def _g_side(acc: dict, gauge: GaugeTransformation, mu: AInfStructure, d: int) -> None:
     """acc[t] += the g-side terms at arity d: each mu^m spliced into
     g^(d-m+1), signed by the tail of the g key."""
-    odd = {n: (mu.cat.deg(n) - 1) % 2 for n in mu.cat.generators}
     for m, inner in mu.tables.items():
-        gk = gauge.table(d - m + 1)
-        for t, G, i, c in splices(gk, inner) if gk else ():
-            accumulate(acc.setdefault(t, {}), gk, ((G, c),), sum(odd[n] for n in G[i + 1:]) % 2)
+        splices(acc, gauge.table(d - m + 1), inner, mu.cat.odd)
 
 
 def _gauge_apply(gauge: GaugeTransformation, mu: AInfStructure,
@@ -190,7 +186,7 @@ def _gauge_apply(gauge: GaugeTransformation, mu: AInfStructure,
     _scatter(accs, new_tables[2], blocks, alphabet, 3, order, longest, True)
     for d in range(3, order + 1):
         _g_side(accs[d], gauge, mu, d)
-        new_tables[d] = _entries(accs.pop(d), cat, d, mu.spec.characteristic)
+        new_tables[d] = _entries(accs.pop(d), cat, mu.spec.characteristic)
         _scatter(accs, new_tables[d], blocks, alphabet, d + 1, order, longest, True)
     out = copy(mu)
     out.truncation, out.tables = order, {d: t for d, t in new_tables.items() if t}
@@ -214,7 +210,7 @@ def gauge_compose(second: GaugeTransformation, first: GaugeTransformation,
     accs = {d: {} for d in range(2, up_to + 1)}
     for r in range(1, up_to + 1):
         _scatter(accs, second.table(r), blocks, alphabet, max(r, 2), up_to, longest)
-    return GaugeTransformation(spec, cat, {d: _entries(acc, cat, d, spec.characteristic)
+    return GaugeTransformation(spec, cat, {d: _entries(acc, cat, spec.characteristic)
                                            for d, acc in accs.items()})
 
 
@@ -281,7 +277,8 @@ def kill_orders(mu: AInfStructure, orders):
         phi = mu_cochain(current, d)
         if phi.is_zero():
             continue
-        step = GaugeTransformation(mu.spec, mu.cat, {d - 1: _primitive(phi, current).table})
+        step = GaugeTransformation(mu.spec, mu.cat)  # _primitive re-checked its one table
+        step.components[d - 1] = _primitive(phi, current).table
         current = gauge_apply(step, current)
         steps.append(step)
     return steps, current
@@ -339,12 +336,9 @@ def extract_invariants(mu: AInfStructure) -> DeformationClass:
         raise ValueError("invariants defined only when 6 is invertible")
     if mu.truncation < 8:
         raise ValueError("structure must carry arities through 8")
-    if mu.truncation > 8:
-        # the invariants only see arities <= 8; drop the rest
-        mu = AInfStructure(
-            mu.spec, mu.cat, 8,
-            {d: t for d, t in mu.tables.items() if d <= 8},
-        )
+    if mu.truncation > 8:  # the invariants only see arities <= 8; drop the rest
+        mu = copy(mu)  # of checked tables, as rescale builds them
+        mu.truncation, mu.tables = 8, {d: t for d, t in mu.tables.items() if d <= 8}
     p, t = mu.spec.characteristic, weight_scale(mu)
     try:
         inv = _extract_invariants(rescale(mu, t))
@@ -374,7 +368,7 @@ def _extract_invariants(mu: AInfStructure) -> DeformationClass:
             longest = max(gauge.supports())
             for r, table in new.items():
                 _scatter({d: acc}, table, blocks, alphabet, d, d, min(longest, d - r + 1), True)
-            psi = Cochain(d, 2 - d, _entries(acc, cat, d, mu.spec.characteristic))
+            psi = Cochain(d, 2 - d, _entries(acc, cat, mu.spec.characteristic))
         else:  # the gauge is the identity so far
             psi = mu_cochain(mu, d)
         if d not in _NORMAL_FORM:

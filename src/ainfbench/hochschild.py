@@ -108,37 +108,18 @@ def euler_cochain(alg: AInfStructure) -> Cochain:
 def gerst_compose(phi: Cochain, psi: Cochain, alg: AInfStructure) -> Cochain:
     """Circle product with shifted signs; both factors of length >= 1.
 
-    Only splices are evaluated, which is exact: each term at t reads a
-    psi-key w and a phi-key K with t = K[:p] + w + K[p+1:] and K[p] in the
-    output of psi(w), so other tuples give zero.  Keys are the composable
-    tuples of non-identity generators, in the order of cat.tuples, so a
-    psi-key holding an identity component (as mu^2's do) is never read."""
+    One splices scatter of psi into phi, which is exact, signed by the
+    tail only when ||psi|| is odd.  Keys are the composable tuples of
+    non-identity generators, in the order of cat.tuples, so a psi-key
+    holding an identity component (as mu^2's do) is never read."""
     if phi.r < 1 or psi.r < 1:
         raise ValueError("circle product needs length >= 1 factors")
     cat, p = alg.cat, alg.spec.characteristic
-    r_out = phi.r + psi.r - 1
-    s_out = phi.s + psi.s
-    sign_flip = psi.shifted_degree == 1
-    out = {}
     gens = cat.nonidentity_generators()
     inner = {w: v for w, v in psi.table.items() if all(n in gens for n in w)}
-    candidates = (t for t, *_ in splices(phi.table, inner))
-    for t in cat.tuples_among(candidates, r_out, gens):
-        degs = [cat.deg(n) for n in t]
-        acc = {}
-        eps = 0
-        for n in range(phi.r):
-            lo = r_out - n - psi.r
-            inner = psi.table.get(t[lo: r_out - n])
-            if inner is not None:
-                head, tail = t[:lo], t[r_out - n:]
-                accumulate(acc, phi.table,
-                           ((head + (g,) + tail, c) for g, c in inner.terms.items()),
-                           sign_flip and eps % 2)
-            if n < r_out:
-                eps += degs[r_out - 1 - n] - 1
-        out[t] = Element(acc, p)
-    return Cochain(r_out, s_out, out)
+    acc = splices({}, phi.table, inner, cat.odd, psi.shifted_degree)
+    return Cochain(phi.r + psi.r - 1, phi.s + psi.s,
+                   {t: Element(acc[t], p) for t in cat.tuples_among(acc, gens)})
 
 
 def gerstenhaber(phi: Cochain, psi: Cochain, alg: AInfStructure) -> Cochain:

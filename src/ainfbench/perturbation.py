@@ -125,10 +125,9 @@ def transfer(split: SplittingData, order: int) -> TransferResult:
     """Run the recursion through the given arity, exactly.
 
     iota^d and mu^d at t are sums of mu2(iota^(d-m)(L), iota^m(R)) over
-    t = L + R, so only concatenations of two stored iota keys are
-    evaluated.  Keys are the composable tuples over all generators at
-    d = 2 and over the non-identity ones above, in the order of
-    cat.tuples."""
+    t = L + R: each composable pair of stored iota keys is summed once,
+    into t.  Keys are the composable tuples over all generators at d = 2
+    and over the non-identity ones above, in the order of cat.tuples."""
     if order < 2:
         raise ValueError("transfer order must be >= 2")
     if sorted(split.ambient.present_arities()) not in ([1], [1, 2], [2]):
@@ -147,16 +146,15 @@ def transfer(split: SplittingData, order: int) -> TransferResult:
     for d in range(2, order + 1):
         iota[d] = {}
         mu[d] = {}
+        acc = {}
+        for m in range(1, d):
+            for L, left in iota[d - m].items():
+                for R, right in iota[m].items():
+                    if cat.source(L[-1]) == cat.target(R[0]):
+                        accumulate(acc.setdefault(L + R, {}), mu2, tensor_terms((left, right)))
         alphabet = None if d == 2 else cat.nonidentity_generators()
-        candidates = (left + right for m in range(1, d)
-                      for left in iota[d - m] for right in iota[m])
-        for names in cat.tuples_among(candidates, d, alphabet):
-            acc = {}
-            for m in range(1, d):
-                left, right = iota[d - m].get(names[: d - m]), iota[m].get(names[d - m:])
-                if left is not None and right is not None:
-                    accumulate(acc, mu2, tensor_terms((left, right)))
-            total = Element(acc, spec.characteristic)
+        for names in cat.tuples_among(acc, alphabet):
+            total = Element(acc[names], spec.characteristic)
             if total.is_zero():
                 continue
             t_img = _apply_linear(homotopy, total)

@@ -48,15 +48,25 @@ def index_by_output(entries) -> dict:
     return index
 
 
-def splices(outer, inner: dict):
-    """(K[:p] + w + K[p+1:], K, p, c) for every outer key K, position p and
-    inner key w whose value holds K[p] with coefficient c: the tuples at
-    which an insertion of inner into outer can read two table entries."""
+def splices(acc: dict, outer: dict, inner: dict, odd: dict, shift: int = 1) -> dict:
+    """The insertion of inner into outer, scattered into acc and returned:
+    for every outer key K, position p and inner key w whose value holds
+    K[p] with coefficient c, acc[t] += (-1)^(shift * ||K[p+1:]||) c
+    outer[K] with t = K[:p] + w + K[p+1:].  ||tail|| is the parity of
+    the tail's reduced degrees in odd (QuiverCategory.odd), carried right
+    to left; shift is inner's shifted degree, 1 for every mu^m.  Each t is
+    composable when both tables are; other tuples get no term.  The one
+    evaluator of the A-infinity relations, the circle product and the
+    gauge action's g-side."""
     by_output = index_by_output(inner.items())
     for K in outer:
-        for p, g in enumerate(K):
-            for w, c in by_output.get(g, ()):
-                yield K[:p] + w + K[p + 1:], K, p, c
+        tail = 0
+        for p in range(len(K) - 1, -1, -1):
+            for w, c in by_output.get(K[p], ()):
+                accumulate(acc.setdefault(K[:p] + w + K[p + 1:], {}), outer, ((K, c),),
+                           tail & shift)
+            tail ^= odd[K[p]]
+    return acc
 
 
 class QuiverCategory:
@@ -76,6 +86,8 @@ class QuiverCategory:
                 raise ValueError(f"unknown object in generator {g.name}")
             self.generators[g.name] = g
         self.order = {name: i for i, name in enumerate(self.generators)}
+        # the parity of each reduced degree deg - 1, the Koszul sign's letters
+        self.odd = {name: (g.degree - 1) % 2 for name, g in self.generators.items()}
         self.identities: dict[str, Element] = dict.fromkeys(self.objects, ZERO)
         self.identities.update(identities)  # zero where none is designated
         for obj, el in self.identities.items():
@@ -160,14 +172,13 @@ class QuiverCategory:
                 if keep(t, remaining - 1):
                     stack.append((prefix + (n,), t))
 
-    def tuples_among(self, candidates, d: int, alphabet=None) -> list:
-        """The candidates that tuples(d, alphabet) yields, in its order
-        (declaration index, letter by letter); alphabet in declaration
-        order, as nonidentity_generators() gives it."""
+    def tuples_among(self, candidates, alphabet=None) -> list:
+        """The candidates over alphabet (all generators when None), in the
+        order of tuples (declaration index, letter by letter).  Callers
+        pass composable tuples of one length, as splices builds them."""
         allowed = set(alphabet) if alphabet is not None else self.generators
         order = self.order
-        return sorted((t for t in set(candidates) if len(t) == d and self.composable(t)
-                       and all(n in allowed for n in t)),
+        return sorted((t for t in candidates if all(n in allowed for n in t)),
                       key=lambda t: [order[n] for n in t])
 
     def sort_terms(self, el: Element):
@@ -249,45 +260,22 @@ class AInfStructure:
         return sorted(d for d, t in self.tables.items() if t)
 
     def relation_defect(self, names) -> Element:
-        """Left-hand side of the A-infinity relation on one tuple.
-
-        The insertion loop stays inline rather than going through
-        accumulate: ainf_check calls this once per candidate splice, and
-        the extra call per window is measurable there."""
-        d = len(names)
-        cat = self.cat
-        degs = [cat.deg(n) for n in names]
-        # eps[n] = reduced degree of the last n inputs (a_1..a_n)
-        eps = [0] * (d + 1)
-        for n in range(1, d + 1):
-            eps[n] = eps[n - 1] + degs[d - n] - 1
+        """Left-hand side of the A-infinity relation on one tuple, window
+        by window.  The per-tuple oracle of ainf_check, which sums the same
+        terms for every tuple at once by splices."""
+        d, tables = len(names), self.tables
+        tails = [0]  # tails[n]: the parity of the last n letters
+        for name in reversed(names):
+            tails.append(tails[-1] ^ self.cat.odd[name])
         acc = {}
-        get = acc.get
-        tables = self.tables
-        for m in self.present_arities():
-            if m > d:
-                break
-            k = d - m + 1
-            outer = tables.get(k)
-            if outer is None:
-                continue
-            inner_table = tables[m]
-            for n in range(0, d - m + 1):
-                window = names[d - n - m: d - n]
-                inner = inner_table.get(window)
-                if inner is None:
-                    continue
-                negate = eps[n] % 2
-                head = names[: d - n - m]
-                tail = names[d - n:]
-                for g, c in inner.terms.items():
-                    val = outer.get(head + (g,) + tail)
-                    if val is None:
-                        continue
-                    if negate:
-                        c = -c
-                    for h, v in val.terms.items():
-                        acc[h] = get(h, 0) + v * c
+        for m, inner in tables.items():
+            outer = tables.get(d - m + 1)
+            for n in range(d - m + 1) if outer else ():  # n letters right of the window
+                val = inner.get(names[d - n - m: d - n])
+                if val is not None:
+                    head, rest = names[: d - n - m], names[d - n:]
+                    accumulate(acc, outer, ((head + (g,) + rest, c) for g, c in val.terms.items()),
+                               tails[n])
         return Element(acc, self.spec.characteristic)
 
     def ainf_check(self, up_to: int):
@@ -295,21 +283,18 @@ class AInfStructure:
         every composable tuple (identities included) of length <= up_to,
         in the order of cat.tuples(d); empty means the relations hold.
 
-        Only splices are evaluated, which is exact with no unitality
-        assumed: each term of the defect at t reads an inner key w of
-        mu^m and an outer key K of mu^(d-m+1) with t = K[:p] + w + K[p+1:]
-        and K[p] in the output of mu^m(w), so other tuples give zero.
-        """
+        Each arity d is one splices scatter of every mu^m into
+        mu^(d-m+1), which is exact with no unitality assumed: only the
+        tuples it reaches get a term, so the others hold."""
         if up_to > self.truncation:
             raise ValueError("cannot check beyond truncation order")
-        tables = self.tables
+        tables, cat, p = self.tables, self.cat, self.spec.characteristic
         bad = []
         for d in range(1, up_to + 1):
-            candidates = (t for m, inner in tables.items()
-                          for t, *_ in splices(tables.get(d - m + 1, ()), inner))
-            for t in self.cat.tuples_among(candidates, d):
-                if not self.relation_defect(t).is_zero():
-                    bad.append((d, t))
+            acc = {}
+            for m, inner in tables.items():
+                splices(acc, tables.get(d - m + 1, {}), inner, cat.odd)
+            bad += [(d, t) for t in cat.tuples_among(acc) if not Element(acc[t], p).is_zero()]
         return bad
 
     def check_unital(self):

@@ -102,12 +102,15 @@ class FieldSpec:
 
     @staticmethod
     def parse(text: str) -> "FieldSpec":
+        """Q from Q, QQ or 0; F_p from F and the decimal digits of a prime
+        p (F0 names no field); else ValueError."""
         text = text.strip()
         if text in ("Q", "QQ", "0"):
             return FieldSpec(0)
-        if text.startswith("F"):
-            return FieldSpec(int(text[1:]))
-        raise ValueError(f"unknown field spec {text!r} (expected Q or F<p>)")
+        digits = text[1:]
+        if text[:1] == "F" and digits.isascii() and digits.isdigit() and int(digits):
+            return FieldSpec(int(digits))
+        raise ValueError(f"unknown field spec {text!r} (expected Q or F<p>, p prime)")
 
     def scalar(self, num: int, den: int = 1):
         """num / den as a canonical raw value of this field."""

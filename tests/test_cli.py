@@ -146,6 +146,24 @@ def test_check_zero_denominator_is_bad_input(tmp_path, old, new, field):
     assert err.startswith(f"error: line {i + 1}: ")
 
 
+def test_field_f0_is_usage():
+    # F0 names no field; it was read as Q
+    code, out, err = _run_err(["hh-table", "--field", "F0", "--rmax", "2"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ")
+
+
+def test_check_rejects_field_f0_at_its_line(tmp_path):
+    lines = (GOLDEN / "preset_C.alg").read_text().splitlines()
+    assert lines[0] == "FIELD Q"
+    lines[0] = "FIELD F0"
+    bad = tmp_path / "bad.alg"
+    bad.write_text("\n".join(lines) + "\n")
+    code, out, err = _run_err(["check", str(bad)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 1: ")
+
+
 def test_mc_zero_denominator_is_usage():
     for argv in (["mc", "--m6", "1/0"], ["mc", "--m8=-2/0"],
                  ["mc", "--field", "F5", "--m6", "1/5"]):

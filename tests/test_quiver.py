@@ -148,6 +148,17 @@ def test_ainf_check_matches_brute_force(oracle_structures):
         assert struct.ainf_check(up_to) == brute_force_check(struct, up_to), name
 
 
+def test_ainf_check_does_not_read_its_oracle(oracle_structures, monkeypatch):
+    want = [brute_force_check(struct, up_to) for _, struct, up_to in oracle_structures]
+
+    def refuse(self, names):
+        raise AssertionError("ainf_check read relation_defect")
+
+    monkeypatch.setattr(AInfStructure, "relation_defect", refuse)
+    for (name, struct, up_to), bad in zip(oracle_structures, want):
+        assert struct.ainf_check(up_to) == bad, name
+
+
 def _corrupt(struct, d, rng):
     """A copy of struct with one entry of mu^d rescaled, dropped or added."""
     cat, spec = struct.cat, struct.spec

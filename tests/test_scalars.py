@@ -51,6 +51,18 @@ def test_division_by_zero():
             FieldSpec(p).scalar(1, -p)
 
 
+@pytest.mark.parametrize("text", ["F0", "F00", "F", "F-5", "F+5", "F4", "FQ", "00"])
+def test_field_spec_names_only_q_or_a_prime(text):
+    # F0 and F00 were read as Q
+    with pytest.raises(ValueError):
+        FieldSpec.parse(text)
+
+
+@pytest.mark.parametrize("text,p", [("F5", 5), ("F2", 2), ("Q", 0), ("QQ", 0), ("0", 0)])
+def test_field_spec_parses(text, p):
+    assert FieldSpec.parse(text) == FieldSpec(p)
+
+
 def test_spec_mismatch():
     # a raw value has no field; two fields meet only in Elements, and the
     # error names both
