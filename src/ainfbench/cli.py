@@ -323,8 +323,13 @@ def cmd_jacobi(args) -> int:
 
 def cmd_triangle(args) -> int:
     scene = scene_load(Path(args.scene).read_text()) if args.scene else preset_scene()
-    tris = triangle_witnesses(scene, args.wrap)
-    quads = quad_witnesses(scene, args.wrap)
+    try:
+        tris = triangle_witnesses(scene, args.wrap)
+        quads = quad_witnesses(scene, args.wrap)
+    except AssertionError as exc:  # a degenerate scene file is bad input, not a negative
+        if not args.scene:
+            raise
+        raise ValueError(f"scene {args.scene}: {exc}") from None
     m2, m3, check = criterion_series(tris, quads, args.wrap)
     per_band_t = Counter(max(w.wraps) for w in tris)
     per_band_q = Counter(max(w.wraps) for w in quads)

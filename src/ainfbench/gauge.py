@@ -53,17 +53,17 @@ from math import lcm
 from .hochschild import (
     Cell,
     Cochain,
+    _entries,
     class_coordinate,
     cochain_basis,
     cochain_to_vector,
-    gerst_compose,
     mu_cochain,
     reference_cocycle,
     solve_first,
 )
 from .quiver import (AInfStructure, Element, EntryError, ZERO, _entry_lines, accumulate,
-                     check_table, dump, format_element, index_by_output, load_with_extras,
-                     parse_table, preset_A, splices)
+                     check_table, dump, index_by_output, load_with_extras, parse_table,
+                     preset_A, splices, table_rows)
 from .scalars import FieldSpec, canon, divide, field_mismatch
 
 
@@ -134,14 +134,6 @@ def _scatter(accs: dict, table: dict, blocks: dict, alphabet, shortest: int, mos
             accumulate(accs[len(t)].setdefault(t, {}), table, ((K, c),), negate)
 
 
-def _entries(accs: dict, cat, p: int) -> dict:
-    """The nonzero scattered sums as Elements over characteristic p, keyed by
-    the tuples of non-identity generators in cat.tuples order."""
-    gens = cat.nonidentity_generators()
-    sums = ((t, Element(accs[t], p)) for t in cat.tuples_among(accs, gens))
-    return {t: el for t, el in sums if not el.is_zero()}
-
-
 def gauge_apply(gauge: GaugeTransformation, mu: AInfStructure,
                 order: int = None) -> AInfStructure:
     """Act on a minimal structure; result is minimal with the same mu^2.
@@ -210,8 +202,10 @@ def gauge_compose(second: GaugeTransformation, first: GaugeTransformation,
     accs = {d: {} for d in range(2, up_to + 1)}
     for r in range(1, up_to + 1):
         _scatter(accs, second.table(r), blocks, alphabet, max(r, 2), up_to, longest)
-    return GaugeTransformation(spec, cat, {d: _entries(acc, cat, spec.characteristic)
-                                           for d, acc in accs.items()})
+    out = GaugeTransformation(spec, cat)  # built from checked gauges: not re-checked
+    out.components = {d: table for d, acc in accs.items()
+                      if (table := _entries(acc, cat, spec.characteristic))}
+    return out
 
 
 def preset_gauge_G(spec: FieldSpec, cat) -> GaugeTransformation:
@@ -446,22 +440,22 @@ def _mc_extend(spec: FieldSpec, m6, m8, order: int = 12) -> AInfStructure:
     if spec.characteristic in (2, 3):
         raise ValueError("classification requires 6 invertible")
     base = preset_A(spec, order)
+    cat, p = base.cat, spec.characteristic
     tables = {2: dict(base.tables[2])}
-    chosen: dict[int, Cochain] = {}
     for d in range(3, order + 1):
         # delta(mu^d) = - sum_{j=3}^{d-1} mu^j o mu^{d+2-j}, the arity-(d+1)
-        # component of the relations below order d
-        terms = [gerst_compose(chosen[j], chosen[d + 2 - j], base) for j in range(3, d)
-                 if not (chosen[j].is_zero() or chosen[d + 2 - j].is_zero())]
-        acc = sum(terms[1:], terms[0]) if terms else Cochain(d + 1, 2 - d)
-        obstruction = None if acc.is_zero() else -acc
+        # component of the relations below order d: ainf_check's scatter
+        acc = {}
+        for j in range(3, d):
+            splices(acc, tables.get(j, {}), tables.get(d + 2 - j, {}), cat.odd)
+        obstruction = -Cochain(d + 1, 2 - d, _entries(acc, cat, p))
         if d == 6 or d == 8:
-            if obstruction is not None:
+            if not obstruction.is_zero():
                 raise AssertionError(
                     f"unexpected nonzero bracket obstruction at order {d}"
                 )
             phi = reference_cocycle(base, d, 2 - d).scale(m6 if d == 6 else m8)
-        elif obstruction is None:
+        elif obstruction.is_zero():
             phi = Cochain(d, 2 - d)
         else:
             phi = solve_first(obstruction, base, AssertionError(
@@ -471,22 +465,15 @@ def _mc_extend(spec: FieldSpec, m6, m8, order: int = 12) -> AInfStructure:
                 raise AssertionError(
                     f"order-{d} obstruction not a coboundary: HH cell should vanish"
                 )
-        chosen[d] = phi
         if not phi.is_zero():
             tables[d] = dict(phi.table)
-    return AInfStructure(spec, base.cat, order, tables)
+    return AInfStructure(spec, cat, order, tables)
 
 
 def dump_gauge(gauge: GaugeTransformation, truncation: int = 12) -> str:
     """Gauge tables in the algebra-definition grammar, sections G<d>."""
-    cat = gauge.cat
-    sections = []
-    for k in gauge.supports():
-        table = gauge.components[k]
-        rows = [f"{' '.join(names)} -> {format_element(table[names], cat)}"
-                for names in sorted(table, key=lambda t: [cat.order[n] for n in t])]
-        sections.append((f"G{k}", rows))
-    return dump(AInfStructure(gauge.spec, cat, truncation, {}), sections)
+    sections = [(f"G{k}", table_rows(gauge.components[k], gauge.cat)) for k in gauge.supports()]
+    return dump(AInfStructure(gauge.spec, gauge.cat, truncation, {}), sections)
 
 
 def load_gauge(text: str) -> GaugeTransformation:

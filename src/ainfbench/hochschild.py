@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from array import array
 
-from .linalg import Echelon, rank
-from .quiver import AInfStructure, Element, ZERO, accumulate, preset_A, splices
+from .linalg import Echelon, cohomology_dims, rank
+from .quiver import AInfStructure, Element, ZERO, preset_A, splices
 from .scalars import FieldSpec, canonical, divide, field_mismatch
 
 
@@ -114,12 +114,19 @@ def gerst_compose(phi: Cochain, psi: Cochain, alg: AInfStructure) -> Cochain:
     holding an identity component (as mu^2's do) is never read."""
     if phi.r < 1 or psi.r < 1:
         raise ValueError("circle product needs length >= 1 factors")
-    cat, p = alg.cat, alg.spec.characteristic
+    cat = alg.cat
     gens = cat.nonidentity_generators()
     inner = {w: v for w, v in psi.table.items() if all(n in gens for n in w)}
     acc = splices({}, phi.table, inner, cat.odd, psi.shifted_degree)
-    return Cochain(phi.r + psi.r - 1, phi.s + psi.s,
-                   {t: Element(acc[t], p) for t in cat.tuples_among(acc, gens)})
+    return Cochain(phi.r + psi.r - 1, phi.s + psi.s, _entries(acc, cat, alg.spec.characteristic))
+
+
+def _entries(acc: dict, cat, p: int) -> dict:
+    """The nonzero scattered sums as Elements over characteristic p, keyed by
+    the tuples of non-identity generators in cat.tuples order."""
+    gens = cat.nonidentity_generators()
+    sums = ((t, Element(acc[t], p)) for t in cat.tuples_among(acc, gens))
+    return {t: el for t, el in sums if not el.is_zero()}
 
 
 def gerstenhaber(phi: Cochain, psi: Cochain, alg: AInfStructure) -> Cochain:
@@ -135,24 +142,14 @@ def coboundary(phi: Cochain, alg: AInfStructure) -> Cochain:
     """Hochschild differential delta(phi) = [mu^2, phi].
 
     mu^2 enters with its identity inputs, so outputs of phi in e0/f0
-    multiply.  Length-0 cochains have no circle product and take the
-    two-term formula delta(phi)(a) = mu2(a, phi) +- mu2(phi, a)."""
+    multiply.  A length-0 cochain is one scatter too: its object values,
+    summed, are the inner table's one entry, at the empty key, which meets
+    only the mu^2 keys it composes with, so the sum is exact."""
     if phi.r:
         return gerstenhaber(Cochain(2, 0, alg.tables[2]), phi, alg)
-    cat, mu2 = alg.cat, alg.tables[2]
-    flip_phi = phi.shifted_degree == 1
-    out = {}
-    for (a,) in cat.tuples(1, cat.nonidentity_generators()):
-        acc = {}
-        v = phi.table.get(cat.source(a))
-        if v is not None:
-            accumulate(acc, mu2, (((a, g), c) for g, c in v.terms.items()))
-        v = phi.table.get(cat.target(a))
-        if v is not None:
-            accumulate(acc, mu2, (((g, a), c) for g, c in v.terms.items()),
-                       flip_phi and (cat.deg(a) - 1) % 2)
-        out[(a,)] = Element(acc, alg.spec.characteristic)
-    return Cochain(1, phi.s, out)
+    acc = splices({}, alg.tables[2], {(): sum(phi.table.values(), ZERO)}, alg.cat.odd,
+                  phi.shifted_degree)
+    return Cochain(1, phi.s, _entries(acc, alg.cat, alg.spec.characteristic))
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +165,6 @@ _BASES: dict = {}
 _PATTERNS: dict = {}
 
 
-def _signature(cat):
-    """Objects, generators in declaration order and identity components:
-    all of the category that bases and delta read (not the identities'
-    coefficients, which carry the field)."""
-    return (tuple(cat.objects), tuple(cat.generators.values()),
-            frozenset(n for el in cat.identities.values() for n in el.terms))
-
-
 def cochain_basis(alg: AInfStructure, r: int, s: int):
     """Deterministic ordered basis [(key, gen)] of CC of length r, degree s.
 
@@ -187,16 +176,10 @@ def cochain_basis(alg: AInfStructure, r: int, s: int):
     is returned to every field and structure, so callers must not mutate
     it (in hh_bar the row basis of (r, s) is the column basis of
     (r + 1, s))."""
-    return _basis(alg.cat, _signature(alg.cat), r, s)
-
-
-def _basis(cat, signature, r: int, s: int):
-    """cochain_basis with the signature computed by the caller."""
-    bases = _BASES.setdefault(signature, {})
-    basis = bases.get((r, s))
-    if basis is None:
-        basis = bases[(r, s)] = _enumerate_basis(cat, r, s)
-    return basis
+    bases = _BASES.setdefault(alg.cat.signature, {})
+    if (r, s) not in bases:
+        bases[(r, s)] = _enumerate_basis(alg.cat, r, s)
+    return bases[(r, s)]
 
 
 def _enumerate_basis(cat, r: int, s: int):
@@ -256,10 +239,8 @@ def delta_matrix(alg: AInfStructure, r: int, s: int):
     first meets them, and made canonical once, at the end.
     """
     cat, mu2 = alg.cat, alg.tables[2]
-    signature = _signature(cat)
-    col_basis = _basis(cat, signature, r, s)
-    row_basis = _basis(cat, signature, r + 1, s)
-    shape = (signature, frozenset((key, tuple(el.terms)) for key, el in mu2.items()))
+    col_basis, row_basis = cochain_basis(alg, r, s), cochain_basis(alg, r + 1, s)
+    shape = (cat.signature, frozenset((key, tuple(el.terms)) for key, el in mu2.items()))
     if shape not in _PATTERNS:
         _PATTERNS[shape] = (_slots(mu2), {})
     slot_of, patterns = _PATTERNS[shape]
@@ -364,18 +345,11 @@ def hh_bar(spec: FieldSpec, r_max: int, alg: AInfStructure = None):
     for r in range(r_max + 1):
         ends = [b for k in (r, r + 1) for b in (lo - k * hi, hi - k * lo)]
         cells += [(r, s) for s in range(min(ends), max(ends) + 1)]
-    ranks: dict[tuple, int] = {}
-    sizes: dict[tuple, int] = {}
+    blocks = {}
     for r, s in cells:
         cols, rows, matrix = delta_matrix(alg, r, s)
-        sizes[(r, s)] = len(cols)
-        ranks[(r, s)] = rank(matrix, spec.characteristic) if cols and rows else 0
-    dims = {}
-    for r, s in cells:
-        dim = sizes[(r, s)] - ranks[(r, s)] - ranks.get((r - 1, s), 0)
-        if dim:
-            dims[(r, s)] = dim
-    return dims
+        blocks[(r, s)] = (len(cols), rank(matrix, spec.characteristic) if cols and rows else 0)
+    return cohomology_dims(blocks)
 
 
 def _check_solution(columns, x, b, p: int) -> None:
@@ -483,7 +457,7 @@ _SQUARES_ZERO: dict = {}
 
 
 def _content_key(alg: AInfStructure):
-    return alg.spec, _signature(alg.cat), frozenset(alg.tables[2].items())
+    return alg.spec, alg.cat.signature, frozenset(alg.tables[2].items())
 
 
 def delta_squares_to_zero(alg: AInfStructure) -> bool:

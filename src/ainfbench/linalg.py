@@ -212,6 +212,18 @@ def rank(vectors, p: int) -> int:
     return Echelon(vectors, p).rank
 
 
+def cohomology_dims(blocks: dict) -> dict:
+    """{(r, s): dim} of a complex given {(r, s): (size, rank out)} per
+    block, the differential running from (r, s) to (r + 1, s): dim = size
+    - rank out - rank in, zeros dropped, in the blocks' order."""
+    dims = {}
+    for (r, s), (size, out) in blocks.items():
+        dim = size - out - blocks.get((r - 1, s), (0, 0))[1]
+        if dim:
+            dims[(r, s)] = dim
+    return dims
+
+
 def solve(columns, ncols: int, b, p: int):
     """Solve sum_j x_j * columns[j] = b exactly.
 

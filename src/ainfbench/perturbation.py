@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .quiver import (AInfStructure, Element, QuiverCategory, ZERO, accumulate, dump,
-                     format_element, preset_A, preset_C, tensor_terms)
+                     preset_A, preset_C, table_rows, tensor_terms)
 from .scalars import FieldSpec
 
 
@@ -102,22 +102,8 @@ class TransferResult:
     ambient_cat: QuiverCategory
 
     def dump(self) -> str:
-        sections = []
-        cat = self.minimal.cat
-        for d in sorted(self.iota):
-            if d == 1:
-                continue
-            rows = []
-            table = self.iota[d]
-            for names in sorted(table, key=lambda t: [cat.order[n] for n in t]):
-                el = table[names]
-                if el.is_zero():
-                    continue
-                rows.append(
-                    f"{' '.join(names)} -> {format_element(el, self.ambient_cat)}"
-                )
-            if rows:
-                sections.append((f"IOTA{d}", rows))
+        sections = [(f"IOTA{d}", table_rows(self.iota[d], self.minimal.cat, self.ambient_cat))
+                    for d in sorted(self.iota) if d > 1 and self.iota[d]]
         return dump(self.minimal, sections)
 
 

@@ -26,7 +26,7 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .linalg import rank
+from .linalg import cohomology_dims, rank
 from .scalars import (ZERO, Element, FieldSpec, accumulate, field_mismatch, parse_scalar,
                       tensor_terms)
 
@@ -102,6 +102,11 @@ class QuiverCategory:
         for el in self.identities.values():
             id_names.update(el.terms)
         self._identity_components = id_names
+        # objects, generators in declaration order and identity components:
+        # all that cochain bases and delta read (not the identities'
+        # coefficients, which carry the field)
+        self.signature = (tuple(self.objects), tuple(self.generators.values()),
+                          frozenset(id_names))
 
     def deg(self, name: str) -> int:
         return self.generators[name].degree
@@ -285,12 +290,14 @@ class AInfStructure:
 
         Each arity d is one splices scatter of every mu^m into
         mu^(d-m+1), which is exact with no unitality assumed: only the
-        tuples it reaches get a term, so the others hold."""
+        tuples it reaches get a term, so the others hold.  A splice of mu^m
+        into mu^n has arity m + n - 1, so the arities above 2 * (top
+        arity) - 1 have no term and are not walked."""
         if up_to > self.truncation:
             raise ValueError("cannot check beyond truncation order")
         tables, cat, p = self.tables, self.cat, self.spec.characteristic
         bad = []
-        for d in range(1, up_to + 1):
+        for d in range(1, min(up_to, 2 * max(tables, default=1) - 1) + 1):
             acc = {}
             for m, inner in tables.items():
                 splices(acc, tables.get(d - m + 1, {}), inner, cat.odd)
@@ -316,28 +323,16 @@ class AInfStructure:
         Only meaningful for dg structures; used to confirm that a dg
         inclusion is a quasi-isomorphism by comparing dimension tables.
         """
-        cat, p = self.cat, self.spec.characteristic
-        dims = {}
         by_slot: dict[tuple, list[str]] = {}
-        for n, g in cat.generators.items():
-            by_slot.setdefault((g.source, g.target, g.degree), []).append(n)
-        mu1 = self.tables.get(1, {})
-        for (src, tgt, deg), basis in by_slot.items():
-            def d_rank(names_from, names_to):
-                idx = {n: i for i, n in enumerate(names_to)}
-                rows = []
-                for n in names_from:
-                    img = mu1.get((n,), ZERO)
-                    rows.append({idx[g]: c for g, c in img.terms.items()})
-                return rank(rows, p)
-
-            below = by_slot.get((src, tgt, deg - 1), [])
-            here_rank = d_rank(basis, by_slot.get((src, tgt, deg + 1), []))
-            below_rank = d_rank(below, basis) if below else 0
-            dim = len(basis) - here_rank - below_rank
-            if dim:
-                dims[(src, tgt, deg)] = dim
-        return {k: dims[k] for k in sorted(dims)}
+        for n, g in self.cat.generators.items():
+            by_slot.setdefault((g.degree, (g.source, g.target)), []).append(n)
+        mu1, p = self.tables.get(1, {}), self.spec.characteristic
+        # the mu^1 images of a slot's generators, keyed by output name, span
+        # the image of the block from degree deg to deg + 1
+        dims = cohomology_dims({slot: (len(names), rank([mu1.get((n,), ZERO).terms
+                                                         for n in names], p))
+                                for slot, names in by_slot.items()})
+        return dict(sorted(((src, tgt, deg), dim) for (deg, (src, tgt)), dim in dims.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +533,13 @@ def parse_element(text: str, cat: QuiverCategory, spec: FieldSpec) -> Element:
     return out
 
 
+def table_rows(table: dict, cat: QuiverCategory, out_cat: QuiverCategory = None) -> list:
+    """Rows 'a_d ... a_1 -> element' of a table keyed over cat, in the order
+    of cat.tuples; outputs written over out_cat (cat when None)."""
+    return [f"{' '.join(names)} -> {format_element(table[names], out_cat or cat)}"
+            for names in cat.tuples_among(table)]
+
+
 def dump(struct: AInfStructure, extra_sections=None) -> str:
     """Canonical, byte-stable text form (load . dump == identity)."""
     cat = struct.cat
@@ -554,9 +556,7 @@ def dump(struct: AInfStructure, extra_sections=None) -> str:
         lines.append(f"{obj} {format_element(cat.identities[obj], cat)}")
     for d in struct.present_arities():
         lines.append(f"MU{d}")
-        table = struct.tables[d]
-        for names in sorted(table, key=lambda t: [cat.order[n] for n in t]):
-            lines.append(f"{' '.join(names)} -> {format_element(table[names], cat)}")
+        lines += table_rows(struct.tables[d], cat)
     for header, rows in (extra_sections or []):
         lines.append(header)
         lines += rows

@@ -33,7 +33,7 @@ HH(r, s) = HH(r+4, s-3) in characteristic 2.
 
 from __future__ import annotations
 
-from .linalg import rank
+from .linalg import cohomology_dims, rank
 from .quiver import A_GENERATORS, _assoc_mul_A
 from .scalars import FieldSpec, canonical
 
@@ -192,16 +192,8 @@ def skoldberg_dims(spec: FieldSpec, r_max: int):
     computed blockwise with exact rank over the base field."""
     p = spec.characteristic
     bases = [_dual_basis(j) for j in range(r_max + 2)]
-    # (j, s) -> rank of delta out of Hom(P_j, A) at s
-    ranks = {(j, s): rank(_dual_differential(bases, j, s, p), p)
-             for j in range(r_max + 1) for s in bases[j]}
-    dims = {}
-    for r in range(r_max + 1):
-        for s, basis in sorted(bases[r].items()):
-            dim = len(basis) - ranks[(r, s)] - ranks.get((r - 1, s), 0)
-            if dim:
-                dims[(r, s)] = dim
-    return dims
+    return cohomology_dims({(j, s): (len(basis), rank(_dual_differential(bases, j, s, p), p))
+                            for j in range(r_max + 1) for s, basis in sorted(bases[j].items())})
 
 
 def skoldberg_check(spec: FieldSpec, j_max: int = 12) -> bool:

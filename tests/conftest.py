@@ -1,14 +1,17 @@
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from ainfbench.scalars import FieldSpec
 from ainfbench.perturbation import preset_splitting_C, transfer
 
 # Property tests draw the same examples on every run (no example database,
 # a fixed seed per test), so a tier-1 run is reproducible; no deadline,
-# because a shared 2-core machine times examples unevenly.
+# because a shared 2-core machine times examples unevenly; no shrinking,
+# which can take minutes once a property fails, so a fault is reported at
+# the example that found it.
 settings.register_profile("tier1", derandomize=True, database=None,
-                          deadline=None, max_examples=10)
+                          deadline=None, max_examples=10,
+                          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
 settings.load_profile("tier1")
 
 

@@ -90,6 +90,27 @@ def test_triangle_scene_file(tmp_path):
         assert err.getvalue().startswith("error: ")
 
 
+def test_degenerate_scene_file_is_bad_input(tmp_path):
+    # a marked point on gamma0, a star at an arc end and a broken degree
+    # relation each make the census refuse the scene: bad input, exit 2,
+    # not a traceback with exit 1, which means a mathematical negative
+    from ainfbench.polygons import preset_scene, scene_dump
+
+    text = scene_dump(preset_scene())
+    path = tmp_path / "scene.txt"
+    for old, new, message in (
+            ("z 3/4 3/4", "z 1/2 0", "marked point"),
+            ("curve gamma0 h +1 star 2/3", "curve gamma0 h +1 star 0", "star sits on an arc"),
+            ("maslov e12 1", "maslov e12 0", "degree relation fails")):
+        assert old in text
+        path.write_text(text.replace(old, new))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run(["triangle", "--wrap", "2", "--scene", str(path)])
+        assert (code, out) == (2, "")
+        assert err.getvalue().startswith(f"error: scene {path}: {message}")
+
+
 def test_triangle_svg(tmp_path):
     svg_dir = tmp_path / "figs"
     code, text = run(["triangle", "--wrap", "1", "--svg", str(svg_dir)])

@@ -545,15 +545,20 @@ def test_non_associative_mu2_keeps_the_bracket_first(Q, model8):
 
 
 def _obstruction_patch(monkeypatch, make):
-    """mc_extend with its order-10 obstruction replaced by make(base)."""
-    compose = gauge_mod.gerst_compose
+    """mc_extend over Q with its order-10 obstruction replaced by
+    make(base): the scatter into arity 11 is set to -make(base)."""
+    scatter, base = gauge_mod.splices, preset_A(FieldSpec(0))
 
-    def patched(phi, psi, alg):
-        if phi.r + psi.r - 1 == 11:
-            return make(alg)
-        return compose(phi, psi, alg)
+    def arity(table):
+        return len(next(iter(table), ()))
 
-    monkeypatch.setattr(gauge_mod, "gerst_compose", patched)
+    def patched(acc, outer, inner, odd, shift=1):
+        if outer and inner and arity(outer) + arity(inner) - 1 == 11:
+            acc.update({t: (-el).terms for t, el in make(base).table.items()})
+            return acc
+        return scatter(acc, outer, inner, odd, shift)
+
+    monkeypatch.setattr(gauge_mod, "splices", patched)
 
 
 def test_mc_extend_internal_errors(Q, monkeypatch):

@@ -13,7 +13,7 @@ from ainfbench.hochschild import (Cochain, class_coordinate, coboundary,
 from ainfbench.linalg import rank
 from ainfbench.quiver import (AInfStructure, Element, Generator, QuiverCategory,
                              preset_A, preset_C, preset_D)
-from ainfbench.scalars import FieldSpec
+from ainfbench.scalars import FieldSpec, canonical
 
 Q_TABLE = {(0, 0): 1, (0, 1): 2, (1, 0): 1, (6, -4): 1, (7, -4): 1, (8, -6): 1}
 
@@ -63,15 +63,25 @@ def test_delta_matrix_matches_direct_coboundary(Q):
 
 def test_length_zero_coboundary_is_its_delta_matrix_column(Q):
     # delta of each basis cochain of C(0, s) is a length-1 cochain equal to
-    # its column of delta_matrix(A, 0, s), read in that matrix's row basis
-    A = preset_A(Q)
-    for s in (0, 1):  # the degrees of Hom(x, x)
-        cols, rows, matrix = delta_matrix(A, 0, s)
-        assert cols
-        for (obj, g), column in zip(cols, matrix):
-            image = coboundary(Cochain(0, s, {obj: Element.single(g, 1)}), A)
-            assert (image.r, image.s) == (1, s)
-            assert cochain_to_vector(image, rows) == column, (obj, g)
+    # its column of delta_matrix(A, 0, s), read in that matrix's row basis;
+    # a cochain with values at both objects gives the sum of its columns
+    for spec in (Q, FieldSpec(5)):
+        A, p = preset_A(spec), spec.characteristic
+        for s in (0, 1):  # the degrees of Hom(x, x)
+            cols, rows, matrix = delta_matrix(A, 0, s)
+            assert cols
+            table, want = {}, {}
+            for j, ((obj, g), column) in enumerate(zip(cols, matrix)):
+                image = coboundary(Cochain(0, s, {obj: Element.single(g, 1, p)}), A)
+                assert (image.r, image.s) == (1, s)
+                assert cochain_to_vector(image, rows) == column, (spec, obj, g)
+                c = spec.scalar(j + 2, 3)
+                table[obj] = table.get(obj, Element()) + Element.single(g, c, p)
+                for i, v in column.items():
+                    want[i] = want.get(i, 0) + c * v
+            assert set(table) == {"a", "b"} and (canonical(want, p) or not rows)
+            image = coboundary(Cochain(0, s, table), A)
+            assert cochain_to_vector(image, rows) == canonical(want, p), (spec, s)
 
 
 def test_gerst_compose_refuses_one_length_zero_factor(Q):

@@ -159,6 +159,22 @@ def test_ainf_check_does_not_read_its_oracle(oracle_structures, monkeypatch):
         assert struct.ainf_check(up_to) == bad, name
 
 
+def test_ainf_check_walks_no_arity_above_twice_the_top_one(monkeypatch):
+    # a splice of mu^m into mu^n has arity m + n - 1, so however high the
+    # truncation, no arity above 2 * (top arity) - 1 is scattered
+    text = (GOLDEN / "preset_C.alg").read_text().replace("TRUNCATION 12", "TRUNCATION 100000")
+    struct, calls, scatter = load(text), [], quiver.splices
+
+    def counted(*args):
+        calls.append(args)
+        return scatter(*args)
+
+    monkeypatch.setattr(quiver, "splices", counted)
+    assert struct.ainf_check(100000) == []
+    top = max(struct.tables)
+    assert 0 < len(calls) <= (2 * top - 1) * len(struct.tables)
+
+
 def _corrupt(struct, d, rng):
     """A copy of struct with one entry of mu^d rescaled, dropped or added."""
     cat, spec = struct.cat, struct.spec
