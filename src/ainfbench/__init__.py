@@ -15,8 +15,7 @@ from .gauge import (DeformationClass, GaugeTransformation, dump_gauge,
                     m6_certificate, mc_extend, preset_gauge_G, preset_gauge_H)
 from .useries import (TruncatedUSeries, jacobi_check, partition_series,
                       series_inv, series_mul, theta_v)
-from .polygons import (PolygonScene, PolygonWitness, enumerate_polygons,
-                       mu2_series, mu3_series, preset_scene, scene_dump,
-                       scene_load)
+from .polygons import (PolygonScene, PolygonWitness, mu3_series, preset_scene,
+                       scene_dump, scene_load)
 
 __version__ = "0.1.0"

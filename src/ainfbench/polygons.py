@@ -16,24 +16,28 @@ the last arc, r for the middle ones).  Self-products of the vertical
 curve use a piecewise-linear pushoff crossing it twice; only the
 degree-0 crossing represents the identity.
 
-Each candidate is checked in order of cost: its wrap count first (from
-the arc parameters alone, so a candidate beyond the wrap bound builds no
-geometry), then convex corners (from the arc directions), then an
-embedded boundary (segment pairs with disjoint bounding boxes skipped
-before any cross product), and only then are the translates of z inside
-counted, one scanline per row of the lattice.  One census of triangles
-and quadrilaterals gives all three criterion series (criterion_series).
+Candidates run only over the lift offsets the wrap bound allows, and are
+checked in order of cost: wrap counts (arc parameters), convex corners
+(arc directions), an embedded boundary (segment pairs with disjoint
+bounding boxes skipped), and last the translates of z inside.  One
+census gives all three criterion series (criterion_series).
 
-All coordinates are exact rationals; star offsets are calibrated (and
-frozen here) so the triangle count reproduces a vanishing product and
-the quadrilateral count reproduces minus the theta series.
+A census runs on integers at one scale N, the lcm of the denominators of
+z and of the pushoff profile (its knots, and its value at integer
+heights): 200 on the preset scene.  Every parameter, corner, knot and
+segment end is N times its true value, so every predicate is int
+arithmetic, and the scanline meets each crossing, a quotient, with the
+translates of z (steps of N) by floor division.  Fractions appear only in
+the fields of an accepted witness and in messages.  Star offsets are
+calibrated (and frozen here) so the triangle count reproduces a vanishing
+product and the quadrilateral count reproduces minus the theta series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Fr
-from math import ceil, floor
+from math import lcm
 
 from .useries import TruncatedUSeries, series_mul, partition_series
 
@@ -50,83 +54,81 @@ _W_KNOTS = (
 )
 
 
-def _w_piece(t: Fr, side: int = 1):
-    """(base, t0, v0, slope) of the pushoff profile's piece holding height
-    t, base being t moved into the period [1/8, 9/8] of the knots.
-
-    Side +1 reads the piece [t0, t1) holding t, side -1 the piece (t0, t1];
-    so at a knot the two sides see the two pieces meeting there."""
-    if side > 0:
-        base = (t - CROSS_LOW) % 1 + CROSS_LOW          # in [1/8, 9/8)
-    else:
-        base = CROSS_LOW + 1 - (CROSS_LOW - t) % 1      # in (1/8, 9/8]
-    for (t0, v0), (t1, v1) in zip(_W_KNOTS, _W_KNOTS[1:]):
-        if (t0 <= base < t1) if side > 0 else (t0 < base <= t1):
-            return base, t0, v0, (v1 - v0) / (t1 - t0)
-    raise AssertionError("unreachable")
-
-
-def _w(t: Fr) -> Fr:
-    """Pushoff displacement at height t (periodic PL interpolation)."""
-    base, t0, v0, slope = _w_piece(t)
-    return v0 + slope * (base - t0)
+def _scale(scene):
+    """(N, z at scale N): N is the lcm of the denominators of z and of the
+    pushoff profile, its knots and its value at integer heights, where
+    every quadrilateral's pushoff arc starts."""
+    (t0, v0), (t1, v1) = _W_KNOTS[-2:]     # the piece holding height 1
+    w = v0 + (v1 - v0) * (1 - t0) / (t1 - t0)
+    n = lcm(w.denominator, *(f.denominator for f in (*scene.z, *sum(_W_KNOTS, ()))))
+    return n, (int(scene.z[0] * n), int(scene.z[1] * n))
 
 
 @dataclass(frozen=True)
 class CurveLift:
-    """One lift of a scene curve to the universal cover.
+    """One lift of a scene curve to the universal cover, at its census's
+    scale N: offset, parameters and points are N times their true values.
 
     kind 'h': y = offset, parametrized by x
     kind 'v': x = offset, parametrized by y
     kind 'd': x - y = offset, parametrized by y
-    kind 'p': x = offset + w(y), parametrized by y (pushoff of 'v')
+    kind 'p': x = offset + w(y), parametrized by y (pushoff of 'v'); knots
+              holds the profile's (height, value) knots at scale N
     """
 
     kind: str
-    offset: Fr
+    offset: int
+    knots: tuple = ()
 
-    def point(self, t: Fr):
+    def _piece(self, t, side):
+        """(base, (t0, v0), (t1, v1)): the profile's piece holding height
+        t, base being t moved into the knots' period.  Side +1 reads the
+        piece [t0, t1) holding t, side -1 the piece (t0, t1]; so at a knot
+        the two sides see the two pieces meeting there."""
+        low, period = self.knots[0][0], self.knots[-1][0] - self.knots[0][0]
+        base = (t - low) % period + low if side > 0 else low + period - (low - t) % period
+        for a, b in zip(self.knots, self.knots[1:]):
+            if (a[0] <= base < b[0]) if side > 0 else (a[0] < base <= b[0]):
+                return base, a, b
+        raise AssertionError("unreachable")
+
+    def point(self, t):
         if self.kind == "h":
             return (t, self.offset)
         if self.kind == "v":
             return (self.offset, t)
         if self.kind == "d":
             return (t + self.offset, t)
-        return (self.offset + _w(t), t)
+        # exact: a census reads w at knots and integer heights, ints at its scale
+        base, (t0, v0), (t1, v1) = self._piece(t, 1)
+        return (self.offset + v0 + (v1 - v0) * (base - t0) // (t1 - t0), t)
 
-    def direction(self, t: Fr, travel: int, end: bool = False):
-        """Unit-free travel direction; travel=+1 means increasing param.
-
-        For the PL pushoff the one-sided piece is chosen from the side the
-        arc actually occupies (ahead of the point when starting an arc,
+    def direction(self, t, travel: int, end: bool = False):
+        """Travel direction up to a positive factor; travel=+1 means
+        increasing param.  For the PL pushoff the one-sided piece is the
+        side the arc occupies (ahead of the point when starting an arc,
         behind it when ending one)."""
         if self.kind == "h":
-            return (Fr(travel), Fr(0))
+            return (travel, 0)
         if self.kind == "v":
-            return (Fr(0), Fr(travel))
+            return (0, travel)
         if self.kind == "d":
-            return (Fr(travel), Fr(travel))
-        slope = _w_piece(t, -travel if end else travel)[3]
-        return (travel * slope, Fr(travel))
+            return (travel, travel)
+        _, (t0, v0), (t1, v1) = self._piece(t, -travel if end else travel)
+        return (travel * (v1 - v0), travel * (t1 - t0))
 
-    def segments(self, t0: Fr, t1: Fr):
+    def segments(self, t0, t1):
         """PL segments tracing the arc from param t0 to t1."""
         if self.kind != "p":
             return [(self.point(t0), self.point(t1))]
         lo, hi = (t0, t1) if t0 <= t1 else (t1, t0)
-        knots = [lo]
-        k = Fr(int(lo) - 1)
-        while k < hi + 1:
-            for brk, _ in _W_KNOTS[:-1]:
-                tk = brk + k
-                if lo < tk < hi:
-                    knots.append(tk)
-            k += 1
-        knots.append(hi)
-        knots = sorted(set(knots))
-        if t0 > t1:
-            knots.reverse()
-        pts = [self.point(t) for t in knots]
+        period = self.knots[-1][0] - self.knots[0][0]
+        heights = {lo, hi}
+        for k in range(lo // period - 1, hi // period + 1):
+            for brk, _ in self.knots[:-1]:
+                if lo < brk + k * period < hi:
+                    heights.add(brk + k * period)
+        pts = [self.point(t) for t in sorted(heights, reverse=t0 > t1)]
         return list(zip(pts, pts[1:]))
 
 
@@ -137,8 +139,8 @@ class SceneCurve:
     orientation: int     # +1: orientation = increasing parameter
     star: Fr             # parameter of the star (mod 1)
 
-    def lift(self, offset) -> CurveLift:
-        return CurveLift(self.kind, Fr(offset))
+    def lift(self, offset: int) -> CurveLift:
+        return CurveLift(self.kind, offset)
 
 
 @dataclass
@@ -216,7 +218,7 @@ class PolygonWitness:
 
 
 # ---------------------------------------------------------------------------
-# exact plane geometry helpers
+# exact plane geometry on integer coordinates
 # ---------------------------------------------------------------------------
 
 def _cross(o, a, b):
@@ -250,73 +252,82 @@ def _segments_intersect(a, b, c, d) -> bool:
             or (d3 == 0 and _in_box(c, a, b)) or (d4 == 0 and _in_box(d, a, b)))
 
 
-def _count_lattice_points(pt, segments, bbox):
-    """Lattice translates of pt strictly inside the closed PL polygon.
-
-    One pass per row y = pt_y + j strictly inside the bounding box: the
-    segments with exactly one end above the row cross it (the half-open
-    rule of even-odd ray casting); the sorted crossings pair up into the
-    interior intervals, and floor/ceil count the translates inside each.
-    A translate strictly inside the bounding box that lies on a segment
-    -- at a crossing, at a vertex, or on a horizontal segment -- raises
+def _count_lattice_points(pt, segments, bbox, n):
+    """Translates of pt by (nZ)^2 strictly inside the closed PL polygon,
+    every coordinate an int.  A segment meets only the rows y = pt_y + jn
+    in its height range strictly inside the bounding box, crossing them from
+    its lower end up to, not including, its upper end (the half-open rule
+    of even-odd ray casting): O(rows + segments).  Each crossing is kept as
+    the floor and ceiling of (x - pt_x)/n; sorted by row and these (ties
+    agree on every count), they pair up into the interior intervals.  A
+    translate strictly inside the bounding box on a segment raises
     AssertionError, naming the least such point in (x, y) order."""
     (xmin, xmax), (ymin, ymax) = bbox
     px, py = pt
-    i_min = floor(xmin - px) + 1     # least i with px + i > xmin
-    count = 0
-    on_boundary = []
-    for j in range(floor(ymin - py) + 1, ceil(ymax - py)):
-        y = py + j
-        crossings = []
-        for (x0, y0), (x1, y1) in segments:
-            if (y0 > y) != (y1 > y):
-                lo = hi = x0 + (x1 - x0) * (y - y0) / (y1 - y0)
-                crossings.append(lo)
-            elif y0 == y == y1:         # horizontal, along the row
-                lo, hi = min(x0, x1), max(x0, x1)
-            elif y0 == y:               # one end on the row, the other below
-                lo = hi = x0
-            elif y1 == y:
-                lo = hi = x1
-            else:
-                continue
-            i = max(ceil(lo - px), i_min)
-            if px + i <= hi and px + i < xmax:
-                on_boundary.append((px + i, y))
-        crossings.sort()
-        for a, b in zip(crossings[::2], crossings[1::2]):
-            count += max(0, ceil(b - px) - floor(a - px) - 1)
+    i_min = (xmin - px) // n + 1            # least i with px + i n > xmin
+    j_min, j_end = (ymin - py) // n + 1, -((py - ymax) // n)
+    crossings, on_boundary = [], []
+
+    def touch(lo, hi, y):
+        # the least translate in [lo, hi] strictly inside the box, if any
+        x = px + max(-((px - lo) // n), i_min) * n
+        if x <= hi and x < xmax:
+            on_boundary.append((x, y))
+
+    for (x0, y0), (x1, y1) in segments:
+        (xa, ya), (xb, yb) = ((x0, y0), (x1, y1)) if y0 < y1 else ((x1, y1), (x0, y0))
+        if (yb - py) % n == 0 and ymin < yb < ymax:
+            # on a row: the upper end, or all of a horizontal segment
+            lo, hi = sorted((xa, xb)) if ya == yb else (xb, xb)
+            touch(lo, hi, yb)
+        dy = yb - ya
+        for j in range(max(-((py - ya) // n), j_min), min(-((py - yb) // n), j_end)):
+            # (x - px) dy at the crossing with row j, over n dy
+            f, rest = divmod((xa - px) * dy + (xb - xa) * (py + j * n - ya), n * dy)
+            crossings.append((j, f, f + (rest != 0)))
+            if not rest:
+                touch(px + f * n, px + f * n, py + j * n)
     if on_boundary:
-        raise AssertionError(f"marked point {min(on_boundary)} on boundary")
-    return count
+        x, y = min(on_boundary)
+        raise AssertionError(f"marked point ({Fr(x, n)}, {Fr(y, n)}) on boundary")
+    # every row holds an even number of crossings, so pairs never straddle rows
+    crossings.sort()
+    return sum(max(0, b[2] - a[1] - 1) for a, b in zip(crossings[::2], crossings[1::2]))
+
+
+def _star_count(lo: int, hi: int, star: Fr, n: int) -> int:
+    """The stars star + k, k an integer, strictly inside the arc (lo, hi)
+    given at scale n, lo < hi; AssertionError when one sits at either end."""
+    step, s = n * star.denominator, n * star.numerator   # at scale n * den
+    lo, hi = lo * star.denominator - s, hi * star.denominator - s
+    if lo % step == 0 or hi % step == 0:
+        raise AssertionError("star sits on an arc endpoint")
+    return -(-hi // step) - lo // step - 1
 
 
 # ---------------------------------------------------------------------------
 # witness assembly and validation
 # ---------------------------------------------------------------------------
 
-def _build_witness(scene, names, lifts, params, corner_names, wrap_bound):
-    """Assemble and validate one candidate polygon.
-
-    names[k] is the scene curve of arc k (from corner k to corner k+1);
-    params[k] = (t_from, t_to) on lifts[k].  The checks run in order of
-    cost: the wrap count of each arc against wrap_bound (parameters only),
-    then convex corners (directions only), then an embedded boundary, and
-    last the lattice count of z.  Returns a PolygonWitness, or None when
-    any of these tests or a degeneracy test fails."""
+def _build_witness(scene, n, z, names, lifts, params, corner_names, wrap_bound):
+    """Assemble and validate one candidate polygon at its census's scale n
+    (z is the basepoint at that scale).  names[k] is the scene curve of
+    arc k (from corner k to corner k+1); params[k] = (t_from, t_to) on
+    lifts[k].  The checks run in order of cost: the wrap count of each arc
+    against wrap_bound (parameters only), then convex corners (directions
+    only), then an embedded boundary, and last the lattice count of z.
+    Returns a PolygonWitness in Fractions, or None when any of these tests
+    or a degeneracy test fails."""
     d1 = len(names)
-    travels = []
-    wraps = []
-    # wrap counts first: they need only the parameters, so a candidate
-    # beyond the bound is dropped before any geometry is built
+    travels, wraps = [], []
     for t_from, t_to in params:
         if t_from == t_to:
             return None
         travels.append(1 if t_to > t_from else -1)
-        span = abs(t_to - t_from)
-        if span == int(span):
+        wrap, part = divmod(abs(t_to - t_from), n)
+        if not part:
             raise AssertionError("arc length ambiguous for wrap count")
-        wraps.append(int(span))
+        wraps.append(wrap)
     if max(wraps) > wrap_bound:
         return None
 
@@ -328,19 +339,13 @@ def _build_witness(scene, names, lifts, params, corner_names, wrap_bound):
         if d_in[0] * d_out[1] - d_in[1] * d_out[0] <= 0:
             return None
 
-    arcs = []
-    all_segments = []
-    seg_by_arc = []
+    positives, all_segments, seg_by_arc = [], [], []
     for k in range(d1):
-        t_from, t_to = params[k]
-        segs = lifts[k].segments(t_from, t_to)
-        if lifts[k].kind == "p":
-            positive = travels[k] == 1  # pushoff inherits the +y orientation
-        else:
-            positive = travels[k] == scene.curves[names[k]].orientation
-        arcs.append((names[k], t_from, t_to, travels[k], positive))
-        seg_by_arc.append(segs)
-        all_segments.extend(segs)
+        # the pushoff inherits the +y orientation
+        orientation = 1 if lifts[k].kind == "p" else scene.curves[names[k]].orientation
+        positives.append(travels[k] == orientation)
+        seg_by_arc.append(lifts[k].segments(*params[k]))
+        all_segments.extend(seg_by_arc[-1])
 
     # embedded boundary: non-adjacent arcs disjoint, adjacent share a corner
     for i in range(d1):
@@ -359,8 +364,7 @@ def _build_witness(scene, names, lifts, params, corner_names, wrap_bound):
                         return None
 
     # counterclockwise: positive shoelace area
-    area2 = sum((x0 * y1 - x1 * y0) for (x0, y0), (x1, y1) in all_segments)
-    if area2 <= 0:
+    if sum((x0 * y1 - x1 * y0) for (x0, y0), (x1, y1) in all_segments) <= 0:
         return None
 
     # degree bookkeeping: i(y_0) = sum of input indices + 2 - d
@@ -371,51 +375,52 @@ def _build_witness(scene, names, lifts, params, corner_names, wrap_bound):
 
     # sign data: stars per arc, q and r from negative traversals
     star_total = 0
-    for name, t_from, t_to, _, _ in arcs:
+    for name, (t_from, t_to) in zip(names, params):
         star = scene.pushoff_star if name == "pushoff" else scene.curves[name].star
-        star_total += _star_count(min(t_from, t_to), max(t_from, t_to), star)
+        star_total += _star_count(min(t_from, t_to), max(t_from, t_to), star, n)
 
-    q = 0
-    if not arcs[-1][4]:  # arc from y_d back to y_0
-        q = idx[0] + idx[d]
-    r = sum(idx[k] for k in range(1, d) if not arcs[k][4])
+    q = 0 if positives[-1] else idx[0] + idx[d]   # the arc from y_d back to y_0
+    r = sum(idx[k] for k in range(1, d) if not positives[k])
 
     xs = [x for seg in all_segments for (x, _) in seg]
     ys = [y for seg in all_segments for (_, y) in seg]
     bbox = ((min(xs), max(xs)), (min(ys), max(ys)))
-    z_count = _count_lattice_points(scene.z, all_segments, bbox)
-    points = [lifts[k].point(params[k][0]) for k in range(d1)]
-    return PolygonWitness(list(corner_names), points, arcs, all_segments, z_count,
-                          star_total, q, r, wraps)
+    z_count = _count_lattice_points(z, all_segments, bbox, n)
+
+    # one Fraction per coordinate and one pair per point, shared by every field
+    frac = {v: Fr(v, n) for seg in all_segments for p in seg for v in p}
+    exact = {p: (frac[p[0]], frac[p[1]]) for seg in all_segments for p in seg}
+    return PolygonWitness(
+        list(corner_names), [exact[lifts[k].point(params[k][0])] for k in range(d1)],
+        [(name, frac[t_from], frac[t_to], travel, positive) for name, (t_from, t_to),
+         travel, positive in zip(names, params, travels, positives)],
+        [(exact[a], exact[b]) for a, b in all_segments], z_count, star_total, q, r, wraps)
 
 
-def _star_count(lo: Fr, hi: Fr, star: Fr) -> int:
-    """The stars star + k, k an integer, strictly inside the arc (lo, hi),
-    lo < hi; AssertionError when one sits at either end."""
-    if (lo - star).denominator == 1 or (hi - star).denominator == 1:
-        raise AssertionError("star sits on an arc endpoint")
-    return ceil(hi - star) - floor(lo - star) - 1
+def _grid(lo, hi, residue, n):
+    """The values strictly between lo and hi that are residue mod n."""
+    return range(lo + 1 + (residue - lo - 1) % n, hi, n)
 
 
 def triangle_witnesses(scene: PolygonScene, wrap_bound: int):
     """All deck-classes of triangles computing the composition of the
     gamma0^gamma1 and gamma2^gamma0 generators, sides wrapping at most
     wrap_bound times.  Normalization fixes the vertical and horizontal
-    lifts; the diagonal offset is the surviving modulus."""
+    lifts; the diagonal offset c, a half-integer, is the surviving modulus."""
+    n, z = _scale(scene)
     out = []
-    g1 = scene.curves["gamma1"].lift(0)
-    g0 = scene.curves["gamma0"].lift(0)
-    c = Fr(1, 2) - (wrap_bound + 2)
-    while c <= wrap_bound + 2:
+    g1, g0 = scene.curves["gamma1"].lift(0), scene.curves["gamma0"].lift(0)
+    # every side runs |c|: it wraps at most wrap_bound times when shorter
+    bound = (wrap_bound + 1) * n
+    for c in _grid(-bound, bound, n // 2, n):
         g2 = scene.curves["gamma2"].lift(c)
         # corners: y0 = (0,-c) on gamma1^gamma2, y1 = (c,0) on gamma2^gamma0,
         # y2 = (0,0) on gamma0^gamma1
-        params = [(-c, Fr(0)), (c, Fr(0)), (Fr(0), -c)]
-        w = _build_witness(scene, ["gamma2", "gamma0", "gamma1"], [g2, g0, g1],
+        params = [(-c, 0), (c, 0), (0, -c)]
+        w = _build_witness(scene, n, z, ["gamma2", "gamma0", "gamma1"], [g2, g0, g1],
                            params, ["e21", "e20", "e01"], wrap_bound)
         if w is not None:
             out.append(w)
-        c += 1
     return out
 
 
@@ -423,46 +428,31 @@ def quad_witnesses(scene: PolygonScene, wrap_bound: int):
     """All deck-classes of quadrilaterals computing the triple product
     whose output lies on the pushoff crossings; both crossings are
     enumerated, convexity keeps only the degree-0 one."""
+    n, z = _scale(scene)
     out = []
     g1 = scene.curves["gamma1"].lift(0)
-    push = CurveLift("p", Fr(0))
-    bound = wrap_bound + 2
-    # what depends on m alone, or on c alone, is built once
-    rows = [(Fr(m), _w(Fr(m)), scene.curves["gamma0"].lift(m))
-            for m in range(-bound, bound + 1)]
-    lifts2 = []
-    c = Fr(1, 2) - bound
-    while c <= bound:
-        lifts2.append((c, scene.curves["gamma2"].lift(c)))
-        c += 1
-    for cross_name, cross_t in (("x_id", CROSS_LOW), ("x_top", CROSS_HIGH)):
-        for c, g2 in lifts2:
-            for m, w_m, g0 in rows:
-                # corners: y0 = crossing, y1 = (0,-c), y2 = (m+c, m),
-                # y3 = (w(m), m); arcs gamma1, gamma2, gamma0, pushoff
-                params = [
-                    (cross_t, -c),        # on gamma1 (x = 0)
-                    (-c, m),              # on gamma2, param y
-                    (m + c, w_m),         # on gamma0, param x
-                    (m, cross_t),         # on pushoff, param y
-                ]
-                w = _build_witness(scene, ["gamma1", "gamma2", "gamma0", "pushoff"],
-                                   [g1, g2, g0, push], params,
+    push = CurveLift("p", 0, tuple((int(t * n), int(v * n)) for t, v in _W_KNOTS))
+    w_m = push.point(0)[0]      # the pushoff's x at every integer height m
+    # an arc wraps at most wrap_bound times when it is shorter than bound
+    bound = (wrap_bound + 1) * n
+    for cross_name, cross in (("x_id", CROSS_LOW), ("x_top", CROSS_HIGH)):
+        cross_t = int(cross * n)
+        # the gamma1 arc bounds the half-integer c; the gamma2, gamma0 and
+        # pushoff arcs bound the integer m
+        for c in _grid(-cross_t - bound, -cross_t + bound, n // 2, n):
+            g2 = scene.curves["gamma2"].lift(c)
+            m_lo = max(-c, w_m - c, cross_t) - bound
+            m_hi = min(-c, w_m - c, cross_t) + bound
+            for m in _grid(m_lo, m_hi, 0, n):
+                # corners: y0 = crossing, y1 = (0,-c), y2 = (m+c, m), y3 = (w(m), m);
+                # arcs gamma1 (param y), gamma2 (y), gamma0 (x), pushoff (y)
+                params = [(cross_t, -c), (-c, m), (m + c, w_m), (m, cross_t)]
+                w = _build_witness(scene, n, z, ["gamma1", "gamma2", "gamma0", "pushoff"],
+                                   [g1, g2, scene.curves["gamma0"].lift(m), push], params,
                                    [cross_name, "e12", "e20", "e01"], wrap_bound)
                 if w is not None:
                     out.append(w)
     return out
-
-
-def enumerate_polygons(scene: PolygonScene, inputs, wrap_bound: int):
-    """Witnesses for a named product; inputs are the mu-arguments
-    (a_d, ..., a_1) in composition order."""
-    inputs = tuple(inputs)
-    if inputs == ("e01", "e20"):
-        return triangle_witnesses(scene, wrap_bound)
-    if inputs == ("e01", "e20", "e12"):
-        return quad_witnesses(scene, wrap_bound)
-    raise ValueError(f"no enumerator for input tuple {inputs}")
 
 
 def _signed_count(witnesses, wrap_bound: int) -> TruncatedUSeries:
@@ -478,12 +468,6 @@ def _signed_count(witnesses, wrap_bound: int) -> TruncatedUSeries:
 
 def _at_identity(quads):
     return [w for w in quads if w.corners[0] == "x_id"]
-
-
-def mu2_series(scene: PolygonScene, wrap_bound: int) -> TruncatedUSeries:
-    """Signed U-weighted triangle count: coefficient series of the output
-    generator of the double product."""
-    return _signed_count(triangle_witnesses(scene, wrap_bound), wrap_bound)
 
 
 def mu3_series(scene: PolygonScene, wrap_bound: int) -> TruncatedUSeries:
@@ -531,14 +515,28 @@ def scene_dump(scene: PolygonScene) -> str:
 # Maslov offset: the enumerators assume both
 _CURVE_KINDS = {"gamma0": "h", "gamma1": "v", "gamma2": "d"}
 _MASLOV_POINTS = ("e01", "e12", "e20", "e21", "x_id", "x_top")
+# the form of each row
+_ROWS = {"curve": "curve NAME KIND ORIENTATION star OFFSET", "z": "z X Y",
+         "pushoff_star": "pushoff_star OFFSET", "maslov": "maslov POINT INDEX"}
+
+
+def _number(kind, what, token):
+    """token read as kind (int or Fr); a ValueError in the format's terms."""
+    try:
+        return kind(token)
+    except ZeroDivisionError:
+        raise ValueError(f"{what} {token} has a zero denominator") from None
+    except ValueError:
+        noun = "an integer" if kind is int else "a rational number"
+        raise ValueError(f"{what} {token} is not {noun}") from None
 
 
 def scene_load(text: str) -> PolygonScene:
     """Parse a scene file.  Each curve gamma0 (h), gamma1 (v), gamma2 (d)
     is given once, of that kind, with orientation +1 or -1, and so are z
     and pushoff_star; every point of _MASLOV_POINTS, and no other, needs
-    one maslov row.  A row with a token too many or too few, or any other
-    error in a row, is reported with its line number."""
+    one maslov row.  A row not of its form (_ROWS), or any other error in
+    a row, is reported with its line number, in the format's terms."""
     curves = {}
     z = None
     pushoff_star = None
@@ -549,6 +547,10 @@ def scene_load(text: str) -> PolygonScene:
             continue
         parts = line.split()
         try:
+            if parts[0] not in _ROWS:
+                raise ValueError(f"unknown directive {parts[0]!r}")
+            if len(parts) != len(_ROWS[parts[0]].split()):
+                raise ValueError(f"expected '{_ROWS[parts[0]]}', got '{' '.join(parts)}'")
             if parts[0] == "curve":
                 _, name, kind, sign, star_kw, star = parts
                 if star_kw != "star" or kind not in ("h", "v", "d"):
@@ -558,32 +560,29 @@ def scene_load(text: str) -> PolygonScene:
                 if kind != _CURVE_KINDS[name]:
                     raise ValueError(f"curve {name} has kind {kind}, "
                                      f"not {_CURVE_KINDS[name]}")
-                if int(sign) not in (1, -1):
+                if _number(int, "orientation", sign) not in (1, -1):
                     raise ValueError(f"orientation {sign} is not +1 or -1")
                 if name in curves:
                     raise ValueError(f"curve {name} given twice")
-                curves[name] = SceneCurve(name, kind, int(sign), Fr(star))
+                star = _number(Fr, "star offset", star)
+                curves[name] = SceneCurve(name, kind, int(sign), star)
             elif parts[0] == "z":
-                _, x, y = parts
                 if z is not None:
                     raise ValueError("z given twice")
-                z = (Fr(x), Fr(y))
+                z = tuple(_number(Fr, "z coordinate", v) for v in parts[1:])
             elif parts[0] == "pushoff_star":
-                _, star = parts
                 if pushoff_star is not None:
                     raise ValueError("pushoff_star given twice")
-                pushoff_star = Fr(star)
-            elif parts[0] == "maslov":
+                pushoff_star = _number(Fr, "pushoff_star offset", parts[1])
+            else:
                 _, point, index = parts
                 if point not in _MASLOV_POINTS:
                     raise ValueError(f"maslov point {point!r} is not one of "
                                      f"{', '.join(_MASLOV_POINTS)}")
                 if point in maslov:
                     raise ValueError(f"maslov {point} given twice")
-                maslov[point] = int(index)
-            else:
-                raise ValueError(f"unknown directive {parts[0]!r}")
-        except (ValueError, ZeroDivisionError) as exc:
+                maslov[point] = _number(int, "maslov index", index)
+        except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     if z is None or pushoff_star is None or len(curves) != 3:
         raise ValueError("scene file incomplete")

@@ -9,11 +9,17 @@ The Hochschild oracles build each basis from every composable tuple and
 assemble the delta matrix's rows over every composable tuple, as the
 program once did.
 
-The polygon oracles test every lattice translate in the bounding box one
-point at a time, and every segment pair with cross products alone. The
-census oracles build every candidate polygon in full, whatever its wrap
-count, and only then keep those within the wrap bound, as the program
-once did.
+The polygon oracles run in Fractions, as the program once did, and share
+no geometry with its integer census: the pushoff profile, the curve lifts
+and the candidate test are their own. They test every lattice translate
+in the bounding box one point at a time (``count_lattice_points``), every
+segment pair with cross products alone, and every star translate by
+enumeration. The census oracles build every candidate polygon of the
+parameter square in full, whatever its wrap count, and only then keep
+those within the wrap bound; they count translates with the Fraction
+scanline, one row at a time against every segment (``scanline_count``).
+``enumerate_polygons`` and ``mu2_series`` are the program's census read
+as named products; no command needs them.
 
 The rational oracles hold Q values as the program once did, every one a
 Fraction, integral or not (``fraction_reduce`` and ``fraction_values``),
@@ -39,17 +45,17 @@ did, one elementary gauge per killed order: kill_orders gauges away orders
 class of mu^8 is read (``sequential_invariants``).
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import inf
+from math import ceil, floor, inf
 
-from ainfbench import gauge, hochschild, linalg, scalars
+from ainfbench import gauge, hochschild, linalg, polygons, scalars
 from ainfbench.gauge import GaugeTransformation
 from ainfbench.hochschild import Cochain, vector_to_cochain
 from ainfbench.linalg import Echelon, nullspace
 from ainfbench.perturbation import TransferResult, _apply_linear
-from ainfbench.polygons import (CROSS_HIGH, CROSS_LOW, CurveLift, _build_witness,
-                                _cross, _w)
+from ainfbench.polygons import CROSS_HIGH, CROSS_LOW, _W_KNOTS, PolygonWitness
 from ainfbench.quiver import AInfStructure, Element, ZERO, accumulate, tensor_terms
 
 
@@ -290,11 +296,92 @@ def transfer(split, order):
     return TransferResult(AInfStructure(amb.spec, cat, order, mu), iota, amb.cat)
 
 
+# -- the polygon census in Fractions ----------------------------------------
+
+def _w_piece(t, side=1):
+    """(base, t0, v0, slope) of the pushoff profile's piece holding height
+    t, base being t moved into the period [1/8, 9/8] of the knots.
+
+    Side +1 reads the piece [t0, t1) holding t, side -1 the piece (t0, t1];
+    so at a knot the two sides see the two pieces meeting there."""
+    if side > 0:
+        base = (t - CROSS_LOW) % 1 + CROSS_LOW          # in [1/8, 9/8)
+    else:
+        base = CROSS_LOW + 1 - (CROSS_LOW - t) % 1      # in (1/8, 9/8]
+    for (t0, v0), (t1, v1) in zip(_W_KNOTS, _W_KNOTS[1:]):
+        if (t0 <= base < t1) if side > 0 else (t0 < base <= t1):
+            return base, t0, v0, (v1 - v0) / (t1 - t0)
+    raise AssertionError("unreachable")
+
+
+def _w(t):
+    """Pushoff displacement at height t (periodic PL interpolation)."""
+    base, t0, v0, slope = _w_piece(t)
+    return v0 + slope * (base - t0)
+
+
+@dataclass(frozen=True)
+class CurveLift:
+    """One lift of a scene curve to the universal cover, in Fractions.
+
+    kind 'h': y = offset, parametrized by x
+    kind 'v': x = offset, parametrized by y
+    kind 'd': x - y = offset, parametrized by y
+    kind 'p': x = offset + w(y), parametrized by y (pushoff of 'v')
+    """
+
+    kind: str
+    offset: Fraction
+
+    def point(self, t):
+        if self.kind == "h":
+            return (t, self.offset)
+        if self.kind == "v":
+            return (self.offset, t)
+        if self.kind == "d":
+            return (t + self.offset, t)
+        return (self.offset + _w(t), t)
+
+    def direction(self, t, travel, end=False):
+        """Unit-free travel direction; travel=+1 means increasing param.
+        For the pushoff the one-sided piece is the side the arc occupies."""
+        if self.kind == "h":
+            return (Fraction(travel), Fraction(0))
+        if self.kind == "v":
+            return (Fraction(0), Fraction(travel))
+        if self.kind == "d":
+            return (Fraction(travel), Fraction(travel))
+        slope = _w_piece(t, -travel if end else travel)[3]
+        return (travel * slope, Fraction(travel))
+
+    def segments(self, t0, t1):
+        """PL segments tracing the arc from param t0 to t1."""
+        if self.kind != "p":
+            return [(self.point(t0), self.point(t1))]
+        lo, hi = (t0, t1) if t0 <= t1 else (t1, t0)
+        knots = [lo]
+        k = Fraction(int(lo) - 1)
+        while k < hi + 1:
+            for brk, _ in _W_KNOTS[:-1]:
+                tk = brk + k
+                if lo < tk < hi:
+                    knots.append(tk)
+            k += 1
+        knots.append(hi)
+        knots = sorted(set(knots))
+        if t0 > t1:
+            knots.reverse()
+        pts = [self.point(t) for t in knots]
+        return list(zip(pts, pts[1:]))
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
 def _on_segment(p, a, b):
-    if _cross(a, b, p) != 0:
-        return False
     return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]) and _cross(a, b, p) == 0)
 
 
 def segments_intersect(a, b, c, d):
@@ -339,7 +426,8 @@ def count_lattice_points(pt, segments, bbox):
             if xmin < cand[0] < xmax and ymin < cand[1] < ymax:
                 for s0, s1 in segments:
                     if _on_segment(cand, s0, s1):
-                        raise AssertionError(f"marked point {cand} on boundary")
+                        raise AssertionError(f"marked point ({cand[0]}, {cand[1]}) "
+                                             "on boundary")
                 if point_in_polygon(cand, segments):
                     count += 1
             j += 1
@@ -347,29 +435,146 @@ def count_lattice_points(pt, segments, bbox):
     return count
 
 
+def scanline_count(pt, segments, bbox):
+    """count_lattice_points by one scanline per row of the bounding box in
+    Fractions, every segment tested against every row, as the program once
+    did: fast enough for whole censuses."""
+    (xmin, xmax), (ymin, ymax) = bbox
+    px, py = pt
+    i_min = floor(xmin - px) + 1
+    count = 0
+    on_boundary = []
+    for j in range(floor(ymin - py) + 1, ceil(ymax - py)):
+        y = py + j
+        crossings = []
+        for (x0, y0), (x1, y1) in segments:
+            if (y0 > y) != (y1 > y):
+                lo = hi = x0 + (x1 - x0) * (y - y0) / (y1 - y0)
+                crossings.append(lo)
+            elif y0 == y == y1:
+                lo, hi = min(x0, x1), max(x0, x1)
+            elif y0 == y:
+                lo = hi = x0
+            elif y1 == y:
+                lo = hi = x1
+            else:
+                continue
+            i = max(ceil(lo - px), i_min)
+            if px + i <= hi and px + i < xmax:
+                on_boundary.append((px + i, y))
+        crossings.sort()
+        for a, b in zip(crossings[::2], crossings[1::2]):
+            count += max(0, ceil(b - px) - floor(a - px) - 1)
+    if on_boundary:
+        x, y = min(on_boundary)
+        raise AssertionError(f"marked point ({x}, {y}) on boundary")
+    return count
+
+
+def star_count(lo, hi, star):
+    """The translates star + k strictly inside (lo, hi), enumerated;
+    AssertionError when one sits at either end."""
+    translates = [star + k for k in range(floor(lo - star) - 1, ceil(hi - star) + 2)]
+    if lo in translates or hi in translates:
+        raise AssertionError("star sits on an arc endpoint")
+    return sum(lo < x < hi for x in translates)
+
+
+def build_witness(scene, names, lifts, params, corner_names, wrap_bound):
+    """The census's candidate test in Fractions, with the oracle kernels:
+    wrap counts, convex corners, an embedded boundary, then the lattice
+    count; a PolygonWitness or None."""
+    d1 = len(names)
+    travels = []
+    wraps = []
+    for t_from, t_to in params:
+        if t_from == t_to:
+            return None
+        travels.append(1 if t_to > t_from else -1)
+        span = abs(t_to - t_from)
+        if span == int(span):
+            raise AssertionError("arc length ambiguous for wrap count")
+        wraps.append(int(span))
+    if max(wraps) > wrap_bound:
+        return None
+    for k in range(d1):
+        d_in = lifts[k - 1].direction(params[k - 1][1], travels[k - 1], end=True)
+        d_out = lifts[k].direction(params[k][0], travels[k])
+        if d_in[0] * d_out[1] - d_in[1] * d_out[0] <= 0:
+            return None
+    arcs = []
+    all_segments = []
+    seg_by_arc = []
+    for k in range(d1):
+        t_from, t_to = params[k]
+        segs = lifts[k].segments(t_from, t_to)
+        if lifts[k].kind == "p":
+            positive = travels[k] == 1
+        else:
+            positive = travels[k] == scene.curves[names[k]].orientation
+        arcs.append((names[k], t_from, t_to, travels[k], positive))
+        seg_by_arc.append(segs)
+        all_segments.extend(segs)
+    for i in range(d1):
+        for j in range(i + 1, d1):
+            adjacent = (j == i + 1) or (i == 0 and j == d1 - 1)
+            for si in seg_by_arc[i]:
+                for sj in seg_by_arc[j]:
+                    if not segments_intersect(*si, *sj):
+                        continue
+                    if not adjacent:
+                        return None
+                    corner = seg_by_arc[j][0][0] if j == i + 1 else seg_by_arc[i][0][0]
+                    if {si[0], si[1]} & {sj[0], sj[1]} != {corner}:
+                        return None
+    if sum((x0 * y1 - x1 * y0) for (x0, y0), (x1, y1) in all_segments) <= 0:
+        return None
+    idx = [scene.maslov[c] for c in corner_names]
+    d = d1 - 1
+    if idx[0] != sum(idx[1:]) + 2 - d:
+        raise AssertionError(f"degree relation fails for {corner_names}")
+    star_total = 0
+    for name, t_from, t_to, _, _ in arcs:
+        star = scene.pushoff_star if name == "pushoff" else scene.curves[name].star
+        star_total += star_count(min(t_from, t_to), max(t_from, t_to), star)
+    q = 0 if arcs[-1][4] else idx[0] + idx[d]
+    r = sum(idx[k] for k in range(1, d) if not arcs[k][4])
+    xs = [x for seg in all_segments for (x, _) in seg]
+    ys = [y for seg in all_segments for (_, y) in seg]
+    bbox = ((min(xs), max(xs)), (min(ys), max(ys)))
+    z_count = scanline_count(scene.z, all_segments, bbox)
+    points = [lifts[k].point(params[k][0]) for k in range(d1)]
+    return PolygonWitness(list(corner_names), points, arcs, all_segments, z_count,
+                          star_total, q, r, wraps)
+
+
 def _within(witnesses, wrap_bound):
     return [w for w in witnesses if w is not None and max(w.wraps) <= wrap_bound]
 
 
+def _lift(scene, name, offset):
+    return CurveLift(scene.curves[name].kind, Fraction(offset))
+
+
 def triangle_witnesses(scene, wrap_bound):
-    """The triangle census, every candidate built before the wrap filter."""
-    g1 = scene.curves["gamma1"].lift(0)
-    g0 = scene.curves["gamma0"].lift(0)
+    """The triangle census in Fractions, every candidate of the parameter
+    square built before the wrap filter."""
+    g1, g0 = _lift(scene, "gamma1", 0), _lift(scene, "gamma0", 0)
     out = []
     c = Fraction(1, 2) - (wrap_bound + 2)
     while c <= wrap_bound + 2:
         params = [(-c, Fraction(0)), (c, Fraction(0)), (Fraction(0), -c)]
-        out.append(_build_witness(scene, ["gamma2", "gamma0", "gamma1"],
-                                  [scene.curves["gamma2"].lift(c), g0, g1],
-                                  params, ["e21", "e20", "e01"], inf))
+        out.append(build_witness(scene, ["gamma2", "gamma0", "gamma1"],
+                                 [_lift(scene, "gamma2", c), g0, g1],
+                                 params, ["e21", "e20", "e01"], inf))
         c += 1
     return _within(out, wrap_bound)
 
 
 def quad_witnesses(scene, wrap_bound):
-    """The quadrilateral census, every candidate built before the wrap
-    filter."""
-    g1 = scene.curves["gamma1"].lift(0)
+    """The quadrilateral census in Fractions, every candidate of the
+    parameter square built before the wrap filter."""
+    g1 = _lift(scene, "gamma1", 0)
     push = CurveLift("p", Fraction(0))
     bound = wrap_bound + 2
     out = []
@@ -379,13 +584,30 @@ def quad_witnesses(scene, wrap_bound):
             for m in range(-bound, bound + 1):
                 params = [(cross_t, -c), (-c, Fraction(m)),
                           (Fraction(m) + c, _w(Fraction(m))), (Fraction(m), cross_t)]
-                out.append(_build_witness(
+                out.append(build_witness(
                     scene, ["gamma1", "gamma2", "gamma0", "pushoff"],
-                    [g1, scene.curves["gamma2"].lift(c),
-                     scene.curves["gamma0"].lift(m), push],
+                    [g1, _lift(scene, "gamma2", c), _lift(scene, "gamma0", m), push],
                     params, [cross_name, "e12", "e20", "e01"], inf))
             c += 1
     return _within(out, wrap_bound)
+
+
+def enumerate_polygons(scene, inputs, wrap_bound):
+    """The program's witnesses for a named product; inputs are the
+    mu-arguments (a_d, ..., a_1) in composition order."""
+    inputs = tuple(inputs)
+    if inputs == ("e01", "e20"):
+        return polygons.triangle_witnesses(scene, wrap_bound)
+    if inputs == ("e01", "e20", "e12"):
+        return polygons.quad_witnesses(scene, wrap_bound)
+    raise ValueError(f"no enumerator for input tuple {inputs}")
+
+
+def mu2_series(scene, wrap_bound):
+    """The program's signed U-weighted triangle count: coefficient series
+    of the output generator of the double product."""
+    return polygons._signed_count(polygons.triangle_witnesses(scene, wrap_bound),
+                                  wrap_bound)
 
 
 def fraction_reduce(self, col):
