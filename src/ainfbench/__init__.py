@@ -10,9 +10,9 @@ from .hochschild import (Cochain, coboundary, gerstenhaber, hh_bar,
                          is_coboundary, mu_cochain)
 from .skoldberg import skoldberg_check, skoldberg_dims
 from .perturbation import SplittingData, preset_splitting_C, transfer
-from .gauge import (DeformationClass, GaugeTransformation, dump_gauge,
-                    extract_invariants, gauge_apply, kill_orders, load_gauge,
-                    m6_certificate, mc_extend, preset_gauge_G, preset_gauge_H)
+from .gauge import (DeformationClass, GaugeTransformation, extract_invariants,
+                    gauge_apply, kill_orders, m6_certificate, mc_extend,
+                    preset_gauge_G, preset_gauge_H)
 from .useries import (TruncatedUSeries, jacobi_check, partition_series,
                       series_inv, series_mul, theta_v)
 from .polygons import (PolygonScene, PolygonWitness, mu3_series, preset_scene,

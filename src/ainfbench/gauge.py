@@ -12,14 +12,13 @@ mu_new^d on the left).  Linearized, gauging by a single component g^{d-1}
 shifts mu^d by -delta(g^{d-1}), which is how orders with vanishing HH
 class get killed.
 
-Both the action and the composition scatter each term from the tables'
-support into the tuple it lands on, which is exact.  A g-side term at t
-splices a key w of mu^m into a key G of g^(d-m+1) (t = G[:p] + w +
-G[p+1:], G[p] in the output of mu^m(w); with g^1 the identity, t is a
-key of mu^d).  A mu_new-side term reads a key K of mu_new^r, r < d, each
-letter kept or replaced by a g^s key whose output holds it.  No other
-tuple gets a term.  Keys are the composable tuples of non-identity
-generators, in the order of cat.tuples.
+The action scatters each term from the tables' support into the tuple it
+lands on, which is exact.  A g-side term at t splices a key w of mu^m
+into a key G of g^(d-m+1) (t = G[:p] + w + G[p+1:], G[p] in the output
+of mu^m(w); with g^1 the identity, t is a key of mu^d).  A mu_new-side
+term reads a key K of mu_new^r, r < d, each letter kept or replaced by a
+g^s key whose output holds it.  No other tuple gets a term.  Keys are the
+composable tuples of non-identity generators, in the order of cat.tuples.
 
 The two residual invariants live in the 1-dimensional cells HH^2(A,A)^-4
 (order 6) and HH^2(A,A)^-6 (order 8); coordinates are reported against
@@ -61,9 +60,8 @@ from .hochschild import (
     reference_cocycle,
     solve_first,
 )
-from .quiver import (AInfStructure, Element, EntryError, ZERO, _entry_lines, accumulate,
-                     check_table, dump, index_by_output, load_with_extras, parse_table,
-                     preset_A, splices, table_rows)
+from .quiver import (AInfStructure, Element, EntryError, ZERO, accumulate, check_table,
+                     index_by_output, preset_A, splices)
 from .scalars import FieldSpec, canon, divide, field_mismatch
 
 
@@ -126,12 +124,13 @@ def _substitutions(key, blocks: dict, alphabet, shortest: int, most: int, longes
 
 
 def _scatter(accs: dict, table: dict, blocks: dict, alphabet, shortest: int, most: int,
-             longest: int, negate: bool = False) -> None:
-    """accs[len(t)][t] += c * table[K] for each key K of table and each (t,
-    c) of its one substitution pass into shortest..most letters."""
+             longest: int) -> None:
+    """accs[len(t)][t] -= c * table[K] for each key K of table and each (t,
+    c) of its one substitution pass into shortest..most letters: the
+    mu_new-side terms, moved to the g-side of the functor equation."""
     for K in table if shortest <= most else ():
         for t, c in _substitutions(K, blocks, alphabet, shortest, most, longest):
-            accumulate(accs[len(t)].setdefault(t, {}), table, ((K, c),), negate)
+            accumulate(accs[len(t)].setdefault(t, {}), table, ((K, c),), True)
 
 
 def gauge_apply(gauge: GaugeTransformation, mu: AInfStructure,
@@ -175,36 +174,13 @@ def _gauge_apply(gauge: GaugeTransformation, mu: AInfStructure,
 
     # mu_new-side: subtract the products of g-blocks, each mu_new^r key
     # scattered into every higher arity once mu_new^r is complete
-    _scatter(accs, new_tables[2], blocks, alphabet, 3, order, longest, True)
+    _scatter(accs, new_tables[2], blocks, alphabet, 3, order, longest)
     for d in range(3, order + 1):
         _g_side(accs[d], gauge, mu, d)
         new_tables[d] = _entries(accs.pop(d), cat, mu.spec.characteristic)
-        _scatter(accs, new_tables[d], blocks, alphabet, d + 1, order, longest, True)
+        _scatter(accs, new_tables[d], blocks, alphabet, d + 1, order, longest)
     out = copy(mu)
     out.truncation, out.tables = order, {d: t for d, t in new_tables.items() if t}
-    return out
-
-
-def gauge_compose(second: GaugeTransformation, first: GaugeTransformation,
-                  up_to: int = 12) -> GaugeTransformation:
-    """Composite transformation: apply first, then second.
-
-    Functor composition (second o first)^d = sum second^r(first-blocks),
-    no signs.  Composites generally have components in every arity, so the
-    result is truncated at up_to; acting on structures of truncation
-    <= up_to only ever reads those.  Each term is scattered from a key of
-    second^r, r <= d, each letter kept or replaced by a first-key whose
-    output holds it, which is exact; keys come in cat.tuples order."""
-    spec, cat = first.spec, first.cat
-    alphabet = set(cat.nonidentity_generators())
-    blocks = index_by_output(e for tbl in first.components.values() for e in tbl.items())
-    longest = max(first.supports(), default=1)
-    accs = {d: {} for d in range(2, up_to + 1)}
-    for r in range(1, up_to + 1):
-        _scatter(accs, second.table(r), blocks, alphabet, max(r, 2), up_to, longest)
-    out = GaugeTransformation(spec, cat)  # built from checked gauges: not re-checked
-    out.components = {d: table for d, acc in accs.items()
-                      if (table := _entries(acc, cat, spec.characteristic))}
     return out
 
 
@@ -262,8 +238,7 @@ def kill_orders(mu: AInfStructure, orders):
     solve_first) whose class vanishes; otherwise ObstructionError
     reports the nonzero coordinate.  An arity outside 3..mu.truncation
     raises ValueError (check_orders).  Returns (the list of elementary
-    gauge steps, normalized structure); ``gauge_compose`` folds the steps
-    into one gauge."""
+    gauge steps, in the order they act, normalized structure)."""
     check_orders(orders, mu.truncation)
     current = mu
     steps = []
@@ -361,7 +336,7 @@ def _extract_invariants(mu: AInfStructure) -> DeformationClass:
             blocks = index_by_output(e for tbl in gauge.components.values() for e in tbl.items())
             longest = max(gauge.supports())
             for r, table in new.items():
-                _scatter({d: acc}, table, blocks, alphabet, d, d, min(longest, d - r + 1), True)
+                _scatter({d: acc}, table, blocks, alphabet, d, d, min(longest, d - r + 1))
             psi = Cochain(d, 2 - d, _entries(acc, cat, mu.spec.characteristic))
         else:  # the gauge is the identity so far
             psi = mu_cochain(mu, d)
@@ -468,25 +443,6 @@ def _mc_extend(spec: FieldSpec, m6, m8, order: int = 12) -> AInfStructure:
         if not phi.is_zero():
             tables[d] = dict(phi.table)
     return AInfStructure(spec, cat, order, tables)
-
-
-def dump_gauge(gauge: GaugeTransformation, truncation: int = 12) -> str:
-    """Gauge tables in the algebra-definition grammar, sections G<d>."""
-    sections = [(f"G{k}", table_rows(gauge.components[k], gauge.cat)) for k in gauge.supports()]
-    return dump(AInfStructure(gauge.spec, gauge.cat, truncation, {}), sections)
-
-
-def load_gauge(text: str) -> GaugeTransformation:
-    """Parse dump_gauge's format; a faulty row names its line."""
-    shell, extras = load_with_extras(text)
-    components, lines = {}, {}
-    for name, rows, head in extras:
-        if not (name.startswith("G") and name[1:].isdigit()):
-            raise ValueError(f"line {head}: unexpected section {name} in gauge file")
-        k = int(name[1:])
-        components[k] = parse_table(rows, k, name, shell.cat, shell.spec, lines)
-    with _entry_lines(lines):
-        return GaugeTransformation(shell.spec, shell.cat, components)
 
 
 def random_gauge(spec: FieldSpec, cat, rng, orders=(2, 3, 4),

@@ -95,16 +95,6 @@ def mu_cochain(alg: AInfStructure, d: int) -> Cochain:
     return Cochain(d, 2 - d, table)
 
 
-def euler_cochain(alg: AInfStructure) -> Cochain:
-    """Degree derivation e(x) = deg(x) x, a length-1 cocycle of degree 0."""
-    table = {}
-    for n in alg.cat.nonidentity_generators():
-        d = alg.cat.deg(n)
-        if d:
-            table[(n,)] = Element.single(n, d, alg.spec.characteristic)
-    return Cochain(1, 0, table)
-
-
 def gerst_compose(phi: Cochain, psi: Cochain, alg: AInfStructure) -> Cochain:
     """Circle product with shifted signs; both factors of length >= 1.
 

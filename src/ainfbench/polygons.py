@@ -14,7 +14,10 @@ A polygon through m lifts of z counts with weight U^m, and with sign
 corners whose following arc runs against the curve orientation (q for
 the last arc, r for the middle ones).  Self-products of the vertical
 curve use a piecewise-linear pushoff crossing it twice; only the
-degree-0 crossing represents the identity.
+degree-0 crossing represents the identity, and only it is enumerated:
+no quadrilateral at the degree-1 crossing has four convex corners, on any
+scene, since the corner test reads only the lift offsets and the frozen
+pushoff profile.
 
 Candidates run only over the lift offsets the wrap bound allows, and are
 checked in order of cost: wrap counts (arc parameters), convex corners
@@ -43,7 +46,6 @@ from .useries import TruncatedUSeries, series_mul, partition_series
 
 # pushoff profile: PL bump with these breakpoints, period 1
 CROSS_LOW = Fr(1, 8)    # degree-0 crossing of the pushoff with gamma1
-CROSS_HIGH = Fr(5, 8)   # degree-1 crossing
 BUMP = Fr(1, 100)
 _W_KNOTS = (
     (Fr(1, 8), Fr(0)),
@@ -426,8 +428,8 @@ def triangle_witnesses(scene: PolygonScene, wrap_bound: int):
 
 def quad_witnesses(scene: PolygonScene, wrap_bound: int):
     """All deck-classes of quadrilaterals computing the triple product
-    whose output lies on the pushoff crossings; both crossings are
-    enumerated, convexity keeps only the degree-0 one."""
+    whose output is the identity, the degree-0 pushoff crossing x_id (the
+    only one with convex corners: module docstring)."""
     n, z = _scale(scene)
     out = []
     g1 = scene.curves["gamma1"].lift(0)
@@ -435,23 +437,22 @@ def quad_witnesses(scene: PolygonScene, wrap_bound: int):
     w_m = push.point(0)[0]      # the pushoff's x at every integer height m
     # an arc wraps at most wrap_bound times when it is shorter than bound
     bound = (wrap_bound + 1) * n
-    for cross_name, cross in (("x_id", CROSS_LOW), ("x_top", CROSS_HIGH)):
-        cross_t = int(cross * n)
-        # the gamma1 arc bounds the half-integer c; the gamma2, gamma0 and
-        # pushoff arcs bound the integer m
-        for c in _grid(-cross_t - bound, -cross_t + bound, n // 2, n):
-            g2 = scene.curves["gamma2"].lift(c)
-            m_lo = max(-c, w_m - c, cross_t) - bound
-            m_hi = min(-c, w_m - c, cross_t) + bound
-            for m in _grid(m_lo, m_hi, 0, n):
-                # corners: y0 = crossing, y1 = (0,-c), y2 = (m+c, m), y3 = (w(m), m);
-                # arcs gamma1 (param y), gamma2 (y), gamma0 (x), pushoff (y)
-                params = [(cross_t, -c), (-c, m), (m + c, w_m), (m, cross_t)]
-                w = _build_witness(scene, n, z, ["gamma1", "gamma2", "gamma0", "pushoff"],
-                                   [g1, g2, scene.curves["gamma0"].lift(m), push], params,
-                                   [cross_name, "e12", "e20", "e01"], wrap_bound)
-                if w is not None:
-                    out.append(w)
+    cross_t = int(CROSS_LOW * n)
+    # the gamma1 arc bounds the half-integer c; the gamma2, gamma0 and
+    # pushoff arcs bound the integer m
+    for c in _grid(-cross_t - bound, -cross_t + bound, n // 2, n):
+        g2 = scene.curves["gamma2"].lift(c)
+        m_lo = max(-c, w_m - c, cross_t) - bound
+        m_hi = min(-c, w_m - c, cross_t) + bound
+        for m in _grid(m_lo, m_hi, 0, n):
+            # corners: y0 = crossing, y1 = (0,-c), y2 = (m+c, m), y3 = (w(m), m);
+            # arcs gamma1 (param y), gamma2 (y), gamma0 (x), pushoff (y)
+            params = [(cross_t, -c), (-c, m), (m + c, w_m), (m, cross_t)]
+            w = _build_witness(scene, n, z, ["gamma1", "gamma2", "gamma0", "pushoff"],
+                               [g1, g2, scene.curves["gamma0"].lift(m), push], params,
+                               ["x_id", "e12", "e20", "e01"], wrap_bound)
+            if w is not None:
+                out.append(w)
     return out
 
 
@@ -466,20 +467,16 @@ def _signed_count(witnesses, wrap_bound: int) -> TruncatedUSeries:
     return TruncatedUSeries(coeffs, order)
 
 
-def _at_identity(quads):
-    return [w for w in quads if w.corners[0] == "x_id"]
-
-
 def mu3_series(scene: PolygonScene, wrap_bound: int) -> TruncatedUSeries:
     """Signed U-weighted quadrilateral count at the identity output."""
-    return _signed_count(_at_identity(quad_witnesses(scene, wrap_bound)), wrap_bound)
+    return _signed_count(quad_witnesses(scene, wrap_bound), wrap_bound)
 
 
 def criterion_series(tris, quads, wrap_bound: int):
     """(mu2 series, mu3 series, -u^3 * mu3) from the triangle and
     quadrilateral witnesses of one census at wrap_bound."""
     m2 = _signed_count(tris, wrap_bound)
-    m3 = _signed_count(_at_identity(quads), wrap_bound)
+    m3 = _signed_count(quads, wrap_bound)
     u = partition_series(m3.order)
     u3 = series_mul(series_mul(u, u), u)
     return m2, m3, -(series_mul(u3, m3))
@@ -512,7 +509,7 @@ def scene_dump(scene: PolygonScene) -> str:
 
 
 # the kind each curve's name stands for, and the points that need a
-# Maslov offset: the enumerators assume both
+# Maslov offset: the enumerators assume both (no census reads x_top's)
 _CURVE_KINDS = {"gamma0": "h", "gamma1": "v", "gamma2": "d"}
 _MASLOV_POINTS = ("e01", "e12", "e20", "e21", "x_id", "x_top")
 # the form of each row

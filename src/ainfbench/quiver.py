@@ -246,14 +246,6 @@ class AInfStructure:
                 raise ValueError(f"table arity {d} not in 1..{self.truncation}")
             check_table(self.cat, f"mu^{d}", table, 2, d, self.spec.characteristic)
 
-    def evaluate(self, d: int, names) -> Element:
-        if d > self.truncation:
-            raise ValueError(f"arity {d} beyond truncation {self.truncation}")
-        names = tuple(names)
-        if not self.cat.composable(names):
-            raise ValueError(f"noncomposable tuple {names}")
-        return self.tables.get(d, {}).get(names, ZERO)
-
     def evaluate_elements(self, d: int, elements) -> Element:
         """Multilinear extension of mu^d to a tuple of Elements."""
         table = self.tables.get(d)
@@ -303,19 +295,6 @@ class AInfStructure:
                 splices(acc, tables.get(d - m + 1, {}), inner, cat.odd)
             bad += [(d, t) for t in cat.tuples_among(acc) if not Element(acc[t], p).is_zero()]
         return bad
-
-    def check_unital(self):
-        """Strict unitality of mu^2 against the designated identities."""
-        cat = self.cat
-        for name, g in cat.generators.items():
-            el = Element.single(name, 1, self.spec.characteristic)
-            right = self.evaluate_elements(2, [el, cat.identities[g.source]])
-            if right != el:
-                raise AssertionError(f"mu2({name}, id) != {name}")
-            left = self.evaluate_elements(2, [cat.identities[g.target], el])
-            want = el if g.degree % 2 == 0 else -el
-            if left != want:
-                raise AssertionError(f"mu2(id, {name}) != (-1)^|x| {name}")
 
     def mu1_cohomology_dims(self):
         """Cohomology of (hom-spaces, mu^1) per (source, target, degree).
@@ -565,7 +544,7 @@ def dump(struct: AInfStructure, extra_sections=None) -> str:
 
 _FIXED = ("FIELD", "TRUNCATION", "OBJECTS", "GENERATORS", "IDENTITIES")
 # the section names; any other word, capitals included, is a name
-_HEADER = re.compile("|".join(_FIXED) + r"|(MU|G|IOTA)\d+")
+_HEADER = re.compile("|".join(_FIXED) + r"|(MU|IOTA)\d+")
 
 
 def _split_sections(text: str):
@@ -598,11 +577,6 @@ def _split_sections(text: str):
     return sections
 
 
-def load(text: str) -> AInfStructure:
-    struct, _ = load_with_extras(text)
-    return struct
-
-
 @contextmanager
 def _at_line(lineno: int):
     """A ValueError or zero denominator (1/0, 1/5 over F5) naming the line."""
@@ -617,7 +591,7 @@ def parse_table(rows, d: int, section: str, cat: QuiverCategory, spec: FieldSpec
     """Rows 'a_d ... a_1 -> element', given as (row, line number) pairs, as
     one arity-d table, each key's line recorded in lines; errors carry the
     offending line number.  The constructor that takes the table checks
-    its entries, once, and _entry_lines names a bad entry's line."""
+    its entries, once, and load names a bad entry's line."""
     table = {}
     for row, lineno in rows:
         with _at_line(lineno):
@@ -632,19 +606,10 @@ def parse_table(rows, d: int, section: str, cat: QuiverCategory, spec: FieldSpec
     return table
 
 
-@contextmanager
-def _entry_lines(lines: dict):
-    """An EntryError of check_table named by the line of its key."""
-    try:
-        yield
-    except EntryError as exc:
-        raise ValueError(f"line {lines[exc.key]}: {exc}") from None
-
-
-def load_with_extras(text: str):
-    """Parse the canonical format; unknown sections (IOTA*, G*) are returned
-    as (name, [(row, line number)], header line number) for their own
-    parsers.  Errors carry the offending line number."""
+def load(text: str) -> AInfStructure:
+    """Parse the canonical format; IOTA<d> sections (an inclusion written
+    beside the structure) are skipped.  Errors carry the offending line
+    number."""
     sections = _split_sections(text)
     by_name = {name: rows for name, rows, _ in sections}
     try:
@@ -684,16 +649,14 @@ def load_with_extras(text: str):
             identities[obj] = parse_element(combo, cat, spec)
             QuiverCategory(objects, gens, identities)  # degree-0 endomorphisms
     cat = QuiverCategory(objects, gens, identities)
-    tables, lines, extras = {}, {}, []
+    tables, lines = {}, {}
     for name, rows, head in sections:
-        if name in _FIXED:
-            continue
         if name.startswith("MU"):
             d = int(name[2:])
             if not 1 <= d <= truncation:
                 raise ValueError(f"line {head}: table arity {d} not in 1..{truncation}")
             tables[d] = parse_table(rows, d, name, cat, spec, lines)
-        else:
-            extras.append((name, rows, head))
-    with _entry_lines(lines):
-        return AInfStructure(spec, cat, truncation, tables), extras
+    try:
+        return AInfStructure(spec, cat, truncation, tables)
+    except EntryError as exc:  # a check_table fault, named by its key's line
+        raise ValueError(f"line {lines[exc.key]}: {exc}") from None

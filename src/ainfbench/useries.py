@@ -30,37 +30,11 @@ class TruncatedUSeries:
             other = TruncatedUSeries([other], self.order)
         return self.order == other.order and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash((self.order, tuple(self.coeffs)))
-
     def is_one(self):
         return self.coeffs[0] == 1 and not any(self.coeffs[1:])
 
-    def __add__(self, other):
-        self._compat(other)
-        return TruncatedUSeries(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], self.order
-        )
-
     def __neg__(self):
         return TruncatedUSeries([-a for a in self.coeffs], self.order)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return TruncatedUSeries([other * a for a in self.coeffs], self.order)
-        self._compat(other)
-        return series_mul(self, other)
-
-    __rmul__ = __mul__
-
-    def _compat(self, other):
-        if self.order != other.order:
-            raise ValueError(
-                f"truncation orders differ: {self.order} vs {other.order}"
-            )
 
     def __str__(self):
         parts = []
@@ -114,22 +88,19 @@ def series_inv(a: TruncatedUSeries) -> TruncatedUSeries:
     return TruncatedUSeries(out, n)
 
 
-def one(order: int) -> TruncatedUSeries:
-    return TruncatedUSeries([1], order)
-
-
 def partition_series(order: int) -> TruncatedUSeries:
-    """Generating function of integer partitions: prod_{m>0} (1 - U^m)^(-1).
-
-    The product is finite modulo U^(N+1) since factors with m > N are 1.
-    """
-    result = one(order)
-    for m in range(1, order + 1):
-        factor = [0] * (order + 1)
-        factor[0] = 1
-        factor[m] = -1
-        result = series_mul(result, series_inv(TruncatedUSeries(factor, order)))
-    return result
+    """Generating function of integer partitions: prod_{m>0} (1 - U^m)^(-1),
+    the inverse of Euler's function prod_{m>0} (1 - U^m), which is the
+    sparse series sum_k (-1)^k U^(k(3k-1)/2) over all integers k (the
+    pentagonal number theorem); one inversion, O(N^2)."""
+    euler = [0] * (order + 1)
+    k = 0
+    while k * (3 * k - 1) // 2 <= order:
+        for j in (k, -k):  # the pentagonal numbers k(3k-1)/2 and k(3k+1)/2
+            if j * (3 * j - 1) // 2 <= order:
+                euler[j * (3 * j - 1) // 2] = (-1) ** k
+        k += 1
+    return series_inv(TruncatedUSeries(euler, order))
 
 
 def theta_v(order: int) -> TruncatedUSeries:

@@ -15,9 +15,11 @@ and the candidate test are their own. They test every lattice translate
 in the bounding box one point at a time (``count_lattice_points``), every
 segment pair with cross products alone, and every star translate by
 enumeration. The census oracles build every candidate polygon of the
-parameter square in full, whatever its wrap count, and only then keep
-those within the wrap bound; they count translates with the Fraction
-scanline, one row at a time against every segment (``scanline_count``).
+parameter square in full, whatever its wrap count, quadrilaterals at both
+pushoff crossings (the program enumerates only the degree-0 one), and
+only then keep those within the wrap bound; they count translates with
+the Fraction scanline, one row at a time against every segment
+(``scanline_count``).
 ``enumerate_polygons`` and ``mu2_series`` are the program's census read
 as named products; no command needs them.
 
@@ -43,6 +45,10 @@ The sequential-extraction oracle reads the invariants as the program once
 did, one elementary gauge per killed order: kill_orders gauges away orders
 3, 4 and 5, the class of mu^6 is read, order 7 is gauged away and the
 class of mu^8 is read (``sequential_invariants``).
+
+Two checks no command makes: strict unitality of mu^2 against the
+designated identities (``check_unital``; the relation checker assumes no
+units), and the degree derivation, a length-1 cocycle (``euler_cochain``).
 """
 
 from dataclasses import dataclass
@@ -55,7 +61,7 @@ from ainfbench.gauge import GaugeTransformation
 from ainfbench.hochschild import Cochain, vector_to_cochain
 from ainfbench.linalg import Echelon, nullspace
 from ainfbench.perturbation import TransferResult, _apply_linear
-from ainfbench.polygons import CROSS_HIGH, CROSS_LOW, _W_KNOTS, PolygonWitness
+from ainfbench.polygons import CROSS_LOW, _W_KNOTS, PolygonWitness
 from ainfbench.quiver import AInfStructure, Element, ZERO, accumulate, tensor_terms
 
 
@@ -140,6 +146,9 @@ def gauge_apply(gauge, mu, order=None):
 
 
 def gauge_compose(second, first, up_to=12):
+    """The composite gauge, first then second: (second o first)^d is the sum
+    of second^r over first-blocks, no signs, through arity up_to; the test
+    of gauge_apply's functoriality composes with it."""
     spec, cat = first.spec, first.cat
     parts = tuple(sorted({1, *first.supports()}))
     components = {}
@@ -297,6 +306,8 @@ def transfer(split, order):
 
 
 # -- the polygon census in Fractions ----------------------------------------
+
+CROSS_HIGH = Fraction(5, 8)   # the pushoff's degree-1 crossing with gamma1
 
 def _w_piece(t, side=1):
     """(base, t0, v0, slope) of the pushoff profile's piece holding height
@@ -725,11 +736,34 @@ def sequential_invariants(mu):
 
 def partition_count(n):
     """The partitions of n, counted by recursion over the largest part;
-    deliberately naive, so it shares nothing with the Euler product it
-    checks."""
+    deliberately naive, so it shares nothing with the pentagonal-number
+    series it checks."""
     def count(remaining, max_part):
         if remaining == 0:
             return 1
         return sum(count(remaining - k, k) for k in range(min(remaining, max_part), 0, -1))
 
     return count(n, n)
+
+
+def check_unital(struct):
+    """Strict unitality of mu^2 against the designated identities:
+    AssertionError naming the first generator where it fails."""
+    cat = struct.cat
+    for name, g in cat.generators.items():
+        el = Element.single(name, 1, struct.spec.characteristic)
+        if struct.evaluate_elements(2, [el, cat.identities[g.source]]) != el:
+            raise AssertionError(f"mu2({name}, id) != {name}")
+        want = el if g.degree % 2 == 0 else -el
+        if struct.evaluate_elements(2, [cat.identities[g.target], el]) != want:
+            raise AssertionError(f"mu2(id, {name}) != (-1)^|x| {name}")
+
+
+def euler_cochain(alg):
+    """Degree derivation e(x) = deg(x) x, a length-1 cocycle of degree 0."""
+    table = {}
+    for n in alg.cat.nonidentity_generators():
+        d = alg.cat.deg(n)
+        if d:
+            table[(n,)] = Element.single(n, d, alg.spec.characteristic)
+    return Cochain(1, 0, table)

@@ -441,7 +441,18 @@ def test_census_matches_oracle_at_other_scales(scene, z, wrap):
     assume(drawn.z_in_hexagon())
     for fast, slow in ((triangle_witnesses, oracles.triangle_witnesses),
                        (quad_witnesses, oracles.quad_witnesses)):
-        assert _census(fast, drawn, wrap) == _census(slow, drawn, wrap)
+        want = _census(slow, drawn, wrap)
+        assert _census(fast, drawn, wrap) == want
+    # the census enumerates only x_id; the oracle builds x_top too
+    assert isinstance(want, str) or all(w["corners"][0] == "x_id" for w in want)
+
+
+@pytest.mark.parametrize("wrap", [1, 2, 3, 4])
+def test_no_quadrilateral_at_the_degree_one_crossing(scene, wrap):
+    # the Fraction census builds every candidate at x_top as well as at
+    # x_id, and keeps none at x_top: the integer census enumerates x_id only
+    quads = oracles.quad_witnesses(scene, wrap)
+    assert quads and all(w.corners[0] == "x_id" for w in quads)
 
 
 def test_one_lattice_count_per_witness(scene, monkeypatch):
@@ -469,9 +480,10 @@ def test_one_lattice_count_per_witness(scene, monkeypatch):
         assert calls["count"] == len(witnesses)
         built += calls["candidates"]
     assert len(witnesses) == 16
-    # the parameter square has 230 candidates (10 triangles, 220
-    # quadrilaterals); 104 of them (8 and 96) have every arc within the bound
-    assert built == 104
+    # the parameter square has 120 candidates (10 triangles, 110
+    # quadrilaterals at x_id); 56 of them (8 and 48) have every arc within
+    # the bound
+    assert built == 56
 
 
 def test_census_boundary_error_matches_oracle(scene, checked_fast_paths):

@@ -1,7 +1,9 @@
 """The benchmark's tracer (bench/tracer.py) wraps the program by name,
-from outside.  Every name it lists must resolve on ainfbench, or a traced
-benchmark run stops at install or loses a metric."""
+from outside, and its workloads (bench/workloads.py) call the program by
+name.  Every name either lists must resolve on ainfbench, or a benchmark
+run stops at install, loses a metric or fails its operations."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -11,6 +13,7 @@ from ainfbench import hochschild
 from ainfbench.scalars import FieldSpec
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+WORKLOADS = TRACER.with_name("workloads.py")
 
 
 def _load_tracer():
@@ -46,3 +49,34 @@ def test_tracer_installs_and_restores():
     totals = t.totals()
     assert totals["hochschild.hh_bar.calls"] == 1
     assert totals["hochschild.delta_matrix.calls"] > 0
+
+
+def _workload_bindings():
+    """[(what, resolved)] for each name bench/workloads.py imports from
+    ainfbench and each attribute it reads on an imported ainfbench module;
+    resolved is False when the name is missing."""
+    tree = ast.parse(WORKLOADS.read_text())
+    modules, found = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ainfbench":
+            source = importlib.import_module(node.module)
+            for alias in node.names:
+                value = getattr(source, alias.name, None)
+                found.append((f"{node.module}.{alias.name}", value is not None))
+                if inspect.ismodule(value):
+                    modules[alias.asname or alias.name] = value
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            module = modules[node.value.id]
+            found.append((f"{module.__name__}.{node.attr}", hasattr(module, node.attr)))
+    return found
+
+
+def test_every_name_the_workloads_bind_resolves():
+    # a name deleted from the program would strand a workload with no
+    # other tier-1 test failing
+    found = _workload_bindings()
+    assert ("ainfbench.polygons.triangle_criterion", True) in found
+    assert ("ainfbench.quiver.Element", True) in found
+    assert [what for what, resolved in found if not resolved] == []
