@@ -15,15 +15,35 @@ corners whose following arc runs against the curve orientation (q for
 the last arc, r for the middle ones).  Self-products of the vertical
 curve use a piecewise-linear pushoff crossing it twice; only the
 degree-0 crossing represents the identity, and only it is enumerated:
-no quadrilateral at the degree-1 crossing has four convex corners, on any
-scene, since the corner test reads only the lift offsets and the frozen
-pushoff profile.
+no quadrilateral at the degree-1 crossing has four convex corners.
 
-Candidates run only over the lift offsets the wrap bound allows, and are
-checked in order of cost: wrap counts (arc parameters), convex corners
-(arc directions), an embedded boundary (segment pairs with disjoint
-bounding boxes skipped), and last the translates of z inside.  One
-census gives all three criterion series (criterion_series).
+Every candidate the census builds is a witness.  A candidate's geometry
+depends only on its lift offsets (scene files fix each curve's kind, and
+the pushoff profile is frozen), so this holds, as do these proofs, on
+every scene:
+- Triangles have corners (0, -c), (c, 0) and (0, 0), c a nonzero
+  half-integer.  The shoelace sum is c^2 > 0: each is counterclockwise,
+  every corner turns left, and its sides meet only at corners.
+- A quadrilateral's corner at x_id, where the pushoff arrives along
+  +-(1/25, 1) and gamma1 leaves along +-(0, 1), turns left iff the two arcs
+  lie on opposite sides of height 1/8; the census enumerates only those.
+  Then the corners at (0, -c), (m + c, m) and (w(m), m) turn left too
+  (a cross product each).
+- Embedded: gamma1 (x = 0) and the pushoff (|x| <= 1/100) share heights
+  only at 1/8.  gamma0 (y = m) misses gamma1's height range.  gamma2 enters
+  the strip |x| <= 1/100 only within 1/100 of height -c, at least 3/8 from
+  the pushoff's range.  Each adjacent pair is two distinct lines, or y = m
+  and a graph over y reaching height m only at its end.
+- Counterclockwise: the boundary is simple with four left corners, and the
+  pushoff leaves height m and reaches 1/8 with the same slope, so its bends
+  cancel.  The total turn is then +2 pi, never -2 pi.
+- The c and m grids keep each arc's ends less than (wrap + 1) N apart, so
+  no arc wraps more often than the bound.  Arc ends (half-integers,
+  integers, 1/8, -1/200) never differ by an integer, and the wrap count's
+  ambiguity check would catch an arc of length 0.
+What is left depends on the scene: the degree relation, stars and signs,
+and the translates of z inside.  One census gives all three criterion
+series (criterion_series).
 
 A census runs on integers at one scale N, the lcm of the denominators of
 z and of the pushoff profile (its knots, and its value at integer
@@ -31,7 +51,7 @@ heights): 200 on the preset scene.  Every parameter, corner, knot and
 segment end is N times its true value, so every predicate is int
 arithmetic, and the scanline meets each crossing, a quotient, with the
 translates of z (steps of N) by floor division.  Fractions appear only in
-the fields of an accepted witness and in messages.  Star offsets are
+the fields of a witness and in messages.  Star offsets are
 calibrated (and frozen here) so the triangle count reproduces a vanishing
 product and the quadrilateral count reproduces minus the theta series.
 """
@@ -82,15 +102,13 @@ class CurveLift:
     offset: int
     knots: tuple = ()
 
-    def _piece(self, t, side):
-        """(base, (t0, v0), (t1, v1)): the profile's piece holding height
-        t, base being t moved into the knots' period.  Side +1 reads the
-        piece [t0, t1) holding t, side -1 the piece (t0, t1]; so at a knot
-        the two sides see the two pieces meeting there."""
+    def _piece(self, t):
+        """(base, (t0, v0), (t1, v1)): the profile's piece [t0, t1) holding
+        height t, base being t moved into the knots' period."""
         low, period = self.knots[0][0], self.knots[-1][0] - self.knots[0][0]
-        base = (t - low) % period + low if side > 0 else low + period - (low - t) % period
+        base = (t - low) % period + low
         for a, b in zip(self.knots, self.knots[1:]):
-            if (a[0] <= base < b[0]) if side > 0 else (a[0] < base <= b[0]):
+            if a[0] <= base < b[0]:
                 return base, a, b
         raise AssertionError("unreachable")
 
@@ -102,22 +120,8 @@ class CurveLift:
         if self.kind == "d":
             return (t + self.offset, t)
         # exact: a census reads w at knots and integer heights, ints at its scale
-        base, (t0, v0), (t1, v1) = self._piece(t, 1)
+        base, (t0, v0), (t1, v1) = self._piece(t)
         return (self.offset + v0 + (v1 - v0) * (base - t0) // (t1 - t0), t)
-
-    def direction(self, t, travel: int, end: bool = False):
-        """Travel direction up to a positive factor; travel=+1 means
-        increasing param.  For the PL pushoff the one-sided piece is the
-        side the arc occupies (ahead of the point when starting an arc,
-        behind it when ending one)."""
-        if self.kind == "h":
-            return (travel, 0)
-        if self.kind == "v":
-            return (0, travel)
-        if self.kind == "d":
-            return (travel, travel)
-        _, (t0, v0), (t1, v1) = self._piece(t, -travel if end else travel)
-        return (travel * (v1 - v0), travel * (t1 - t0))
 
     def segments(self, t0, t1):
         """PL segments tracing the arc from param t0 to t1."""
@@ -220,39 +224,8 @@ class PolygonWitness:
 
 
 # ---------------------------------------------------------------------------
-# exact plane geometry on integer coordinates
+# lattice and star counts on integer coordinates
 # ---------------------------------------------------------------------------
-
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _in_box(p, a, b) -> bool:
-    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
-
-
-def _segments_intersect(a, b, c, d) -> bool:
-    """Closed segments ab and cd meet; all comparisons exact."""
-    # they can only meet where their bounding boxes overlap
-    if (max(a[0], b[0]) < min(c[0], d[0]) or max(c[0], d[0]) < min(a[0], b[0])
-            or max(a[1], b[1]) < min(c[1], d[1])
-            or max(c[1], d[1]) < min(a[1], b[1])):
-        return False
-    d1 = _cross(c, d, a)
-    d2 = _cross(c, d, b)
-    if (d1 > 0 and d2 > 0) or (d1 < 0 and d2 < 0):
-        return False        # ab strictly on one side of the line cd
-    d3 = _cross(a, b, c)
-    d4 = _cross(a, b, d)
-    if (d3 > 0 and d4 > 0) or (d3 < 0 and d4 < 0):
-        return False
-    if d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0:
-        return True         # a proper crossing
-    # otherwise they meet where an end lies on the other segment
-    return ((d1 == 0 and _in_box(a, c, d)) or (d2 == 0 and _in_box(b, c, d))
-            or (d3 == 0 and _in_box(c, a, b)) or (d4 == 0 and _in_box(d, a, b)))
-
 
 def _count_lattice_points(pt, segments, bbox, n):
     """Translates of pt by (nZ)^2 strictly inside the closed PL polygon,
@@ -308,66 +281,29 @@ def _star_count(lo: int, hi: int, star: Fr, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# witness assembly and validation
+# witness assembly
 # ---------------------------------------------------------------------------
 
-def _build_witness(scene, n, z, names, lifts, params, corner_names, wrap_bound):
-    """Assemble and validate one candidate polygon at its census's scale n
-    (z is the basepoint at that scale).  names[k] is the scene curve of
-    arc k (from corner k to corner k+1); params[k] = (t_from, t_to) on
-    lifts[k].  The checks run in order of cost: the wrap count of each arc
-    against wrap_bound (parameters only), then convex corners (directions
-    only), then an embedded boundary, and last the lattice count of z.
-    Returns a PolygonWitness in Fractions, or None when any of these tests
-    or a degeneracy test fails."""
+def _build_witness(scene, n, z, names, lifts, params, corner_names):
+    """One witness at its census's scale n (z is the basepoint at that
+    scale).  names[k] is the scene curve of arc k (from corner k to corner
+    k+1); params[k] = (t_from, t_to) on lifts[k].  The census builds only
+    embedded counterclockwise polygons with convex corners within its wrap
+    bound (module docstring), so this reads what depends on the scene: the
+    degree relation, the sign data and the lattice count of z.  Returns a
+    PolygonWitness in Fractions."""
     d1 = len(names)
-    travels, wraps = [], []
-    for t_from, t_to in params:
-        if t_from == t_to:
-            return None
+    travels, wraps, positives, all_segments = [], [], [], []
+    for k, (t_from, t_to) in enumerate(params):
         travels.append(1 if t_to > t_from else -1)
         wrap, part = divmod(abs(t_to - t_from), n)
         if not part:
             raise AssertionError("arc length ambiguous for wrap count")
         wraps.append(wrap)
-    if max(wraps) > wrap_bound:
-        return None
-
-    # convex corners: strict left turns between incoming and outgoing arcs;
-    # tested before the PL arcs are built, because it needs only directions
-    for k in range(d1):
-        d_in = lifts[k - 1].direction(params[k - 1][1], travels[k - 1], end=True)
-        d_out = lifts[k].direction(params[k][0], travels[k])
-        if d_in[0] * d_out[1] - d_in[1] * d_out[0] <= 0:
-            return None
-
-    positives, all_segments, seg_by_arc = [], [], []
-    for k in range(d1):
         # the pushoff inherits the +y orientation
         orientation = 1 if lifts[k].kind == "p" else scene.curves[names[k]].orientation
         positives.append(travels[k] == orientation)
-        seg_by_arc.append(lifts[k].segments(*params[k]))
-        all_segments.extend(seg_by_arc[-1])
-
-    # embedded boundary: non-adjacent arcs disjoint, adjacent share a corner
-    for i in range(d1):
-        for j in range(i + 1, d1):
-            adjacent = (j == i + 1) or (i == 0 and j == d1 - 1)
-            for si in seg_by_arc[i]:
-                for sj in seg_by_arc[j]:
-                    if not _segments_intersect(*si, *sj):
-                        continue
-                    if not adjacent:
-                        return None
-                    # the only allowed touching point is the shared corner
-                    corner = seg_by_arc[j][0][0] if j == i + 1 else seg_by_arc[i][0][0]
-                    ends = {si[0], si[1]} & {sj[0], sj[1]}
-                    if ends != {corner}:
-                        return None
-
-    # counterclockwise: positive shoelace area
-    if sum((x0 * y1 - x1 * y0) for (x0, y0), (x1, y1) in all_segments) <= 0:
-        return None
+        all_segments.extend(lifts[k].segments(t_from, t_to))
 
     # degree bookkeeping: i(y_0) = sum of input indices + 2 - d
     idx = [scene.maslov[c] for c in corner_names]
@@ -419,10 +355,8 @@ def triangle_witnesses(scene: PolygonScene, wrap_bound: int):
         # corners: y0 = (0,-c) on gamma1^gamma2, y1 = (c,0) on gamma2^gamma0,
         # y2 = (0,0) on gamma0^gamma1
         params = [(-c, 0), (c, 0), (0, -c)]
-        w = _build_witness(scene, n, z, ["gamma2", "gamma0", "gamma1"], [g2, g0, g1],
-                           params, ["e21", "e20", "e01"], wrap_bound)
-        if w is not None:
-            out.append(w)
+        out.append(_build_witness(scene, n, z, ["gamma2", "gamma0", "gamma1"],
+                                  [g2, g0, g1], params, ["e21", "e20", "e01"]))
     return out
 
 
@@ -442,17 +376,20 @@ def quad_witnesses(scene: PolygonScene, wrap_bound: int):
     # pushoff arcs bound the integer m
     for c in _grid(-cross_t - bound, -cross_t + bound, n // 2, n):
         g2 = scene.curves["gamma2"].lift(c)
-        m_lo = max(-c, w_m - c, cross_t) - bound
-        m_hi = min(-c, w_m - c, cross_t) + bound
+        # the corner at x_id turns left iff the pushoff arc (from m) and the
+        # gamma1 arc (to -c) lie on opposite sides of cross_t
+        if -c > cross_t:
+            m_lo, m_hi = max(-c, w_m - c) - bound, cross_t
+        else:
+            m_lo, m_hi = cross_t, min(-c, w_m - c) + bound
         for m in _grid(m_lo, m_hi, 0, n):
             # corners: y0 = crossing, y1 = (0,-c), y2 = (m+c, m), y3 = (w(m), m);
             # arcs gamma1 (param y), gamma2 (y), gamma0 (x), pushoff (y)
             params = [(cross_t, -c), (-c, m), (m + c, w_m), (m, cross_t)]
-            w = _build_witness(scene, n, z, ["gamma1", "gamma2", "gamma0", "pushoff"],
-                               [g1, g2, scene.curves["gamma0"].lift(m), push], params,
-                               ["x_id", "e12", "e20", "e01"], wrap_bound)
-            if w is not None:
-                out.append(w)
+            out.append(_build_witness(
+                scene, n, z, ["gamma1", "gamma2", "gamma0", "pushoff"],
+                [g1, g2, scene.curves["gamma0"].lift(m), push], params,
+                ["x_id", "e12", "e20", "e01"]))
     return out
 
 

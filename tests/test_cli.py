@@ -52,8 +52,13 @@ def test_m6_golden(field, tmp_path):
 
 
 def test_m6_refuses_char_2():
-    code, _ = run(["m6", "--field", "F2"])
-    assert code == 2
+    # as gauge-fix and mc refuse a field where 6 is not invertible
+    for argv, message in (
+            (["m6", "--field", "F2"], "6 is not invertible over F2"),
+            (["gauge-fix", "--field", "F3"], "gauge normalization needs 6 invertible, not F3"),
+            (["mc", "--field", "F2"], "classification needs 6 invertible, not F2")):
+        code, out, err = _run_err(argv)
+        assert (code, out, err) == (2, "", f"usage error: {message}\n")
 
 
 def test_m6_exploratory_f5():
@@ -127,11 +132,31 @@ def test_jacobi_golden(tmp_path):
 
 def test_minimal_model_roundtrip(tmp_path):
     out = tmp_path / "model.alg"
-    code, _ = run(["minimal-model", "--order", "8", "--check-order", "6",
-                   "--out", str(out)])
+    argv = ["minimal-model", "--order", "8", "--check-order", "6"]
+    code, _ = run(argv + ["--out", str(out)])
     assert code == 0
+    # without --out the structure file's text comes first on stdout, then
+    # the two report lines
+    assert run(argv) == (0, out.read_text() + "closed form holds through order 8: ok\n"
+                         "relations hold through order 6: ok\n")
     code2, text = run(["check", str(out), "--order", "6"])
     assert code2 == 0 and "RESULT ok" in text
+
+
+def test_hh_table_reports_each_cell_that_differs(monkeypatch):
+    # a table missing the class at (6, -4) is a mathematical negative
+    from ainfbench import cli
+    hh_bar = cli.hh_bar
+
+    def without_class(spec, rmax):
+        dims = dict(hh_bar(spec, rmax))
+        del dims[(6, -4)]
+        return dims
+
+    monkeypatch.setattr(cli, "hh_bar", without_class)
+    code, text = run(["hh-table", "--rmax", "8"])
+    assert code == 1
+    assert text.endswith("MATCH FAIL\nDIFF (6, -4): got 0 want 1\n")
 
 
 def test_check_flags_violations(tmp_path):

@@ -8,11 +8,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from ainfbench import polygons
-from ainfbench.polygons import (CurveLift, _count_lattice_points,
-                                _segments_intersect, _star_count, criterion_series,
-                                mu3_series, preset_scene, quad_witnesses, scene_dump,
-                                scene_load, triangle_criterion,
-                                triangle_witnesses, witness_svg)
+from ainfbench.polygons import (CurveLift, _count_lattice_points, _star_count,
+                                criterion_series, mu3_series, preset_scene,
+                                quad_witnesses, scene_dump, scene_load,
+                                triangle_criterion, triangle_witnesses, witness_svg)
 from ainfbench.useries import theta_v
 
 
@@ -145,25 +144,6 @@ def test_pushoff_profile_crossings():
     assert lift.point(75) == (2, 75)
     for t in range(-400, 401, 25):
         assert Fr(lift.point(t)[0], 200) == oracles._w(Fr(t, 200))
-
-
-def test_pushoff_slope_is_exact_near_knots():
-    # one-sided slopes read the half-open piece holding t, with no probe;
-    # at scale 10**7 the height 3/8 - 1/10**7 is an int
-    n = 10**7
-    lift = _pushoff(n)
-    up, down = Fr(1, 25), Fr(-1, 25)
-
-    def slope(t, end=False):
-        dx, dy = lift.direction(t, 1, end)
-        assert dy > 0
-        return Fr(dx, dy)
-
-    assert slope(3 * n // 8 - 1) == up
-    assert slope(3 * n // 8) == down
-    assert slope(3 * n // 8, end=True) == up
-    assert slope(7 * n // 8, end=True) == down
-    assert slope(n // 8, end=True) == up
 
 
 def test_svg_emission(scene, tris4):
@@ -352,10 +332,9 @@ def _scaled(p, n):
 
 @pytest.fixture
 def checked_fast_paths(monkeypatch):
-    """Given a scene, route its census through wrappers that compare each
-    integer lattice count and intersection test, on the census's scaled
-    inputs, with its Fraction oracle on the unscaled ones; returns the
-    count of comparisons."""
+    """Given a scene, route its census through a wrapper that compares each
+    integer lattice count, on the census's scaled inputs, with its Fraction
+    oracle on the unscaled ones; returns the count of comparisons."""
     seen = Counter()
 
     def install(scene):
@@ -373,14 +352,7 @@ def checked_fast_paths(monkeypatch):
                 raise got
             return got
 
-        def intersect(a, b, c, d):
-            got = _segments_intersect(a, b, c, d)
-            assert got == oracles.segments_intersect(*(_unscaled(p, n) for p in (a, b, c, d)))
-            seen["intersect"] += 1
-            return got
-
         monkeypatch.setattr(polygons, "_count_lattice_points", count)
-        monkeypatch.setattr(polygons, "_segments_intersect", intersect)
         return seen
 
     return install
@@ -402,7 +374,6 @@ def test_census_matches_oracles_per_witness(scene, checked_fast_paths, z):
     tris, quads = triangle_witnesses(scene, 4), quad_witnesses(scene, 4)
     assert len(tris) == 10 and len(quads) == 25
     assert seen["count"] >= len(tris) + len(quads)
-    assert seen["intersect"] > 0
 
 
 @pytest.mark.parametrize("z", [None, "1/2 1/4", "1/200 1/100"])
@@ -456,16 +427,17 @@ def test_no_quadrilateral_at_the_degree_one_crossing(scene, wrap):
 
 
 def test_one_lattice_count_per_witness(scene, monkeypatch):
-    # the candidate ranges come from the wrap bound: every candidate built
-    # has each arc within it, and only witnesses reach a lattice count
+    # the candidate ranges come from the wrap bound and the side rule at
+    # x_id: every candidate built has each arc within the bound, and is a
+    # witness, with one lattice count
     calls = Counter()
     build, count_points = polygons._build_witness, _count_lattice_points
     n = polygons._scale(scene)[0]
 
-    def candidate(scene, scale, z, names, lifts, params, corner_names, wrap_bound):
+    def candidate(scene, scale, z, names, lifts, params, corner_names):
         calls["candidates"] += 1
-        assert max(abs(t_to - t_from) for t_from, t_to in params) < (wrap_bound + 1) * n
-        return build(scene, scale, z, names, lifts, params, corner_names, wrap_bound)
+        assert max(abs(t_to - t_from) for t_from, t_to in params) < (3 + 1) * n
+        return build(scene, scale, z, names, lifts, params, corner_names)
 
     def count(*args):
         calls["count"] += 1
@@ -477,13 +449,45 @@ def test_one_lattice_count_per_witness(scene, monkeypatch):
     for census in (triangle_witnesses, quad_witnesses):
         calls.clear()
         witnesses = census(scene, 3)
-        assert calls["count"] == len(witnesses)
+        assert calls["count"] == calls["candidates"] == len(witnesses)
         built += calls["candidates"]
     assert len(witnesses) == 16
     # the parameter square has 120 candidates (10 triangles, 110
-    # quadrilaterals at x_id); 56 of them (8 and 48) have every arc within
-    # the bound
-    assert built == 56
+    # quadrilaterals at x_id); the census builds only its 24 witnesses
+    # (8 and 16)
+    assert built == 24
+
+
+def _corners_turn_left(lifts, params):
+    """The Fraction census's corner test: every corner of the candidate
+    turns strictly left, by oracles.CurveLift's one-sided directions."""
+    travels = [1 if t_to > t_from else -1 for t_from, t_to in params]
+    for k in range(len(params)):
+        d_in = lifts[k - 1].direction(params[k - 1][1], travels[k - 1], end=True)
+        d_out = lifts[k].direction(params[k][0], travels[k])
+        if d_in[0] * d_out[1] - d_in[1] * d_out[0] <= 0:
+            return False
+    return True
+
+
+def test_quadrilateral_convexity_is_the_side_rule(scene):
+    # over the Fraction census's whole parameter square at wrap bound 16,
+    # a quadrilateral at x_id has convex corners iff -c and m lie on
+    # opposite sides of 1/8, the rule quad_witnesses enumerates by; every
+    # triangle has convex corners
+    bound, cross = 16 + 2, polygons.CROSS_LOW
+
+    def lift(name, offset):
+        return oracles.CurveLift(scene.curves[name].kind, Fr(offset))
+
+    g0, g1, push = lift("gamma0", 0), lift("gamma1", 0), oracles.CurveLift("p", Fr(0))
+    for c in (Fr(1, 2) + k for k in range(-bound, bound)):
+        g2 = lift("gamma2", c)
+        assert _corners_turn_left([g2, g0, g1], [(-c, Fr(0)), (c, Fr(0)), (Fr(0), -c)])
+        for m in map(Fr, range(-bound, bound + 1)):
+            params = [(cross, -c), (-c, m), (m + c, oracles._w(m)), (m, cross)]
+            convex = _corners_turn_left([g1, g2, lift("gamma0", m), push], params)
+            assert convex == ((-c > cross) != (m > cross))
 
 
 def test_census_boundary_error_matches_oracle(scene, checked_fast_paths):
@@ -535,17 +539,6 @@ def test_scanline_count_matches_oracle(vertices, pt, extra):
                    [(_scaled(a, n), _scaled(b, n)) for a, b in segments],
                    tuple((lo * n, hi * n) for lo, hi in bbox), n)
     assert _same(got, _outcome(oracles.count_lattice_points, pt, segments, bbox))
-
-
-@settings(max_examples=300)
-@given(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=4,
-                max_size=4))
-def test_prefiltered_intersection_matches_oracle(points):
-    # the integer test on points at scale 2 against the Fraction oracle
-    a, b, c, d = points
-    fa, fb, fc, fd = [(Fr(x, 2), Fr(y, 2)) for x, y in points]
-    assert _segments_intersect(a, b, c, d) == oracles.segments_intersect(fa, fb, fc, fd)
-    assert _segments_intersect(c, d, a, b) == oracles.segments_intersect(fc, fd, fa, fb)
 
 
 _SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=6)

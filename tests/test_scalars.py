@@ -51,7 +51,12 @@ def test_division_by_zero():
             FieldSpec(p).scalar(1, -p)
 
 
-@pytest.mark.parametrize("text", ["F0", "F00", "F", "F-5", "F+5", "F4", "FQ", "00"])
+@pytest.mark.parametrize("text", [
+    "F0", "F00", "F", "F-5", "F+5", "F4", "FQ", "00", "F1",
+    # composites with no factor up to 37, which Miller-Rabin rejects:
+    # 41*43; a strong pseudoprime to bases 2, 3, 5 and 7; and one to every
+    # base up to 23, rejected only by bases 29 to 37
+    "F1763", "F3215031751", "F3825123056546413051"])
 def test_field_spec_names_only_q_or_a_prime(text):
     # F0 and F00 were read as Q
     with pytest.raises(ValueError):
@@ -76,6 +81,7 @@ def test_characteristic_must_be_prime():
     with pytest.raises(ValueError):
         FieldSpec(2**63 + 9)
     FieldSpec(2**31 - 1)  # large primes within a machine word are fine
+    assert FieldSpec.parse("F2305843009213693951") == FieldSpec(2**61 - 1)
 
 
 @pytest.mark.parametrize("char", FIELDS)
