@@ -150,7 +150,11 @@ def coboundary(phi: Cochain, alg: AInfStructure) -> Cochain:
 # category signature, and the entry patterns of delta_matrix by (category
 # signature, mu^2 support), each support with its slot table (_slots).
 # Neither holds a value, so every field and every structure on one
-# category (and one support) shares them.
+# category (and one support) shares them.  Beside each support's
+# patterns, hh_bar keeps the last rank over Q of an integral mu^2 on it
+# per (r, s), with its mu^2 coefficients and pivot product: a few ints
+# per cell, which settle the rank over F_p for every p not dividing the
+# product (hh_bar).
 _BASES: dict = {}
 _PATTERNS: dict = {}
 
@@ -228,21 +232,13 @@ def delta_matrix(alg: AInfStructure, r: int, s: int):
     walk's order, so each column's entries come in the order the walk
     first meets them, and made canonical once, at the end.
     """
-    cat, mu2 = alg.cat, alg.tables[2]
     col_basis, row_basis = cochain_basis(alg, r, s), cochain_basis(alg, r + 1, s)
-    shape = (cat.signature, frozenset((key, tuple(el.terms)) for key, el in mu2.items()))
-    if shape not in _PATTERNS:
-        _PATTERNS[shape] = (_slots(mu2), {})
-    slot_of, patterns = _PATTERNS[shape]
+    slot_of, patterns, _ = _support(alg)
     pattern = patterns.get((r, s))
     if pattern is None:
-        pattern = patterns[(r, s)] = _pattern(cat, slot_of, r, s, col_basis, row_basis)
-    values = []  # slot -> signed raw value, in _slots' numbering
-    for key, entries in slot_of.items():
-        terms = mu2[key].terms
-        for g, _, _ in entries:
-            c = terms[g]
-            values += (c, -c)
+        pattern = patterns[(r, s)] = _pattern(alg.cat, slot_of, r, s, col_basis, row_basis)
+    # slot -> signed raw value, in _slots' numbering
+    values = [v for c in _coefficients(alg, slot_of) for v in (c, -c)]
     columns = [dict() for _ in col_basis]
     entries = iter(pattern)
     for j, i, slot in zip(entries, entries, entries):
@@ -251,6 +247,23 @@ def delta_matrix(alg: AInfStructure, r: int, s: int):
     for j, col in enumerate(columns):  # one column at a time: no second matrix
         columns[j] = canonical(col, alg.spec.characteristic)
     return col_basis, row_basis, columns
+
+
+def _support(alg: AInfStructure):
+    """The _PATTERNS entry of alg's category signature and mu^2 support:
+    (slot table, {(r, s): pattern}, {(r, s): Q record}), made empty on
+    first use."""
+    mu2 = alg.tables[2]
+    shape = (alg.cat.signature, frozenset((key, tuple(el.terms)) for key, el in mu2.items()))
+    if shape not in _PATTERNS:
+        _PATTERNS[shape] = (_slots(mu2), {}, {})
+    return _PATTERNS[shape]
+
+
+def _coefficients(alg: AInfStructure, slot_of) -> tuple:
+    """mu^2's coefficients as raw values, in _slots' order."""
+    mu2 = alg.tables[2]
+    return tuple(mu2[key].terms[g] for key, entries in slot_of.items() for g, _, _ in entries)
 
 
 def _slots(mu2) -> dict:
@@ -323,22 +336,54 @@ def _index_by_key(basis) -> dict:
 def hh_bar(spec: FieldSpec, r_max: int, alg: AInfStructure = None):
     """Bigraded Hochschild cohomology dimensions via the normalized bar
     complex and exact Gaussian elimination: {(r, s): dim}, zeros omitted.
+    alg (preset A by default) must be over spec's field (else ValueError).
 
     A cochain of length k has s = deg(output) - (degree sum of k inputs),
     so s lies in [lo - k * hi, hi - k * lo] for the generator degrees
     lo..hi; delta at (r, s) is built for every s at which C(r, s) or
-    C(r + 1, s) can be nonempty."""
+    C(r + 1, s) can be nonempty.
+
+    One elimination over Q serves every prime that does not divide its
+    pivot product.  Over Q with integral mu^2, each cell's rank R and
+    pivot product D (Echelon.pivot_product) are kept beside its pattern,
+    with mu^2's coefficients.  Let M be the integer matrix of delta
+    there: D is the determinant of an R x R minor of M, a nonzero
+    integer, and every (R + 1)-minor of M is 0.  A structure over F_p on
+    the same category and support whose coefficients are the Q ones mod
+    p has the matrix M mod p.  If p does not divide D, that minor stays
+    nonsingular mod p and the larger ones stay 0, so its rank is R:
+    hh_bar takes it without filling or eliminating the F_p matrix.  Every
+    other cell is filled and ranked over its own field."""
     alg = alg or preset_A(spec)
+    if alg.spec != spec:
+        raise field_mismatch(alg.spec.characteristic, spec.characteristic)
+    p = spec.characteristic
     degs = [g.degree for g in alg.cat.generators.values()]
     lo, hi = min(degs), max(degs)
     cells = []
     for r in range(r_max + 1):
         ends = [b for k in (r, r + 1) for b in (lo - k * hi, hi - k * lo)]
         cells += [(r, s) for s in range(min(ends), max(ends) + 1)]
+    slot_of, _, records = _support(alg)
+    coeffs = _coefficients(alg, slot_of)
+    integral = not p and all(type(c) is int for c in coeffs)
     blocks = {}
     for r, s in cells:
+        known = records.get((r, s)) if p else None
+        if known and known[2] % p and tuple(c % p for c in known[0]) == coeffs:
+            blocks[(r, s)] = (len(cochain_basis(alg, r, s)), known[1])
+            continue
         cols, rows, matrix = delta_matrix(alg, r, s)
-        blocks[(r, s)] = (len(cols), rank(matrix, spec.characteristic) if cols and rows else 0)
+        if not (cols and rows):
+            out, det = 0, 1
+        elif integral:
+            echelon = Echelon(matrix, p)
+            out, det = echelon.rank, echelon.pivot_product
+        else:
+            out = rank(matrix, p)
+        if integral:
+            records[(r, s)] = (coeffs, out, det)
+        blocks[(r, s)] = (len(cols), out)
     return cohomology_dims(blocks)
 
 
@@ -415,7 +460,12 @@ def solve_first(phi: Cochain, alg: AInfStructure, not_cocycle: Exception, solve)
     (delta_squares_to_zero): delta_matrix is the bracket's matrix
     (test_delta_matrix_matches_direct_coboundary) and each primitive is
     re-checked against it.  So the bracket runs only after a solve gives
-    None or a ValueError, or before it if delta^2 != 0."""
+    None or a ValueError, or before it if delta^2 != 0.  A phi over
+    another field than alg's is refused first (ValueError): its values
+    would be read as alg's."""
+    fields = {el.p for el in phi.table.values()} - {alg.spec.characteristic}
+    if fields:
+        raise field_mismatch(*fields, alg.spec.characteristic)
     exact = delta_squares_to_zero(alg)
     if not exact and not coboundary(phi, alg).is_zero():
         raise not_cocycle

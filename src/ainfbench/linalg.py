@@ -7,9 +7,10 @@ for F_p an int residue), over the field of characteristic p (0 for Q).
 built from the ones before it.  A column that keeps a nonzero residual is
 a pivot column and its residual joins the basis; a column that reduces to
 zero is free, and the multipliers that zeroed it give its kernel vector.
-``rank``, ``solve``, ``nullspace`` (and its lazy form ``Echelon.kernel``)
-and ``Echelon.residual``, empty exactly on the column space, all read this
-one factorization.
+``rank``, ``solve``, ``nullspace`` (and its lazy form ``Echelon.kernel``),
+``Echelon.residual``, empty exactly on the column space, and
+``Echelon.pivot_product``, the determinant of a nonsingular maximal minor,
+all read this one factorization.
 
 Why the outputs equal those of Gauss-Jordan elimination (``rref`` on the
 rows, first nonzero column first, kept as the test oracle): the pivot
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from heapq import heapify, heappop, heappush
+from math import prod
 
 from .scalars import canon, divide
 
@@ -69,6 +71,16 @@ class Echelon:
     @property
     def rank(self) -> int:
         return len(self.pivots)
+
+    @property
+    def pivot_product(self):
+        """prod_k scale[k], canonical: the determinant of the minor on the
+        pivot rows and pivot columns, since there the basis vectors form a
+        unit triangular matrix (each is 1 at its pivot row and 0 at the
+        earlier ones) and the steps an upper triangular one with diagonal
+        scale.  Exact: 1 over the product of the inverses _inv, by divide,
+        never a float; over Q an int when the columns are integral."""
+        return divide(1, prod(self._inv), self.p)
 
     def _reduce(self, col):
         """(residual, multipliers) of col against the basis."""

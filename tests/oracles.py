@@ -34,6 +34,10 @@ did (``class_coordinate``).
 
 ``partition_count`` counts the partitions of n by direct enumeration.
 
+``determinant`` takes the determinant of a square integer matrix by row
+elimination in Fractions, sharing nothing with Echelon's column
+reduction; it checks ``Echelon.pivot_product``.
+
 The bracket-first oracles check every cochain with the bracket before
 they solve for it, as the program once did (``bracket_first``).
 
@@ -744,6 +748,26 @@ def partition_count(n):
         return sum(count(remaining - k, k) for k in range(min(remaining, max_part), 0, -1))
 
     return count(n, n)
+
+
+def determinant(rows):
+    """The determinant of a square matrix given as dense integer rows:
+    Gaussian elimination in Fractions, the first nonzero entry of each
+    column as its pivot, a sign flip per row swap."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(m)):
+        i = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if i is None:
+            return 0
+        if i != k:
+            m[k], m[i] = m[i], m[k]
+            det = -det
+        det *= m[k][k]
+        for row in m[k + 1:]:
+            f = row[k] / m[k][k]
+            row[k:] = [a - f * b for a, b in zip(row[k:], m[k][k:])]
+    return det
 
 
 def check_unital(struct):

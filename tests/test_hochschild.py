@@ -422,3 +422,105 @@ def test_hh_bar_reaches_every_cell_of_a_degree_two_generator(char):
     assert hh_bar(F, 4, alg) == dims
     if char == 0:
         assert dims == {(0, 0): 1, (0, 2): 1, (1, 0): 1, (2, -4): 1, (3, -4): 1, (4, -8): 1}
+
+
+@pytest.mark.parametrize("table, structure", [(0, 3), (3, 0), (5, 2)])
+def test_hh_bar_refuses_a_structure_of_another_field(table, structure):
+    # residues mod 3 ranked as rationals gave delta^2 != 0 and negative
+    # dimensions; the Q records are keyed on the structure's field too
+    with pytest.raises(ValueError, match="field mismatch"):
+        hh_bar(FieldSpec(table), 7, preset_A(FieldSpec(structure)))
+
+
+def test_solves_refuse_a_cochain_of_another_field(Q):
+    # a cocycle over F5 is not "not a cocycle" over Q: every entry point
+    # behind solve_first names the mismatch, as class_coordinate does
+    from ainfbench.gauge import m6_certificate
+
+    phi = reference_cocycle(preset_A(FieldSpec(5)), 6, -4)
+    for entry in (is_coboundary, m6_certificate, class_coordinate):
+        with pytest.raises(ValueError, match="^field mismatch: F5 vs Q$"):
+            entry(phi, preset_A(Q))
+
+
+CERTIFIED_PRIMES = (2, 3, 5, 7, 2147483647)
+
+
+def test_certified_ranks_equal_direct_ranks(fresh_patterns):
+    # every rank over F_p that hh_bar takes from the Q elimination (p not
+    # dividing the pivot product) is the rank of the F_p matrix, and the
+    # tables are those of F_p alone, with no Q record; at r <= 9 only 2
+    # and 3 divide a pivot product
+    alone = {p: hh_bar(FieldSpec(p), 9) for p in CERTIFIED_PRIMES}
+    hh_bar(FieldSpec(0), 9)
+    (_, _, records), = fresh_patterns._PATTERNS.values()
+    assert {r for r, _ in records} == set(range(10))
+    for p in CERTIFIED_PRIMES:
+        A, uncertified = preset_A(FieldSpec(p)), []
+        for (r, s), (_, out, det) in records.items():
+            if det % p:
+                assert out == rank(delta_matrix(A, r, s)[2], p), (p, r, s)
+            else:
+                uncertified.append((r, s))
+        assert bool(uncertified) == (p < 5), p
+        assert hh_bar(FieldSpec(p), 9) == alone[p]
+
+
+def _unit_doubled(F):
+    # preset A with e0 o e1 = 2 e1: preset A's mu^2 support, not its ranks
+    A = preset_A(F)
+    mu2 = dict(A.tables[2])
+    mu2[("e0", "e1")] = mu2[("e0", "e1")].scale(2)
+    return AInfStructure(F, A.cat, A.truncation, {2: mu2})
+
+
+def test_q_ranks_serve_only_their_coefficients_mod_p(fresh_patterns):
+    # two structures on one support whose coefficients differ mod 5: the
+    # Q ranks of either are not taken for the other over F5
+    F5 = FieldSpec(5)
+    alone = [hh_bar(F5, 5), hh_bar(F5, 5, _unit_doubled(F5))]
+    assert alone[0] != alone[1]
+    fresh_patterns._PATTERNS.clear()
+    hh_bar(FieldSpec(0), 5, _unit_doubled(FieldSpec(0)))
+    assert hh_bar(F5, 5) == alone[0]
+    hh_bar(FieldSpec(0), 5)
+    assert hh_bar(F5, 5, _unit_doubled(F5)) == alone[1]
+    assert len(fresh_patterns._PATTERNS) == 1
+
+
+def _trace_eliminations(monkeypatch):
+    """{char: [(r, s)]}, filled as hh_bar builds an Echelon for the cell
+    (r, s) of a structure over F_char."""
+    current, out = [], {}
+    build, init = hochschild.delta_matrix, hochschild.Echelon.__init__
+
+    def traced_build(alg, r, s):
+        current[:] = [(alg.spec.characteristic, r, s)]
+        return build(alg, r, s)
+
+    def traced_init(self, columns, p, ncols=None):
+        char, r, s = current[0]
+        out.setdefault(char, []).append((r, s))
+        init(self, columns, p, ncols)
+
+    monkeypatch.setattr(hochschild, "delta_matrix", traced_build)
+    monkeypatch.setattr(hochschild.Echelon, "__init__", traced_init)
+    return out
+
+
+def test_q_elimination_certifies_all_but_the_torsion_cells(fresh_patterns, monkeypatch):
+    # Q ranks 24 nonempty cells at r <= 7; after it, F5 ranks none, F3 only
+    # (3, -2) (pivot product -3) and F2 only the 5 cells whose pivot
+    # products (4, -16, 2, 2, 2) are even; F2 alone ranks all 24
+    eliminated = _trace_eliminations(monkeypatch)
+    for char in (0, 5, 3, 2):
+        hh_bar(FieldSpec(char), 7)
+    assert len(eliminated[0]) == 24 and 5 not in eliminated
+    assert eliminated[3] == [(3, -2)]
+    assert eliminated[2] == [(2, -1), (4, -3), (5, -3), (6, -3), (7, -5)]
+    (_, _, records), = fresh_patterns._PATTERNS.values()
+    assert [records[c][2] for c in eliminated[2] + eliminated[3]] == [4, -16, 2, 2, 2, -3]
+    del eliminated[2]
+    monkeypatch.setattr(hochschild, "_PATTERNS", {})
+    hh_bar(FieldSpec(2), 7)
+    assert eliminated[2] == eliminated[0]

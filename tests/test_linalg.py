@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from ainfbench.linalg import Echelon, nullspace, rank, rref, solve
 from ainfbench.scalars import canon
 
@@ -180,3 +182,33 @@ def test_lazy_kernel_is_the_nullspace(char):
         columns, ncols, _ = _random_system(rng, char)
         ech = Echelon(columns, char, ncols)
         assert list(ech.kernel()) == ech.nullspace() == nullspace(columns, ncols, char)
+
+
+# dense integer columns, all of one height, some of them zero
+_INTEGER_COLUMNS = st.integers(1, 6).flatmap(lambda m: st.lists(
+    st.lists(st.integers(-4, 4), min_size=m, max_size=m), max_size=7))
+
+
+def _pivot_minor(echelon, columns):
+    """Dense rows of columns on echelon's pivot rows and pivot columns."""
+    return [[columns[j].get(row, 0) for j in echelon.pivots] for row in echelon._rows]
+
+
+@settings(max_examples=200)
+@given(_INTEGER_COLUMNS)
+def test_pivot_product_is_the_pivot_minor_determinant(dense):
+    # over Q the pivot product is the determinant of a nonsingular R x R
+    # minor, an int; mod p it settles the rank whenever p does not divide
+    # it, and the rank mod p never exceeds R
+    columns = [{i: v for i, v in enumerate(col) if v} for col in dense]
+    ech = Echelon(columns, 0)
+    det = ech.pivot_product
+    assert type(det) is int and det != 0
+    assert det == oracles.determinant(_pivot_minor(ech, columns))
+    for p in (2, 3, 5):
+        reduced = [{i: v % p for i, v in col.items() if v % p} for col in columns]
+        ech_p = Echelon(reduced, p)
+        assert ech_p.pivot_product == oracles.determinant(_pivot_minor(ech_p, reduced)) % p
+        assert ech_p.rank <= ech.rank
+        if det % p:
+            assert ech_p.rank == ech.rank

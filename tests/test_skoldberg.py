@@ -1,6 +1,8 @@
 import pytest
 
 from ainfbench.hochschild import hh_bar
+from ainfbench.linalg import rank
+from ainfbench.quiver import A_GENERATORS
 from ainfbench.scalars import FieldSpec, canon
 from ainfbench.skoldberg import (SkoldbergComplex, _dual_basis, _dual_differential,
                                  skoldberg_check, skoldberg_dims)
@@ -40,19 +42,53 @@ def test_dims_match_reference_through_40(char):
     assert skoldberg_dims(FieldSpec(char), 40) == expected_hh(char, 40)
 
 
-def test_resolution_ranks(Q):
-    cx = SkoldbergComplex(Q, 6)
-    # each P_j is built from two rank-one S-bimodule summands; basis sizes
-    # depend only on the source/target pattern of the spanning paths
-    assert all(len(b) > 0 for b in cx.bases)
+def _exact_through_5(cx):
+    """Whether P_6 -> ... -> P_0 -> A -> 0 is exact, by ranks: rank eps =
+    dim A, and rank p_j + rank p_(j+1) = dim P_j for j = 0..5, p_0 = eps."""
+    p = cx.spec.characteristic
+    ranks = [rank(cx.augmentation(), p)] + [rank(cx.differential(j), p) for j in range(1, 7)]
+    return ranks[0] == len(A_GENERATORS) and all(
+        ranks[j] + ranks[j + 1] == len(cx.bases[j]) for j in range(6))
+
+
+def test_resolution_ranks():
+    # exact at j = 0..5, and P_(j+4), p_(j+4) are P_j, p_j for j >= 2 (the
+    # words grow, the matrices do not), so exact at every j: the dual
+    # complex computes HH, not just a complex's cohomology
+    for char in (0, 2, 3, 5):
+        cx = SkoldbergComplex(FieldSpec(char), 25)
+        assert all(len(b) == 18 for b in cx.bases)
+        assert _exact_through_5(cx), char
+        for j in range(2, 22):
+            assert cx.bases[j] == cx.bases[j + 4]
+            assert cx.differential(j) == cx.differential(j + 4), (char, j)
+
+
+def test_exactness_sees_a_zero_differential(monkeypatch):
+    # p_3 = 0 keeps p o p = 0, which is all skoldberg_check sees; the ranks
+    # see that the complex stops being exact
+    differential = SkoldbergComplex.differential
+
+    def zero_p3(self, j):
+        cols = differential(self, j)
+        return [{} for _ in cols] if j == 3 else cols
+
+    monkeypatch.setattr(SkoldbergComplex, "differential", zero_p3)
+    for char in (0, 2):
+        assert skoldberg_check(FieldSpec(char), 25)
+        assert not _exact_through_5(SkoldbergComplex(FieldSpec(char), 6))
 
 
 @pytest.mark.parametrize("char", [0, 2, 3, 5])
 def test_agrees_with_bar_complex(char):
+    # through r = 8, with Q ranked first: the F_p bar tables then take every
+    # rank the Q elimination certifies, and the small resolution checks
+    # them independently
     spec = FieldSpec(char)
-    bar = hh_bar(spec, 6)
-    small = {k: v for k, v in skoldberg_dims(spec, 6).items()}
-    assert bar == small
+    bar = hh_bar(FieldSpec(0), 8)
+    if char:
+        bar = hh_bar(spec, 8)
+    assert bar == skoldberg_dims(spec, 8)
 
 
 def test_eight_periodicity_rational(Q):
