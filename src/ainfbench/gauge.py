@@ -28,12 +28,15 @@ as it goes: psi^d, the arity-d functor equation with g^(d-1) = 0 (mu^m
 spliced into the known g^k, mu_new^r, r < d, pulled to length d through
 the known blocks), is shifted by g^(d-1) only as -delta(g^(d-1)).  At d in
 _NORMAL_FORM g^(d-1) is the primitive of psi^d, so mu_new^d = 0 is never
-scattered; at d = 6, 8 the class of mu_new^d = psi^d is read.  gauge-fix
-normalizes by kill_orders, one action of a one-component gauge per killed
-order, because the one pass plus one action of its several-component gauge
-is slower from order 10 up: orders 3, 4, 5 of the transferred model over
-Q took 1.4 s against 0.3 s at order 12 and 0.12 s against 0.08 s at
-order 10, and about the same at order 8.
+scattered; at d = 6, 8 the class c of psi^d is read, and g^(d-1) is the
+re-checked primitive of psi^d - c * reference that proves it, so
+mu_new^d = c * reference: at d = 6 the reference's 28 keys, not psi^6's
+86-100 on orbit points of the transfer, are pulled to arities 7 and 8.
+gauge-fix normalizes by kill_orders, one action of a one-component gauge
+per killed order, because the one pass plus one action of its
+several-component gauge is slower from order 10 up: orders 3, 4, 5 of
+the transferred model over Q took 1.4 s against 0.3 s at order 12 and
+0.12 s against 0.08 s at order 10, and about the same at order 8.
 
 Rescaling mu^d -> t^(d-2) mu^d, g^k -> t^(k-1) g^k gives each term of the
 functor equation and of mc_extend's obstruction equation weight d - 2, and
@@ -54,6 +57,7 @@ from .hochschild import (
     Cochain,
     _entries,
     class_coordinate,
+    class_split,
     cochain_basis,
     cochain_to_vector,
     mu_cochain,
@@ -340,11 +344,13 @@ def _extract_invariants(mu: AInfStructure) -> DeformationClass:
             psi = Cochain(d, 2 - d, _entries(acc, cat, mu.spec.characteristic))
         else:  # the gauge is the identity so far
             psi = mu_cochain(mu, d)
-        if d not in _NORMAL_FORM:
-            coords[d] = solve_first(psi, mu, AssertionError(
+        if d not in _NORMAL_FORM:  # psi^d = c * reference + delta(nu)
+            coords[d], nu = solve_first(psi, mu, AssertionError(
                 f"mu^{d} failed to be a cocycle after gauge fixing"),
-                lambda: class_coordinate(psi, mu))
-            new[d] = psi.table
+                lambda: class_split(psi, mu))
+            new[d] = reference_cocycle(mu, d, 2 - d).scale(coords[d]).table
+            if not nu.is_zero():
+                gauge.components[d - 1] = nu.table
         elif not psi.is_zero():
             gauge.components[d - 1] = _primitive(psi, mu).table
     return DeformationClass(coords[6], coords[8], reference_cocycle(mu, 6, -4),

@@ -148,7 +148,7 @@ def coboundary(phi: Cochain, alg: AInfStructure) -> Cochain:
 
 # The field-independent parts of delta, each then by (r, s): bases by
 # category signature, and the entry patterns of delta_matrix by (category
-# signature, mu^2 support), each support with its slot table (_slots).
+# signature, mu^2 support), each support with its slot tables (_slots).
 # Neither holds a value, so every field and every structure on one
 # category (and one support) shares them.  Beside each support's
 # patterns, hh_bar keeps the last rank over Q of an integral mu^2 on it
@@ -185,16 +185,17 @@ def _enumerate_basis(cat, r: int, s: int):
                 if gen.target == obj and gen.degree == s:
                     out.append((obj, g))
         return out
-    gens = cat.nonidentity_generators()
-    totals = {g.degree - s for g in cat.generators.values()}
-    for t, total in cat.tuples(r, gens, totals, sums=True):
-        want = total + s
-        src = cat.source(t[-1])
-        tgt = cat.target(t[0])
-        for g in cat.gens_from(src):
+    # the outputs of a tuple by (its source, its target, its degree sum)
+    outputs = {}
+    for obj in cat.objects:
+        for g in cat.gens_from(obj):
             gen = cat.generators[g]
-            if gen.target == tgt and gen.degree == want:
-                out.append((t, g))
+            outputs.setdefault((obj, gen.target, gen.degree - s), []).append(g)
+    src = {n: g.source for n, g in cat.generators.items()}
+    tgt = {n: g.target for n, g in cat.generators.items()}
+    totals = {total for _, _, total in outputs}
+    for t, total in cat.tuples(r, cat.nonidentity_generators(), totals, sums=True):
+        out += [(t, g) for g in outputs.get((src[t[-1]], tgt[t[0]], total), ())]
     return out
 
 
@@ -226,19 +227,19 @@ def delta_matrix(alg: AInfStructure, r: int, s: int):
     {row index: raw value}; the bases are cochain_basis' shared lists.
     Which entries delta has, and which mu^2 coefficient each reads with
     which sign, depend only on the category and on mu^2's support, not on
-    the field or the values: that pattern (_pattern) is walked once per
-    (category signature, support) and (r, s) and cached.  Each call fills
-    it: the signed mu^2 values are summed raw into the columns in the
-    walk's order, so each column's entries come in the order the walk
-    first meets them, and made canonical once, at the end.
+    the field or the values: that pattern (_pattern) is built once per
+    (category signature, support) and (r, s), column by column, and
+    cached.  Each call fills it: the signed mu^2 values are summed raw
+    into the columns in the pattern's order, so each column's entries
+    come in ascending row order, and made canonical once, at the end.
     """
     col_basis, row_basis = cochain_basis(alg, r, s), cochain_basis(alg, r + 1, s)
-    slot_of, patterns, _ = _support(alg)
+    slots, patterns, _ = _support(alg)
     pattern = patterns.get((r, s))
     if pattern is None:
-        pattern = patterns[(r, s)] = _pattern(alg.cat, slot_of, r, s, col_basis, row_basis)
+        pattern = patterns[(r, s)] = _pattern(alg.cat, slots, r, s, col_basis, row_basis)
     # slot -> signed raw value, in _slots' numbering
-    values = [v for c in _coefficients(alg, slot_of) for v in (c, -c)]
+    values = [v for c in _coefficients(alg, slots) for v in (c, -c)]
     columns = [dict() for _ in col_basis]
     entries = iter(pattern)
     for j, i, slot in zip(entries, entries, entries):
@@ -251,85 +252,85 @@ def delta_matrix(alg: AInfStructure, r: int, s: int):
 
 def _support(alg: AInfStructure):
     """The _PATTERNS entry of alg's category signature and mu^2 support:
-    (slot table, {(r, s): pattern}, {(r, s): Q record}), made empty on
+    (slot tables, {(r, s): pattern}, {(r, s): Q record}), made empty on
     first use."""
     mu2 = alg.tables[2]
     shape = (alg.cat.signature, frozenset((key, tuple(el.terms)) for key, el in mu2.items()))
     if shape not in _PATTERNS:
-        _PATTERNS[shape] = (_slots(mu2), {}, {})
+        _PATTERNS[shape] = (_slots(mu2, alg.cat), {}, {})
     return _PATTERNS[shape]
 
 
-def _coefficients(alg: AInfStructure, slot_of) -> tuple:
+def _coefficients(alg: AInfStructure, slots) -> tuple:
     """mu^2's coefficients as raw values, in _slots' order."""
     mu2 = alg.tables[2]
-    return tuple(mu2[key].terms[g] for key, entries in slot_of.items() for g, _, _ in entries)
+    return tuple(mu2[key].terms[g] for key, entries in slots[0].items() for g, _, _ in entries)
 
 
-def _slots(mu2) -> dict:
-    """{mu^2 key: [(output generator, +slot, -slot)]}: slots 2n and 2n + 1
-    hold the n-th coefficient of mu^2's support and its negative."""
-    out, n = {}, 0
-    for key, el in mu2.items():
-        out[key] = []
+def _slots(mu2, cat) -> tuple:
+    """(slot_of, right, left, preimages): slot_of is {mu^2 key: [(output
+    generator, +slot, -slot)]}, slots 2n and 2n + 1 holding the n-th
+    coefficient of mu^2's support and its negative.  The other three list
+    the same slots by what a column of delta meets, over keys of
+    non-identity letters: right[h] holds (x, g, +, -) for each key (x, h)
+    and output g, left[h] (y, g, +, -) for each key (h, y), and
+    preimages[g] (a, b, +, -) for each key (a, b) whose value holds g."""
+    slot_of, right, left, preimages, n = {}, {}, {}, {}, 0
+    plain = set(cat.nonidentity_generators())
+    for (a, b), el in mu2.items():
+        slot_of[(a, b)] = []
         for g in el.terms:
-            out[key].append((g, n, n + 1))
+            slot_of[(a, b)].append((g, n, n + 1))
+            if a in plain:
+                right.setdefault(b, []).append((a, g, n, n + 1))
+            if b in plain:
+                left.setdefault(a, []).append((b, g, n, n + 1))
+            if a in plain and b in plain:
+                preimages.setdefault(g, []).append((a, b, n, n + 1))
             n += 2
-    return out
+    return slot_of, right, left, preimages
 
 
-def _pattern(cat, slot_of, r: int, s: int, col_basis, row_basis):
+def _pattern(cat, slots, r: int, s: int, col_basis, row_basis):
     """The entries of delta at (r, s) as a flat array of (column, row,
-    slot) triples, in the order of the row-wise three-term expansion of
-    delta, independent of coboundary(), which brackets with mu^2; the test
-    suite checks the two against each other."""
-    cols, rows = _index_by_key(col_basis), _index_by_key(row_basis)
-    deg = {n: g.degree for n, g in cat.generators.items()}
-    flip_phi = (r + s - 1) % 2 == 1
+    slot) triples, column by column, each column's rows ascending: the
+    three-term expansion of delta, independent of coboundary(), which
+    brackets with mu^2; the test suite checks the two against each other.
+
+    A column (w, h) (w = () at r = 0) meets exactly the rows ((x,) + w, g)
+    with g in mu^2(x, h), the rows (w + (y,), g) with g in mu^2(h, y), and
+    the rows (w[:n] + (a, b) + w[n+1:], h) with w[n] in mu^2(a, b), the
+    last signed by the parity of w's tail after n.  Each candidate costs
+    one index lookup, so the walk is linear in the entries."""
+    _, right, left, preimages = slots
+    rows = {b: i for i, b in enumerate(row_basis)}
+    odd = cat.odd
+    flip = (r + s - 1) % 2  # ||phi||
     out = array("i")
-    add = out.extend
-    # A tuple without a row contributes nothing, so only the row basis'
-    # tuples are walked, in order.  A column key lists exactly the basis'
-    # outputs, in the order of cat.gens_from.
-    for t, row_of in rows.items():
-        if r == 0:
-            sides = ((cat.source(t[0]), "right"), (cat.target(t[0]), "left"))
-        else:
-            sides = ((t[1:], "right"), (t[:-1], "left"))
-        for key, side in sides:
-            for h, j in cols.get(key, {}).items():
-                if side == "right":
-                    terms = slot_of.get((t[0], h), ())
-                    negate = False
-                else:
-                    terms = slot_of.get((h, t[-1]), ())
-                    negate = flip_phi and (deg[t[-1]] - 1) % 2 == 1
-                for g, plus, minus in terms:
-                    i = row_of.get(g)
+    for j, (w, h) in enumerate(col_basis):
+        if not r:
+            w = ()
+        hits = []
+        for x, g, plus, _ in right.get(h, ()):
+            i = rows.get(((x,) + w, g))
+            if i is not None:
+                hits.append((i, plus))
+        for y, g, plus, minus in left.get(h, ()):
+            i = rows.get((w + (y,), g))
+            if i is not None:
+                hits.append((i, minus if flip and odd[y] else plus))
+        negate = 1 ^ flip  # (-1)^(1 + ||phi|| + ||w[n+1:]||)
+        for n in range(r - 1, -1, -1):
+            c = w[n]
+            if c in preimages:
+                head, tail = w[:n], w[n + 1:]
+                for a, b, plus, minus in preimages[c]:
+                    i = rows.get((head + (a, b) + tail, h))
                     if i is not None:
-                        add((j, i, minus if negate else plus))
-        if r >= 1:
-            eps = 0
-            for n in range(r):
-                lo = r - 1 - n
-                inner = slot_of.get((t[lo], t[lo + 1]))
-                if inner is not None:
-                    head, tail = t[:lo], t[lo + 2:]
-                    negate = (1 + (1 if flip_phi else 0) + eps) % 2 == 1
-                    for g, plus, minus in inner:
-                        for h, j in cols.get(head + (g,) + tail, {}).items():
-                            i = row_of.get(h)
-                            if i is not None:
-                                add((j, i, minus if negate else plus))
-                eps += deg[t[r - n]] - 1
-    return out
-
-
-def _index_by_key(basis) -> dict:
-    """{key: {output: index}} of a basis, keys and outputs in its order."""
-    out = {}
-    for i, (key, g) in enumerate(basis):
-        out.setdefault(key, {})[g] = i
+                        hits.append((i, minus if negate else plus))
+            negate ^= odd[c]
+        hits.sort()
+        out.extend([v for i, slot in hits for v in (j, i, slot)])
     return out
 
 
@@ -364,8 +365,8 @@ def hh_bar(spec: FieldSpec, r_max: int, alg: AInfStructure = None):
     for r in range(r_max + 1):
         ends = [b for k in (r, r + 1) for b in (lo - k * hi, hi - k * lo)]
         cells += [(r, s) for s in range(min(ends), max(ends) + 1)]
-    slot_of, _, records = _support(alg)
-    coeffs = _coefficients(alg, slot_of)
+    slots, _, records = _support(alg)
+    coeffs = _coefficients(alg, slots)
     integral = not p and all(type(c) is int for c in coeffs)
     blocks = {}
     for r, s in cells:
@@ -379,6 +380,7 @@ def hh_bar(spec: FieldSpec, r_max: int, alg: AInfStructure = None):
         elif integral:
             echelon = Echelon(matrix, p)
             out, det = echelon.rank, echelon.pivot_product
+            del echelon  # else held while the next cell is built and eliminated
         else:
             out = rank(matrix, p)
         if integral:
@@ -441,17 +443,18 @@ class Cell:
         return Cochain(self.r, self.s, self._reference.table)
 
     def coordinate(self, phi: Cochain):
-        """The raw value c with phi = c * reference + delta(nu) in a
-        1-dimensional cell.  Residuals are linear and vanish on the image,
-        so c is the ratio of phi's and the reference's at one row; the
-        re-checked primitive of phi - c * reference proves it (ValueError
-        if there is none)."""
+        """(c, nu): the raw value c with phi = c * reference + delta(nu) in
+        a 1-dimensional cell, and that nu.  Residuals are linear and vanish
+        on the image, so c is the ratio of phi's and the reference's at one
+        row; nu, the re-checked primitive of phi - c * reference, proves it
+        (ValueError if there is none)."""
         ref = self.reference()
         at = self.echelon.residual(cochain_to_vector(phi, self.rows)).get(self._row, 0)
         c = divide(at, self._ref_value, self.echelon.p)
-        if self.primitive(phi - ref.scale(c)) is None:
+        nu = self.primitive(phi - ref.scale(c))
+        if nu is None:
             raise ValueError("phi is not cohomologous to a multiple of the reference")
-        return c
+        return c, nu
 
 
 def solve_first(phi: Cochain, alg: AInfStructure, not_cocycle: Exception, solve):
@@ -526,8 +529,13 @@ def reference_cocycle(alg: AInfStructure, r: int, s: int) -> Cochain:
     return _cell(alg, r, s).reference()
 
 
-def class_coordinate(phi: Cochain, alg: AInfStructure):
-    """The raw value c with phi = c * reference_cocycle + coboundary in a
-    1-dimensional cell (Cell.coordinate); its re-checked primitive proves
-    phi a cocycle."""
+def class_split(phi: Cochain, alg: AInfStructure):
+    """(c, nu) with phi = c * reference_cocycle + delta(nu) in a
+    1-dimensional cell (Cell.coordinate); the re-checked nu proves phi a
+    cocycle."""
     return _cell(alg, phi.r, phi.s).coordinate(phi)
+
+
+def class_coordinate(phi: Cochain, alg: AInfStructure):
+    """The raw value c of class_split: phi's class against the reference."""
+    return class_split(phi, alg)[0]

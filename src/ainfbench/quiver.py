@@ -22,7 +22,6 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -139,42 +138,42 @@ class QuiverCategory:
 
         With totals (a set of ints), only the tuples whose degree sum lies
         in it, in the same order.  The search carries each prefix's degree
-        sum and drops the prefix as soon as no total lies between that sum
-        plus the least and plus the most its remaining letters can add.
-        With sums, each tuple comes as (tuple, degree sum), the sum the
-        search has carried."""
+        sum and drops the prefix as soon as no k letters can take that sum
+        to a total, k the letters it still lacks: fits[k], the sums from
+        which k letters reach a total, is built once, so each push is one
+        set lookup.  Without totals every d-letter sum is a total.  With
+        sums, each tuple comes as (tuple, degree sum), the sum the search
+        has carried."""
         if d < 1:
             return
         names = list(alphabet) if alphabet is not None else list(self.generators)
         gens = self.generators
+        deg = {n: gens[n].degree for n in names}
+        steps = set(deg.values())
+        if totals is None:
+            totals = {0}
+            for _ in range(d):
+                totals = {t + g for t in totals for g in steps}
+        fits = [set(totals)]
+        for _ in range(d - 1):
+            fits.append({t - g for t in fits[-1] for g in steps})
+        # the letters that may follow each letter, reversed, so that the
+        # depth-first stack pops them in declaration order
         by_target = {o: [] for o in self.objects}
         for n in reversed(names):
             by_target[gens[n].target].append(n)
-        if totals is not None:
-            totals = sorted(set(totals))
-            degs = [gens[n].degree for n in names] or [0]
-            least, most = min(degs), max(degs)
-
-        def keep(total, remaining):
-            if totals is None:
-                return True
-            # is some total in [total + remaining*least, total + remaining*most]?
-            i = bisect_left(totals, total + remaining * least)
-            return i < len(totals) and totals[i] <= total + remaining * most
-
-        # depth first with an explicit stack; by_target and the first
-        # letters are pushed in reverse, so they pop in declaration order
-        stack = [((n,), gens[n].degree) for n in reversed(names)
-                 if keep(gens[n].degree, d - 1)]
+        after = {n: by_target[gens[n].source] for n in names}
+        stack = [((n,), deg[n]) for n in reversed(names) if deg[n] in fits[d - 1]]
         while stack:
             prefix, total = stack.pop()
             remaining = d - len(prefix)
             if remaining == 0:
                 yield (prefix, total) if sums else prefix
                 continue
-            for n in by_target[gens[prefix[-1]].source]:
-                t = total + gens[n].degree
-                if keep(t, remaining - 1):
+            fit = fits[remaining - 1]
+            for n in after[prefix[-1]]:
+                t = total + deg[n]
+                if t in fit:
                     stack.append((prefix + (n,), t))
 
     def tuples_among(self, candidates, alphabet=None) -> list:

@@ -7,7 +7,9 @@ keys, in the same order, with equal Elements.
 
 The Hochschild oracles build each basis from every composable tuple and
 assemble the delta matrix's rows over every composable tuple, as the
-program once did.
+program once did.  ``pattern_by_rows`` finds delta's entries row by row,
+testing every adjacent pair of each row's tuple, as the program once did
+before it built each column's rows from the column.
 
 The polygon oracles run in Fractions, as the program once did, and share
 no geometry with its integer census: the pushoff profile, the curve lifts
@@ -277,6 +279,52 @@ def delta_matrix(alg, r, s):
                                 add(j, i, -c if negate else c)
                 eps += degs[r - n] - 1
     return col_basis, row_basis, columns
+
+
+def pattern_by_rows(cat, slot_of, r, s, col_basis, row_basis):
+    """hochschild._pattern's (column, row, slot) triples by the row walk:
+    every row's tuple tests each column key one letter shorter and each
+    adjacent pair of its letters against slot_of ({mu^2 key: [(output,
+    +slot, -slot)]}), in the order of the row basis."""
+    cols, rows = {}, {}
+    for index, basis in ((cols, col_basis), (rows, row_basis)):
+        for i, (key, g) in enumerate(basis):
+            index.setdefault(key, {})[g] = i
+    deg = {n: g.degree for n, g in cat.generators.items()}
+    flip_phi = (r + s - 1) % 2 == 1
+    out = []
+    for t, row_of in rows.items():
+        if r == 0:
+            sides = ((cat.source(t[0]), "right"), (cat.target(t[0]), "left"))
+        else:
+            sides = ((t[1:], "right"), (t[:-1], "left"))
+        for key, side in sides:
+            for h, j in cols.get(key, {}).items():
+                if side == "right":
+                    terms = slot_of.get((t[0], h), ())
+                    negate = False
+                else:
+                    terms = slot_of.get((h, t[-1]), ())
+                    negate = flip_phi and (deg[t[-1]] - 1) % 2 == 1
+                for g, plus, minus in terms:
+                    i = row_of.get(g)
+                    if i is not None:
+                        out.append((j, i, minus if negate else plus))
+        if r >= 1:
+            eps = 0
+            for n in range(r):
+                lo = r - 1 - n
+                inner = slot_of.get((t[lo], t[lo + 1]))
+                if inner is not None:
+                    head, tail = t[:lo], t[lo + 2:]
+                    negate = (1 + (1 if flip_phi else 0) + eps) % 2 == 1
+                    for g, plus, minus in inner:
+                        for h, j in cols.get(head + (g,) + tail, {}).items():
+                            i = row_of.get(h)
+                            if i is not None:
+                                out.append((j, i, minus if negate else plus))
+                eps += deg[t[r - n]] - 1
+    return out
 
 
 def transfer(split, order):

@@ -756,6 +756,35 @@ def test_one_pass_equals_sequential_extraction(char, monkeypatch):
     assert {inv.pair() for inv in got[2:]} == {(F.scalar(-1, 48), F.scalar(1, 864))}
 
 
+@pytest.mark.parametrize("char", [0, 5, 7], ids=["Q", "F5", "F7"])
+def test_one_pass_gauges_mu6_down_to_its_class(char, monkeypatch):
+    # after reading c6, g^5 is the primitive of psi^6 - c6 * reference, so
+    # mu_new^6 = c6 * reference: the only arity-6 table pulled to arities
+    # 7 and 8 has the reference's keys, not psi^6's, and the pair is the
+    # sequential oracle's.  Without that g^5 the pair is wrong.
+    F = FieldSpec(char)
+    model = transfer(preset_splitting_C(F), 8).minimal
+    ref6 = reference_cocycle(model, 6, -4)
+    scatter, pulled = gauge_mod._scatter, []
+
+    def recorded(accs, table, *rest):
+        if table and len(next(iter(table))) == 6:
+            pulled.append((next(iter(accs)), table))
+        scatter(accs, table, *rest)
+
+    for seed in (21, 22, 23):
+        moved = gauge_apply(random_gauge(F, model.cat, random.Random(seed)), model, 8)
+        pulled.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(gauge_mod, "_scatter", recorded)
+            got = extract_invariants(moved)
+        assert got == _sequentially(monkeypatch, extract_invariants, moved)
+        assert got.pair() == (F.scalar(-1, 48), F.scalar(1, 864))
+        # the pass runs on the structure rescaled by t, where m6 reads t^4 m6
+        c6 = F.scalar(-1, 48) * gauge_mod.weight_scale(moved) ** 4
+        assert pulled == [(7, ref6.scale(c6).table), (8, ref6.scale(c6).table)]
+
+
 @pytest.mark.parametrize("d, error, message", [
     (4, ValueError, "mu^4 is not a cocycle; lower orders unkilled?"),
     (6, AssertionError, "mu^6 failed to be a cocycle after gauge fixing"),

@@ -309,9 +309,9 @@ def _cells(cat, r_max):
     ("A", 0, 7), ("A", 2, 7), ("A", 3, 7), ("A", 5, 7), ("C", 0, 6), ("D", 0, 4),
 ])
 def test_bases_and_delta_columns_match_full_enumeration(preset, char, r_max):
-    # the degree-pruned bases and the row loop over the row basis' tuples
-    # give the full enumeration's bases and columns, in order, column
-    # entries in insertion order
+    # the degree-pruned bases and the column-built pattern give the full
+    # enumeration's bases and columns, in order, column entries in
+    # insertion order
     alg = {"A": preset_A, "C": preset_C, "D": preset_D}[preset](FieldSpec(char))
     nonempty = 0
     for r, s in _cells(alg.cat, r_max):
@@ -322,6 +322,20 @@ def test_bases_and_delta_columns_match_full_enumeration(preset, char, r_max):
         assert [list(c.items()) for c in columns] == [list(c.items()) for c in want], (r, s)
         nonempty += bool(cols and rows)
     assert nonempty >= 3 * r_max
+
+
+@pytest.mark.parametrize("char", [0, 5], ids=["Q", "F5"])
+def test_delta_columns_match_full_enumeration_at_the_classify_cells(char):
+    # the cells mc_extend(10) builds on preset A, up to (10, -8), whose
+    # 750 columns meet 2,508 rows: bases, columns and each column's
+    # insertion order, as in the sweep above
+    A = preset_A(FieldSpec(char))
+    for r, s in ((5, -4), (6, -4), (7, -6), (8, -6), (10, -8)):
+        cols, rows, columns = delta_matrix(A, r, s)
+        want_cols, want_rows, want = oracles.delta_matrix(A, r, s)
+        assert (cols, rows) == (want_cols, want_rows), (r, s)
+        assert [list(c.items()) for c in columns] == [list(c.items()) for c in want], (r, s)
+    assert (len(cols), len(rows)) == (750, 2508)
 
 
 @pytest.fixture
@@ -358,6 +372,35 @@ def test_hh_bar_walks_each_delta_pattern_once_across_fields(fresh_patterns, monk
     assert sorted(enumerations) == sorted({(r + k, s) for r, s in cells for k in (0, 1)})
     A = preset_A(FieldSpec(3))
     assert delta_matrix(A, 5, -4)[1] is delta_matrix(A, 6, -4)[0]
+
+
+def test_pruned_basis_search_is_the_full_enumeration_up_to_length_11(fresh_patterns):
+    # the search drops a prefix once no letters can take its degree sum to
+    # a wanted total; at every cell of preset A with r <= 11 it keeps
+    # exactly the full enumeration's basis
+    A = preset_A(FieldSpec(0))
+    nonempty = 0
+    for r, s in _cells(A.cat, 11):
+        want = oracles.cochain_basis(A, r, s)
+        assert cochain_basis(A, r, s) == want, (r, s)
+        nonempty += bool(want)
+    assert nonempty == 54
+
+
+@pytest.mark.parametrize("preset, r_max", [("A", 10), ("C", 7), ("D", 4)])
+def test_column_built_pattern_is_the_row_walk(preset, r_max, fresh_patterns):
+    # every (column, row, slot) triple of delta, as a multiset, against the
+    # walk over the row basis that tests each adjacent pair of each row
+    alg = {"A": preset_A, "C": preset_C, "D": preset_D}[preset](FieldSpec(0))
+    slots = hochschild._support(alg)[0]
+    nonempty = 0
+    for r, s in _cells(alg.cat, r_max):
+        cols, rows = cochain_basis(alg, r, s), cochain_basis(alg, r + 1, s)
+        got = hochschild._pattern(alg.cat, slots, r, s, cols, rows)
+        want = oracles.pattern_by_rows(alg.cat, slots[0], r, s, cols, rows)
+        assert sorted(zip(got[::3], got[1::3], got[2::3])) == sorted(want), (r, s)
+        nonempty += bool(want)
+    assert nonempty >= 3 * r_max
 
 
 def _one_product_removed(F):
