@@ -419,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("triangle", help="polygon products behind the exact triangle")
     p.add_argument("--wrap", type=int, default=4)
-    p.add_argument("--scene", help="scene file (scene_dump format) instead of the preset")
+    p.add_argument("--scene", help="scene file (format in README) instead of the preset")
     p.add_argument("--svg", help="directory for witness figures")
     p.add_argument("--out")
     p.set_defaults(func=cmd_triangle)

@@ -213,8 +213,7 @@ def cochain_to_vector(phi: Cochain, basis) -> dict:
 
 def vector_to_cochain(vec, basis, r: int, s: int, spec: FieldSpec) -> Cochain:
     terms: dict = {}
-    for i, (key, g) in enumerate(basis):
-        v = vec.get(i) if isinstance(vec, dict) else vec[i]
+    for (key, g), v in zip(basis, vec, strict=True):
         if v:
             terms.setdefault(key, {})[g] = v
     return Cochain(r, s, {key: Element(t, spec.characteristic) for key, t in terms.items()})

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .quiver import (AInfStructure, Element, QuiverCategory, ZERO, accumulate, dump,
-                     preset_A, preset_C, table_rows, tensor_terms)
-from .scalars import FieldSpec
+                     preset_A, preset_C, table_rows)
+from .scalars import FieldSpec, tensor_terms
 
 
 def _apply_linear(mapping: dict, el: Element) -> Element:
@@ -42,6 +42,7 @@ class SplittingData:
         """
         amb = self.ambient
         p = amb.spec.characteristic
+        mu1 = {key[0]: el for key, el in amb.tables.get(1, {}).items()}
         for h in self.harmonic.generators:
             img = _apply_linear(self.proj, self.incl[h])
             if img != Element.single(h, 1, p):
@@ -50,8 +51,8 @@ class SplittingData:
             el = Element.single(g, 1, p)
             ip = _apply_linear(self.incl, _apply_linear(self.proj, el))
             t_el = self.homotopy.get(g, ZERO)
-            d_t = amb.evaluate_elements(1, [t_el]) if not t_el.is_zero() else ZERO
-            t_d = _apply_linear(self.homotopy, amb.evaluate_elements(1, [el]))
+            d_t = _apply_linear(mu1, t_el)
+            t_d = _apply_linear(self.homotopy, _apply_linear(mu1, el))
             if ip - el != d_t + t_d:
                 raise ValueError(f"i p - id != mu1 T + T mu1 on {g}")
             if not _apply_linear(self.homotopy, t_el).is_zero():

@@ -430,21 +430,6 @@ def triangle_criterion(scene: PolygonScene, wrap_bound: int):
 # scene files
 # ---------------------------------------------------------------------------
 
-def scene_dump(scene: PolygonScene) -> str:
-    """Line-oriented scene file: curves with kind/orientation/star offset,
-    the basepoint, pushoff star and Maslov offsets, all exact rationals."""
-    lines = ["SCENE"]
-    for name in sorted(scene.curves):
-        c = scene.curves[name]
-        sign = "+1" if c.orientation > 0 else "-1"
-        lines.append(f"curve {name} {c.kind} {sign} star {c.star}")
-    lines.append(f"z {scene.z[0]} {scene.z[1]}")
-    lines.append(f"pushoff_star {scene.pushoff_star}")
-    for point in sorted(scene.maslov):
-        lines.append(f"maslov {point} {scene.maslov[point]}")
-    return "\n".join(lines) + "\n"
-
-
 # the kind each curve's name stands for, and the points that need a
 # Maslov offset: the enumerators assume both (no census reads x_top's)
 _CURVE_KINDS = {"gamma0": "h", "gamma1": "v", "gamma2": "d"}

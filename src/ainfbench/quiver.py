@@ -14,7 +14,7 @@ Conventions, fixed once for the whole package:
       eps_n = sum_{i<=n} (deg(a_i) - 1).
 
   This is the unique convention (up to global equivalence) under which the
-  dg presets below satisfy the relations, minimal products relate to the
+  presets below satisfy the relations, minimal products relate to the
   composition product by mu^2(x,y) = (-1)^{deg y} (x o y), and the
   Hochschild coboundary of hochschild.py is bracketing with mu^2.
 """
@@ -25,9 +25,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .linalg import cohomology_dims, rank
-from .scalars import (ZERO, Element, FieldSpec, accumulate, field_mismatch, parse_scalar,
-                      tensor_terms)
+from .scalars import ZERO, Element, FieldSpec, accumulate, field_mismatch, parse_scalar
 
 
 @dataclass(frozen=True)
@@ -72,7 +70,7 @@ class QuiverCategory:
     """Objects, graded generating morphisms, and designated identities.
 
     The identity of an object may be a single degree-0 generator or a
-    formal combination of idempotents (as in the simplicial dg preset).
+    formal combination of idempotents (as in the tests' simplicial preset).
     """
 
     def __init__(self, objects, generators, identities):
@@ -245,13 +243,6 @@ class AInfStructure:
                 raise ValueError(f"table arity {d} not in 1..{self.truncation}")
             check_table(self.cat, f"mu^{d}", table, 2, d, self.spec.characteristic)
 
-    def evaluate_elements(self, d: int, elements) -> Element:
-        """Multilinear extension of mu^d to a tuple of Elements."""
-        table = self.tables.get(d)
-        if table is None:
-            return ZERO
-        return Element(accumulate({}, table, tensor_terms(elements)), self.spec.characteristic)
-
     def present_arities(self):
         return sorted(d for d, t in self.tables.items() if t)
 
@@ -294,24 +285,6 @@ class AInfStructure:
                 splices(acc, tables.get(d - m + 1, {}), inner, cat.odd)
             bad += [(d, t) for t in cat.tuples_among(acc) if not Element(acc[t], p).is_zero()]
         return bad
-
-    def mu1_cohomology_dims(self):
-        """Cohomology of (hom-spaces, mu^1) per (source, target, degree).
-
-        Only meaningful for dg structures; used to confirm that a dg
-        inclusion is a quasi-isomorphism by comparing dimension tables.
-        """
-        by_slot: dict[tuple, list[str]] = {}
-        for n, g in self.cat.generators.items():
-            by_slot.setdefault((g.degree, (g.source, g.target)), []).append(n)
-        mu1, p = self.tables.get(1, {}), self.spec.characteristic
-        # the mu^1 images of a slot's generators, keyed by output name, span
-        # the image of the block from degree deg to deg + 1
-        dims = cohomology_dims({slot: (len(names), rank([mu1.get((n,), ZERO).terms
-                                                         for n in names], p))
-                                for slot, names in by_slot.items()})
-        return dict(sorted(((src, tgt, deg), dim) for (deg, (src, tgt)), dim in dims.items()))
-
 
 # ---------------------------------------------------------------------------
 # Presets
@@ -413,75 +386,6 @@ def preset_C(spec: FieldSpec, truncation: int = 12) -> AInfStructure:
         (("v0", "u01"), [(-1, "e1")]),
         (("u01", "v1"), [(1, "f1")]),
     ])
-    return AInfStructure(spec, cat, truncation, {1: mu1, 2: mu2})
-
-
-def preset_D(spec: FieldSpec, truncation: int = 12) -> AInfStructure:
-    """Sixteen-generator simplicial dg model: each object's self-homs are
-    cochains on a 3-vertex triangulated circle, the two circles glued over
-    one intersection point.  Identities are the vertex sums x0+x1+x2 and
-    y0+y1+y2; the smaller preset_C sits inside it as a dg subcategory."""
-    def circle(p):  # vertices p0,p1,p2 and edges p01,p12,p02
-        return [f"{p}0", f"{p}1", f"{p}2", f"{p}01", f"{p}12", f"{p}02"]
-
-    gens = []
-    for obj, p in (("a", "x"), ("b", "y")):
-        for n in circle(p):
-            gens.append(Generator(n, obj, obj, 0 if len(n) == 2 else 1))
-    gens += [
-        Generator("v0", "b", "a", 0),
-        Generator("v1", "b", "a", 0),
-        Generator("v01", "b", "a", 1),
-        Generator("u01", "a", "b", 1),
-    ]
-    p = spec.characteristic
-    cat = QuiverCategory(
-        ["a", "b"], gens,
-        {
-            "a": Element({"x0": 1, "x1": 1, "x2": 1}, p),
-            "b": Element({"y0": 1, "y1": 1, "y2": 1}, p),
-        },
-    )
-    mu1_entries = []
-    for p in ("x", "y"):
-        mu1_entries += [
-            ((f"{p}0",), [(-1, f"{p}01"), (-1, f"{p}02")]),
-            ((f"{p}1",), [(1, f"{p}01"), (-1, f"{p}12")]),
-            ((f"{p}2",), [(1, f"{p}12"), (1, f"{p}02")]),
-        ]
-    mu1_entries += [
-        (("v0",), [(-1, "v01")]),
-        (("v1",), [(1, "v01")]),
-    ]
-    mu2_entries = []
-    for p in ("x", "y"):
-        mu2_entries += [
-            ((f"{p}0", f"{p}0"), [(1, f"{p}0")]),
-            ((f"{p}1", f"{p}1"), [(1, f"{p}1")]),
-            ((f"{p}2", f"{p}2"), [(1, f"{p}2")]),
-            ((f"{p}0", f"{p}01"), [(-1, f"{p}01")]),
-            ((f"{p}01", f"{p}1"), [(1, f"{p}01")]),
-            ((f"{p}1", f"{p}12"), [(-1, f"{p}12")]),
-            ((f"{p}12", f"{p}2"), [(1, f"{p}12")]),
-            ((f"{p}0", f"{p}02"), [(-1, f"{p}02")]),
-            ((f"{p}02", f"{p}2"), [(1, f"{p}02")]),
-        ]
-    mu2_entries += [
-        (("v0", "y0"), [(1, "v0")]),
-        (("v1", "y1"), [(1, "v1")]),
-        (("v01", "y1"), [(1, "v01")]),
-        (("v0", "y01"), [(-1, "v01")]),
-        (("x0", "v0"), [(1, "v0")]),
-        (("x1", "v1"), [(1, "v1")]),
-        (("x01", "v1"), [(1, "v01")]),
-        (("x0", "v01"), [(-1, "v01")]),
-        (("y0", "u01"), [(-1, "u01")]),
-        (("u01", "x1"), [(1, "u01")]),
-        (("v0", "u01"), [(-1, "x01")]),
-        (("u01", "v1"), [(1, "y01")]),
-    ]
-    mu1 = _table(spec, mu1_entries)
-    mu2 = _table(spec, mu2_entries)
     return AInfStructure(spec, cat, truncation, {1: mu1, 2: mu2})
 
 

@@ -17,8 +17,9 @@ right, where left b' right = b as paths.  For odd j it splits off the first
 letter (+) or the last letter (-); for even j the last two letters, the
 first and the last letter, or the first two letters, all with sign +.
 
-Both complexes read that rule.  ``SkoldbergComplex.differential`` is p_j
-in the basis x (x) b (x) y of P_j.  The dual Hom_{A^e}(P_j, A) has basis
+The program builds only the dual complex from that rule.  The tests build
+the primal one, p_j in the basis x (x) b (x) y of P_j, and check that it
+is exact (tests/oracles.py).  The dual Hom_{A^e}(P_j, A) has basis
 (b, a) for the elements a of A parallel to b, of internal degree
 s = deg(a) - deg(b), and its differential sends (b, a) to
 sum sign * (-1)^(deg(left) s) * left a right on b' for each split of b'
@@ -71,84 +72,6 @@ def _split(j: int, which: int):
     return out
 
 
-class SkoldbergComplex:
-    """Primal resolution terms and differentials, in explicit bases.
-
-    P_j basis: (x, which, y) with x, y in the 6-element basis of A,
-    which in {0,1} picking beta_j/gamma_j, subject to the S-tensor
-    matching source(x) = target(word) and source(word) = target(y).
-    """
-
-    def __init__(self, spec: FieldSpec, j_max: int):
-        self.spec = spec
-        self.j_max = j_max
-        self.bases = [self._basis(j) for j in range(j_max + 1)]
-
-    @staticmethod
-    def _basis(j):
-        out = []
-        for which in (0, 1):
-            src, tgt = _ends(j, which)
-            for x, gx in A_GENERATORS.items():
-                if gx.source != tgt:
-                    continue
-                for y, gy in A_GENERATORS.items():
-                    if gy.target != src:
-                        continue
-                    out.append((x, which, y))
-        return out
-
-    def differential(self, j):
-        """Matrix of p_j: P_j -> P_{j-1} as sparse columns over the bases."""
-        assert 1 <= j <= self.j_max
-        target_index = {b: i for i, b in enumerate(self.bases[j - 1])}
-        p = self.spec.characteristic
-        splits = (_split(j, 0), _split(j, 1))
-        cols = []
-        for (x, which, y) in self.bases[j]:
-            col: dict[int, object] = {}
-            for left, which2, right, sign in splits[which]:
-                x2 = _assoc_mul_A(x, left) if left else x
-                y2 = _assoc_mul_A(right, y) if right else y
-                if x2 and y2:
-                    i = target_index[(x2, which2, y2)]
-                    col[i] = col.get(i, 0) + sign
-            cols.append(canonical(col, p))
-        return cols
-
-    def augmentation(self):
-        """epsilon: P_0 -> A, x (x) y -> xy, as sparse columns over the
-        A-basis enumerated in A_GENERATORS order."""
-        a_index = {g: i for i, g in enumerate(A_GENERATORS)}
-        cols = []
-        for (x, which, y) in self.bases[0]:
-            prod = _assoc_mul_A(x, y)
-            cols.append({a_index[prod]: 1} if prod else {})
-        return cols
-
-    def verify_composites(self):
-        """p_j o p_{j+1} = 0 for all computed steps, and epsilon o p_1 = 0."""
-        p = self.spec.characteristic
-
-        def compose(left_cols, right_cols):
-            out = []
-            for col in right_cols:
-                acc: dict[int, object] = {}
-                for row, val in col.items():
-                    for row2, val2 in left_cols[row].items():
-                        acc[row2] = acc.get(row2, 0) + val * val2
-                out.append(canonical(acc, p))
-            return out
-
-        steps = [self.differential(j) for j in range(1, self.j_max + 1)]
-        if any(c for c in compose(self.augmentation(), steps[0])):
-            return False
-        for j in range(1, self.j_max):
-            if any(c for c in compose(steps[j - 1], steps[j])):
-                return False
-        return True
-
-
 def _dual_basis(j: int):
     """{s: [(which, name)]}: the basis of Hom(P_j, A) by internal degree,
     name running over the generators parallel to the word b_which."""
@@ -194,8 +117,3 @@ def skoldberg_dims(spec: FieldSpec, r_max: int):
     bases = [_dual_basis(j) for j in range(r_max + 2)]
     return cohomology_dims({(j, s): (len(basis), rank(_dual_differential(bases, j, s, p), p))
                             for j in range(r_max + 1) for s, basis in sorted(bases[j].items())})
-
-
-def skoldberg_check(spec: FieldSpec, j_max: int = 12) -> bool:
-    """p o p = 0 and epsilon o p_1 = 0 on the primal resolution."""
-    return SkoldbergComplex(spec, j_max).verify_composites()

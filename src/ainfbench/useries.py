@@ -1,8 +1,8 @@
 """Truncated formal power series in one variable U with exact coefficients.
 
-Coefficients are Python ints (the partition and theta series are integral)
-or Fractions when rational division is needed; floats never appear.  All
-arithmetic is exact modulo U^(N+1).
+Coefficients are Python ints: the partition, theta and polygon-count
+series are integral, and nothing here divides.  All arithmetic is exact
+modulo U^(N+1).
 """
 
 from __future__ import annotations
@@ -62,45 +62,27 @@ def series_mul(a: TruncatedUSeries, b: TruncatedUSeries) -> TruncatedUSeries:
     return TruncatedUSeries(out, n)
 
 
-def series_inv(a: TruncatedUSeries) -> TruncatedUSeries:
-    """Multiplicative inverse modulo U^(N+1); constant term must be a unit
-    (over the integers that means +-1; Fraction coefficients invert exactly)."""
-    c0 = a.coeffs[0]
-    if not c0:
-        raise ZeroDivisionError("constant term 0 is not invertible")
-    if isinstance(c0, int):
-        if c0 not in (1, -1):
-            raise ZeroDivisionError(
-                f"constant term {c0} is not invertible over the integers"
-            )
-        inv0 = c0
-    else:
-        inv0 = 1 / c0  # Fraction: exact
-    n = a.order
-    out = [0] * (n + 1)
-    out[0] = inv0
-    for k in range(1, n + 1):
-        acc = 0
-        for i in range(1, k + 1):
-            if a.coeffs[i]:
-                acc += a.coeffs[i] * out[k - i]
-        out[k] = -inv0 * acc
-    return TruncatedUSeries(out, n)
-
-
 def partition_series(order: int) -> TruncatedUSeries:
-    """Generating function of integer partitions: prod_{m>0} (1 - U^m)^(-1),
-    the inverse of Euler's function prod_{m>0} (1 - U^m), which is the
-    sparse series sum_k (-1)^k U^(k(3k-1)/2) over all integers k (the
-    pentagonal number theorem); one inversion, O(N^2)."""
-    euler = [0] * (order + 1)
-    k = 0
+    """Generating function of integer partitions: prod_{m>0} (1 - U^m)^(-1).
+    Its inverse, Euler's function prod_{m>0} (1 - U^m), is the sparse series
+    sum_k (-1)^k U^(k(3k-1)/2) over all integers k (the pentagonal number
+    theorem), so p(n) = sum_{k>0} (-1)^(k+1) (p(n - k(3k-1)/2) + p(n -
+    k(3k+1)/2)): O(sqrt n) terms for each n, O(N sqrt N) in all."""
+    steps = []  # the generalized pentagonal numbers, ascending, with their signs
+    k = 1
     while k * (3 * k - 1) // 2 <= order:
-        for j in (k, -k):  # the pentagonal numbers k(3k-1)/2 and k(3k+1)/2
-            if j * (3 * j - 1) // 2 <= order:
-                euler[j * (3 * j - 1) // 2] = (-1) ** k
+        sign = 1 if k % 2 else -1
+        steps += [(k * (3 * k - 1) // 2, sign), (k * (3 * k + 1) // 2, sign)]
         k += 1
-    return series_inv(TruncatedUSeries(euler, order))
+    p = [1] + [0] * order
+    for n in range(1, order + 1):
+        total = 0
+        for g, sign in steps:
+            if g > n:
+                break
+            total += sign * p[n - g]
+        p[n] = total
+    return TruncatedUSeries(p, order)
 
 
 def theta_v(order: int) -> TruncatedUSeries:

@@ -55,6 +55,15 @@ class of mu^8 is read (``sequential_invariants``).
 Two checks no command makes: strict unitality of mu^2 against the
 designated identities (``check_unital``; the relation checker assumes no
 units), and the degree derivation, a length-1 cocycle (``euler_cochain``).
+
+The last section holds code only the tests call, kept out of the package:
+the sixteen-generator simplicial dg model (``preset_D``) and the
+cohomology of mu^1 that compares it with preset_C
+(``mu1_cohomology_dims``); the primal Skoldberg resolution, which checks
+that the complex whose dual skoldberg_dims reads is exact
+(``SkoldbergComplex``, ``skoldberg_check``); the dense series inverse,
+the oracle of the pentagonal recurrence in partition_series
+(``series_inv``); and the writer of scene files (``scene_dump``).
 """
 
 from dataclasses import dataclass
@@ -65,10 +74,14 @@ from math import ceil, floor, inf
 from ainfbench import gauge, hochschild, linalg, polygons, scalars
 from ainfbench.gauge import GaugeTransformation
 from ainfbench.hochschild import Cochain, vector_to_cochain
-from ainfbench.linalg import Echelon, nullspace
+from ainfbench.linalg import Echelon, cohomology_dims, nullspace, rank
 from ainfbench.perturbation import TransferResult, _apply_linear
-from ainfbench.polygons import CROSS_LOW, _W_KNOTS, PolygonWitness
-from ainfbench.quiver import AInfStructure, Element, ZERO, accumulate, tensor_terms
+from ainfbench.polygons import CROSS_LOW, _W_KNOTS, PolygonScene, PolygonWitness
+from ainfbench.quiver import (A_GENERATORS, AInfStructure, Element, Generator, QuiverCategory,
+                              ZERO, _assoc_mul_A, _table, accumulate)
+from ainfbench.scalars import FieldSpec, canonical, tensor_terms
+from ainfbench.skoldberg import _ends, _split
+from ainfbench.useries import TruncatedUSeries
 
 
 def ordered(tables):
@@ -330,6 +343,7 @@ def pattern_by_rows(cat, slot_of, r, s, col_basis, row_basis):
 def transfer(split, order):
     amb = split.ambient
     cat = split.harmonic
+    mu2, p = amb.tables.get(2, {}), amb.spec.characteristic
     iota = {1: {(g,): split.incl[g] for g in cat.generators}}
     mu = {}
     for d in range(2, order + 1):
@@ -343,7 +357,7 @@ def transfer(split, order):
                 right = iota[m].get(names[d - m:])
                 if left is None or left.is_zero() or right is None or right.is_zero():
                     continue
-                total = total + amb.evaluate_elements(2, [left, right])
+                total = total + Element(accumulate({}, mu2, tensor_terms([left, right])), p)
             if total.is_zero():
                 continue
             t_img = _apply_linear(split.homotopy, total)
@@ -822,12 +836,17 @@ def check_unital(struct):
     """Strict unitality of mu^2 against the designated identities:
     AssertionError naming the first generator where it fails."""
     cat = struct.cat
+    mu2, p = struct.tables.get(2, {}), struct.spec.characteristic
+
+    def mu2_of(x, y):
+        return Element(accumulate({}, mu2, tensor_terms([x, y])), p)
+
     for name, g in cat.generators.items():
-        el = Element.single(name, 1, struct.spec.characteristic)
-        if struct.evaluate_elements(2, [el, cat.identities[g.source]]) != el:
+        el = Element.single(name, 1, p)
+        if mu2_of(el, cat.identities[g.source]) != el:
             raise AssertionError(f"mu2({name}, id) != {name}")
         want = el if g.degree % 2 == 0 else -el
-        if struct.evaluate_elements(2, [cat.identities[g.target], el]) != want:
+        if mu2_of(cat.identities[g.target], el) != want:
             raise AssertionError(f"mu2(id, {name}) != (-1)^|x| {name}")
 
 
@@ -839,3 +858,217 @@ def euler_cochain(alg):
         if d:
             table[(n,)] = Element.single(n, d, alg.spec.characteristic)
     return Cochain(1, 0, table)
+
+
+# -- code only the tests call ------------------------------------------------
+
+
+def preset_D(spec: FieldSpec, truncation: int = 12) -> AInfStructure:
+    """Sixteen-generator simplicial dg model: each object's self-homs are
+    cochains on a 3-vertex triangulated circle, the two circles glued over
+    one intersection point.  Identities are the vertex sums x0+x1+x2 and
+    y0+y1+y2; the smaller preset_C sits inside it as a dg subcategory."""
+    def circle(p):  # vertices p0,p1,p2 and edges p01,p12,p02
+        return [f"{p}0", f"{p}1", f"{p}2", f"{p}01", f"{p}12", f"{p}02"]
+
+    gens = []
+    for obj, p in (("a", "x"), ("b", "y")):
+        for n in circle(p):
+            gens.append(Generator(n, obj, obj, 0 if len(n) == 2 else 1))
+    gens += [
+        Generator("v0", "b", "a", 0),
+        Generator("v1", "b", "a", 0),
+        Generator("v01", "b", "a", 1),
+        Generator("u01", "a", "b", 1),
+    ]
+    p = spec.characteristic
+    cat = QuiverCategory(
+        ["a", "b"], gens,
+        {
+            "a": Element({"x0": 1, "x1": 1, "x2": 1}, p),
+            "b": Element({"y0": 1, "y1": 1, "y2": 1}, p),
+        },
+    )
+    mu1_entries = []
+    for p in ("x", "y"):
+        mu1_entries += [
+            ((f"{p}0",), [(-1, f"{p}01"), (-1, f"{p}02")]),
+            ((f"{p}1",), [(1, f"{p}01"), (-1, f"{p}12")]),
+            ((f"{p}2",), [(1, f"{p}12"), (1, f"{p}02")]),
+        ]
+    mu1_entries += [
+        (("v0",), [(-1, "v01")]),
+        (("v1",), [(1, "v01")]),
+    ]
+    mu2_entries = []
+    for p in ("x", "y"):
+        mu2_entries += [
+            ((f"{p}0", f"{p}0"), [(1, f"{p}0")]),
+            ((f"{p}1", f"{p}1"), [(1, f"{p}1")]),
+            ((f"{p}2", f"{p}2"), [(1, f"{p}2")]),
+            ((f"{p}0", f"{p}01"), [(-1, f"{p}01")]),
+            ((f"{p}01", f"{p}1"), [(1, f"{p}01")]),
+            ((f"{p}1", f"{p}12"), [(-1, f"{p}12")]),
+            ((f"{p}12", f"{p}2"), [(1, f"{p}12")]),
+            ((f"{p}0", f"{p}02"), [(-1, f"{p}02")]),
+            ((f"{p}02", f"{p}2"), [(1, f"{p}02")]),
+        ]
+    mu2_entries += [
+        (("v0", "y0"), [(1, "v0")]),
+        (("v1", "y1"), [(1, "v1")]),
+        (("v01", "y1"), [(1, "v01")]),
+        (("v0", "y01"), [(-1, "v01")]),
+        (("x0", "v0"), [(1, "v0")]),
+        (("x1", "v1"), [(1, "v1")]),
+        (("x01", "v1"), [(1, "v01")]),
+        (("x0", "v01"), [(-1, "v01")]),
+        (("y0", "u01"), [(-1, "u01")]),
+        (("u01", "x1"), [(1, "u01")]),
+        (("v0", "u01"), [(-1, "x01")]),
+        (("u01", "v1"), [(1, "y01")]),
+    ]
+    mu1 = _table(spec, mu1_entries)
+    mu2 = _table(spec, mu2_entries)
+    return AInfStructure(spec, cat, truncation, {1: mu1, 2: mu2})
+
+
+def mu1_cohomology_dims(struct):
+    """Cohomology of (hom-spaces, mu^1) per (source, target, degree).
+
+    Only meaningful for dg structures; used to confirm that a dg
+    inclusion is a quasi-isomorphism by comparing dimension tables.
+    """
+    by_slot: dict[tuple, list[str]] = {}
+    for n, g in struct.cat.generators.items():
+        by_slot.setdefault((g.degree, (g.source, g.target)), []).append(n)
+    mu1, p = struct.tables.get(1, {}), struct.spec.characteristic
+    # the mu^1 images of a slot's generators, keyed by output name, span
+    # the image of the block from degree deg to deg + 1
+    dims = cohomology_dims({slot: (len(names), rank([mu1.get((n,), ZERO).terms
+                                                     for n in names], p))
+                            for slot, names in by_slot.items()})
+    return dict(sorted(((src, tgt, deg), dim) for (deg, (src, tgt)), dim in dims.items()))
+
+
+class SkoldbergComplex:
+    """Primal resolution terms and differentials, in explicit bases.
+
+    P_j basis: (x, which, y) with x, y in the 6-element basis of A,
+    which in {0,1} picking beta_j/gamma_j, subject to the S-tensor
+    matching source(x) = target(word) and source(word) = target(y).
+    """
+
+    def __init__(self, spec: FieldSpec, j_max: int):
+        self.spec = spec
+        self.j_max = j_max
+        self.bases = [self._basis(j) for j in range(j_max + 1)]
+
+    @staticmethod
+    def _basis(j):
+        out = []
+        for which in (0, 1):
+            src, tgt = _ends(j, which)
+            for x, gx in A_GENERATORS.items():
+                if gx.source != tgt:
+                    continue
+                for y, gy in A_GENERATORS.items():
+                    if gy.target != src:
+                        continue
+                    out.append((x, which, y))
+        return out
+
+    def differential(self, j):
+        """Matrix of p_j: P_j -> P_{j-1} as sparse columns over the bases."""
+        assert 1 <= j <= self.j_max
+        target_index = {b: i for i, b in enumerate(self.bases[j - 1])}
+        p = self.spec.characteristic
+        splits = (_split(j, 0), _split(j, 1))
+        cols = []
+        for (x, which, y) in self.bases[j]:
+            col: dict[int, object] = {}
+            for left, which2, right, sign in splits[which]:
+                x2 = _assoc_mul_A(x, left) if left else x
+                y2 = _assoc_mul_A(right, y) if right else y
+                if x2 and y2:
+                    i = target_index[(x2, which2, y2)]
+                    col[i] = col.get(i, 0) + sign
+            cols.append(canonical(col, p))
+        return cols
+
+    def augmentation(self):
+        """epsilon: P_0 -> A, x (x) y -> xy, as sparse columns over the
+        A-basis enumerated in A_GENERATORS order."""
+        a_index = {g: i for i, g in enumerate(A_GENERATORS)}
+        cols = []
+        for (x, which, y) in self.bases[0]:
+            prod = _assoc_mul_A(x, y)
+            cols.append({a_index[prod]: 1} if prod else {})
+        return cols
+
+    def verify_composites(self):
+        """p_j o p_{j+1} = 0 for all computed steps, and epsilon o p_1 = 0."""
+        p = self.spec.characteristic
+
+        def compose(left_cols, right_cols):
+            out = []
+            for col in right_cols:
+                acc: dict[int, object] = {}
+                for row, val in col.items():
+                    for row2, val2 in left_cols[row].items():
+                        acc[row2] = acc.get(row2, 0) + val * val2
+                out.append(canonical(acc, p))
+            return out
+
+        steps = [self.differential(j) for j in range(1, self.j_max + 1)]
+        if any(c for c in compose(self.augmentation(), steps[0])):
+            return False
+        for j in range(1, self.j_max):
+            if any(c for c in compose(steps[j - 1], steps[j])):
+                return False
+        return True
+
+
+def skoldberg_check(spec: FieldSpec, j_max: int = 12) -> bool:
+    """p o p = 0 and epsilon o p_1 = 0 on the primal resolution."""
+    return SkoldbergComplex(spec, j_max).verify_composites()
+
+
+def series_inv(a: TruncatedUSeries) -> TruncatedUSeries:
+    """Multiplicative inverse modulo U^(N+1); constant term must be a unit
+    (over the integers that means +-1; Fraction coefficients invert exactly)."""
+    c0 = a.coeffs[0]
+    if not c0:
+        raise ZeroDivisionError("constant term 0 is not invertible")
+    if isinstance(c0, int):
+        if c0 not in (1, -1):
+            raise ZeroDivisionError(
+                f"constant term {c0} is not invertible over the integers"
+            )
+        inv0 = c0
+    else:
+        inv0 = 1 / c0  # Fraction: exact
+    n = a.order
+    out = [0] * (n + 1)
+    out[0] = inv0
+    for k in range(1, n + 1):
+        acc = 0
+        for i in range(1, k + 1):
+            if a.coeffs[i]:
+                acc += a.coeffs[i] * out[k - i]
+        out[k] = -inv0 * acc
+    return TruncatedUSeries(out, n)
+
+
+def scene_dump(scene: PolygonScene) -> str:
+    """Line-oriented scene file: curves with kind/orientation/star offset,
+    the basepoint, pushoff star and Maslov offsets, all exact rationals."""
+    lines = ["SCENE"]
+    for name in sorted(scene.curves):
+        c = scene.curves[name]
+        sign = "+1" if c.orientation > 0 else "-1"
+        lines.append(f"curve {name} {c.kind} {sign} star {c.star}")
+    lines.append(f"z {scene.z[0]} {scene.z[1]}")
+    lines.append(f"pushoff_star {scene.pushoff_star}")
+    for point in sorted(scene.maslov):
+        lines.append(f"maslov {point} {scene.maslov[point]}")
+    return "\n".join(lines) + "\n"

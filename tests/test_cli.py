@@ -78,7 +78,8 @@ def test_triangle_golden(tmp_path):
 def test_triangle_scene_file(tmp_path):
     # the preset scene read from a file gives the preset's output; a scene
     # without a maslov row or with a curve of the wrong kind is bad input
-    from ainfbench.polygons import preset_scene, scene_dump
+    from ainfbench.polygons import preset_scene
+    from oracles import scene_dump
 
     text = scene_dump(preset_scene())
     path = tmp_path / "scene.txt"
@@ -99,7 +100,8 @@ def test_degenerate_scene_file_is_bad_input(tmp_path):
     # a marked point on gamma0, a star at an arc end and a broken degree
     # relation each make the census refuse the scene: bad input, exit 2,
     # not a traceback with exit 1, which means a mathematical negative
-    from ainfbench.polygons import preset_scene, scene_dump
+    from ainfbench.polygons import preset_scene
+    from oracles import scene_dump
 
     text = scene_dump(preset_scene())
     path = tmp_path / "scene.txt"
@@ -312,6 +314,29 @@ def test_determinism_across_runs():
     c = run(["hh-table", "--field", "Q", "--rmax", "6"])
     d = run(["hh-table", "--field", "Q", "--rmax", "6"])
     assert c == d
+
+
+def test_stdout_does_not_depend_on_the_hash_seed(tmp_path):
+    # str hashes, and so the iteration order of sets and dicts of names,
+    # change with PYTHONHASHSEED; the printed bytes must not.  Each command
+    # runs in a fresh interpreter under seeds 0 and 1, all at once.
+    src = Path(__file__).parent.parent / "src"
+    commands = (("m6",), ("triangle", "--wrap", "6"),
+                ("hh-table", "--rmax", "8", "--field", "F2"), ("minimal-model", "--order", "10"))
+    procs = {}
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+        for argv in commands:
+            procs[seed, argv] = subprocess.Popen(
+                [sys.executable, "-m", "ainfbench", *argv], cwd=tmp_path, env=env,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    out = {}
+    for key, proc in procs.items():
+        stdout, stderr = proc.communicate(timeout=120)
+        assert (proc.returncode, stderr) == (0, ""), key
+        out[key] = stdout
+    for argv in commands:
+        assert out["0", argv] == out["1", argv], argv
 
 
 @pytest.mark.parametrize("argv", [

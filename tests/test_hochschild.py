@@ -3,6 +3,7 @@ import random
 import pytest
 
 import oracles
+from oracles import preset_D
 from ainfbench import hochschild
 from ainfbench.hochschild import (Cochain, class_coordinate, coboundary,
                                   cochain_basis, cochain_to_vector,
@@ -12,7 +13,7 @@ from ainfbench.hochschild import (Cochain, class_coordinate, coboundary,
                                   reference_cocycle, vector_to_cochain)
 from ainfbench.linalg import rank
 from ainfbench.quiver import (AInfStructure, Element, Generator, QuiverCategory,
-                             preset_A, preset_C, preset_D)
+                             preset_A, preset_C)
 from ainfbench.scalars import FieldSpec, canonical
 
 Q_TABLE = {(0, 0): 1, (0, 1): 2, (1, 0): 1, (6, -4): 1, (7, -4): 1, (8, -6): 1}
@@ -56,7 +57,7 @@ def test_delta_matrix_matches_direct_coboundary(Q):
             for j, x in vec.items():
                 for i, a in matrix[j].items():
                     image[i] = image.get(i, 0) + a * x
-            image = {i: v for i, v in image.items() if v}
+            image = [image.get(i, 0) for i in range(len(rows))]
             direct = coboundary(phi, A)
             assert vector_to_cochain(image, rows, r + 1, s, Q) == direct, (r, s)
 

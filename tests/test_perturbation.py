@@ -4,7 +4,7 @@ import oracles
 from ainfbench.perturbation import (SplittingData, lemma_check,
                                     preset_splitting_C, transfer)
 from ainfbench.quiver import Element, dump, load
-from ainfbench.scalars import FieldSpec
+from ainfbench.scalars import FieldSpec, accumulate, tensor_terms
 
 
 def test_splitting_homotopy_identities(Q):
@@ -86,7 +86,7 @@ def test_normalization_against_direct_recursion(Q, model12):
         for m in (1, 2):
             left = iota[3 - m].get(t[: 3 - m], Element())
             right = iota[m].get(t[3 - m:], Element())
-            total = total + amb.evaluate_elements(2, [left, right])
+            total = total + Element(accumulate({}, amb.tables[2], tensor_terms([left, right])))
         assert _apply(split.proj, total).is_zero(), t
 
 

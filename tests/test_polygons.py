@@ -7,10 +7,11 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
+from oracles import scene_dump
 from ainfbench import polygons
 from ainfbench.polygons import (CurveLift, _count_lattice_points, _star_count,
                                 criterion_series, mu3_series, preset_scene,
-                                quad_witnesses, scene_dump, scene_load,
+                                quad_witnesses, scene_load,
                                 triangle_criterion, triangle_witnesses, witness_svg)
 from ainfbench.useries import theta_v
 

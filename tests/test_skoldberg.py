@@ -1,11 +1,11 @@
 import pytest
 
+from oracles import SkoldbergComplex, skoldberg_check
 from ainfbench.hochschild import hh_bar
 from ainfbench.linalg import rank
 from ainfbench.quiver import A_GENERATORS
 from ainfbench.scalars import FieldSpec, canon
-from ainfbench.skoldberg import (SkoldbergComplex, _dual_basis, _dual_differential,
-                                 skoldberg_check, skoldberg_dims)
+from ainfbench.skoldberg import _dual_basis, _dual_differential, skoldberg_dims
 
 
 @pytest.mark.parametrize("char", [0, 2, 3, 5])

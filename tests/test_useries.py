@@ -3,8 +3,9 @@ import random
 import pytest
 
 import oracles
+from oracles import series_inv
 from ainfbench.useries import (TruncatedUSeries, jacobi_check, partition_series,
-                               series_inv, series_mul, theta_v)
+                               series_mul, theta_v)
 
 
 def test_partition_small_values():
@@ -19,26 +20,14 @@ def test_partition_against_bruteforce():
 
 
 def test_partition_two_constructions_agree():
-    # the inverse of Euler's function vs the pentagonal-number recurrence
-    N = 40
-    u = partition_series(N)
-    p = [1] + [0] * N
-    for n in range(1, N + 1):
-        total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            g2 = k * (3 * k + 1) // 2
-            if g1 > n and g2 > n:
-                break
-            sign = -1 if k % 2 == 0 else 1
-            if g1 <= n:
-                total += sign * p[n - g1]
-            if g2 <= n:
-                total += sign * p[n - g2]
-            k += 1
-        p[n] = total
-    assert u.coeffs == p
+    # the pentagonal-number recurrence vs the dense inverse of Euler's
+    # function, through the series order of triangle --wrap 48
+    for N in (0, 1, 6, 300, 1176):
+        euler = [0] * (N + 1)
+        for k in range(-N, N + 1):
+            if k * (3 * k - 1) // 2 <= N:
+                euler[k * (3 * k - 1) // 2] = -1 if k % 2 else 1
+        assert partition_series(N) == oracles.series_inv(TruncatedUSeries(euler, N)), N
 
 
 def test_theta_coefficients():
