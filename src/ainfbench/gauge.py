@@ -48,7 +48,6 @@ once by t = weight_scale, to integers, and their results by 1/t.
 from __future__ import annotations
 
 from copy import copy
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -273,16 +272,17 @@ def _primitive(phi: Cochain, alg: AInfStructure) -> Cochain:
     return nu
 
 
-@dataclass
 class DeformationClass:
     """Coordinates of the order-6 and order-8 invariants, raw values of the
     structure's field, against the deterministic reference cocycles
     (documented for reproducibility)."""
 
-    m6: int | Fraction
-    m8: int | Fraction
-    reference6: Cochain
-    reference8: Cochain
+    def __init__(self, m6: int | Fraction, m8: int | Fraction,
+                 reference6: Cochain, reference8: Cochain):
+        self.m6, self.m8, self.reference6, self.reference8 = m6, m8, reference6, reference8
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
 
     def pair(self):
         return (self.m6, self.m8)
@@ -425,11 +425,13 @@ def _mc_extend(spec: FieldSpec, m6, m8, order: int = 12) -> AInfStructure:
     tables = {2: dict(base.tables[2])}
     for d in range(3, order + 1):
         # delta(mu^d) = - sum_{j=3}^{d-1} mu^j o mu^{d+2-j}, the arity-(d+1)
-        # component of the relations below order d: ainf_check's scatter
+        # component of the relations below order d: ainf_check's scatter,
+        # whose keys hold no identity (the tables above arity 2 are normalized)
         acc = {}
         for j in range(3, d):
             splices(acc, tables.get(j, {}), tables.get(d + 2 - j, {}), cat.odd)
-        obstruction = -Cochain(d + 1, 2 - d, _entries(acc, cat, p))
+        obstruction = Cochain(d + 1, 2 - d, {
+            t: Element({g: -c for g, c in terms.items()}, p) for t, terms in acc.items()})
         if d == 6 or d == 8:
             if not obstruction.is_zero():
                 raise AssertionError(
@@ -476,23 +478,23 @@ def random_gauge(spec: FieldSpec, cat, rng, orders=(2, 3, 4),
 # Nonvanishing certificate for the order-6 class
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CertificateStep:
-    key: tuple            # (tuple of inputs, output generator) row
-    rhs: int | Fraction   # value of the scaled mu^6 there
-    terms: list           # [(slot, coeff)] with slot = (tuple, generator)
-    forced: tuple = None  # slot solved by this step, with its value
-    conflict: tuple = None  # (lhs, rhs) raw values at a contradiction
+    def __init__(self, key: tuple,    # (tuple of inputs, output generator) row
+                 rhs: int | Fraction,  # value of the scaled mu^6 there
+                 terms: list,          # [(slot, coeff)] with slot = (tuple, generator)
+                 forced: tuple = None,  # slot solved by this step, with its value
+                 conflict: tuple = None):  # (lhs, rhs) raw values at a contradiction
+        self.key, self.rhs, self.terms = key, rhs, terms
+        self.forced, self.conflict = forced, conflict
 
 
-@dataclass
 class M6Certificate:
-    nonzero: bool
-    rank_system: int
-    rank_augmented: int
-    witness_values: list   # [(tuple, Element)] the four scaled products
-    chain: list            # CertificateStep derivation ending in a conflict
-    primitive: Cochain = None  # only when the class is actually zero
+    def __init__(self, nonzero: bool, rank_system: int, rank_augmented: int,
+                 witness_values: list,  # [(tuple, Element)] the four scaled products
+                 chain: list,           # CertificateStep derivation ending in a conflict
+                 primitive: Cochain = None):  # only when the class is actually zero
+        self.nonzero, self.rank_system, self.rank_augmented = nonzero, rank_system, rank_augmented
+        self.witness_values, self.chain, self.primitive = witness_values, chain, primitive
 
     def summary(self) -> str:
         """The rank certificate and contradiction chain, or the m6 = 0 verdict."""

@@ -14,8 +14,6 @@ non-goal, rejected user splittings get a diagnostic instead).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .quiver import (AInfStructure, Element, QuiverCategory, ZERO, accumulate, dump,
                      preset_A, preset_C, table_rows)
 from .scalars import FieldSpec, tensor_terms
@@ -25,15 +23,15 @@ def _apply_linear(mapping: dict, el: Element) -> Element:
     return Element(accumulate({}, mapping, el.terms.items()), el.p)
 
 
-@dataclass
 class SplittingData:
     """Inclusion/projection/homotopy data for ambient = acyclic + harmonic."""
 
-    ambient: AInfStructure
-    harmonic: QuiverCategory
-    incl: dict          # harmonic generator -> ambient Element
-    proj: dict          # ambient generator -> harmonic Element
-    homotopy: dict      # ambient generator -> ambient Element, degree -1
+    def __init__(self, ambient: AInfStructure, harmonic: QuiverCategory,
+                 incl: dict,        # harmonic generator -> ambient Element
+                 proj: dict,        # ambient generator -> harmonic Element
+                 homotopy: dict):   # ambient generator -> ambient Element, degree -1
+        self.ambient, self.harmonic = ambient, harmonic
+        self.incl, self.proj, self.homotopy = incl, proj, homotopy
 
     def check(self):
         """Homotopy identities, exact on the ambient basis:
@@ -96,11 +94,11 @@ def preset_splitting_C(spec: FieldSpec) -> SplittingData:
     return split
 
 
-@dataclass
 class TransferResult:
-    minimal: AInfStructure
-    iota: dict  # arity -> {tuple: ambient Element}; arity 1 is the inclusion
-    ambient_cat: QuiverCategory
+    def __init__(self, minimal: AInfStructure,
+                 iota: dict,  # arity -> {tuple: ambient Element}; arity 1 is the inclusion
+                 ambient_cat: QuiverCategory):
+        self.minimal, self.iota, self.ambient_cat = minimal, iota, ambient_cat
 
     def dump(self) -> str:
         sections = [(f"IOTA{d}", table_rows(self.iota[d], self.minimal.cat, self.ambient_cat))

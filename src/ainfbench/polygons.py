@@ -58,7 +58,6 @@ product and the quadrilateral count reproduces minus the theta series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Fr
 from math import lcm
 
@@ -86,7 +85,6 @@ def _scale(scene):
     return n, (int(scene.z[0] * n), int(scene.z[1] * n))
 
 
-@dataclass(frozen=True)
 class CurveLift:
     """One lift of a scene curve to the universal cover, at its census's
     scale N: offset, parameters and points are N times their true values.
@@ -98,9 +96,8 @@ class CurveLift:
               holds the profile's (height, value) knots at scale N
     """
 
-    kind: str
-    offset: int
-    knots: tuple = ()
+    def __init__(self, kind: str, offset: int, knots: tuple = ()):
+        self.kind, self.offset, self.knots = kind, offset, knots
 
     def _piece(self, t):
         """(base, (t0, v0), (t1, v1)): the profile's piece [t0, t1) holding
@@ -138,26 +135,29 @@ class CurveLift:
         return list(zip(pts, pts[1:]))
 
 
-@dataclass(frozen=True)
 class SceneCurve:
-    name: str
-    kind: str            # 'h', 'v' or 'd'
-    orientation: int     # +1: orientation = increasing parameter
-    star: Fr             # parameter of the star (mod 1)
+    def __init__(self, name: str,
+                 kind: str,         # 'h', 'v' or 'd'
+                 orientation: int,  # +1: orientation = increasing parameter
+                 star: Fr):         # parameter of the star (mod 1)
+        self.name, self.kind, self.orientation, self.star = name, kind, orientation, star
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
 
     def lift(self, offset: int) -> CurveLift:
         return CurveLift(self.kind, offset)
 
 
-@dataclass
 class PolygonScene:
     """Three oriented marked curves, the basepoint, the pushoff data and
     integer Maslov offsets for every intersection generator."""
 
-    curves: dict
-    z: tuple
-    maslov: dict
-    pushoff_star: Fr
+    def __init__(self, curves: dict, z: tuple, maslov: dict, pushoff_star: Fr):
+        self.curves, self.z, self.maslov, self.pushoff_star = curves, z, maslov, pushoff_star
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
 
     def homology_pairings(self):
         vectors = {"h": (1, 0), "v": (0, 1), "d": (1, 1)}
@@ -204,19 +204,17 @@ def preset_scene() -> PolygonScene:
     return scene
 
 
-@dataclass
 class PolygonWitness:
     """One deck-class of embedded convex-cornered lift."""
 
-    corners: list         # corner names, y_0 first
-    points: list          # exact corner coordinates (same order)
-    arcs: list            # (curve name, t_from, t_to, travel, positive)
-    boundary: list        # the arcs' PL segments in order, ((x, y), (x, y))
-    z_count: int
-    star_count: int
-    q: int
-    r: int
-    wraps: list
+    def __init__(self, corners: list,  # corner names, y_0 first
+                 points: list,         # exact corner coordinates (same order)
+                 arcs: list,           # (curve name, t_from, t_to, travel, positive)
+                 boundary: list,       # the arcs' PL segments in order, ((x, y), (x, y))
+                 z_count: int, star_count: int, q: int, r: int, wraps: list):
+        self.corners, self.points, self.arcs = corners, points, arcs
+        self.boundary, self.z_count, self.star_count = boundary, z_count, star_count
+        self.q, self.r, self.wraps = q, r, wraps
 
     @property
     def sign(self) -> int:

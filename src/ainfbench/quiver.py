@@ -23,17 +23,15 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
 
-from .scalars import ZERO, Element, FieldSpec, accumulate, field_mismatch, parse_scalar
+from .scalars import ZERO, Element, FieldSpec, Frozen, accumulate, field_mismatch, parse_scalar
 
 
-@dataclass(frozen=True)
-class Generator:
-    name: str
-    source: str
-    target: str
-    degree: int
+class Generator(Frozen):
+    __slots__ = ("name", "source", "target", "degree")
+
+    def __init__(self, name: str, source: str, target: str, degree: int):
+        self._freeze(name, source, target, degree)
 
 
 def index_by_output(entries) -> dict:

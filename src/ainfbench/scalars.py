@@ -16,7 +16,6 @@ characteristic p too (``Element.p``, ``Echelon.p``, ``FieldSpec``), and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 _MAX_PRIME = 2**63 - 1
@@ -82,20 +81,54 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class Frozen:
+    """Base of the value types, written out: dataclasses would import
+    inspect in every process.  A subclass names its fields in __slots__;
+    _freeze sets them once, in that order, and hashes them.  Equality,
+    hash, repr, copy and pickle go by the fields' values; setting or
+    deleting a field raises AttributeError."""
+
+    __slots__ = ("_values", "_hash")
+
+    def _freeze(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_hash", hash(values))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self):
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values
+
+
+class FieldSpec(Frozen):
     """Base field: characteristic 0 means Q, a prime p means F_p."""
 
-    characteristic: int = 0
+    __slots__ = ("characteristic",)
 
-    def __post_init__(self):
-        c = self.characteristic
-        if c == 0:
-            return
-        if c > _MAX_PRIME:
-            raise ValueError(f"prime {c} does not fit a machine word")
-        if not _is_prime(c):
-            raise ValueError(f"characteristic must be 0 or prime, got {c}")
+    def __init__(self, characteristic: int = 0):
+        if characteristic > _MAX_PRIME:
+            raise ValueError(f"prime {characteristic} does not fit a machine word")
+        if characteristic and not _is_prime(characteristic):
+            raise ValueError(f"characteristic must be 0 or prime, got {characteristic}")
+        self._freeze(characteristic)
 
     def __str__(self):
         return "Q" if self.characteristic == 0 else f"F{self.characteristic}"

@@ -8,11 +8,30 @@ reaches every definition whose name a Name or Attribute node in its body
 carries, whatever the object, so a shared method name keeps all its
 holders.  Statements that run at import (module and class bodies,
 decorators, defaults, bases) are reached; a reached class reaches its
-dunders, which are exempt from the report."""
+dunders, which are exempt from the report.
+
+Every process imports the package, so it imports only the stdlib modules
+it computes with: its value types and records are written out, since
+dataclasses imports inspect (and ast, dis and tokenize with it).  The
+value types keep what the generated classes gave them."""
 
 import ast
+import copy
 import importlib.util
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
+
+from ainfbench.gauge import DeformationClass
+from ainfbench.hochschild import Cochain
+from ainfbench.polygons import PolygonScene, SceneCurve, preset_scene
+from ainfbench.quiver import Generator
+from ainfbench.scalars import FieldSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "ainfbench"
@@ -109,3 +128,50 @@ def unreached() -> list:
 
 def test_every_definition_is_reached_by_the_program_or_the_benchmark():
     assert unreached() == []
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    code = ("import sys\n"
+            "unwanted = {'dataclasses', 'inspect'}\n"
+            "print(sorted(unwanted & set(sys.modules)))\n"
+            "import ainfbench\n"
+            "print(sorted(unwanted & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    before, after = proc.stdout.splitlines()
+    if before != "[]":
+        pytest.skip(f"the interpreter loads {before} before any import")
+    assert after == "[]"
+
+
+@pytest.mark.parametrize("cls, args, text", [
+    (FieldSpec, (0,), "FieldSpec(characteristic=0)"),
+    (FieldSpec, (5,), "FieldSpec(characteristic=5)"),
+    (Generator, ("u", "a", "b", 1), "Generator(name='u', source='a', target='b', degree=1)"),
+])
+def test_value_types_are_immutable_and_go_by_value(cls, args, text):
+    value, twin = cls(*args), cls(*args)
+    assert repr(value) == text
+    assert twin == value and hash(twin) == hash(value) and {value: 1}[twin] == 1
+    assert value != cls(*args[:-1], args[-1] + 2)
+    for same in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert same == value and hash(same) == hash(value) and repr(same) == text
+    field = text[text.index("(") + 1:text.index("=")]
+    with pytest.raises(AttributeError):
+        setattr(value, field, args[-1])
+    assert repr(value) == text
+
+
+def test_records_compare_by_value():
+    ref = Cochain(6, -4)
+    assert DeformationClass(1, Fraction(1, 2), ref, ref) == \
+        DeformationClass(1, Fraction(1, 2), Cochain(6, -4), Cochain(6, -4))
+    assert DeformationClass(1, 2, ref, ref) != DeformationClass(1, 3, ref, ref)
+    curve = SceneCurve("gamma0", "h", 1, Fraction(2, 3))
+    assert curve == SceneCurve("gamma0", "h", 1, Fraction(2, 3))
+    assert curve != SceneCurve("gamma0", "h", -1, Fraction(2, 3))
+    scene = preset_scene()
+    assert scene == preset_scene()
+    assert scene != PolygonScene(scene.curves, scene.z, scene.maslov, Fraction(1, 8))
