@@ -50,10 +50,10 @@ z and of the pushoff profile (its knots, and its value at integer
 heights): 200 on the preset scene.  Every parameter, corner, knot and
 segment end is N times its true value, so every predicate is int
 arithmetic, and the scanline meets each crossing, a quotient, with the
-translates of z (steps of N) by floor division.  Fractions appear only in
-the fields of a witness and in messages.  Star offsets are
-calibrated (and frozen here) so the triangle count reproduces a vanishing
-product and the quadrilateral count reproduces minus the theta series.
+translates of z (steps of N) by floor division.  Witnesses keep these
+ints; Fractions appear only in messages.  Star offsets are calibrated
+(and frozen here) so the triangle count reproduces a vanishing product
+and the quadrilateral count reproduces minus the theta series.
 """
 
 from __future__ import annotations
@@ -205,10 +205,11 @@ def preset_scene() -> PolygonScene:
 
 
 class PolygonWitness:
-    """One deck-class of embedded convex-cornered lift."""
+    """One deck-class of embedded convex-cornered lift.  Points, arc ends and
+    boundary are the census's ints, N = _scale(scene)[0] times their true values."""
 
     def __init__(self, corners: list,  # corner names, y_0 first
-                 points: list,         # exact corner coordinates (same order)
+                 points: list,         # corner coordinates (same order)
                  arcs: list,           # (curve name, t_from, t_to, travel, positive)
                  boundary: list,       # the arcs' PL segments in order, ((x, y), (x, y))
                  z_count: int, star_count: int, q: int, r: int, wraps: list):
@@ -289,23 +290,23 @@ def _build_witness(scene, n, z, names, lifts, params, corner_names):
     embedded counterclockwise polygons with convex corners within its wrap
     bound (module docstring), so this reads what depends on the scene: the
     degree relation, the sign data and the lattice count of z.  Returns a
-    PolygonWitness in Fractions."""
-    d1 = len(names)
-    travels, wraps, positives, all_segments = [], [], [], []
-    for k, (t_from, t_to) in enumerate(params):
-        travels.append(1 if t_to > t_from else -1)
+    PolygonWitness in the census's own ints, at scale n."""
+    arcs, wraps, positives, all_segments = [], [], [], []
+    for name, lift, (t_from, t_to) in zip(names, lifts, params):
+        travel = 1 if t_to > t_from else -1
         wrap, part = divmod(abs(t_to - t_from), n)
         if not part:
             raise AssertionError("arc length ambiguous for wrap count")
         wraps.append(wrap)
         # the pushoff inherits the +y orientation
-        orientation = 1 if lifts[k].kind == "p" else scene.curves[names[k]].orientation
-        positives.append(travels[k] == orientation)
-        all_segments.extend(lifts[k].segments(t_from, t_to))
+        orientation = 1 if lift.kind == "p" else scene.curves[name].orientation
+        positives.append(travel == orientation)
+        arcs.append((name, t_from, t_to, travel, positives[-1]))
+        all_segments.extend(lift.segments(t_from, t_to))
 
     # degree bookkeeping: i(y_0) = sum of input indices + 2 - d
     idx = [scene.maslov[c] for c in corner_names]
-    d = d1 - 1
+    d = len(names) - 1
     if idx[0] != sum(idx[1:]) + 2 - d:
         raise AssertionError(f"degree relation fails for {corner_names}")
 
@@ -323,14 +324,9 @@ def _build_witness(scene, n, z, names, lifts, params, corner_names):
     bbox = ((min(xs), max(xs)), (min(ys), max(ys)))
     z_count = _count_lattice_points(z, all_segments, bbox, n)
 
-    # one Fraction per coordinate and one pair per point, shared by every field
-    frac = {v: Fr(v, n) for seg in all_segments for p in seg for v in p}
-    exact = {p: (frac[p[0]], frac[p[1]]) for seg in all_segments for p in seg}
     return PolygonWitness(
-        list(corner_names), [exact[lifts[k].point(params[k][0])] for k in range(d1)],
-        [(name, frac[t_from], frac[t_to], travel, positive) for name, (t_from, t_to),
-         travel, positive in zip(names, params, travels, positives)],
-        [(exact[a], exact[b]) for a, b in all_segments], z_count, star_total, q, r, wraps)
+        list(corner_names), [lift.point(t) for lift, (t, _) in zip(lifts, params)], arcs,
+        all_segments, z_count, star_total, q, r, wraps)
 
 
 def _grid(lo, hi, residue, n):
@@ -513,42 +509,46 @@ def scene_load(text: str) -> PolygonScene:
 # SVG emission (static figures of lifted witnesses)
 # ---------------------------------------------------------------------------
 
-def witness_svg(scene: PolygonScene, w: PolygonWitness, size: int = 420) -> str:
+_SVG_SIZE = 420   # a figure's width and height, in pixels
+
+
+def witness_svg(scene: PolygonScene, w: PolygonWitness) -> str:
     """Standalone SVG of one lifted witness with the lattice and curves."""
-    xs = [float(p[0]) for s in w.boundary for p in s]
-    ys = [float(p[1]) for s in w.boundary for p in s]
+    n = _scale(scene)[0]   # v / n rounds correctly, as float(Fraction(v, n)) does
+    xs = [p[0] / n for s in w.boundary for p in s]
+    ys = [p[1] / n for s in w.boundary for p in s]
     pad = 0.7
     xmin, xmax = min(xs) - pad, max(xs) + pad
     ymin, ymax = min(ys) - pad, max(ys) + pad
     span = max(xmax - xmin, ymax - ymin)
-    scale = size / span
+    scale = _SVG_SIZE / span
 
     def sx(x):
         return (float(x) - xmin) * scale
 
     def sy(y):
-        return size - (float(y) - ymin) * scale
+        return _SVG_SIZE - (float(y) - ymin) * scale
 
     rows = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" '
+        f'height="{_SVG_SIZE}" viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">',
+        f'<rect width="{_SVG_SIZE}" height="{_SVG_SIZE}" fill="white"/>',
     ]
     i = int(xmin) - 1
     while i <= xmax + 1:
-        rows.append(f'<line x1="{sx(i)}" y1="0" x2="{sx(i)}" y2="{size}" '
+        rows.append(f'<line x1="{sx(i)}" y1="0" x2="{sx(i)}" y2="{_SVG_SIZE}" '
                     'stroke="#ddd" stroke-width="1"/>')
         i += 1
     j = int(ymin) - 1
     while j <= ymax + 1:
-        rows.append(f'<line x1="0" y1="{sy(j)}" x2="{size}" y2="{sy(j)}" '
+        rows.append(f'<line x1="0" y1="{sy(j)}" x2="{_SVG_SIZE}" y2="{sy(j)}" '
                     'stroke="#ddd" stroke-width="1"/>')
         j += 1
     path = []
     for (p0, p1) in w.boundary:
         if not path:
-            path.append(f"M {sx(p0[0])} {sy(p0[1])}")
-        path.append(f"L {sx(p1[0])} {sy(p1[1])}")
+            path.append(f"M {sx(p0[0] / n)} {sy(p0[1] / n)}")
+        path.append(f"L {sx(p1[0] / n)} {sy(p1[1] / n)}")
     path.append("Z")
     rows.append(f'<path d="{" ".join(path)}" fill="#cfe8ff" '
                 'stroke="#0055aa" stroke-width="2" fill-opacity="0.7"/>')
@@ -561,8 +561,8 @@ def witness_svg(scene: PolygonScene, w: PolygonWitness, size: int = 420) -> str:
                         'fill="#cc3300"/>')
             j += 1
         i += 1
-    for p in w.points:
-        rows.append(f'<circle cx="{sx(p[0])}" cy="{sy(p[1])}" r="4" '
+    for x, y in w.points:
+        rows.append(f'<circle cx="{sx(x / n)}" cy="{sy(y / n)}" r="4" '
                     'fill="#222"/>')
     rows.append("</svg>")
     return "\n".join(rows)

@@ -1,3 +1,4 @@
+import hashlib
 import re
 from collections import Counter
 from fractions import Fraction as Fr
@@ -151,6 +152,17 @@ def test_svg_emission(scene, tris4):
     text = witness_svg(scene, tris4[0])
     assert text.startswith("<svg") and text.endswith("</svg>")
     assert "path" in text
+
+
+def test_svg_bytes(scene):
+    # every figure of the wrap-2 census, byte for byte: the witnesses' ints
+    # are divided by the scale where they turn into floats, and int true
+    # division rounds as the float of the Fraction does
+    witnesses = triangle_witnesses(scene, 2) + quad_witnesses(scene, 2)
+    assert len(witnesses) == 15
+    text = "\n".join(witness_svg(scene, w) for w in witnesses)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "6e302b37f1f0005f2782c671edd110342c8135afea26abcd0efb983ad0a936df"
 
 
 def test_scene_dump_load_roundtrip(scene):
@@ -377,6 +389,21 @@ def test_census_matches_oracles_per_witness(scene, checked_fast_paths, z):
     assert seen["count"] >= len(tris) + len(quads)
 
 
+def _in_fractions(scene, w):
+    """The fields of a census witness, its coordinates read in Fractions:
+    Fraction(v, N) for each int v of points, arcs and boundary, N the
+    census's scale."""
+    n = polygons._scale(scene)[0]
+
+    def point(p):
+        return (Fr(p[0], n), Fr(p[1], n))
+
+    return dict(vars(w), points=[point(p) for p in w.points],
+                arcs=[(name, Fr(t_from, n), Fr(t_to, n), travel, positive)
+                      for name, t_from, t_to, travel, positive in w.arcs],
+                boundary=[(point(a), point(b)) for a, b in w.boundary])
+
+
 @pytest.mark.parametrize("z", [None, "1/2 1/4", "1/200 1/100"])
 def test_census_matches_post_filtered_oracle(scene, z):
     # the integer census, its candidates ranged by the wrap bound, keeps
@@ -386,14 +413,32 @@ def test_census_matches_post_filtered_oracle(scene, z):
     for wrap in range(1, 7):
         for fast, slow in ((triangle_witnesses, oracles.triangle_witnesses),
                            (quad_witnesses, oracles.quad_witnesses)):
-            assert [vars(w) for w in fast(scene, wrap)] == \
+            assert [_in_fractions(scene, w) for w in fast(scene, wrap)] == \
                 [vars(w) for w in slow(scene, wrap)]
 
 
-def _census(census, scene, wrap):
+def test_census_builds_no_fraction(scene, monkeypatch):
+    # witnesses keep the census's ints: no census calls Fraction, on the
+    # preset scene or on a loaded one at another basepoint
+    calls = Counter()
+
+    def counting(*args):
+        calls["Fr"] += 1
+        return Fr(*args)
+
+    # loaded before the patch: scene_load reads the file's numbers with Fr
+    scenes = [scene, _scene_with_z(scene, "1/200 1/100")]
+    monkeypatch.setattr(polygons, "Fr", counting)
+    for drawn in scenes:
+        assert len(triangle_witnesses(drawn, 4)) == 10
+        assert len(quad_witnesses(drawn, 4)) == 25
+    assert calls["Fr"] == 0
+
+
+def _census(census, scene, wrap, read=vars):
     """The census's witnesses as field dicts, or the AssertionError text."""
     try:
-        return [vars(w) for w in census(scene, wrap)]
+        return [read(w) for w in census(scene, wrap)]
     except AssertionError as exc:
         return str(exc)
 
@@ -414,7 +459,7 @@ def test_census_matches_oracle_at_other_scales(scene, z, wrap):
     for fast, slow in ((triangle_witnesses, oracles.triangle_witnesses),
                        (quad_witnesses, oracles.quad_witnesses)):
         want = _census(slow, drawn, wrap)
-        assert _census(fast, drawn, wrap) == want
+        assert _census(fast, drawn, wrap, lambda w: _in_fractions(drawn, w)) == want
     # the census enumerates only x_id; the oracle builds x_top too
     assert isinstance(want, str) or all(w["corners"][0] == "x_id" for w in want)
 
