@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from array import array
 
-from .linalg import Echelon, cohomology_dims, rank
+from .linalg import Echelon, cohomology_dims, rank  # noqa: F401 (bench/test_bench.py reads hochschild.rank)
 from .quiver import AInfStructure, Element, ZERO, preset_A, splices
 from .scalars import FieldSpec, canonical, divide, field_mismatch
 
@@ -152,9 +152,9 @@ def coboundary(phi: Cochain, alg: AInfStructure) -> Cochain:
 # Neither holds a value, so every field and every structure on one
 # category (and one support) shares them.  Beside each support's
 # patterns, hh_bar keeps the last rank over Q of an integral mu^2 on it
-# per (r, s), with its mu^2 coefficients and pivot product: a few ints
-# per cell, which settle the rank over F_p for every p not dividing the
-# product (hh_bar).
+# per (r, s), with its mu^2 coefficients, pivot product and pivot rows:
+# the rank and product settle the rank over F_p for every p not dividing
+# the product, and the rows clear the next cell (hh_bar).
 _BASES: dict = {}
 _PATTERNS: dict = {}
 
@@ -336,27 +336,39 @@ def _pattern(cat, slots, r: int, s: int, col_basis, row_basis):
 def hh_bar(spec: FieldSpec, r_max: int, alg: AInfStructure = None):
     """Bigraded Hochschild cohomology dimensions via the normalized bar
     complex and exact Gaussian elimination: {(r, s): dim}, zeros omitted.
-    alg (preset A by default) must be over spec's field (else ValueError).
+    alg (preset A by default) must be over spec's field and its mu^2
+    associative (delta_squares_to_zero), else ValueError.
 
     A cochain of length k has s = deg(output) - (degree sum of k inputs),
     so s lies in [lo - k * hi, hi - k * lo] for the generator degrees
     lo..hi; delta at (r, s) is built for every s at which C(r, s) or
     C(r + 1, s) can be nonempty.
 
+    Clearing (Chen and Kerber, 2011): delta at (r, s) is eliminated only
+    on its columns outside the pivot rows P of (r - 1, s), which index
+    C(r, s).  The image of delta at (r - 1, s) has a basis unit
+    triangular on P (Echelon.pivot_rows), so C(r, s) is that image plus
+    the span of the e_j, j not in P, a direct sum.  delta^2 = 0 kills the
+    image, so the kept columns have delta's full rank at (r, s).
+
     One elimination over Q serves every prime that does not divide its
-    pivot product.  Over Q with integral mu^2, each cell's rank R and
-    pivot product D (Echelon.pivot_product) are kept beside its pattern,
-    with mu^2's coefficients.  Let M be the integer matrix of delta
-    there: D is the determinant of an R x R minor of M, a nonzero
-    integer, and every (R + 1)-minor of M is 0.  A structure over F_p on
-    the same category and support whose coefficients are the Q ones mod
-    p has the matrix M mod p.  If p does not divide D, that minor stays
-    nonsingular mod p and the larger ones stay 0, so its rank is R:
-    hh_bar takes it without filling or eliminating the F_p matrix.  Every
-    other cell is filled and ranked over its own field."""
+    pivot product.  Over Q with integral mu^2, each cell keeps beside its
+    pattern mu^2's coefficients, its rank R, pivot product D
+    (Echelon.pivot_product) and P.  Let M be the integer matrix of delta
+    there: D is the determinant of an R x R minor of M on the rows P, a
+    nonzero integer, and every (R + 1)-minor of M is 0.  A structure over
+    F_p on the same category and support whose coefficients are the Q
+    ones mod p has the matrix M mod p.  If p does not divide D, that
+    minor stays nonsingular mod p and the larger ones stay 0, so the
+    rank is R and the image projects onto the rows P, which complement
+    it too: hh_bar takes R and P without filling or eliminating the F_p
+    matrix.  Every other cell is filled, cleared and eliminated over its
+    own field."""
     alg = alg or preset_A(spec)
     if alg.spec != spec:
         raise field_mismatch(alg.spec.characteristic, spec.characteristic)
+    if not delta_squares_to_zero(alg):
+        raise ValueError("mu^2 is not associative: delta^2 != 0")
     p = spec.characteristic
     degs = [g.degree for g in alg.cat.generators.values()]
     lo, hi = min(degs), max(degs)
@@ -367,23 +379,27 @@ def hh_bar(spec: FieldSpec, r_max: int, alg: AInfStructure = None):
     slots, _, records = _support(alg)
     coeffs = _coefficients(alg, slots)
     integral = not p and all(type(c) is int for c in coeffs)
-    blocks = {}
+    blocks, pivot_rows = {}, {}  # pivot rows by cell, until the next r reads them
     for r, s in cells:
+        cleared = pivot_rows.pop((r - 1, s), ())
         known = records.get((r, s)) if p else None
         if known and known[2] % p and tuple(c % p for c in known[0]) == coeffs:
             blocks[(r, s)] = (len(cochain_basis(alg, r, s)), known[1])
+            pivot_rows[(r, s)] = known[3]
             continue
         cols, rows, matrix = delta_matrix(alg, r, s)
         if not (cols and rows):
-            out, det = 0, 1
-        elif integral:
-            echelon = Echelon(matrix, p)
-            out, det = echelon.rank, echelon.pivot_product
-            del echelon  # else held while the next cell is built and eliminated
+            out, det, pivots = 0, 1, ()
         else:
-            out = rank(matrix, p)
+            cleared = set(cleared)  # the cleared columns are dropped before the elimination
+            matrix = [c for j, c in enumerate(matrix) if j not in cleared]
+            echelon = Echelon(matrix, p)
+            out, pivots = echelon.rank, echelon.pivot_rows
+            det = echelon.pivot_product if integral else None
+            del echelon, matrix  # else held while the next cell is built and eliminated
         if integral:
-            records[(r, s)] = (coeffs, out, det)
+            records[(r, s)] = (coeffs, out, det, pivots)
+        pivot_rows[(r, s)] = pivots
         blocks[(r, s)] = (len(cols), out)
     return cohomology_dims(blocks)
 

@@ -10,7 +10,7 @@ zero is free, and the multipliers that zeroed it give its kernel vector.
 ``rank``, ``solve``, ``nullspace`` (and its lazy form ``Echelon.kernel``),
 ``Echelon.residual``, empty exactly on the column space, and
 ``Echelon.pivot_product``, the determinant of a nonsingular maximal minor,
-all read this one factorization.
+and ``Echelon.pivot_rows`` all read this one factorization.
 
 Why the outputs equal those of Gauss-Jordan elimination (``rref`` on the
 rows, first nonzero column first, kept as the test oracle): the pivot
@@ -71,6 +71,14 @@ class Echelon:
     @property
     def rank(self) -> int:
         return len(self.pivots)
+
+    @property
+    def pivot_rows(self) -> tuple:
+        """k -> pivot row of basis vector k, as pivots is k -> pivot column.
+        On these rows the basis is unit triangular, so the column space
+        and the unit vectors of the other rows span all vectors over the
+        rows, as a direct sum."""
+        return tuple(self._rows)
 
     @property
     def pivot_product(self):

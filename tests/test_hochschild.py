@@ -450,22 +450,73 @@ def _dual_numbers(F):
                                          ("x", "e"): one["x"]}})
 
 
-@pytest.mark.parametrize("char", [0, 2])
-def test_hh_bar_reaches_every_cell_of_a_degree_two_generator(char):
-    # with |x| = 2 the cochains of length r sit at s = -2r and 2 - 2r, below
-    # the s >= -(r + 1) that degrees 0 and 1 allow; every cell is found
-    F = FieldSpec(char)
-    alg = _dual_numbers(F)
-    ranks, dims = {}, {}
-    for r, s in _cells(alg.cat, 4):
+def _uncleared_ranks(alg, r_max):
+    """{(r, s): rank of delta at (r, s) on all its columns} at every cell
+    of _cells, 0 where delta has no column or no row."""
+    char, ranks = alg.spec.characteristic, {}
+    for r, s in _cells(alg.cat, r_max):
         cols, rows, columns = delta_matrix(alg, r, s)
         ranks[(r, s)] = rank(columns, char) if cols and rows else 0
-        dim = len(cols) - ranks[(r, s)] - ranks.get((r - 1, s), 0)
+    return ranks
+
+
+def _uncleared_dims(alg, r_max):
+    """The HH table at r <= r_max from _uncleared_ranks, zeros omitted."""
+    ranks, dims = _uncleared_ranks(alg, r_max), {}
+    for r, s in ranks:
+        dim = len(cochain_basis(alg, r, s)) - ranks[(r, s)] - ranks.get((r - 1, s), 0)
         if dim:
             dims[(r, s)] = dim
-    assert hh_bar(F, 4, alg) == dims
+    return dims
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+def test_hh_bar_reaches_every_cell_of_a_degree_two_generator(char):
+    # with |x| = 2 the cochains of length r sit at s = -2r and 2 - 2r, below
+    # the s >= -(r + 1) that degrees 0 and 1 allow; every cell is found,
+    # and the cleared eliminations give the ranks on all columns
+    F = FieldSpec(char)
+    alg = _dual_numbers(F)
+    dims = _uncleared_dims(alg, 9)
+    assert hh_bar(F, 9, alg) == dims
     if char == 0:
-        assert dims == {(0, 0): 1, (0, 2): 1, (1, 0): 1, (2, -4): 1, (3, -4): 1, (4, -8): 1}
+        assert {k: v for k, v in dims.items() if k[0] <= 4} == {
+            (0, 0): 1, (0, 2): 1, (1, 0): 1, (2, -4): 1, (3, -4): 1, (4, -8): 1}
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+def test_cleared_hh_bar_equals_the_uncleared_ranks(char, fresh_patterns):
+    # hh_bar eliminates delta only on the columns outside the pivot rows of
+    # the cell before; the ranks on all columns give the same tables, over
+    # F_p alone and again once the Q records certify (and clear) most cells
+    F = FieldSpec(char)
+    want = _uncleared_dims(preset_A(F), 9)
+    assert hh_bar(F, 9) == want
+    hh_bar(FieldSpec(0), 9)
+    assert hh_bar(F, 9) == want
+
+
+def test_hh_bar_hands_echelon_only_the_uncleared_columns(fresh_patterns, monkeypatch):
+    # at each cell that hh_bar(Q, 9) eliminates, the rank(r - 1, s) columns
+    # at the pivot rows of (r - 1, s) stay out of the Echelon
+    Q = FieldSpec(0)
+    A = preset_A(Q)
+    ranks = _uncleared_ranks(A, 9)
+    sizes = {c: len(cochain_basis(A, *c)) for c in ranks}
+    eliminated = [(r, s) for r, s in ranks
+                  if sizes[(r, s)] and cochain_basis(A, r + 1, s)]
+    cleared = sum(ranks.get((r - 1, s), 0) for r, s in eliminated)
+    assert cleared > 1000
+    handed, init = [], hochschild.Echelon.__init__
+
+    def counted_init(self, columns, p, ncols=None):
+        handed.append(len(columns))
+        init(self, columns, p, ncols)
+
+    monkeypatch.setattr(hochschild.Echelon, "__init__", counted_init)
+    hh_bar(Q, 9, A)
+    assert len(handed) == len(eliminated)
+    assert sum(handed) == sum(sizes[c] for c in eliminated) - cleared
 
 
 @pytest.mark.parametrize("table, structure", [(0, 3), (3, 0), (5, 2)])
@@ -501,7 +552,7 @@ def test_certified_ranks_equal_direct_ranks(fresh_patterns):
     assert {r for r, _ in records} == set(range(10))
     for p in CERTIFIED_PRIMES:
         A, uncertified = preset_A(FieldSpec(p)), []
-        for (r, s), (_, out, det) in records.items():
+        for (r, s), (_, out, det, _) in records.items():
             if det % p:
                 assert out == rank(delta_matrix(A, r, s)[2], p), (p, r, s)
             else:
@@ -511,24 +562,51 @@ def test_certified_ranks_equal_direct_ranks(fresh_patterns):
 
 
 def _unit_doubled(F):
-    # preset A with e0 o e1 = 2 e1: preset A's mu^2 support, not its ranks
+    # preset A with e0 o e1 = 2 e1: preset A's mu^2 support, not associative
     A = preset_A(F)
     mu2 = dict(A.tables[2])
     mu2[("e0", "e1")] = mu2[("e0", "e1")].scale(2)
     return AInfStructure(F, A.cat, A.truncation, {2: mu2})
 
 
-def test_q_ranks_serve_only_their_coefficients_mod_p(fresh_patterns):
-    # two structures on one support whose coefficients differ mod 5: the
-    # Q ranks of either are not taken for the other over F5
-    F5 = FieldSpec(5)
-    alone = [hh_bar(F5, 5), hh_bar(F5, 5, _unit_doubled(F5))]
-    assert alone[0] != alone[1]
-    fresh_patterns._PATTERNS.clear()
-    hh_bar(FieldSpec(0), 5, _unit_doubled(FieldSpec(0)))
-    assert hh_bar(F5, 5) == alone[0]
-    hh_bar(FieldSpec(0), 5)
-    assert hh_bar(F5, 5, _unit_doubled(F5)) == alone[1]
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+def test_hh_bar_refuses_a_non_associative_mu2(char):
+    # delta^2 != 0 there, so no cohomology is defined: ranked anyway, the
+    # bar complex gave "dimensions" from (2, -1): -1 to (8, -5): -34 over
+    # Q, and clearing, which relies on delta^2 = 0, would be unsound
+    F = FieldSpec(char)
+    with pytest.raises(ValueError, match="not associative"):
+        hh_bar(F, 8, _unit_doubled(F))
+
+
+def _u_doubled(F):
+    # preset A with u rescaled by 2 (u o v = 2 f1, v o u = -2 e1): preset
+    # A's mu^2 support, integral and associative, and isomorphic to A
+    # wherever 2 is invertible
+    A = preset_A(F)
+    mu2 = dict(A.tables[2])
+    for key in (("u", "v"), ("v", "u")):
+        mu2[key] = mu2[key].scale(2)
+    return AInfStructure(F, A.cat, A.truncation, {2: mu2})
+
+
+def test_q_ranks_serve_only_their_coefficients_mod_p(fresh_patterns, monkeypatch):
+    # two structures on one support whose coefficients differ mod 5: F5
+    # eliminates every cell rather than read the Q record of the other
+    # one, and reads its own; the tables agree, as the two are isomorphic
+    Q, F5 = FieldSpec(0), FieldSpec(5)
+    want = {k: v for k, v in Q_TABLE.items() if k[0] <= 5}
+    eliminated = _trace_eliminations(monkeypatch)
+    assert hh_bar(Q, 5, _u_doubled(Q)) == want
+    cells = eliminated.pop(0)
+    assert hh_bar(F5, 5) == want
+    assert eliminated.pop(5) == cells
+    assert hh_bar(Q, 5) == want
+    assert eliminated.pop(0) == cells
+    assert hh_bar(F5, 5, _u_doubled(F5)) == want
+    assert eliminated.pop(5) == cells
+    assert hh_bar(F5, 5) == want
+    assert not eliminated
     assert len(fresh_patterns._PATTERNS) == 1
 
 
@@ -554,8 +632,9 @@ def _trace_eliminations(monkeypatch):
 
 def test_q_elimination_certifies_all_but_the_torsion_cells(fresh_patterns, monkeypatch):
     # Q ranks 24 nonempty cells at r <= 7; after it, F5 ranks none, F3 only
-    # (3, -2) (pivot product -3) and F2 only the 5 cells whose pivot
-    # products (4, -16, 2, 2, 2) are even; F2 alone ranks all 24
+    # (3, -2) (pivot product 3) and F2 only the 5 cells whose pivot
+    # products (-2, 4, 4, -2, 2) are even; F2 alone ranks all 24.  Each
+    # product is the minor on the columns that clearing keeps
     eliminated = _trace_eliminations(monkeypatch)
     for char in (0, 5, 3, 2):
         hh_bar(FieldSpec(char), 7)
@@ -563,7 +642,7 @@ def test_q_elimination_certifies_all_but_the_torsion_cells(fresh_patterns, monke
     assert eliminated[3] == [(3, -2)]
     assert eliminated[2] == [(2, -1), (4, -3), (5, -3), (6, -3), (7, -5)]
     (_, _, records), = fresh_patterns._PATTERNS.values()
-    assert [records[c][2] for c in eliminated[2] + eliminated[3]] == [4, -16, 2, 2, 2, -3]
+    assert [records[c][2] for c in eliminated[2] + eliminated[3]] == [-2, 4, 4, -2, 2, 3]
     del eliminated[2]
     monkeypatch.setattr(hochschild, "_PATTERNS", {})
     hh_bar(FieldSpec(2), 7)

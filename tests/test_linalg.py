@@ -191,7 +191,7 @@ _INTEGER_COLUMNS = st.integers(1, 6).flatmap(lambda m: st.lists(
 
 def _pivot_minor(echelon, columns):
     """Dense rows of columns on echelon's pivot rows and pivot columns."""
-    return [[columns[j].get(row, 0) for j in echelon.pivots] for row in echelon._rows]
+    return [[columns[j].get(row, 0) for j in echelon.pivots] for row in echelon.pivot_rows]
 
 
 @settings(max_examples=200)
@@ -212,3 +212,43 @@ def test_pivot_product_is_the_pivot_minor_determinant(dense):
         assert ech_p.rank <= ech.rank
         if det % p:
             assert ech_p.rank == ech.rank
+
+
+@st.composite
+def _complexes(draw):
+    """(p, d1, d2) with d2 d1 = 0 over F_p (Q for p = 0): d2 is drawn, and
+    each column of d1 is a combination of d2's kernel vectors, some of them
+    repeated or zero."""
+    p = draw(st.sampled_from((0, 2, 3, 5)))
+    n1, n2 = draw(st.integers(1, 8)), draw(st.integers(1, 5))
+    entry = st.integers(-3, 3).map(lambda v: canon(v, p))
+    d2 = [{i: v for i, v in enumerate(draw(st.lists(entry, min_size=n2, max_size=n2))) if v}
+          for _ in range(n1)]
+    kernel = nullspace(d2, n1, p)
+    d1 = []
+    for _ in range(draw(st.integers(1, 6))):
+        coeffs = draw(st.lists(entry, min_size=len(kernel), max_size=len(kernel)))
+        col = {}
+        for c, vec in zip(coeffs, kernel):
+            for i, v in enumerate(vec):
+                col[i] = col.get(i, 0) + c * v
+        d1.append({i: canon(v, p) for i, v in col.items() if canon(v, p)})
+    return p, d1, d2
+
+
+@settings(max_examples=50)
+@given(_complexes())
+def test_clearing_keeps_the_rank(complex_):
+    # d2 d1 = 0: the columns of d2 at the pivot rows of d1's echelon add
+    # nothing to d2's rank, so d2 ranked without them has its full rank
+    p, d1, d2 = complex_
+    for col in d1:  # the draw is a complex
+        acc = {}
+        for j, a in col.items():
+            for i, b in d2[j].items():
+                acc[i] = acc.get(i, 0) + a * b
+        assert not any(canon(v, p) for v in acc.values())
+    cleared = set(Echelon(d1, p).pivot_rows)
+    assert len(cleared) == rank(d1, p)
+    kept = [col for j, col in enumerate(d2) if j not in cleared]
+    assert rank(kept, p) == rank(d2, p)
