@@ -21,8 +21,6 @@ obstruction check (at r = 5), which is how the sign convention is pinned.
 
 from __future__ import annotations
 
-from array import array
-
 from .linalg import Echelon, cohomology_dims, rank  # noqa: F401 (bench/test_bench.py reads hochschild.rank)
 from .quiver import AInfStructure, Element, ZERO, preset_A, splices
 from .scalars import FieldSpec, canonical, divide, field_mismatch
@@ -146,15 +144,16 @@ def coboundary(phi: Cochain, alg: AInfStructure) -> Cochain:
 # Bases, matrices and linear algebra over the cochain complex
 # ---------------------------------------------------------------------------
 
-# The field-independent parts of delta, each then by (r, s): bases by
-# category signature, and the entry patterns of delta_matrix by (category
-# signature, mu^2 support), each support with its slot tables (_slots).
-# Neither holds a value, so every field and every structure on one
-# category (and one support) shares them.  Beside each support's
-# patterns, hh_bar keeps the last rank over Q of an integral mu^2 on it
-# per (r, s), with its mu^2 coefficients, pivot product and pivot rows:
-# the rank and product settle the rank over F_p for every p not dividing
-# the product, and the rows clear the next cell (hh_bar).
+# The field-independent parts of delta: bases by category signature and
+# (r, s), and by (category signature, mu^2 support) the slot tables
+# (_slots) from which delta_matrix expands each column.  Neither holds a
+# value, so every field and every structure on one category (and one
+# support) shares them; no column or entry of delta is stored.  Beside
+# each support's slot tables, hh_bar keeps the last rank over Q of an
+# integral mu^2 on it per (r, s), with its mu^2 coefficients, pivot
+# product and pivot rows: the rank and product settle the rank over F_p
+# for every p not dividing the product, and the rows clear the next cell
+# (hh_bar).
 _BASES: dict = {}
 _PATTERNS: dict = {}
 
@@ -219,58 +218,89 @@ def vector_to_cochain(vec, basis, r: int, s: int, spec: FieldSpec) -> Cochain:
     return Cochain(r, s, {key: Element(t, spec.characteristic) for key, t in terms.items()})
 
 
-def delta_matrix(alg: AInfStructure, r: int, s: int):
+def delta_matrix(alg: AInfStructure, r: int, s: int, skip=()):
     """Matrix of delta: CC(r,s) -> CC(r+1,s) in the deterministic bases.
 
-    Returns (col_basis, row_basis, columns) with columns[j] a sparse dict
-    {row index: raw value}; the bases are cochain_basis' shared lists.
-    Which entries delta has, and which mu^2 coefficient each reads with
-    which sign, depend only on the category and on mu^2's support, not on
-    the field or the values: that pattern (_pattern) is built once per
-    (category signature, support) and (r, s), column by column, and
-    cached.  Each call fills it: the signed mu^2 values are summed raw
-    into the columns in the pattern's order, so each column's entries
-    come in ascending row order, and made canonical once, at the end.
+    Returns (col_basis, row_basis, columns), the bases cochain_basis'
+    shared lists, with columns[j] the sparse dict {row index: raw value}
+    of column j, or None for each j in skip: a skipped column is never
+    expanded, so None stands for "not built", not for a zero column.
+    Each other column is expanded once, on its own (_column), from the
+    slot tables of mu^2's support (_slots), the only part of delta kept
+    between calls: the signed mu^2 values are summed raw as its rows are
+    met, and it is made canonical once, its entries in ascending row
+    order.
     """
     col_basis, row_basis = cochain_basis(alg, r, s), cochain_basis(alg, r + 1, s)
-    slots, patterns, _ = _support(alg)
-    pattern = patterns.get((r, s))
-    if pattern is None:
-        pattern = patterns[(r, s)] = _pattern(alg.cat, slots, r, s, col_basis, row_basis)
+    slot_of, tables, _ = _support(alg)
     # slot -> signed raw value, in _slots' numbering
-    values = [v for c in _coefficients(alg, slots) for v in (c, -c)]
-    columns = [dict() for _ in col_basis]
-    entries = iter(pattern)
-    for j, i, slot in zip(entries, entries, entries):
-        col = columns[j]
-        col[i] = col.get(i, 0) + values[slot]
-    for j, col in enumerate(columns):  # one column at a time: no second matrix
-        columns[j] = canonical(col, alg.spec.characteristic)
-    return col_basis, row_basis, columns
+    values = [v for c in _coefficients(alg, slot_of) for v in (c, -c)]
+    rows = {b: i for i, b in enumerate(row_basis)}
+    odd, p = alg.cat.odd, alg.spec.characteristic
+    flip = (r + s - 1) % 2  # ||phi||
+    skip = set(skip)
+    return col_basis, row_basis, [
+        None if j in skip else _column(() if not r else w, h, tables, rows, values, odd, flip, p)
+        for j, (w, h) in enumerate(col_basis)]
+
+
+def _column(w, h, tables, rows, values, odd, flip, p) -> dict:
+    """The column (w, h) of delta (w = () at r = 0) by the three-term
+    expansion of delta, independent of coboundary(), which brackets with
+    mu^2; the test suite checks the two against each other.  rows indexes
+    the row basis, values holds the signed raw mu^2 values by slot and
+    flip is ||phi||.
+
+    The column meets exactly the rows ((x,) + w, g) with g in mu^2(x, h),
+    the rows (w + (y,), g) with g in mu^2(h, y), and the rows (w[:n] +
+    (a, b) + w[n+1:], h) with w[n] in mu^2(a, b), the last signed by the
+    parity of w's tail after n.  Each candidate costs one index lookup, so
+    the expansion is linear in the entries."""
+    right, left, preimages = tables
+    col = {}
+    for x, g, plus, _ in right.get(h, ()):
+        i = rows.get(((x,) + w, g))
+        if i is not None:
+            col[i] = col.get(i, 0) + values[plus]
+    for y, g, plus, minus in left.get(h, ()):
+        i = rows.get((w + (y,), g))
+        if i is not None:
+            col[i] = col.get(i, 0) + values[minus if flip and odd[y] else plus]
+    negate = 1 ^ flip  # (-1)^(1 + ||phi|| + ||w[n+1:]||)
+    for n in range(len(w) - 1, -1, -1):
+        c = w[n]
+        if c in preimages:
+            head, tail = w[:n], w[n + 1:]
+            for a, b, plus, minus in preimages[c]:
+                i = rows.get((head + (a, b) + tail, h))
+                if i is not None:
+                    col[i] = col.get(i, 0) + values[minus if negate else plus]
+        negate ^= odd[c]
+    return canonical({i: col[i] for i in sorted(col)}, p)
 
 
 def _support(alg: AInfStructure):
-    """The _PATTERNS entry of alg's category signature and mu^2 support:
-    (slot tables, {(r, s): pattern}, {(r, s): Q record}), made empty on
-    first use."""
+    """The _PATTERNS entry of alg's category signature and mu^2 support,
+    made on first use: _slots' slot_of and expansion tables, and hh_bar's
+    Q records {(r, s): record}, empty at first."""
     mu2 = alg.tables[2]
     shape = (alg.cat.signature, frozenset((key, tuple(el.terms)) for key, el in mu2.items()))
     if shape not in _PATTERNS:
-        _PATTERNS[shape] = (_slots(mu2, alg.cat), {}, {})
+        _PATTERNS[shape] = (*_slots(mu2, alg.cat), {})
     return _PATTERNS[shape]
 
 
-def _coefficients(alg: AInfStructure, slots) -> tuple:
+def _coefficients(alg: AInfStructure, slot_of) -> tuple:
     """mu^2's coefficients as raw values, in _slots' order."""
     mu2 = alg.tables[2]
-    return tuple(mu2[key].terms[g] for key, entries in slots[0].items() for g, _, _ in entries)
+    return tuple(mu2[key].terms[g] for key, entries in slot_of.items() for g, _, _ in entries)
 
 
 def _slots(mu2, cat) -> tuple:
-    """(slot_of, right, left, preimages): slot_of is {mu^2 key: [(output
+    """(slot_of, (right, left, preimages)): slot_of is {mu^2 key: [(output
     generator, +slot, -slot)]}, slots 2n and 2n + 1 holding the n-th
-    coefficient of mu^2's support and its negative.  The other three list
-    the same slots by what a column of delta meets, over keys of
+    coefficient of mu^2's support and its negative.  The expansion tables
+    list the same slots by what a column of delta meets, over keys of
     non-identity letters: right[h] holds (x, g, +, -) for each key (x, h)
     and output g, left[h] (y, g, +, -) for each key (h, y), and
     preimages[g] (a, b, +, -) for each key (a, b) whose value holds g."""
@@ -287,50 +317,7 @@ def _slots(mu2, cat) -> tuple:
             if a in plain and b in plain:
                 preimages.setdefault(g, []).append((a, b, n, n + 1))
             n += 2
-    return slot_of, right, left, preimages
-
-
-def _pattern(cat, slots, r: int, s: int, col_basis, row_basis):
-    """The entries of delta at (r, s) as a flat array of (column, row,
-    slot) triples, column by column, each column's rows ascending: the
-    three-term expansion of delta, independent of coboundary(), which
-    brackets with mu^2; the test suite checks the two against each other.
-
-    A column (w, h) (w = () at r = 0) meets exactly the rows ((x,) + w, g)
-    with g in mu^2(x, h), the rows (w + (y,), g) with g in mu^2(h, y), and
-    the rows (w[:n] + (a, b) + w[n+1:], h) with w[n] in mu^2(a, b), the
-    last signed by the parity of w's tail after n.  Each candidate costs
-    one index lookup, so the walk is linear in the entries."""
-    _, right, left, preimages = slots
-    rows = {b: i for i, b in enumerate(row_basis)}
-    odd = cat.odd
-    flip = (r + s - 1) % 2  # ||phi||
-    out = array("i")
-    for j, (w, h) in enumerate(col_basis):
-        if not r:
-            w = ()
-        hits = []
-        for x, g, plus, _ in right.get(h, ()):
-            i = rows.get(((x,) + w, g))
-            if i is not None:
-                hits.append((i, plus))
-        for y, g, plus, minus in left.get(h, ()):
-            i = rows.get((w + (y,), g))
-            if i is not None:
-                hits.append((i, minus if flip and odd[y] else plus))
-        negate = 1 ^ flip  # (-1)^(1 + ||phi|| + ||w[n+1:]||)
-        for n in range(r - 1, -1, -1):
-            c = w[n]
-            if c in preimages:
-                head, tail = w[:n], w[n + 1:]
-                for a, b, plus, minus in preimages[c]:
-                    i = rows.get((head + (a, b) + tail, h))
-                    if i is not None:
-                        hits.append((i, minus if negate else plus))
-            negate ^= odd[c]
-        hits.sort()
-        out.extend([v for i, slot in hits for v in (j, i, slot)])
-    return out
+    return slot_of, (right, left, preimages)
 
 
 def hh_bar(spec: FieldSpec, r_max: int, alg: AInfStructure = None):
@@ -341,19 +328,20 @@ def hh_bar(spec: FieldSpec, r_max: int, alg: AInfStructure = None):
 
     A cochain of length k has s = deg(output) - (degree sum of k inputs),
     so s lies in [lo - k * hi, hi - k * lo] for the generator degrees
-    lo..hi; delta at (r, s) is built for every s at which C(r, s) or
-    C(r + 1, s) can be nonempty.
+    lo..hi; the cells (r, s) are every s at which C(r, s) or C(r + 1, s)
+    can be nonempty, and delta is built where both are.
 
     Clearing (Chen and Kerber, 2011): delta at (r, s) is eliminated only
     on its columns outside the pivot rows P of (r - 1, s), which index
     C(r, s).  The image of delta at (r - 1, s) has a basis unit
     triangular on P (Echelon.pivot_rows), so C(r, s) is that image plus
     the span of the e_j, j not in P, a direct sum.  delta^2 = 0 kills the
-    image, so the kept columns have delta's full rank at (r, s).
+    image, so the kept columns have delta's full rank at (r, s).  The
+    cleared columns are delta_matrix's skip: they are never expanded.
 
     One elimination over Q serves every prime that does not divide its
     pivot product.  Over Q with integral mu^2, each cell keeps beside its
-    pattern mu^2's coefficients, its rank R, pivot product D
+    support's slot tables mu^2's coefficients, its rank R, pivot product D
     (Echelon.pivot_product) and P.  Let M be the integer matrix of delta
     there: D is the determinant of an R x R minor of M on the rows P, a
     nonzero integer, and every (R + 1)-minor of M is 0.  A structure over
@@ -361,9 +349,9 @@ def hh_bar(spec: FieldSpec, r_max: int, alg: AInfStructure = None):
     ones mod p has the matrix M mod p.  If p does not divide D, that
     minor stays nonsingular mod p and the larger ones stay 0, so the
     rank is R and the image projects onto the rows P, which complement
-    it too: hh_bar takes R and P without filling or eliminating the F_p
-    matrix.  Every other cell is filled, cleared and eliminated over its
-    own field."""
+    it too: hh_bar takes R and P without building or eliminating the F_p
+    matrix.  Every other cell with columns and rows is built on its kept
+    columns alone and eliminated over its own field."""
     alg = alg or preset_A(spec)
     if alg.spec != spec:
         raise field_mismatch(alg.spec.characteristic, spec.characteristic)
@@ -376,8 +364,8 @@ def hh_bar(spec: FieldSpec, r_max: int, alg: AInfStructure = None):
     for r in range(r_max + 1):
         ends = [b for k in (r, r + 1) for b in (lo - k * hi, hi - k * lo)]
         cells += [(r, s) for s in range(min(ends), max(ends) + 1)]
-    slots, _, records = _support(alg)
-    coeffs = _coefficients(alg, slots)
+    slot_of, _, records = _support(alg)
+    coeffs = _coefficients(alg, slot_of)
     integral = not p and all(type(c) is int for c in coeffs)
     blocks, pivot_rows = {}, {}  # pivot rows by cell, until the next r reads them
     for r, s in cells:
@@ -387,16 +375,14 @@ def hh_bar(spec: FieldSpec, r_max: int, alg: AInfStructure = None):
             blocks[(r, s)] = (len(cochain_basis(alg, r, s)), known[1])
             pivot_rows[(r, s)] = known[3]
             continue
-        cols, rows, matrix = delta_matrix(alg, r, s)
-        if not (cols and rows):
+        cols = cochain_basis(alg, r, s)
+        if not (cols and cochain_basis(alg, r + 1, s)):
             out, det, pivots = 0, 1, ()
         else:
-            cleared = set(cleared)  # the cleared columns are dropped before the elimination
-            matrix = [c for j, c in enumerate(matrix) if j not in cleared]
-            echelon = Echelon(matrix, p)
+            echelon = Echelon([c for c in delta_matrix(alg, r, s, cleared)[2] if c is not None], p)
             out, pivots = echelon.rank, echelon.pivot_rows
             det = echelon.pivot_product if integral else None
-            del echelon, matrix  # else held while the next cell is built and eliminated
+            del echelon  # else held while the next cell is built and eliminated
         if integral:
             records[(r, s)] = (coeffs, out, det, pivots)
         pivot_rows[(r, s)] = pivots

@@ -43,6 +43,12 @@ class Echelon:
     and each free column as its multipliers, so a right-hand side needs
     only a reduction and a back-substitution.  Nothing is cached beyond
     the object, which hochschild.Cell keeps for a reference cell.
+
+    The pivot row of a residual is its row hit by the fewest input
+    columns, then the least row key: the key (weight, row) of every row
+    is built once per matrix.  A pivot of 1 needs no scaling, one of -1
+    (p - 1 mod p) is its own inverse and scales by a sign flip, and any
+    other is inverted by divide, with canon on every entry.
     """
 
     def __init__(self, columns, p: int, ncols: int = None):
@@ -50,7 +56,8 @@ class Echelon:
         self.ncols = len(columns) if ncols is None else ncols
         self.pivots: list[int] = []    # k -> pivot column
         self.free: list[int] = []      # free columns, ascending
-        self._weight = Counter(r for col in columns for r in col)
+        # row -> (input columns hitting it, row): the pivot-row key (_insert)
+        self._order = {r: (w, r) for r, w in Counter(r for col in columns for r in col).items()}
         self._slot: dict = {}          # pivot row -> k
         self._rows: list = []          # k -> pivot row
         self._basis: list[dict] = []   # k -> residual scaled to 1 at its pivot row
@@ -67,6 +74,7 @@ class Echelon:
         for j in range(len(columns), self.ncols):
             self.free.append(j)
             self._kernel.append({})
+        del self._order  # read by _insert alone; a cached Cell would keep it
 
     @property
     def rank(self) -> int:
@@ -123,12 +131,17 @@ class Echelon:
         return v, mult
 
     def _insert(self, j, residual, mult):
-        weight = self._weight
-        row = min(residual, key=lambda r: (weight[r], r))
+        row = min(residual, key=self._order.__getitem__)
         p = self.p
-        inv = divide(1, residual[row], p)
-        if inv != 1:
-            residual = {r: canon(a * inv, p) for r, a in residual.items()}
+        a = residual[row]
+        if a == 1:
+            inv = 1
+        elif a == p - 1:  # -1 (over Q p - 1 = -1): its own inverse; p - b is -b, canonical
+            inv = p - 1
+            residual = {r: p - b for r, b in residual.items()}
+        else:
+            inv = divide(1, a, p)
+            residual = {r: canon(b * inv, p) for r, b in residual.items()}
         self._slot[row] = len(self._rows)
         self._rows.append(row)
         self._basis.append(residual)

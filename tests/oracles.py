@@ -36,6 +36,11 @@ did (``class_coordinate``).
 
 ``partition_count`` counts the partitions of n by direct enumeration.
 
+``DividingEchelon`` inserts each pivot by the slow rule Echelon once
+had: the pivot row by a lambda key, every pivot, 1 and -1 included,
+inverted by divide, and canon on every entry; it checks the unit-pivot
+fast path and the stored row keys of ``Echelon._insert``.
+
 ``determinant`` takes the determinant of a square integer matrix by row
 elimination in Fractions, sharing nothing with Echelon's column
 reduction; it checks ``Echelon.pivot_product``.
@@ -66,6 +71,7 @@ the oracle of the pentagonal recurrence in partition_series
 (``series_inv``); and the writer of scene files (``scene_dump``).
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -810,6 +816,28 @@ def partition_count(n):
         return sum(count(remaining - k, k) for k in range(min(remaining, max_part), 0, -1))
 
     return count(n, n)
+
+
+class DividingEchelon(Echelon):
+    """Echelon with the slow pivot insertion: the pivot row by the key
+    (weight[r], r), computed per residual entry by a lambda, and the
+    residual scaled by divide(1, pivot) with canon on every entry,
+    whatever the pivot, 1 and -1 included."""
+
+    def __init__(self, columns, p, ncols=None):
+        self._weight = Counter(r for col in columns for r in col)
+        super().__init__(columns, p, ncols)
+
+    def _insert(self, j, residual, mult):
+        weight, p = self._weight, self.p
+        row = min(residual, key=lambda r: (weight[r], r))
+        inv = scalars.divide(1, residual[row], p)
+        self._slot[row] = len(self._rows)
+        self._rows.append(row)
+        self._basis.append({r: scalars.canon(a * inv, p) for r, a in residual.items()})
+        self._steps.append(mult)
+        self._inv.append(inv)
+        self.pivots.append(j)
 
 
 def determinant(rows):

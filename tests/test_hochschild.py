@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 import oracles
 from oracles import preset_D
@@ -339,6 +340,37 @@ def test_delta_columns_match_full_enumeration_at_the_classify_cells(char):
     assert (len(cols), len(rows)) == (750, 2508)
 
 
+@given(st.integers(0, 2**32), st.lists(st.sampled_from((0, 0.1, 0.5, 0.9, 1)), min_size=1))
+def test_skipped_columns_are_never_expanded(seed, densities):
+    # at each cell of preset A with r <= 9, a skip set drawn from the
+    # cell's column indices: every other column is the full build's, its
+    # entries in the same order; columns[j] is None for each j in skip,
+    # and _column never runs for it
+    rng = random.Random(seed)
+    A = preset_A(FieldSpec(0))
+    expanded, column = [], hochschild._column
+
+    def counted_column(w, h, *rest):
+        expanded.append((w, h))
+        return column(w, h, *rest)
+
+    for n, (r, s) in enumerate(_cells(A.cat, 9)):
+        cols, _, full = delta_matrix(A, r, s)
+        density = densities[n % len(densities)]
+        skip = {j for j in range(len(cols)) if rng.random() < density}
+        expanded.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hochschild, "_column", counted_column)
+            columns = delta_matrix(A, r, s, sorted(skip))[2]
+        assert len(columns) == len(full)
+        for j, (col, want) in enumerate(zip(columns, full)):
+            if j in skip:
+                assert col is None, (r, s, j)
+            else:
+                assert list(col.items()) == list(want.items()), (r, s, j)
+        assert expanded == [(w if r else (), h) for j, (w, h) in enumerate(cols) if j not in skip]
+
+
 @pytest.fixture
 def fresh_patterns(monkeypatch):
     """Empty basis and delta-pattern caches for one test."""
@@ -347,30 +379,52 @@ def fresh_patterns(monkeypatch):
     return hochschild
 
 
-def test_hh_bar_walks_each_delta_pattern_once_across_fields(fresh_patterns, monkeypatch):
-    # the pattern and the bases depend on the category and mu^2's support
-    # alone, and preset A has one support over every field: four fields
-    # walk each (r, s) once and enumerate each basis once
-    walks, enumerations = [], []
-    walk, enumerate_basis = hochschild._pattern, hochschild._enumerate_basis
+def test_hh_bar_expands_only_the_kept_columns_across_fields(fresh_patterns, monkeypatch):
+    # at each cell it eliminates, hh_bar expands only the columns outside
+    # the pivot rows of the cell before (the skip it passes): on the Q pass
+    # the cell's size less rank(r - 1, s), the columns that
+    # test_hh_bar_hands_echelon_only_the_uncleared_columns counts.  The
+    # bases depend on the category alone, so four fields enumerate each once
+    Q = FieldSpec(0)
+    A = preset_A(Q)
+    ranks = _uncleared_ranks(A, 7)
+    sizes = {c: len(cochain_basis(A, *c)) for c in ranks}
+    eliminated = [(r, s) for r, s in ranks if sizes[(r, s)] and cochain_basis(A, r + 1, s)]
+    monkeypatch.setattr(hochschild, "_BASES", {})
+    builds, enumerations = [], []  # builds: [char, (r, s), |skip|, expanded, size]
+    build, column, enumerate_basis = (hochschild.delta_matrix, hochschild._column,
+                                      hochschild._enumerate_basis)
 
-    def counted_walk(cat, slot_of, r, s, *bases):
-        walks.append((r, s))
-        return walk(cat, slot_of, r, s, *bases)
+    def counted_build(alg, r, s, skip=()):
+        builds.append([alg.spec.characteristic, (r, s), len(set(skip)), 0])
+        cols, rows, columns = build(alg, r, s, skip)
+        assert [j for j, c in enumerate(columns) if c is None] == sorted(set(skip))
+        builds[-1].append(len(cols))
+        return cols, rows, columns
+
+    def counted_column(*args):
+        builds[-1][3] += 1
+        return column(*args)
 
     def counted_enumeration(cat, r, s):
         enumerations.append((r, s))
         return enumerate_basis(cat, r, s)
 
-    monkeypatch.setattr(hochschild, "_pattern", counted_walk)
+    monkeypatch.setattr(hochschild, "delta_matrix", counted_build)
+    monkeypatch.setattr(hochschild, "_column", counted_column)
     monkeypatch.setattr(hochschild, "_enumerate_basis", counted_enumeration)
-    cells = [(r, s) for r in range(8) for s in range(-(r + 1), 2)]
-    for char in (0, 2, 3, 5):
+    for char in (0, 5, 3, 2):
         F = FieldSpec(char)
         dims = hh_bar(F, 7, preset_A(F))
         assert dims[(6, -4)] == 1 and dims[(0, 1)] == 2
-    assert walks == cells
-    assert sorted(enumerations) == sorted({(r + k, s) for r, s in cells for k in (0, 1)})
+    for char, cell, skipped, expanded, size in builds:
+        assert expanded == size - skipped, (char, cell)
+    q_pass = [(cell, skipped, expanded) for char, cell, skipped, expanded, _ in builds if not char]
+    assert q_pass == [((r, s), ranks.get((r - 1, s), 0), sizes[(r, s)] - ranks.get((r - 1, s), 0))
+                      for r, s in eliminated]
+    cells = [(r, s) for r in range(8) for s in range(-(r + 1), 2)]
+    assert sorted(enumerations) == sorted(set(cells) | {(r + 1, s) for r, s in cells
+                                                        if sizes[(r, s)]})
     A = preset_A(FieldSpec(3))
     assert delta_matrix(A, 5, -4)[1] is delta_matrix(A, 6, -4)[0]
 
@@ -390,17 +444,26 @@ def test_pruned_basis_search_is_the_full_enumeration_up_to_length_11(fresh_patte
 
 @pytest.mark.parametrize("preset, r_max", [("A", 10), ("C", 7), ("D", 4)])
 def test_column_built_pattern_is_the_row_walk(preset, r_max, fresh_patterns):
-    # every (column, row, slot) triple of delta, as a multiset, against the
-    # walk over the row basis that tests each adjacent pair of each row
+    # the columns of delta, each expanded from its column key, against the
+    # walk over the row basis that tests each adjacent pair of each row:
+    # its (column, row, slot) triples summed with the structure's mu^2
+    # values, made canonical
     alg = {"A": preset_A, "C": preset_C, "D": preset_D}[preset](FieldSpec(0))
-    slots = hochschild._support(alg)[0]
+    slot_of = hochschild._support(alg)[0]
+    values = {}
+    for key, entries in slot_of.items():
+        for g, plus, minus in entries:
+            values[plus] = alg.tables[2][key].terms[g]
+            values[minus] = -values[plus]
     nonempty = 0
     for r, s in _cells(alg.cat, r_max):
-        cols, rows = cochain_basis(alg, r, s), cochain_basis(alg, r + 1, s)
-        got = hochschild._pattern(alg.cat, slots, r, s, cols, rows)
-        want = oracles.pattern_by_rows(alg.cat, slots[0], r, s, cols, rows)
-        assert sorted(zip(got[::3], got[1::3], got[2::3])) == sorted(want), (r, s)
-        nonempty += bool(want)
+        cols, rows, columns = delta_matrix(alg, r, s)
+        walk = oracles.pattern_by_rows(alg.cat, slot_of, r, s, cols, rows)
+        want = [{} for _ in cols]
+        for j, i, slot in walk:
+            want[j][i] = want[j].get(i, 0) + values[slot]
+        assert columns == [canonical(c, 0) for c in want], (r, s)
+        nonempty += bool(walk)
     assert nonempty >= 3 * r_max
 
 
@@ -616,9 +679,9 @@ def _trace_eliminations(monkeypatch):
     current, out = [], {}
     build, init = hochschild.delta_matrix, hochschild.Echelon.__init__
 
-    def traced_build(alg, r, s):
+    def traced_build(alg, r, s, skip=()):
         current[:] = [(alg.spec.characteristic, r, s)]
-        return build(alg, r, s)
+        return build(alg, r, s, skip)
 
     def traced_init(self, columns, p, ncols=None):
         char, r, s = current[0]

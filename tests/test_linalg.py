@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from ainfbench.linalg import Echelon, nullspace, rank, rref, solve
@@ -252,3 +252,51 @@ def test_clearing_keeps_the_rank(complex_):
     assert len(cleared) == rank(d1, p)
     kept = [col for j, col in enumerate(d2) if j not in cleared]
     assert rank(kept, p) == rank(d2, p)
+
+
+# Row keys of three kinds, each ordered unlike the row numbers they name;
+# entries 1, -1 (p - 1 mod p, drawn as often as the rest together) and others
+_ROW_KEYS = (lambda i: i, lambda i: (i % 3, i), lambda i: f"r{i}")
+_ENTRIES = {0: (1, -1, -1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)), 2: (1,), 3: (1, 2),
+            7: (1, 6, 6, 6, 2, 3, 5)}
+
+
+@st.composite
+def _keyed_systems(draw):
+    """(p, columns, ncols, b): sparse columns over rows keyed by one kind
+    of key, entries from _ENTRIES[p], and b a combination of the columns
+    or drawn freely."""
+    p = draw(st.sampled_from(sorted(_ENTRIES)))
+    key = draw(st.sampled_from(_ROW_KEYS))
+    m, n = draw(st.integers(1, 7)), draw(st.integers(0, 7))
+    entry = st.sampled_from(_ENTRIES[p])
+    columns = [{key(i): v for i, v in enumerate(draw(st.lists(st.one_of(st.just(0), entry),
+                                                               min_size=m, max_size=m))) if v}
+               for _ in range(n)]
+    if draw(st.booleans()):
+        b = {}
+        for col in columns:
+            c = draw(st.sampled_from((0, 1, -1, 2)))
+            for r, v in col.items():
+                b[r] = b.get(r, 0) + c * v
+    else:
+        b = {key(i): draw(entry) for i in draw(st.sets(st.integers(0, m - 1)))}
+    b = {r: canon(v, p) for r, v in b.items() if canon(v, p)}
+    return p, columns, n + draw(st.integers(0, 2)), b
+
+
+@settings(max_examples=100)
+@given(_keyed_systems())
+@example((0, [{"r1": -1, "r0": 2}, {"r1": 1, "r0": -1}, {"r0": Fraction(1, 2)}], 4, {"r0": 1}))
+@example((7, [{(1, 1): 6, (0, 0): 3}, {(0, 0): 6}], 3, {(0, 0): 5, (1, 1): 1}))
+def test_unit_pivots_insert_as_by_division(system):
+    # the sign flip for pivots -1 and p - 1 and the stored (weight, row)
+    # keys give the pivots, pivot rows, pivot product, solutions and
+    # kernel of the insertion that divides by every pivot
+    p, columns, ncols, b = system
+    ech, want = Echelon(columns, p, ncols), oracles.DividingEchelon(columns, p, ncols)
+    assert (ech.pivots, ech.pivot_rows, ech.free) == (want.pivots, want.pivot_rows, want.free)
+    assert ech.pivot_product == want.pivot_product
+    assert ech.residual(b) == want.residual(b)
+    assert ech.solve(b) == want.solve(b)
+    assert list(ech.kernel()) == list(want.kernel())
