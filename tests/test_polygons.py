@@ -602,3 +602,53 @@ def test_star_count_matches_enumerating_the_translates(a, b, star):
     n = lcm(lo.denominator, hi.denominator)
     assert _same(_outcome(_star_count, int(lo * n), int(hi * n), star, n),
                  _outcome(oracles.star_count, lo, hi, star))
+
+
+# -- basepoints on the curves: the census's outcomes, pinned ----------------
+
+_ON_A_CURVE = {
+    # on gamma1: a triangle's gamma1 side is an edge of its bounding box, so
+    # a translate there is neither counted nor flagged; a quadrilateral's
+    # box reaches past x = 0, so its gamma1 side flags one
+    (Fr(0), Fr(1, 4)): {
+        1: ([1, 0, 0, 0], "marked point (0, 1/4) on boundary"),
+        2: ([3, 1, 0, 0, 0, 1], "marked point (0, 1/4) on boundary"),
+        3: ([6, 3, 1, 0, 0, 0, 1, 3], "marked point (0, 1/4) on boundary"),
+    },
+    # on gamma2: every witness's diagonal side runs through translates
+    (Fr(3, 4), Fr(1, 4)): {
+        1: ("marked point (-5/4, 1/4) on boundary", "marked point (-5/4, 1/4) on boundary"),
+        2: ("marked point (-9/4, 1/4) on boundary", "marked point (-9/4, 1/4) on boundary"),
+        3: ("marked point (-13/4, 1/4) on boundary",
+            "marked point (-13/4, 1/4) on boundary"),
+    },
+    # the pushoff's trough, w(7/8) = -1/100: the triangles miss it
+    (Fr(99, 100), Fr(7, 8)): {
+        1: ([1, 0, 0, 1], "marked point (-1/100, -1/8) on boundary"),
+        2: ([3, 1, 0, 0, 1, 3], "marked point (-1/100, -1/8) on boundary"),
+        3: ([6, 3, 1, 0, 0, 1, 3, 6], "marked point (-1/100, -1/8) on boundary"),
+    },
+}
+
+
+@pytest.mark.parametrize("z", sorted(_ON_A_CURVE))
+@pytest.mark.parametrize("wrap", [1, 2, 3])
+def test_census_outcomes_for_basepoints_on_the_curves(scene, z, wrap):
+    # each census's z counts, or the exact text it raises: the first
+    # witness in census order with a translate on its boundary strictly
+    # inside its bounding box names the least such translate in (x, y)
+    # order
+    drawn = polygons.PolygonScene(scene.curves, z, scene.maslov, scene.pushoff_star)
+    got = tuple(_census(census, drawn, wrap, lambda w: w.z_count)
+                for census in (triangle_witnesses, quad_witnesses))
+    assert got == _ON_A_CURVE[z][wrap]
+
+
+def test_census_and_oracle_name_different_translates_at_the_trough(scene):
+    # the Fraction census builds its candidates in another order, so at
+    # the pushoff's trough it stops at another witness first
+    drawn = polygons.PolygonScene(scene.curves, (Fr(99, 100), Fr(7, 8)), scene.maslov,
+                                  scene.pushoff_star)
+    assert _census(quad_witnesses, drawn, 1) == "marked point (-1/100, -1/8) on boundary"
+    assert _census(oracles.quad_witnesses, drawn, 1) == \
+        "marked point (-1/100, -17/8) on boundary"
