@@ -13,8 +13,7 @@ from .perturbation import SplittingData, preset_splitting_C, transfer
 from .gauge import (DeformationClass, GaugeTransformation, extract_invariants,
                     gauge_apply, kill_orders, m6_certificate, mc_extend,
                     preset_gauge_G, preset_gauge_H)
-from .useries import (TruncatedUSeries, jacobi_check, partition_series,
-                      series_mul, theta_v)
+from .useries import TruncatedUSeries, jacobi_check, partition_series, theta_v
 from .polygons import (PolygonScene, PolygonWitness, mu3_series, preset_scene,
                        scene_load)
 

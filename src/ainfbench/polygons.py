@@ -49,9 +49,9 @@ A census runs on integers at one scale N, the lcm of the denominators of
 z and of the pushoff profile (its knots, and its value at integer
 heights): 200 on the preset scene.  Every parameter, corner, knot and
 segment end is N times its true value, so every predicate is int
-arithmetic, and the scanline meets each crossing, a quotient, with the
-translates of z (steps of N) by floor division.  Witnesses keep these
-ints; Fractions appear only in messages.  Star offsets are calibrated
+arithmetic, and a witness's count of translates of z is at most two
+arithmetic series (_z_count).  Witnesses keep these ints and their lifts;
+Fractions appear only in messages.  Star offsets are calibrated
 (and frozen here) so the triangle count reproduces a vanishing product
 and the quadrilateral count reproduces minus the theta series.
 """
@@ -61,7 +61,7 @@ from __future__ import annotations
 from fractions import Fraction as Fr
 from math import lcm
 
-from .useries import TruncatedUSeries, series_mul, partition_series
+from .useries import TruncatedUSeries, divide_by_euler
 
 # pushoff profile: PL bump with these breakpoints, period 1
 CROSS_LOW = Fr(1, 8)    # degree-0 crossing of the pushoff with gamma1
@@ -99,16 +99,6 @@ class CurveLift:
     def __init__(self, kind: str, offset: int, knots: tuple = ()):
         self.kind, self.offset, self.knots = kind, offset, knots
 
-    def _piece(self, t):
-        """(base, (t0, v0), (t1, v1)): the profile's piece [t0, t1) holding
-        height t, base being t moved into the knots' period."""
-        low, period = self.knots[0][0], self.knots[-1][0] - self.knots[0][0]
-        base = (t - low) % period + low
-        for a, b in zip(self.knots, self.knots[1:]):
-            if a[0] <= base < b[0]:
-                return base, a, b
-        raise AssertionError("unreachable")
-
     def point(self, t):
         if self.kind == "h":
             return (t, self.offset)
@@ -117,22 +107,42 @@ class CurveLift:
         if self.kind == "d":
             return (t + self.offset, t)
         # exact: a census reads w at knots and integer heights, ints at its scale
-        base, (t0, v0), (t1, v1) = self._piece(t)
-        return (self.offset + v0 + (v1 - v0) * (base - t0) // (t1 - t0), t)
+        num, den = self.x_at(t)
+        return (num // den, t)
+
+    def x_at(self, t):
+        """x at height t on a 'v' or 'p' lift, (numerator, denominator)."""
+        if self.kind == "v":
+            return self.offset, 1
+        low, period = self.knots[0][0], self.knots[-1][0] - self.knots[0][0]
+        base = (t - low) % period + low          # t moved into the knots' period
+        (t0, v0), (t1, v1) = next((a, b) for a, b in zip(self.knots, self.knots[1:])
+                                  if a[0] <= base < b[0])
+        return (self.offset + v0) * (t1 - t0) + (v1 - v0) * (base - t0), t1 - t0
+
+    def _params(self, t0, t1):
+        """The arc's ends and the pushoff's knots between them, in order."""
+        lo, hi = (t0, t1) if t0 <= t1 else (t1, t0)
+        heights = {lo, hi}
+        if self.kind == "p":
+            period = self.knots[-1][0] - self.knots[0][0]
+            for k in range(lo // period - 1, hi // period + 1):
+                heights.update(t + k * period for t, _ in self.knots[:-1]
+                               if lo < t + k * period < hi)
+        return sorted(heights, reverse=t0 > t1)
 
     def segments(self, t0, t1):
         """PL segments tracing the arc from param t0 to t1."""
-        if self.kind != "p":
-            return [(self.point(t0), self.point(t1))]
-        lo, hi = (t0, t1) if t0 <= t1 else (t1, t0)
-        period = self.knots[-1][0] - self.knots[0][0]
-        heights = {lo, hi}
-        for k in range(lo // period - 1, hi // period + 1):
-            for brk, _ in self.knots[:-1]:
-                if lo < brk + k * period < hi:
-                    heights.add(brk + k * period)
-        pts = [self.point(t) for t in sorted(heights, reverse=t0 > t1)]
+        pts = [self.point(t) for t in self._params(t0, t1)]
         return list(zip(pts, pts[1:]))
+
+    def x_extent(self, t0, t1):
+        """(least, greatest) x on the arc from param t0 to t1, in O(1): one
+        period of the pushoff's knots holds every value it takes."""
+        lo, hi = (t0, t1) if t0 <= t1 else (t1, t0)
+        top = min(hi, lo + self.knots[-1][0] - self.knots[0][0]) if self.knots else hi
+        xs = [self.point(t)[0] for t in self._params(lo, top) + [hi]]
+        return min(xs), max(xs)
 
 
 class SceneCurve:
@@ -211,62 +221,65 @@ class PolygonWitness:
     def __init__(self, corners: list,  # corner names, y_0 first
                  points: list,         # corner coordinates (same order)
                  arcs: list,           # (curve name, t_from, t_to, travel, positive)
-                 boundary: list,       # the arcs' PL segments in order, ((x, y), (x, y))
+                 lifts: list,          # the CurveLift each arc runs on (same order)
                  z_count: int, star_count: int, q: int, r: int, wraps: list):
         self.corners, self.points, self.arcs = corners, points, arcs
-        self.boundary, self.z_count, self.star_count = boundary, z_count, star_count
+        self.lifts, self.z_count, self.star_count = lifts, z_count, star_count
         self.q, self.r, self.wraps = q, r, wraps
 
     @property
     def sign(self) -> int:
         return -1 if (self.q + self.r + self.star_count) % 2 else 1
 
+    @property
+    def boundary(self) -> list:
+        """The arcs' PL segments in order, ((x, y), (x, y)), built on read."""
+        return [seg for lift, (_, t_from, t_to, _, _) in zip(self.lifts, self.arcs)
+                for seg in lift.segments(t_from, t_to)]
+
 
 # ---------------------------------------------------------------------------
 # lattice and star counts on integer coordinates
 # ---------------------------------------------------------------------------
 
-def _count_lattice_points(pt, segments, bbox, n):
-    """Translates of pt by (nZ)^2 strictly inside the closed PL polygon,
-    every coordinate an int.  A segment meets only the rows y = pt_y + jn
-    in its height range strictly inside the bounding box, crossing them from
-    its lower end up to, not including, its upper end (the half-open rule
-    of even-odd ray casting): O(rows + segments).  Each crossing is kept as
-    the floor and ceiling of (x - pt_x)/n; sorted by row and these (ties
-    agree on every count), they pair up into the interior intervals.  A
-    translate strictly inside the bounding box on a segment raises
-    AssertionError, naming the least such point in (x, y) order."""
-    (xmin, xmax), (ymin, ymax) = bbox
-    px, py = pt
-    i_min = (xmin - px) // n + 1            # least i with px + i n > xmin
-    j_min, j_end = (ymin - py) // n + 1, -((py - ymax) // n)
-    crossings, on_boundary = [], []
-
-    def touch(lo, hi, y):
-        # the least translate in [lo, hi] strictly inside the box, if any
-        x = px + max(-((px - lo) // n), i_min) * n
-        if x <= hi and x < xmax:
-            on_boundary.append((x, y))
-
-    for (x0, y0), (x1, y1) in segments:
-        (xa, ya), (xb, yb) = ((x0, y0), (x1, y1)) if y0 < y1 else ((x1, y1), (x0, y0))
-        if (yb - py) % n == 0 and ymin < yb < ymax:
-            # on a row: the upper end, or all of a horizontal segment
-            lo, hi = sorted((xa, xb)) if ya == yb else (xb, xb)
-            touch(lo, hi, yb)
-        dy = yb - ya
-        for j in range(max(-((py - ya) // n), j_min), min(-((py - yb) // n), j_end)):
-            # (x - px) dy at the crossing with row j, over n dy
-            f, rest = divmod((xa - px) * dy + (xb - xa) * (py + j * n - ya), n * dy)
-            crossings.append((j, f, f + (rest != 0)))
-            if not rest:
-                touch(px + f * n, px + f * n, py + j * n)
+def _z_count(z, n, lifts, params):
+    """Translates of z by (nZ)^2 strictly inside a census witness, at scale
+    n, in O(1).  Each row y = z_y + jn strictly inside its heights meets
+    the gamma2 arc at x = y + c and one vertical arc (gamma1 at x = 0, or
+    the pushoff at w(z_y), as w has period n; both at x = 0 where they
+    meet); gamma0 lies on the top or bottom height.  So a row's count is a
+    floor difference with slope +-1 in j, summed over an arc's rows as an
+    arithmetic series.  A translate on the boundary strictly inside the
+    bounding box raises AssertionError naming the least in (x, y) order;
+    each arc holds one on every row or none (a residue test)."""
+    zx, zy = z
+    (c, (d0, d1)), = [(lift.offset, p) for lift, p in zip(lifts, params) if lift.kind == "d"]
+    j0, j1 = (min(d0, d1) - zy) // n + 1, -((zy - max(d0, d1)) // n)   # rows inside
+    u = zy + c - zx              # gamma2's x at row j, less zx, is u + jn
+    slope = 1 if d1 > d0 else -1   # a counterclockwise boundary runs up its right side
+    count, on_boundary = 0, []
+    if u % n == 0 and j0 < j1:
+        on_boundary.append((zy + c + j0 * n, zy + j0 * n))
+    for lift, (t0, t1) in zip(lifts, params):
+        if lift.kind not in ("v", "p"):
+            continue
+        ja = max(j0, -((zy - min(t0, t1)) // n))
+        jb = min(j1, -((zy - max(t0, t1)) // n))
+        if ja >= jb:
+            continue
+        num, den = lift.x_at(zy)         # the arc's x on each of its rows
+        v, nd = num - zx * den, n * den   # x - zx = v / den
+        # the translates strictly between the two arcs on row j: a + slope j
+        a = -(-u // n) - v // nd - 1 if slope > 0 else -(-v // nd) - u // n - 1
+        count += (jb - ja) * a + slope * (ja + jb - 1) * (jb - ja) // 2
+        if v % nd == 0:      # a translate on every row: inside the box?
+            box = [other.x_extent(*p) for other, p in zip(lifts, params)]
+            if min(b[0] for b in box) * den < num < max(b[1] for b in box) * den:
+                on_boundary.append((num // den, zy + ja * n))
     if on_boundary:
         x, y = min(on_boundary)
         raise AssertionError(f"marked point ({Fr(x, n)}, {Fr(y, n)}) on boundary")
-    # every row holds an even number of crossings, so pairs never straddle rows
-    crossings.sort()
-    return sum(max(0, b[2] - a[1] - 1) for a, b in zip(crossings[::2], crossings[1::2]))
+    return count
 
 
 def _star_count(lo: int, hi: int, star: Fr, n: int) -> int:
@@ -291,7 +304,7 @@ def _build_witness(scene, n, z, names, lifts, params, corner_names):
     bound (module docstring), so this reads what depends on the scene: the
     degree relation, the sign data and the lattice count of z.  Returns a
     PolygonWitness in the census's own ints, at scale n."""
-    arcs, wraps, positives, all_segments = [], [], [], []
+    arcs, wraps = [], []
     for name, lift, (t_from, t_to) in zip(names, lifts, params):
         travel = 1 if t_to > t_from else -1
         wrap, part = divmod(abs(t_to - t_from), n)
@@ -300,9 +313,7 @@ def _build_witness(scene, n, z, names, lifts, params, corner_names):
         wraps.append(wrap)
         # the pushoff inherits the +y orientation
         orientation = 1 if lift.kind == "p" else scene.curves[name].orientation
-        positives.append(travel == orientation)
-        arcs.append((name, t_from, t_to, travel, positives[-1]))
-        all_segments.extend(lift.segments(t_from, t_to))
+        arcs.append((name, t_from, t_to, travel, travel == orientation))
 
     # degree bookkeeping: i(y_0) = sum of input indices + 2 - d
     idx = [scene.maslov[c] for c in corner_names]
@@ -316,17 +327,14 @@ def _build_witness(scene, n, z, names, lifts, params, corner_names):
         star = scene.pushoff_star if name == "pushoff" else scene.curves[name].star
         star_total += _star_count(min(t_from, t_to), max(t_from, t_to), star, n)
 
-    q = 0 if positives[-1] else idx[0] + idx[d]   # the arc from y_d back to y_0
-    r = sum(idx[k] for k in range(1, d) if not positives[k])
+    q = 0 if arcs[-1][4] else idx[0] + idx[d]   # the arc from y_d back to y_0
+    r = sum(idx[k] for k in range(1, d) if not arcs[k][4])
 
-    xs = [x for seg in all_segments for (x, _) in seg]
-    ys = [y for seg in all_segments for (_, y) in seg]
-    bbox = ((min(xs), max(xs)), (min(ys), max(ys)))
-    z_count = _count_lattice_points(z, all_segments, bbox, n)
+    z_count = _z_count(z, n, lifts, params)
 
     return PolygonWitness(
         list(corner_names), [lift.point(t) for lift, (t, _) in zip(lifts, params)], arcs,
-        all_segments, z_count, star_total, q, r, wraps)
+        list(lifts), z_count, star_total, q, r, wraps)
 
 
 def _grid(lo, hi, residue, n):
@@ -408,9 +416,8 @@ def criterion_series(tris, quads, wrap_bound: int):
     quadrilateral witnesses of one census at wrap_bound."""
     m2 = _signed_count(tris, wrap_bound)
     m3 = _signed_count(quads, wrap_bound)
-    u = partition_series(m3.order)
-    u3 = series_mul(series_mul(u, u), u)
-    return m2, m3, -(series_mul(u3, m3))
+    # u = 1 / E for Euler's function E, so u^3 * mu3 = mu3 / E^3
+    return m2, m3, divide_by_euler(-m3, 3)
 
 
 def triangle_criterion(scene: PolygonScene, wrap_bound: int):

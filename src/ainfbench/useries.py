@@ -1,8 +1,9 @@
 """Truncated formal power series in one variable U with exact coefficients.
 
 Coefficients are Python ints: the partition, theta and polygon-count
-series are integral, and nothing here divides.  All arithmetic is exact
-modulo U^(N+1).
+series are integral, and the one division, by Euler's function, keeps
+them so (its constant term is 1).  All arithmetic is exact modulo
+U^(N+1).
 """
 
 from __future__ import annotations
@@ -48,41 +49,33 @@ class TruncatedUSeries:
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
-def series_mul(a: TruncatedUSeries, b: TruncatedUSeries) -> TruncatedUSeries:
-    """Cauchy product modulo U^(N+1)."""
-    n = a.order
-    out = [0] * (n + 1)
-    for i, ca in enumerate(a.coeffs):
-        if ca == 0:
-            continue
-        for j in range(n + 1 - i):
-            cb = b.coeffs[j]
-            if cb:
-                out[i + j] += ca * cb
-    return TruncatedUSeries(out, n)
+def divide_by_euler(a: TruncatedUSeries, k: int = 1) -> TruncatedUSeries:
+    """a / E^k modulo U^(N+1), E = prod_{m>0} (1 - U^m) Euler's function,
+    the series sum_j (-1)^j U^(j(3j-1)/2) over all integers j (the
+    pentagonal number theorem).  So q = a / E is q_n = a_n + sum_{j>0}
+    (-1)^(j+1) (q_(n - j(3j-1)/2) + q_(n - j(3j+1)/2)): O(k N sqrt N)."""
+    order = a.order
+    steps = []  # the generalized pentagonal numbers, ascending, with their signs
+    j = 1
+    while j * (3 * j - 1) // 2 <= order:
+        sign = 1 if j % 2 else -1
+        steps += [(j * (3 * j - 1) // 2, sign), (j * (3 * j + 1) // 2, sign)]
+        j += 1
+    q = list(a.coeffs)
+    for _ in range(k):
+        for n in range(1, order + 1):
+            total = q[n]
+            for g, sign in steps:
+                if g > n:
+                    break
+                total += sign * q[n - g]
+            q[n] = total
+    return TruncatedUSeries(q, order)
 
 
 def partition_series(order: int) -> TruncatedUSeries:
-    """Generating function of integer partitions: prod_{m>0} (1 - U^m)^(-1).
-    Its inverse, Euler's function prod_{m>0} (1 - U^m), is the sparse series
-    sum_k (-1)^k U^(k(3k-1)/2) over all integers k (the pentagonal number
-    theorem), so p(n) = sum_{k>0} (-1)^(k+1) (p(n - k(3k-1)/2) + p(n -
-    k(3k+1)/2)): O(sqrt n) terms for each n, O(N sqrt N) in all."""
-    steps = []  # the generalized pentagonal numbers, ascending, with their signs
-    k = 1
-    while k * (3 * k - 1) // 2 <= order:
-        sign = 1 if k % 2 else -1
-        steps += [(k * (3 * k - 1) // 2, sign), (k * (3 * k + 1) // 2, sign)]
-        k += 1
-    p = [1] + [0] * order
-    for n in range(1, order + 1):
-        total = 0
-        for g, sign in steps:
-            if g > n:
-                break
-            total += sign * p[n - g]
-        p[n] = total
-    return TruncatedUSeries(p, order)
+    """Generating function of integer partitions: 1 / E."""
+    return divide_by_euler(TruncatedUSeries([1], order))
 
 
 def theta_v(order: int) -> TruncatedUSeries:
@@ -97,7 +90,6 @@ def theta_v(order: int) -> TruncatedUSeries:
 
 def jacobi_check(order: int = 50) -> bool:
     """u^3 * v == 1 modulo U^(order+1): the cube of the partition series
-    inverts the theta series (a specialization of the triple product)."""
-    u = partition_series(order)
-    v = theta_v(order)
-    return series_mul(series_mul(series_mul(u, u), u), v).is_one()
+    inverts the theta series (a specialization of the triple product).
+    As u = 1 / E, that is v / E^3 == 1."""
+    return divide_by_euler(theta_v(order), 3).is_one()

@@ -21,7 +21,10 @@ parameter square in full, whatever its wrap count, quadrilaterals at both
 pushoff crossings (the program enumerates only the degree-0 one), and
 only then keep those within the wrap bound; they count translates with
 the Fraction scanline, one row at a time against every segment
-(``scanline_count``).
+(``scanline_count``), and keep each boundary they built
+(``FractionWitness``).  The integer scanline that the program once ran
+on every witness's boundary (``_count_lattice_points``) checks the
+census's closed-form count at the census's own scale.
 ``enumerate_polygons`` and ``mu2_series`` are the program's census read
 as named products; no command needs them.
 
@@ -66,9 +69,10 @@ the sixteen-generator simplicial dg model (``preset_D``) and the
 cohomology of mu^1 that compares it with preset_C
 (``mu1_cohomology_dims``); the primal Skoldberg resolution, which checks
 that the complex whose dual skoldberg_dims reads is exact
-(``SkoldbergComplex``, ``skoldberg_check``); the dense series inverse,
-the oracle of the pentagonal recurrence in partition_series
-(``series_inv``); and the writer of scene files (``scene_dump``).
+(``SkoldbergComplex``, ``skoldberg_check``); the dense series inverse
+and the Cauchy product, the oracles of the division by Euler's function
+in useries (``series_inv``, ``series_mul``); and the writer of scene
+files (``scene_dump``).
 """
 
 from collections import Counter
@@ -82,7 +86,7 @@ from ainfbench.gauge import GaugeTransformation
 from ainfbench.hochschild import Cochain, vector_to_cochain
 from ainfbench.linalg import Echelon, cohomology_dims, nullspace, rank
 from ainfbench.perturbation import TransferResult, _apply_linear
-from ainfbench.polygons import CROSS_LOW, _W_KNOTS, PolygonScene, PolygonWitness
+from ainfbench.polygons import CROSS_LOW, _W_KNOTS, PolygonScene
 from ainfbench.quiver import (A_GENERATORS, AInfStructure, Element, Generator, QuiverCategory,
                               ZERO, _assoc_mul_A, _table, accumulate)
 from ainfbench.scalars import FieldSpec, canonical, tensor_terms
@@ -554,6 +558,49 @@ def scanline_count(pt, segments, bbox):
     return count
 
 
+def _count_lattice_points(pt, segments, bbox, n):
+    """Translates of pt by (nZ)^2 strictly inside the closed PL polygon,
+    every coordinate an int.  A segment meets only the rows y = pt_y + jn
+    in its height range strictly inside the bounding box, crossing them from
+    its lower end up to, not including, its upper end (the half-open rule
+    of even-odd ray casting): O(rows + segments).  Each crossing is kept as
+    the floor and ceiling of (x - pt_x)/n; sorted by row and these (ties
+    agree on every count), they pair up into the interior intervals.  A
+    translate strictly inside the bounding box on a segment raises
+    AssertionError, naming the least such point in (x, y) order."""
+    (xmin, xmax), (ymin, ymax) = bbox
+    px, py = pt
+    i_min = (xmin - px) // n + 1            # least i with px + i n > xmin
+    j_min, j_end = (ymin - py) // n + 1, -((py - ymax) // n)
+    crossings, on_boundary = [], []
+
+    def touch(lo, hi, y):
+        # the least translate in [lo, hi] strictly inside the box, if any
+        x = px + max(-((px - lo) // n), i_min) * n
+        if x <= hi and x < xmax:
+            on_boundary.append((x, y))
+
+    for (x0, y0), (x1, y1) in segments:
+        (xa, ya), (xb, yb) = ((x0, y0), (x1, y1)) if y0 < y1 else ((x1, y1), (x0, y0))
+        if (yb - py) % n == 0 and ymin < yb < ymax:
+            # on a row: the upper end, or all of a horizontal segment
+            lo, hi = sorted((xa, xb)) if ya == yb else (xb, xb)
+            touch(lo, hi, yb)
+        dy = yb - ya
+        for j in range(max(-((py - ya) // n), j_min), min(-((py - yb) // n), j_end)):
+            # (x - px) dy at the crossing with row j, over n dy
+            f, rest = divmod((xa - px) * dy + (xb - xa) * (py + j * n - ya), n * dy)
+            crossings.append((j, f, f + (rest != 0)))
+            if not rest:
+                touch(px + f * n, px + f * n, py + j * n)
+    if on_boundary:
+        x, y = min(on_boundary)
+        raise AssertionError(f"marked point ({Fraction(x, n)}, {Fraction(y, n)}) on boundary")
+    # every row holds an even number of crossings, so pairs never straddle rows
+    crossings.sort()
+    return sum(max(0, b[2] - a[1] - 1) for a, b in zip(crossings[::2], crossings[1::2]))
+
+
 def star_count(lo, hi, star):
     """The translates star + k strictly inside (lo, hi), enumerated;
     AssertionError when one sits at either end."""
@@ -563,10 +610,20 @@ def star_count(lo, hi, star):
     return sum(lo < x < hi for x in translates)
 
 
+class FractionWitness:
+    """A witness of the Fraction census: PolygonWitness's fields in
+    Fractions, with the boundary segments it built in place of the lifts."""
+
+    def __init__(self, corners, points, arcs, boundary, z_count, star_count, q, r, wraps):
+        self.corners, self.points, self.arcs = corners, points, arcs
+        self.boundary, self.z_count, self.star_count = boundary, z_count, star_count
+        self.q, self.r, self.wraps = q, r, wraps
+
+
 def build_witness(scene, names, lifts, params, corner_names, wrap_bound):
     """The census's candidate test in Fractions, with the oracle kernels:
     wrap counts, convex corners, an embedded boundary, then the lattice
-    count; a PolygonWitness or None."""
+    count; a FractionWitness or None."""
     d1 = len(names)
     travels = []
     wraps = []
@@ -627,8 +684,8 @@ def build_witness(scene, names, lifts, params, corner_names, wrap_bound):
     bbox = ((min(xs), max(xs)), (min(ys), max(ys)))
     z_count = scanline_count(scene.z, all_segments, bbox)
     points = [lifts[k].point(params[k][0]) for k in range(d1)]
-    return PolygonWitness(list(corner_names), points, arcs, all_segments, z_count,
-                          star_total, q, r, wraps)
+    return FractionWitness(list(corner_names), points, arcs, all_segments, z_count,
+                           star_total, q, r, wraps)
 
 
 def _within(witnesses, wrap_bound):
@@ -1059,6 +1116,20 @@ class SkoldbergComplex:
 def skoldberg_check(spec: FieldSpec, j_max: int = 12) -> bool:
     """p o p = 0 and epsilon o p_1 = 0 on the primal resolution."""
     return SkoldbergComplex(spec, j_max).verify_composites()
+
+
+def series_mul(a: TruncatedUSeries, b: TruncatedUSeries) -> TruncatedUSeries:
+    """Cauchy product modulo U^(N+1)."""
+    n = a.order
+    out = [0] * (n + 1)
+    for i, ca in enumerate(a.coeffs):
+        if ca == 0:
+            continue
+        for j in range(n + 1 - i):
+            cb = b.coeffs[j]
+            if cb:
+                out[i + j] += ca * cb
+    return TruncatedUSeries(out, n)
 
 
 def series_inv(a: TruncatedUSeries) -> TruncatedUSeries:

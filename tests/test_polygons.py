@@ -3,14 +3,15 @@ import re
 from collections import Counter
 from fractions import Fraction as Fr
 from math import lcm
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
-from oracles import scene_dump
+from oracles import _count_lattice_points, scene_dump
 from ainfbench import polygons
-from ainfbench.polygons import (CurveLift, _count_lattice_points, _star_count,
+from ainfbench.polygons import (CurveLift, _star_count,
                                 criterion_series, mu3_series, preset_scene,
                                 quad_witnesses, scene_load,
                                 triangle_criterion, triangle_witnesses, witness_svg)
@@ -343,29 +344,48 @@ def _scaled(p, n):
     return (int(p[0] * n), int(p[1] * n))
 
 
+def _bbox(segments):
+    xs = [x for seg in segments for x, _ in seg]
+    ys = [y for seg in segments for _, y in seg]
+    return (min(xs), max(xs)), (min(ys), max(ys))
+
+
+def _boundary(lifts, params):
+    """The segments PolygonWitness.boundary builds from these arcs."""
+    arcs = [(None, t_from, t_to, None, None) for t_from, t_to in params]
+    return polygons.PolygonWitness(None, None, arcs, lifts, 0, 0, 0, 0, None).boundary
+
+
 @pytest.fixture
 def checked_fast_paths(monkeypatch):
     """Given a scene, route its census through a wrapper that compares each
-    integer lattice count, on the census's scaled inputs, with its Fraction
-    oracle on the unscaled ones; returns the count of comparisons."""
+    closed-form z count, or the text it raises, with the integer scanline
+    on the witness's boundary at the census's scale and, with fraction
+    set, with the point-by-point Fraction count on the unscaled boundary;
+    returns the count of comparisons."""
     seen = Counter()
+    z_count = polygons._z_count
 
-    def install(scene):
+    def install(scene, fraction=True):
         n = polygons._scale(scene)[0]
 
-        def count(pt, segments, bbox, scale):
+        def count(z, scale, lifts, params):
             assert scale == n
-            got = _outcome(_count_lattice_points, pt, segments, bbox, n)
-            assert _same(got, _outcome(
-                oracles.count_lattice_points, _unscaled(pt, n),
-                [(_unscaled(a, n), _unscaled(b, n)) for a, b in segments],
-                tuple((Fr(lo, n), Fr(hi, n)) for lo, hi in bbox)))
+            got = _outcome(z_count, z, n, lifts, params)
+            segments = _boundary(lifts, params)
+            bbox = _bbox(segments)
+            assert _same(got, _outcome(_count_lattice_points, z, segments, bbox, n))
+            if fraction:
+                assert _same(got, _outcome(
+                    oracles.count_lattice_points, _unscaled(z, n),
+                    [(_unscaled(a, n), _unscaled(b, n)) for a, b in segments],
+                    tuple((Fr(lo, n), Fr(hi, n)) for lo, hi in bbox)))
             seen["count"] += 1
             if isinstance(got, AssertionError):
                 raise got
             return got
 
-        monkeypatch.setattr(polygons, "_count_lattice_points", count)
+        monkeypatch.setattr(polygons, "_z_count", count)
         return seen
 
     return install
@@ -380,25 +400,40 @@ def _scene_with_z(scene, z):
 def test_census_matches_oracles_per_witness(scene, checked_fast_paths, z):
     # every z_count of the wrap-4 census, on the preset scene and on scenes
     # loaded with other hexagonal basepoints (the last one sits inside the
-    # pushoff's bump), equals the bounding-box scan's
+    # pushoff's bump), equals the integer scanline's and the bounding-box
+    # scan's
     scene = _scene_with_z(scene, z)
     assert scene.z_in_hexagon()
     seen = checked_fast_paths(scene)
     tris, quads = triangle_witnesses(scene, 4), quad_witnesses(scene, 4)
     assert len(tris) == 10 and len(quads) == 25
-    assert seen["count"] >= len(tris) + len(quads)
+    assert seen["count"] == len(tris) + len(quads)
+
+
+@pytest.mark.parametrize("z", [None, "1/2 1/4", "1/200 1/100",
+                               "0 1/4", "3/4 1/4", "99/100 7/8"])
+def test_census_matches_integer_scanline_up_to_wrap_12(scene, checked_fast_paths, z):
+    # the same at wraps 1-12 against the integer scanline alone, on the
+    # hexagonal basepoints and on the three on the curves
+    scene = _scene_with_z(scene, z)
+    seen = checked_fast_paths(scene, fraction=False)
+    for wrap in range(1, 13):
+        for census in (triangle_witnesses, quad_witnesses):
+            _census(census, scene, wrap)
+    assert seen["count"] >= 12 * 2
 
 
 def _in_fractions(scene, w):
     """The fields of a census witness, its coordinates read in Fractions:
-    Fraction(v, N) for each int v of points, arcs and boundary, N the
-    census's scale."""
+    Fraction(v, N) for each int v of points, arcs and the boundary built
+    from its lifts, which takes their place, N the census's scale."""
     n = polygons._scale(scene)[0]
 
     def point(p):
         return (Fr(p[0], n), Fr(p[1], n))
 
-    return dict(vars(w), points=[point(p) for p in w.points],
+    fields = {k: v for k, v in vars(w).items() if k != "lifts"}
+    return dict(fields, points=[point(p) for p in w.points],
                 arcs=[(name, Fr(t_from, n), Fr(t_to, n), travel, positive)
                       for name, t_from, t_to, travel, positive in w.arcs],
                 boundary=[(point(a), point(b)) for a, b in w.boundary])
@@ -477,7 +512,7 @@ def test_one_lattice_count_per_witness(scene, monkeypatch):
     # x_id: every candidate built has each arc within the bound, and is a
     # witness, with one lattice count
     calls = Counter()
-    build, count_points = polygons._build_witness, _count_lattice_points
+    build, count_points = polygons._build_witness, polygons._z_count
     n = polygons._scale(scene)[0]
 
     def candidate(scene, scale, z, names, lifts, params, corner_names):
@@ -490,7 +525,7 @@ def test_one_lattice_count_per_witness(scene, monkeypatch):
         return count_points(*args)
 
     monkeypatch.setattr(polygons, "_build_witness", candidate)
-    monkeypatch.setattr(polygons, "_count_lattice_points", count)
+    monkeypatch.setattr(polygons, "_z_count", count)
     built = 0
     for census in (triangle_witnesses, quad_witnesses):
         calls.clear()
@@ -502,6 +537,50 @@ def test_one_lattice_count_per_witness(scene, monkeypatch):
     # quadrilaterals at x_id); the census builds only its 24 witnesses
     # (8 and 16)
     assert built == 24
+
+
+# heights and abscissae where arcs and knots sit, and a few off them
+_ON_ARCS = st.sampled_from([Fr(0), Fr(1, 8), Fr(1, 4), Fr(3, 8), Fr(1, 2), Fr(5, 8),
+                            Fr(3, 4), Fr(7, 8), Fr(1, 100), Fr(99, 100), Fr(1, 200),
+                            Fr(199, 200), Fr(3, 200)])
+_COORD = st.one_of(_ON_ARCS, st.fractions(0, 1, max_denominator=24))
+
+
+@settings(max_examples=80)
+@given(z=st.tuples(_COORD, _COORD), wrap=st.integers(1, 5))
+@example(z=(Fr(0), Fr(1, 4)), wrap=3)
+@example(z=(Fr(3, 4), Fr(1, 4)), wrap=3)
+@example(z=(Fr(99, 100), Fr(7, 8)), wrap=3)
+@example(z=(Fr(1, 100), Fr(3, 8)), wrap=3)     # the bump's crest, a box edge
+@example(z=(Fr(0), Fr(1, 8)), wrap=3)          # the corner at x_id
+def test_z_count_matches_integer_scanline_on_every_witness(scene, z, wrap):
+    # on every witness of the census, not only up to the first that raises:
+    # the closed form's count, or its text, equals the integer scanline's
+    # on the witness's boundary, for basepoints on every curve and knot
+    drawn = polygons.PolygonScene(scene.curves, z, scene.maslov, scene.pushoff_star)
+    n, zn = polygons._scale(drawn)
+    with mock.patch.object(polygons, "_z_count", lambda *args: 0):
+        witnesses = triangle_witnesses(drawn, wrap) + quad_witnesses(drawn, wrap)
+    for w in witnesses:
+        params = [(t_from, t_to) for _, t_from, t_to, _, _ in w.arcs]
+        boundary = w.boundary
+        assert _same(_outcome(polygons._z_count, zn, n, w.lifts, params),
+                     _outcome(_count_lattice_points, zn, boundary, _bbox(boundary), n))
+
+
+def test_census_builds_no_segments(scene, monkeypatch):
+    # the census and the criterion read no PL boundary; only figures do
+    def refuse(self, t0, t1):
+        raise AssertionError("segments built")
+
+    monkeypatch.setattr(CurveLift, "segments", refuse)
+    for drawn in (scene, _scene_with_z(scene, "1/200 1/100")):
+        m2, m3, check = triangle_criterion(drawn, 4)
+        assert m2 == 0 and check.is_one()
+        tris, quads = triangle_witnesses(drawn, 4), quad_witnesses(drawn, 4)
+        assert len(tris) == 10 and len(quads) == 25
+    with pytest.raises(AssertionError, match="segments built"):
+        witness_svg(scene, quads[0])
 
 
 def _corners_turn_left(lifts, params):
