@@ -58,7 +58,6 @@ from .hochschild import (
     class_coordinate,
     class_split,
     cochain_basis,
-    cochain_to_vector,
     mu_cochain,
     reference_cocycle,
     solve_first,
@@ -544,14 +543,17 @@ def m6_certificate(mu6: Cochain, alg: AInfStructure) -> M6Certificate:
     if nu is not None:
         return M6Certificate(False, rank_a, rank_a, witnesses, [], nu)
 
-    chain = _contradiction_chain(cell.cols, cell.rows, cell.matrix,
-                                 cochain_to_vector(mu6, cell.rows), spec.characteristic)
+    # rows in basis order, less those no column meets and mu6 misses (0 = 0)
+    scan = [cell.rows[b] for b in cochain_basis(alg, mu6.r, mu6.s) if b in cell.rows]
+    chain = _contradiction_chain(cell.cols, list(cell.rows), scan, cell.matrix,
+                                 cell.vector(mu6), spec.characteristic)
     return M6Certificate(True, rank_a, rank_a + 1, witnesses, chain)
 
 
-def _contradiction_chain(cols, rows, matrix, b, p: int):
+def _contradiction_chain(cols, rows, scan, matrix, b, p: int):
     """Unit propagation over the rows of delta(nu) = mu6 over the field of
-    characteristic p, scanning the four quotable equations first; returns
+    characteristic p, rows listing the row keys by id, scanning the four
+    quotable equations first and then the ids of scan in order; returns
     the step list ending in a conflict (falls back to empty if propagation
     alone cannot reach one)."""
     row_entries = {i: [] for i in range(len(rows))}
@@ -559,7 +561,7 @@ def _contradiction_chain(cols, rows, matrix, b, p: int):
         for i, v in col.items():
             row_entries[i].append((j, v))
     order_first = [rows.index(w) for w in _PAPER_WITNESSES if w in rows]
-    scan = order_first + [i for i in range(len(rows)) if i not in order_first]
+    scan = order_first + [i for i in scan if i not in order_first]
     known = {}
     chain = []
     progress = True

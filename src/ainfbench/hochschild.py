@@ -148,12 +148,12 @@ def coboundary(phi: Cochain, alg: AInfStructure) -> Cochain:
 # (r, s), and by (category signature, mu^2 support) the slot tables
 # (_slots) from which delta_matrix expands each column.  Neither holds a
 # value, so every field and every structure on one category (and one
-# support) shares them; no column or entry of delta is stored.  Beside
-# each support's slot tables, hh_bar keeps the last rank over Q of an
-# integral mu^2 on it per (r, s), with its mu^2 coefficients, pivot
-# product and pivot rows: the rank and product settle the rank over F_p
-# for every p not dividing the product, and the rows clear the next cell
-# (hh_bar).
+# support) shares them; no column or entry of delta is stored, and its
+# rows are numbered as its columns meet them (delta_matrix).  Beside each
+# support's slot tables, hh_bar keeps the last rank over Q of an integral
+# mu^2 on it per (r, s), with its mu^2 coefficients, pivot product and
+# pivot rows: the rank and product settle the rank over F_p for every p
+# not dividing the product, and the rows clear the next cell (hh_bar).
 _BASES: dict = {}
 _PATTERNS: dict = {}
 
@@ -167,8 +167,7 @@ def cochain_basis(alg: AInfStructure, r: int, s: int):
     and never walks the others.  A basis depends on the category alone:
     it is built once per category signature and (r, s) and the same list
     is returned to every field and structure, so callers must not mutate
-    it (in hh_bar the row basis of (r, s) is the column basis of
-    (r + 1, s))."""
+    it.  Only hh_bar's clearing and m6_certificate read one as rows."""
     bases = _BASES.setdefault(alg.cat.signature, {})
     if (r, s) not in bases:
         bases[(r, s)] = _enumerate_basis(alg.cat, r, s)
@@ -198,18 +197,6 @@ def _enumerate_basis(cat, r: int, s: int):
     return out
 
 
-def cochain_to_vector(phi: Cochain, basis) -> dict:
-    index = {b: i for i, b in enumerate(basis)}
-    vec = {}
-    for key, el in phi.table.items():
-        for g, c in el.terms.items():
-            i = index.get((key, g))
-            if i is None:
-                raise ValueError(f"cochain entry ({key}, {g}) outside basis")
-            vec[i] = c
-    return vec
-
-
 def vector_to_cochain(vec, basis, r: int, s: int, spec: FieldSpec) -> Cochain:
     terms: dict = {}
     for (key, g), v in zip(basis, vec, strict=True):
@@ -218,28 +205,28 @@ def vector_to_cochain(vec, basis, r: int, s: int, spec: FieldSpec) -> Cochain:
     return Cochain(r, s, {key: Element(t, spec.characteristic) for key, t in terms.items()})
 
 
-def delta_matrix(alg: AInfStructure, r: int, s: int, skip=()):
-    """Matrix of delta: CC(r,s) -> CC(r+1,s) in the deterministic bases.
+def delta_matrix(alg: AInfStructure, r: int, s: int, skip=(), rows=None):
+    """Matrix of delta: CC(r,s) -> CC(r+1,s), columns in basis order.
 
-    Returns (col_basis, row_basis, columns), the bases cochain_basis'
-    shared lists, with columns[j] the sparse dict {row index: raw value}
-    of column j, or None for each j in skip: a skipped column is never
-    expanded, so None stands for "not built", not for a zero column.
-    Each other column is expanded once, on its own (_column), from the
-    slot tables of mu^2's support (_slots), the only part of delta kept
-    between calls: the signed mu^2 values are summed raw as its rows are
-    met, and it is made canonical once, its entries in ascending row
-    order.
+    Returns (col_basis, rows, columns): cochain_basis' shared list, the
+    row numbering {row key: id} in id order, and columns[j] the sparse
+    dict {row id: raw value} of column j, or None for each j in skip: a
+    skipped column is never expanded, so None stands for "not built", not
+    for a zero column.  A row not in the dict passed as rows (extended in
+    place; empty by default) gets the next id when a column first meets
+    it, so no row basis is enumerated.  Each other column is expanded once
+    (_column) from the slot tables of mu^2's support (_slots), the only
+    part of delta kept between calls, and made canonical, ids ascending.
     """
-    col_basis, row_basis = cochain_basis(alg, r, s), cochain_basis(alg, r + 1, s)
+    col_basis = cochain_basis(alg, r, s)
     slot_of, tables, _ = _support(alg)
     # slot -> signed raw value, in _slots' numbering
     values = [v for c in _coefficients(alg, slot_of) for v in (c, -c)]
-    rows = {b: i for i, b in enumerate(row_basis)}
+    rows = {} if rows is None else rows
     odd, p = alg.cat.odd, alg.spec.characteristic
     flip = (r + s - 1) % 2  # ||phi||
     skip = set(skip)
-    return col_basis, row_basis, [
+    return col_basis, rows, [
         None if j in skip else _column(() if not r else w, h, tables, rows, values, odd, flip, p)
         for j, (w, h) in enumerate(col_basis)]
 
@@ -247,34 +234,35 @@ def delta_matrix(alg: AInfStructure, r: int, s: int, skip=()):
 def _column(w, h, tables, rows, values, odd, flip, p) -> dict:
     """The column (w, h) of delta (w = () at r = 0) by the three-term
     expansion of delta, independent of coboundary(), which brackets with
-    mu^2; the test suite checks the two against each other.  rows indexes
-    the row basis, values holds the signed raw mu^2 values by slot and
-    flip is ||phi||.
+    mu^2; the test suite checks the two against each other.  rows numbers
+    the rows, values holds the signed raw mu^2 values by slot and flip is
+    ||phi||.
 
     The column meets exactly the rows ((x,) + w, g) with g in mu^2(x, h),
     the rows (w + (y,), g) with g in mu^2(h, y), and the rows (w[:n] +
     (a, b) + w[n+1:], h) with w[n] in mu^2(a, b), the last signed by the
-    parity of w's tail after n.  Each candidate costs one index lookup, so
-    the expansion is linear in the entries."""
+    parity of w's tail after n.  Each is a basis entry (check_table holds
+    mu^2 to composable keys and outputs of their degree, source and
+    target) and costs one get-or-assign of its id."""
     right, left, preimages = tables
     col = {}
     for x, g, plus, _ in right.get(h, ()):
-        i = rows.get(((x,) + w, g))
-        if i is not None:
-            col[i] = col.get(i, 0) + values[plus]
+        if (i := rows.get(key := ((x,) + w, g))) is None:
+            i = rows[key] = len(rows)
+        col[i] = col.get(i, 0) + values[plus]
     for y, g, plus, minus in left.get(h, ()):
-        i = rows.get((w + (y,), g))
-        if i is not None:
-            col[i] = col.get(i, 0) + values[minus if flip and odd[y] else plus]
+        if (i := rows.get(key := (w + (y,), g))) is None:
+            i = rows[key] = len(rows)
+        col[i] = col.get(i, 0) + values[minus if flip and odd[y] else plus]
     negate = 1 ^ flip  # (-1)^(1 + ||phi|| + ||w[n+1:]||)
     for n in range(len(w) - 1, -1, -1):
         c = w[n]
         if c in preimages:
             head, tail = w[:n], w[n + 1:]
             for a, b, plus, minus in preimages[c]:
-                i = rows.get((head + (a, b) + tail, h))
-                if i is not None:
-                    col[i] = col.get(i, 0) + values[minus if negate else plus]
+                if (i := rows.get(key := (head + (a, b) + tail, h))) is None:
+                    i = rows[key] = len(rows)
+                col[i] = col.get(i, 0) + values[minus if negate else plus]
         negate ^= odd[c]
     return canonical({i: col[i] for i in sorted(col)}, p)
 
@@ -338,6 +326,8 @@ def hh_bar(spec: FieldSpec, r_max: int, alg: AInfStructure = None):
     the span of the e_j, j not in P, a direct sum.  delta^2 = 0 kills the
     image, so the kept columns have delta's full rank at (r, s).  The
     cleared columns are delta_matrix's skip: they are never expanded.
+    Rows are numbered in basis order, as the next cell's columns, but at
+    r_max by first hit: nothing clears with them, so no C(r_max + 1, s).
 
     One elimination over Q serves every prime that does not divide its
     pivot product.  Over Q with integral mu^2, each cell keeps beside its
@@ -351,7 +341,8 @@ def hh_bar(spec: FieldSpec, r_max: int, alg: AInfStructure = None):
     rank is R and the image projects onto the rows P, which complement
     it too: hh_bar takes R and P without building or eliminating the F_p
     matrix.  Every other cell with columns and rows is built on its kept
-    columns alone and eliminated over its own field."""
+    columns alone and eliminated over its own field.  A record made at
+    r_max has pivot rows None, and serves a later run only at its r_max."""
     alg = alg or preset_A(spec)
     if alg.spec != spec:
         raise field_mismatch(alg.spec.characteristic, spec.characteristic)
@@ -371,16 +362,19 @@ def hh_bar(spec: FieldSpec, r_max: int, alg: AInfStructure = None):
     for r, s in cells:
         cleared = pivot_rows.pop((r - 1, s), ())
         known = records.get((r, s)) if p else None
-        if known and known[2] % p and tuple(c % p for c in known[0]) == coeffs:
+        if (known and known[2] % p and tuple(c % p for c in known[0]) == coeffs
+                and (r == r_max or known[3] is not None)):
             blocks[(r, s)] = (len(cochain_basis(alg, r, s)), known[1])
             pivot_rows[(r, s)] = known[3]
             continue
         cols = cochain_basis(alg, r, s)
-        if not (cols and cochain_basis(alg, r + 1, s)):
+        rows = {b: i for i, b in enumerate(cochain_basis(alg, r + 1, s))} if r < r_max else {}
+        if not cols or (r < r_max and not rows):
             out, det, pivots = 0, 1, ()
         else:
-            echelon = Echelon([c for c in delta_matrix(alg, r, s, cleared)[2] if c is not None], p)
-            out, pivots = echelon.rank, echelon.pivot_rows
+            echelon = Echelon([c for c in delta_matrix(alg, r, s, cleared, rows)[2]
+                               if c is not None], p)
+            out, pivots = echelon.rank, echelon.pivot_rows if r < r_max else None
             det = echelon.pivot_product if integral else None
             del echelon  # else held while the next cell is built and eliminated
         if integral:
@@ -405,8 +399,8 @@ def _check_solution(columns, x, b, p: int) -> None:
 
 class Cell:
     """The HH cell at (r, s), factored once: cols, rows and matrix are
-    delta_matrix(alg, r-1, s) and echelon their Echelon, which every answer
-    about a cochain phi at (r, s) reads."""
+    delta_matrix(alg, r-1, s), its rows numbered by first hit, and echelon
+    their Echelon, which every answer about a cochain phi at (r, s) reads."""
 
     def __init__(self, alg: AInfStructure, r: int, s: int):
         self.alg, self.r, self.s = alg, r, s
@@ -414,9 +408,28 @@ class Cell:
         self.echelon = Echelon(self.matrix, alg.spec.characteristic, len(self.cols))
         self._reference = None
 
+    def vector(self, phi: Cochain) -> dict:
+        """{row id: value} of phi (_ids)."""
+        return self._ids(((key, g), c) for key, el in phi.table.items()
+                         for g, c in el.terms.items())
+
+    def _ids(self, entries) -> dict:
+        """{row id: value} of ((key, g), value) pairs.  A basis entry of
+        C(r, s) that no column meets (a zero row of delta) takes the next
+        free id, kept, so residuals agree across calls; any other entry is
+        a ValueError."""
+        rows, vec = self.rows, {}
+        for entry, c in entries:
+            if (i := rows.get(entry)) is None:
+                if entry not in cochain_basis(self.alg, self.r, self.s):
+                    raise ValueError(f"cochain entry ({entry[0]}, {entry[1]}) outside basis")
+                i = rows[entry] = len(rows)
+            vec[i] = c
+        return vec
+
     def primitive(self, phi: Cochain):
         """The deterministic nu with delta(nu) = phi, re-checked, or None."""
-        b = cochain_to_vector(phi, self.rows)
+        b = self.vector(phi)
         x = self.echelon.solve(b)
         if x is None:
             return None
@@ -431,7 +444,7 @@ class Cell:
             alg, r, s = self.alg, self.r, self.s
             cols, _, matrix = delta_matrix(alg, r, s)
             for vec in Echelon(matrix, self.echelon.p, len(cols)).kernel():
-                residual = self.echelon.residual({i: v for i, v in enumerate(vec) if v})
+                residual = self.echelon.residual(self._ids((b, v) for b, v in zip(cols, vec) if v))
                 if residual:
                     break
             else:
@@ -450,7 +463,7 @@ class Cell:
         row; nu, the re-checked primitive of phi - c * reference, proves it
         (ValueError if there is none)."""
         ref = self.reference()
-        at = self.echelon.residual(cochain_to_vector(phi, self.rows)).get(self._row, 0)
+        at = self.echelon.residual(self.vector(phi)).get(self._row, 0)
         c = divide(at, self._ref_value, self.echelon.p)
         nu = self.primitive(phi - ref.scale(c))
         if nu is None:

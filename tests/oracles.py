@@ -242,6 +242,20 @@ def cochain_basis(alg, r, s):
     return out
 
 
+def cochain_to_vector(phi, basis) -> dict:
+    """phi's values by index in a basis list (or any sequence of row keys
+    in index order); ValueError on a key outside it."""
+    index = {b: i for i, b in enumerate(basis)}
+    vec = {}
+    for key, el in phi.table.items():
+        for g, c in el.terms.items():
+            i = index.get((key, g))
+            if i is None:
+                raise ValueError(f"cochain entry ({key}, {g}) outside basis")
+            vec[i] = c
+    return vec
+
+
 def delta_matrix(alg, r, s):
     """The delta matrix with the oracle bases, its rows assembled over
     every composable (r+1)-tuple."""
@@ -795,11 +809,12 @@ def fraction_values(mp):
 
 def find_reference(alg, r, s):
     """The first kernel vector of delta at (r, s) outside the image of
-    delta from (r-1, s), scanned after the whole kernel basis is built."""
+    delta from (r-1, s), scanned after the whole kernel basis is built,
+    both matrices this module's, their rows in basis order."""
     p = alg.spec.characteristic
-    cols, rows, matrix = hochschild.delta_matrix(alg, r, s)
+    cols, rows, matrix = delta_matrix(alg, r, s)
     kernel = nullspace(matrix, len(cols), p)
-    below_cols, below_rows, below = hochschild.delta_matrix(alg, r - 1, s)
+    below_cols, below_rows, below = delta_matrix(alg, r - 1, s)
     image = Echelon(below, p, len(below_cols))
     for vec in kernel:
         if image.residual({i: v for i, v in enumerate(vec) if v}):
@@ -823,12 +838,12 @@ def bracket_first(mp):
 
 
 def class_coordinate(phi, reference, alg):
-    """c with phi = c * reference + delta(nu): a fresh delta matrix from
-    (r-1, s), the reference's column appended, one solve, and c its last
+    """c with phi = c * reference + delta(nu): this module's delta matrix
+    from (r-1, s), rows in basis order, the reference's column appended, one solve, and c its last
     unknown."""
-    cols, rows, matrix = hochschild.delta_matrix(alg, phi.r - 1, phi.s)
-    columns = matrix + [hochschild.cochain_to_vector(reference, rows)]
-    x = linalg.solve(columns, len(cols) + 1, hochschild.cochain_to_vector(phi, rows),
+    cols, rows, matrix = delta_matrix(alg, phi.r - 1, phi.s)
+    columns = matrix + [cochain_to_vector(reference, rows)]
+    x = linalg.solve(columns, len(cols) + 1, cochain_to_vector(phi, rows),
                      alg.spec.characteristic)
     if x is None:
         raise ValueError("phi is not cohomologous to a multiple of the reference")

@@ -72,8 +72,8 @@ def test_certificate_infeasible_over_Q(Q, gh_models):
     cert = m6_certificate(mu6, b2)
     assert cert.nonzero
     # the ranks the solve implies are those Gauss-Jordan finds
-    _, rows, matrix = hochschild.delta_matrix(b2, 5, -4)
-    augmented = matrix + [hochschild.cochain_to_vector(mu6, rows)]
+    _, rows, matrix = oracles.delta_matrix(b2, 5, -4)
+    augmented = matrix + [oracles.cochain_to_vector(mu6, rows)]
     assert (cert.rank_system, cert.rank_augmented) == (len(rref(list(matrix), 0)),
                                                        len(rref(augmented, 0)))
     assert cert.chain and cert.chain[-1].conflict is not None
@@ -599,9 +599,9 @@ def test_classify_builds_each_delta_matrix_once(Q, model8, monkeypatch):
     builds = []
     build = hochschild.delta_matrix
 
-    def counted(alg, r, s):
+    def counted(alg, r, s, *rest):
         builds.append((r, s))
-        return build(alg, r, s)
+        return build(alg, r, s, *rest)
 
     monkeypatch.setattr(hochschild, "delta_matrix", counted)
     B = model8.minimal
@@ -610,6 +610,24 @@ def test_classify_builds_each_delta_matrix_once(Q, model8, monkeypatch):
     assert extract_invariants(built).pair() == (Q.scalar(1, 2), Q.scalar(-2, 3))
     assert extract_invariants(moved).pair() == (Q.scalar(-1, 48), Q.scalar(1, 864))
     assert sorted(builds) == [(2, -1), (3, -2), (4, -3), (5, -4), (6, -5), (6, -4),
+                              (7, -6), (8, -6), (10, -8)]
+
+
+def test_classify_enumerates_no_row_only_basis(Q, model8, monkeypatch):
+    # the cells of the classify sequence number their rows by first hit:
+    # the bases cached are the column bases of its nine builds (and the
+    # gauge's slots), none of the row-only bases C(7, -4), C(9, -6) and
+    # C(11, -8) of the reference cells' kernels
+    monkeypatch.setattr(hochschild, "_CELLS", {})
+    monkeypatch.setattr(hochschild, "_BASES", {})
+    B = model8.minimal
+    moved = gauge_apply(random_gauge(Q, B.cat, random.Random(3)), B, 8)
+    built = mc_extend(Q, Q.scalar(1, 2), Q.scalar(-2, 3), 10)
+    assert extract_invariants(built).pair() == (Q.scalar(1, 2), Q.scalar(-2, 3))
+    assert extract_invariants(moved).pair() == (Q.scalar(-1, 48), Q.scalar(1, 864))
+    cached = {c for bases in hochschild._BASES.values() for c in bases}
+    assert not cached & {(7, -4), (9, -6), (11, -8)}
+    assert sorted(cached) == [(2, -1), (3, -2), (4, -3), (5, -4), (6, -5), (6, -4),
                               (7, -6), (8, -6), (10, -8)]
 
 

@@ -1,18 +1,19 @@
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from oracles import preset_D
+from oracles import cochain_to_vector, preset_D
 from ainfbench import hochschild
 from ainfbench.hochschild import (Cochain, class_coordinate, coboundary,
-                                  cochain_basis, cochain_to_vector,
+                                  cochain_basis,
                                   delta_matrix, gerst_compose,
                                   gerstenhaber,
                                   hh_bar, is_coboundary, mu_cochain,
                                   reference_cocycle, vector_to_cochain)
-from ainfbench.linalg import rank
+from ainfbench.linalg import Echelon, rank
 from ainfbench.quiver import (AInfStructure, Element, Generator, QuiverCategory,
                              preset_A, preset_C)
 from ainfbench.scalars import FieldSpec, canonical
@@ -307,45 +308,60 @@ def _cells(cat, r_max):
             yield r, s
 
 
+def _by_key(rows, columns):
+    """Each column as {row key: value}; rows is delta_matrix's numbering
+    {key: id} or a row basis list, either one iterating in id order."""
+    keys = list(rows)
+    return [{keys[i]: v for i, v in col.items()} for col in columns]
+
+
+def _assert_matches_oracle(alg, r, s, built):
+    """delta_matrix's (cols, rows, columns) against the oracle's: the same
+    column basis, and each column the same {row key: value}, its entries
+    in ascending id order; every numbered row is an oracle row."""
+    cols, rows, columns = built
+    want_cols, want_rows, want = oracles.delta_matrix(alg, r, s)
+    assert cols == want_cols and set(rows) <= set(want_rows), (r, s)
+    assert list(rows.values()) == list(range(len(rows))), (r, s)
+    assert all(list(c) == sorted(c) for c in columns), (r, s)
+    assert _by_key(rows, columns) == _by_key(want_rows, want), (r, s)
+
+
 @pytest.mark.parametrize("preset, char, r_max", [
     ("A", 0, 7), ("A", 2, 7), ("A", 3, 7), ("A", 5, 7), ("C", 0, 6), ("D", 0, 4),
 ])
 def test_bases_and_delta_columns_match_full_enumeration(preset, char, r_max):
-    # the degree-pruned bases and the column-built pattern give the full
-    # enumeration's bases and columns, in order, column entries in
-    # insertion order
+    # the degree-pruned bases give the full enumeration's, in order, and
+    # the column-built columns its columns, compared by row key
     alg = {"A": preset_A, "C": preset_C, "D": preset_D}[preset](FieldSpec(char))
     nonempty = 0
     for r, s in _cells(alg.cat, r_max):
         assert cochain_basis(alg, r, s) == oracles.cochain_basis(alg, r, s), (r, s)
-        cols, rows, columns = delta_matrix(alg, r, s)
-        want_cols, want_rows, want = oracles.delta_matrix(alg, r, s)
-        assert (cols, rows) == (want_cols, want_rows), (r, s)
-        assert [list(c.items()) for c in columns] == [list(c.items()) for c in want], (r, s)
-        nonempty += bool(cols and rows)
+        built = delta_matrix(alg, r, s)
+        _assert_matches_oracle(alg, r, s, built)
+        nonempty += bool(built[0] and built[1])
     assert nonempty >= 3 * r_max
 
 
 @pytest.mark.parametrize("char", [0, 5], ids=["Q", "F5"])
 def test_delta_columns_match_full_enumeration_at_the_classify_cells(char):
     # the cells mc_extend(10) builds on preset A, up to (10, -8), whose
-    # 750 columns meet 2,508 rows: bases, columns and each column's
-    # insertion order, as in the sweep above
+    # 750 columns meet 2,504 of the 2,508 rows: bases and columns by row
+    # key, as in the sweep above
     A = preset_A(FieldSpec(char))
     for r, s in ((5, -4), (6, -4), (7, -6), (8, -6), (10, -8)):
-        cols, rows, columns = delta_matrix(A, r, s)
-        want_cols, want_rows, want = oracles.delta_matrix(A, r, s)
-        assert (cols, rows) == (want_cols, want_rows), (r, s)
-        assert [list(c.items()) for c in columns] == [list(c.items()) for c in want], (r, s)
-    assert (len(cols), len(rows)) == (750, 2508)
+        built = delta_matrix(A, r, s)
+        _assert_matches_oracle(A, r, s, built)
+    assert (len(built[0]), len(built[1])) == (750, 2504)
+    assert len(oracles.cochain_basis(A, 11, -8)) == 2508
 
 
 @given(st.integers(0, 2**32), st.lists(st.sampled_from((0, 0.1, 0.5, 0.9, 1)), min_size=1))
 def test_skipped_columns_are_never_expanded(seed, densities):
     # at each cell of preset A with r <= 9, a skip set drawn from the
-    # cell's column indices: every other column is the full build's, its
-    # entries in the same order; columns[j] is None for each j in skip,
-    # and _column never runs for it
+    # cell's column indices: every other column is the full build's, by
+    # row key (skipping renumbers the rows); columns[j] is None for each j
+    # in skip, and _column never runs for it
     rng = random.Random(seed)
     A = preset_A(FieldSpec(0))
     expanded, column = [], hochschild._column
@@ -355,20 +371,114 @@ def test_skipped_columns_are_never_expanded(seed, densities):
         return column(w, h, *rest)
 
     for n, (r, s) in enumerate(_cells(A.cat, 9)):
-        cols, _, full = delta_matrix(A, r, s)
+        cols, full_rows, full = delta_matrix(A, r, s)
+        full = _by_key(full_rows, full)
         density = densities[n % len(densities)]
         skip = {j for j in range(len(cols)) if rng.random() < density}
         expanded.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(hochschild, "_column", counted_column)
-            columns = delta_matrix(A, r, s, sorted(skip))[2]
+            _, rows, columns = delta_matrix(A, r, s, sorted(skip))
         assert len(columns) == len(full)
         for j, (col, want) in enumerate(zip(columns, full)):
             if j in skip:
                 assert col is None, (r, s, j)
             else:
-                assert list(col.items()) == list(want.items()), (r, s, j)
+                assert _by_key(rows, [col]) == [want], (r, s, j)
         assert expanded == [(w if r else (), h) for j, (w, h) in enumerate(cols) if j not in skip]
+
+
+_PRESETS = {"A": preset_A, "C": preset_C}
+
+
+@lru_cache(maxsize=None)
+def _hh_table(preset, char):
+    """The structure and its HH table at r <= 9, zeros omitted."""
+    alg = _PRESETS[preset](FieldSpec(char))
+    return alg, hh_bar(alg.spec, 9, alg)
+
+
+@lru_cache(maxsize=None)
+def _oracle_delta(preset, char, r, s):
+    """The oracle's delta from (r - 1, s), its rows in basis order."""
+    return oracles.delta_matrix(_hh_table(preset, char)[0], r - 1, s)
+
+
+@lru_cache(maxsize=None)
+def _solve_cells(preset, nonzero):
+    """The cells (r, s), 1 <= r <= 9, whose delta from (r - 1, s) has
+    columns and rows; with nonzero, those whose HH over Q is nonzero."""
+    alg, dims = _hh_table(preset, 0)
+    return [(r, s) for r, s in _cells(alg.cat, 9) if r and cochain_basis(alg, r - 1, s)
+            and cochain_basis(alg, r, s) and (not nonzero or (r, s) in dims)]
+
+
+@given(st.sampled_from("AC"), st.sampled_from((0, 5)), st.data(), st.integers(0, 2**32))
+def test_cell_answers_equal_a_solve_on_the_oracle_matrix(preset, char, data, seed):
+    # Cell numbers its rows by first hit; its primitive, reference and
+    # coordinate equal a solve through Echelon on the oracle's delta with
+    # its rows in basis order.  Each right-hand side is delta of a random
+    # cochain, once as it is and once plus 1 at a random row (mostly
+    # infeasible); primitives on a drawn cell, and the reference and
+    # coordinates on a drawn cell whose HH is nonzero
+    rng = random.Random(seed)
+    for nonzero in (False, True):
+        r, s = data.draw(st.sampled_from(_solve_cells(preset, nonzero)))
+        alg, dims = _hh_table(preset, char)
+        cols, rows, matrix = _oracle_delta(preset, char, r, s)
+        F, cell = alg.spec, hochschild.Cell(alg, r, s)
+
+        def draw(perturb, extra=None):
+            """A right-hand side as (oracle vector, cochain), extra added."""
+            b = dict(extra or {})
+            for col in matrix:
+                c = rng.randint(-3, 3) if rng.random() < 0.3 else 0
+                for i, v in col.items():
+                    b[i] = b.get(i, 0) + c * v
+            if perturb:
+                i = rng.randrange(len(rows))
+                b[i] = b.get(i, 0) + 1
+            b = canonical(b, char)
+            return b, vector_to_cochain([b.get(i, 0) for i in range(len(rows))], rows, r, s, F)
+
+        def oracle_solve(columns, b):
+            x = Echelon(columns, char, len(columns)).solve(b)
+            return None if x is None else vector_to_cochain(x[:len(cols)], cols, r - 1, s, F), x
+
+        for perturb in (False, True):
+            b, phi = draw(perturb)
+            assert cell.primitive(phi) == oracle_solve(matrix, b)[0], (r, s, perturb)
+        if not nonzero or (r, s) not in dims:
+            continue
+        ref = cell.reference()
+        assert ref == oracles.find_reference(alg, r, s), (r, s)
+        if dims[(r, s)] != 1:
+            continue
+        ref_vec = cochain_to_vector(ref, rows)
+        for perturb in (False, True):
+            c = rng.randint(1, 4)
+            b, phi = draw(perturb, {i: c * v for i, v in ref_vec.items()})
+            nu, x = oracle_solve(matrix + [ref_vec], b)
+            if x is None:
+                with pytest.raises(ValueError, match="not cohomologous"):
+                    cell.coordinate(phi)
+            else:
+                assert cell.coordinate(phi) == (x[-1], nu), (r, s, perturb)
+
+
+def test_rows_no_column_meets_keep_their_own_ids(Q):
+    # the reference of (8, -6) has entries at 18 rows of C(8, -6) that no
+    # column of delta from (7, -6) meets: each takes the next free id once,
+    # and keeps it, so phi's residual is read on the reference's rows
+    A = preset_A(Q)
+    cell = hochschild.Cell(A, 8, -6)
+    met = len(cell.rows)
+    ref = cell.reference()
+    assert len(cell.rows) == met + 18
+    ids = cell.vector(ref)
+    assert len(ids) == sum(len(el.terms) for el in ref.table.values())
+    assert cell.vector(ref) == ids and len(cell.rows) == met + 18
+    assert cell.coordinate(ref.scale(3)) == (3, Cochain(7, -6))
 
 
 @pytest.fixture
@@ -384,7 +494,8 @@ def test_hh_bar_expands_only_the_kept_columns_across_fields(fresh_patterns, monk
     # the pivot rows of the cell before (the skip it passes): on the Q pass
     # the cell's size less rank(r - 1, s), the columns that
     # test_hh_bar_hands_echelon_only_the_uncleared_columns counts.  The
-    # bases depend on the category alone, so four fields enumerate each once
+    # bases depend on the category alone, so four fields enumerate each once,
+    # and the rows of the last layer are numbered by first hit: no C(8, s)
     Q = FieldSpec(0)
     A = preset_A(Q)
     ranks = _uncleared_ranks(A, 7)
@@ -395,9 +506,9 @@ def test_hh_bar_expands_only_the_kept_columns_across_fields(fresh_patterns, monk
     build, column, enumerate_basis = (hochschild.delta_matrix, hochschild._column,
                                       hochschild._enumerate_basis)
 
-    def counted_build(alg, r, s, skip=()):
+    def counted_build(alg, r, s, skip=(), rows=None):
         builds.append([alg.spec.characteristic, (r, s), len(set(skip)), 0])
-        cols, rows, columns = build(alg, r, s, skip)
+        cols, rows, columns = build(alg, r, s, skip, rows)
         assert [j for j, c in enumerate(columns) if c is None] == sorted(set(skip))
         builds[-1].append(len(cols))
         return cols, rows, columns
@@ -424,9 +535,7 @@ def test_hh_bar_expands_only_the_kept_columns_across_fields(fresh_patterns, monk
                       for r, s in eliminated]
     cells = [(r, s) for r in range(8) for s in range(-(r + 1), 2)]
     assert sorted(enumerations) == sorted(set(cells) | {(r + 1, s) for r, s in cells
-                                                        if sizes[(r, s)]})
-    A = preset_A(FieldSpec(3))
-    assert delta_matrix(A, 5, -4)[1] is delta_matrix(A, 6, -4)[0]
+                                                        if sizes[(r, s)] and r < 7})
 
 
 def test_pruned_basis_search_is_the_full_enumeration_up_to_length_11(fresh_patterns):
@@ -445,9 +554,9 @@ def test_pruned_basis_search_is_the_full_enumeration_up_to_length_11(fresh_patte
 @pytest.mark.parametrize("preset, r_max", [("A", 10), ("C", 7), ("D", 4)])
 def test_column_built_pattern_is_the_row_walk(preset, r_max, fresh_patterns):
     # the columns of delta, each expanded from its column key, against the
-    # walk over the row basis that tests each adjacent pair of each row:
-    # its (column, row, slot) triples summed with the structure's mu^2
-    # values, made canonical
+    # walk over the whole row basis that tests each adjacent pair of each
+    # row: its (column, row, slot) triples summed with the structure's
+    # mu^2 values, made canonical, compared by row key
     alg = {"A": preset_A, "C": preset_C, "D": preset_D}[preset](FieldSpec(0))
     slot_of = hochschild._support(alg)[0]
     values = {}
@@ -458,11 +567,12 @@ def test_column_built_pattern_is_the_row_walk(preset, r_max, fresh_patterns):
     nonempty = 0
     for r, s in _cells(alg.cat, r_max):
         cols, rows, columns = delta_matrix(alg, r, s)
-        walk = oracles.pattern_by_rows(alg.cat, slot_of, r, s, cols, rows)
+        row_basis = cochain_basis(alg, r + 1, s)
+        walk = oracles.pattern_by_rows(alg.cat, slot_of, r, s, cols, row_basis)
         want = [{} for _ in cols]
         for j, i, slot in walk:
             want[j][i] = want[j].get(i, 0) + values[slot]
-        assert columns == [canonical(c, 0) for c in want], (r, s)
+        assert _by_key(rows, columns) == _by_key(row_basis, [canonical(c, 0) for c in want])
         nonempty += bool(walk)
     assert nonempty >= 3 * r_max
 
@@ -497,10 +607,7 @@ def test_delta_patterns_are_keyed_by_mu2_support(first, second, order, fresh_pat
     assert supports[0] != supports[1]
     for alg in algs:
         for r, s in ((0, 0), (1, -1), (2, -2), (3, -2), (4, -3), (5, -4)):
-            cols, rows, columns = delta_matrix(alg, r, s)
-            want_cols, want_rows, want = oracles.delta_matrix(alg, r, s)
-            assert (cols, rows) == (want_cols, want_rows), (r, s)
-            assert [list(c.items()) for c in columns] == [list(c.items()) for c in want], (r, s)
+            _assert_matches_oracle(alg, r, s, delta_matrix(alg, r, s))
     assert len(fresh_patterns._PATTERNS) == 2
 
 
@@ -604,6 +711,25 @@ def test_solves_refuse_a_cochain_of_another_field(Q):
 CERTIFIED_PRIMES = (2, 3, 5, 7, 2147483647)
 
 
+def test_last_layer_records_never_clear_a_longer_run(fresh_patterns, monkeypatch):
+    # the rows of the cells at r_max are numbered by first hit, so a Q
+    # record made there holds no pivot rows: a later run to r = 9 over F_p
+    # reads its rank only at its own r_max, and each table is the one
+    # computed with empty caches
+    alone = {}
+    for p in (2, 3, 5, 7):
+        monkeypatch.setattr(hochschild, "_BASES", {})
+        monkeypatch.setattr(hochschild, "_PATTERNS", {})
+        alone[p] = hh_bar(FieldSpec(p), 9)
+    monkeypatch.setattr(hochschild, "_BASES", {})
+    monkeypatch.setattr(hochschild, "_PATTERNS", {})
+    hh_bar(FieldSpec(0), 7)
+    (_, _, records), = hochschild._PATTERNS.values()
+    assert {r for (r, _), record in records.items() if record[3] is None} == {7}
+    for p in (2, 3, 5, 7):
+        assert hh_bar(FieldSpec(p), 9) == alone[p], p
+
+
 def test_certified_ranks_equal_direct_ranks(fresh_patterns):
     # every rank over F_p that hh_bar takes from the Q elimination (p not
     # dividing the pivot product) is the rank of the F_p matrix, and the
@@ -679,9 +805,9 @@ def _trace_eliminations(monkeypatch):
     current, out = [], {}
     build, init = hochschild.delta_matrix, hochschild.Echelon.__init__
 
-    def traced_build(alg, r, s, skip=()):
+    def traced_build(alg, r, s, *rest):
         current[:] = [(alg.spec.characteristic, r, s)]
-        return build(alg, r, s, skip)
+        return build(alg, r, s, *rest)
 
     def traced_init(self, columns, p, ncols=None):
         char, r, s = current[0]

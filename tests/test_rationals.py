@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from ainfbench.gauge import extract_invariants, gauge_apply, mc_extend, random_gauge
-from ainfbench.hochschild import (Cell, cochain_to_vector, delta_matrix, gerst_compose, hh_bar,
+from ainfbench.hochschild import (Cell, delta_matrix, gerst_compose, hh_bar,
                                   mu_cochain)
 from ainfbench.linalg import Echelon
 from ainfbench.perturbation import preset_splitting_C, transfer
@@ -138,7 +138,7 @@ def _order10_system():
     phi6 = mu_cochain(mc, 6)
     phi = -gerst_compose(phi6, phi6, base)
     cell = Cell(base, phi.r, phi.s)
-    return cell.matrix, len(cell.cols), cochain_to_vector(phi, cell.rows)
+    return cell.matrix, len(cell.cols), cell.vector(phi)
 
 
 def _systems():
