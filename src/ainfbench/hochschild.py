@@ -342,7 +342,7 @@ def hh_bar(spec: FieldSpec, r_max: int, alg: AInfStructure = None):
     it too: hh_bar takes R and P without building or eliminating the F_p
     matrix.  Every other cell with columns and rows is built on its kept
     columns alone and eliminated over its own field.  A record made at
-    r_max has pivot rows None, and serves a later run only at its r_max."""
+    r_max has pivot rows None, serves only there and keeps a longer run's."""
     alg = alg or preset_A(spec)
     if alg.spec != spec:
         raise field_mismatch(alg.spec.characteristic, spec.characteristic)
@@ -361,8 +361,8 @@ def hh_bar(spec: FieldSpec, r_max: int, alg: AInfStructure = None):
     blocks, pivot_rows = {}, {}  # pivot rows by cell, until the next r reads them
     for r, s in cells:
         cleared = pivot_rows.pop((r - 1, s), ())
-        known = records.get((r, s)) if p else None
-        if (known and known[2] % p and tuple(c % p for c in known[0]) == coeffs
+        known = records.get((r, s))
+        if (p and known and known[2] % p and tuple(c % p for c in known[0]) == coeffs
                 and (r == r_max or known[3] is not None)):
             blocks[(r, s)] = (len(cochain_basis(alg, r, s)), known[1])
             pivot_rows[(r, s)] = known[3]
@@ -377,7 +377,8 @@ def hh_bar(spec: FieldSpec, r_max: int, alg: AInfStructure = None):
             out, pivots = echelon.rank, echelon.pivot_rows if r < r_max else None
             det = echelon.pivot_product if integral else None
             del echelon  # else held while the next cell is built and eliminated
-        if integral:
+        if integral and (pivots is not None or not known or known[3] is None
+                         or known[0] != coeffs):   # never erase a longer run's P
             records[(r, s)] = (coeffs, out, det, pivots)
         pivot_rows[(r, s)] = pivots
         blocks[(r, s)] = (len(cols), out)

@@ -50,7 +50,9 @@ z and of the pushoff profile (its knots, and its value at integer
 heights): 200 on the preset scene.  Every parameter, corner, knot and
 segment end is N times its true value, so every predicate is int
 arithmetic, and a witness's count of translates of z is at most two
-arithmetic series (_z_count).  Witnesses keep these ints and their lifts;
+arithmetic series (_z_count).  Boundaries lie on lifts of the curves
+and the pushoff, so a census refuses z on one before any witness
+(_scale, quad_witnesses).  Witnesses keep these ints and their lifts;
 Fractions appear only in messages.  Star offsets are calibrated
 (and frozen here) so the triangle count reproduces a vanishing product
 and the quadrilateral count reproduces minus the theta series.
@@ -75,14 +77,24 @@ _W_KNOTS = (
 )
 
 
+def _marked(scene, curve):
+    """Refuse the scene: its basepoint lies on curve."""
+    raise AssertionError(f"marked point ({scene.z[0]}, {scene.z[1]}) on {curve}")
+
+
 def _scale(scene):
     """(N, z at scale N): N is the lcm of the denominators of z and of the
     pushoff profile, its knots and its value at integer heights, where
-    every quadrilateral's pushoff arc starts."""
+    every quadrilateral's pushoff arc starts.  Refuses z on gamma0, gamma1
+    or gamma2, naming the first (one residue test each, mod N)."""
     (t0, v0), (t1, v1) = _W_KNOTS[-2:]     # the piece holding height 1
     w = v0 + (v1 - v0) * (1 - t0) / (t1 - t0)
     n = lcm(w.denominator, *(f.denominator for f in (*scene.z, *sum(_W_KNOTS, ()))))
-    return n, (int(scene.z[0] * n), int(scene.z[1] * n))
+    zx, zy = int(scene.z[0] * n), int(scene.z[1] * n)
+    for curve, residue in (("gamma0", zy), ("gamma1", zx), ("gamma2", zx - zy - n // 2)):
+        if residue % n == 0:
+            _marked(scene, curve)
+    return n, (zx, zy)
 
 
 class CurveLift:
@@ -135,14 +147,6 @@ class CurveLift:
         """PL segments tracing the arc from param t0 to t1."""
         pts = [self.point(t) for t in self._params(t0, t1)]
         return list(zip(pts, pts[1:]))
-
-    def x_extent(self, t0, t1):
-        """(least, greatest) x on the arc from param t0 to t1, in O(1): one
-        period of the pushoff's knots holds every value it takes."""
-        lo, hi = (t0, t1) if t0 <= t1 else (t1, t0)
-        top = min(hi, lo + self.knots[-1][0] - self.knots[0][0]) if self.knots else hi
-        xs = [self.point(t)[0] for t in self._params(lo, top) + [hi]]
-        return min(xs), max(xs)
 
 
 class SceneCurve:
@@ -243,23 +247,20 @@ class PolygonWitness:
 # ---------------------------------------------------------------------------
 
 def _z_count(z, n, lifts, params):
-    """Translates of z by (nZ)^2 strictly inside a census witness, at scale
-    n, in O(1).  Each row y = z_y + jn strictly inside its heights meets
-    the gamma2 arc at x = y + c and one vertical arc (gamma1 at x = 0, or
-    the pushoff at w(z_y), as w has period n; both at x = 0 where they
-    meet); gamma0 lies on the top or bottom height.  So a row's count is a
-    floor difference with slope +-1 in j, summed over an arc's rows as an
-    arithmetic series.  A translate on the boundary strictly inside the
-    bounding box raises AssertionError naming the least in (x, y) order;
-    each arc holds one on every row or none (a residue test)."""
+    """Translates of z by (nZ)^2 inside a census witness, at scale n, in
+    O(1); the census has refused z on a curve, so none lies on the
+    boundary.  Each row y = z_y + jn strictly inside its heights meets the
+    gamma2 arc at x = y + c and one vertical arc (gamma1 at x = 0, or the
+    pushoff at w(z_y), as w has period n; both at x = 0 where they meet);
+    gamma0 lies on the top or bottom height.  So a row's count is a floor
+    difference with slope +-1 in j, summed over an arc's rows as an
+    arithmetic series."""
     zx, zy = z
     (c, (d0, d1)), = [(lift.offset, p) for lift, p in zip(lifts, params) if lift.kind == "d"]
     j0, j1 = (min(d0, d1) - zy) // n + 1, -((zy - max(d0, d1)) // n)   # rows inside
     u = zy + c - zx              # gamma2's x at row j, less zx, is u + jn
     slope = 1 if d1 > d0 else -1   # a counterclockwise boundary runs up its right side
-    count, on_boundary = 0, []
-    if u % n == 0 and j0 < j1:
-        on_boundary.append((zy + c + j0 * n, zy + j0 * n))
+    count = 0
     for lift, (t0, t1) in zip(lifts, params):
         if lift.kind not in ("v", "p"):
             continue
@@ -272,13 +273,6 @@ def _z_count(z, n, lifts, params):
         # the translates strictly between the two arcs on row j: a + slope j
         a = -(-u // n) - v // nd - 1 if slope > 0 else -(-v // nd) - u // n - 1
         count += (jb - ja) * a + slope * (ja + jb - 1) * (jb - ja) // 2
-        if v % nd == 0:      # a translate on every row: inside the box?
-            box = [other.x_extent(*p) for other, p in zip(lifts, params)]
-            if min(b[0] for b in box) * den < num < max(b[1] for b in box) * den:
-                on_boundary.append((num // den, zy + ja * n))
-    if on_boundary:
-        x, y = min(on_boundary)
-        raise AssertionError(f"marked point ({Fr(x, n)}, {Fr(y, n)}) on boundary")
     return count
 
 
@@ -370,6 +364,9 @@ def quad_witnesses(scene: PolygonScene, wrap_bound: int):
     out = []
     g1 = scene.curves["gamma1"].lift(0)
     push = CurveLift("p", 0, tuple((int(t * n), int(v * n)) for t, v in _W_KNOTS))
+    num, den = push.x_at(z[1])
+    if (num - z[0] * den) % (n * den) == 0:
+        _marked(scene, "pushoff")
     w_m = push.point(0)[0]      # the pushoff's x at every integer height m
     # an arc wraps at most wrap_bound times when it is shorter than bound
     bound = (wrap_bound + 1) * n

@@ -421,6 +421,16 @@ def _w(t):
     return v0 + slope * (base - t0)
 
 
+def curves_through(z):
+    """The curves through z on the torus, in the order a census names
+    them: gamma0 (y in Z), gamma1 (x in Z), gamma2 (x - y in 1/2 + Z) and
+    the pushoff (x - w(y) in Z)."""
+    x, y = z
+    offsets = (("gamma0", y), ("gamma1", x), ("gamma2", x - y - Fraction(1, 2)),
+               ("pushoff", x - _w(y)))
+    return [name for name, v in offsets if v.denominator == 1]
+
+
 @dataclass(frozen=True)
 class CurveLift:
     """One lift of a scene curve to the universal cover, in Fractions.

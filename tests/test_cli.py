@@ -3,11 +3,15 @@ import contextlib
 import os
 import subprocess
 import sys
+from fractions import Fraction as Fr
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from ainfbench.cli import main
+from ainfbench.polygons import preset_scene
 from ainfbench.quiver import dump, load
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -78,10 +82,7 @@ def test_triangle_golden(tmp_path):
 def test_triangle_scene_file(tmp_path):
     # the preset scene read from a file gives the preset's output; a scene
     # without a maslov row or with a curve of the wrong kind is bad input
-    from ainfbench.polygons import preset_scene
-    from oracles import scene_dump
-
-    text = scene_dump(preset_scene())
+    text = oracles.scene_dump(preset_scene())
     path = tmp_path / "scene.txt"
     path.write_text(text)
     assert run(["triangle", "--wrap", "2", "--scene", str(path)]) == run(
@@ -97,16 +98,18 @@ def test_triangle_scene_file(tmp_path):
 
 
 def test_degenerate_scene_file_is_bad_input(tmp_path):
-    # a marked point on gamma0, a star at an arc end and a broken degree
-    # relation each make the census refuse the scene: bad input, exit 2,
-    # not a traceback with exit 1, which means a mathematical negative
-    from ainfbench.polygons import preset_scene
-    from oracles import scene_dump
-
-    text = scene_dump(preset_scene())
+    # a marked point on a curve (the first named: gamma0, gamma1, gamma2,
+    # then the pushoff), a star at an arc end and a broken degree relation
+    # each make the census refuse the scene: bad input, exit 2, not a
+    # traceback with exit 1, which means a mathematical negative
+    text = oracles.scene_dump(preset_scene())
     path = tmp_path / "scene.txt"
     for old, new, message in (
-            ("z 3/4 3/4", "z 1/2 0", "marked point"),
+            ("z 3/4 3/4", "z 1/2 0", "marked point (1/2, 0) on gamma0\n"),
+            ("z 3/4 3/4", "z 3/4 0", "marked point (3/4, 0) on gamma0\n"),
+            ("z 3/4 3/4", "z 0 1/4", "marked point (0, 1/4) on gamma1\n"),
+            ("z 3/4 3/4", "z 3/4 1/4", "marked point (3/4, 1/4) on gamma2\n"),
+            ("z 3/4 3/4", "z 1/100 3/8", "marked point (1/100, 3/8) on pushoff\n"),
             ("curve gamma0 h +1 star 2/3", "curve gamma0 h +1 star 0", "star sits on an arc"),
             ("maslov e12 1", "maslov e12 0", "degree relation fails")):
         assert old in text
@@ -116,6 +119,41 @@ def test_degenerate_scene_file_is_bad_input(tmp_path):
             code, out = run(["triangle", "--wrap", "2", "--scene", str(path)])
         assert (code, out) == (2, "")
         assert err.getvalue().startswith(f"error: scene {path}: {message}")
+
+
+_KNOTS_AND_TWELFTHS = st.one_of(
+    st.sampled_from([Fr(0), Fr(1, 8), Fr(3, 8), Fr(5, 8), Fr(7, 8), Fr(1, 100), Fr(99, 100)]),
+    st.integers(2, 12).flatmap(lambda d: st.integers(1, d - 1).map(lambda k: Fr(k, d))))
+
+
+@st.composite
+def _basepoints(draw):
+    """z from the knots and twelfths, or put on gamma1, gamma2 or the
+    pushoff (gamma0 is y = 0, a knot), each coordinate moved by an integer."""
+    y = draw(_KNOTS_AND_TWELFTHS)
+    x = draw(st.one_of(_KNOTS_AND_TWELFTHS, st.just(Fr(0)), st.just(y + Fr(1, 2)),
+                       st.just(oracles._w(y))))
+    return x + draw(st.integers(-1, 1)), y + draw(st.integers(-1, 1))
+
+
+@settings(max_examples=100)
+@given(z=_basepoints())
+def test_triangle_scene_exits_2_exactly_on_a_curve(tmp_path_factory, z):
+    # triangle --scene in-process on a drawn basepoint: no exception
+    # escapes, and the exit is 2, naming the first curve z lies on, exactly
+    # when the Fraction test puts z on one
+    path = tmp_path_factory.mktemp("scene") / "scene.txt"
+    path.write_text(oracles.scene_dump(preset_scene()).replace("z 3/4 3/4", f"z {z[0]} {z[1]}"))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run(["triangle", "--wrap", "2", "--scene", str(path)])
+    curves = oracles.curves_through(z)
+    if curves:
+        assert (code, out) == (2, "")
+        assert err.getvalue() == \
+            f"error: scene {path}: marked point ({z[0]}, {z[1]}) on {curves[0]}\n"
+    else:
+        assert code in (0, 1) and out.endswith(("RESULT ok\n", "RESULT FAIL\n"))
 
 
 def test_triangle_svg(tmp_path):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -728,6 +729,29 @@ def test_last_layer_records_never_clear_a_longer_run(fresh_patterns, monkeypatch
     assert {r for (r, _), record in records.items() if record[3] is None} == {7}
     for p in (2, 3, 5, 7):
         assert hh_bar(FieldSpec(p), 9) == alone[p], p
+
+
+def test_shorter_q_run_keeps_a_longer_runs_pivot_rows(fresh_patterns, monkeypatch):
+    # hh_bar(Q, 7) after hh_bar(Q, 9) keeps the pivot rows recorded at
+    # r = 7, so hh_bar(F2, 9) still eliminates only the cells whose pivot
+    # product 2 divides, as after hh_bar(Q, 9) alone, and its table is the
+    # one computed with empty caches
+    alone = hh_bar(FieldSpec(2), 9)
+    monkeypatch.setattr(hochschild, "_BASES", {})
+    monkeypatch.setattr(hochschild, "_PATTERNS", {})
+    eliminations, init = Counter(), Echelon.__init__
+
+    def counting(self, *args, **kwargs):
+        eliminations["cells"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Echelon, "__init__", counting)
+    hh_bar(FieldSpec(0), 9)
+    eliminations.clear()
+    hh_bar(FieldSpec(0), 7)
+    eliminations.clear()
+    assert hh_bar(FieldSpec(2), 9) == alone
+    assert eliminations["cells"] == 6
 
 
 def test_certified_ranks_equal_direct_ranks(fresh_patterns):

@@ -359,30 +359,28 @@ def _boundary(lifts, params):
 @pytest.fixture
 def checked_fast_paths(monkeypatch):
     """Given a scene, route its census through a wrapper that compares each
-    closed-form z count, or the text it raises, with the integer scanline
-    on the witness's boundary at the census's scale and, with fraction
-    set, with the point-by-point Fraction count on the unscaled boundary;
-    returns the count of comparisons."""
+    closed-form z count with the integer scanline on the witness's
+    boundary at the census's scale and, with fraction set, with the
+    point-by-point Fraction count on the unscaled boundary; returns the
+    count of comparisons."""
     seen = Counter()
     z_count = polygons._z_count
 
     def install(scene, fraction=True):
-        n = polygons._scale(scene)[0]
+        with mock.patch.object(polygons, "_marked", lambda *args: None):
+            n = polygons._scale(scene)[0]   # also for z on a curve
 
         def count(z, scale, lifts, params):
             assert scale == n
-            got = _outcome(z_count, z, n, lifts, params)
+            got = z_count(z, n, lifts, params)
             segments = _boundary(lifts, params)
             bbox = _bbox(segments)
-            assert _same(got, _outcome(_count_lattice_points, z, segments, bbox, n))
+            assert got == _count_lattice_points(z, segments, bbox, n)
             if fraction:
-                assert _same(got, _outcome(
-                    oracles.count_lattice_points, _unscaled(z, n),
-                    [(_unscaled(a, n), _unscaled(b, n)) for a, b in segments],
-                    tuple((Fr(lo, n), Fr(hi, n)) for lo, hi in bbox)))
+                assert got == oracles.count_lattice_points(
+                    _unscaled(z, n), [(_unscaled(a, n), _unscaled(b, n)) for a, b in segments],
+                    tuple((Fr(lo, n), Fr(hi, n)) for lo, hi in bbox))
             seen["count"] += 1
-            if isinstance(got, AssertionError):
-                raise got
             return got
 
         monkeypatch.setattr(polygons, "_z_count", count)
@@ -414,13 +412,17 @@ def test_census_matches_oracles_per_witness(scene, checked_fast_paths, z):
                                "0 1/4", "3/4 1/4", "99/100 7/8"])
 def test_census_matches_integer_scanline_up_to_wrap_12(scene, checked_fast_paths, z):
     # the same at wraps 1-12 against the integer scanline alone, on the
-    # hexagonal basepoints and on the three on the curves
+    # hexagonal basepoints and on the three on the curves: there a census
+    # refuses z, as the Fraction test names it, before it counts on any
+    # witness, and the triangles, which never meet the pushoff, count at
+    # its trough
     scene = _scene_with_z(scene, z)
     seen = checked_fast_paths(scene, fraction=False)
     for wrap in range(1, 13):
         for census in (triangle_witnesses, quad_witnesses):
-            _census(census, scene, wrap)
-    assert seen["count"] >= 12 * 2
+            got, refusal = _census(census, scene, wrap), _refusal(scene.z, census)
+            assert got == refusal if refusal else isinstance(got, list)
+    assert seen["count"] == 0 if z in ("0 1/4", "3/4 1/4") else seen["count"] >= 12 * 2
 
 
 def _in_fractions(scene, w):
@@ -478,22 +480,35 @@ def _census(census, scene, wrap, read=vars):
         return str(exc)
 
 
+def _refusal(z, census):
+    """The text a census refuses z with, by the Fraction test of
+    oracles.curves_through (only quadrilaterals meet the pushoff), or
+    None."""
+    curves = [c for c in oracles.curves_through(z) if c != "pushoff" or census is quad_witnesses]
+    return f"marked point ({z[0]}, {z[1]}) on {curves[0]}" if curves else None
+
+
 _TWELFTHS = st.integers(2, 12).flatmap(
     lambda d: st.integers(1, d - 1).map(lambda k: Fr(k, d)))
 
 
 @given(z=st.tuples(_TWELFTHS, _TWELFTHS), wrap=st.integers(1, 2))
-# z on the pushoff's bump: both sides raise alike
+# z on the pushoff's bump: the oracle meets a translate on a boundary, and
+# the census refuses z
 @example(z=(Fr(1, 100), Fr(3, 8)), wrap=2)
 def test_census_matches_oracle_at_other_scales(scene, z, wrap):
     # hexagonal basepoints with denominators 2..12 put the census at scales
     # other than 200 (15,400 for sevenths and elevenths), and the integer
-    # census equals the Fraction one field by field, or raises alike
+    # census equals the Fraction one field by field; where the Fraction one
+    # meets a translate of z on a boundary, the census refuses z
     drawn = polygons.PolygonScene(scene.curves, z, scene.maslov, scene.pushoff_star)
     assume(drawn.z_in_hexagon())
     for fast, slow in ((triangle_witnesses, oracles.triangle_witnesses),
                        (quad_witnesses, oracles.quad_witnesses)):
         want = _census(slow, drawn, wrap)
+        if isinstance(want, str) and want.endswith("on boundary"):
+            want = _refusal(z, fast)
+            assert want is not None
         assert _census(fast, drawn, wrap, lambda w: _in_fractions(drawn, w)) == want
     # the census enumerates only x_id; the oracle builds x_top too
     assert isinstance(want, str) or all(w["corners"][0] == "x_id" for w in want)
@@ -546,26 +561,62 @@ _ON_ARCS = st.sampled_from([Fr(0), Fr(1, 8), Fr(1, 4), Fr(3, 8), Fr(1, 2), Fr(5,
 _COORD = st.one_of(_ON_ARCS, st.fractions(0, 1, max_denominator=24))
 
 
+def _unrefused(drawn, wrap):
+    """(N, z at scale N, {census: witnesses}) at wrap, built with the
+    censuses' refusal of z on a curve bypassed."""
+    with mock.patch.object(polygons, "_marked", lambda *args: None):
+        return (*polygons._scale(drawn),
+                {census: census(drawn, wrap) for census in (triangle_witnesses, quad_witnesses)})
+
+
+def _scanline(zn, n, w):
+    """The integer scanline's outcome on a witness's boundary."""
+    boundary = w.boundary
+    return _outcome(_count_lattice_points, zn, boundary, _bbox(boundary), n)
+
+
+_BASEPOINTS = dict(z=st.tuples(_COORD, _COORD), wrap=st.integers(1, 5))
+
+
 @settings(max_examples=80)
-@given(z=st.tuples(_COORD, _COORD), wrap=st.integers(1, 5))
+@given(**_BASEPOINTS)
 @example(z=(Fr(0), Fr(1, 4)), wrap=3)
 @example(z=(Fr(3, 4), Fr(1, 4)), wrap=3)
 @example(z=(Fr(99, 100), Fr(7, 8)), wrap=3)
 @example(z=(Fr(1, 100), Fr(3, 8)), wrap=3)     # the bump's crest, a box edge
 @example(z=(Fr(0), Fr(1, 8)), wrap=3)          # the corner at x_id
 def test_z_count_matches_integer_scanline_on_every_witness(scene, z, wrap):
-    # on every witness of the census, not only up to the first that raises:
-    # the closed form's count, or its text, equals the integer scanline's
-    # on the witness's boundary, for basepoints on every curve and knot
+    # on every witness of the census built with the refusal of z bypassed,
+    # for basepoints on every curve and knot: wherever the integer
+    # scanline counts, the closed form's count equals it
     drawn = polygons.PolygonScene(scene.curves, z, scene.maslov, scene.pushoff_star)
-    n, zn = polygons._scale(drawn)
-    with mock.patch.object(polygons, "_z_count", lambda *args: 0):
-        witnesses = triangle_witnesses(drawn, wrap) + quad_witnesses(drawn, wrap)
-    for w in witnesses:
-        params = [(t_from, t_to) for _, t_from, t_to, _, _ in w.arcs]
-        boundary = w.boundary
-        assert _same(_outcome(polygons._z_count, zn, n, w.lifts, params),
-                     _outcome(_count_lattice_points, zn, boundary, _bbox(boundary), n))
+    n, zn, built = _unrefused(drawn, wrap)
+    for w in built[triangle_witnesses] + built[quad_witnesses]:
+        want = _scanline(zn, n, w)
+        assert isinstance(want, AssertionError) or w.z_count == want
+
+
+@settings(max_examples=80)
+@given(**_BASEPOINTS)
+@example(z=(Fr(3, 4), Fr(0)), wrap=1)          # on gamma0 alone
+@example(z=(Fr(0), Fr(1, 4)), wrap=1)          # gamma1: a triangle side is a box edge
+@example(z=(Fr(3, 4), Fr(1, 4)), wrap=1)       # gamma2
+@example(z=(Fr(99, 100), Fr(7, 8)), wrap=1)    # the pushoff's trough
+def test_census_refuses_every_basepoint_the_scanline_flags(scene, z, wrap):
+    # the census built with the refusal bypassed: where the integer
+    # scanline flags a translate of z on any witness's boundary, z lies on
+    # a curve by the Fraction test, and the census refuses it naming the
+    # first; otherwise the census is the bypassed one
+    def read(w):
+        return {k: v for k, v in vars(w).items() if k != "lifts"}
+
+    drawn = polygons.PolygonScene(scene.curves, z, scene.maslov, scene.pushoff_star)
+    n, zn, built = _unrefused(drawn, wrap)
+    for census, witnesses in built.items():
+        refusal = _refusal(z, census)
+        if any(isinstance(_scanline(zn, n, w), AssertionError) for w in witnesses):
+            assert refusal is not None
+        assert _census(census, drawn, wrap, read) == (refusal or list(map(read, witnesses)))
 
 
 def test_census_builds_no_segments(scene, monkeypatch):
@@ -617,15 +668,19 @@ def test_quadrilateral_convexity_is_the_side_rule(scene):
 
 def test_census_boundary_error_matches_oracle(scene, checked_fast_paths):
     # z on the pushoff's bump (w(3/8) = 1/100): a quadrilateral's boundary
-    # runs through a translate of z, and both counts raise alike, naming
-    # the point as the scene file writes it
+    # runs through a translate of z, which the Fraction census meets; the
+    # integer census refuses z before it counts on any quadrilateral,
+    # naming the point as the scene file writes it, and the triangles,
+    # which never meet the pushoff, count as the oracles do
     scene = scene_load(scene_dump(scene).replace("z 3/4 3/4", "z 1/100 3/8"))
     assert scene.z_in_hexagon()
+    assert _census(oracles.quad_witnesses, scene, 2).endswith(" on boundary")
     seen = checked_fast_paths(scene)
     with pytest.raises(AssertionError) as info:
         quad_witnesses(scene, 2)
-    assert str(info.value) == "marked point (1/100, 3/8) on boundary"
-    assert seen["count"] > 0
+    assert str(info.value) == "marked point (1/100, 3/8) on pushoff"
+    assert seen["count"] == 0
+    assert len(triangle_witnesses(scene, 2)) == seen["count"] == 6
 
 
 _HALVES = st.integers(-6, 6).map(lambda n: Fr(n, 2))
@@ -686,26 +741,18 @@ def test_star_count_matches_enumerating_the_translates(a, b, star):
 # -- basepoints on the curves: the census's outcomes, pinned ----------------
 
 _ON_A_CURVE = {
-    # on gamma1: a triangle's gamma1 side is an edge of its bounding box, so
-    # a translate there is neither counted nor flagged; a quadrilateral's
-    # box reaches past x = 0, so its gamma1 side flags one
-    (Fr(0), Fr(1, 4)): {
-        1: ([1, 0, 0, 0], "marked point (0, 1/4) on boundary"),
-        2: ([3, 1, 0, 0, 0, 1], "marked point (0, 1/4) on boundary"),
-        3: ([6, 3, 1, 0, 0, 0, 1, 3], "marked point (0, 1/4) on boundary"),
-    },
-    # on gamma2: every witness's diagonal side runs through translates
-    (Fr(3, 4), Fr(1, 4)): {
-        1: ("marked point (-5/4, 1/4) on boundary", "marked point (-5/4, 1/4) on boundary"),
-        2: ("marked point (-9/4, 1/4) on boundary", "marked point (-9/4, 1/4) on boundary"),
-        3: ("marked point (-13/4, 1/4) on boundary",
-            "marked point (-13/4, 1/4) on boundary"),
-    },
-    # the pushoff's trough, w(7/8) = -1/100: the triangles miss it
+    # on gamma0 alone: its translates on the witnesses lie on their top or
+    # bottom sides, which no row of a boundary search meets; each census
+    # refuses z all the same
+    (Fr(3, 4), Fr(0)): {wrap: ("marked point (3/4, 0) on gamma0",) * 2 for wrap in (1, 2, 3)},
+    (Fr(0), Fr(1, 4)): {wrap: ("marked point (0, 1/4) on gamma1",) * 2 for wrap in (1, 2, 3)},
+    (Fr(3, 4), Fr(1, 4)): {wrap: ("marked point (3/4, 1/4) on gamma2",) * 2
+                           for wrap in (1, 2, 3)},
+    # the pushoff's trough, w(7/8) = -1/100: the triangles miss it and count
     (Fr(99, 100), Fr(7, 8)): {
-        1: ([1, 0, 0, 1], "marked point (-1/100, -1/8) on boundary"),
-        2: ([3, 1, 0, 0, 1, 3], "marked point (-1/100, -1/8) on boundary"),
-        3: ([6, 3, 1, 0, 0, 1, 3, 6], "marked point (-1/100, -1/8) on boundary"),
+        1: ([1, 0, 0, 1], "marked point (99/100, 7/8) on pushoff"),
+        2: ([3, 1, 0, 0, 1, 3], "marked point (99/100, 7/8) on pushoff"),
+        3: ([6, 3, 1, 0, 0, 1, 3, 6], "marked point (99/100, 7/8) on pushoff"),
     },
 }
 
@@ -713,21 +760,10 @@ _ON_A_CURVE = {
 @pytest.mark.parametrize("z", sorted(_ON_A_CURVE))
 @pytest.mark.parametrize("wrap", [1, 2, 3])
 def test_census_outcomes_for_basepoints_on_the_curves(scene, z, wrap):
-    # each census's z counts, or the exact text it raises: the first
-    # witness in census order with a translate on its boundary strictly
-    # inside its bounding box names the least such translate in (x, y)
-    # order
+    # each census's z counts, or the exact text it refuses z with: the
+    # first of gamma0, gamma1, gamma2 (and, for the quadrilaterals, the
+    # pushoff) that z lies on, whatever the wrap
     drawn = polygons.PolygonScene(scene.curves, z, scene.maslov, scene.pushoff_star)
     got = tuple(_census(census, drawn, wrap, lambda w: w.z_count)
                 for census in (triangle_witnesses, quad_witnesses))
     assert got == _ON_A_CURVE[z][wrap]
-
-
-def test_census_and_oracle_name_different_translates_at_the_trough(scene):
-    # the Fraction census builds its candidates in another order, so at
-    # the pushoff's trough it stops at another witness first
-    drawn = polygons.PolygonScene(scene.curves, (Fr(99, 100), Fr(7, 8)), scene.maslov,
-                                  scene.pushoff_star)
-    assert _census(quad_witnesses, drawn, 1) == "marked point (-1/100, -1/8) on boundary"
-    assert _census(oracles.quad_witnesses, drawn, 1) == \
-        "marked point (-1/100, -17/8) on boundary"
