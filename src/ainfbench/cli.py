@@ -17,7 +17,7 @@ from .perturbation import lemma_check, preset_splitting_C, transfer
 from .polygons import (criterion_series, preset_scene, quad_witnesses,
                        scene_load, triangle_witnesses, witness_svg)
 from .quiver import Element, dump, format_element, load
-from .scalars import FieldSpec, parse_scalar
+from .scalars import FieldSpec, parse_number, parse_scalar
 from .skoldberg import skoldberg_dims
 from .useries import jacobi_check, partition_series, theta_v
 from . import gauge as gauge_mod
@@ -227,7 +227,7 @@ def cmd_gauge_fix(args) -> int:
     if spec.characteristic in (2, 3):
         raise Usage(f"gauge normalization needs 6 invertible, not {spec}")
     try:
-        orders = tuple(int(x) for x in args.orders.split(","))
+        orders = tuple(parse_number(int, "order", x) for x in args.orders.split(","))
         gauge_mod.check_orders(orders, args.order)
     except ValueError as exc:
         raise Usage(f"--orders: {exc}") from None

@@ -22,7 +22,7 @@ obstruction check (at r = 5), which is how the sign convention is pinned.
 from __future__ import annotations
 
 from .linalg import Echelon, cohomology_dims, rank  # noqa: F401 (bench/test_bench.py reads hochschild.rank)
-from .quiver import AInfStructure, Element, ZERO, preset_A, splices
+from .quiver import AInfStructure, Element, ZERO, index_by_output, preset_A, splices
 from .scalars import FieldSpec, canonical, divide, field_mismatch
 
 
@@ -144,18 +144,17 @@ def coboundary(phi: Cochain, alg: AInfStructure) -> Cochain:
 # Bases, matrices and linear algebra over the cochain complex
 # ---------------------------------------------------------------------------
 
-# The field-independent parts of delta: bases by category signature and
-# (r, s), and by (category signature, mu^2 support) the slot tables
-# (_slots) from which delta_matrix expands each column.  Neither holds a
-# value, so every field and every structure on one category (and one
-# support) shares them; no column or entry of delta is stored, and its
-# rows are numbered as its columns meet them (delta_matrix).  Beside each
-# support's slot tables, hh_bar keeps the last rank over Q of an integral
-# mu^2 on it per (r, s), with its mu^2 coefficients, pivot product and
-# pivot rows: the rank and product settle the rank over F_p for every p
-# not dividing the product, and the rows clear the next cell (hh_bar).
+# The bases by category signature and (r, s), the only part of delta kept
+# between calls: a basis holds no value, so every field and every
+# structure on one category shares it.  Each delta_matrix call reads
+# mu^2 afresh (_expansion), and its rows are numbered as its columns meet
+# them.  Apart, by category signature and mu^2 support, hh_bar keeps the
+# last rank over Q of an integral mu^2 on it per (r, s), with its mu^2
+# coefficients, pivot product and pivot rows: the rank and product settle
+# the rank over F_p for every p not dividing the product, and the rows
+# clear the next cell (hh_bar).
 _BASES: dict = {}
-_PATTERNS: dict = {}
+_RECORDS: dict = {}
 
 
 def cochain_basis(alg: AInfStructure, r: int, s: int):
@@ -215,28 +214,42 @@ def delta_matrix(alg: AInfStructure, r: int, s: int, skip=(), rows=None):
     for a zero column.  A row not in the dict passed as rows (extended in
     place; empty by default) gets the next id when a column first meets
     it, so no row basis is enumerated.  Each other column is expanded once
-    (_column) from the slot tables of mu^2's support (_slots), the only
-    part of delta kept between calls, and made canonical, ids ascending.
+    (_column) from mu^2's expansion tables (_expansion), and made
+    canonical, ids ascending.
     """
     col_basis = cochain_basis(alg, r, s)
-    slot_of, tables, _ = _support(alg)
-    # slot -> signed raw value, in _slots' numbering
-    values = [v for c in _coefficients(alg, slot_of) for v in (c, -c)]
+    tables = _expansion(alg)
     rows = {} if rows is None else rows
     odd, p = alg.cat.odd, alg.spec.characteristic
     flip = (r + s - 1) % 2  # ||phi||
     skip = set(skip)
     return col_basis, rows, [
-        None if j in skip else _column(() if not r else w, h, tables, rows, values, odd, flip, p)
+        None if j in skip else _column(() if not r else w, h, tables, rows, odd, flip, p)
         for j, (w, h) in enumerate(col_basis)]
 
 
-def _column(w, h, tables, rows, values, odd, flip, p) -> dict:
+def _expansion(alg: AInfStructure) -> tuple:
+    """(right, left, preimages): mu^2's raw coefficients listed by what a
+    column of delta meets, over keys of non-identity letters, in mu^2's
+    order: right[h] holds (x, g, c) for each key (x, h) and output g of
+    coefficient c, left[h] (y, g, c) for each key (h, y), and preimages[g]
+    (key, c) for each key whose value holds g."""
+    right, left, plain = {}, {}, set(alg.cat.nonidentity_generators())
+    for (a, b), el in alg.tables[2].items():
+        for g, c in el.terms.items():
+            if a in plain:
+                right.setdefault(b, []).append((a, g, c))
+            if b in plain:
+                left.setdefault(a, []).append((b, g, c))
+    return right, left, index_by_output(
+        (key, el) for key, el in alg.tables[2].items() if plain.issuperset(key))
+
+
+def _column(w, h, tables, rows, odd, flip, p) -> dict:
     """The column (w, h) of delta (w = () at r = 0) by the three-term
     expansion of delta, independent of coboundary(), which brackets with
     mu^2; the test suite checks the two against each other.  rows numbers
-    the rows, values holds the signed raw mu^2 values by slot and flip is
-    ||phi||.
+    the rows, tables are _expansion's and flip is ||phi||.
 
     The column meets exactly the rows ((x,) + w, g) with g in mu^2(x, h),
     the rows (w + (y,), g) with g in mu^2(h, y), and the rows (w[:n] +
@@ -246,66 +259,25 @@ def _column(w, h, tables, rows, values, odd, flip, p) -> dict:
     target) and costs one get-or-assign of its id."""
     right, left, preimages = tables
     col = {}
-    for x, g, plus, _ in right.get(h, ()):
+    for x, g, c in right.get(h, ()):
         if (i := rows.get(key := ((x,) + w, g))) is None:
             i = rows[key] = len(rows)
-        col[i] = col.get(i, 0) + values[plus]
-    for y, g, plus, minus in left.get(h, ()):
+        col[i] = col.get(i, 0) + c
+    for y, g, c in left.get(h, ()):
         if (i := rows.get(key := (w + (y,), g))) is None:
             i = rows[key] = len(rows)
-        col[i] = col.get(i, 0) + values[minus if flip and odd[y] else plus]
+        col[i] = col.get(i, 0) + (-c if flip and odd[y] else c)
     negate = 1 ^ flip  # (-1)^(1 + ||phi|| + ||w[n+1:]||)
     for n in range(len(w) - 1, -1, -1):
-        c = w[n]
-        if c in preimages:
+        letter = w[n]
+        if letter in preimages:
             head, tail = w[:n], w[n + 1:]
-            for a, b, plus, minus in preimages[c]:
-                if (i := rows.get(key := (head + (a, b) + tail, h))) is None:
+            for ab, c in preimages[letter]:
+                if (i := rows.get(key := (head + ab + tail, h))) is None:
                     i = rows[key] = len(rows)
-                col[i] = col.get(i, 0) + values[minus if negate else plus]
-        negate ^= odd[c]
+                col[i] = col.get(i, 0) + (-c if negate else c)
+        negate ^= odd[letter]
     return canonical({i: col[i] for i in sorted(col)}, p)
-
-
-def _support(alg: AInfStructure):
-    """The _PATTERNS entry of alg's category signature and mu^2 support,
-    made on first use: _slots' slot_of and expansion tables, and hh_bar's
-    Q records {(r, s): record}, empty at first."""
-    mu2 = alg.tables[2]
-    shape = (alg.cat.signature, frozenset((key, tuple(el.terms)) for key, el in mu2.items()))
-    if shape not in _PATTERNS:
-        _PATTERNS[shape] = (*_slots(mu2, alg.cat), {})
-    return _PATTERNS[shape]
-
-
-def _coefficients(alg: AInfStructure, slot_of) -> tuple:
-    """mu^2's coefficients as raw values, in _slots' order."""
-    mu2 = alg.tables[2]
-    return tuple(mu2[key].terms[g] for key, entries in slot_of.items() for g, _, _ in entries)
-
-
-def _slots(mu2, cat) -> tuple:
-    """(slot_of, (right, left, preimages)): slot_of is {mu^2 key: [(output
-    generator, +slot, -slot)]}, slots 2n and 2n + 1 holding the n-th
-    coefficient of mu^2's support and its negative.  The expansion tables
-    list the same slots by what a column of delta meets, over keys of
-    non-identity letters: right[h] holds (x, g, +, -) for each key (x, h)
-    and output g, left[h] (y, g, +, -) for each key (h, y), and
-    preimages[g] (a, b, +, -) for each key (a, b) whose value holds g."""
-    slot_of, right, left, preimages, n = {}, {}, {}, {}, 0
-    plain = set(cat.nonidentity_generators())
-    for (a, b), el in mu2.items():
-        slot_of[(a, b)] = []
-        for g in el.terms:
-            slot_of[(a, b)].append((g, n, n + 1))
-            if a in plain:
-                right.setdefault(b, []).append((a, g, n, n + 1))
-            if b in plain:
-                left.setdefault(a, []).append((b, g, n, n + 1))
-            if a in plain and b in plain:
-                preimages.setdefault(g, []).append((a, b, n, n + 1))
-            n += 2
-    return slot_of, (right, left, preimages)
 
 
 def hh_bar(spec: FieldSpec, r_max: int, alg: AInfStructure = None):
@@ -330,13 +302,13 @@ def hh_bar(spec: FieldSpec, r_max: int, alg: AInfStructure = None):
     r_max by first hit: nothing clears with them, so no C(r_max + 1, s).
 
     One elimination over Q serves every prime that does not divide its
-    pivot product.  Over Q with integral mu^2, each cell keeps beside its
-    support's slot tables mu^2's coefficients, its rank R, pivot product D
-    (Echelon.pivot_product) and P.  Let M be the integer matrix of delta
-    there: D is the determinant of an R x R minor of M on the rows P, a
-    nonzero integer, and every (R + 1)-minor of M is 0.  A structure over
-    F_p on the same category and support whose coefficients are the Q
-    ones mod p has the matrix M mod p.  If p does not divide D, that
+    pivot product.  Over Q with integral mu^2, each cell keeps in _RECORDS,
+    by category and mu^2 support, mu^2's coefficients {(key, g): c}, its
+    rank R, pivot product D (Echelon.pivot_product) and P.  Let M be the
+    integer matrix of delta there: D is the determinant of an R x R minor
+    of M on the rows P, a nonzero integer, and every (R + 1)-minor of M is
+    0.  A structure over F_p on the same category and support whose
+    coefficients are the Q ones mod p has the matrix M mod p.  If p does not divide D, that
     minor stays nonsingular mod p and the larger ones stay 0, so the
     rank is R and the image projects onto the rows P, which complement
     it too: hh_bar takes R and P without building or eliminating the F_p
@@ -355,14 +327,14 @@ def hh_bar(spec: FieldSpec, r_max: int, alg: AInfStructure = None):
     for r in range(r_max + 1):
         ends = [b for k in (r, r + 1) for b in (lo - k * hi, hi - k * lo)]
         cells += [(r, s) for s in range(min(ends), max(ends) + 1)]
-    slot_of, _, records = _support(alg)
-    coeffs = _coefficients(alg, slot_of)
-    integral = not p and all(type(c) is int for c in coeffs)
+    coeffs = {(key, g): c for key, el in alg.tables[2].items() for g, c in el.terms.items()}
+    records = _RECORDS.setdefault((alg.cat.signature, frozenset(coeffs)), {})
+    integral = not p and all(type(c) is int for c in coeffs.values())
     blocks, pivot_rows = {}, {}  # pivot rows by cell, until the next r reads them
     for r, s in cells:
         cleared = pivot_rows.pop((r - 1, s), ())
         known = records.get((r, s))
-        if (p and known and known[2] % p and tuple(c % p for c in known[0]) == coeffs
+        if (p and known and known[2] % p and {k: c % p for k, c in known[0].items()} == coeffs
                 and (r == r_max or known[3] is not None)):
             blocks[(r, s)] = (len(cochain_basis(alg, r, s)), known[1])
             pivot_rows[(r, s)] = known[3]
@@ -406,7 +378,7 @@ class Cell:
     def __init__(self, alg: AInfStructure, r: int, s: int):
         self.alg, self.r, self.s = alg, r, s
         self.cols, self.rows, self.matrix = delta_matrix(alg, r - 1, s)
-        self.echelon = Echelon(self.matrix, alg.spec.characteristic, len(self.cols))
+        self.echelon = Echelon(self.matrix, alg.spec.characteristic)
         self._reference = None
 
     def vector(self, phi: Cochain) -> dict:
@@ -444,7 +416,7 @@ class Cell:
         if self._reference is None:
             alg, r, s = self.alg, self.r, self.s
             cols, _, matrix = delta_matrix(alg, r, s)
-            for vec in Echelon(matrix, self.echelon.p, len(cols)).kernel():
+            for vec in Echelon(matrix, self.echelon.p).kernel():
                 residual = self.echelon.residual(self._ids((b, v) for b, v in zip(cols, vec) if v))
                 if residual:
                     break

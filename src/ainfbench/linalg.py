@@ -35,10 +35,10 @@ from .scalars import canon, divide
 class Echelon:
     """Column echelon factorization of a sparse matrix.
 
-    columns[j] is a sparse dict {row: value}; ncols >= len(columns) pads
-    with zero columns.  Basis vector k is the residual of pivot column
-    pivots[k], scaled to 1 at its pivot row; it is zero at the pivot rows
-    of all earlier basis vectors.  Pivot column k is recorded as
+    columns is a list of sparse dicts {row: value}, one per column; an
+    empty dict is a zero column.  Basis vector k is the residual of pivot
+    column pivots[k], scaled to 1 at its pivot row; it is zero at the
+    pivot rows of all earlier basis vectors.  Pivot column k is recorded as
     columns[pivots[k]] = sum_i steps[k][i] * basis[i] + scale[k] * basis[k],
     and each free column as its multipliers, so a right-hand side needs
     only a reduction and a back-substitution.  Nothing is cached beyond
@@ -51,9 +51,9 @@ class Echelon:
     other is inverted by divide, with canon on every entry.
     """
 
-    def __init__(self, columns, p: int, ncols: int = None):
+    def __init__(self, columns, p: int):
         self.p = p
-        self.ncols = len(columns) if ncols is None else ncols
+        self.ncols = len(columns)
         self.pivots: list[int] = []    # k -> pivot column
         self.free: list[int] = []      # free columns, ascending
         # row -> (input columns hitting it, row): the pivot-row key (_insert)
@@ -71,9 +71,6 @@ class Echelon:
             else:
                 self.free.append(j)
                 self._kernel.append(mult)
-        for j in range(len(columns), self.ncols):
-            self.free.append(j)
-            self._kernel.append({})
         del self._order  # read by _insert alone; a cached Cell would keep it
 
     @property
@@ -260,17 +257,23 @@ def cohomology_dims(blocks: dict) -> dict:
 def solve(columns, ncols: int, b, p: int):
     """Solve sum_j x_j * columns[j] = b exactly.
 
-    columns: list of sparse vectors (dict row -> value); b likewise.
-    Returns the deterministic solution (free variables set to zero) as a
-    list of raw values, or None when the system is infeasible.
+    columns: list of sparse vectors (dict row -> value), padded with zero
+    columns to ncols; b likewise.  Returns the deterministic solution
+    (free variables set to zero) as a list of raw values, or None when the
+    system is infeasible.
     """
-    return Echelon(columns, p, ncols).solve(b)
+    return Echelon(_padded(columns, ncols), p).solve(b)
 
 
 def nullspace(columns, ncols: int, p: int):
-    """Deterministic basis of {x : sum_j x_j columns[j] = 0}.
+    """Deterministic basis of {x : sum_j x_j columns[j] = 0}, columns
+    padded with zero columns to ncols.
 
     One basis vector per free column, in ascending column order; the free
     coordinate is 1 and the other free coordinates are 0.
     """
-    return Echelon(columns, p, ncols).nullspace()
+    return Echelon(_padded(columns, ncols), p).nullspace()
+
+
+def _padded(columns, ncols: int) -> list:
+    return [*columns, *[{}] * (ncols - len(columns))]

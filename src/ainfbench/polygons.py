@@ -63,6 +63,7 @@ from __future__ import annotations
 from fractions import Fraction as Fr
 from math import lcm
 
+from .scalars import parse_number
 from .useries import TruncatedUSeries, divide_by_euler
 
 # pushoff profile: PL bump with these breakpoints, period 1
@@ -437,17 +438,6 @@ _ROWS = {"curve": "curve NAME KIND ORIENTATION star OFFSET", "z": "z X Y",
          "pushoff_star": "pushoff_star OFFSET", "maslov": "maslov POINT INDEX"}
 
 
-def _number(kind, what, token):
-    """token read as kind (int or Fr); a ValueError in the format's terms."""
-    try:
-        return kind(token)
-    except ZeroDivisionError:
-        raise ValueError(f"{what} {token} has a zero denominator") from None
-    except ValueError:
-        noun = "an integer" if kind is int else "a rational number"
-        raise ValueError(f"{what} {token} is not {noun}") from None
-
-
 def scene_load(text: str) -> PolygonScene:
     """Parse a scene file.  Each curve gamma0 (h), gamma1 (v), gamma2 (d)
     is given once, of that kind, with orientation +1 or -1, and so are z
@@ -477,20 +467,20 @@ def scene_load(text: str) -> PolygonScene:
                 if kind != _CURVE_KINDS[name]:
                     raise ValueError(f"curve {name} has kind {kind}, "
                                      f"not {_CURVE_KINDS[name]}")
-                if _number(int, "orientation", sign) not in (1, -1):
+                if parse_number(int, "orientation", sign) not in (1, -1):
                     raise ValueError(f"orientation {sign} is not +1 or -1")
                 if name in curves:
                     raise ValueError(f"curve {name} given twice")
-                star = _number(Fr, "star offset", star)
+                star = parse_number(Fr, "star offset", star)
                 curves[name] = SceneCurve(name, kind, int(sign), star)
             elif parts[0] == "z":
                 if z is not None:
                     raise ValueError("z given twice")
-                z = tuple(_number(Fr, "z coordinate", v) for v in parts[1:])
+                z = tuple(parse_number(Fr, "z coordinate", v) for v in parts[1:])
             elif parts[0] == "pushoff_star":
                 if pushoff_star is not None:
                     raise ValueError("pushoff_star given twice")
-                pushoff_star = _number(Fr, "pushoff_star offset", parts[1])
+                pushoff_star = parse_number(Fr, "pushoff_star offset", parts[1])
             else:
                 _, point, index = parts
                 if point not in _MASLOV_POINTS:
@@ -498,7 +488,7 @@ def scene_load(text: str) -> PolygonScene:
                                      f"{', '.join(_MASLOV_POINTS)}")
                 if point in maslov:
                     raise ValueError(f"maslov {point} given twice")
-                maslov[point] = _number(int, "maslov index", index)
+                maslov[point] = parse_number(int, "maslov index", index)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     if z is None or pushoff_star is None or len(curves) != 3:

@@ -24,7 +24,8 @@ from __future__ import annotations
 import re
 from contextlib import contextmanager
 
-from .scalars import ZERO, Element, FieldSpec, Frozen, accumulate, field_mismatch, parse_scalar
+from .scalars import (ZERO, Element, FieldSpec, Frozen, accumulate, field_mismatch,
+                      parse_number, parse_scalar)
 
 
 class Generator(Frozen):
@@ -520,11 +521,10 @@ def load(text: str) -> AInfStructure:
     except KeyError as missing:  # named at the last line, line 1 of an empty file
         last = max(len(text.splitlines()), 1)
         raise ValueError(f"line {last}: missing section {missing}") from None
-    values = []
-    for parse, (value, lineno) in zip((FieldSpec.parse, int), headers):
-        with _at_line(lineno):
-            values.append(parse(value))
-    spec, truncation = values
+    with _at_line(headers[0][1]):
+        spec = FieldSpec.parse(headers[0][0])
+    with _at_line(headers[1][1]):
+        truncation = parse_number(int, "TRUNCATION", headers[1][0])
     if truncation < 1:  # no relation would be checked
         raise ValueError(f"line {headers[1][1]}: TRUNCATION must be at least 1, "
                          f"got {truncation}")
@@ -539,12 +539,16 @@ def load(text: str) -> AInfStructure:
         with _at_line(lineno):
             if len(parts) != 4:
                 raise ValueError(f"bad generator row {row!r}")
-            gens.append(Generator(parts[0], parts[1], parts[2], int(parts[3])))
+            degree = parse_number(int, "generator degree", parts[3])
+            gens.append(Generator(parts[0], parts[1], parts[2], degree))
             QuiverCategory(objects, gens, {})  # a repeated name, an unknown object
     cat = QuiverCategory(objects, gens, {})
     for row, lineno in id_rows:
         with _at_line(lineno):
-            obj, combo = row.split(None, 1)
+            parts = row.split(None, 1)
+            if len(parts) != 2:
+                raise ValueError(f"bad identity row {row!r}")
+            obj, combo = parts
             if obj not in objects or obj in identities:
                 raise ValueError(f"unknown or repeated object {obj}")
             identities[obj] = parse_element(combo, cat, spec)

@@ -172,6 +172,18 @@ def parse_scalar(text: str, spec: FieldSpec):
     return spec.scalar(num, den)
 
 
+def parse_number(kind, what, token: str):
+    """token read as kind (int or Fraction), what naming it in a file's or
+    an option's own terms; else a ValueError in those terms."""
+    try:
+        return kind(token)
+    except ZeroDivisionError:
+        raise ValueError(f"{what} {token} has a zero denominator") from None
+    except ValueError:
+        noun = "an integer" if kind is int else "a rational number"
+        raise ValueError(f"{what} {token or '(empty)'} is not {noun}") from None
+
+
 def _parse_int(s: str) -> int:
     body = s[1:] if s[:1] in "+-" else s
     if not body.isdigit():

@@ -824,8 +824,8 @@ def find_reference(alg, r, s):
     p = alg.spec.characteristic
     cols, rows, matrix = delta_matrix(alg, r, s)
     kernel = nullspace(matrix, len(cols), p)
-    below_cols, below_rows, below = delta_matrix(alg, r - 1, s)
-    image = Echelon(below, p, len(below_cols))
+    below = delta_matrix(alg, r - 1, s)[2]
+    image = Echelon(below, p)
     for vec in kernel:
         if image.residual({i: v for i, v in enumerate(vec) if v}):
             return vector_to_cochain(vec, cols, r, s, alg.spec)
@@ -906,9 +906,9 @@ class DividingEchelon(Echelon):
     residual scaled by divide(1, pivot) with canon on every entry,
     whatever the pivot, 1 and -1 included."""
 
-    def __init__(self, columns, p, ncols=None):
+    def __init__(self, columns, p):
         self._weight = Counter(r for col in columns for r in col)
-        super().__init__(columns, p, ncols)
+        super().__init__(columns, p)
 
     def _insert(self, j, residual, mult):
         weight, p = self._weight, self.p

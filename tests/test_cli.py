@@ -323,7 +323,8 @@ def test_gauge_fix_obstruction_is_a_negative_not_usage(capsys):
 
 
 @pytest.mark.parametrize("orders, reason", [
-    ("3,,4", "invalid literal"),
+    ("3,,4", "order (empty) is not an integer"),
+    ("3,x", "order x is not an integer"),
     ("1", "order 1: orders run from 3 to 8"),
     ("2", "order 2: orders run from 3 to 8"),
     ("9", "order 9: orders run from 3 to 8"),

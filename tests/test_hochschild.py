@@ -443,7 +443,7 @@ def test_cell_answers_equal_a_solve_on_the_oracle_matrix(preset, char, data, see
             return b, vector_to_cochain([b.get(i, 0) for i in range(len(rows))], rows, r, s, F)
 
         def oracle_solve(columns, b):
-            x = Echelon(columns, char, len(columns)).solve(b)
+            x = Echelon(columns, char).solve(b)
             return None if x is None else vector_to_cochain(x[:len(cols)], cols, r - 1, s, F), x
 
         for perturb in (False, True):
@@ -484,9 +484,9 @@ def test_rows_no_column_meets_keep_their_own_ids(Q):
 
 @pytest.fixture
 def fresh_patterns(monkeypatch):
-    """Empty basis and delta-pattern caches for one test."""
+    """Empty basis and Q-record caches for one test."""
     monkeypatch.setattr(hochschild, "_BASES", {})
-    monkeypatch.setattr(hochschild, "_PATTERNS", {})
+    monkeypatch.setattr(hochschild, "_RECORDS", {})
     return hochschild
 
 
@@ -557,14 +557,14 @@ def test_column_built_pattern_is_the_row_walk(preset, r_max, fresh_patterns):
     # the columns of delta, each expanded from its column key, against the
     # walk over the whole row basis that tests each adjacent pair of each
     # row: its (column, row, slot) triples summed with the structure's
-    # mu^2 values, made canonical, compared by row key
+    # mu^2 values, made canonical, compared by row key.  Slots 2n and
+    # 2n + 1 hold the n-th coefficient of mu^2 and its negative
     alg = {"A": preset_A, "C": preset_C, "D": preset_D}[preset](FieldSpec(0))
-    slot_of = hochschild._support(alg)[0]
-    values = {}
-    for key, entries in slot_of.items():
-        for g, plus, minus in entries:
-            values[plus] = alg.tables[2][key].terms[g]
-            values[minus] = -values[plus]
+    slot_of, values = {}, []
+    for key, el in alg.tables[2].items():
+        for g, c in el.terms.items():
+            slot_of.setdefault(key, []).append((g, len(values), len(values) + 1))
+            values += [c, -c]
     nonempty = 0
     for r, s in _cells(alg.cat, r_max):
         cols, rows, columns = delta_matrix(alg, r, s)
@@ -593,23 +593,55 @@ def _one_product_times_5(F):
     return AInfStructure(F, A.cat, A.truncation, {2: mu2})
 
 
-@pytest.mark.parametrize("first, second", [
+_TWO_SUPPORTS = [
     (lambda: preset_A(FieldSpec(0)), lambda: _one_product_removed(FieldSpec(0))),
     (lambda: _one_product_times_5(FieldSpec(0)), lambda: _one_product_times_5(FieldSpec(5))),
-], ids=["entry-dropped", "coefficient-vanishes-mod-5"])
+]
+_TWO_SUPPORT_IDS = ["entry-dropped", "coefficient-vanishes-mod-5"]
+
+
+@pytest.mark.parametrize("first, second", _TWO_SUPPORTS, ids=_TWO_SUPPORT_IDS)
 @pytest.mark.parametrize("order", ["forward", "reverse"])
 def test_delta_patterns_are_keyed_by_mu2_support(first, second, order, fresh_patterns):
-    # two structures on one category whose mu^2 supports differ: neither
-    # may read the other's pattern, whichever is built first
+    # two structures on one category whose mu^2 supports differ: each
+    # delta follows its own mu^2, whichever is built first, and delta
+    # keeps no Q record of either
+    algs = _ordered(first, second, order)
+    for alg in algs:
+        for r, s in ((0, 0), (1, -1), (2, -2), (3, -2), (4, -3), (5, -4)):
+            _assert_matches_oracle(alg, r, s, delta_matrix(alg, r, s))
+    assert fresh_patterns._RECORDS == {}
+
+
+@pytest.mark.parametrize("first, second", _TWO_SUPPORTS, ids=_TWO_SUPPORT_IDS)
+@pytest.mark.parametrize("order", ["forward", "reverse"])
+def test_q_records_are_kept_by_mu2_support(first, second, order, fresh_patterns, monkeypatch):
+    # hh_bar keeps one record dict per mu^2 support, so neither run reads
+    # the other's ranks, whichever is first: each gives the table and
+    # eliminates the cells it does with empty caches
+    algs = _ordered(first, second, order)
+    eliminated = _trace_eliminations(monkeypatch)
+
+    def run(alg):
+        return hh_bar(alg.spec, 5, alg), eliminated.pop(alg.spec.characteristic)
+
+    alone = []
+    for alg in algs:
+        monkeypatch.setattr(hochschild, "_RECORDS", {})
+        alone.append(run(alg))
+    monkeypatch.setattr(hochschild, "_RECORDS", {})
+    assert [run(alg) for alg in algs] == alone
+    assert len(hochschild._RECORDS) == 2
+
+
+def _ordered(first, second, order):
+    """The two structures, in order, their mu^2 supports checked distinct."""
     algs = [first(), second()]
     if order == "reverse":
         algs.reverse()
     supports = [{k: tuple(v.terms) for k, v in alg.tables[2].items()} for alg in algs]
     assert supports[0] != supports[1]
-    for alg in algs:
-        for r, s in ((0, 0), (1, -1), (2, -2), (3, -2), (4, -3), (5, -4)):
-            _assert_matches_oracle(alg, r, s, delta_matrix(alg, r, s))
-    assert len(fresh_patterns._PATTERNS) == 2
+    return algs
 
 
 def _dual_numbers(F):
@@ -680,9 +712,9 @@ def test_hh_bar_hands_echelon_only_the_uncleared_columns(fresh_patterns, monkeyp
     assert cleared > 1000
     handed, init = [], hochschild.Echelon.__init__
 
-    def counted_init(self, columns, p, ncols=None):
+    def counted_init(self, columns, p):
         handed.append(len(columns))
-        init(self, columns, p, ncols)
+        init(self, columns, p)
 
     monkeypatch.setattr(hochschild.Echelon, "__init__", counted_init)
     hh_bar(Q, 9, A)
@@ -720,12 +752,12 @@ def test_last_layer_records_never_clear_a_longer_run(fresh_patterns, monkeypatch
     alone = {}
     for p in (2, 3, 5, 7):
         monkeypatch.setattr(hochschild, "_BASES", {})
-        monkeypatch.setattr(hochschild, "_PATTERNS", {})
+        monkeypatch.setattr(hochschild, "_RECORDS", {})
         alone[p] = hh_bar(FieldSpec(p), 9)
     monkeypatch.setattr(hochschild, "_BASES", {})
-    monkeypatch.setattr(hochschild, "_PATTERNS", {})
+    monkeypatch.setattr(hochschild, "_RECORDS", {})
     hh_bar(FieldSpec(0), 7)
-    (_, _, records), = hochschild._PATTERNS.values()
+    records, = hochschild._RECORDS.values()
     assert {r for (r, _), record in records.items() if record[3] is None} == {7}
     for p in (2, 3, 5, 7):
         assert hh_bar(FieldSpec(p), 9) == alone[p], p
@@ -738,7 +770,7 @@ def test_shorter_q_run_keeps_a_longer_runs_pivot_rows(fresh_patterns, monkeypatc
     # one computed with empty caches
     alone = hh_bar(FieldSpec(2), 9)
     monkeypatch.setattr(hochschild, "_BASES", {})
-    monkeypatch.setattr(hochschild, "_PATTERNS", {})
+    monkeypatch.setattr(hochschild, "_RECORDS", {})
     eliminations, init = Counter(), Echelon.__init__
 
     def counting(self, *args, **kwargs):
@@ -761,7 +793,7 @@ def test_certified_ranks_equal_direct_ranks(fresh_patterns):
     # and 3 divide a pivot product
     alone = {p: hh_bar(FieldSpec(p), 9) for p in CERTIFIED_PRIMES}
     hh_bar(FieldSpec(0), 9)
-    (_, _, records), = fresh_patterns._PATTERNS.values()
+    records, = fresh_patterns._RECORDS.values()
     assert {r for r, _ in records} == set(range(10))
     for p in CERTIFIED_PRIMES:
         A, uncertified = preset_A(FieldSpec(p)), []
@@ -820,7 +852,7 @@ def test_q_ranks_serve_only_their_coefficients_mod_p(fresh_patterns, monkeypatch
     assert eliminated.pop(5) == cells
     assert hh_bar(F5, 5) == want
     assert not eliminated
-    assert len(fresh_patterns._PATTERNS) == 1
+    assert len(fresh_patterns._RECORDS) == 1
 
 
 def _trace_eliminations(monkeypatch):
@@ -833,10 +865,10 @@ def _trace_eliminations(monkeypatch):
         current[:] = [(alg.spec.characteristic, r, s)]
         return build(alg, r, s, *rest)
 
-    def traced_init(self, columns, p, ncols=None):
+    def traced_init(self, columns, p):
         char, r, s = current[0]
         out.setdefault(char, []).append((r, s))
-        init(self, columns, p, ncols)
+        init(self, columns, p)
 
     monkeypatch.setattr(hochschild, "delta_matrix", traced_build)
     monkeypatch.setattr(hochschild.Echelon, "__init__", traced_init)
@@ -854,9 +886,9 @@ def test_q_elimination_certifies_all_but_the_torsion_cells(fresh_patterns, monke
     assert len(eliminated[0]) == 24 and 5 not in eliminated
     assert eliminated[3] == [(3, -2)]
     assert eliminated[2] == [(2, -1), (4, -3), (5, -3), (6, -3), (7, -5)]
-    (_, _, records), = fresh_patterns._PATTERNS.values()
+    records, = fresh_patterns._RECORDS.values()
     assert [records[c][2] for c in eliminated[2] + eliminated[3]] == [-2, 4, 4, -2, 2, 3]
     del eliminated[2]
-    monkeypatch.setattr(hochschild, "_PATTERNS", {})
+    monkeypatch.setattr(hochschild, "_RECORDS", {})
     hh_bar(FieldSpec(2), 7)
     assert eliminated[2] == eliminated[0]

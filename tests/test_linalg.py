@@ -9,6 +9,12 @@ from ainfbench.linalg import Echelon, nullspace, rank, rref, solve
 from ainfbench.scalars import canon
 
 
+def _padded(columns, ncols):
+    """columns followed by zero columns up to ncols, as solve and nullspace
+    read them."""
+    return columns + [{} for _ in range(ncols - len(columns))]
+
+
 def _cols_from_dense(rows):
     ncols = len(rows[0])
     return [
@@ -155,7 +161,7 @@ def test_echelon_matches_rref_oracle(char):
         assert rank(columns, char) == len(rref(_oracle_rows(columns), char))
         assert solve(columns, ncols, b, char) == want_x
         assert nullspace(columns, ncols, char) == _oracle_nullspace(columns, ncols, char)
-        assert (not Echelon(columns, char, ncols).residual(b)) == (want_x is not None)
+        assert (not Echelon(_padded(columns, ncols), char).residual(b)) == (want_x is not None)
     assert 30 < infeasible < 270  # both outcomes are exercised
 
 
@@ -166,9 +172,10 @@ def test_echelon_edge_cases(char):
     assert solve([], 0, {}, char) == []
     assert solve([], 0, {0: 1}, char) is None
     assert nullspace([], 2, char) == [[1, 0], [0, 1]]
-    # zero columns and ncols > len(columns): every such column is free
+    # zero columns, and ncols > len(columns) in solve and nullspace: every
+    # such column is free
     cols = [{}, {0: 1}, {}]
-    ech = Echelon(cols, char, 5)
+    ech = Echelon(_padded(cols, 5), char)
     assert (ech.rank, ech.pivots, ech.free) == (1, [1], [0, 2, 3, 4])
     assert solve(cols, 5, {0: 1}, char) == [0, 1] + [0] * 3
     assert solve(cols, 5, {1: 1}, char) is None
@@ -180,7 +187,7 @@ def test_lazy_kernel_is_the_nullspace(char):
     rng = random.Random(100 + char)
     for _ in range(100):
         columns, ncols, _ = _random_system(rng, char)
-        ech = Echelon(columns, char, ncols)
+        ech = Echelon(_padded(columns, ncols), char)
         assert list(ech.kernel()) == ech.nullspace() == nullspace(columns, ncols, char)
 
 
@@ -294,7 +301,8 @@ def test_unit_pivots_insert_as_by_division(system):
     # keys give the pivots, pivot rows, pivot product, solutions and
     # kernel of the insertion that divides by every pivot
     p, columns, ncols, b = system
-    ech, want = Echelon(columns, p, ncols), oracles.DividingEchelon(columns, p, ncols)
+    columns = _padded(columns, ncols)
+    ech, want = Echelon(columns, p), oracles.DividingEchelon(columns, p)
     assert (ech.pivots, ech.pivot_rows, ech.free) == (want.pivots, want.pivot_rows, want.free)
     assert ech.pivot_product == want.pivot_product
     assert ech.residual(b) == want.residual(b)

@@ -16,6 +16,7 @@ from ainfbench.hochschild import Cochain
 from ainfbench.quiver import (AInfStructure, Element, Generator, QuiverCategory,
                               dump, load, preset_A, preset_C)
 from ainfbench.scalars import FieldSpec
+from test_polygons import _PYTHON_TEXT
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -104,6 +105,25 @@ def test_load_reports_line_numbers(Q):
     with pytest.raises(ValueError, match="line 6"):
         load("FIELD Q\nTRUNCATION 2\nOBJECTS\na\nGENERATORS\nbadrow\n"
              "IDENTITIES\n")
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("TRUNCATION 12", "TRUNCATION x", "TRUNCATION x is not an integer"),
+    ("TRUNCATION 12", "TRUNCATION 1/0", "TRUNCATION 1/0 is not an integer"),
+    ("e1 a a 1", "e1 a a one", "generator degree one is not an integer"),
+    ("b 1*f0", "b", "bad identity row 'b'"),
+])
+def test_load_message_speaks_the_format(old, new, message):
+    # a header value or a generator degree that is not an integer, and an
+    # identity row with no element, are named in the .alg format's terms,
+    # with the row's line, not by Python
+    lines = (GOLDEN / "preset_C.alg").read_text().splitlines()
+    lineno = lines.index(old) + 1
+    lines[lineno - 1] = new
+    with pytest.raises(ValueError) as info:
+        load("\n".join(lines) + "\n")
+    assert str(info.value) == f"line {lineno}: {message}"
+    assert not _PYTHON_TEXT.search(str(info.value))
 
 
 def test_degree_bookkeeping_enforced(Q):
@@ -410,11 +430,13 @@ def _mutated_alg(draw):
 @settings(max_examples=80)
 @given(_mutated_alg())
 def test_mutated_alg_raises_only_a_value_error_naming_a_line(text):
-    # an edit may leave a valid file; any error is a ValueError with a line
+    # an edit may leave a valid file; any error is a ValueError with a line,
+    # in the format's terms
     try:
         load(text)
     except ValueError as exc:
         assert re.match(r"^line \d+: ", str(exc)), str(exc)
+        assert not _PYTHON_TEXT.search(str(exc)), str(exc)
 
 
 @given(st.lists(st.lists(st.sampled_from(

@@ -119,7 +119,7 @@ def _as_fractions(columns):
 
 
 def _echelon_answers(columns, ncols, b):
-    ech = Echelon(columns, 0, ncols)
+    ech = Echelon(columns + [{}] * (ncols - len(columns)), 0)
     return ech.pivots, ech.rank, ech.solve(b), ech.nullspace()
 
 
