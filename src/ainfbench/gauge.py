@@ -58,6 +58,7 @@ from .hochschild import (
     class_coordinate,
     class_split,
     cochain_basis,
+    is_coboundary,
     mu_cochain,
     reference_cocycle,
     solve_first,
@@ -260,8 +261,8 @@ def _primitive(phi: Cochain, alg: AInfStructure) -> Cochain:
     g^(d-1) that gauges phi away: ValueError if phi is not a cocycle (solve
     first: solve_first), ObstructionError with its class coordinate if it
     has no primitive."""
-    nu = solve_first(phi, alg, ValueError(f"mu^{phi.r} is not a cocycle; lower orders unkilled?"),
-                     lambda: Cell(alg, phi.r, phi.s).primitive(phi))
+    nu = is_coboundary(phi, alg,
+                       ValueError(f"mu^{phi.r} is not a cocycle; lower orders unkilled?"))
     if nu is None:
         try:
             coord = class_coordinate(phi, alg)
@@ -440,9 +441,8 @@ def _mc_extend(spec: FieldSpec, m6, m8, order: int = 12) -> AInfStructure:
         elif obstruction.is_zero():
             phi = Cochain(d, 2 - d)
         else:
-            phi = solve_first(obstruction, base, AssertionError(
-                f"order-{d} obstruction is not a cocycle"),
-                lambda: Cell(base, obstruction.r, obstruction.s).primitive(obstruction))
+            phi = is_coboundary(obstruction, base, AssertionError(
+                f"order-{d} obstruction is not a cocycle"))
             if phi is None:
                 raise AssertionError(
                     f"order-{d} obstruction not a coboundary: HH cell should vanish"
@@ -489,11 +489,10 @@ class CertificateStep:
 
 class M6Certificate:
     def __init__(self, nonzero: bool, rank_system: int, rank_augmented: int,
-                 witness_values: list,  # [(tuple, Element)] the four scaled products
                  chain: list,           # CertificateStep derivation ending in a conflict
                  primitive: Cochain = None):  # only when the class is actually zero
         self.nonzero, self.rank_system, self.rank_augmented = nonzero, rank_system, rank_augmented
-        self.witness_values, self.chain, self.primitive = witness_values, chain, primitive
+        self.chain, self.primitive = chain, primitive
 
     def summary(self) -> str:
         """The rank certificate and contradiction chain, or the m6 = 0 verdict."""
@@ -535,19 +534,16 @@ def m6_certificate(mu6: Cochain, alg: AInfStructure) -> M6Certificate:
     Solve first (solve_first)."""
     cell = Cell(alg, mu6.r, mu6.s)
     nu = solve_first(mu6, alg, ValueError("mu6 is not a cocycle"), lambda: cell.primitive(mu6))
-    spec = alg.spec
-    scaled = mu6.scale(spec.scalar(144))
-    witnesses = [(t, scaled.value(t)) for t, _ in _PAPER_WITNESSES]
     # rank [A|mu6] = rank A + (nu is None): both read mu6's one reduction
     rank_a = cell.echelon.rank
     if nu is not None:
-        return M6Certificate(False, rank_a, rank_a, witnesses, [], nu)
+        return M6Certificate(False, rank_a, rank_a, [], nu)
 
     # rows in basis order, less those no column meets and mu6 misses (0 = 0)
     scan = [cell.rows[b] for b in cochain_basis(alg, mu6.r, mu6.s) if b in cell.rows]
     chain = _contradiction_chain(cell.cols, list(cell.rows), scan, cell.matrix,
-                                 cell.vector(mu6), spec.characteristic)
-    return M6Certificate(True, rank_a, rank_a + 1, witnesses, chain)
+                                 cell.vector(mu6), alg.spec.characteristic)
+    return M6Certificate(True, rank_a, rank_a + 1, chain)
 
 
 def _contradiction_chain(cols, rows, scan, matrix, b, p: int):

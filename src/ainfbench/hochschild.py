@@ -148,11 +148,10 @@ def coboundary(phi: Cochain, alg: AInfStructure) -> Cochain:
 # between calls: a basis holds no value, so every field and every
 # structure on one category shares it.  Each delta_matrix call reads
 # mu^2 afresh (_expansion), and its rows are numbered as its columns meet
-# them.  Apart, by category signature and mu^2 support, hh_bar keeps the
-# last rank over Q of an integral mu^2 on it per (r, s), with its mu^2
-# coefficients, pivot product and pivot rows: the rank and product settle
-# the rank over F_p for every p not dividing the product, and the rows
-# clear the next cell (hh_bar).
+# them.  Apart, hh_bar keeps, per cell (r, s) of preset A, the last Q run's
+# rank, pivot product and pivot rows (row keys): the rank and product
+# settle the rank over F_p for every p not dividing the product, and the
+# rows clear the next cell (hh_bar).
 _BASES: dict = {}
 _RECORDS: dict = {}
 
@@ -209,11 +208,11 @@ def delta_matrix(alg: AInfStructure, r: int, s: int, skip=(), rows=None):
 
     Returns (col_basis, rows, columns): cochain_basis' shared list, the
     row numbering {row key: id} in id order, and columns[j] the sparse
-    dict {row id: raw value} of column j, or None for each j in skip: a
-    skipped column is never expanded, so None stands for "not built", not
-    for a zero column.  A row not in the dict passed as rows (extended in
-    place; empty by default) gets the next id when a column first meets
-    it, so no row basis is enumerated.  Each other column is expanded once
+    dict {row id: raw value} of column j, or None when its basis entry is
+    in skip: a skipped column is never expanded, so None stands for "not
+    built", not for a zero column.  A row not in the dict passed as rows
+    (extended in place; empty by default) gets the next id when a column
+    first meets it, so no row basis is enumerated.  Each other column is expanded once
     (_column) from mu^2's expansion tables (_expansion), and made
     canonical, ids ascending.
     """
@@ -222,10 +221,9 @@ def delta_matrix(alg: AInfStructure, r: int, s: int, skip=(), rows=None):
     rows = {} if rows is None else rows
     odd, p = alg.cat.odd, alg.spec.characteristic
     flip = (r + s - 1) % 2  # ||phi||
-    skip = set(skip)
     return col_basis, rows, [
-        None if j in skip else _column(() if not r else w, h, tables, rows, odd, flip, p)
-        for j, (w, h) in enumerate(col_basis)]
+        None if (w, h) in skip else _column(() if not r else w, h, tables, rows, odd, flip, p)
+        for w, h in col_basis]
 
 
 def _expansion(alg: AInfStructure) -> tuple:
@@ -280,80 +278,58 @@ def _column(w, h, tables, rows, odd, flip, p) -> dict:
     return canonical({i: col[i] for i in sorted(col)}, p)
 
 
-def hh_bar(spec: FieldSpec, r_max: int, alg: AInfStructure = None):
-    """Bigraded Hochschild cohomology dimensions via the normalized bar
-    complex and exact Gaussian elimination: {(r, s): dim}, zeros omitted.
-    alg (preset A by default) must be over spec's field and its mu^2
-    associative (delta_squares_to_zero), else ValueError.
-
-    A cochain of length k has s = deg(output) - (degree sum of k inputs),
-    so s lies in [lo - k * hi, hi - k * lo] for the generator degrees
-    lo..hi; the cells (r, s) are every s at which C(r, s) or C(r + 1, s)
-    can be nonempty, and delta is built where both are.
+def hh_bar(spec: FieldSpec, r_max: int):
+    """Bigraded Hochschild cohomology dimensions of preset A via the
+    normalized bar complex and exact Gaussian elimination: {(r, s): dim},
+    zeros omitted.  Its generators have degrees 0 and 1, so a cochain of
+    length k has -k <= s <= 1, and the cells are -(r + 1) <= s <= 1.
 
     Clearing (Chen and Kerber, 2011): delta at (r, s) is eliminated only
-    on its columns outside the pivot rows P of (r - 1, s), which index
-    C(r, s).  The image of delta at (r - 1, s) has a basis unit
+    on its columns outside the pivot rows P of (r - 1, s), which are basis
+    entries of C(r, s).  The image of delta at (r - 1, s) has a basis unit
     triangular on P (Echelon.pivot_rows), so C(r, s) is that image plus
-    the span of the e_j, j not in P, a direct sum.  delta^2 = 0 kills the
+    the span of the e_b, b not in P, a direct sum.  delta^2 = 0 kills the
     image, so the kept columns have delta's full rank at (r, s).  The
     cleared columns are delta_matrix's skip: they are never expanded.
-    Rows are numbered in basis order, as the next cell's columns, but at
-    r_max by first hit: nothing clears with them, so no C(r_max + 1, s).
+    Rows are numbered in basis order, but at r_max by first hit, so no
+    C(r_max + 1, s) is enumerated.
 
     One elimination over Q serves every prime that does not divide its
-    pivot product.  Over Q with integral mu^2, each cell keeps in _RECORDS,
-    by category and mu^2 support, mu^2's coefficients {(key, g): c}, its
-    rank R, pivot product D (Echelon.pivot_product) and P.  Let M be the
-    integer matrix of delta there: D is the determinant of an R x R minor
+    pivot product.  mu^2 has coefficients +-1, so delta over Q is an
+    integer matrix M and over F_p it is M mod p.  Each Q run keeps in
+    _RECORDS, per cell, the rank R, the pivot product D
+    (Echelon.pivot_product) and P: D is the determinant of an R x R minor
     of M on the rows P, a nonzero integer, and every (R + 1)-minor of M is
-    0.  A structure over F_p on the same category and support whose
-    coefficients are the Q ones mod p has the matrix M mod p.  If p does not divide D, that
-    minor stays nonsingular mod p and the larger ones stay 0, so the
-    rank is R and the image projects onto the rows P, which complement
-    it too: hh_bar takes R and P without building or eliminating the F_p
-    matrix.  Every other cell with columns and rows is built on its kept
-    columns alone and eliminated over its own field.  A record made at
-    r_max has pivot rows None, serves only there and keeps a longer run's."""
-    alg = alg or preset_A(spec)
-    if alg.spec != spec:
-        raise field_mismatch(alg.spec.characteristic, spec.characteristic)
-    if not delta_squares_to_zero(alg):
-        raise ValueError("mu^2 is not associative: delta^2 != 0")
-    p = spec.characteristic
-    degs = [g.degree for g in alg.cat.generators.values()]
-    lo, hi = min(degs), max(degs)
-    cells = []
-    for r in range(r_max + 1):
-        ends = [b for k in (r, r + 1) for b in (lo - k * hi, hi - k * lo)]
-        cells += [(r, s) for s in range(min(ends), max(ends) + 1)]
-    coeffs = {(key, g): c for key, el in alg.tables[2].items() for g, c in el.terms.items()}
-    records = _RECORDS.setdefault((alg.cat.signature, frozenset(coeffs)), {})
-    integral = not p and all(type(c) is int for c in coeffs.values())
+    0.  If p does not divide D, that minor stays nonsingular mod p and the
+    larger ones stay 0, so the rank over F_p is R and the image projects
+    onto the rows P, which complement it too: hh_bar takes R and P without
+    building or eliminating the F_p matrix.  Every other cell with columns
+    and rows is built on its kept columns alone and eliminated over its
+    own field."""
+    alg, p = preset_A(spec), spec.characteristic
     blocks, pivot_rows = {}, {}  # pivot rows by cell, until the next r reads them
-    for r, s in cells:
-        cleared = pivot_rows.pop((r - 1, s), ())
-        known = records.get((r, s))
-        if (p and known and known[2] % p and {k: c % p for k, c in known[0].items()} == coeffs
-                and (r == r_max or known[3] is not None)):
-            blocks[(r, s)] = (len(cochain_basis(alg, r, s)), known[1])
-            pivot_rows[(r, s)] = known[3]
-            continue
-        cols = cochain_basis(alg, r, s)
-        rows = {b: i for i, b in enumerate(cochain_basis(alg, r + 1, s))} if r < r_max else {}
-        if not cols or (r < r_max and not rows):
-            out, det, pivots = 0, 1, ()
-        else:
-            echelon = Echelon([c for c in delta_matrix(alg, r, s, cleared, rows)[2]
-                               if c is not None], p)
-            out, pivots = echelon.rank, echelon.pivot_rows if r < r_max else None
-            det = echelon.pivot_product if integral else None
-            del echelon  # else held while the next cell is built and eliminated
-        if integral and (pivots is not None or not known or known[3] is None
-                         or known[0] != coeffs):   # never erase a longer run's P
-            records[(r, s)] = (coeffs, out, det, pivots)
-        pivot_rows[(r, s)] = pivots
-        blocks[(r, s)] = (len(cols), out)
+    for r in range(r_max + 1):
+        for s in range(-(r + 1), 2):
+            cleared = pivot_rows.pop((r - 1, s), ())
+            cols = cochain_basis(alg, r, s)
+            known = _RECORDS.get((r, s))
+            if p and known and known[1] % p:
+                blocks[(r, s)], pivot_rows[(r, s)] = (len(cols), known[0]), known[2]
+                continue
+            rows = {b: i for i, b in enumerate(cochain_basis(alg, r + 1, s))} if r < r_max else {}
+            if not cols or (r < r_max and not rows):
+                out, det, pivots = 0, 1, frozenset()
+            else:
+                echelon = Echelon([c for c in delta_matrix(alg, r, s, cleared, rows)[2]
+                                   if c is not None], p)
+                keys = list(rows)
+                out, pivots = echelon.rank, frozenset(keys[i] for i in echelon.pivot_rows)
+                det = None if p else echelon.pivot_product
+                del echelon  # else held while the next cell is built and eliminated
+            if not p:
+                _RECORDS[(r, s)] = (out, det, pivots)
+            pivot_rows[(r, s)] = pivots
+            blocks[(r, s)] = (len(cols), out)
     return cohomology_dims(blocks)
 
 
@@ -470,10 +446,11 @@ def solve_first(phi: Cochain, alg: AInfStructure, not_cocycle: Exception, solve)
     return result
 
 
-def is_coboundary(phi: Cochain, alg: AInfStructure):
-    """The deterministic nu with delta(nu) = phi, or None; ValueError when
-    phi is not a cocycle (solve_first)."""
-    return solve_first(phi, alg, ValueError("input is not a cocycle"),
+def is_coboundary(phi: Cochain, alg: AInfStructure, not_cocycle: Exception = None):
+    """The deterministic nu with delta(nu) = phi, or None; raises
+    not_cocycle (by default ValueError("input is not a cocycle")) when phi
+    is not a cocycle (solve_first)."""
+    return solve_first(phi, alg, not_cocycle or ValueError("input is not a cocycle"),
                        lambda: Cell(alg, phi.r, phi.s).primitive(phi))
 
 

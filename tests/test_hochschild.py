@@ -15,8 +15,7 @@ from ainfbench.hochschild import (Cochain, class_coordinate, coboundary,
                                   hh_bar, is_coboundary, mu_cochain,
                                   reference_cocycle, vector_to_cochain)
 from ainfbench.linalg import Echelon, rank
-from ainfbench.quiver import (AInfStructure, Element, Generator, QuiverCategory,
-                             preset_A, preset_C)
+from ainfbench.quiver import AInfStructure, Element, preset_A, preset_C
 from ainfbench.scalars import FieldSpec, canonical
 
 Q_TABLE = {(0, 0): 1, (0, 1): 2, (1, 0): 1, (6, -4): 1, (7, -4): 1, (8, -6): 1}
@@ -226,6 +225,8 @@ def test_reference_cache_equals_fresh_computation(Q, fresh_references):
 def test_lazy_reference_equals_whole_kernel_scan(char):
     A = preset_A(FieldSpec(char))
     for (r, s) in ((6, -4), (8, -6)):
+        # the oracle's image test reads its rows in basis order
+        assert oracles.delta_matrix(A, r - 1, s)[1] == cochain_basis(A, r, s)
         ref = hochschild.Cell(A, r, s).reference()
         assert ref == oracles.find_reference(A, r, s)
         assert not ref.is_zero()
@@ -360,9 +361,9 @@ def test_delta_columns_match_full_enumeration_at_the_classify_cells(char):
 @given(st.integers(0, 2**32), st.lists(st.sampled_from((0, 0.1, 0.5, 0.9, 1)), min_size=1))
 def test_skipped_columns_are_never_expanded(seed, densities):
     # at each cell of preset A with r <= 9, a skip set drawn from the
-    # cell's column indices: every other column is the full build's, by
-    # row key (skipping renumbers the rows); columns[j] is None for each j
-    # in skip, and _column never runs for it
+    # cell's column basis entries: every other column is the full build's,
+    # by row key (skipping renumbers the rows); columns[j] is None when
+    # cols[j] is in skip, and _column never runs for it
     rng = random.Random(seed)
     A = preset_A(FieldSpec(0))
     expanded, column = [], hochschild._column
@@ -375,43 +376,56 @@ def test_skipped_columns_are_never_expanded(seed, densities):
         cols, full_rows, full = delta_matrix(A, r, s)
         full = _by_key(full_rows, full)
         density = densities[n % len(densities)]
-        skip = {j for j in range(len(cols)) if rng.random() < density}
+        skip = frozenset(b for b in cols if rng.random() < density)
         expanded.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(hochschild, "_column", counted_column)
-            _, rows, columns = delta_matrix(A, r, s, sorted(skip))
+            _, rows, columns = delta_matrix(A, r, s, skip)
         assert len(columns) == len(full)
-        for j, (col, want) in enumerate(zip(columns, full)):
-            if j in skip:
-                assert col is None, (r, s, j)
+        for b, col, want in zip(cols, columns, full):
+            if b in skip:
+                assert col is None, (r, s, b)
             else:
-                assert _by_key(rows, [col]) == [want], (r, s, j)
-        assert expanded == [(w if r else (), h) for j, (w, h) in enumerate(cols) if j not in skip]
+                assert _by_key(rows, [col]) == [want], (r, s, b)
+        assert expanded == [(w if r else (), h) for w, h in cols if (w, h) not in skip]
 
 
 _PRESETS = {"A": preset_A, "C": preset_C}
 
 
 @lru_cache(maxsize=None)
-def _hh_table(preset, char):
-    """The structure and its HH table at r <= 9, zeros omitted."""
-    alg = _PRESETS[preset](FieldSpec(char))
-    return alg, hh_bar(alg.spec, 9, alg)
+def _structure(preset, char):
+    return _PRESETS[preset](FieldSpec(char))
+
+
+@lru_cache(maxsize=None)
+def _full_rank(preset, char, r, s):
+    """The rank of delta at (r, s) on all its columns, 0 where delta has
+    no column or no row."""
+    cols, rows, columns = delta_matrix(_structure(preset, char), r, s)
+    return rank(columns, char) if cols and rows else 0
+
+
+def _hh_dim(preset, char, r, s):
+    """HH at (r, s), r >= 1, from the ranks of delta on all its columns:
+    each is ranked once, and only where a test asks."""
+    size = len(cochain_basis(_structure(preset, char), r, s))
+    return size - _full_rank(preset, char, r, s) - _full_rank(preset, char, r - 1, s)
 
 
 @lru_cache(maxsize=None)
 def _oracle_delta(preset, char, r, s):
     """The oracle's delta from (r - 1, s), its rows in basis order."""
-    return oracles.delta_matrix(_hh_table(preset, char)[0], r - 1, s)
+    return oracles.delta_matrix(_structure(preset, char), r - 1, s)
 
 
 @lru_cache(maxsize=None)
 def _solve_cells(preset, nonzero):
     """The cells (r, s), 1 <= r <= 9, whose delta from (r - 1, s) has
     columns and rows; with nonzero, those whose HH over Q is nonzero."""
-    alg, dims = _hh_table(preset, 0)
+    alg = _structure(preset, 0)
     return [(r, s) for r, s in _cells(alg.cat, 9) if r and cochain_basis(alg, r - 1, s)
-            and cochain_basis(alg, r, s) and (not nonzero or (r, s) in dims)]
+            and cochain_basis(alg, r, s) and (not nonzero or _hh_dim(preset, 0, r, s))]
 
 
 @given(st.sampled_from("AC"), st.sampled_from((0, 5)), st.data(), st.integers(0, 2**32))
@@ -425,7 +439,7 @@ def test_cell_answers_equal_a_solve_on_the_oracle_matrix(preset, char, data, see
     rng = random.Random(seed)
     for nonzero in (False, True):
         r, s = data.draw(st.sampled_from(_solve_cells(preset, nonzero)))
-        alg, dims = _hh_table(preset, char)
+        alg = _structure(preset, char)
         cols, rows, matrix = _oracle_delta(preset, char, r, s)
         F, cell = alg.spec, hochschild.Cell(alg, r, s)
 
@@ -449,11 +463,11 @@ def test_cell_answers_equal_a_solve_on_the_oracle_matrix(preset, char, data, see
         for perturb in (False, True):
             b, phi = draw(perturb)
             assert cell.primitive(phi) == oracle_solve(matrix, b)[0], (r, s, perturb)
-        if not nonzero or (r, s) not in dims:
+        if not nonzero or not _hh_dim(preset, char, r, s):
             continue
         ref = cell.reference()
         assert ref == oracles.find_reference(alg, r, s), (r, s)
-        if dims[(r, s)] != 1:
+        if _hh_dim(preset, char, r, s) != 1:
             continue
         ref_vec = cochain_to_vector(ref, rows)
         for perturb in (False, True):
@@ -508,9 +522,9 @@ def test_hh_bar_expands_only_the_kept_columns_across_fields(fresh_patterns, monk
                                       hochschild._enumerate_basis)
 
     def counted_build(alg, r, s, skip=(), rows=None):
-        builds.append([alg.spec.characteristic, (r, s), len(set(skip)), 0])
+        builds.append([alg.spec.characteristic, (r, s), len(skip), 0])
         cols, rows, columns = build(alg, r, s, skip, rows)
-        assert [j for j, c in enumerate(columns) if c is None] == sorted(set(skip))
+        assert {b for b, c in zip(cols, columns) if c is None} == set(skip)
         builds[-1].append(len(cols))
         return cols, rows, columns
 
@@ -527,7 +541,7 @@ def test_hh_bar_expands_only_the_kept_columns_across_fields(fresh_patterns, monk
     monkeypatch.setattr(hochschild, "_enumerate_basis", counted_enumeration)
     for char in (0, 5, 3, 2):
         F = FieldSpec(char)
-        dims = hh_bar(F, 7, preset_A(F))
+        dims = hh_bar(F, 7)
         assert dims[(6, -4)] == 1 and dims[(0, 1)] == 2
     for char, cell, skipped, expanded, size in builds:
         assert expanded == size - skipped, (char, cell)
@@ -613,27 +627,6 @@ def test_delta_patterns_are_keyed_by_mu2_support(first, second, order, fresh_pat
     assert fresh_patterns._RECORDS == {}
 
 
-@pytest.mark.parametrize("first, second", _TWO_SUPPORTS, ids=_TWO_SUPPORT_IDS)
-@pytest.mark.parametrize("order", ["forward", "reverse"])
-def test_q_records_are_kept_by_mu2_support(first, second, order, fresh_patterns, monkeypatch):
-    # hh_bar keeps one record dict per mu^2 support, so neither run reads
-    # the other's ranks, whichever is first: each gives the table and
-    # eliminates the cells it does with empty caches
-    algs = _ordered(first, second, order)
-    eliminated = _trace_eliminations(monkeypatch)
-
-    def run(alg):
-        return hh_bar(alg.spec, 5, alg), eliminated.pop(alg.spec.characteristic)
-
-    alone = []
-    for alg in algs:
-        monkeypatch.setattr(hochschild, "_RECORDS", {})
-        alone.append(run(alg))
-    monkeypatch.setattr(hochschild, "_RECORDS", {})
-    assert [run(alg) for alg in algs] == alone
-    assert len(hochschild._RECORDS) == 2
-
-
 def _ordered(first, second, order):
     """The two structures, in order, their mu^2 supports checked distinct."""
     algs = [first(), second()]
@@ -642,15 +635,6 @@ def _ordered(first, second, order):
     supports = [{k: tuple(v.terms) for k, v in alg.tables[2].items()} for alg in algs]
     assert supports[0] != supports[1]
     return algs
-
-
-def _dual_numbers(F):
-    """k[x]/x^2 with |x| = 2: one object, the identity e and x."""
-    cat = QuiverCategory(["a"], [Generator("e", "a", "a", 0), Generator("x", "a", "a", 2)],
-                         {"a": Element.single("e", 1, F.characteristic)})
-    one = {n: Element.single(n, 1, F.characteristic) for n in ("e", "x")}
-    return AInfStructure(F, cat, 2, {2: {("e", "e"): one["e"], ("e", "x"): one["x"],
-                                         ("x", "e"): one["x"]}})
 
 
 def _uncleared_ranks(alg, r_max):
@@ -671,20 +655,6 @@ def _uncleared_dims(alg, r_max):
         if dim:
             dims[(r, s)] = dim
     return dims
-
-
-@pytest.mark.parametrize("char", [0, 2, 3, 5])
-def test_hh_bar_reaches_every_cell_of_a_degree_two_generator(char):
-    # with |x| = 2 the cochains of length r sit at s = -2r and 2 - 2r, below
-    # the s >= -(r + 1) that degrees 0 and 1 allow; every cell is found,
-    # and the cleared eliminations give the ranks on all columns
-    F = FieldSpec(char)
-    alg = _dual_numbers(F)
-    dims = _uncleared_dims(alg, 9)
-    assert hh_bar(F, 9, alg) == dims
-    if char == 0:
-        assert {k: v for k, v in dims.items() if k[0] <= 4} == {
-            (0, 0): 1, (0, 2): 1, (1, 0): 1, (2, -4): 1, (3, -4): 1, (4, -8): 1}
 
 
 @pytest.mark.parametrize("char", [0, 2, 3, 5])
@@ -717,17 +687,9 @@ def test_hh_bar_hands_echelon_only_the_uncleared_columns(fresh_patterns, monkeyp
         init(self, columns, p)
 
     monkeypatch.setattr(hochschild.Echelon, "__init__", counted_init)
-    hh_bar(Q, 9, A)
+    hh_bar(Q, 9)
     assert len(handed) == len(eliminated)
     assert sum(handed) == sum(sizes[c] for c in eliminated) - cleared
-
-
-@pytest.mark.parametrize("table, structure", [(0, 3), (3, 0), (5, 2)])
-def test_hh_bar_refuses_a_structure_of_another_field(table, structure):
-    # residues mod 3 ranked as rationals gave delta^2 != 0 and negative
-    # dimensions; the Q records are keyed on the structure's field too
-    with pytest.raises(ValueError, match="field mismatch"):
-        hh_bar(FieldSpec(table), 7, preset_A(FieldSpec(structure)))
 
 
 def test_solves_refuse_a_cochain_of_another_field(Q):
@@ -744,23 +706,31 @@ def test_solves_refuse_a_cochain_of_another_field(Q):
 CERTIFIED_PRIMES = (2, 3, 5, 7, 2147483647)
 
 
-def test_last_layer_records_never_clear_a_longer_run(fresh_patterns, monkeypatch):
-    # the rows of the cells at r_max are numbered by first hit, so a Q
-    # record made there holds no pivot rows: a later run to r = 9 over F_p
-    # reads its rank only at its own r_max, and each table is the one
-    # computed with empty caches
-    alone = {}
+def test_last_layer_records_clear_a_longer_run(fresh_patterns, monkeypatch):
+    # the rows of the cells at r_max are numbered by first hit, and a Q
+    # record made there keeps its pivot rows as row keys like every other:
+    # a later run to r = 9 over F_p reads its rank and clears the next
+    # cell with its rows, and each table is the one computed with empty
+    # caches, in fewer eliminations (F2: 16 of the 35 it makes alone)
+    A, alone = preset_A(FieldSpec(0)), {}
+    eliminated = _trace_eliminations(monkeypatch)
     for p in (2, 3, 5, 7):
         monkeypatch.setattr(hochschild, "_BASES", {})
         monkeypatch.setattr(hochschild, "_RECORDS", {})
-        alone[p] = hh_bar(FieldSpec(p), 9)
+        alone[p] = hh_bar(FieldSpec(p), 9), len(eliminated.pop(p))
     monkeypatch.setattr(hochschild, "_BASES", {})
     monkeypatch.setattr(hochschild, "_RECORDS", {})
     hh_bar(FieldSpec(0), 7)
-    records, = hochschild._RECORDS.values()
-    assert {r for (r, _), record in records.items() if record[3] is None} == {7}
+    records = hochschild._RECORDS
+    assert {r for r, _ in records} == set(range(8))
+    for (r, s), (out, _, pivots) in records.items():
+        assert len(pivots) == out and pivots <= set(cochain_basis(A, r + 1, s)), (r, s)
+    after = {}
     for p in (2, 3, 5, 7):
-        assert hh_bar(FieldSpec(p), 9) == alone[p], p
+        assert hh_bar(FieldSpec(p), 9) == alone[p][0], p
+        after[p] = len(eliminated.pop(p))
+        assert after[p] < alone[p][1], p
+    assert (after[2], alone[2][1]) == (16, 35)
 
 
 def test_shorter_q_run_keeps_a_longer_runs_pivot_rows(fresh_patterns, monkeypatch):
@@ -793,66 +763,17 @@ def test_certified_ranks_equal_direct_ranks(fresh_patterns):
     # and 3 divide a pivot product
     alone = {p: hh_bar(FieldSpec(p), 9) for p in CERTIFIED_PRIMES}
     hh_bar(FieldSpec(0), 9)
-    records, = fresh_patterns._RECORDS.values()
+    records = fresh_patterns._RECORDS
     assert {r for r, _ in records} == set(range(10))
     for p in CERTIFIED_PRIMES:
         A, uncertified = preset_A(FieldSpec(p)), []
-        for (r, s), (_, out, det, _) in records.items():
+        for (r, s), (out, det, _) in records.items():
             if det % p:
                 assert out == rank(delta_matrix(A, r, s)[2], p), (p, r, s)
             else:
                 uncertified.append((r, s))
         assert bool(uncertified) == (p < 5), p
         assert hh_bar(FieldSpec(p), 9) == alone[p]
-
-
-def _unit_doubled(F):
-    # preset A with e0 o e1 = 2 e1: preset A's mu^2 support, not associative
-    A = preset_A(F)
-    mu2 = dict(A.tables[2])
-    mu2[("e0", "e1")] = mu2[("e0", "e1")].scale(2)
-    return AInfStructure(F, A.cat, A.truncation, {2: mu2})
-
-
-@pytest.mark.parametrize("char", [0, 2, 3, 5])
-def test_hh_bar_refuses_a_non_associative_mu2(char):
-    # delta^2 != 0 there, so no cohomology is defined: ranked anyway, the
-    # bar complex gave "dimensions" from (2, -1): -1 to (8, -5): -34 over
-    # Q, and clearing, which relies on delta^2 = 0, would be unsound
-    F = FieldSpec(char)
-    with pytest.raises(ValueError, match="not associative"):
-        hh_bar(F, 8, _unit_doubled(F))
-
-
-def _u_doubled(F):
-    # preset A with u rescaled by 2 (u o v = 2 f1, v o u = -2 e1): preset
-    # A's mu^2 support, integral and associative, and isomorphic to A
-    # wherever 2 is invertible
-    A = preset_A(F)
-    mu2 = dict(A.tables[2])
-    for key in (("u", "v"), ("v", "u")):
-        mu2[key] = mu2[key].scale(2)
-    return AInfStructure(F, A.cat, A.truncation, {2: mu2})
-
-
-def test_q_ranks_serve_only_their_coefficients_mod_p(fresh_patterns, monkeypatch):
-    # two structures on one support whose coefficients differ mod 5: F5
-    # eliminates every cell rather than read the Q record of the other
-    # one, and reads its own; the tables agree, as the two are isomorphic
-    Q, F5 = FieldSpec(0), FieldSpec(5)
-    want = {k: v for k, v in Q_TABLE.items() if k[0] <= 5}
-    eliminated = _trace_eliminations(monkeypatch)
-    assert hh_bar(Q, 5, _u_doubled(Q)) == want
-    cells = eliminated.pop(0)
-    assert hh_bar(F5, 5) == want
-    assert eliminated.pop(5) == cells
-    assert hh_bar(Q, 5) == want
-    assert eliminated.pop(0) == cells
-    assert hh_bar(F5, 5, _u_doubled(F5)) == want
-    assert eliminated.pop(5) == cells
-    assert hh_bar(F5, 5) == want
-    assert not eliminated
-    assert len(fresh_patterns._RECORDS) == 1
 
 
 def _trace_eliminations(monkeypatch):
@@ -886,8 +807,8 @@ def test_q_elimination_certifies_all_but_the_torsion_cells(fresh_patterns, monke
     assert len(eliminated[0]) == 24 and 5 not in eliminated
     assert eliminated[3] == [(3, -2)]
     assert eliminated[2] == [(2, -1), (4, -3), (5, -3), (6, -3), (7, -5)]
-    records, = fresh_patterns._RECORDS.values()
-    assert [records[c][2] for c in eliminated[2] + eliminated[3]] == [-2, 4, 4, -2, 2, 3]
+    records = fresh_patterns._RECORDS
+    assert [records[c][1] for c in eliminated[2] + eliminated[3]] == [-2, 4, 4, -2, 2, 3]
     del eliminated[2]
     monkeypatch.setattr(hochschild, "_RECORDS", {})
     hh_bar(FieldSpec(2), 7)

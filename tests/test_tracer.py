@@ -80,3 +80,16 @@ def test_every_name_the_workloads_bind_resolves():
     assert ("ainfbench.polygons.triangle_criterion", True) in found
     assert ("ainfbench.quiver.Element", True) in found
     assert [what for what, resolved in found if not resolved] == []
+
+
+def test_tracer_sees_the_gauge_solves(Q, model8):
+    # mc_extend and extract_invariants solve through is_coboundary, which
+    # the tracer wraps at every binding, so their solves get spans
+    from ainfbench import gauge
+
+    tracer = _load_tracer()
+    for run in (lambda: gauge.mc_extend(Q, Q.scalar(1, 2), Q.scalar(-2, 3), 10),
+                lambda: gauge.extract_invariants(model8.minimal)):
+        with tracer.Tracer() as t:
+            run()
+        assert t.totals()["hochschild.is_coboundary.calls"] > 0
