@@ -400,15 +400,12 @@ def _structure(preset, char):
 
 @lru_cache(maxsize=None)
 def _full_rank(preset, char, r, s):
-    """The rank of delta at (r, s) on all its columns, 0 where delta has
-    no column or no row."""
-    cols, rows, columns = delta_matrix(_structure(preset, char), r, s)
-    return rank(columns, char) if cols and rows else 0
+    return _uncleared_rank(_structure(preset, char), r, s)
 
 
 def _hh_dim(preset, char, r, s):
-    """HH at (r, s), r >= 1, from the ranks of delta on all its columns:
-    each is ranked once, and only where a test asks."""
+    """HH at (r, s), r >= 1, from the ranks of delta on all its columns
+    (_uncleared_rank): each is ranked once, and only where a test asks."""
     size = len(cochain_basis(_structure(preset, char), r, s))
     return size - _full_rank(preset, char, r, s) - _full_rank(preset, char, r - 1, s)
 
@@ -637,14 +634,16 @@ def _ordered(first, second, order):
     return algs
 
 
+def _uncleared_rank(alg, r, s):
+    """The rank of delta at (r, s) on all its columns, 0 where delta has
+    no column or no row."""
+    cols, rows, columns = delta_matrix(alg, r, s)
+    return rank(columns, alg.spec.characteristic) if cols and rows else 0
+
+
 def _uncleared_ranks(alg, r_max):
-    """{(r, s): rank of delta at (r, s) on all its columns} at every cell
-    of _cells, 0 where delta has no column or no row."""
-    char, ranks = alg.spec.characteristic, {}
-    for r, s in _cells(alg.cat, r_max):
-        cols, rows, columns = delta_matrix(alg, r, s)
-        ranks[(r, s)] = rank(columns, char) if cols and rows else 0
-    return ranks
+    """{(r, s): _uncleared_rank} at every cell of _cells."""
+    return {(r, s): _uncleared_rank(alg, r, s) for r, s in _cells(alg.cat, r_max)}
 
 
 def _uncleared_dims(alg, r_max):
