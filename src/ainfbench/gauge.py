@@ -18,7 +18,8 @@ into a key G of g^(d-m+1) (t = G[:p] + w + G[p+1:], G[p] in the output
 of mu^m(w); with g^1 the identity, t is a key of mu^d).  A mu_new-side
 term reads a key K of mu_new^r, r < d, each letter kept or replaced by a
 g^s key whose output holds it.  No other tuple gets a term.  Keys are the
-composable tuples of non-identity generators, in the order of cat.tuples.
+composable tuples of non-identity generators, in the order of cat.tuples;
+the mu_new side expands a prefix that neighbours share once (_scatter).
 
 The two residual invariants live in the 1-dimensional cells HH^2(A,A)^-4
 (order 6) and HH^2(A,A)^-6 (order 8); coordinates are reported against
@@ -63,9 +64,9 @@ from .hochschild import (
     reference_cocycle,
     solve_first,
 )
-from .quiver import (AInfStructure, Element, EntryError, ZERO, accumulate, check_table,
+from .quiver import (AInfStructure, Element, EntryError, ZERO, check_table,
                      index_by_output, preset_A, splices)
-from .scalars import FieldSpec, canon, divide, field_mismatch
+from .scalars import FieldSpec, add_multiples, canon, divide, field_mismatch
 
 
 class ObstructionError(ValueError):
@@ -106,34 +107,45 @@ class GaugeTransformation:
         return self._identity if k == 1 else self.components.get(k, {})
 
 
-def _substitutions(key, blocks: dict, alphabet, shortest: int, most: int, longest: int):
-    """(t, c) for every tuple t of shortest..most letters built from key
-    letter by letter: a letter n is kept (n in alphabet, coefficient 1) or
-    replaced by a block key B whose value holds n with coefficient c_B; c
-    is the raw product.  Only lengths that can still end in that range are
-    extended (blocks have at most longest letters)."""
-    partial = [((), 1)]
-    for i, n in enumerate(key):
-        rest = len(key) - 1 - i
-        grown = []
-        for t, c0 in partial:
-            lo, hi = shortest - len(t) - rest * longest, most - len(t) - rest
-            if n in alphabet and lo <= 1 <= hi:
-                grown.append((t + (n,), c0))
-            if hi > 1:  # a block has at least two letters
-                grown += [(t + B, c0 * c) for B, c in blocks.get(n, ()) if lo <= len(B) <= hi]
-        partial = grown
-    return partial
+def _substitutions(keys, blocks: dict, alphabet, shortest: int, most: int, longest: int):
+    """(K, [(t, c)]) for each key K of keys, in order: every tuple t of
+    shortest..most letters built from K letter by letter, a letter n kept
+    (n in alphabet, coefficient 1) or replaced by a block key B whose value
+    holds n with coefficient c_B; c is the raw product.  Only lengths that
+    can still end in that range are extended (blocks have at most longest
+    letters), so the partial list after a letter depends on the letters so
+    far and len(K): a key reuses those of the prefix it shares with the key
+    before it, of its length.  Callers must not mutate the lists."""
+    levels, before = [[((), 1)]], ()
+    for K in keys:
+        k = 0
+        if len(K) == len(before):
+            while K[k] == before[k]:
+                k += 1
+        del levels[k + 1:]
+        for i in range(k, len(K)):
+            n, rest, grown = K[i], len(K) - 1 - i, []
+            keep, options = n in alphabet, blocks.get(n, ())
+            low, high = shortest - rest * longest, most - rest
+            for t, c0 in levels[i]:
+                lo, hi = low - len(t), high - len(t)
+                if keep and lo <= 1 <= hi:
+                    grown.append((t + (n,), c0))
+                if hi > 1:  # a block has at least two letters
+                    grown += [(t + B, c0 * c) for B, c in options if lo <= len(B) <= hi]
+            levels.append(grown)
+        before = K
+        yield K, levels[-1]
 
 
 def _scatter(accs: dict, table: dict, blocks: dict, alphabet, shortest: int, most: int,
              longest: int) -> None:
-    """accs[len(t)][t] -= c * table[K] for each key K of table and each (t,
-    c) of its one substitution pass into shortest..most letters: the
-    mu_new-side terms, moved to the g-side of the functor equation."""
-    for K in table if shortest <= most else ():
-        for t, c in _substitutions(K, blocks, alphabet, shortest, most, longest):
-            accumulate(accs[len(t)].setdefault(t, {}), table, ((K, c),), True)
+    """accs[len(t)][t] -= c * table[K] for each key K of table, read once,
+    and each (t, c) of its substitutions (_substitutions): the mu_new-side
+    terms, moved to the g-side of the functor equation."""
+    keys = table if shortest <= most else ()
+    for K, subs in _substitutions(keys, blocks, alphabet, shortest, most, longest):
+        add_multiples([(accs[len(t)].setdefault(t, {}), -c) for t, c in subs], table[K])
 
 
 def gauge_apply(gauge: GaugeTransformation, mu: AInfStructure,

@@ -21,6 +21,8 @@ obstruction check (at r = 5), which is how the sign convention is pinned.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .linalg import Echelon, cohomology_dims, rank  # noqa: F401 (bench/test_bench.py reads hochschild.rank)
 from .quiver import AInfStructure, Element, ZERO, index_by_output, preset_A, splices
 from .scalars import FieldSpec, canonical, divide, field_mismatch
@@ -93,51 +95,69 @@ def mu_cochain(alg: AInfStructure, d: int) -> Cochain:
     return Cochain(d, 2 - d, table)
 
 
-def gerst_compose(phi: Cochain, psi: Cochain, alg: AInfStructure) -> Cochain:
-    """Circle product with shifted signs; both factors of length >= 1.
-
-    One splices scatter of psi into phi, which is exact, signed by the
-    tail only when ||psi|| is odd.  Keys are the composable tuples of
-    non-identity generators, in the order of cat.tuples, so a psi-key
+def _circle(alg: AInfStructure, *products) -> Cochain:
+    """sum (-1)^negate phi o psi over the (phi, psi, negate) products of one
+    bidegree: splices scatters of psi into phi (exact; signed by the tail
+    when ||psi|| is odd) into one raw sum, built once (_entries).  A psi-key
     holding an identity component (as mu^2's do) is never read."""
-    if phi.r < 1 or psi.r < 1:
-        raise ValueError("circle product needs length >= 1 factors")
-    cat = alg.cat
+    cat, acc = alg.cat, {}
     gens = cat.nonidentity_generators()
-    inner = {w: v for w, v in psi.table.items() if all(n in gens for n in w)}
-    acc = splices({}, phi.table, inner, cat.odd, psi.shifted_degree)
+    for phi, psi, negate in products:
+        if phi.r < 1 or psi.r < 1:
+            raise ValueError("circle product needs length >= 1 factors")
+        inner = {w: v for w, v in psi.table.items() if all(n in gens for n in w)}
+        splices(acc, phi.table, inner, cat.odd, psi.shifted_degree, negate)
     return Cochain(phi.r + psi.r - 1, phi.s + psi.s, _entries(acc, cat, alg.spec.characteristic))
+
+
+def gerst_compose(phi: Cochain, psi: Cochain, alg: AInfStructure) -> Cochain:
+    """Circle product with shifted signs (_circle).  No command calls it:
+    gerstenhaber scatters both of its products into one sum."""
+    return _circle(alg, (phi, psi, 0))
 
 
 def _entries(acc: dict, cat, p: int) -> dict:
     """The nonzero scattered sums as Elements over characteristic p, keyed by
-    the tuples of non-identity generators in cat.tuples order."""
-    gens = cat.nonidentity_generators()
-    sums = ((t, Element(acc[t], p)) for t in cat.tuples_among(acc, gens))
-    return {t: el for t, el in sums if not el.is_zero()}
+    the tuples of non-identity generators in cat.tuples order; zero sums
+    (all of a cocycle's bracket) are dropped unsorted and unbuilt."""
+    live = [t for t, raw in acc.items()
+            if (any(v % p for v in raw.values()) if p else any(raw.values()))]
+    return {t: Element(acc[t], p) for t in cat.tuples_among(live, cat.nonidentity_generators())}
+
+
+def _check_field(alg: AInfStructure, *cochains) -> None:
+    """field_mismatch for cochains over another field than alg's."""
+    fields = {el.p for phi in cochains for el in phi.table.values()} - {alg.spec.characteristic}
+    if fields:
+        raise field_mismatch(*sorted(fields), alg.spec.characteristic)
 
 
 def gerstenhaber(phi: Cochain, psi: Cochain, alg: AInfStructure) -> Cochain:
-    """[phi, psi] = phi o psi - (-1)^{||phi|| ||psi||} psi o phi."""
-    a = gerst_compose(phi, psi, alg)
-    b = gerst_compose(psi, phi, alg)
-    if phi.shifted_degree and psi.shifted_degree:
-        return a + b
-    return a - b
+    """[phi, psi] = phi o psi - (-1)^{||phi|| ||psi||} psi o phi, both circle
+    products scattered into one sum (_circle), keys in cat.tuples order.
+    Both factors over alg's field (else ValueError)."""
+    _check_field(alg, phi, psi)
+    return _circle(alg, (phi, psi, 0), (psi, phi, 1 ^ (phi.shifted_degree & psi.shifted_degree)))
 
 
 def coboundary(phi: Cochain, alg: AInfStructure) -> Cochain:
-    """Hochschild differential delta(phi) = [mu^2, phi].
-
-    mu^2 enters with its identity inputs, so outputs of phi in e0/f0
-    multiply.  A length-0 cochain is one scatter too: its object values,
-    summed, are the inner table's one entry, at the empty key, which meets
-    only the mu^2 keys it composes with, so the sum is exact."""
+    """Hochschild differential delta(phi) = [mu^2, phi] (gerstenhaber), phi
+    over alg's field (else ValueError).  mu^2 enters with its identity
+    inputs, so outputs of phi in e0/f0 multiply.  A length-0 cochain is one
+    scatter too: its object values, summed, are the inner table's entry at
+    the empty key, which meets only the mu^2 keys it composes with.  Over
+    Q, delta(phi) = delta(t phi) / t, t the lcm of phi's denominators: the
+    scatter adds integers when mu^2's are, and only nonzero sums divide."""
+    _check_field(alg, phi)
+    t = lcm(*{c.denominator for el in phi.table.values() for c in el.terms.values()})
+    whole = phi.scale(t) if t > 1 else phi
     if phi.r:
-        return gerstenhaber(Cochain(2, 0, alg.tables[2]), phi, alg)
-    acc = splices({}, alg.tables[2], {(): sum(phi.table.values(), ZERO)}, alg.cat.odd,
-                  phi.shifted_degree)
-    return Cochain(1, phi.s, _entries(acc, alg.cat, alg.spec.characteristic))
+        out = gerstenhaber(Cochain(2, 0, alg.tables[2]), whole, alg)
+    else:
+        acc = splices({}, alg.tables[2], {(): sum(whole.table.values(), ZERO)}, alg.cat.odd,
+                      phi.shifted_degree)
+        out = Cochain(1, phi.s, _entries(acc, alg.cat, alg.spec.characteristic))
+    return out.scale(divide(1, t, alg.spec.characteristic)) if t > 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +449,7 @@ def solve_first(phi: Cochain, alg: AInfStructure, not_cocycle: Exception, solve)
     None or a ValueError, or before it if delta^2 != 0.  A phi over
     another field than alg's is refused first (ValueError): its values
     would be read as alg's."""
-    fields = {el.p for el in phi.table.values()} - {alg.spec.characteristic}
-    if fields:
-        raise field_mismatch(*fields, alg.spec.characteristic)
+    _check_field(alg, phi)
     exact = delta_squares_to_zero(alg)
     if not exact and not coboundary(phi, alg).is_zero():
         raise not_cocycle

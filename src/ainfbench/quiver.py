@@ -44,23 +44,24 @@ def index_by_output(entries) -> dict:
     return index
 
 
-def splices(acc: dict, outer: dict, inner: dict, odd: dict, shift: int = 1) -> dict:
+def splices(acc: dict, outer: dict, inner: dict, odd: dict, shift: int = 1,
+            negate: int = 0) -> dict:
     """The insertion of inner into outer, scattered into acc and returned:
     for every outer key K, position p and inner key w whose value holds
-    K[p] with coefficient c, acc[t] += (-1)^(shift * ||K[p+1:]||) c
-    outer[K] with t = K[:p] + w + K[p+1:].  ||tail|| is the parity of
+    K[p] with coefficient c, acc[t] += (-1)^(negate + shift * ||K[p+1:]||)
+    c outer[K] with t = K[:p] + w + K[p+1:].  ||tail|| is the parity of
     the tail's reduced degrees in odd (QuiverCategory.odd), carried right
     to left; shift is inner's shifted degree, 1 for every mu^m.  Each t is
     composable when both tables are; other tuples get no term.  The one
-    evaluator of the A-infinity relations, the circle product and the
-    gauge action's g-side."""
+    evaluator of the A-infinity relations, the circle product (negate
+    subtracts one, as the bracket does) and the gauge action's g-side."""
     by_output = index_by_output(inner.items())
     for K in outer:
         tail = 0
         for p in range(len(K) - 1, -1, -1):
             for w, c in by_output.get(K[p], ()):
                 accumulate(acc.setdefault(K[:p] + w + K[p + 1:], {}), outer, ((K, c),),
-                           tail & shift)
+                           (tail & shift) ^ negate)
             tail ^= odd[K[p]]
     return acc
 

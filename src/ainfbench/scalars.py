@@ -272,6 +272,15 @@ def accumulate(acc: dict, table: dict, pairs, negate: bool = False) -> dict:
     return acc
 
 
+def add_multiples(pairs, el: Element) -> None:
+    """acc += c * el, raw as accumulate sums, for each (acc, c) of pairs."""
+    terms = el.terms.items()
+    for acc, c in pairs:
+        get = acc.get
+        for g, v in terms:
+            acc[g] = get(g, 0) + v * c
+
+
 def tensor_terms(elements) -> list:
     """(key, coefficient) pairs of the tensor product of Elements, keys in
     input order; raw products, not canonical."""

@@ -60,6 +60,14 @@ did, one elementary gauge per killed order: kill_orders gauges away orders
 3, 4 and 5, the class of mu^6 is read, order 7 is gauged away and the
 class of mu^8 is read (``sequential_invariants``).
 
+The substitution oracle expands each key of a table on its own, as the
+program once did (``substitutions``); the program's walk reuses the
+partial lists of the prefix a key shares with the key before it.  The
+bracket oracles build both circle products as Cochains and subtract them,
+as the program once did (``gerstenhaber_by_cochains``,
+``coboundary_by_cochains``); the program scatters both products into one
+sum.
+
 Two checks no command makes: strict unitality of mu^2 against the
 designated identities (``check_unital``; the relation checker assumes no
 units), and the degree derivation, a length-1 cocycle (``euler_cochain``).
@@ -88,7 +96,7 @@ from ainfbench.linalg import Echelon, cohomology_dims, nullspace, rank
 from ainfbench.perturbation import TransferResult, _apply_linear
 from ainfbench.polygons import CROSS_LOW, _W_KNOTS, PolygonScene
 from ainfbench.quiver import (A_GENERATORS, AInfStructure, Element, Generator, QuiverCategory,
-                              ZERO, _assoc_mul_A, _table, accumulate)
+                              ZERO, _assoc_mul_A, _table, accumulate, splices)
 from ainfbench.scalars import FieldSpec, canonical, tensor_terms
 from ainfbench.skoldberg import _ends, _split
 from ainfbench.useries import TruncatedUSeries
@@ -224,6 +232,45 @@ def gerst_compose(phi, psi, alg):
         if not el.is_zero():
             out[t] = el
     return Cochain(r_out, phi.s + psi.s, out)
+
+
+def substitutions(key, blocks: dict, alphabet, shortest: int, most: int, longest: int):
+    """(t, c) for every tuple t of shortest..most letters built from key
+    letter by letter: a letter n is kept (n in alphabet, coefficient 1) or
+    replaced by a block key B whose value holds n with coefficient c_B; c
+    is the raw product.  Only lengths that can still end in that range are
+    extended (blocks have at most longest letters)."""
+    partial = [((), 1)]
+    for i, n in enumerate(key):
+        rest = len(key) - 1 - i
+        grown = []
+        for t, c0 in partial:
+            lo, hi = shortest - len(t) - rest * longest, most - len(t) - rest
+            if n in alphabet and lo <= 1 <= hi:
+                grown.append((t + (n,), c0))
+            if hi > 1:  # a block has at least two letters
+                grown += [(t + B, c0 * c) for B, c in blocks.get(n, ()) if lo <= len(B) <= hi]
+        partial = grown
+    return partial
+
+
+def gerstenhaber_by_cochains(phi, psi, alg):
+    """[phi, psi] = phi o psi - (-1)^{||phi|| ||psi||} psi o phi."""
+    a = hochschild.gerst_compose(phi, psi, alg)
+    b = hochschild.gerst_compose(psi, phi, alg)
+    if phi.shifted_degree and psi.shifted_degree:
+        return a + b
+    return a - b
+
+
+def coboundary_by_cochains(phi, alg):
+    """Hochschild differential delta(phi) = [mu^2, phi], on phi's values as
+    given."""
+    if phi.r:
+        return gerstenhaber_by_cochains(Cochain(2, 0, alg.tables[2]), phi, alg)
+    acc = splices({}, alg.tables[2], {(): sum(phi.table.values(), ZERO)}, alg.cat.odd,
+                  phi.shifted_degree)
+    return Cochain(1, phi.s, hochschild._entries(acc, alg.cat, alg.spec.characteristic))
 
 
 def cochain_basis(alg, r, s):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import contextlib
 import os
@@ -77,6 +78,23 @@ def test_triangle_golden(tmp_path):
     code, _ = run(["triangle", "--wrap", "4", "--out", str(out)])
     assert code == 0
     assert out.read_text() == (GOLDEN / "triangle_wrap4.txt").read_text()
+
+
+def test_stdout_digests(tmp_path):
+    # each command of golden/cli_digests.txt, run in-process, exits 0 and
+    # prints the stdout whose SHA-256 is pinned there; a mismatch is
+    # named, and its stdout written to tmp_path for diffing
+    wrong = []
+    for line in (GOLDEN / "cli_digests.txt").read_text().splitlines():
+        if line.startswith("#"):
+            continue
+        digest, argv = line.split("  ", 1)
+        code, text = run(argv.split())
+        if (code, hashlib.sha256(text.encode()).hexdigest()) != (0, digest):
+            path = tmp_path / (argv.replace(" ", "_").replace("/", "_") + ".txt")
+            path.write_text(text)
+            wrong.append(f"{argv} (exit {code}): stdout in {path}")
+    assert wrong == []
 
 
 def test_triangle_scene_file(tmp_path):

@@ -233,6 +233,32 @@ def test_gauge_apply_property(Q, model8, seed, density, orders):
     assert moved.ainf_check(7) == []
 
 
+@given(seed=st.integers(0, 2**32 - 1), char=st.sampled_from((0, 5)),
+       orders=st.sampled_from(((2,), (3,), (2, 3), (2, 4), (2, 3, 4))),
+       shortest=st.integers(1, 9), extra=st.integers(-1, 4))
+def test_shared_prefix_walk_yields_the_per_key_substitutions(seed, char, orders, shortest,
+                                                             extra):
+    # keys of lengths 2..5, by length in cat.tuples order (neighbours
+    # share long prefixes) or shuffled (they differ in length or share
+    # little): the walk yields every key once, in order, with the per-key
+    # oracle's (t, c) list, terms in the same order, and no list changes
+    # after it is yielded; most < shortest yields empty lists
+    rng = random.Random(seed)
+    F = FieldSpec(char)
+    cat = preset_A(F).cat
+    keys = [t for d in range(2, 6) for t in cat.tuples(d, cat.nonidentity_generators())
+            if rng.random() < 0.3]
+    if rng.random() < 0.5:
+        rng.shuffle(keys)
+    g = random_gauge(F, cat, rng, orders=orders, density=0.4)
+    blocks = quiver.index_by_output(e for tbl in g.components.values() for e in tbl.items())
+    alphabet, longest = set(cat.nonidentity_generators()), max(g.supports(), default=1)
+    most = shortest + extra
+    walk = gauge_mod._substitutions(keys, blocks, alphabet, shortest, most, longest)
+    assert list(walk) == \
+        [(K, oracles.substitutions(K, blocks, alphabet, shortest, most, longest)) for K in keys]
+
+
 def test_gauge_preserves_relations(Q, model8):
     B = model8.minimal
     for seed in range(4):

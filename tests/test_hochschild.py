@@ -97,6 +97,49 @@ def test_gerst_compose_refuses_one_length_zero_factor(Q):
             gerst_compose(phi, psi, A)
 
 
+@pytest.mark.parametrize("r", range(7))
+@pytest.mark.parametrize("char", [0, 5, 7], ids=["Q", "F5", "F7"])
+@given(seed=st.integers(0, 2**32))
+def test_bracket_and_coboundary_equal_the_two_cochain_oracle(char, r, seed):
+    # one scatter of both circle products equals the oracle's two Cochains,
+    # subtracted, with its keys in cat.tuples order (the oracle's come as
+    # the first product's, then the second's).  delta of a drawn cochain
+    # (mostly no cocycle; over Q, denominators 1 to 3 mixed) and of that
+    # coboundary (a cocycle, whose bracket cancels entirely); the bracket
+    # of two drawn cochains whose product has at most 6 letters
+    rng = random.Random(seed)
+    A = preset_A(FieldSpec(char))
+
+    def drawn(r):
+        return random_cochain(A, r, rng.randint(-r, 1), rng, rng.choice((0.1, 0.5, 1)))
+
+    phi = drawn(r)
+    r1 = rng.randint(1, max(1, r))
+    a, b = drawn(r1), drawn(rng.randint(1, 7 - r1))
+    image = coboundary(phi, A)
+    square = coboundary(image, A)
+    for got, want in ((image, oracles.coboundary_by_cochains(phi, A)),
+                      (square, oracles.coboundary_by_cochains(image, A)),
+                      (gerstenhaber(a, b, A), oracles.gerstenhaber_by_cochains(a, b, A))):
+        assert got == want
+        assert list(got.table) == A.cat.tuples_among(got.table)
+    assert square.is_zero()
+
+
+def test_bracket_refuses_a_cochain_of_another_field(Q):
+    # an F5 cocycle read over Q was bracketed from its residues, so its
+    # delta read nonzero (34 keys of (7, -4)) and it passed for no cocycle
+    A = preset_A(Q)
+    mu2 = Cochain(2, 0, A.tables[2])
+    phi = reference_cocycle(preset_A(FieldSpec(5)), 6, -4)
+    obj, g = cochain_basis(A, 0, 0)[0]
+    phi0 = Cochain(0, 0, {obj: Element.single(g, 1, 5)})
+    for bracket in (lambda: coboundary(phi, A), lambda: coboundary(phi0, A),
+                    lambda: gerstenhaber(phi, mu2, A), lambda: gerstenhaber(mu2, phi, A)):
+        with pytest.raises(ValueError, match="^field mismatch: F5 vs Q$"):
+            bracket()
+
+
 def test_bracket_graded_antisymmetry_randomized(Q):
     # [a, b] = -(-1)^{||a|| ||b||} [b, a]
     A = preset_A(Q)
